@@ -253,13 +253,15 @@ def _load_lattice(path: str) -> matroid.FlatLattice:
     data = load_json(path)
     try:
         M = matroid.Matroid.from_json_dict(data)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"{path}: {e}") from None
     return matroid.flats(M)
 
 
 def cmd_matroid(args) -> int:
     L = _load_lattice(args.file)
+    if args.sub != "flats" and L.rank_total < 1:
+        raise InputError(f"{args.file}: matroid {args.sub} needs rank >= 1")
     if args.sub == "flats":
         rep = report(args, "success",
                      flats=[sorted(map(str, F)) for F in L.flats],
@@ -274,7 +276,7 @@ def cmd_matroid(args) -> int:
         return emit(args, rep, 0 if cp.agree else 1)
     if args.sub == "hrw":
         hr = matroid.hrw_check(L)
-        cp = matroid.char_poly(L)
+        cp = hr.char
         verdict = hr.log_concave and hr.mixed_identity
         witness = matroid.submodular_witness(L)
         rep = report(args, "yes" if verdict else "no",
@@ -283,8 +285,8 @@ def cmd_matroid(args) -> int:
                      coefficients=[rat_str(c) for c in hr.reduced_abs],
                      log_concave=hr.log_concave,
                      mixed_identity=hr.mixed_identity,
-                     volume_at_alpha=rat_str(matroid.eval_alpha(L)),
-                     volume_at_beta=rat_str(matroid.eval_beta(L)),
+                     volume_at_alpha=rat_str(cp.expansion[0]),
+                     volume_at_beta=rat_str(cp.expansion[-1]),
                      cone_witness={str(sorted(map(str, F))): rat_str(c)
                                    for F, c in zip(witness.vars, witness.coords)})
         return emit(args, rep, 0 if verdict else 1)

@@ -56,7 +56,7 @@ def _jsonable(x):
         return [_jsonable(e) for e in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (int, str, bool)) or x is None:
+    if isinstance(x, (int, float, str, bool)) or x is None:
         return x
     return str(x)
 

@@ -1,20 +1,32 @@
 """Matroids, lattices of flats, and the volume-polynomial pipeline.
 
-Matroids arrive as explicit bases lists or as graph cycle matroids; the
-rank oracle is max intersection with a basis (desk scale).  The lattice of
-flats is materialized with ranks, covers and Moebius values, and the
-associated volume polynomial is the unique facet-weight-1 reconstruction
-over the order complex with the modular lineality space.
+Matroids arrive as explicit bases lists or as graph cycle matroids.  Bases
+are kept as bitmasks over the ground set: the rank of S is the largest
+popcount of S & B over the bases B, and a closure is one pass over the
+bases (e raises the rank of S exactly when some basis B with
+|S & B| = rank(S) contains e).  A bases list given explicitly must satisfy
+the basis-exchange axiom, checked on construction; the uniform, Fano and
+graphic constructors are matroids by construction and skip that check.
+
+The lattice of flats is generated by covers: starting from the closure of
+the empty set, the closures of F + e for every flat F found so far and
+every e outside F.  It is materialized with ranks, covers and Moebius
+values, and the associated volume polynomial is the unique facet-weight-1
+reconstruction over the order complex with the modular lineality space.
 
 Two construction routes coexist:
 
 * the generic explicit one through :func:`lorentzlab.hereditary.from_weights`
   (used for small lattices and for all cross-validation), and
 * a weights-backed engine (:class:`LatticeVolume`) that never materializes
-  the polynomial: it evaluates along the face recursion with memoization,
-  which keeps rank-7 uniform matroids tractable for the characteristic
-  polynomial, the closed-form evaluations, and the Lorentzian
-  certification.
+  the polynomial: it evaluates along the face recursion on Python integers
+  (the probe point and every pinned lineality vector are scaled to integer
+  vectors, and one division at the end restores the value), which keeps
+  rank-7 uniform matroids tractable for the characteristic polynomial, the
+  closed-form evaluations, and the Lorentzian certification.  The
+  expansion along the canonical direction pair (alpha, beta) is computed
+  once per engine and serves the characteristic polynomial, the
+  Heron-Rota-Welsh check and both closed-form evaluations.
 
 Flats are frozensets of ground elements; inside the engine they are
 bitmasks for cheap containment tests.
@@ -24,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import hereditary as hered
@@ -35,36 +47,102 @@ from .rat import Q, ZERO, ONE
 from .simplicial import SimComplex
 
 
+def _bits(mask: int):
+    """The single-bit masks of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Matroid:
     ground: tuple
     bases: tuple
 
     def __post_init__(self):
+        self._index_bases()
+        self._check_exchange()
+
+    @classmethod
+    def _by_construction(cls, ground: tuple, bases) -> "Matroid":
+        """A matroid whose bases satisfy exchange by construction (uniform,
+        Fano, graphic): built without the exchange check."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "ground", ground)
+        object.__setattr__(M, "bases", tuple(bases))
+        M._index_bases()
+        return M
+
+    def _index_bases(self):
         bs = tuple(sorted({frozenset(b) for b in self.bases}, key=lambda b: sorted(map(repr, b))))
         if not bs:
             raise ValueError("a matroid needs at least one basis")
         sizes = {len(b) for b in bs}
         if len(sizes) != 1:
             raise ValueError("bases are not equicardinal")
-        gset = set(self.ground)
+        elems = tuple(dict.fromkeys(self.ground))
+        bit = {e: 1 << i for i, e in enumerate(elems)}
         for b in bs:
-            if not b <= gset:
+            if not b <= bit.keys():
                 raise ValueError("basis uses unknown elements")
         object.__setattr__(self, "bases", bs)
+        object.__setattr__(self, "_elems", elems)
+        object.__setattr__(self, "_bit", bit)
+        object.__setattr__(self, "_full", (1 << len(elems)) - 1)
+        object.__setattr__(self, "_basis_masks", tuple(self._mask(b) for b in bs))
+
+    def _check_exchange(self):
+        """Basis exchange: for bases A != B and a in A - B, some b in B - A
+        makes A - a + b a basis.  For each basis A and each a in A, a mask
+        of every x with A - a + x a basis is built first; then each pair
+        needs one AND per element of A - B."""
+        masks = self._basis_masks
+        present = set(masks)
+        outside = [self._full & ~A for A in masks]
+        swaps = [
+            {a: sum(x for x in _bits(out) if (A ^ a) | x in present) for a in _bits(A)}
+            for A, out in zip(masks, outside)
+        ]
+        for A, sw, bA in zip(masks, swaps, self.bases):
+            for B, bB in zip(masks, self.bases):
+                for a in _bits(A & ~B):
+                    if not sw[a] & B:
+                        (e,) = self._elements(a)
+                        raise ValueError(
+                            f"bases {sorted(bA, key=repr)} and {sorted(bB, key=repr)} violate basis "
+                            f"exchange at {e!r}: the family is not a matroid")
+
+    def _mask(self, S: Iterable) -> int:
+        bit = self._bit
+        return sum(bit[e] for e in set(S) if e in bit)
+
+    def _elements(self, mask: int) -> frozenset:
+        return frozenset(e for i, e in enumerate(self._elems) if mask >> i & 1)
+
+    def _closure_mask(self, s: int) -> int:
+        """One pass over the bases: the elements outside S that some basis
+        meeting S in rank(S) elements contains are exactly those raising
+        the rank; everything else is in the closure."""
+        best, grow = -1, 0
+        for b in self._basis_masks:
+            k = (s & b).bit_count()
+            if k > best:
+                best, grow = k, b
+            elif k == best:
+                grow |= b
+        return self._full & ~(grow & ~s)
 
     @property
     def rank_total(self) -> int:
         return len(self.bases[0])
 
     def rank(self, S: Iterable) -> int:
-        S = frozenset(S)
-        return max(len(S & b) for b in self.bases)
+        s = self._mask(S)
+        return max((s & b).bit_count() for b in self._basis_masks)
 
     def closure(self, S: Iterable) -> frozenset:
-        S = frozenset(S)
-        r = self.rank(S)
-        return frozenset(e for e in self.ground if self.rank(S | {e}) == r)
+        return self._elements(self._closure_mask(self._mask(S)))
 
     def loops(self) -> frozenset:
         return self.closure(())
@@ -87,12 +165,15 @@ class Matroid:
     def uniform(cls, r: int, n: int) -> "Matroid":
         ground = tuple(range(1, n + 1))
         bases = [frozenset(b) for b in combinations(ground, r)] or [frozenset()]
-        return cls(ground, tuple(bases))
+        return cls._by_construction(ground, bases)
 
     @classmethod
     def from_graph(cls, n_vertices: int, edges: Sequence[Sequence]) -> "Matroid":
         """Cycle matroid: ground set = edge indices, bases = maximal forests."""
         m = len(edges)
+        for i, e in enumerate(edges):
+            if len(e) != 2 or not all(isinstance(u, int) and 0 <= u < n_vertices for u in e):
+                raise ValueError(f"edge {i} = {list(e)} needs two vertices in 0..{n_vertices - 1}")
 
         def is_forest(idxs) -> bool:
             parent = list(range(n_vertices))
@@ -117,17 +198,19 @@ class Matroid:
                 rank = k
                 break
         bases = [frozenset(c) for c in combinations(range(m), rank) if is_forest(c)]
-        return cls(tuple(range(m)), tuple(bases))
+        return cls._by_construction(tuple(range(m)), bases)
 
     @classmethod
     def fano(cls) -> "Matroid":
         lines = [{1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7}, {3, 4, 7}, {3, 5, 6}]
         ground = tuple(range(1, 8))
         bases = [frozenset(b) for b in combinations(ground, 3) if set(b) not in lines]
-        return cls(ground, tuple(bases))
+        return cls._by_construction(ground, bases)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Matroid":
+        if not isinstance(data, Mapping):
+            raise ValueError("a matroid is a JSON object with 'ground' and 'bases', or 'graph'")
         if "graph" in data:
             g = data["graph"]
             return cls.from_graph(int(g["vertices"]), [tuple(e) for e in g["edges"]])
@@ -232,13 +315,27 @@ class FlatLattice:
 
 
 def flats(M: Matroid) -> FlatLattice:
-    """All closed sets, via the closure operator over every subset."""
-    ground = list(M.ground)
-    out = set()
-    for k in range(len(ground) + 1):
-        for S in combinations(ground, k):
-            out.add(M.closure(S))
-    return FlatLattice(M.ground, out)
+    """All closed sets, generated by covers.
+
+    Starts from the closure of the empty set and closes F + e for every
+    flat F found so far and every e outside F.  The differences of the
+    covers of F partition the complement of F, so once F + e has been
+    closed to G, the other elements of G - F are skipped.  Every flat is
+    reached because every flat tops a chain of covers from the bottom.
+    """
+    bottom = M._closure_mask(0)
+    found = {bottom}
+    todo = [bottom]
+    while todo:
+        F = todo.pop()
+        rest = M._full & ~F
+        while rest:
+            G = M._closure_mask(F | (rest & -rest))
+            rest &= ~G
+            if G not in found:
+                found.add(G)
+                todo.append(G)
+    return FlatLattice(M.ground, [M._elements(F) for F in found])
 
 
 def order_complex(L: FlatLattice) -> SimComplex:
@@ -362,8 +459,10 @@ class LatticeVolume:
             self.masks[F] = m
         self.proper = L.proper
         self.full_mask = self.masks[L.top]
+        self.lcm_n = lcm(*range(1, len(elems) + 1))
         self._chains: list[tuple] | None = None
         self._between_cache: dict[tuple, tuple] = {}
+        self._expansion: list | None = None
 
     # chains are tuples of proper flats sorted by rank
     def chains(self) -> list[tuple]:
@@ -400,6 +499,12 @@ class LatticeVolume:
         seq = [self.L.bottom] + list(chain) + [self.L.top]
         return list(zip(seq, seq[1:]))
 
+    def extensions(self, chain: tuple):
+        """(G, chain with G inserted in rank order) for every link vertex G."""
+        for i, (lo, hi) in enumerate(self.gaps(chain)):
+            for G in self.between(lo, hi):
+                yield G, chain[:i] + (G,) + chain[i:]
+
     def link_vertices(self, chain: tuple) -> list:
         out = []
         for lo, hi in self.gaps(chain):
@@ -430,54 +535,78 @@ class LatticeVolume:
 
     def eval_bivariate(self, va: Mapping, vb: Mapping) -> list:
         """Coefficients [c_0, ..., c_d] of pol(s va + t vb) with c_j the
-        coefficient of s^(d-j) t^j."""
+        coefficient of s^(d-j) t^j.
+
+        The recursion runs on integers.  The point is scaled by S0, the lcm
+        of its denominators.  Each pinned vector is scaled by
+        E = lcm(1..n): chains are rank-sorted, so the vector pinned at the
+        last flat G of a chain has the layers G - parent[-1] and top - G,
+        whose popcounts divide E.  The point at a chain of length j then
+        carries the scale S0 * E^j, and the value at a chain of length j,
+        times (d-j)! and the scales of the points below it, is the plain
+        sum over the link of point coordinate times child value.  One
+        division by d! * S0^d * E^(d(d-1)/2) at the end gives the value.
+        """
         d = self.d
         if d < 0:
             raise ValueError("rank must be at least 1")
         if d == 0:
             return [ONE]
-        L = self.L
+        masks = self.masks
         chains = self.chains()
-        # point vectors per chain, from the canonical parent (drop last flat)
-        pts: dict[tuple, dict] = {}
-        pts[()] = {F: (Q(va.get(F, 0)), Q(vb.get(F, 0))) for F in self.proper}
+        xa = [Q(va.get(F, 0)) for F in self.proper]
+        xb = [Q(vb.get(F, 0)) for F in self.proper]
+        s0 = lcm(*(x.denominator for x in xa + xb))
+        E = self.lcm_n
+        pts: dict[tuple, dict] = {
+            (): {F: (a.numerator * (s0 // a.denominator), b.numerator * (s0 // b.denominator))
+                 for F, a, b in zip(self.proper, xa, xb)}
+        }
         for chain in chains:
             if not chain or len(chain) >= d:
                 continue
-            parent = chain[:-1]
-            G = chain[-1]
+            parent, G = chain[:-1], chain[-1]
             px = pts[parent]
-            verts = self.link_vertices(chain)
-            ell = self._ell(parent, G, verts)
-            xg = px[G]
+            mG = masks[G]
+            m_lo = mG & ~masks[parent[-1]] if parent else mG
+            m_hi = self.full_mask & ~mG
+            c_lo, c_hi = E // m_lo.bit_count(), E // m_hi.bit_count()
+            ga, gb = px[G]
             cur = {}
-            for H in verts:
-                e = ell[H]
-                ph = px[H]
-                cur[H] = (ph[0] - xg[0] * e, ph[1] - xg[1] * e)
+            for H in self.link_vertices(chain):
+                mH = masks[H]
+                e = c_lo * (mH & m_lo).bit_count() - c_hi * (mH & m_hi).bit_count()
+                ha, hb = px[H]
+                cur[H] = (E * ha - ga * e, E * hb - gb * e)
             pts[chain] = cur
-        # values bottom-up by chain length
+        # scaled values bottom-up by chain length
         memo: dict[tuple, list] = {}
         for chain in sorted(chains, key=len, reverse=True):
             k = d - len(chain)
             if k == 0:
-                memo[chain] = [ONE]  # facet weight 1
+                memo[chain] = [1]  # facet weight 1
                 continue
-            acc = [ZERO] * (k + 1)
+            acc = [0] * (k + 1)
             x = pts[chain]
-            for G in self.link_vertices(chain):
-                child = memo[tuple(sorted(chain + (G,), key=lambda F: self.L.rank[F]))]
+            for G, child_chain in self.extensions(chain):
                 a, b = x[G]
-                for j, cv in enumerate(child):
-                    if cv == 0:
-                        continue
-                    if a != 0:
-                        acc[j] += a * cv
-                    if b != 0:
-                        acc[j + 1] += b * cv
-            inv = Q(1, k)
-            memo[chain] = [c * inv for c in acc]
-        return memo[()]
+                for j, cv in enumerate(memo[child_chain]):
+                    acc[j] += a * cv
+                    acc[j + 1] += b * cv
+            memo[chain] = acc
+        scale = factorial(d) * s0 ** d * E ** (d * (d - 1) // 2)
+        return [Q(c, scale) for c in memo[()]]
+
+    def expansion(self) -> list:
+        """pol(s alpha + t beta) along the canonical pair, computed once.
+
+        ``expansion()[0]`` is pol(alpha) and ``expansion()[-1]`` is pol(beta).
+        """
+        if self._expansion is None:
+            alpha, beta = alpha_beta(self.L)
+            self._expansion = self.eval_bivariate(dict(zip(alpha.vars, alpha.coords)),
+                                                  dict(zip(beta.vars, beta.coords)))
+        return self._expansion
 
     def evaluate(self, v: Mapping):
         return self.eval_bivariate(v, {})[0]
@@ -486,7 +615,6 @@ class LatticeVolume:
 
     def quadratic(self, chain: tuple) -> HomPoly:
         """The codimension-2 face restriction, built from the top layers."""
-        L = self.L
         d = self.d
         assert len(chain) == d - 2
         V_S = tuple(self.link_vertices(chain))
@@ -496,8 +624,7 @@ class LatticeVolume:
             return HomPoly(verts, 1, {((k, 1),): ONE for k in range(len(verts))})
 
         acc = HomPoly.zero(V_S, 2)
-        for G in V_S:
-            sub = tuple(sorted(chain + (G,), key=lambda F: L.rank[F]))
+        for G, sub in self.extensions(chain):
             lin_child = linear_for(sub)
             ell = self._ell(chain, G, lin_child.vars)
             forms = {}
@@ -519,13 +646,11 @@ class LatticeVolume:
         Hessian of :meth:`quadratic` (property-tested) at a fraction of the
         cost, which matters with tens of thousands of codimension-2 faces.
         """
-        L = self.L
         V_S = tuple(self.link_vertices(chain))
         pos = {G: k for k, G in enumerate(V_S)}
         n = len(V_S)
         rows = [[ZERO] * n for _ in range(n)]
-        for G in V_S:
-            sub = tuple(sorted(chain + (G,), key=lambda F: L.rank[F]))
+        for G, sub in self.extensions(chain):
             verts = self.link_vertices(sub)
             ell = self._ell(chain, G, verts)
             rows[pos[G]][pos[G]] = -sum(ell.values(), ZERO)
@@ -723,9 +848,7 @@ def char_poly(L: FlatLattice) -> CharReport:
         chi[r - L.rank[F]] += L.mobius(L.bottom, F)
     red_mob = _divide_by_t_minus_1(chi)
     d = r - 1
-    engine = volume_engine(L)
-    alpha, beta = alpha_beta(L)
-    coeffs = engine.eval_bivariate(dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords)))
+    coeffs = volume_engine(L).expansion()
     # coefficient of s^(d-j) t^j equals C(d,j) a_{d-j} / d! with
     # a_m the m-fold alpha, (d-m)-fold beta derivative
     reduced = [ZERO] * (d + 1)
@@ -761,6 +884,7 @@ class HRWReport:
     reduced_abs: list
     log_concave: bool
     mixed_identity: bool
+    char: CharReport          # the characteristic polynomial report it rests on
 
 
 def hrw_check(L: FlatLattice) -> HRWReport:
@@ -781,20 +905,17 @@ def hrw_check(L: FlatLattice) -> HRWReport:
             rhs[rho] += comb(d, rho) * abs(L.mobius(L.bottom, F))
     # rhs[j]: coefficient of t^rho s^(d-rho) matches lhs index j = rho
     mixed = lhs == rhs
-    return HRWReport(reduced_abs=seq, log_concave=ok, mixed_identity=mixed)
+    return HRWReport(reduced_abs=seq, log_concave=ok, mixed_identity=mixed, char=rep)
 
 
 def eval_alpha(L: FlatLattice):
     """Volume-polynomial value at the rank-density point."""
-    engine = volume_engine(L)
-    alpha, _ = alpha_beta(L)
-    return engine.evaluate(dict(zip(alpha.vars, alpha.coords)))
+    return volume_engine(L).expansion()[0]
 
 
 def eval_beta(L: FlatLattice):
-    engine = volume_engine(L)
-    _, beta = alpha_beta(L)
-    return engine.evaluate(dict(zip(beta.vars, beta.coords)))
+    """Volume-polynomial value at the corank-density point."""
+    return volume_engine(L).expansion()[-1]
 
 
 def bergman_fan(L: FlatLattice):

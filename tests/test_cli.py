@@ -2,11 +2,14 @@
 verification, and the parallel flag's verdict independence."""
 
 import json
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
 from lorentzlab.cli import main
+from lorentzlab.matroid import LatticeVolume
 
 
 def run(capsys, *argv):
@@ -176,3 +179,39 @@ def test_malformed_inputs_name_the_field(capsys, files, tmp_path):
     notjson.write_text("{oops")
     code, rep, _ = run(capsys, "matroid", "hrw", str(notjson))
     assert code == 2 and "JSON" in rep["message"]
+
+
+@pytest.mark.parametrize("content, needle", [
+    ({"graph": {"vertices": 3, "edges": [[0, 5]]}}, "edge 0"),
+    ([[1, 2], [1, 3]], "JSON object"),
+    ({"ground": list(range(6)), "bases": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 4, 5], [2, 3, 5]]},
+     "exchange"),
+    ({"ground": [1, 2], "bases": [[]]}, "rank >= 1"),
+])
+def test_malformed_matroid_inputs_exit_2(capsys, tmp_path, content, needle):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(content))
+    for sub in ("hrw", "charpoly"):
+        code, rep, _ = run(capsys, "matroid", sub, str(path))
+        assert code == 2 and rep["verdict"] == "error" and needle in rep["message"]
+
+
+def test_timing_ms_is_a_json_number(capsys, files):
+    code, rep, _ = run(capsys, "--timing", "matroid", "hrw", files["u23.json"])
+    assert code == 0 and isinstance(rep["timing_ms"], float) and rep["timing_ms"] >= 0
+
+
+def test_hrw_runs_one_chain_recursion(capsys, files, monkeypatch):
+    calls = []
+    inner = LatticeVolume.eval_bivariate
+    monkeypatch.setattr(LatticeVolume, "eval_bivariate",
+                        lambda self, va, vb: calls.append(1) or inner(self, va, vb))
+    for name, alpha, beta in (("fano.json", "1/2", "4"), ("u23.json", "1", "2")):
+        calls.clear()
+        code, rep, _ = run(capsys, "matroid", "hrw", files[name])
+        assert code == 0 and len(calls) == 1
+        # chi(0) is the Moebius value mu(bottom, top); d = rank - 1
+        d = len(rep["chi"]) - 2
+        mu = abs(int(rep["chi"][0]))
+        assert rep["volume_at_alpha"] == alpha == str(Fraction(1, factorial(d)))
+        assert rep["volume_at_beta"] == beta == str(Fraction(mu, factorial(d)))

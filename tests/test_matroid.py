@@ -2,6 +2,7 @@
 evaluations, characteristic polynomial routes, Moebius sign alternation, and
 agreement between the explicit polynomial path and the evaluation engine."""
 
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -25,6 +26,14 @@ from lorentzlab.matroid import (
 )
 from lorentzlab.polycore import parse_poly
 from lorentzlab.rat import Q
+from oracles import fraction_eval_bivariate, oracle_flats, oracle_is_basis_family
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+K5_EDGES = list(combinations(range(5), 2))
+# equicardinal but fails exchange ({0,1,2} and {0,3,4} at 2): closing every
+# subset gives 17 sets that are not graded by covers, while cover generation
+# alone finds 8 sets that pass the lattice checks
+NON_MATROID = (tuple(range(6)), ({0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {1, 4, 5}, {2, 3, 5}))
 
 
 def test_matroid_basics(rng):
@@ -270,3 +279,66 @@ def test_loops_are_quotiented_out():
     assert rep.agree and [int(c) for c in rep.reduced] == [-1, 1]
     h = pol_matroid(L)
     assert hered.is_hereditary_lorentzian(h, cone_hints=[submodular_witness(L)]).value == "yes"
+
+
+def test_flats_match_subset_closure_oracle(rng):
+    matroids = [(f"U({r},{n})", Matroid.uniform(r, n)) for n in range(1, 8) for r in range(0, n + 1)]
+    matroids += [("K4", Matroid.from_graph(4, K4_EDGES)), ("K5", Matroid.from_graph(5, K5_EDGES)),
+                 ("Fano", Matroid.fano())]
+    for k in range(6):
+        edges = rng.sample(K5_EDGES, rng.randint(4, 9))
+        matroids.append((f"K5 subgraph {edges}", Matroid.from_graph(5, edges)))
+    for name, M in matroids:
+        assert set(flats(M).flats) == oracle_flats(M.ground, M.bases), name
+
+
+def test_exchange_check_matches_oracle(rng):
+    with pytest.raises(ValueError, match="exchange"):
+        Matroid(*NON_MATROID)
+    assert not oracle_is_basis_family(NON_MATROID[1])
+    ground = tuple(range(6))
+    accepted = rejected = 0
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        pool = list(combinations(ground, r))
+        family = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+        if oracle_is_basis_family(family):
+            M = Matroid(ground, tuple(frozenset(b) for b in family))
+            assert set(flats(M).flats) == oracle_flats(ground, family)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="exchange"):
+                Matroid(ground, tuple(frozenset(b) for b in family))
+            rejected += 1
+    assert accepted >= 20 and rejected >= 20
+
+
+def test_integer_recursion_matches_fraction_oracle(catalog, rng):
+    for name, L in catalog.items():
+        eng = volume_engine(L)
+        n_chains = len(eng.chains())
+        if n_chains > 5000:
+            continue
+        alpha, beta = alpha_beta(L)
+        va, vb = dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords))
+        assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(eng, va, vb), name
+        if n_chains > 1500:
+            continue
+        for _ in range(3):
+            va = {F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper}
+            vb = {F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper}
+            assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(eng, va, vb), name
+            assert eng.evaluate(va) == fraction_eval_bivariate(eng, va, {})[0], name
+
+
+def test_canonical_expansion_is_computed_once(catalog, monkeypatch):
+    L = catalog["Fano"]
+    eng = volume_engine(L)
+    eng._expansion = None
+    calls = []
+    inner = type(eng).eval_bivariate
+    monkeypatch.setattr(type(eng), "eval_bivariate", lambda self, va, vb: calls.append(1) or inner(self, va, vb))
+    hr = hrw_check(L)
+    assert char_poly(L).expansion == hr.char.expansion
+    assert eval_alpha(L) == Q(1, 2) and eval_beta(L) == 4
+    assert len(calls) == 1
