@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable
 
 from . import fanchow, hereditary, lorentzian, matroid, polytope, subdivision
 from .cones import ConeByGenerators
@@ -72,14 +70,6 @@ def load_weights_bundle(path: str):
     return delta, lin, w
 
 
-def parallel_map(fn: Callable, items: Iterable, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def report(args, verdict: str, **fields) -> dict:
     out = {"command": " ".join(args.command_echo), "verdict": verdict}
     out.update(fields)
@@ -101,10 +91,7 @@ def emit(args, rep: dict, code: int) -> int:
 
 def cmd_poly_lorentzian(args) -> int:
     f = load_poly(args.file)
-    if args.parallel > 1 and f.degree >= 2:
-        v = _parallel_lorentzian(f, args.parallel)
-    else:
-        v = lorentzian.is_lorentzian(f)
+    v = lorentzian.is_lorentzian(f)
     ok = v.value == "yes"
     verified = None
     if not ok and args.verify_witness:
@@ -141,34 +128,6 @@ def _verify_lorentz_witness(f: HomPoly, v) -> bool:
     return False
 
 
-def _parallel_lorentzian(f: HomPoly, workers: int):
-    """Same verdict as the sequential test: all Hessian multisets are checked
-    in a pool and the lexicographically first failure is reported."""
-    from itertools import combinations_with_replacement
-
-    lorentzian._require_nonneg(f)
-    ok, wit = lorentzian.is_m_convex(lorentzian.support_mset(f))
-    if not ok:
-        return lorentzian.LorentzVerdict(value="no", witness=("support", wit),
-                                         detail="support is not M-convex")
-
-    def check(combo):
-        q = f
-        for lab in combo:
-            q = q.partial(lab)
-        return combo, inertia(hessian(q))
-
-    combos = list(combinations_with_replacement(f.vars, f.degree - 2))
-    results = parallel_map(check, combos, workers)
-    certs = list(results)
-    for combo, inr in results:  # enumeration order is lexicographic
-        if inr.pos > 1:
-            return lorentzian.LorentzVerdict(value="no", witness=("hessian", combo, inr),
-                                             detail="Hessian with more than one positive eigenvalue",
-                                             certificates=certs)
-    return lorentzian.LorentzVerdict(value="yes", certificates=certs)
-
-
 def cmd_poly_k_lorentzian(args) -> int:
     f = load_poly(args.file)
     cone = ConeByGenerators.from_json_dict(load_json(args.cone))
@@ -189,10 +148,7 @@ def cmd_poly_k_lorentzian(args) -> int:
 def cmd_hereditary(args) -> int:
     if args.sub == "from-weights":
         delta, lin, w = load_weights_bundle(args.file)
-        try:
-            h = hereditary.from_weights(delta, lin, w)
-        except (hereditary.NotHereditaryError, hereditary.BalancingError, ValueError) as e:
-            raise InputError(str(e)) from None
+        h = hereditary.from_weights(delta, lin, w)
         rep = report(args, "success", polynomial=h.f.to_json_dict(), strong=h.strong)
         return emit(args, rep, 0)
     f = load_poly(args.file)
@@ -241,10 +197,7 @@ def cmd_chain(args) -> int:
     steps = load_json(args.chain)
     if not isinstance(steps, list):
         raise InputError(f"{args.chain}: chain file must be a JSON list of steps")
-    try:
-        res = subdivision.apply_chain(f, steps)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    res = subdivision.apply_chain(f, steps)
     rep = report(args, "success", polynomial=res.poly.to_json_dict(), steps=res.certificates)
     return emit(args, rep, 0)
 
@@ -318,17 +271,11 @@ def cmd_polytope(args) -> int:
         return emit(args, rep, 0)
     bodies = [_load_polytope(p) for p in args.files]
     if args.sub == "mixed":
-        try:
-            v = polytope.mixed_volume(bodies)
-        except polytope.PolytopeError as e:
-            raise InputError(str(e)) from None
+        v = polytope.mixed_volume(bodies)
         rep = report(args, "success", mixed_volume=rat_str(v))
         return emit(args, rep, 0)
     if args.sub == "af":
-        try:
-            ok = polytope.af_check(bodies)
-        except polytope.PolytopeError as e:
-            raise InputError(str(e)) from None
+        ok = polytope.af_check(bodies)
         rep = report(args, "yes" if ok else "no")
         return emit(args, rep, 0 if ok else 1)
     raise InputError(f"unknown polytope subcommand {args.sub}")
@@ -354,10 +301,7 @@ def cmd_fan(args) -> int:
     fan = _load_fan(args.fan)
     if args.sub == "check":
         w = _load_fan_weights(args.weights)
-        try:
-            alpha = fanchow.functional_from_weights(fan, w)
-        except (hereditary.BalancingError, hereditary.NotHereditaryError) as e:
-            raise InputError(str(e)) from None
+        alpha = fanchow.functional_from_weights(fan, w)
         v = fanchow.check_fan_lorentzian(alpha)
         rep = report(args, v.value, **v.to_json_dict())
         if v.value == "no" and args.verify_witness:
@@ -369,10 +313,7 @@ def cmd_fan(args) -> int:
         return emit(args, rep, 0 if v.value == "yes" else 1)
     if args.sub == "subdivide":
         rho = [Q(x) for x in args.ray.split(",")]
-        try:
-            fan2, transport = fanchow.fan_subdivide(fan, rho)
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        fan2, transport = fanchow.fan_subdivide(fan, rho)
         fields = {"fan": fan2.to_json_dict()}
         if args.weights:
             alpha = fanchow.functional_from_weights(fan, _load_fan_weights(args.weights))
@@ -387,19 +328,13 @@ def cmd_fan(args) -> int:
         fan2 = _load_fan(args.fan2)
         a1 = fanchow.functional_from_weights(fan, _load_fan_weights(args.weights))
         a2 = fanchow.functional_from_weights(fan2, _load_fan_weights(args.weights2))
-        try:
-            ok = fanchow.canonical_bijection_check(fan, a1, fan2, a2)
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        ok = fanchow.canonical_bijection_check(fan, a1, fan2, a2)
         rep = report(args, "yes" if ok else "no")
         return emit(args, rep, 0 if ok else 1)
     if args.sub == "transport":
         alpha = fanchow.functional_from_weights(fan, _load_fan_weights(args.weights))
         steps = load_json(args.chain)
-        try:
-            fan2, alpha2 = fanchow.transport_chain(fan, alpha, steps)
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        fan2, alpha2 = fanchow.transport_chain(fan, alpha, steps)
         rep = report(args, "success", fan=fan2.to_json_dict(),
                      weights=[{"facet": sorted(map(str, F)), "w": rat_str(alpha2.weight(F))}
                               for F in sorted(fan2.cones.facets, key=lambda f: sorted(map(str, f)))])
@@ -412,11 +347,16 @@ def cmd_fan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become input errors, reported as JSON with exit code 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lorentzlab", description=__doc__)
+    ap = _Parser(prog="lorentzlab", description=__doc__)
     ap.add_argument("--timing", action="store_true", help="include timing_ms in the report")
-    ap.add_argument("--parallel", type=int, default=1, metavar="N",
-                    help="worker threads for enumeration loops (verdicts are independent of N)")
     ap.add_argument("--verify-witness", action="store_true",
                     help="re-check any refutation witness before reporting")
     sub = ap.add_subparsers(dest="group", required=True)
@@ -494,13 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args.command_echo = ["lorentzlab"] + argv
-    args.t0 = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        args.command_echo = ["lorentzlab"] + argv
+        args.t0 = time.monotonic()
         return args.func(args)
-    except InputError as e:
+    except (InputError, ValueError) as e:
         print(json.dumps({"verdict": "error", "message": str(e)}, indent=2, sort_keys=True))
         print(f"[lorentzlab] input error: {e}", file=sys.stderr)
         return 2

@@ -5,9 +5,6 @@ termination, no numerical tolerance anywhere).  Strict systems are decided
 by maximizing a slack eps bounded by 1: the system is strictly feasible iff
 the optimum is positive.  Every witness is re-verified against every
 constraint before it is returned.
-
-For small systems (<= 4 unknowns) Fourier-Motzkin elimination provides an
-independent feasibility oracle used by the test suite.
 """
 
 from __future__ import annotations
@@ -253,48 +250,6 @@ def _strict_feasible_block(labels: list[Label], cons: list[Constraint]) -> dict 
     return {v: x[2 * i] - x[2 * i + 1] for v, i in pos.items()}
 
 
-def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
-    """Independent strict-feasibility oracle by variable elimination.
-
-    Intended for systems with at most ~4 unknowns; the constraint count can
-    grow quadratically per eliminated variable.
-    """
-    cons: list[tuple[dict, object, str]] = []
-    for c in sys.constraints:
-        d = dict(c.coeffs)
-        if c.rel == EQ:
-            cons.append((d, c.const, GE))
-            cons.append(({v: -x for v, x in d.items()}, -c.const, GE))
-        else:
-            cons.append((d, c.const, c.rel))
-    for v in sys.all_vars():
-        pos, neg, rest = [], [], []
-        for d, const, rel in cons:
-            c = d.get(v, ZERO)
-            (pos if c > 0 else neg if c < 0 else rest).append((d, const, rel))
-        new = rest
-        for dp, cp, rp in pos:
-            a = dp[v]
-            for dn, cn, rn in neg:
-                bb = -dn[v]
-                d = {}
-                for w in set(dp) | set(dn):
-                    if w == v:
-                        continue
-                    d[w] = bb * dp.get(w, ZERO) + a * dn.get(w, ZERO)
-                rel = GT if (rp == GT or rn == GT) else GE
-                new.append((d, bb * cp + a * cn, rel))
-        cons = [(d, c, r) for d, c, r in new]
-    for d, const, rel in cons:
-        if any(x != 0 for x in d.values()):
-            raise AssertionError("elimination left a variable behind")
-        if rel == GT and not const > 0:
-            return False
-        if rel == GE and not const >= 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # cone utilities
 # ---------------------------------------------------------------------------
@@ -350,26 +305,13 @@ def in_orthant_plus_subspace(v, L) -> tuple | None:
     return tuple(ell)
 
 
-def try_positive_combination(target: Sequence, rays: Sequence[Sequence]) -> tuple | None:
-    """Unique coefficients c > 0 with target = sum c_i rays_i, else None.
+def solve_in_span(target, rays: Sequence[Sequence]) -> tuple:
+    """Unique coefficients c > 0 with target = sum c_i rays_i.
 
     Rays must be linearly independent; the combination, if it exists, is
-    unique, so strict positivity is a property of the target.
+    unique, so strict positivity is a property of the target.  Raises
+    ValueError naming the reason when there is no such combination.
     """
-    cols = [tuple(Q(x) for x in r) for r in rays]
-    if linalg.rank(cols) != len(cols):
-        raise ValueError("rays are linearly dependent")
-    A = linalg.transpose(cols)
-    c = linalg.solve(A, [Q(x) for x in target])
-    if c is None or linalg.mat_vec(A, c) != tuple(Q(x) for x in target):
-        return None
-    if any(x <= 0 for x in c):
-        return None
-    return c
-
-
-def solve_in_span(target, rays: Sequence[Sequence]) -> tuple:
-    """As try_positive_combination, but raising with a specific reason."""
     cols = [tuple(Q(x) for x in r) for r in rays]
     if linalg.rank(cols) != len(cols):
         raise ValueError("rays are linearly dependent")

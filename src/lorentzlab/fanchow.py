@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import hereditary as hered
 from . import linalg
-from .cones import GE, GT, EQ, StrictSystem, strict_feasible, try_positive_combination
+from .cones import GE, GT, EQ, StrictSystem, solve_in_span, strict_feasible
 from .polycore import HomPoly, LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE, rat_str
 from .simplicial import SimComplex, fresh_vertex
@@ -177,52 +177,17 @@ def check_fan_lorentzian(alpha: DegreeFunctional) -> hered.HLVerdict:
 def ample_cone_member(fan: Fan, v) -> bool:
     """Membership in the cone of strictly convex support elements.
 
-    Same compiled-strict-system strategy as the polynomial cone, driven by
-    (cone complex, ray lineality) alone: at every face of size < d the
-    projected point must be shiftable into the open orthant by a lineality
-    vector vanishing on the face.
+    The recursive-cone face walk of :mod:`lorentzlab.hereditary` with no
+    polynomial, driven by (cone complex, ray lineality) alone: at every face
+    of size < d the projected point must be shiftable into the open orthant
+    by a lineality vector vanishing on the face.
     """
-    delta = fan.cones
-    if delta.is_void():
+    if fan.cones.is_void():
         raise ValueError("fan has no cones")
-    d = delta.dim + 1
     lin = fan.lineality()
-    skel = delta.skeleton()
-    for T in sorted(skel.facets, key=lambda f: sorted(map(repr, f))):
-        if T and not lin.projects_onto(tuple(sorted(T, key=repr))):
-            raise hered.NotHereditaryError(T)
-    coords = dict(zip(fan.ray_labels, direction_coords(v, fan.ray_labels)))
-    amb_idx = {u: i for i, u in enumerate(fan.ray_labels)}
-
-    def project(x: dict, S: frozenset, i) -> dict:
-        values = {j: ZERO for j in S}
-        values[i] = ONE
-        ell = lin.member_with_values(values)
-        if ell is None:
-            raise hered.NotHereditaryError(S | {i})
-        xi = x[i]
-        return {u: xu - xi * ell[amb_idx[u]] for u, xu in x.items()}
-
-    def face_ok(S: frozenset, x: dict) -> bool:
-        V_S = delta.link_vertices(S)
-        LS = lin.vanishing_restrict(tuple(S), V_S)
-        sys = StrictSystem(aux=tuple(("a", k) for k in range(LS.dim)))
-        for r, u in enumerate(V_S):
-            row = {("a", k): LS.basis[k][r] for k in range(LS.dim)}
-            sys.add(row, GT, x[u])
-        return strict_feasible(sys) is not None
-
-    def descend(S: frozenset, x: dict) -> bool:
-        if not face_ok(S, x):
-            return False
-        if len(S) == d - 1:
-            return True
-        return all(
-            descend(S | {i}, project(x, S, i))
-            for i in delta.link_vertices(S)
-        )
-
-    return descend(frozenset(), coords)
+    hered.require_hereditary(fan.cones, lin)
+    walk = hered.FaceWalk(fan.ray_labels, fan.cones, lin)
+    return walk.member(direction_coords(v, fan.ray_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +203,10 @@ def locate_relative_interior(fan: Fan, rho: Sequence) -> tuple[frozenset, tuple]
         if not S:
             continue
         labels = sorted(S, key=repr)
-        c = try_positive_combination(rho, [fan.ray(v) for v in labels])
-        if c is not None:
-            return frozenset(S), c
+        try:
+            return frozenset(S), solve_in_span(rho, [fan.ray(v) for v in labels])
+        except ValueError:
+            continue
     raise ValueError("ray is not in the relative interior of any cone")
 
 
@@ -276,9 +242,10 @@ def fan_weld(fan: Fan, apex, S: Iterable):
     """
     S = frozenset(S)
     labels_sorted = tuple(sorted(S, key=repr))
-    c = try_positive_combination(fan.ray(apex), [fan.ray(v) for v in labels_sorted])
-    if c is None:
-        raise ValueError("apex ray is not a positive combination of the face rays")
+    try:
+        c = solve_in_span(fan.ray(apex), [fan.ray(v) for v in labels_sorted])
+    except ValueError:
+        raise ValueError("apex ray is not a positive combination of the face rays") from None
     new_cones = fan.cones.weld(apex, S)
     keep = [i for i, v in enumerate(fan.ray_labels) if v != apex]
     new_fan = Fan(

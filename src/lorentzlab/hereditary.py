@@ -9,9 +9,13 @@ allows exact "pinning" projections pi_S under which the face restrictions
     f^S = (d/dt)^S f  restricted to t_i = 0 on S
 
 live on the link vertex set V_S.  Membership in the recursively defined
-open cone K_f is decided exactly: every condition the recursion produces is
-linear in the probed point, so the conjunction compiles into strict linear
-systems solved by the exact simplex in :mod:`lorentzlab.cones`.
+open cone K_f is decided exactly by one face walk (:class:`FaceWalk`): each
+face of size < d is reached once by a canonical descent, the point is
+projected along it, and the projected point must be strictly positive
+modulo the lineality at the face (one exact LP in :mod:`lorentzlab.cones`,
+skipped when the point is already positive).  The same walk with no
+polynomial decides the ample cone of a fan.  When the point is unknown,
+the walk's projections compose into one strict linear system instead.
 
 The main decision procedure checks, per the characterization of hereditary
 Lorentzian polynomials, that the skeleton of the face complex is
@@ -63,6 +67,18 @@ def _minimal_failing_face(lin: LinSubspace, T: frozenset) -> frozenset:
     return T
 
 
+def require_hereditary(delta: SimComplex, lin: LinSubspace) -> None:
+    """Check that lin projects onto every facet of the skeleton of delta.
+
+    Projection onto a face implies projection onto its subsets, so the
+    skeleton's facets are all that need a rank check.  Raises
+    NotHereditaryError naming a minimal failing face.
+    """
+    for T in sorted(delta.skeleton().facets, key=_face_key):
+        if T and not lin.projects_onto(tuple(sorted(T, key=repr))):
+            raise NotHereditaryError(_minimal_failing_face(lin, T))
+
+
 @dataclass(frozen=True, eq=False)
 class HereditaryPoly:
     """A hereditary polynomial with its face complex and exact lineality space."""
@@ -91,17 +107,12 @@ class HereditaryPoly:
 def check_hereditary(f: HomPoly) -> HereditaryPoly:
     """Compute (Delta_f, L_f), verify heredity face by face, set the strong flag.
 
-    Projection onto a face implies projection onto its subsets, so only the
-    maximal faces of the skeleton (and of Delta_f itself, for the strong
-    flag) need a rank check.  Raises NotHereditaryError naming a minimal
-    failing face.
+    The strong flag needs projection onto the facets of Delta_f as well.
+    Raises NotHereditaryError naming a minimal failing face.
     """
     delta = face_complex(f)
     lin = f.lineality_space()
-    skel = delta.skeleton()
-    for T in sorted(skel.facets, key=_face_key):
-        if T and not lin.projects_onto(tuple(sorted(T, key=repr))):
-            raise NotHereditaryError(_minimal_failing_face(lin, T))
+    require_hereditary(delta, lin)
     strong = all(
         (not F) or lin.projects_onto(tuple(sorted(F, key=repr)))
         for F in delta.facets
@@ -114,18 +125,21 @@ def check_hereditary(f: HomPoly) -> HereditaryPoly:
 # ---------------------------------------------------------------------------
 
 
-def ell_vector(h: HereditaryPoly, i, S: Iterable) -> tuple:
-    """The pinned lineality element: l_i = 1 and l_j = 0 for j in S - {i}.
+def pin_solver(lin: LinSubspace) -> Callable:
+    """The pinning solver of a lineality space: (S, i) -> the element l with
+    l_i = 1 and l_j = 0 for j in S - {i}, or None when there is none.
 
     Deterministic (basic solution of the defining linear system), so the
-    projections are reproducible across runs.
+    projections are reproducible across runs.  Structured lineality spaces
+    (the modular space of a lattice of flats) supply their own solver with
+    the same signature.
     """
-    values = {j: ZERO for j in S if j != i}
-    values[i] = ONE
-    ell = h.lin.member_with_values(values)
-    if ell is None:
-        raise NotHereditaryError(frozenset(S), f"no lineality element pinning {i!r} over {set(S)}")
-    return ell
+    def solver(S: Iterable, i):
+        values = {j: ZERO for j in S if j != i}
+        values[i] = ONE
+        return lin.member_with_values(values)
+
+    return solver
 
 
 def projection_pi(h: HereditaryPoly, S: Iterable) -> tuple[tuple, list]:
@@ -138,7 +152,12 @@ def projection_pi(h: HereditaryPoly, S: Iterable) -> tuple[tuple, list]:
     V_S = h.delta.link_vertices(S)
     n = len(h.vars)
     idx = {v: k for k, v in enumerate(h.vars)}
-    ells = {i: ell_vector(h, i, S) for i in sorted(S, key=repr)}
+    solver = pin_solver(h.lin)
+    ells = {}
+    for i in sorted(S, key=repr):
+        ells[i] = solver(S, i)
+        if ells[i] is None:
+            raise NotHereditaryError(S, f"no lineality element pinning {i!r} over {set(S)}")
     rows = []
     for j in V_S:
         row = [ZERO] * n
@@ -174,68 +193,101 @@ def is_positive(h: HereditaryPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the recursive cone K_f
+# the recursive cone K_f: one face walk
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class _FaceData:
-    poly: HomPoly          # f^S over V_S
-    lin: LinSubspace       # exact lineality of f^S
-    mu: list               # composed projection matrix: rows V_S x columns V
+class _Face:
+    poly: HomPoly | None   # f^S over V_S; None when there is no polynomial
+    lin: LinSubspace       # lineality at S, over V_S
+    pin: tuple | None      # parent's lineality vector with 1 at the descent vertex
     V_S: tuple
 
 
-def _cone_face_data(h: HereditaryPoly) -> dict[frozenset, _FaceData]:
-    """f^S, its lineality, and a composed projection mu_S for every face of
-    size < d, built by descending one canonically chosen vertex at a time.
+class FaceWalk:
+    """The faces of size < d of a complex, each reached once by the canonical
+    descent that adds the vertex ``max(S, key=repr)`` to ``S`` minus it.
 
-    Different descent orders change mu_S by elements of the lineality of
-    f^S, which does not affect cone membership (property-tested), so one
-    canonical chain per face suffices.
+    Descending by i pins the parent's lineality vector l with l_i = 1 and
+    projects a point x to x - x_i l on the link vertices V_S.  With a
+    polynomial, the face carries f^S (derivative at i, restricted) and the
+    lineality of f^S.  Without one (the ample cone), the lineality at S is
+    the parent's, vanishing at i and restricted to V_S.  Another descent
+    order moves the projected point by a lineality element vanishing on S,
+    which no face test can see, so one order suffices.  Faces are built on
+    first use and kept.
     """
-    d = h.degree
-    n = len(h.vars)
-    idx = {v: k for k, v in enumerate(h.vars)}
-    identity = [tuple(ONE if c == k else ZERO for c in range(n)) for k in range(n)]
-    root = _FaceData(poly=h.f, lin=h.lin, mu=identity, V_S=h.vars)
-    data = {frozenset(): root}
-    faces = sorted(
-        (S for S in h.delta.faces(max_size=d - 1) if S),
-        key=lambda S: (len(S), _face_key(S)),
-    )
-    for S in faces:
-        i = max(S, key=repr)
-        parent = data[S - {i}]
-        ell = parent.lin.member_with_values({i: ONE})
-        if ell is None:
-            raise NotHereditaryError(S, f"cannot pin {i!r} in the lineality space at {set(S - {i})}")
-        # one restriction + projection step from the parent face
-        pidx = {v: k for k, v in enumerate(parent.V_S)}
-        V_S = h.delta.link_vertices(S)
-        g = parent.poly.partial(i).set_vars_zero([i]).restrict_vars(V_S)
-        step_rows = []  # y_j = x_j - x_i * ell_j over the parent coordinates
-        for j in V_S:
-            row = [ZERO] * len(parent.V_S)
-            row[pidx[j]] = ONE
-            row[pidx[i]] -= ell[pidx[j]]
-            step_rows.append(row)
-        mu = [
-            tuple(
-                sum(srow[k] * parent.mu[k][c] for k in range(len(parent.V_S)))
-                for c in range(n)
-            )
-            for srow in step_rows
-        ]
-        data[S] = _FaceData(poly=g, lin=g.lineality_space(), mu=mu, V_S=V_S)
-    return data
+
+    def __init__(self, vars: tuple, delta: SimComplex, lin: LinSubspace, poly: HomPoly | None = None):
+        self.delta = delta
+        self.d = poly.degree if poly is not None else delta.dim + 1
+        self.order = sorted(delta.faces(max_size=self.d - 1), key=lambda S: (len(S), _face_key(S)))
+        self._faces = {frozenset(): _Face(poly, lin, None, tuple(vars))}
+
+    def face(self, S: frozenset) -> _Face:
+        fd = self._faces.get(S)
+        if fd is None:
+            i = max(S, key=repr)
+            parent = self.face(S - {i})
+            pin = parent.lin.member_with_values({i: ONE})
+            if pin is None:
+                raise NotHereditaryError(S, f"cannot pin {i!r} in the lineality space at {set(S - {i})}")
+            V_S = self.delta.link_vertices(S)
+            if parent.poly is None:
+                poly, lin = None, parent.lin.vanishing_restrict((i,), V_S)
+            else:
+                poly = parent.poly.partial(i).set_vars_zero([i]).restrict_vars(V_S)
+                lin = poly.lineality_space()
+            fd = self._faces[S] = _Face(poly, lin, pin, V_S)
+        return fd
+
+    def points(self, x: tuple):
+        """(S, x projected to V_S) for each face S of size < d, parents
+        first; x is a vector over the root vertices."""
+        points = {}
+        for S in self.order:
+            if not S:
+                y = x
+            else:
+                i = max(S, key=repr)
+                parent, fd = self.face(S - {i}), self.face(S)
+                pidx = {v: k for k, v in enumerate(parent.V_S)}
+                px = points[S - {i}]
+                y = tuple(px[pidx[j]] - px[pidx[i]] * fd.pin[pidx[j]] for j in fd.V_S)
+            points[S] = y
+            yield S, y
+
+    def linear_coeffs(self, S: frozenset) -> list | None:
+        """The coefficients of f^S where it is a linear form that must be
+        positive (|S| = d - 1 with a polynomial), else None."""
+        fd = self.face(S)
+        if len(S) != self.d - 1 or fd.poly is None:
+            return None
+        return [fd.poly.coeff([1 if u == v else 0 for u in fd.V_S]) for v in fd.V_S]
+
+    def member(self, x: tuple) -> bool:
+        """Whether x (over the root vertices) lies in the cone: at each face
+        the projected point is positive modulo the lineality there, or f^S
+        is positive at it where f^S is linear.  Stops at the first failing
+        face."""
+        for S, y in self.points(tuple(x)):
+            coeffs = self.linear_coeffs(S)
+            if coeffs is not None:
+                ok = sum(c * yj for c, yj in zip(coeffs, y)) > 0
+            else:
+                ok = (all(yj > 0 for yj in y)
+                      or cones.in_orthant_plus_subspace(y, self.face(S).lin) is not None)
+            if not ok:
+                return False
+        return True
 
 
-def _face_data_cached(h: HereditaryPoly) -> dict:
-    got = getattr(h, "_cone_faces", None)
+def _walk(h: HereditaryPoly) -> FaceWalk:
+    got = getattr(h, "_cone_walk", None)
     if got is None:
-        got = _cone_face_data(h)
-        object.__setattr__(h, "_cone_faces", got)
+        got = FaceWalk(h.vars, h.delta, h.lin, h.f)
+        object.__setattr__(h, "_cone_walk", got)
     return got
 
 
@@ -245,36 +297,32 @@ def cone_system(h: HereditaryPoly) -> cones.StrictSystem:
     Unknowns: the probed point v (primary) plus, per face S of size < d-1,
     coefficients of a lineality correction making the projected point
     strictly positive on V_S.  Faces of size exactly d-1 contribute the
-    linear base conditions f^S(pi_S(v)) > 0.
+    linear base conditions f^S(mu_S v) > 0, where mu_S composes the walk's
+    projections from the root to S.
     """
-    d = h.degree
-    if d < 1:
+    if h.degree < 1:
         raise ValueError("cone is defined for degree >= 1")
+    walk = _walk(h)
     sys = cones.StrictSystem(vars=tuple(("v", x) for x in h.vars))
-    if d == 1:
-        coeffs = {("v", v): h.f.coeff([1 if u == v else 0 for u in h.vars]) for v in h.vars}
-        sys.add(coeffs, cones.GT)
-        return sys
-    data = _face_data_cached(h)
-    for S, fd in sorted(data.items(), key=lambda kv: (len(kv[0]), _face_key(kv[0]))):
-        if len(S) == d - 1:
-            # linear restriction: f^S(mu_S v) > 0
-            lin_coeffs = [fd.poly.coeff([1 if u == v else 0 for u in fd.V_S]) for v in fd.V_S]
+    n = len(h.vars)
+    # mu_S by columns: the walk's projections of the unit vectors
+    units = [tuple(ONE if r == c else ZERO for r in range(n)) for c in range(n)]
+    for faces in zip(*(walk.points(e) for e in units)):
+        S, cols = faces[0][0], [col for _, col in faces]
+        lin_coeffs = walk.linear_coeffs(S)
+        if lin_coeffs is not None:
             row: dict = {}
-            for c, x in enumerate(h.vars):
-                val = sum(lin_coeffs[r] * fd.mu[r][c] for r in range(len(fd.V_S)))
+            for x, col in zip(h.vars, cols):
+                val = sum(c * m for c, m in zip(lin_coeffs, col))
                 if val != 0:
                     row[("v", x)] = val
             sys.add(row, cones.GT)
         else:
-            basis = fd.lin.basis
+            basis = walk.face(S).lin.basis
             aux = tuple(("a", _face_key(S), k) for k in range(len(basis)))
             sys.aux = tuple(sys.aux) + aux
-            for r, j in enumerate(fd.V_S):
-                row = {}
-                for c, x in enumerate(h.vars):
-                    if fd.mu[r][c] != 0:
-                        row[("v", x)] = fd.mu[r][c]
+            for r in range(len(walk.face(S).V_S)):
+                row = {("v", x): col[r] for x, col in zip(h.vars, cols) if col[r] != 0}
                 for k, b in enumerate(basis):
                     if b[r] != 0:
                         row[aux[k]] = b[r]
@@ -283,28 +331,12 @@ def cone_system(h: HereditaryPoly) -> cones.StrictSystem:
 
 
 def cone_member(h: HereditaryPoly, v) -> bool:
-    """Exact decision of v in K_f."""
-    d = h.degree
-    if d < 1:
+    """Exact decision of v in K_f, by the face walk on the known point."""
+    if h.degree < 1:
         return not h.f.is_zero() and h.f.terms.get((), ZERO) >= 0
     from .polycore import direction_coords
 
-    coords = direction_coords(v, h.vars)
-    sys = cone_system(h)
-    # substitute the known point: constraints keep only aux unknowns, which
-    # decouple per face, so the strict solver runs blockwise
-    fixed = {("v", x): c for x, c in zip(h.vars, coords)}
-    reduced = cones.StrictSystem(vars=(), aux=sys.aux)
-    for con in sys.constraints:
-        const = con.const
-        coeffs = {}
-        for var, c in con.coeffs:
-            if var in fixed:
-                const += c * fixed[var]
-            else:
-                coeffs[var] = c
-        reduced.add(coeffs, con.rel, const)
-    return cones.strict_feasible(reduced) is not None
+    return _walk(h).member(direction_coords(v, h.vars))
 
 
 def cone_nonempty(h: HereditaryPoly, hints: Iterable = ()) -> dict | None:
@@ -423,15 +455,6 @@ def is_hereditary_lorentzian(h: HereditaryPoly, cone_hints: Iterable = ()) -> HL
 # ---------------------------------------------------------------------------
 
 
-def _pin_solver_from(lin: LinSubspace) -> Callable:
-    def solver(S: frozenset, i):
-        values = {j: ZERO for j in S}
-        values[i] = ONE
-        return lin.member_with_values(values)
-
-    return solver
-
-
 def check_balancing(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, object]):
     """The facet-weight compatibility condition for reconstruction.
 
@@ -461,7 +484,8 @@ def from_weights(
     builds the face family bottom-up by the Euler recursion
     (d - |S|) g^S = sum_i t_i g^{S+{i}}(pi(t)) and returns g at the empty
     face, wrapped with its exact lineality space.  The strong flag is set
-    when (delta, lin) itself is hereditary.
+    when (delta, lin) itself is hereditary.  ``ell_solver`` is a pin solver
+    with the signature of :func:`pin_solver`; it defaults to the one of lin.
     """
     if delta.is_void():
         raise ValueError("cannot reconstruct over a void complex")
@@ -473,13 +497,10 @@ def from_weights(
         missing = set(delta.facets) - set(w)
         extra = set(w) - set(delta.facets)
         raise ValueError(f"weights must be nonzero exactly on facets (missing {missing}, extra {extra})")
-    skel = delta.skeleton()
-    for T in sorted(skel.facets, key=_face_key):
-        if T and not lin.projects_onto(tuple(sorted(T, key=repr))):
-            raise NotHereditaryError(_minimal_failing_face(lin, T))
+    require_hereditary(delta, lin)
     check_balancing(delta, lin, w)
     if ell_solver is None:
-        ell_solver = _pin_solver_from(lin)
+        ell_solver = pin_solver(lin)
     amb_idx = {v: k for k, v in enumerate(lin.ambient)}
 
     memo: dict[frozenset, HomPoly] = {}

@@ -12,23 +12,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def Q(a: Union[int, str, Fraction, "_mpq"] = 0, b: int | None = None):
-        """Coerce to an exact rational (no floats accepted)."""
-        if b is not None:
-            return _mpq(a, b)
-        return _mpq(a)
+try:
+    from gmpy2 import mpq as _rational
 
     RAT_BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover
-    def Q(a=0, b=None):
-        if b is not None:
-            return Fraction(a, b)
-        return Fraction(a)
-
+    _rational = Fraction
     RAT_BACKEND = "fractions"
+
+
+def Q(a: Union[int, str, Fraction] = 0, b: int | None = None):
+    """Coerce to an exact rational (no floats accepted)."""
+    if isinstance(a, float) or isinstance(b, float):
+        raise TypeError(f"floats are not exact rationals: Q({a!r}, {b!r})")
+    if b is not None:
+        return _rational(a, b)
+    return _rational(a)
+
 
 ZERO = Q(0)
 ONE = Q(1)

@@ -8,10 +8,18 @@
 * :func:`oracle_flats` and :func:`oracle_is_basis_family` share no code
   with ``src/``: flats by closing every subset of the ground set with a
   max-intersection rank, and basis exchange checked literally on sets.
+* :func:`fourier_motzkin_feasible` decides strict feasibility by variable
+  elimination, independently of the simplex in ``lorentzlab.cones``.
+* :func:`all_orderings_ample_member` is the ample-cone recursion over every
+  ordering of every face's vertices, with its own projections; the library
+  visits each face once, by one canonical descent.
 """
 
 from itertools import combinations
 
+from lorentzlab import hereditary as hered
+from lorentzlab.cones import EQ, GE, GT, StrictSystem, strict_feasible
+from lorentzlab.polycore import direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
 
 
@@ -78,3 +86,94 @@ def oracle_is_basis_family(bases) -> bool:
         any((A - {a}) | {b} in family for b in B - A)
         for A in family for B in family for a in A - B
     )
+
+
+def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
+    """Independent strict-feasibility oracle by variable elimination.
+
+    Intended for systems with at most ~4 unknowns; the constraint count can
+    grow quadratically per eliminated variable.
+    """
+    cons: list[tuple[dict, object, str]] = []
+    for c in sys.constraints:
+        d = dict(c.coeffs)
+        if c.rel == EQ:
+            cons.append((d, c.const, GE))
+            cons.append(({v: -x for v, x in d.items()}, -c.const, GE))
+        else:
+            cons.append((d, c.const, c.rel))
+    for v in sys.all_vars():
+        pos, neg, rest = [], [], []
+        for d, const, rel in cons:
+            c = d.get(v, ZERO)
+            (pos if c > 0 else neg if c < 0 else rest).append((d, const, rel))
+        new = rest
+        for dp, cp, rp in pos:
+            a = dp[v]
+            for dn, cn, rn in neg:
+                bb = -dn[v]
+                d = {}
+                for w in set(dp) | set(dn):
+                    if w == v:
+                        continue
+                    d[w] = bb * dp.get(w, ZERO) + a * dn.get(w, ZERO)
+                rel = GT if (rp == GT or rn == GT) else GE
+                new.append((d, bb * cp + a * cn, rel))
+        cons = [(d, c, r) for d, c, r in new]
+    for d, const, rel in cons:
+        if any(x != 0 for x in d.values()):
+            raise AssertionError("elimination left a variable behind")
+        if rel == GT and not const > 0:
+            return False
+        if rel == GE and not const >= 0:
+            return False
+    return True
+
+
+def all_orderings_ample_member(fan, v) -> bool:
+    """Membership in the cone of strictly convex support elements, by the
+    literal recursion over every ordering of every face's vertices: at
+    every face of size < d the projected point must be shiftable into the
+    open orthant by a lineality vector vanishing on the face.
+    """
+    delta = fan.cones
+    if delta.is_void():
+        raise ValueError("fan has no cones")
+    d = delta.dim + 1
+    lin = fan.lineality()
+    skel = delta.skeleton()
+    for T in sorted(skel.facets, key=lambda f: sorted(map(repr, f))):
+        if T and not lin.projects_onto(tuple(sorted(T, key=repr))):
+            raise hered.NotHereditaryError(T)
+    coords = dict(zip(fan.ray_labels, direction_coords(v, fan.ray_labels)))
+    amb_idx = {u: i for i, u in enumerate(fan.ray_labels)}
+
+    def project(x: dict, S: frozenset, i) -> dict:
+        values = {j: ZERO for j in S}
+        values[i] = ONE
+        ell = lin.member_with_values(values)
+        if ell is None:
+            raise hered.NotHereditaryError(S | {i})
+        xi = x[i]
+        return {u: xu - xi * ell[amb_idx[u]] for u, xu in x.items()}
+
+    def face_ok(S: frozenset, x: dict) -> bool:
+        V_S = delta.link_vertices(S)
+        LS = lin.vanishing_restrict(tuple(S), V_S)
+        sys = StrictSystem(aux=tuple(("a", k) for k in range(LS.dim)))
+        for r, u in enumerate(V_S):
+            row = {("a", k): LS.basis[k][r] for k in range(LS.dim)}
+            sys.add(row, GT, x[u])
+        return strict_feasible(sys) is not None
+
+    def descend(S: frozenset, x: dict) -> bool:
+        if not face_ok(S, x):
+            return False
+        if len(S) == d - 1:
+            return True
+        return all(
+            descend(S | {i}, project(x, S, i))
+            for i in delta.link_vertices(S)
+        )
+
+    return descend(frozenset(), coords)

@@ -1,5 +1,5 @@
 """Command-line front end: exit codes, schemas, determinism, witness
-verification, and the parallel flag's verdict independence."""
+verification, and the JSON error contract for malformed inputs."""
 
 import json
 from fractions import Fraction
@@ -30,6 +30,7 @@ def files(tmp_path):
 
     write("e2.txt", "t1 t2 + t1 t3 + t2 t3\n")
     write("sos.txt", "t1^2 + t2^2\n")
+    write("negcoeff.txt", "t1^2 - t1*t2 + t2^2\n")
     write("edge.txt", "1/2*t1^2 + t1 t2 + 1/2*t2^2\n")
     write("quad.txt", "a0 b0 + a0 b1 + a1 b0 + a1 b1\n")
     write("orthant3.json", {"generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
@@ -72,14 +73,6 @@ def test_poly_lorentzian_exit_codes(capsys, files):
     assert code == 1 and rep["verdict"] == "no" and rep["witness_verified"] is True
     code, rep, _ = run(capsys, "poly", "lorentzian", files["sos.txt"] + ".missing")
     assert code == 2 and rep["verdict"] == "error"
-
-
-def test_poly_parallel_flag_same_verdict(capsys, files):
-    c1, r1, _ = run(capsys, "poly", "lorentzian", files["e2.txt"])
-    c2, r2, _ = run(capsys, "--parallel", "4", "poly", "lorentzian", files["e2.txt"])
-    assert (c1, r1["verdict"]) == (c2, r2["verdict"])
-    c3, r3, _ = run(capsys, "--parallel", "4", "poly", "lorentzian", files["sos.txt"])
-    assert c3 == 1 and r3["witness"] == json.loads(json.dumps(r3["witness"]))
 
 
 def test_poly_k_lorentzian(capsys, files):
@@ -194,6 +187,20 @@ def test_malformed_matroid_inputs_exit_2(capsys, tmp_path, content, needle):
     for sub in ("hrw", "charpoly"):
         code, rep, _ = run(capsys, "matroid", sub, str(path))
         assert code == 2 and rep["verdict"] == "error" and needle in rep["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "lorentzian", "negcoeff.txt"),
+    ("fan", "subdivide", "sqfan.json", "--ray", "1,x"),
+    ("subdivide", "edge.txt", "--face", "t1,t2", "--coeffs", "1,x"),
+    ("--bogus", "poly", "lorentzian", "e2.txt"),
+    ("--parallel", "2", "poly", "lorentzian", "e2.txt"),
+    ("poly", "lorentzian"),
+    ("nosuchgroup",),
+])
+def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
+    code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and rep["verdict"] == "error" and rep["message"]
 
 
 def test_timing_ms_is_a_json_number(capsys, files):

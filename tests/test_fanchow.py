@@ -20,9 +20,10 @@ from lorentzlab.fanchow import (
     transport_chain,
 )
 from lorentzlab.hereditary import space_dimension
-from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid
+from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid, submodular_witness
 from lorentzlab.polytope import build as build_polytope, volume_polynomial
 from lorentzlab.rat import Q
+from oracles import all_orderings_ample_member
 
 
 def square_fan():
@@ -88,6 +89,54 @@ def test_ample_cone_subfan_monotonicity():
     sub = build_fan(2, fan.ray_labels, fan.rays, [{"e", "n"}, {"n", "w"}, {"w", "s"}])
     assert ample_cone_member(fan, (1, 1, 1, 1))
     assert ample_cone_member(sub, (1, 1, 1, 1))
+
+
+def cube_fan():
+    # normal fan of the cube: the six signed unit rays, one cone per octant
+    labels = ("x+", "x-", "y+", "y-", "z+", "z-")
+    rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    cones = [{a, b, c} for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")]
+    return build_fan(3, labels, rays, cones, full_check=True)
+
+
+def test_ample_walk_matches_all_orderings_oracle(rng):
+    # base points: support numbers for the polytope fans (the subdivided
+    # square cut at x + y = 3/2), the submodular point |F|(n - |F|) for
+    # Bergman fans; each is tried with both signs and perturbed
+    sub, _ = fan_subdivide(square_fan(), (1, 1), new_label="m")
+    cases = [(square_fan(), (1,) * 4), (cube_fan(), (1,) * 6), (sub, (1, 1, 1, 1, Q(3, 2)))]
+    for r, n in ((3, 4), (4, 4), (4, 5)):
+        L = flats(Matroid.uniform(r, n))
+        cases.append((bergman_fan(L), submodular_witness(L).coords))
+    members = 0
+    for fan, base in cases:
+        assert ample_cone_member(fan, base) and all_orderings_ample_member(fan, base)
+        assert not ample_cone_member(fan, [-x for x in base])
+        assert not all_orderings_ample_member(fan, [-x for x in base])
+        for _ in range(6):
+            v = [Q(x) + Q(rng.randint(-4, 4), 4) for x in base]
+            got = ample_cone_member(fan, v)
+            assert got == all_orderings_ample_member(fan, v), (fan.ray_labels, v)
+            members += got
+    assert 0 < members < 6 * len(cases)
+
+
+def test_ample_walk_solves_at_most_one_lp_per_face(monkeypatch):
+    from lorentzlab import cones
+
+    L = flats(Matroid.uniform(5, 5))
+    fan = bergman_fan(L)
+    d = fan.cones.dim + 1
+    faces = len(fan.cones.faces(max_size=d - 1))
+    assert faces == 421
+    calls = []
+    inner = cones.strict_feasible
+    monkeypatch.setattr(cones, "strict_feasible", lambda sys: calls.append(1) or inner(sys))
+    assert ample_cone_member(fan, submodular_witness(L).coords)
+    assert 0 < len(calls) <= faces
+    calls.clear()
+    assert not ample_cone_member(fan, [-x for x in submodular_witness(L).coords])
+    assert len(calls) == 1
 
 
 def test_functional_from_weights_errors():

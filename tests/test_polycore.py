@@ -181,3 +181,33 @@ def _sorted_vars(f: HomPoly) -> HomPoly:
 
 def _str_vars(f: HomPoly) -> HomPoly:
     return f.rename_vars({v: str(v) for v in f.vars})
+
+
+def test_q_rejects_floats_under_both_backends(monkeypatch):
+    """rat.py is loaded twice: once with gmpy2 unavailable, once with a stub
+    whose mpq, like gmpy2's, would convert a float exactly."""
+    import importlib.util
+    import sys
+    import types
+    from fractions import Fraction
+
+    import pytest
+
+    import lorentzlab.rat
+
+    with pytest.raises(TypeError):
+        Q(0.1)
+    with pytest.raises(TypeError):
+        Q(1, 2.0)
+    stub = types.ModuleType("gmpy2")
+    stub.mpq = Fraction
+    for gmpy2, backend in ((None, "fractions"), (stub, "gmpy2")):
+        monkeypatch.setitem(sys.modules, "gmpy2", gmpy2)
+        spec = importlib.util.spec_from_file_location("rat_backend_under_test", lorentzlab.rat.__file__)
+        rat = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(rat)
+        assert rat.RAT_BACKEND == backend
+        for args in ((0.1,), (1, 2.0), (1.0, 2)):
+            with pytest.raises(TypeError):
+                rat.Q(*args)
+        assert rat.Q(1, 10) == rat.Q("1/10") == Fraction(1, 10)
