@@ -13,6 +13,7 @@ witness in isolation before reporting it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -104,6 +105,10 @@ def cmd_poly_lorentzian(args) -> int:
 
 
 def _verify_lorentz_witness(f: HomPoly, v) -> bool:
+    """Re-check a refutation of ``is_lorentzian`` on its own: a support
+    witness against f's support, a Hessian witness by deriving the quadratic
+    through ``HomPoly.partial`` chains, a route independent of the scan that
+    reads the Hessians off the coefficients."""
     kind = v.witness[0]
     if kind == "support":
         a, b, i = v.witness[1]
@@ -354,7 +359,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one (parsing leaves no state on it); not at import, so importing
+    the package stays cheap."""
     ap = _Parser(prog="lorentzlab", description=__doc__)
     ap.add_argument("--timing", action="store_true", help="include timing_ms in the report")
     ap.add_argument("--verify-witness", action="store_true",

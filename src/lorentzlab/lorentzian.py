@@ -8,6 +8,11 @@ permutes the coordinates of the derived support set and transposes the
 derived bilinear forms, neither of which moves a verdict.  Randomized
 ordered-tuple spot checks in the test suite back this reduction.
 
+M-convexity, of supports and of the cone test's derived supports, is
+decided by exchange masks built once per point (``is_m_convex``).  On the
+orthant, the Hessian of each (d-2)-fold coordinate derivative is read off
+f's coefficients, with no derivative formed (``_h1_scan``).
+
 Every "no" verdict carries a finite witness that re-verifies in isolation;
 the sampling-based check for non-polyhedral cones never answers "yes", only
 "no with witness" or "consistent".
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .cones import ConeByGenerators
@@ -89,45 +95,52 @@ class MSet:
 
 
 def is_m_convex(M: MSet | Iterable) -> tuple[bool, tuple | None]:
-    """Brute-force exchange axiom; returns (verdict, violating (a, b, i)).
+    """Exchange axiom by exchange masks; returns (verdict, violating (a, b, i)).
 
-    For every ordered pair the candidate moves are limited to coordinates
-    where the pair actually differs, computed once per pair.
+    For each point a and move i, ``ex[i]`` is the bitmask of the j != i
+    with a - e_i + e_j in the set; it is read off a table that maps every
+    a - e_i to the j with a - e_i + e_j in the set.  A pair (a, b) fails
+    at i, with a_i > b_i, exactly when ``ex[i]`` holds no j with
+    b_j > a_j.  When the points are nonnegative with one coordinate sum,
+    every b != a has such a j, so an i whose mask holds every j != i never
+    fails, and an a with no other i is skipped.  Pairs are visited in
+    sorted (a, b) order and moves i in increasing order, so the witness is
+    the first violation in that order.  Points must have one length.
     """
     pts = M.points if isinstance(M, MSet) else frozenset(map(tuple, M))
     ordered = sorted(pts)
+    if len({len(p) for p in ordered}) > 1:
+        raise ValueError("points have different lengths")
+    graded = len({sum(p) for p in ordered}) <= 1 and all(c >= 0 for p in ordered for c in p)
+    ups: dict[tuple, int] = {}  # a - e_i -> bitmask of the j with a - e_i + e_j in the set
+    moves = []
     for a in ordered:
-        for b in ordered:
-            if a == b:
+        qs = []
+        for i, ai in enumerate(a):
+            if graded and ai == 0:
                 continue
-            ups = []
-            downs = []
-            for k, (ak, bk) in enumerate(zip(a, b)):
-                if ak > bk:
-                    ups.append(k)
-                elif bk > ak:
-                    downs.append(k)
-            for i in ups:
-                la = list(a)
-                la[i] -= 1
-                ok = False
-                for j in downs:
-                    la[j] += 1
-                    if tuple(la) in pts:
-                        ok = True
-                        la[j] -= 1
-                        break
-                    la[j] -= 1
-                if not ok:
-                    return False, (a, b, i)
+            q = a[:i] + (ai - 1,) + a[i + 1:]
+            ups[q] = ups.get(q, 0) | 1 << i
+            qs.append((i, q))
+        moves.append(qs)
+    for a, qs in zip(ordered, moves):
+        n = len(a)
+        full = (1 << n) - 1
+        crit = [(i, ups[q] & ~(1 << i)) for i, q in qs if not graded or ups[q] != full]
+        if not crit:
+            continue
+        for b in ordered:
+            D = -1
+            for i, ex in crit:
+                if a[i] > b[i]:
+                    if D < 0:
+                        D = 0
+                        for j in range(n):
+                            if b[j] > a[j]:
+                                D |= 1 << j
+                    if not ex & D:
+                        return False, (a, b, i)
     return True, None
-
-
-def _exchange(a: tuple, i: int, j: int) -> tuple:
-    out = list(a)
-    out[i] -= 1
-    out[j] += 1
-    return tuple(out)
 
 
 def m_truncate(M: MSet) -> MSet:
@@ -204,16 +217,6 @@ def support_mset(f: HomPoly) -> MSet:
     return MSet(len(f.vars), f.support())
 
 
-def _hessian_multisets(f: HomPoly):
-    """(multiset, quadratic) for every (d-2)-fold coordinate derivative."""
-    d = f.degree
-    for combo in combinations_with_replacement(f.vars, d - 2):
-        q = f
-        for v in combo:
-            q = q.partial(v)
-        yield combo, q
-
-
 def is_lorentzian(f: HomPoly) -> LorentzVerdict:
     """Support M-convexity plus the one-positive-eigenvalue Hessian condition.
 
@@ -230,13 +233,36 @@ def is_lorentzian(f: HomPoly) -> LorentzVerdict:
 
 
 def _h1_scan(f: HomPoly) -> LorentzVerdict:
+    """Inertia of the Hessian of every (d-2)-fold coordinate derivative,
+    read off the coefficients: entry (i, j) of the Hessian of d^alpha f is
+    beta! c_beta, where beta = alpha + e_i + e_j."""
+    n = len(f.vars)
+    coeff = f.dense_terms()
     certs = []
-    for combo, q in _hessian_multisets(f):
-        inr = inertia(hessian(q))
-        certs.append((combo, inr))
+    for combo in combinations_with_replacement(range(n), f.degree - 2):
+        beta = [0] * n  # alpha, raised in place to alpha + e_i + e_j below
+        for k in combo:
+            beta[k] += 1
+        alpha_fact = prod(map(factorial, beta))
+        rows = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            beta[i] += 1
+            for j in range(i, n):
+                beta[j] += 1
+                c = coeff.get(tuple(beta))
+                if c is not None:
+                    # beta! / alpha! = (alpha_i + 1)(alpha_j + 1), or
+                    # (alpha_i + 1)(alpha_i + 2) on the diagonal
+                    rise = beta[i] * beta[j] if i != j else (beta[i] - 1) * beta[i]
+                    rows[i][j] = rows[j][i] = alpha_fact * rise * c
+                beta[j] -= 1
+            beta[i] -= 1
+        inr = inertia(SymMatrix(f.vars, rows))
+        labels = tuple(f.vars[k] for k in combo)
+        certs.append((labels, inr))
         if inr.pos > 1:
             return LorentzVerdict(
-                value="no", witness=("hessian", combo, inr),
+                value="no", witness=("hessian", labels, inr),
                 detail="Hessian with more than one positive eigenvalue",
                 certificates=certs,
             )

@@ -23,12 +23,17 @@ except ImportError:  # pragma: no cover
 
 
 def Q(a: Union[int, str, Fraction] = 0, b: int | None = None):
-    """Coerce to an exact rational (no floats accepted)."""
+    """Coerce to an exact rational (no floats accepted; a zero denominator
+    is a ValueError naming the input)."""
     if isinstance(a, float) or isinstance(b, float):
         raise TypeError(f"floats are not exact rationals: Q({a!r}, {b!r})")
-    if b is not None:
-        return _rational(a, b)
-    return _rational(a)
+    try:
+        if b is not None:
+            return _rational(a, b)
+        return _rational(a)
+    except ZeroDivisionError:
+        shown = repr(a) if b is None else f"{a!r}/{b!r}"
+        raise ValueError(f"zero denominator in {shown}") from None
 
 
 ZERO = Q(0)

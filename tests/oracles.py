@@ -1,4 +1,5 @@
-"""Test oracles for the matroid engine.
+"""Test oracles: slower, literal routes that the library's fast routes are
+checked against.
 
 * :func:`fraction_eval_bivariate` is the chain recursion of
   ``LatticeVolume.eval_bivariate`` written on exact ``Fraction``-style
@@ -13,12 +14,20 @@
 * :func:`all_orderings_ample_member` is the ample-cone recursion over every
   ordering of every face's vertices, with its own projections; the library
   visits each face once, by one canonical descent.
+* :func:`brute_force_is_m_convex` runs the exchange axiom on every ordered
+  pair; the library tests each pair against exchange masks built once per
+  point.
+* :func:`partial_h1_scan` derives every (d-2)-fold coordinate derivative
+  from f by chains of ``HomPoly.partial`` and takes its Hessian; the
+  library reads the Hessians off f's coefficients.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from lorentzlab import hereditary as hered
 from lorentzlab.cones import EQ, GE, GT, StrictSystem, strict_feasible
+from lorentzlab.inertia import hessian, inertia
+from lorentzlab.lorentzian import LorentzVerdict, MSet
 from lorentzlab.polycore import direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
 
@@ -177,3 +186,63 @@ def all_orderings_ample_member(fan, v) -> bool:
         )
 
     return descend(frozenset(), coords)
+
+
+def brute_force_is_m_convex(M) -> tuple:
+    """Brute-force exchange axiom; returns (verdict, violating (a, b, i)).
+
+    For every ordered pair the candidate moves are limited to coordinates
+    where the pair actually differs, computed once per pair.
+    """
+    pts = M.points if isinstance(M, MSet) else frozenset(map(tuple, M))
+    ordered = sorted(pts)
+    for a in ordered:
+        for b in ordered:
+            if a == b:
+                continue
+            ups = []
+            downs = []
+            for k, (ak, bk) in enumerate(zip(a, b)):
+                if ak > bk:
+                    ups.append(k)
+                elif bk > ak:
+                    downs.append(k)
+            for i in ups:
+                la = list(a)
+                la[i] -= 1
+                ok = False
+                for j in downs:
+                    la[j] += 1
+                    if tuple(la) in pts:
+                        ok = True
+                        la[j] -= 1
+                        break
+                    la[j] -= 1
+                if not ok:
+                    return False, (a, b, i)
+    return True, None
+
+
+def _hessian_multisets(f):
+    """(multiset, quadratic) for every (d-2)-fold coordinate derivative."""
+    d = f.degree
+    for combo in combinations_with_replacement(f.vars, d - 2):
+        q = f
+        for v in combo:
+            q = q.partial(v)
+        yield combo, q
+
+
+def partial_h1_scan(f) -> LorentzVerdict:
+    """The Hessian scan of ``is_lorentzian`` by partial-derivative chains."""
+    certs = []
+    for combo, q in _hessian_multisets(f):
+        inr = inertia(hessian(q))
+        certs.append((combo, inr))
+        if inr.pos > 1:
+            return LorentzVerdict(
+                value="no", witness=("hessian", combo, inr),
+                detail="Hessian with more than one positive eigenvalue",
+                certificates=certs,
+            )
+    return LorentzVerdict(value="yes", certificates=certs)

@@ -289,12 +289,12 @@ def test_criterion_09_m_convexity_decomposition(rng):
                 p[rng.randrange(4)] += 1
             pts.add(tuple(p))
         M = MSet(4, pts)
-        brute = is_m_convex(M)[0]
+        full = is_m_convex(M)[0]
         decomposed = m_is_H_connected(m_truncate(M)) and all(
             is_m_convex(m_partial(M, alpha))[0] for alpha in _multis(4, r - 2)
         )
-        ok = ok and brute == decomposed
-    _report(9, ok, "exchange-axiom brute force equals the connectivity decomposition on 500 random subsets")
+        ok = ok and full == decomposed
+    _report(9, ok, "exchange axiom equals the connectivity decomposition on 500 random subsets")
 
 
 def _multis(n, total):

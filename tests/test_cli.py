@@ -2,13 +2,16 @@
 verification, and the JSON error contract for malformed inputs."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
 import pytest
 
-from lorentzlab.cli import main
+from lorentzlab.cli import build_parser, main
 from lorentzlab.matroid import LatticeVolume
 
 
@@ -33,6 +36,7 @@ def files(tmp_path):
     write("negcoeff.txt", "t1^2 - t1*t2 + t2^2\n")
     write("edge.txt", "1/2*t1^2 + t1 t2 + 1/2*t2^2\n")
     write("quad.txt", "a0 b0 + a0 b1 + a1 b0 + a1 b1\n")
+    write("zeroden.json", {"vars": ["t1", "t2"], "terms": [{"exps": [1, 1], "coeff": "1/0"}]})
     write("orthant3.json", {"generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
     lines = [{1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7}, {3, 4, 7}, {3, 5, 6}]
     write("fano.json", {
@@ -197,6 +201,9 @@ def test_malformed_matroid_inputs_exit_2(capsys, tmp_path, content, needle):
     ("--parallel", "2", "poly", "lorentzian", "e2.txt"),
     ("poly", "lorentzian"),
     ("nosuchgroup",),
+    ("fan", "subdivide", "sqfan.json", "--ray", "1/0,1"),
+    ("subdivide", "edge.txt", "--face", "t1,t2", "--coeffs", "1/0"),
+    ("poly", "lorentzian", "zeroden.json"),
 ])
 def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
     code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
@@ -222,3 +229,29 @@ def test_hrw_runs_one_chain_recursion(capsys, files, monkeypatch):
         mu = abs(int(rep["chi"][0]))
         assert rep["volume_at_alpha"] == alpha == str(Fraction(1, factorial(d)))
         assert rep["volume_at_beta"] == beta == str(Fraction(mu, factorial(d)))
+
+
+def test_one_parser_serves_every_request(capsys, files):
+    """Requests in one process, usage and input errors among them, report
+    byte for byte what a fresh process reports."""
+    assert build_parser() is build_parser()
+    requests = [
+        ("poly", "lorentzian", "e2.txt"),
+        ("--bogus", "poly", "lorentzian", "e2.txt"),
+        ("--verify-witness", "poly", "lorentzian", "sos.txt"),
+        ("poly", "lorentzian", "negcoeff.txt"),
+        ("fan", "subdivide", "sqfan.json", "--ray", "1/0,1"),
+        ("matroid", "hrw", "u23.json"),
+        ("poly", "lorentzian"),
+        ("poly", "lorentzian", "e2.txt"),
+    ]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for req in requests:
+        argv = [files.get(a, a) for a in req]
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "lorentzlab", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), req
+    assert build_parser() is build_parser()

@@ -2,9 +2,12 @@
 extreme-ray cone test, polarization equivalence, log-concavity, and the
 interior deformation."""
 
+import time
+from itertools import combinations
+
 import pytest
 
-from conftest import rand_nonneg_poly, rand_product_of_linears
+from conftest import rand_nonneg_poly, rand_product_of_linears, rand_q
 from lorentzlab.cones import ConeByGenerators
 from lorentzlab.hereditary import check_hereditary, is_hereditary_lorentzian
 from lorentzlab.inertia import hessian, inertia
@@ -30,6 +33,7 @@ from lorentzlab.lorentzian import (
 )
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
+from oracles import brute_force_is_m_convex, partial_h1_scan
 
 
 def orthant(n):
@@ -275,3 +279,197 @@ def test_product_closure(rng):
         fe = _extend_vars(f, tuple(vars)) if f.vars != tuple(vars) else f
         ge = _extend_vars(g, tuple(vars)) if g.vars != tuple(vars) else g
         assert product_check(fe, ge, orthant(len(vars)))
+
+
+# ---------------------------------------------------------------------------
+# exchange masks and coefficient Hessians against their oracles
+# ---------------------------------------------------------------------------
+
+
+def _simplex(n, d):
+    """All lattice points of {x >= 0, sum x = d} in n coordinates."""
+    return list(_multi(n, d))
+
+
+def _assert_m_convex_as_oracle(M):
+    assert is_m_convex(M) == brute_force_is_m_convex(M), sorted(M.points)
+
+
+def test_m_convex_matches_oracle_on_random_sets(rng):
+    verdicts = set()
+    for k in range(600):
+        n, d = rng.randint(1, 6), rng.randint(0, 4)
+        full = _simplex(n, d)
+        if k % 2:
+            pts = set(rng.sample(full, rng.randint(1, min(len(full), 9))))
+        else:  # near-full: the simplex less a few points
+            pts = set(full) - set(rng.sample(full, rng.randint(0, min(len(full) - 1, 3))))
+        M = MSet(n, pts)
+        _assert_m_convex_as_oracle(M)
+        verdicts.add(brute_force_is_m_convex(M)[0])
+    assert verdicts == {True, False}
+
+
+def test_m_convex_matches_oracle_on_ungraded_iterables(rng):
+    """Plain iterables need not share a coordinate sum or be nonnegative;
+    there a pair can fail with no coordinate to move into, and no move is
+    skipped."""
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        lo = rng.choice([0, -2])
+        pts = [tuple(rng.randint(lo, 2) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        assert is_m_convex(pts) == brute_force_is_m_convex(pts), pts
+    assert is_m_convex([(2, 0), (1, 0)]) == (False, ((2, 0), (1, 0), 0))
+    with pytest.raises(ValueError, match="different lengths"):
+        is_m_convex([(1, 0), (1,)])
+
+
+def test_m_convex_matches_oracle_on_full_simplex():
+    M = MSet(8, _simplex(8, 4))
+    assert len(M.points) == 330
+    _assert_m_convex_as_oracle(M)
+    # every point of the simplex has every move available, so no pair is
+    # examined: a tenth of the pairwise oracle's time is a loose bound
+    fast = min(_seconds(is_m_convex, M) for _ in range(3))
+    slow = min(_seconds(brute_force_is_m_convex, M) for _ in range(3))
+    assert 10 * fast < slow, (fast, slow)
+
+
+def _seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def _bases(L):
+    """Bases of a lattice of flats: r-sets of the ground set lying in no hyperplane."""
+    r = L.rank_total
+    hyperplanes = [F for F in L.flats if L.rank[F] == r - 1]
+    return [frozenset(B) for B in combinations(L.ground, r) if not any(set(B) <= H for H in hyperplanes)]
+
+
+def _indicator(L, B):
+    return tuple(int(e in B) for e in L.ground)
+
+
+def test_m_convex_matches_oracle_on_catalog(catalog):
+    for name, L in catalog.items():
+        pts = [_indicator(L, B) for B in _bases(L)]
+        M = MSet(len(L.ground), pts)
+        assert is_m_convex(M) == brute_force_is_m_convex(M) == (True, None), name
+        # one basis fewer is a matroid again only by accident
+        if len(pts) > 1:
+            _assert_m_convex_as_oracle(MSet(len(L.ground), pts[1:]))
+
+
+def _basis_polynomial(L):
+    vars = tuple(f"t{e}" for e in L.ground)
+    return HomPoly.from_dense(vars, L.rank_total, {_indicator(L, B): 1 for B in _bases(L)})
+
+
+def test_m_convex_matches_oracle_on_k_lorentzian_supports(catalog, monkeypatch):
+    """The derived supports that is_k_lorentzian checks on the orthant, for
+    the catalog matroids of rank at most 3: the basis generating polynomial (Lorentzian: every derived
+    support is M-convex) and the power sum of the same degree on the same
+    variables (at degree 3 its Hessians pass and a derived support fails)."""
+    import lorentzlab.lorentzian as lor
+
+    seen = set()
+    inner = lor.is_m_convex
+    monkeypatch.setattr(lor, "is_m_convex", lambda M: seen.add(M) or inner(M))
+    for name, L in catalog.items():
+        r, n = L.rank_total, len(L.ground)
+        if r > 3:  # at rank 4 a 7-element ground set has C(14, 8) multisets T
+            continue
+        f = _basis_polynomial(L)
+        assert is_k_lorentzian(f, orthant(n)).value == "yes", name
+        power_sum = HomPoly(f.vars, r, {((i, r),): 1 for i in range(n)})
+        v = is_k_lorentzian(power_sum, orthant(n))
+        if r == 3:
+            assert v.value == "no" and v.witness[0] == "support", name
+    assert len(seen) > 100
+    verdicts = set()
+    for M in seen:
+        assert inner(M) == brute_force_is_m_convex(M), sorted(M.points)
+        verdicts.add(inner(M)[0])
+    assert verdicts == {True, False}
+
+
+def _product_924():
+    """The degree-6 product of positive linear forms in 7 variables: all
+    C(12, 6) = 924 monomials."""
+    vars = tuple(f"t{i + 1}" for i in range(7))
+    f = HomPoly.constant(vars, 1)
+    for k in range(6):
+        f = f * HomPoly(vars, 1, {((i, 1),): Q(1 + (i + k) % 3, 1 + (i * k) % 2) for i in range(7)})
+    assert len(f.terms) == 924
+    return f
+
+
+def _assert_scan_as_oracle(f):
+    from lorentzlab.lorentzian import _h1_scan
+
+    got, want = _h1_scan(f), partial_h1_scan(f)
+    assert (got.value, got.witness, got.certificates) == (want.value, want.witness, want.certificates), f.to_text()
+    return got
+
+
+def test_hessian_scan_matches_oracle_on_random_forms(rng):
+    values = set()
+    for _ in range(80):
+        n, d = rng.randint(1, 4), rng.randint(2, 5)
+        vars = tuple(f"t{i + 1}" for i in range(n))
+        dense = {}
+        for _ in range(rng.randint(1, 8)):
+            exps = [0] * n
+            for _ in range(d):
+                exps[rng.randrange(n)] += 1
+            dense[tuple(exps)] = rand_q(rng, -5, 5, 4)
+        values.add(_assert_scan_as_oracle(HomPoly.from_dense(vars, d, dense)).value)
+    for _ in range(20):
+        _assert_scan_as_oracle(rand_product_of_linears(rng, rng.randint(2, 4), rng.randint(2, 4)))
+    assert values == {"yes", "no"}
+
+
+def test_hessian_scan_matches_oracle_on_quadratics():
+    for text in ("t1 t2 + t1 t3 + t2 t3", "t1^2 + t2^2", "1/2*t1^2 + t1 t2 + 1/2*t2^2", "3*t1^2"):
+        v = _assert_scan_as_oracle(parse_poly(text))
+        assert [c for c, _ in v.certificates] == [()]
+    assert _assert_scan_as_oracle(HomPoly.zero(("a", "b"), 2)).certificates == [((), (0, 0, 2))]
+
+
+def test_hessian_scan_matches_oracle_on_924_terms():
+    v = _assert_scan_as_oracle(_product_924())
+    assert v.value == "yes" and len(v.certificates) == 210
+
+
+def test_hessian_scan_stops_where_oracle_stops():
+    stops = []
+    for text in ("t1^2 t2 + t2^2 t3 + 5*t3^2 t1 + t1 t2 t3", "t1^4 + t1^2 t2^2 + t2^4 + t3^4",
+                 "3*t1 t3^3 + t2^2 t3^2", "5*t1 t2^2 t3 + 2*t2 t3^3", "2*t1 t2^2 t3 + 3*t1^2 t3^2 + 3*t1^3 t3"):
+        v = _assert_scan_as_oracle(parse_poly(text))
+        assert v.value == "no" and v.certificates[-1][0] == v.witness[1]
+        stops.append(len(v.certificates))
+    assert stops == [1, 1, 6, 5, 3]
+
+
+def test_is_lorentzian_reads_hessians_off_coefficients(monkeypatch):
+    """Count guard: no partial derivative, one inertia per (d-2)-multiset."""
+    import lorentzlab.lorentzian as lor
+
+    f = _product_924()
+    calls = {"partial": 0, "inertia": 0}
+    partial, inertia_ = HomPoly.partial, lor.inertia
+
+    def counting_partial(self, v):
+        calls["partial"] += 1
+        return partial(self, v)
+
+    def counting_inertia(M):
+        calls["inertia"] += 1
+        return inertia_(M)
+
+    monkeypatch.setattr(HomPoly, "partial", counting_partial)
+    monkeypatch.setattr(lor, "inertia", counting_inertia)
+    assert is_lorentzian(f).value == "yes"
+    assert calls == {"partial": 0, "inertia": 210}

@@ -183,7 +183,7 @@ def _str_vars(f: HomPoly) -> HomPoly:
     return f.rename_vars({v: str(v) for v in f.vars})
 
 
-def test_q_rejects_floats_under_both_backends(monkeypatch):
+def _rat_under_both_backends(monkeypatch):
     """rat.py is loaded twice: once with gmpy2 unavailable, once with a stub
     whose mpq, like gmpy2's, would convert a float exactly."""
     import importlib.util
@@ -191,14 +191,8 @@ def test_q_rejects_floats_under_both_backends(monkeypatch):
     import types
     from fractions import Fraction
 
-    import pytest
-
     import lorentzlab.rat
 
-    with pytest.raises(TypeError):
-        Q(0.1)
-    with pytest.raises(TypeError):
-        Q(1, 2.0)
     stub = types.ModuleType("gmpy2")
     stub.mpq = Fraction
     for gmpy2, backend in ((None, "fractions"), (stub, "gmpy2")):
@@ -207,7 +201,30 @@ def test_q_rejects_floats_under_both_backends(monkeypatch):
         rat = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(rat)
         assert rat.RAT_BACKEND == backend
+        yield rat
+
+
+def test_q_rejects_floats_under_both_backends(monkeypatch):
+    from fractions import Fraction
+
+    import pytest
+
+    with pytest.raises(TypeError):
+        Q(0.1)
+    with pytest.raises(TypeError):
+        Q(1, 2.0)
+    for rat in _rat_under_both_backends(monkeypatch):
         for args in ((0.1,), (1, 2.0), (1.0, 2)):
             with pytest.raises(TypeError):
                 rat.Q(*args)
         assert rat.Q(1, 10) == rat.Q("1/10") == Fraction(1, 10)
+
+
+def test_q_zero_denominator_is_a_value_error_under_both_backends(monkeypatch):
+    import pytest
+
+    for rat in _rat_under_both_backends(monkeypatch):
+        for args, needle in ((("1/0",), "in '1/0'"), ((1, 0), "in 1/0"), ((" -3/0 ",), "-3/0")):
+            with pytest.raises(ValueError, match="zero denominator") as info:
+                rat.Q(*args)
+            assert needle in str(info.value)
