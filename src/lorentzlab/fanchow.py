@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from . import hereditary as hered
 from . import linalg
 from .cones import GE, GT, EQ, StrictSystem, solve_in_span, strict_feasible
-from .polycore import HomPoly, LinSubspace, direction_coords
+from .polycore import LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE, rat_str
 from .simplicial import SimComplex, fresh_vertex
 
@@ -149,13 +149,9 @@ class DegreeFunctional:
                 raise ValueError("polynomial is not invariant under the fan's lineality space")
 
     def weight(self, F: Iterable):
-        """The value on the cone monomial: the mixed derivative at the facet."""
-        return self.h.f.mixed_partial(frozenset(F)).terms.get((), ZERO)
-
-    @classmethod
-    def from_poly(cls, fan: Fan, poly: HomPoly) -> "DegreeFunctional":
-        return cls(fan=fan, grade=poly.degree, h=hered.check_hereditary(poly))
-
+        """The value on the cone monomial: the mixed derivative at the facet,
+        read as the coefficient of the squarefree monomial on F."""
+        return self.h.f.squarefree_coeff(F)
 
 def functional_from_weights(fan: Fan, w: Mapping) -> DegreeFunctional:
     """The unique top-grade functional with prescribed facet values; raises

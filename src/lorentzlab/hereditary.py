@@ -185,11 +185,7 @@ def restrict_fS(h: HereditaryPoly, S: Iterable) -> HereditaryPoly:
 
 def is_positive(h: HereditaryPoly) -> bool:
     """All facet values (d/dt)^F f are positive; vacuously true for zero f."""
-    for F in h.delta.facets:
-        val = h.f.mixed_partial(F).terms.get((), ZERO)
-        if not val > 0:
-            return False
-    return True
+    return all(h.f.squarefree_coeff(F) > 0 for F in h.delta.facets)
 
 
 # ---------------------------------------------------------------------------

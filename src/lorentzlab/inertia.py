@@ -142,10 +142,6 @@ def at_most_one_positive(M: SymMatrix) -> bool:
     return inertia(M).pos <= 1
 
 
-def exactly_one_positive(M: SymMatrix) -> bool:
-    return inertia(M).pos == 1
-
-
 def lorentz_signature(M: SymMatrix, expected_kernel: LinSubspace) -> bool:
     """Exactly one positive eigenvalue and kernel equal to the given subspace."""
     inr = inertia(M)

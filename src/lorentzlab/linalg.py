@@ -21,10 +21,6 @@ def qvec(v: Sequence) -> Vec:
     return tuple(Q(x) for x in v)
 
 
-def qmat(rows: Sequence[Sequence]) -> Mat:
-    return [qvec(r) for r in rows]
-
-
 def zeros(n: int) -> Vec:
     return (ZERO,) * n
 
@@ -33,16 +29,8 @@ def unit(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Sequence) -> Vec:
-    return tuple(c * a for a in v)
 
 
 def dot(u: Sequence, v: Sequence):

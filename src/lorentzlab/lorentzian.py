@@ -307,20 +307,7 @@ def polarize(f: HomPoly) -> HomPoly:
     return f.substitute(pvars, forms)
 
 
-def polarized_block_lineality(f: HomPoly) -> LinSubspace:
-    """The per-block sum-zero subspace, always inside the polarization's lineality."""
-    pvars = tuple(polarization_vars(f))
-    rows = []
-    for v in f.vars:
-        block = [k for k, pv in enumerate(pvars) if pv[0] == v]
-        for a, b in zip(block, block[1:]):
-            row = [ZERO] * len(pvars)
-            row[a], row[b] = ONE, -ONE
-            rows.append(tuple(row))
-    return LinSubspace(pvars, rows)
-
-
-def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdictLike":
+def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
     """Hereditary-Lorentzian verdict of the polarization, computed on the
     polarized face complex without materializing the polarized polynomial.
 
@@ -454,9 +441,6 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdictLike":
                              note="polarized codimension-2 Hessian fails")
     return HLVerdict(value="yes", h_connected=True, q_certificates=certs,
                      cone_witness={pv: ONE for pv in pvars})
-
-
-HLVerdictLike = "HLVerdict"
 
 
 # ---------------------------------------------------------------------------

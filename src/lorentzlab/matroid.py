@@ -6,7 +6,9 @@ popcount of S & B over the bases B, and a closure is one pass over the
 bases (e raises the rank of S exactly when some basis B with
 |S & B| = rank(S) contains e).  A bases list given explicitly must satisfy
 the basis-exchange axiom, checked on construction; the uniform, Fano and
-graphic constructors are matroids by construction and skip that check.
+graphic constructors are matroids by construction and skip that check.  A
+graph's rank is its number of vertices less its number of connected
+components, from one union-find pass.
 
 The lattice of flats is generated by covers: starting from the closure of
 the empty set, the closures of F + e for every flat F found so far and
@@ -23,7 +25,11 @@ Two construction routes coexist:
   (the probe point and every pinned lineality vector are scaled to integer
   vectors, and one division at the end restores the value), which keeps
   rank-7 uniform matroids tractable for the characteristic polynomial, the
-  closed-form evaluations, and the Lorentzian certification.  The
+  closed-form evaluations, and the Lorentzian certification.  One helper
+  gives the integer pinned vector at a flat between two chain flats, and
+  one routine projects a point down every chain with it.  The evaluation
+  and the cone witness read the projected points; the codimension-2
+  Hessians take their diagonals from the helper.  The
   expansion along the canonical direction pair (alpha, beta) is computed
   once per engine and serves the characteristic polynomial, the
   Heron-Rota-Welsh check and both closed-form evaluations.
@@ -169,13 +175,19 @@ class Matroid:
 
     @classmethod
     def from_graph(cls, n_vertices: int, edges: Sequence[Sequence]) -> "Matroid":
-        """Cycle matroid: ground set = edge indices, bases = maximal forests."""
+        """Cycle matroid: ground set = edge indices, bases = maximal forests.
+
+        The rank is the number of vertices less the number of connected
+        components, from one union-find pass over all edges; the bases are
+        the edge subsets of that size that form a forest.
+        """
         m = len(edges)
         for i, e in enumerate(edges):
             if len(e) != 2 or not all(isinstance(u, int) and 0 <= u < n_vertices for u in e):
                 raise ValueError(f"edge {i} = {list(e)} needs two vertices in 0..{n_vertices - 1}")
 
-        def is_forest(idxs) -> bool:
+        def joins(idxs) -> int:
+            """How many of the edges, taken in order, join two components."""
             parent = list(range(n_vertices))
 
             def find(x):
@@ -184,20 +196,17 @@ class Matroid:
                     x = parent[x]
                 return x
 
+            joined = 0
             for i in idxs:
                 u, v = edges[i]
                 ru, rv = find(u), find(v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-            return True
+                if ru != rv:
+                    parent[ru] = rv
+                    joined += 1
+            return joined
 
-        rank = 0
-        for k in range(m, -1, -1):
-            if any(is_forest(c) for c in combinations(range(m), k)):
-                rank = k
-                break
-        bases = [frozenset(c) for c in combinations(range(m), rank) if is_forest(c)]
+        rank = joins(range(m))
+        bases = [frozenset(c) for c in combinations(range(m), rank) if joins(c) == rank]
         return cls._by_construction(tuple(range(m)), bases)
 
     @classmethod
@@ -458,7 +467,6 @@ class LatticeVolume:
                 m |= 1 << eidx[e]
             self.masks[F] = m
         self.proper = L.proper
-        self.full_mask = self.masks[L.top]
         self.lcm_n = lcm(*range(1, len(elems) + 1))
         self._chains: list[tuple] | None = None
         self._between_cache: dict[tuple, tuple] = {}
@@ -511,49 +519,36 @@ class LatticeVolume:
             out.extend(self.between(lo, hi))
         return out
 
-    def _ell(self, chain: tuple, G: frozenset, needed: Iterable) -> dict:
-        """Layered pinned vector (1 at G, 0 on the chain) on selected flats.
+    # -- pinned vectors and bivariate evaluation --------------------------------
 
-        With a single nonzero target, only the layer ending at G and the
-        one starting at G carry nonzero per-element coefficients, so each
-        value is two popcounts.
+    def _pin(self, below: frozenset, G: frozenset, above: frozenset) -> tuple:
+        """The pinned vector at G between the chain flats ``below`` and
+        ``above`` (1 at G, 0 on the chain, constant per element on each
+        layer), scaled by E = lcm(1..n).
+
+        Returns (m_lo, c_lo, m_hi, c_hi): the layer masks G - below and
+        above - G and the integers E/|G - below| and E/|above - G|.  The
+        scaled value at a flat H is c_lo*|H & m_lo| - c_hi*|H & m_hi|.
         """
-        L = self.L
-        below = max((F for F in chain if F < G), key=lambda F: L.rank[F], default=L.bottom)
-        above = min((F for F in chain if G < F), key=lambda F: L.rank[F], default=L.top)
-        m_lo = self.masks[G] & ~self.masks[below]
-        m_hi = self.masks[above] & ~self.masks[G]
-        c_lo = Q(1, m_lo.bit_count())
-        c_hi = Q(-1, m_hi.bit_count())
-        out = {}
-        for H in needed:
-            mH = self.masks[H]
-            out[H] = c_lo * (mH & m_lo).bit_count() + c_hi * (mH & m_hi).bit_count()
-        return out
+        E = self.lcm_n
+        mG = self.masks[G]
+        m_lo = mG & ~self.masks[below]
+        m_hi = self.masks[above] & ~mG
+        return m_lo, E // m_lo.bit_count(), m_hi, E // m_hi.bit_count()
 
-    # -- bivariate evaluation -------------------------------------------------
+    def _points(self, chains: list, va: Mapping, vb: Mapping) -> tuple[dict, int]:
+        """The point s va + t vb projected to every chain of length < d, on
+        integers, with S0, the lcm of the base point's denominators.
 
-    def eval_bivariate(self, va: Mapping, vb: Mapping) -> list:
-        """Coefficients [c_0, ..., c_d] of pol(s va + t vb) with c_j the
-        coefficient of s^(d-j) t^j.
-
-        The recursion runs on integers.  The point is scaled by S0, the lcm
-        of its denominators.  Each pinned vector is scaled by
-        E = lcm(1..n): chains are rank-sorted, so the vector pinned at the
-        last flat G of a chain has the layers G - parent[-1] and top - G,
-        whose popcounts divide E.  The point at a chain of length j then
-        carries the scale S0 * E^j, and the value at a chain of length j,
-        times (d-j)! and the scales of the points below it, is the plain
-        sum over the link of point coordinate times child value.  One
-        division by d! * S0^d * E^(d(d-1)/2) at the end gives the value.
+        The base point is scaled by S0 and each pinned vector by E (see
+        :meth:`_pin`), so the point at a chain of length j carries the
+        scale S0 * E^j.  Each chain is reached from its parent, the chain
+        less its last flat G; chains are rank-sorted, so G is pinned
+        between the parent's last flat and the top.  A point is a pair of
+        integers per link flat, its s and t parts.
         """
         d = self.d
-        if d < 0:
-            raise ValueError("rank must be at least 1")
-        if d == 0:
-            return [ONE]
         masks = self.masks
-        chains = self.chains()
         xa = [Q(va.get(F, 0)) for F in self.proper]
         xb = [Q(vb.get(F, 0)) for F in self.proper]
         s0 = lcm(*(x.denominator for x in xa + xb))
@@ -567,10 +562,7 @@ class LatticeVolume:
                 continue
             parent, G = chain[:-1], chain[-1]
             px = pts[parent]
-            mG = masks[G]
-            m_lo = mG & ~masks[parent[-1]] if parent else mG
-            m_hi = self.full_mask & ~mG
-            c_lo, c_hi = E // m_lo.bit_count(), E // m_hi.bit_count()
+            m_lo, c_lo, m_hi, c_hi = self._pin(parent[-1] if parent else self.L.bottom, G, self.L.top)
             ga, gb = px[G]
             cur = {}
             for H in self.link_vertices(chain):
@@ -579,6 +571,26 @@ class LatticeVolume:
                 ha, hb = px[H]
                 cur[H] = (E * ha - ga * e, E * hb - gb * e)
             pts[chain] = cur
+        return pts, s0
+
+    def eval_bivariate(self, va: Mapping, vb: Mapping) -> list:
+        """Coefficients [c_0, ..., c_d] of pol(s va + t vb) with c_j the
+        coefficient of s^(d-j) t^j.
+
+        The recursion runs on the integer points of :meth:`_points`, which
+        carry the scale S0 * E^j at a chain of length j.  The value at a
+        chain of length j, times (d-j)! and the scales of the points below
+        it, is the plain sum over the link of point coordinate times child
+        value.  One division by d! * S0^d * E^(d(d-1)/2) at the end gives
+        the value.
+        """
+        d = self.d
+        if d < 0:
+            raise ValueError("rank must be at least 1")
+        if d == 0:
+            return [ONE]
+        chains = self.chains()
+        pts, s0 = self._points(chains, va, vb)
         # scaled values bottom-up by chain length
         memo: dict[tuple, list] = {}
         for chain in sorted(chains, key=len, reverse=True):
@@ -594,7 +606,7 @@ class LatticeVolume:
                     acc[j] += a * cv
                     acc[j + 1] += b * cv
             memo[chain] = acc
-        scale = factorial(d) * s0 ** d * E ** (d * (d - 1) // 2)
+        scale = factorial(d) * s0 ** d * self.lcm_n ** (d * (d - 1) // 2)
         return [Q(c, scale) for c in memo[()]]
 
     def expansion(self) -> list:
@@ -613,50 +625,34 @@ class LatticeVolume:
 
     # -- Lorentzian certification ----------------------------------------------
 
-    def quadratic(self, chain: tuple) -> HomPoly:
-        """The codimension-2 face restriction, built from the top layers."""
-        d = self.d
-        assert len(chain) == d - 2
-        V_S = tuple(self.link_vertices(chain))
-
-        def linear_for(sub: tuple) -> HomPoly:
-            verts = tuple(self.link_vertices(sub))
-            return HomPoly(verts, 1, {((k, 1),): ONE for k in range(len(verts))})
-
-        acc = HomPoly.zero(V_S, 2)
-        for G, sub in self.extensions(chain):
-            lin_child = linear_for(sub)
-            ell = self._ell(chain, G, lin_child.vars)
-            forms = {}
-            for H in lin_child.vars:
-                form = {H: ONE}
-                e = ell[H]
-                if e != 0:
-                    form[G] = form.get(G, ZERO) - e
-                forms[H] = form
-            acc = acc + HomPoly.variable(V_S, G) * lin_child.substitute(V_S, forms)
-        return acc.scale(Q(1, 2))
-
     def quadratic_hessian(self, chain: tuple) -> SymMatrix:
-        """Hessian of the codimension-2 restriction, assembled directly.
+        """Hessian of the codimension-2 face restriction, assembled directly.
 
         Off-diagonal (G, H) entries are 1 exactly when the chain extends by
-        both G and H; the diagonal carries minus the sum of the pinned
-        lineality vector over the extension's link.  Agrees with the
-        Hessian of :meth:`quadratic` (property-tested) at a fraction of the
-        cost, which matters with tens of thousands of codimension-2 faces.
+        both G and H; the diagonal (G, G) carries minus the sum, over the
+        link of the chain extended by G, of the vector pinned at G in its
+        gap.  Equal to the Hessian of the restriction built from the top
+        layers (``quadratic_oracle`` in ``tests/oracles.py``, compared in
+        ``tests/test_matroid.py``) at a fraction of the cost, which matters
+        with tens of thousands of codimension-2 faces.
         """
         V_S = tuple(self.link_vertices(chain))
         pos = {G: k for k, G in enumerate(V_S)}
         n = len(V_S)
         rows = [[ZERO] * n for _ in range(n)]
-        for G, sub in self.extensions(chain):
-            verts = self.link_vertices(sub)
-            ell = self._ell(chain, G, verts)
-            rows[pos[G]][pos[G]] = -sum(ell.values(), ZERO)
-            for H in verts:
-                rows[pos[G]][pos[H]] += Q(1, 2)
-                rows[pos[H]][pos[G]] += Q(1, 2)
+        masks = self.masks
+        half = Q(1, 2)
+        for i, (lo, hi) in enumerate(self.gaps(chain)):
+            for G in self.between(lo, hi):
+                m_lo, c_lo, m_hi, c_hi = self._pin(lo, G, hi)
+                verts = self.link_vertices(chain[:i] + (G,) + chain[i:])
+                total = sum(c_lo * (masks[H] & m_lo).bit_count() - c_hi * (masks[H] & m_hi).bit_count()
+                            for H in verts)
+                g = pos[G]
+                rows[g][g] = Q(-total, self.lcm_n)
+                for H in verts:
+                    rows[g][pos[H]] += half
+                    rows[pos[H]][g] += half
         return SymMatrix(V_S, rows)
 
     def h_connected_skeleton(self) -> tuple[bool, tuple | None]:
@@ -708,14 +704,11 @@ class LatticeVolume:
                 return False, chain
         return True, None
 
-    def hl_check(self, cone_face_budget: int | None = None, rng=None) -> hered.HLVerdict:
+    def hl_check(self) -> hered.HLVerdict:
         """The hereditary-Lorentzian certification without the explicit
         polynomial: cone witness via per-face feasibility of the canonical
-        strictly submodular point, H-connectedness by gap structure, and
-        codimension-2 Hessian inertia certificates.
-
-        With a face budget, deep faces of the cone check are sampled
-        (seeded); connectivity and Hessian scans always run in full.
+        strictly submodular point on every chain face, H-connectedness by
+        gap structure, and codimension-2 Hessian inertia certificates.
         """
         d = self.d
         if d == 0:
@@ -725,7 +718,7 @@ class LatticeVolume:
         if d == 1:
             total = sum(vmap.values(), ZERO)
             return hered.HLVerdict(value="yes" if total > 0 else "vacuous", cone_witness=vmap)
-        cone_ok, checked = self._cone_witness_faces(vmap, cone_face_budget, rng)
+        cone_ok, checked = self._cone_witness_faces(vmap)
         if not cone_ok:
             return hered.HLVerdict(value="vacuous", note="cone witness could not be certified")
         ok_c, c_wit = self.h_connected_skeleton()
@@ -750,45 +743,28 @@ class LatticeVolume:
             note=f"cone witness certified on {checked} faces",
         )
 
-    def _cone_witness_faces(self, vmap: dict, budget: int | None, rng) -> tuple[bool, int]:
+    def _cone_witness_faces(self, vmap: dict) -> tuple[bool, int]:
         """Per-face feasibility of the witness: at each chain face, a layered
         modular shift must make the projected point strictly positive on
         every gap flat.  The shift decouples per gap, so each gap is a
         small exact feasibility problem over its layer elements.
 
-        Success certifies genuine cone membership (the modular space sits
-        inside the lineality space of every restriction, so every condition
-        checked is a strengthening).
+        The projected points are those of :meth:`_points`, scaled by the
+        positive S0 * E^j; every test below, the gap LP included, is
+        unchanged by a positive scale.  Success certifies genuine cone
+        membership (the modular space sits inside the lineality space of
+        every restriction, so every condition checked is a strengthening).
         """
         d = self.d
         chains = self.chains()
-        work = [c for c in chains if len(c) < d]
-        if budget is not None and len(work) > budget:
-            shallow = [c for c in work if len(c) <= 2]
-            deep = [c for c in work if len(c) > 2]
-            rng.shuffle(deep)
-            work = shallow + deep[: max(0, budget - len(shallow))]
-        # projected point per chain, canonical parentage, restricted to needed chains
-        needed = set(work)
-        for c in work:
-            for k in range(len(c)):
-                needed.add(c[:k])
-        pts: dict[tuple, dict] = {(): dict(vmap)}
-        for chain in chains:
-            if not chain or chain not in needed:
-                continue
-            parent, G = chain[:-1], chain[-1]
-            px = pts[parent]
-            verts = self.link_vertices(chain)
-            ell = self._ell(parent, G, verts)
-            xg = px[G]
-            pts[chain] = {H: px[H] - xg * ell[H] for H in verts}
+        pts, _ = self._points(chains, vmap, {})
         checked = 0
-        for chain in work:
-            x = pts[chain]
+        for chain in chains:
+            if len(chain) >= d:
+                continue
+            x = {G: a for G, (a, _) in pts[chain].items()}
             if len(chain) == d - 1:
-                total = sum((x[G] for G in self.link_vertices(chain)), ZERO)
-                if not total > 0:
+                if not sum(x.values()) > 0:
                     return False, checked
             else:
                 for lo, hi in self.gaps(chain):

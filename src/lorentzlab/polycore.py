@@ -16,10 +16,8 @@ pairs sorted by position, with all exponents >= 1.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -97,8 +95,11 @@ class HomPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def index_of(self, v: Label) -> int:
-        return self._index[v]
+    def squarefree_coeff(self, labels: Iterable[Label]):
+        """The coefficient of the squarefree monomial on ``labels``.  It is
+        the mixed partial (d/dt)^labels of the polynomial when there are
+        ``degree`` labels, and 0 otherwise."""
+        return self.terms.get(tuple(sorted((self._index[v], 1) for v in set(labels))), ZERO)
 
     def coeff(self, exps: Sequence[int]):
         key = tuple((i, e) for i, e in enumerate(exps) if e)
@@ -355,11 +356,6 @@ class HomPoly:
             degree = sum(next(iter(dense)))
         return cls.from_dense(vars, degree, dense)
 
-    @classmethod
-    def from_json(cls, text: str) -> "HomPoly":
-        return cls.from_json_dict(json.loads(text))
-
-
 _TERM_RE = re.compile(r"[+-]|[A-Za-z_][A-Za-z0-9_]*(?:\^\d+)?|\d+(?:/\d+)?|\*")
 
 
@@ -420,15 +416,6 @@ def _coerce_multi(alpha, vars: Sequence[Label]) -> list[tuple[Label, int]]:
         return [(v, e) for v, e in zip(vars, alpha) if e]
     # otherwise: an iterable of labels, interpreted as a 0/1 indicator
     return [(v, 1) for v in alpha]
-
-
-def monomials_of_degree(n_vars: int, degree: int) -> Iterable[tuple]:
-    """All dense exponent tuples of the given total degree."""
-    for combo in combinations_with_replacement(range(n_vars), degree):
-        exps = [0] * n_vars
-        for i in combo:
-            exps[i] += 1
-        yield tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -559,10 +546,3 @@ class LinSubspace:
             for j, x in enumerate(b):
                 full[j] += coef * x
         return tuple(full)
-
-    def direct_sum(self, other: "LinSubspace") -> "LinSubspace":
-        amb = self.ambient + other.ambient
-        n1, n2 = len(self.ambient), len(other.ambient)
-        rows = [b + linalg.zeros(n2) for b in self.basis]
-        rows += [linalg.zeros(n1) + b for b in other.basis]
-        return LinSubspace(amb, rows)

@@ -46,9 +46,6 @@ class SimplePolytope:
     delta: SimComplex        # facet-incidence complex
     lin: LinSubspace         # translations, read through the normals
 
-    def support_vector(self) -> dict:
-        return dict(zip(self.labels, self.t))
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -132,11 +129,6 @@ def in_deformation_cone(P: SimplePolytope, t: Sequence) -> bool:
     except PolytopeError:
         return False
     return Q2.delta == P.delta
-
-
-def cone_of(P: SimplePolytope):
-    """Membership predicate for the deformation cone of P."""
-    return lambda t: in_deformation_cone(P, t)
 
 
 def volume(P: SimplePolytope):

@@ -42,11 +42,6 @@ ONE = Q(1)
 Rational = type(ONE)
 
 
-def rat_from_str(s: str):
-    """Parse "p/q" or "p" into an exact rational."""
-    return Q(s.strip())
-
-
 def rat_str(x) -> str:
     """Canonical "p/q" (or "p" for integers) rendering."""
     x = Q(x)

@@ -3,9 +3,17 @@ checked against.
 
 * :func:`fraction_eval_bivariate` is the chain recursion of
   ``LatticeVolume.eval_bivariate`` written on exact ``Fraction``-style
-  rationals, with no scaling: every pinned vector is evaluated by the
-  engine's ``_ell`` and every value is divided by its degree on the spot.
-  The library computes the same recursion on scaled integers.
+  rationals, with no scaling: every pinned vector comes from
+  :func:`layered_pin`, set arithmetic on the flats, and every value is
+  divided by its degree on the spot.  The library computes the same
+  recursion on scaled integers.
+* :func:`quadratic_oracle` builds the codimension-2 face restriction of the
+  volume polynomial as a ``HomPoly``, by substituting the pinned vectors of
+  :func:`layered_pin` into the top layers; the library assembles its
+  Hessian directly from integer pinned vectors.
+* :func:`oracle_max_forests` finds the rank and bases of a cycle matroid by
+  testing every edge subset for a cycle; the library takes the rank from
+  one union-find pass.
 * :func:`oracle_flats` and :func:`oracle_is_basis_family` share no code
   with ``src/``: flats by closing every subset of the ground set with a
   max-intersection rank, and basis exchange checked literally on sets.
@@ -28,8 +36,37 @@ from lorentzlab import hereditary as hered
 from lorentzlab.cones import EQ, GE, GT, StrictSystem, strict_feasible
 from lorentzlab.inertia import hessian, inertia
 from lorentzlab.lorentzian import LorentzVerdict, MSet
-from lorentzlab.polycore import direction_coords
+from lorentzlab.polycore import HomPoly, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
+
+
+def layered_pin(L, chain, G, flats) -> dict:
+    """The modular vector that is 1 at G and 0 on the chain, constant per
+    element on each layer, at each of the given flats.  Only the layers
+    next to G, G - below and above - G for the nearest chain flats, carry
+    a nonzero per-element value."""
+    below = max((F for F in chain if F < G), key=len, default=L.bottom)
+    above = min((F for F in chain if G < F), key=len, default=L.top)
+    lo, hi = G - below, above - G
+    return {H: Q(len(H & lo), len(lo)) - Q(len(H & hi), len(hi)) for H in flats}
+
+
+def quadratic_oracle(engine, chain) -> HomPoly:
+    """The codimension-2 face restriction of the volume polynomial at a
+    chain of length d - 2, built from the top layers: the sum over the
+    extensions G of x_G times the linear form of the extended chain, with
+    the pinned vector at G substituted in, halved."""
+    L = engine.L
+    assert len(chain) == engine.d - 2
+    V_S = tuple(engine.link_vertices(chain))
+    acc = HomPoly.zero(V_S, 2)
+    for G, sub in engine.extensions(chain):
+        verts = tuple(engine.link_vertices(sub))
+        lin_child = HomPoly(verts, 1, {((k, 1),): ONE for k in range(len(verts))})
+        ell = layered_pin(L, chain, G, verts)
+        forms = {H: {H: ONE, G: -ell[H]} for H in verts}
+        acc = acc + HomPoly.variable(V_S, G) * lin_child.substitute(V_S, forms)
+    return acc.scale(Q(1, 2))
 
 
 def fraction_eval_bivariate(engine, va, vb) -> list:
@@ -51,7 +88,7 @@ def fraction_eval_bivariate(engine, va, vb) -> list:
         G = chain[-1]
         px = pts[parent]
         verts = engine.link_vertices(chain)
-        ell = engine._ell(parent, G, verts)
+        ell = layered_pin(L, parent, G, verts)
         xg = px[G]
         pts[chain] = {H: (px[H][0] - xg[0] * ell[H], px[H][1] - xg[1] * ell[H]) for H in verts}
     # values bottom-up by chain length
@@ -95,6 +132,27 @@ def oracle_is_basis_family(bases) -> bool:
         any((A - {a}) | {b} in family for b in B - A)
         for A in family for B in family for a in A - B
     )
+
+
+def oracle_max_forests(n_vertices, edges) -> tuple:
+    """(rank, bases) of the cycle matroid: every edge subset is tested for a
+    cycle by merging vertex classes, and the bases are the largest
+    acyclic subsets.  A loop is a cycle of one edge."""
+    def acyclic(idxs) -> bool:
+        cls = {v: frozenset({v}) for v in range(n_vertices)}
+        for i in idxs:
+            u, v = edges[i]
+            if v in cls[u]:
+                return False
+            merged = cls[u] | cls[v]
+            for w in merged:
+                cls[w] = merged
+        return True
+
+    m = len(edges)
+    forests = [frozenset(S) for k in range(m + 1) for S in combinations(range(m), k) if acyclic(S)]
+    rank = max(map(len, forests))
+    return rank, {F for F in forests if len(F) == rank}
 
 
 def fourier_motzkin_feasible(sys: StrictSystem) -> bool:

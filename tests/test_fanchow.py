@@ -2,8 +2,11 @@
 reconstruction, the Lorentzian certification, stellar subdivision transport,
 the canonical bijection invariant, and star/dimension identities."""
 
+from itertools import combinations
+
 import pytest
 
+from conftest import hereditary_fixture_pool, rand_nonneg_poly
 from lorentzlab import hereditary as hered
 from lorentzlab.fanchow import (
     DegreeFunctional,
@@ -19,10 +22,11 @@ from lorentzlab.fanchow import (
     star,
     transport_chain,
 )
-from lorentzlab.hereditary import space_dimension
+from lorentzlab.hereditary import is_positive, space_dimension
+from lorentzlab.lorentzian import polarize
 from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid, submodular_witness
 from lorentzlab.polytope import build as build_polytope, volume_polynomial
-from lorentzlab.rat import Q
+from lorentzlab.rat import Q, ZERO
 from oracles import all_orderings_ample_member
 
 
@@ -262,3 +266,29 @@ def test_fan_json_round_trip():
     fan = square_fan()
     again = Fan.from_json_dict(fan.to_json_dict())
     assert again.rays == fan.rays and again.cones.facets == fan.cones.facets
+
+
+def test_facet_values_match_mixed_partials(rng):
+    # is_positive and DegreeFunctional.weight read (d/dt)^F f as the
+    # coefficient of the squarefree monomial on F; the mixed partial chain
+    # is the reference
+    def by_partials(f, F):
+        return f.mixed_partial(frozenset(F)).terms.get((), ZERO)
+
+    pool = hereditary_fixture_pool(rng)
+    for h in pool:
+        assert all(h.f.squarefree_coeff(F) == by_partials(h.f, F) for F in h.delta.facets)
+        assert is_positive(h) == all(by_partials(h.f, F) > 0 for F in h.delta.facets)
+    for _ in range(30):
+        f = rand_nonneg_poly(rng, rng.randint(2, 4), rng.randint(1, 3))
+        for g in (f, polarize(f)):
+            for k in (g.degree - 1, g.degree, g.degree + 1):
+                for F in combinations(g.vars, k):
+                    assert g.squarefree_coeff(F) == by_partials(g, F), (g, F)
+    fans = [square_fan(), cube_fan()] + [bergman_fan(flats(Matroid.uniform(r, n)))
+                                         for r, n in ((3, 4), (4, 4), (4, 5))]
+    functionals = [functional_from_weights(fan, {F: 1 for F in fan.cones.facets}) for fan in fans]
+    _, transport = fan_subdivide(fans[0], (1, 1))
+    functionals.append(transport(functionals[0]))
+    for alpha in functionals:
+        assert all(alpha.weight(F) == by_partials(alpha.h.f, F) for F in alpha.fan.cones.facets)

@@ -26,10 +26,18 @@ from lorentzlab.matroid import (
 )
 from lorentzlab.polycore import parse_poly
 from lorentzlab.rat import Q
-from oracles import fraction_eval_bivariate, oracle_flats, oracle_is_basis_family
+from lorentzlab.inertia import hessian
+from oracles import (
+    fraction_eval_bivariate,
+    oracle_flats,
+    oracle_is_basis_family,
+    oracle_max_forests,
+    quadratic_oracle,
+)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K5_EDGES = list(combinations(range(5), 2))
+K6_EDGES = list(combinations(range(6), 2))
 # equicardinal but fails exchange ({0,1,2} and {0,3,4} at 2): closing every
 # subset gives 17 sets that are not graded by covers, while cover generation
 # alone finds 8 sets that pass the lattice checks
@@ -342,3 +350,41 @@ def test_canonical_expansion_is_computed_once(catalog, monkeypatch):
     assert char_poly(L).expansion == hr.char.expansion
     assert eval_alpha(L) == Q(1, 2) and eval_beta(L) == 4
     assert len(calls) == 1
+
+
+def test_from_graph_matches_max_forest_oracle(rng):
+    graphs = [(4, K4_EDGES), (5, K5_EDGES), (6, K6_EDGES),
+              (3, [(0, 0), (0, 1), (1, 2)]),          # a loop
+              (3, [(0, 1), (0, 1), (1, 2), (1, 2)]),  # parallel edges
+              (4, [(0, 1), (1, 2), (0, 2)]),          # an isolated vertex
+              (3, [])]                                # no edges
+    for k in range(8):
+        graphs.append((6, rng.sample(K6_EDGES, rng.randint(3, 12))))
+    for n_vertices, edges in graphs:
+        M = Matroid.from_graph(n_vertices, edges)
+        rank, bases = oracle_max_forests(n_vertices, edges)
+        assert M.rank_total == rank and set(M.bases) == bases, (n_vertices, edges)
+
+
+def test_quadratic_hessian_matches_oracle(catalog):
+    checked = 0
+    for name in ("U(3,4)", "U(4,5)", "U(4,6)", "U(5,6)", "K4", "Fano"):
+        eng = volume_engine(catalog[name])
+        for chain in eng.chains():
+            if len(chain) != eng.d - 2:
+                continue
+            assert eng.quadratic_hessian(chain) == hessian(quadratic_oracle(eng, chain)), (name, chain)
+            checked += 1
+    assert checked > 300
+
+
+def test_cone_witness_accepts_submodular_point(catalog):
+    for name, L in catalog.items():
+        if L.rank_total < 3:
+            continue
+        eng = volume_engine(L)
+        w = submodular_witness(L)
+        v = dict(zip(w.vars, w.coords))
+        faces = sum(1 for c in eng.chains() if len(c) < eng.d)
+        assert eng._cone_witness_faces(v) == (True, faces), name
+        assert eng._cone_witness_faces({F: -x for F, x in v.items()}) == (False, 0), name
