@@ -12,7 +12,6 @@ from lorentzlab import (
     ConeByGenerators,
     is_k_lorentzian,
     is_lorentzian,
-    is_lorentzian_v2,
     log_concave_seq,
     parse_poly,
     polarize,
@@ -22,7 +21,6 @@ from lorentzlab.lorentzian import polarized_hereditary_verdict
 e2 = parse_poly("t1 t2 + t1 t3 + t2 t3")
 print("f =", e2.to_text())
 print("  Lorentzian:", is_lorentzian(e2).value)
-print("  via truncated-support variant:", is_lorentzian_v2(e2).value)
 
 sos = parse_poly("t1^2 + t2^2")
 v = is_lorentzian(sos)

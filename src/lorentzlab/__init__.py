@@ -32,14 +32,11 @@ from .lorentzian import (
     MSet,
     definitional_check,
     is_k_lorentzian,
-    is_k_lorentzian_alt,
     is_lorentzian,
-    is_lorentzian_v2,
     is_m_convex,
     log_concave_seq,
     perturb_interior,
     polarize,
-    product_check,
 )
 from .matroid import FlatLattice, Matroid, bergman_fan, char_poly, flats, hrw_check, pol_matroid
 from .polytope import SimplePolytope, af_check, build, mixed_volume, volume, volume_polynomial

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from . import cones
-from .inertia import Inertia, hessian, inertia as matrix_inertia
+from .inertia import Inertia, derivative_hessian, inertia as matrix_inertia
 from .polycore import HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
 from .simplicial import SimComplex
@@ -429,11 +429,12 @@ def is_hereditary_lorentzian(h: HereditaryPoly, cone_hints: Iterable = ()) -> HL
             value="no", cone_witness=witness, h_connected=False, c_witness=c_wit,
             note=f"{where} is not H-connected",
         )
+    # the Hessian of f^S is the Hessian of (d/dt)^S f on the link vertices
     certs = []
     q_wit = None
     for S in sorted(h.delta.faces_of_size(d - 2), key=_face_key):
-        q = restrict_poly(h, S)
-        inr = matrix_inertia(hessian(q))
+        indicator = [1 if v in S else 0 for v in h.vars]
+        inr = matrix_inertia(derivative_hessian(h.f, indicator, over=h.delta.link_vertices(S)))
         certs.append((S, inr))
         if inr.pos > 1 and q_wit is None:
             q_wit = S

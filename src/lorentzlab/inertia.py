@@ -10,7 +10,7 @@ multiplicity of the root 0, i.e. the trailing zero coefficients.
 
 from __future__ import annotations
 
-from math import lcm
+from math import factorial, lcm, prod
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -82,6 +82,36 @@ def hessian(q: HomPoly) -> SymMatrix:
             (i, _), (j, _) = key
             rows[i][j] = rows[j][i] = c
     return SymMatrix(q.vars, rows)
+
+
+def derivative_hessian(f: HomPoly, alpha: Sequence[int], over: Sequence | None = None) -> SymMatrix:
+    """Hessian of the (d-2)-fold derivative d^alpha f (alpha a dense
+    exponent vector) on the variables ``over``, all of f's by default, read
+    off f's coefficients: entry (i, j) is beta! c_beta, where
+    beta = alpha + e_i + e_j.  No derivative of f is formed."""
+    if len(alpha) != len(f.vars) or sum(alpha) != f.degree - 2:
+        raise ValueError(f"derivative_hessian needs |alpha| = degree - 2 over {len(f.vars)} variables")
+    labels = f.vars if over is None else tuple(over)
+    pos = [f._index[v] for v in labels]
+    coeff = f.dense_terms()
+    beta = list(alpha)  # raised in place to alpha + e_i + e_j below
+    alpha_fact = prod(map(factorial, beta))
+    n = len(labels)
+    rows = [[ZERO] * n for _ in range(n)]
+    for a, i in enumerate(pos):
+        beta[i] += 1
+        for b in range(a, n):
+            j = pos[b]
+            beta[j] += 1
+            c = coeff.get(tuple(beta))
+            if c is not None:
+                # beta! / alpha! = (alpha_i + 1)(alpha_j + 1), or
+                # (alpha_i + 1)(alpha_i + 2) on the diagonal
+                rise = beta[i] * beta[j] if i != j else (beta[i] - 1) * beta[i]
+                rows[a][b] = rows[b][a] = alpha_fact * rise * c
+            beta[j] -= 1
+        beta[i] -= 1
+    return SymMatrix(labels, rows)
 
 
 def _integer_scaled(entries) -> list[list[int]]:

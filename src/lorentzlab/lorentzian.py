@@ -9,9 +9,15 @@ derived bilinear forms, neither of which moves a verdict.  Randomized
 ordered-tuple spot checks in the test suite back this reduction.
 
 M-convexity, of supports and of the cone test's derived supports, is
-decided by exchange masks built once per point (``is_m_convex``).  On the
-orthant, the Hessian of each (d-2)-fold coordinate derivative is read off
-f's coefficients, with no derivative formed (``_h1_scan``).
+decided by exchange masks built once per point (``is_m_convex``).
+
+Derivative values are read off coefficients, since (d/dt)^beta f equals
+beta! c_beta for |beta| = d: ``HomPoly.derivative_value`` gives the value
+and ``inertia.derivative_hessian`` the Hessian of a (d-2)-fold derivative.
+The orthant scan and the polarized verdict read f itself; the cone test
+reads its pull-back along the generators for the top derivatives and the
+derived supports.  Only the cone test's Hessians, taken in f's own
+coordinates, are formed by directional-derivative chains.
 
 Every "no" verdict carries a finite witness that re-verifies in isolation;
 the sampling-based check for non-polyhedral cones never answers "yes", only
@@ -21,13 +27,12 @@ the sampling-based check for non-polyhedral cones never answers "yes", only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product as iproduct
-from math import factorial, prod
+from itertools import combinations, combinations_with_replacement, product as iproduct
 from typing import Iterable, Sequence
 
 from .cones import ConeByGenerators
-from .inertia import Inertia, SymMatrix, hessian, inertia
-from .polycore import HomPoly, LinSubspace, direction_coords
+from .inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia
+from .polycore import HomPoly, direction_coords
 from .rat import Q, ZERO, ONE
 
 
@@ -234,30 +239,14 @@ def is_lorentzian(f: HomPoly) -> LorentzVerdict:
 
 def _h1_scan(f: HomPoly) -> LorentzVerdict:
     """Inertia of the Hessian of every (d-2)-fold coordinate derivative,
-    read off the coefficients: entry (i, j) of the Hessian of d^alpha f is
-    beta! c_beta, where beta = alpha + e_i + e_j."""
+    each read off the coefficients by ``derivative_hessian``."""
     n = len(f.vars)
-    coeff = f.dense_terms()
     certs = []
     for combo in combinations_with_replacement(range(n), f.degree - 2):
-        beta = [0] * n  # alpha, raised in place to alpha + e_i + e_j below
+        alpha = [0] * n
         for k in combo:
-            beta[k] += 1
-        alpha_fact = prod(map(factorial, beta))
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            beta[i] += 1
-            for j in range(i, n):
-                beta[j] += 1
-                c = coeff.get(tuple(beta))
-                if c is not None:
-                    # beta! / alpha! = (alpha_i + 1)(alpha_j + 1), or
-                    # (alpha_i + 1)(alpha_i + 2) on the diagonal
-                    rise = beta[i] * beta[j] if i != j else (beta[i] - 1) * beta[i]
-                    rows[i][j] = rows[j][i] = alpha_fact * rise * c
-                beta[j] -= 1
-            beta[i] -= 1
-        inr = inertia(SymMatrix(f.vars, rows))
+            alpha[k] += 1
+        inr = inertia(derivative_hessian(f, alpha))
         labels = tuple(f.vars[k] for k in combo)
         certs.append((labels, inr))
         if inr.pos > 1:
@@ -267,17 +256,6 @@ def _h1_scan(f: HomPoly) -> LorentzVerdict:
                 certificates=certs,
             )
     return LorentzVerdict(value="yes", certificates=certs)
-
-
-def is_lorentzian_v2(f: HomPoly) -> LorentzVerdict:
-    """Variant test: H-connected truncated support instead of M-convexity."""
-    _require_nonneg(f)
-    if f.degree < 2:
-        return LorentzVerdict(value="yes", detail="degree < 2 convention")
-    M = support_mset(f)
-    if M.points and not m_is_H_connected(m_truncate(M)):
-        return LorentzVerdict(value="no", witness=("truncated-support",), detail="truncated support is not H-connected")
-    return _h1_scan(f)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +335,7 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
     witness_ok = True
     faces_by_size: dict[int, list] = {0: [frozenset()]}
     for k in range(1, d):
-        faces_by_size[k] = [
-            frozenset(S) for S in combinations_with_replacement(pvars, k)
-            if len(set(S)) == k and is_face(frozenset(S))
-        ]
+        faces_by_size[k] = [frozenset(S) for S in combinations(pvars, k) if is_face(frozenset(S))]
     for k in range(0, d):
         for S in faces_by_size[k]:
             x = {pv: ONE for pv in pvars}
@@ -386,8 +361,7 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
                 total = ZERO
                 for pv in V_S:
                     alpha = tuple(c + (1 if i == block_of[pv] else 0) for i, c in enumerate(cv))
-                    w = f.mixed_partial(alpha).terms.get((), ZERO)
-                    total += w * x[pv]
+                    total += f.derivative_value(alpha) * x[pv]
                 if not total > 0:
                     witness_ok = False
                     break
@@ -421,14 +395,14 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
                                  note="polarized skeleton is not H-connected")
 
     # (Q): codimension-2 Hessians are block-constant expansions of the
-    # corresponding quadratic derivatives of f; inertia cached per exponent
+    # Hessians of the corresponding (d-2)-fold derivatives of f; inertia
+    # cached per exponent
     inertia_cache: dict[tuple, Inertia] = {}
     certs = []
     for S in faces_by_size[d - 2]:
         cv = count_vec(S)
         if cv not in inertia_cache:
-            q = f.mixed_partial(cv)
-            Hq = hessian(q).entries
+            Hq = derivative_hessian(f, cv).entries
             members = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
             rows = [
                 [Hq[block_of[a]][block_of[b]] for b in members] for a in members
@@ -465,9 +439,6 @@ class _DerivativeCache:
         self.cache[multiset] = out
         return out
 
-    def constant(self, multiset: tuple):
-        return self.poly(multiset).terms.get((), ZERO)
-
 
 def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
     """The finitely-generated-cone test: nonnegative top derivatives along
@@ -477,6 +448,11 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
     Generators stand in for unit extreme-ray vectors: all three conditions
     are invariant under positive rescaling of each generator, so no
     normalization is performed.
+
+    Conditions (i) and (ii) read the coefficients of the pull-back
+    g(y) = f(sum_j y_j g_j): the derivative of f along a generator multiset
+    T is beta! c_beta(g), where beta counts each generator's multiplicity
+    in T.  Condition (iii) takes its Hessians in f's own coordinates.
     """
     d = f.degree
     if d < 2:
@@ -490,10 +466,14 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
     gens = list(cone.generators)
     m = len(gens)
     cache = _DerivativeCache(f, gens)
+    g = f.substitute_linear(list(zip(*cache.gens)), range(m))
 
     # (i) nonnegative d-fold derivatives
     for T in combinations_with_replacement(range(m), d):
-        val = cache.constant(T)
+        beta = [0] * m
+        for j in T:
+            beta[j] += 1
+        val = g.derivative_value(beta)
         if val < 0:
             return LorentzVerdict(value="no", witness=("derivative", T, val),
                                   detail="negative mixed derivative along generators")
@@ -509,57 +489,30 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
                                   detail="Hessian with more than one positive eigenvalue",
                                   certificates=certs)
 
-    # (ii) M-convex derived supports over 2d-fold multisets
+    # (ii) M-convex derived supports over 2d-fold multisets: alpha is in the
+    # support of T when c_beta(g) > 0 for beta = sum_k alpha_k e_T[k].  The
+    # verdict and its witness are functions of the point set, so each
+    # distinct support is tested once
+    coeff = g.dense_terms()
+    compositions = list(_bounded_multiindices(2 * d, d, [d] * (2 * d)))
+    verdicts: dict[frozenset, tuple] = {}
     for T in combinations_with_replacement(range(m), 2 * d):
         pts = set()
-        for alpha in _compositions(d, 2 * d):
-            merged = tuple(sorted(_expand(T, alpha)))
-            if cache.constant(merged) > 0:
+        for alpha in compositions:
+            beta = [0] * m
+            for j, a in zip(T, alpha):
+                beta[j] += a
+            if coeff.get(tuple(beta), ZERO) > 0:
                 pts.add(alpha)
-        ok, wit = is_m_convex(MSet(2 * d, pts))
+        key = frozenset(pts)
+        if key not in verdicts:
+            verdicts[key] = is_m_convex(MSet(2 * d, pts))
+        ok, wit = verdicts[key]
         if not ok:
             return LorentzVerdict(value="no", witness=("support", T, wit),
                                   detail="derived support is not M-convex",
                                   certificates=certs)
     return LorentzVerdict(value="yes", certificates=certs)
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for c in range(total + 1):
-        for rest in _compositions(total - c, slots - 1):
-            yield (c,) + rest
-
-
-def _expand(T: tuple, alpha: tuple) -> list:
-    out = []
-    for idx, mult in zip(T, alpha):
-        out.extend([idx] * mult)
-    return out
-
-
-def is_k_lorentzian_alt(f: HomPoly, cone: ConeByGenerators, w) -> LorentzVerdict:
-    """The interior-direction variant: every quadratic obtained by k
-    generator derivatives and (d-2-k) derivatives along the interior point w
-    must itself pass the degree-2 cone test."""
-    d = f.degree
-    if d < 2:
-        return is_k_lorentzian(f, cone)
-    wc = direction_coords(w, f.vars)
-    gens = list(cone.generators)
-    cache = _DerivativeCache(f, gens)
-    for k in range(d - 1):
-        for T in combinations_with_replacement(range(len(gens)), k):
-            q = cache.poly(T)
-            for _ in range(d - 2 - k):
-                q = q.dir_derivative(wc)
-            sub = is_k_lorentzian(q, cone)
-            if not sub:
-                return LorentzVerdict(value="no", witness=("quadratic", T, k, sub.witness),
-                                      detail="derived quadratic fails the cone test")
-    return LorentzVerdict(value="yes")
 
 
 def definitional_check(f: HomPoly, samples: Sequence[Sequence]) -> LorentzVerdict:
@@ -639,29 +592,3 @@ def perturb_interior(f: HomPoly, v, dual_basis: Sequence[Sequence], C=Q(1, 2), s
         form = HomPoly(f.vars, 1, {((i, 1),): wj[i] for i in range(n) if wj[i] != 0})
         out = out - form.pow(d).scale(C * s**d * fv)
     return out
-
-
-def interior_certificate(f: HomPoly, dirs: Sequence[Sequence], kernel: LinSubspace) -> bool:
-    """Strict positivity and nonsingular Lorentz signature (kernel exactly
-    the cone's lineality) over all multisets from the given directions."""
-    d = f.degree
-    coords = [direction_coords(x, f.vars) for x in dirs]
-    from .inertia import lorentz_signature
-
-    for T in combinations_with_replacement(range(len(coords)), d - 2):
-        g = f
-        for i in T:
-            g = g.dir_derivative(coords[i])
-        H = hessian(g)
-        if not lorentz_signature(H, kernel):
-            return False
-        for a in range(len(coords)):
-            for b in range(a, len(coords)):
-                if not H.apply(coords[a], coords[b]) > 0:
-                    return False
-    return True
-
-
-def product_check(f: HomPoly, g: HomPoly, cone: ConeByGenerators) -> bool:
-    """Closure under products, verified directly on the given fixtures."""
-    return bool(is_k_lorentzian(f * g, cone))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial, prod
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -41,7 +42,7 @@ def _key_mul(a: Key, b: Key) -> Key:
 class HomPoly:
     """Homogeneous polynomial over an ordered, labeled variable set."""
 
-    __slots__ = ("vars", "degree", "terms", "_index")
+    __slots__ = ("vars", "degree", "terms", "_index", "_dense")
 
     def __init__(self, vars: Sequence[Label], degree: int, terms: Mapping[Key, object]):
         vs = tuple(vars)
@@ -62,6 +63,7 @@ class HomPoly:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
+        object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("HomPoly is immutable")
@@ -106,14 +108,24 @@ class HomPoly:
         return self.terms.get(key, ZERO)
 
     def dense_terms(self) -> dict[tuple, object]:
-        n = len(self.vars)
-        out = {}
-        for key, c in self.terms.items():
-            exps = [0] * n
-            for i, e in key:
-                exps[i] = e
-            out[tuple(exps)] = c
-        return out
+        """The coefficients by dense exponent tuple.  Built on first use and
+        kept, since the polynomial is immutable; callers must not modify it."""
+        if self._dense is None:
+            n = len(self.vars)
+            out = {}
+            for key, c in self.terms.items():
+                exps = [0] * n
+                for i, e in key:
+                    exps[i] = e
+                out[tuple(exps)] = c
+            object.__setattr__(self, "_dense", out)
+        return self._dense
+
+    def derivative_value(self, beta: Sequence[int]):
+        """The mixed partial (d/dt)^beta for a dense exponent vector beta:
+        beta! c_beta when |beta| = degree, and 0 otherwise."""
+        c = self.dense_terms().get(tuple(beta))
+        return ZERO if c is None else prod(map(factorial, beta)) * c
 
     def support(self) -> set[tuple]:
         """Multi-indices with nonzero coefficient, as dense tuples."""
@@ -232,7 +244,8 @@ class HomPoly:
         return out
 
     def mixed_partial(self, alpha) -> "HomPoly":
-        """Apply the mixed partial for a multi-index (mapping, sequence, or label set)."""
+        """Apply the mixed partial for a multi-index: a mapping from labels to
+        exponents, a dense exponent sequence, or labels (a set always is)."""
         out = self
         for lab, e in _coerce_multi(alpha, self.vars):
             for _ in range(e):
@@ -411,6 +424,8 @@ def parse_poly(text: str, vars: Sequence[Label] | None = None) -> HomPoly:
 def _coerce_multi(alpha, vars: Sequence[Label]) -> list[tuple[Label, int]]:
     if isinstance(alpha, Mapping):
         return [(v, int(e)) for v, e in alpha.items()]
+    if isinstance(alpha, (set, frozenset)):  # labels, never an exponent vector
+        return [(v, 1) for v in alpha]
     alpha = list(alpha)
     if alpha and all(isinstance(e, int) for e in alpha) and len(alpha) == len(vars):
         return [(v, e) for v, e in zip(vars, alpha) if e]

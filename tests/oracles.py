@@ -28,14 +28,40 @@ checked against.
 * :func:`partial_h1_scan` derives every (d-2)-fold coordinate derivative
   from f by chains of ``HomPoly.partial`` and takes its Hessian; the
   library reads the Hessians off f's coefficients.
+* :func:`chain_is_k_lorentzian` is the cone test with every derivative
+  along a generator multiset formed by chains of
+  ``HomPoly.dir_derivative``; the library reads the top derivatives and
+  the derived supports off the coefficients of one pull-back of f along
+  the generators.
+
+Alternative routes to the library's own verdicts, kept to cross-check it:
+
+* :func:`is_lorentzian_v2` replaces M-convexity of the support by
+  H-connectedness of its truncation.
+* :func:`is_k_lorentzian_alt` runs the degree-2 cone test on every
+  quadratic derived along generators and an interior direction.
+* :func:`interior_certificate` checks strict positivity and the
+  nonsingular Lorentz signature at given directions.
+* :func:`product_check` runs the cone test on a product.
 """
 
 from itertools import combinations, combinations_with_replacement
 
 from lorentzlab import hereditary as hered
 from lorentzlab.cones import EQ, GE, GT, StrictSystem, strict_feasible
-from lorentzlab.inertia import hessian, inertia
-from lorentzlab.lorentzian import LorentzVerdict, MSet
+from lorentzlab.inertia import hessian, inertia, lorentz_signature
+from lorentzlab.lorentzian import (
+    LorentzVerdict,
+    MSet,
+    _DerivativeCache,
+    _h1_scan,
+    _require_nonneg,
+    is_k_lorentzian,
+    is_m_convex,
+    m_is_H_connected,
+    m_truncate,
+    support_mset,
+)
 from lorentzlab.polycore import HomPoly, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
 
@@ -304,3 +330,123 @@ def partial_h1_scan(f) -> LorentzVerdict:
                 certificates=certs,
             )
     return LorentzVerdict(value="yes", certificates=certs)
+
+
+def chain_is_k_lorentzian(f, cone) -> LorentzVerdict:
+    """The cone test of ``is_k_lorentzian`` with every derivative along a
+    generator multiset formed by directional-derivative chains, and each
+    derived support regenerated from its compositions and M-convexity
+    tested afresh."""
+    d = f.degree
+    if d < 2:
+        return is_k_lorentzian(f, cone)
+    gens = list(cone.generators)
+    m = len(gens)
+    cache = _DerivativeCache(f, gens)
+
+    def constant(T):
+        return cache.poly(T).terms.get((), ZERO)
+
+    # (i) nonnegative d-fold derivatives
+    for T in combinations_with_replacement(range(m), d):
+        val = constant(T)
+        if val < 0:
+            return LorentzVerdict(value="no", witness=("derivative", T, val),
+                                  detail="negative mixed derivative along generators")
+
+    # (iii) Hessians for (d-2)-fold multisets (checked before (ii))
+    certs = []
+    for T in combinations_with_replacement(range(m), d - 2):
+        inr = inertia(hessian(cache.poly(T)))
+        certs.append((T, inr))
+        if inr.pos > 1:
+            return LorentzVerdict(value="no", witness=("hessian", T, inr),
+                                  detail="Hessian with more than one positive eigenvalue",
+                                  certificates=certs)
+
+    # (ii) M-convex derived supports over 2d-fold multisets
+    for T in combinations_with_replacement(range(m), 2 * d):
+        pts = set()
+        for alpha in _compositions(d, 2 * d):
+            merged = tuple(sorted(_expand(T, alpha)))
+            if constant(merged) > 0:
+                pts.add(alpha)
+        ok, wit = is_m_convex(MSet(2 * d, pts))
+        if not ok:
+            return LorentzVerdict(value="no", witness=("support", T, wit),
+                                  detail="derived support is not M-convex",
+                                  certificates=certs)
+    return LorentzVerdict(value="yes", certificates=certs)
+
+
+def _compositions(total: int, slots: int):
+    if slots == 1:
+        yield (total,)
+        return
+    for c in range(total + 1):
+        for rest in _compositions(total - c, slots - 1):
+            yield (c,) + rest
+
+
+def _expand(T: tuple, alpha: tuple) -> list:
+    out = []
+    for idx, mult in zip(T, alpha):
+        out.extend([idx] * mult)
+    return out
+
+
+def is_lorentzian_v2(f) -> LorentzVerdict:
+    """Variant test: H-connected truncated support instead of M-convexity."""
+    _require_nonneg(f)
+    if f.degree < 2:
+        return LorentzVerdict(value="yes", detail="degree < 2 convention")
+    M = support_mset(f)
+    if M.points and not m_is_H_connected(m_truncate(M)):
+        return LorentzVerdict(value="no", witness=("truncated-support",), detail="truncated support is not H-connected")
+    return _h1_scan(f)
+
+
+def is_k_lorentzian_alt(f, cone, w) -> LorentzVerdict:
+    """The interior-direction variant: every quadratic obtained by k
+    generator derivatives and (d-2-k) derivatives along the interior point w
+    must itself pass the degree-2 cone test."""
+    d = f.degree
+    if d < 2:
+        return is_k_lorentzian(f, cone)
+    wc = direction_coords(w, f.vars)
+    gens = list(cone.generators)
+    cache = _DerivativeCache(f, gens)
+    for k in range(d - 1):
+        for T in combinations_with_replacement(range(len(gens)), k):
+            q = cache.poly(T)
+            for _ in range(d - 2 - k):
+                q = q.dir_derivative(wc)
+            sub = is_k_lorentzian(q, cone)
+            if not sub:
+                return LorentzVerdict(value="no", witness=("quadratic", T, k, sub.witness),
+                                      detail="derived quadratic fails the cone test")
+    return LorentzVerdict(value="yes")
+
+
+def interior_certificate(f, dirs, kernel) -> bool:
+    """Strict positivity and nonsingular Lorentz signature (kernel exactly
+    the cone's lineality) over all multisets from the given directions."""
+    d = f.degree
+    coords = [direction_coords(x, f.vars) for x in dirs]
+    for T in combinations_with_replacement(range(len(coords)), d - 2):
+        g = f
+        for i in T:
+            g = g.dir_derivative(coords[i])
+        H = hessian(g)
+        if not lorentz_signature(H, kernel):
+            return False
+        for a in range(len(coords)):
+            for b in range(a, len(coords)):
+                if not H.apply(coords[a], coords[b]) > 0:
+                    return False
+    return True
+
+
+def product_check(f, g, cone) -> bool:
+    """Closure under products, verified directly on the given fixtures."""
+    return bool(is_k_lorentzian(f * g, cone))

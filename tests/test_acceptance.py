@@ -29,7 +29,6 @@ from lorentzlab.lorentzian import (
     definitional_check,
     is_k_lorentzian,
     is_lorentzian,
-    is_lorentzian_v2,
     is_m_convex,
     m_is_H_connected,
     m_partial,
@@ -41,6 +40,7 @@ from lorentzlab.matroid import volume_engine
 from lorentzlab.polycore import HomPoly, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.subdivision import subdivide, weld
+from oracles import is_lorentzian_v2
 
 pytestmark = pytest.mark.acceptance
 

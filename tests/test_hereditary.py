@@ -239,19 +239,53 @@ def test_hereditary_lorentzian_examples():
     assert v.value == "yes" and v.q_certificates[0][1].pos == 1
 
 
-def test_hereditary_lorentzian_q_failure():
-    # the interval deformation with a negative squared term flipped positive:
-    # (t1+t2+t3)^2 + (t1+t2-t0)^2 is strongly hereditary with a two-positive
-    # Hessian, so the certification must fail at (Q) with a witness
-    base = parse_poly(
+def two_positive_quadratic():
+    """(t1+t2+t3)^2 + (t1+t2-t0)^2: the interval deformation with a negative
+    squared term flipped positive."""
+    return check_hereditary(parse_poly(
         "2*t1^2 + 4*t1 t2 + 2*t1 t3 - 2*t0 t1 + 2*t2^2 + 2*t2 t3 - 2*t0 t2 + t3^2 + t0^2"
-    )  # (t1+t2+t3)^2 + (t1+t2-t0)^2
-    h = check_hereditary(base)
+    ))
+
+
+def test_hereditary_lorentzian_q_failure():
+    # strongly hereditary with a two-positive Hessian, so the certification
+    # must fail at (Q) with a witness
+    h = two_positive_quadratic()
     assert h.strong
     v = is_hereditary_lorentzian(h)
     assert v.value == "no" and v.q_witness == frozenset()
     inr = dict(v.q_certificates)[frozenset()]
     assert inr.pos == 2
+
+
+def test_codim2_hessians_read_off_coefficients(rng, monkeypatch):
+    """The Hessian of each codimension-2 face restriction f^S is the Hessian
+    of (d/dt)^S f on the link vertices, read off f's coefficients; the
+    certification forms no f^S, and its certificates are the inertias of
+    the restrictions' Hessians."""
+    import lorentzlab.hereditary as hered
+    from conftest import hereditary_fixture_pool
+    from lorentzlab.inertia import derivative_hessian, hessian, inertia
+    from lorentzlab.lorentzian import polarize
+
+    pool = [h for h in hereditary_fixture_pool(rng) if h.degree >= 2]
+    pool += [triple_product(), two_positive_quadratic()]
+    a, b, c = parse_poly("t1 + t2 + t3"), parse_poly("t1 + 2*t2 + 0*t3"), parse_poly("0*t1 + t2 + t3")
+    pool += [check_hereditary(polarize(a * b * c)), check_hereditary(polarize(a * b * b * c))]
+    want = {}
+    for k, h in enumerate(pool):
+        for S in h.delta.faces_of_size(h.degree - 2):
+            H = hessian(restrict_poly(h, S))
+            indicator = [1 if v in S else 0 for v in h.vars]
+            assert derivative_hessian(h.f, indicator, over=h.delta.link_vertices(S)) == H, (h.f, S)
+            want[k, S] = inertia(H)
+    calls = []
+    monkeypatch.setattr(hered, "restrict_poly", lambda *args: calls.append(args))
+    verdicts = [is_hereditary_lorentzian(h) for h in pool]
+    assert calls == []
+    assert {v.value for v in verdicts} == {"yes", "no"}
+    got = {(k, S): inr for k, v in enumerate(verdicts) for S, inr in v.q_certificates}
+    assert got == want
 
 
 def test_hereditary_lorentzian_theta_family():

@@ -3,6 +3,7 @@ three-way equivalence between the Hessian signature and the two-slot
 inequalities (constructive in both directions)."""
 
 import numpy as np
+import pytest
 
 from lorentzlab import linalg
 from lorentzlab.inertia import (
@@ -11,11 +12,13 @@ from lorentzlab.inertia import (
     af_inequality,
     at_most_one_positive,
     char_poly_coeffs,
+    derivative_hessian,
     hessian,
     inertia,
     lorentz_signature,
 )
-from lorentzlab.polycore import LinSubspace, parse_poly
+from conftest import rand_q
+from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 
 
@@ -163,3 +166,32 @@ def test_af_h_equivalence_constructive(rng):
 def test_at_most_one_positive():
     assert at_most_one_positive(SymMatrix((1,), [[Q(-3)]]))
     assert not at_most_one_positive(SymMatrix((1, 2), [[1, 0], [0, 1]]))
+
+
+def test_derivative_hessian_matches_partial_chain(rng):
+    # beta! c_beta against the Hessian of the partial chain d^alpha f, on all
+    # variables and on a random sample of them in random order
+    for _ in range(100):
+        n, d = rng.randint(1, 4), rng.randint(2, 5)
+        vars = tuple(f"t{i + 1}" for i in range(n))
+        dense = {}
+        for _ in range(rng.randint(1, 8)):
+            exps = [0] * n
+            for _ in range(d):
+                exps[rng.randrange(n)] += 1
+            dense[tuple(exps)] = rand_q(rng, -5, 5, 4)
+        f = HomPoly.from_dense(vars, d, dense)
+        alpha = [0] * n
+        q = f
+        for _ in range(d - 2):
+            k = rng.randrange(n)
+            alpha[k] += 1
+            q = q.partial(vars[k])
+        H = hessian(q)
+        assert derivative_hessian(f, alpha) == H, (f, alpha)
+        over = rng.sample(vars, rng.randint(1, n))
+        pos = [vars.index(v) for v in over]
+        sub = SymMatrix(over, [[H.entries[a][b] for b in pos] for a in pos])
+        assert derivative_hessian(f, alpha, over=over) == sub, (f, alpha, over)
+    with pytest.raises(ValueError):
+        derivative_hessian(parse_poly("t1^2 t2"), [0, 0])

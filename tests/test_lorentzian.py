@@ -10,15 +10,12 @@ import pytest
 from conftest import rand_nonneg_poly, rand_product_of_linears, rand_q
 from lorentzlab.cones import ConeByGenerators
 from lorentzlab.hereditary import check_hereditary, is_hereditary_lorentzian
-from lorentzlab.inertia import hessian, inertia
+from lorentzlab.inertia import SymMatrix, hessian, inertia
 from lorentzlab.lorentzian import (
     MSet,
     definitional_check,
-    interior_certificate,
     is_k_lorentzian,
-    is_k_lorentzian_alt,
     is_lorentzian,
-    is_lorentzian_v2,
     is_m_convex,
     log_concave_seq,
     m_is_H_connected,
@@ -28,12 +25,19 @@ from lorentzlab.lorentzian import (
     perturb_interior,
     polarize,
     polarized_hereditary_verdict,
-    product_check,
     support_mset,
 )
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
-from oracles import brute_force_is_m_convex, partial_h1_scan
+from oracles import (
+    brute_force_is_m_convex,
+    chain_is_k_lorentzian,
+    interior_certificate,
+    is_k_lorentzian_alt,
+    is_lorentzian_v2,
+    partial_h1_scan,
+    product_check,
+)
 
 
 def orthant(n):
@@ -135,13 +139,29 @@ def test_polarization_is_strongly_hereditary(rng):
         assert check_hereditary(polarize(f)).strong
 
 
-def test_polarized_verdict_matches_generic(rng):
-    # the virtual-complex fast path equals the fully generic certification
+def test_polarized_verdict_matches_generic(rng, monkeypatch):
+    # the virtual-complex fast path equals the fully generic certification;
+    # it takes no partial derivative, and each certificate is the inertia of
+    # the block expansion of the Hessian of the matching derivative of f
+    partial, partials = HomPoly.partial, []
+    monkeypatch.setattr(HomPoly, "partial", lambda self, v: partials.append(v) or partial(self, v))
+    checked = 0
     for _ in range(25):
         f = rand_nonneg_poly(rng, rng.randint(2, 3), rng.randint(2, 3), terms=rng.randint(1, 4))
-        fast = polarized_hereditary_verdict(f).value
-        generic = is_hereditary_lorentzian(check_hereditary(polarize(f))).value
-        assert fast == generic, f.to_text()
+        partials.clear()
+        fast = polarized_hereditary_verdict(f)
+        assert partials == [], f.to_text()
+        h = check_hereditary(polarize(f))
+        assert fast.value == is_hereditary_lorentzian(h).value, f.to_text()
+        for S, inr in fast.q_certificates:
+            cv = [sum(1 for pv in S if pv[0] == v) for v in f.vars]
+            Hq = hessian(f.mixed_partial(cv)).entries
+            members = h.delta.link_vertices(S)
+            block = [f.vars.index(pv[0]) for pv in members]
+            rows = [[Hq[a][b] for b in block] for a in block]
+            assert inertia(SymMatrix(members, rows)) == inr, (f.to_text(), S)
+            checked += 1
+    assert checked > 25
 
 
 def test_polarization_equivalence(rng):
@@ -182,6 +202,59 @@ def test_k_lorentzian_hyperbolic_quadratic():
     assert is_k_lorentzian(h, ConeByGenerators(tuple(gens))).value == "yes"
     assert is_k_lorentzian(parse_poly("t1^2 + t2^2 + t3^2"),
                            ConeByGenerators(((1, 0, 0), (0, 1, 0)))).value == "no"
+
+
+def _signed_form(rng, vars, d):
+    dense = {}
+    for _ in range(rng.randint(2, 6)):
+        exps = [0] * len(vars)
+        for _ in range(d):
+            exps[rng.randrange(len(vars))] += 1
+        dense[tuple(exps)] = rand_q(rng, -1, 5, 2)
+    return HomPoly.from_dense(vars, d, dense)
+
+
+def test_k_lorentzian_matches_chain_oracle(rng):
+    """Pull-back coefficients against directional-derivative chains: the
+    same value, witness and certificates on the orthant, on the light cone
+    of demo 01 and on a simplicial cone, with "no" answers from each of the
+    three conditions.  On the simplicial cone with generator matrix G,
+    f(x) = g(G^-1 x) has the verdict of g on the orthant."""
+    vars = ("t1", "t2", "t3")
+    light = ConeByGenerators(((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (5, 3, 4)))
+    simplicial = ConeByGenerators(((1, 0, 0), (1, 1, 0), (1, 1, 1)))
+    G_inv = [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+    fixed = [parse_poly(t) for t in ("t1^3 + t2^3 + t3^3", "t1^2 + t2^2 + t3^2", "t1^2 - t2^2 + t3^2",
+                                     "t1 t2 + t1 t3 + t2 t3")]
+    forms = fixed + [_signed_form(rng, vars, rng.randint(2, 3)) for _ in range(40)]
+    cases = [("light", parse_poly("t1^2 - t2^2 - t3^2"), light)]
+    for f in forms:
+        cases += [("orthant", f, orthant(3)), ("simplicial", f.substitute_linear(G_inv, vars), simplicial),
+                  ("light", f, light)]
+    for _ in range(20):
+        f = _signed_form(rng, ("t1", "t2"), rng.randint(2, 4))
+        cases.append(("orthant", f, orthant(2)))
+    answers = {}
+    for name, f, cone in cases:
+        got, want = is_k_lorentzian(f, cone), chain_is_k_lorentzian(f, cone)
+        assert (got.value, got.witness, got.certificates) == (want.value, want.witness, want.certificates), (name, f)
+        answers.setdefault(name, set()).add(got.witness[0] if got.value == "no" else got.value)
+    assert answers["orthant"] == answers["simplicial"] == {"yes", "derivative", "hessian", "support"}
+    assert {"yes", "derivative", "hessian"} <= answers["light"]
+
+
+def test_k_lorentzian_memoizes_derived_supports(monkeypatch):
+    """Count guard: on the orthant, the 924 derived supports of U(3,7)'s
+    basis generating polynomial are 27 distinct sets, each tested once."""
+    import lorentzlab.lorentzian as lor
+
+    vars = tuple(f"t{i}" for i in range(7))
+    f = HomPoly.from_dense(vars, 3, {tuple(int(i in B) for i in range(7)): 1 for B in combinations(range(7), 3)})
+    calls = []
+    inner = lor.is_m_convex
+    monkeypatch.setattr(lor, "is_m_convex", lambda M: calls.append(M) or inner(M))
+    assert is_k_lorentzian(f, orthant(7)).value == "yes"
+    assert len(calls) == len(set(calls)) == 27
 
 
 def test_k_lorentzian_alt_agrees(rng):

@@ -50,6 +50,30 @@ def test_mixed_partial_examples():
     assert cube.mixed_partial((1, 1)) == parse_poly("6*t1 + 6*t2")
 
 
+def test_mixed_partial_reads_sets_as_labels():
+    # integer labels as many as the variables: a set is never an exponent vector
+    for vars in ((0, 1), (1, 2)):
+        f = HomPoly(vars, 2, {((0, 1), (1, 1)): 1})  # the product of the two variables
+        assert f.mixed_partial(frozenset(vars)) == HomPoly.constant(vars, 1)
+        assert f.mixed_partial(set(vars)) == HomPoly.constant(vars, 1)
+        assert f.squarefree_coeff(frozenset(vars)) == 1
+
+
+def test_derivative_value_matches_mixed_partial(rng):
+    # beta! c_beta against the constant term of the partial chain, for every
+    # beta of total degree d - 1, d and d + 1 (the value is 0 off degree d)
+    from itertools import combinations_with_replacement
+
+    for _ in range(30):
+        n, d = rng.randint(1, 3), rng.randint(1, 4)
+        f = _random_poly(rng, n, d)
+        for total in (d - 1, d, d + 1):
+            for combo in combinations_with_replacement(range(n), total):
+                beta = tuple(combo.count(i) for i in range(n))
+                want = f.mixed_partial(beta).terms.get((), Q(0))
+                assert f.derivative_value(beta) == want, (f, beta)
+
+
 def test_schwarz_symmetry(rng):
     for _ in range(20):
         f = _random_poly(rng, n=3, d=4)
