@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
+from fractions import Fraction
 
 from . import fanchow, hereditary, lorentzian, matroid, polytope, subdivision
 from .cones import ConeByGenerators
@@ -38,12 +40,49 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
+class _JsonDecimal(float):
+    """A JSON number whose float does not print as its exact value: it is
+    that float in every use, except that str() gives the decimal text,
+    which is what ``Q(str(x))`` reads."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str):
+        x = super().__new__(cls, text)
+        x.text = text
+        return x
+
+    def __str__(self) -> str:
+        return self.text
+
+
+# the digit limit CPython puts on int(str); a longer exponent is an input error
+_MAX_EXPONENT = 4300
+
+
+def _json_number(text: str) -> float:
+    """``parse_float`` for input files: the plain float when its repr reads
+    back as the exact value of the text (so reports and labels stay as
+    float parsing gives them), else a float that prints as its text."""
+    _, _, exponent = text.lower().partition("e")
+    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+        raise InputError(f"JSON number {text} is out of range")
+    x = float(text)
+    if math.isfinite(x) and Fraction(repr(x)) == Fraction(text):
+        return x
+    return _JsonDecimal(text)
+
+
+def _loads(text: str):
+    return json.loads(text, parse_float=_json_number)
+
+
 def load_poly(path: str) -> HomPoly:
     text = _read(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            return HomPoly.from_json_dict(json.loads(text))
+            return HomPoly.from_json_dict(_loads(text))
         except (KeyError, ValueError) as e:
             raise InputError(f"bad polynomial JSON in {path}: {e}") from None
     try:
@@ -54,9 +93,16 @@ def load_poly(path: str) -> HomPoly:
 
 def load_json(path: str):
     try:
-        return json.loads(_read(path))
+        return _loads(_read(path))
     except json.JSONDecodeError as e:
         raise InputError(f"bad JSON in {path}: {e}") from None
+
+
+def load_object(path: str) -> dict:
+    data = load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got a JSON {type(data).__name__}")
+    return data
 
 
 def load_weights_bundle(path: str):
@@ -135,7 +181,7 @@ def _verify_lorentz_witness(f: HomPoly, v) -> bool:
 
 def cmd_poly_k_lorentzian(args) -> int:
     f = load_poly(args.file)
-    cone = ConeByGenerators.from_json_dict(load_json(args.cone))
+    cone = _load_cone(args.cone)
     if cone.dim_ambient != len(f.vars):
         raise InputError("cone generators and polynomial have different dimensions")
     v = lorentzian.is_k_lorentzian(f, cone)
@@ -148,6 +194,15 @@ def cmd_poly_k_lorentzian(args) -> int:
             q = q.dir_derivative(cone.generators[idx])
         rep["witness_verified"] = inertia(hessian(q)).pos > 1
     return emit(args, rep, 0 if ok else 1)
+
+
+def _load_cone(path: str) -> ConeByGenerators:
+    try:
+        return ConeByGenerators.from_json_dict(load_object(path))
+    except KeyError as e:
+        raise InputError(f"{path}: missing field {e}") from None
+    except TypeError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def cmd_hereditary(args) -> int:
@@ -257,8 +312,8 @@ def cmd_matroid(args) -> int:
 
 def _load_polytope(path: str) -> polytope.SimplePolytope:
     try:
-        return polytope.SimplePolytope.from_json_dict(load_json(path))
-    except polytope.PolytopeError as e:
+        return polytope.SimplePolytope.from_json_dict(load_object(path))
+    except (polytope.PolytopeError, TypeError) as e:
         raise InputError(f"{path}: {e}") from None
     except KeyError as e:
         raise InputError(f"{path}: missing field {e}") from None
@@ -288,8 +343,8 @@ def cmd_polytope(args) -> int:
 
 def _load_fan(path: str) -> fanchow.Fan:
     try:
-        return fanchow.Fan.from_json_dict(load_json(path))
-    except (KeyError, ValueError) as e:
+        return fanchow.Fan.from_json_dict(load_object(path))
+    except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"{path}: {e}") from None
 
 

@@ -1,7 +1,10 @@
 """Exact strict linear feasibility and polyhedral cone utilities.
 
 The workhorse is a two-phase exact simplex with Bland's rule (guaranteed
-termination, no numerical tolerance anywhere).  Strict systems are decided
+termination, no numerical tolerance anywhere).  A pivot updates only the
+nonzero columns of the pivot row, in every row and in the objective: the
+compiled systems are mostly zeros, and x - f*0 = x, so the pivots and the
+solution are those of the dense tableau.  Strict systems are decided
 by maximizing a slack eps bounded by 1: the system is strictly feasible iff
 the optimum is positive.  Every witness is re-verified against every
 constraint before it is returned.
@@ -88,18 +91,24 @@ def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
     basis = list(range(n, n + m))
 
     def pivot(r: int, col: int, obj: list):
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        # only the nonzero columns of the pivot row change anything: x - f*0 = x
+        prow = rows[r]
+        inv = ONE / prow[col]
+        nz = [j for j, y in enumerate(prow) if y != 0]
+        for j in nz:
+            prow[j] *= inv
         b[r] *= inv
         for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[col]
+            if i != r and f != 0:
+                for j in nz:
+                    row[j] -= f * prow[j]
                 b[i] -= f * b[r]
         f = obj[col]
         if f != 0:
-            for j in range(len(obj)):
-                obj[j] -= f * rows[r][j]
+            for j in nz:
+                obj[j] -= f * prow[j]
         basis[r] = col
 
     def run(obj: list) -> bool:
@@ -143,11 +152,9 @@ def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
 
     # phase 2 objective expressed over nonbasic variables
     obj = list(c) + [ZERO] * (ncols - n)
-    z0 = ZERO
     for i, bi in enumerate(basis):
         f = obj[bi]
         if f != 0:
-            z0 += f * b[i]
             obj = [x - f * y for x, y in zip(obj, rows[i])]
     if not run(obj):
         return "unbounded", None, None

@@ -2,9 +2,12 @@
 volume polynomials, mixed volumes and the Alexandrov-Fenchel check.
 
 A polytope arrives as rational (not necessarily unit) outward normals plus
-support numbers.  Vertices come from solving every d-subset of facet
-equations; simplicity means every vertex activates exactly d facets, and
-the facet-incidence sets generate the incidence complex.
+support numbers.  Boundedness depends on the normals alone, so it is
+decided by LPs once per normal set and remembered.  Vertices come from
+every d-subset of facet equations, each eliminated once: the reduction of
+[A | t] gives the rank of A and the vertex together.  Simplicity means
+every vertex activates exactly d facets, and the facet-incidence sets
+generate the incidence complex.
 
 The volume polynomial is assembled by the facet recursion: each facet is
 rewritten in intrinsic rational coordinates of its hyperplane (an exact
@@ -14,7 +17,9 @@ factor |det [basis; normal]| / <normal, normal>, which is rational because
 the basis is orthogonal to the normal.  Degree-1 faces are segments whose
 length is a linear form.  The identity d * pol = sum_i t_i * (d/dt_i) pol
 stitches the facet polynomials together, and an independent triangulation
-volume oracle pins the normalization on every fixture.
+volume oracle pins the normalization on every fixture.  Mixed volumes are
+polarizations of the volume polynomial: 2^d - 1 evaluations, no
+derivatives.
 """
 
 from __future__ import annotations
@@ -79,13 +84,13 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
         raise PolytopeError("inconsistent facet data")
     _require_bounded(normals)
     verts: dict[tuple, frozenset] = {}
+    full_rank = list(range(d))
     for combo in combinations(range(n), d):
-        A = [normals[i] for i in combo]
-        if linalg.rank(A) != d:
+        # one elimination of [A | t] gives the rank of A and the vertex
+        R, pivots = linalg.rref([normals[i] + (t[i],) for i in combo])
+        if pivots != full_rank:
             continue
-        x = linalg.solve(A, [t[i] for i in combo])
-        if x is None:
-            continue
+        x = tuple(row[d] for row in R)
         vals = [linalg.dot(normals[i], x) for i in range(n)]
         if any(vals[i] > t[i] for i in range(n)):
             continue
@@ -109,7 +114,15 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     )
 
 
-def _require_bounded(normals: Sequence[tuple]):
+_BOUNDED: set[tuple] = set()
+
+
+def _require_bounded(normals: tuple):
+    """Raise PolytopeError unless the normals positively span the space.
+    The answer depends on the normals alone, so bounded normal sets are
+    remembered; an unbounded set is tested, and raises, on every call."""
+    if normals in _BOUNDED:
+        return
     d = len(normals[0])
     for k in range(d):
         for s in (ONE, -ONE):
@@ -119,6 +132,7 @@ def _require_bounded(normals: Sequence[tuple]):
             sys.add({k: s}, GT)
             if strict_feasible(sys) is not None:
                 raise PolytopeError("unbounded: the normals do not positively span the space")
+    _BOUNDED.add(normals)
 
 
 def in_deformation_cone(P: SimplePolytope, t: Sequence) -> bool:
@@ -205,8 +219,11 @@ def _vol_poly_rec(labels: tuple, normals: Mapping, delta: SimComplex, k: int) ->
 
 
 def mixed_volume(polys: Sequence[SimplePolytope]):
-    """Fully polarized mixed volume via directional derivatives of the
-    volume polynomial; the diagonal gives d! times the volume."""
+    """Fully polarized mixed volume D_{t_1} ... D_{t_d} pol of the volume
+    polynomial (the diagonal gives d! times the volume), by polarization:
+    for pol homogeneous of degree d it equals the sum over nonempty
+    S of [d] of (-1)^(d-|S|) pol(sum_{k in S} t_k), that is 2^d - 1
+    evaluations."""
     P = polys[0]
     d = P.dim
     if len(polys) != d:
@@ -214,11 +231,14 @@ def mixed_volume(polys: Sequence[SimplePolytope]):
     for Q2 in polys[1:]:
         if Q2.normals != P.normals or Q2.labels != P.labels:
             raise PolytopeError("bodies do not share the facet normal data")
-    pol = _cached_volume_polynomial(P)
-    g = pol.f
-    for Q2 in polys:
-        g = g.dir_derivative(tuple(Q2.t))
-    return g.terms.get((), ZERO)
+    f = _cached_volume_polynomial(P).f
+    ts = [Q2.t for Q2 in polys]
+    total = ZERO
+    for k in range(1, d + 1):
+        sign = ONE if (d - k) % 2 == 0 else -ONE
+        for S in combinations(ts, k):
+            total += sign * f.evaluate([sum(col) for col in zip(*S)])
+    return total
 
 
 _VOLPOLY_CACHE: dict[tuple, hered.HereditaryPoly] = {}
@@ -235,6 +255,10 @@ def _cached_volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
 
 def af_check(bodies: Sequence[SimplePolytope]) -> bool:
     """V(K1, K2, rest)^2 >= V(K1, K1, rest) V(K2, K2, rest), exactly."""
+    d = bodies[0].dim if bodies else 0
+    if d < 2 or len(bodies) != d:
+        raise PolytopeError(f"the Alexandrov-Fenchel check needs d >= 2 bodies in dimension d, "
+                            f"got {len(bodies)} in dimension {d}")
     K1, K2, rest = bodies[0], bodies[1], list(bodies[2:])
     lhs = mixed_volume([K1, K2] + rest)
     a = mixed_volume([K1, K1] + rest)

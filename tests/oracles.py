@@ -19,6 +19,19 @@ checked against.
   max-intersection rank, and basis exchange checked literally on sets.
 * :func:`fourier_motzkin_feasible` decides strict feasibility by variable
   elimination, independently of the simplex in ``lorentzlab.cones``.
+* :func:`dense_lp_max` is the simplex of ``cones.lp_max`` on a dense
+  tableau: every pivot rewrites every column, zeros included.  The library
+  updates only the nonzero columns of the pivot row.
+* :func:`rank_solve_vertices` enumerates a polytope's vertices by taking
+  the rank of each d-subset of facet normals and then solving for the
+  vertex; the library reads both off one elimination.
+* :func:`chain_mixed_volume` takes the mixed volume by a chain of
+  ``HomPoly.dir_derivative`` calls on the volume polynomial; the library
+  evaluates the polynomial at the 2^d - 1 partial sums of the bodies.
+* :func:`derived_supports` assembles the derived support of every
+  2d-fold generator multiset T of the cone test by expanding each
+  composition into the multiset it names, slot by slot, and differentiating
+  along it by ``dir_derivative`` chains.
 * :func:`all_orderings_ample_member` is the ample-cone recursion over every
   ordering of every face's vertices, with its own projections; the library
   visits each face once, by one canonical descent.
@@ -48,6 +61,7 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
 from itertools import combinations, combinations_with_replacement
 
 from lorentzlab import hereditary as hered
+from lorentzlab import linalg, polytope
 from lorentzlab.cones import EQ, GE, GT, StrictSystem, strict_feasible
 from lorentzlab.inertia import hessian, inertia, lorentz_signature
 from lorentzlab.lorentzian import (
@@ -221,6 +235,125 @@ def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
         if rel == GE and not const >= 0:
             return False
     return True
+
+
+def dense_lp_max(c, A, b):
+    """``cones.lp_max`` with dense pivots: maximize c.x subject to Ax <= b,
+    x >= 0, by Bland's rule; returns (status, x, value)."""
+    m, n = len(A), len(c)
+    c = [Q(x) for x in c]
+    b = [Q(x) for x in b]
+    rows = [[Q(x) for x in row] + [ONE if i == j else ZERO for j in range(m)] for i, row in enumerate(A)]
+    basis = list(range(n, n + m))
+
+    def pivot(r, col, obj):
+        inv = ONE / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        b[r] *= inv
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                b[i] -= f * b[r]
+        f = obj[col]
+        if f != 0:
+            for j in range(len(obj)):
+                obj[j] -= f * rows[r][j]
+        basis[r] = col
+
+    def run(obj):
+        while True:
+            col = next((j for j in range(len(obj)) if obj[j] > 0 and j not in basis), None)
+            if col is None:
+                return True
+            best, r = None, None
+            for i in range(m):
+                if rows[i][col] > 0:
+                    ratio = b[i] / rows[i][col]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
+                        best, r = ratio, i
+            if r is None:
+                return False
+            pivot(r, col, obj)
+
+    ncols = n + m
+    if any(x < 0 for x in b):
+        for i in range(m):
+            rows[i].append(-ONE)
+        x0 = ncols
+        ncols += 1
+        obj = [ZERO] * x0 + [-ONE]
+        r = min(range(m), key=lambda i: (b[i], basis[i]))
+        pivot(r, x0, obj)
+        run(obj)
+        if any(basis[i] == x0 and b[i] != 0 for i in range(m)):
+            return "infeasible", None, None
+        if x0 in basis:
+            r = basis.index(x0)
+            col = next((j for j in range(x0) if rows[r][j] != 0 and j not in basis), None)
+            if col is not None:
+                pivot(r, col, obj)
+        for row in rows:
+            row[x0] = ZERO
+
+    obj = list(c) + [ZERO] * (ncols - n)
+    for i, bi in enumerate(basis):
+        f = obj[bi]
+        if f != 0:
+            obj = [x - f * y for x, y in zip(obj, rows[i])]
+    if not run(obj):
+        return "unbounded", None, None
+    x = [ZERO] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = b[i]
+    return "optimal", tuple(x), linalg.dot(c, x)
+
+
+def rank_solve_vertices(normals, t, labels) -> dict:
+    """vertex -> active facet labels, by rank(A) and then solve(A, t) for
+    every d-subset A of the facet normals (no simplicity check)."""
+    normals = [tuple(Q(x) for x in r) for r in normals]
+    t = [Q(x) for x in t]
+    n, d = len(normals), len(normals[0])
+    verts = {}
+    for combo in combinations(range(n), d):
+        A = [normals[i] for i in combo]
+        if linalg.rank(A) != d:
+            continue
+        x = linalg.solve(A, [t[i] for i in combo])
+        vals = [linalg.dot(normals[i], x) for i in range(n)]
+        if any(vals[i] > t[i] for i in range(n)):
+            continue
+        verts[x] = frozenset(labels[i] for i in range(n) if vals[i] == t[i])
+    return verts
+
+
+def chain_mixed_volume(bodies):
+    """D_{t_1} ... D_{t_d} of the (cached) volume polynomial by d chained
+    directional derivatives."""
+    g = polytope._cached_volume_polynomial(bodies[0]).f
+    for K in bodies:
+        g = g.dir_derivative(tuple(K.t))
+    return g.terms.get((), ZERO)
+
+
+def derived_supports(f, cone) -> dict:
+    """T -> derived support, for every 2d-fold generator multiset T: alpha
+    is in the support of T when the derivative of f along the multiset
+    that repeats T[k] alpha_k times, for every slot k, is positive."""
+    d = f.degree
+    gens = list(cone.generators)
+    cache = _DerivativeCache(f, gens)
+    out = {}
+    for T in combinations_with_replacement(range(len(gens)), 2 * d):
+        pts = set()
+        for alpha in _compositions(d, 2 * d):
+            merged = tuple(sorted(_expand(T, alpha)))
+            if cache.poly(merged).terms.get((), ZERO) > 0:
+                pts.add(alpha)
+        out[T] = frozenset(pts)
+    return out
 
 
 def all_orderings_ample_member(fan, v) -> bool:

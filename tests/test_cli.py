@@ -11,6 +11,7 @@ from math import factorial
 
 import pytest
 
+from lorentzlab import cli
 from lorentzlab.cli import build_parser, main
 from lorentzlab.matroid import LatticeVolume
 
@@ -67,6 +68,11 @@ def files(tmp_path):
         {"facet": ["e", "n"], "w": "1"}, {"facet": ["n", "w"], "w": "1"},
         {"facet": ["w", "s"], "w": "1"}, {"facet": ["s", "e"], "w": "1"},
     ])
+    write("list.json", [["1", "0"], ["0", "1"]])
+    write("t5.json", {"dim": 2, "normals": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]], "t": 5})
+    write("nogens.json", {"rays": [["1", "0", "0"]]})
+    write("segment.json", {"dim": 1, "normals": [["1"], ["-1"]], "t": ["1", "1"]})
+    write("hugeexp.json", '{"dim": 1, "normals": [["1"], ["-1"]], "t": [1e-99999999, 1]}')
     return paths
 
 
@@ -204,10 +210,79 @@ def test_malformed_matroid_inputs_exit_2(capsys, tmp_path, content, needle):
     ("fan", "subdivide", "sqfan.json", "--ray", "1/0,1"),
     ("subdivide", "edge.txt", "--face", "t1,t2", "--coeffs", "1/0"),
     ("poly", "lorentzian", "zeroden.json"),
+    ("polytope", "volume", "list.json"),
+    ("fan", "check", "list.json", "--weights", "sqweights.json"),
+    ("poly", "k-lorentzian", "e2.txt", "--cone", "list.json"),
+    ("polytope", "volume", "t5.json"),
+    ("poly", "k-lorentzian", "e2.txt", "--cone", "nogens.json"),
+    ("polytope", "af", "square.json"),
+    ("polytope", "af", "segment.json"),
+    ("polytope", "volume", "hugeexp.json"),
 ])
 def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
     code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 2 and rep["verdict"] == "error" and rep["message"]
+
+
+def _report_without_command(capsys, *argv):
+    code, rep, _ = run(capsys, *argv)
+    rep.pop("command")
+    return code, rep
+
+
+def test_json_decimals_are_exact(capsys, tmp_path):
+    """A JSON decimal means its exact value, the value of the same number
+    written as a "p/q" string, not the value of the nearest float."""
+    text = "0.1000000000000000055511151231257827"
+    exact = Fraction(text)
+    normals = [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]
+    dec, frac = tmp_path / "dec.json", tmp_path / "frac.json"
+    dec.write_text('{"dim": 2, "normals": %s, "t": [%s, 1, 1, 1]}' % (json.dumps(normals), text))
+    frac.write_text(json.dumps({"dim": 2, "normals": normals, "t": [str(exact), 1, 1, 1]}))
+    got = _report_without_command(capsys, "polytope", "volume", str(dec))
+    assert got == _report_without_command(capsys, "polytope", "volume", str(frac))
+    assert got[1]["volume"] == str(2 * (1 + exact)) != "11/5"
+    poly = {"vars": ["t1", "t2"], "terms": [{"exps": [2, 0], "coeff": "C"}, {"exps": [1, 1], "coeff": 1},
+                                            {"exps": [0, 2], "coeff": 0.5}]}
+    dec.write_text(json.dumps(poly).replace('"C"', text))
+    frac.write_text(json.dumps(poly).replace('"C"', f'"{exact}"'))
+    argv = ("subdivide", "--face", "t1,t2", "--coeffs", "1,1", "--vertex", "w0")
+    got = _report_without_command(capsys, argv[0], str(dec), *argv[1:])
+    assert got == _report_without_command(capsys, argv[0], str(frac), *argv[1:])
+    frac.write_text(json.dumps(poly).replace('"C"', '"1/10"'))
+    assert got != _report_without_command(capsys, argv[0], str(frac), *argv[1:])
+
+
+@pytest.mark.parametrize("argv, content, needle", [
+    # (x + y + z)^3 / 2 on the labels 1.5, 2.25 and "t"
+    (("poly", "lorentzian"), {"vars": [1.5, 2.25, "t"], "terms": [
+        {"exps": list(e), "coeff": 0.5 * factorial(3) / (factorial(e[0]) * factorial(e[1]) * factorial(e[2]))}
+        for e in ((3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (2, 0, 1), (1, 2, 0),
+                  (0, 2, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1))]}, '"2.25"'),
+    (("hereditary", "check"), {"vars": [0.5, 1.5], "terms": [{"exps": [1, 1], "coeff": 1.5}]}, '"0.5"'),
+    (("matroid", "flats"), {"ground": [0.5, 1.5, 2.5], "bases": [[0.5, 1.5], [0.5, 2.5], [1.5, 2.5]]}, '"2.5"'),
+    (("polytope", "volume"), {"dim": 2, "normals": [[1.0, 0], [0, 1], [-1, 0.0], [0, -1]], "t": [1.5, 0.25, 1, 1]},
+     '"25/8"'),
+    (("fan", "subdivide"), {"dim": 2, "labels": [0.5, 1.5, 2.5, 3.5],
+                            "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                            "cones": [[0.5, 1.5], [1.5, 2.5], [2.5, 3.5], [3.5, 0.5]]}, '"2.5"'),
+])
+def test_short_decimals_keep_float_reports(capsys, monkeypatch, tmp_path, argv, content, needle):
+    """A decimal whose float prints as its exact value reads as that float,
+    so the report, labels included, is byte for byte the one that plain
+    float parsing gives."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    full = [*argv, str(path)]
+    if argv[0] == "fan":
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps([{"facet": F, "w": 1.5} for F in content["cones"]]))
+        full += ["--ray", "1,1", "--weights", str(weights)]
+    code = main(full)
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_json_number", float)
+    assert (code, out) == (main(full), capsys.readouterr().out)
+    assert code in (0, 1) and needle in out
 
 
 def test_timing_ms_is_a_json_number(capsys, files):

@@ -4,6 +4,7 @@ their stated examples."""
 
 import pytest
 
+from lorentzlab import cones
 from lorentzlab.cones import (
     EQ,
     GE,
@@ -17,7 +18,7 @@ from lorentzlab.cones import (
 )
 from lorentzlab.polycore import LinSubspace
 from lorentzlab.rat import Q
-from oracles import fourier_motzkin_feasible
+from oracles import dense_lp_max, fourier_motzkin_feasible
 
 
 def test_strict_feasible_examples():
@@ -70,6 +71,73 @@ def test_lp_statuses():
     assert lp_max([1], [[-1]], [0])[0] == "unbounded"
     status, x, val = lp_max([2, 3], [[1, 1], [1, 0]], [4, 2])
     assert status == "optimal" and val == 12  # optimum at (0, 4)
+
+
+def _seeded_lp(rng, kind):
+    """A small LP (c, A, b). "degenerate" repeats scaled rows and zero
+    right-hand sides, so ratio tests tie."""
+    m, n = rng.randint(1, 6), rng.randint(1, 5)
+    A = [[Q(rng.choice([0, 0, rng.randint(-3, 3)])) for _ in range(n)] for _ in range(m)]
+    b = [Q(rng.randint(-3 if kind == "signed" else 0, 4)) for _ in range(m)]
+    if kind == "degenerate":
+        for _ in range(rng.randint(1, 3)):
+            i, k = rng.randrange(m), Q(rng.randint(1, 3))
+            A.append([k * x for x in A[i]])
+            b.append(k * b[i])
+        for i in rng.sample(range(len(b)), rng.randint(1, len(b))):
+            b[i] = Q(0)
+    c = [Q(rng.randint(-2, 3)) for _ in range(n)]
+    return c, A, b
+
+
+def test_lp_max_matches_dense_oracle(rng):
+    """Sparse pivots change no arithmetic: status, x and value agree with
+    the dense tableau on seeded LPs of every status."""
+    statuses = {}
+    for k in range(360):
+        c, A, b = _seeded_lp(rng, ("signed", "nonneg", "degenerate")[k % 3])
+        got = lp_max(c, A, b)
+        assert got == dense_lp_max(c, A, b), (c, A, b)
+        statuses[got[0]] = statuses.get(got[0], 0) + 1
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    assert min(statuses.values()) >= 10
+
+
+def _captured_lps(monkeypatch, run):
+    """Every (c, A, b) that ``strict_feasible`` hands to the simplex while
+    ``run`` runs."""
+    seen = []
+    inner = cones.lp_max
+    monkeypatch.setattr(cones, "lp_max", lambda c, A, b: seen.append((c, A, b)) or inner(c, A, b))
+    run()
+    monkeypatch.setattr(cones, "lp_max", inner)
+    return seen
+
+
+def test_lp_max_matches_dense_oracle_on_compiled_systems(rng, monkeypatch):
+    """The systems ``strict_feasible`` compiles from this file's fixtures
+    and from the hereditary fixtures of tests/test_hereditary.py."""
+    from conftest import hereditary_fixture_pool
+    from lorentzlab.hereditary import cone_member, cone_nonempty, is_hereditary_lorentzian
+    from test_hereditary import edge_square, triple_product
+
+    def cone_fixtures():
+        test_strict_feasible_examples()
+        test_witness_always_reverifies(rng)
+        test_in_orthant_plus_subspace_examples()
+
+    def hereditary_fixtures():
+        pool = hereditary_fixture_pool(rng) + [edge_square(), triple_product()]
+        for h in pool:
+            is_hereditary_lorentzian(h)
+            cone_nonempty(h)
+            cone_member(h, [Q(rng.randint(-2, 4)) for _ in h.vars])
+
+    for run in (cone_fixtures, hereditary_fixtures):
+        systems = _captured_lps(monkeypatch, run)
+        assert len(systems) >= 20
+        for c, A, b in systems:
+            assert lp_max(c, A, b) == dense_lp_max(c, A, b)
 
 
 def test_in_orthant_plus_subspace_examples():

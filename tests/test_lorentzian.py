@@ -32,6 +32,7 @@ from lorentzlab.rat import Q
 from oracles import (
     brute_force_is_m_convex,
     chain_is_k_lorentzian,
+    derived_supports,
     interior_certificate,
     is_k_lorentzian_alt,
     is_lorentzian_v2,
@@ -255,6 +256,28 @@ def test_k_lorentzian_memoizes_derived_supports(monkeypatch):
     monkeypatch.setattr(lor, "is_m_convex", lambda M: calls.append(M) or inner(M))
     assert is_k_lorentzian(f, orthant(7)).value == "yes"
     assert len(calls) == len(set(calls)) == 27
+
+
+def test_k_lorentzian_derived_supports_match_slot_oracle(monkeypatch):
+    """Every derived support that condition (ii) tests is the support the
+    slot-by-slot oracle assembles, on cones where T repeats a generator:
+    the orthant (2d slots, fewer generators) and a cone that lists one
+    generator twice.  All verdicts are "yes", so (ii) visits every T."""
+    import lorentzlab.lorentzian as lor
+
+    tested = []
+    inner = lor.is_m_convex
+    monkeypatch.setattr(lor, "is_m_convex", lambda M: tested.append(M.points) or inner(M))
+    e2 = parse_poly("t1 t2 + t1 t3 + t2 t3")
+    cases = [
+        (e2, orthant(3)),
+        (e2, ConeByGenerators(((1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)))),
+        (parse_poly("t1^2 t2 + 2*t1 t2^2 + t2^3"), ConeByGenerators(((1, 0), (1, 1), (1, 1)))),
+    ]
+    for f, cone in cases:
+        tested.clear()
+        assert is_k_lorentzian(f, cone).value == "yes"
+        assert set(tested) == set(derived_supports(f, cone).values())
 
 
 def test_k_lorentzian_alt_agrees(rng):

@@ -4,6 +4,7 @@ deformation-cone membership test."""
 
 import pytest
 
+from lorentzlab import cones, polytope
 from lorentzlab import hereditary as hered
 from lorentzlab.polycore import parse_poly
 from lorentzlab.polytope import (
@@ -17,6 +18,7 @@ from lorentzlab.polytope import (
     volume_polynomial,
 )
 from lorentzlab.rat import Q
+from oracles import chain_mixed_volume, rank_solve_vertices
 
 
 def square(t=(1, 1, 1, 1)):
@@ -213,3 +215,57 @@ def test_json_round_trip():
     P = pentagon()
     again = SimplePolytope.from_json_dict(P.to_json_dict())
     assert again.vertices == P.vertices and again.delta == P.delta
+
+
+def _chamber_samples(rng, P, count):
+    out = []
+    while len(out) < count:
+        t = [x + Q(rng.randint(-2, 2), 8) for x in P.t]
+        if in_deformation_cone(P, t):
+            out.append(build(P.normals, t, P.labels))
+    return out
+
+
+def test_vertices_match_rank_solve_oracle(rng):
+    for make in FIXTURES:
+        P = make()
+        for K in [P] + _chamber_samples(rng, P, 6):
+            assert dict(zip(K.vertices, K.active)) == rank_solve_vertices(K.normals, K.t, K.labels)
+
+
+def test_mixed_volume_matches_chain_oracle(rng):
+    """Polarization against chained directional derivatives, with the
+    repeated bodies of ``af_check``."""
+    for make in FIXTURES:
+        P = make()
+        for _ in range(4):
+            K1, K2, *rest = _chamber_samples(rng, P, P.dim)
+            for bodies in ([K1, K2] + rest, [K1, K1] + rest, [K2, K2] + rest, [P] * P.dim):
+                assert mixed_volume(bodies) == chain_mixed_volume(bodies)
+
+
+def test_boundedness_is_tested_once_per_normal_set(monkeypatch):
+    """Count guard: a second build on the same normals solves no LP; an
+    unbounded normal set is tested, and raises, on every build."""
+    monkeypatch.setattr(polytope, "_BOUNDED", set())
+    calls = []
+    inner = cones.lp_max
+    monkeypatch.setattr(cones, "lp_max", lambda *a: calls.append(1) or inner(*a))
+    cube()
+    assert calls
+    calls.clear()
+    cube((2, 1, 1, 1, 1, 1))
+    assert not calls
+    for _ in range(3):
+        with pytest.raises(PolytopeError, match="unbounded"):
+            build([(1, 0), (0, 1), (1, 1)], [1, 1, 1])
+        assert calls
+        calls.clear()
+
+
+def test_af_check_needs_d_bodies_in_dimension_at_least_2():
+    seg = build([(1,), (-1,)], [1, 1])
+    sq = square()
+    for bodies in ([sq], [seg], [seg, seg], [sq, sq, sq]):
+        with pytest.raises(PolytopeError, match="Alexandrov-Fenchel"):
+            af_check(bodies)
