@@ -2,11 +2,11 @@
 inequality.
 
 A simple polytope with rational facet normals has a volume polynomial in
-its support numbers, assembled by an exact facet recursion (intrinsic
-rational coordinates on each facet hyperplane; the change of measure is a
-rational determinant ratio).  Mixed volumes are its polarized directional
-derivatives, and the two-body inequality follows from the certification of
-the polynomial.
+its support numbers.  It is the hereditary polynomial of the incidence
+complex whose mixed derivative at each vertex F is 1 / |det(normals of F)|,
+rebuilt from these weights exactly as matroid and fan volume polynomials
+are.  Mixed volumes are its polarized directional derivatives, and the
+two-body inequality follows from the certification of the polynomial.
 
 Run:  python demos/03_polytopes_alexandrov_fenchel.py
 """

@@ -480,9 +480,10 @@ def from_weights(
     Requires (skeleton(delta), lin) hereditary and the balancing condition;
     builds the face family bottom-up by the Euler recursion
     (d - |S|) g^S = sum_i t_i g^{S+{i}}(pi(t)) and returns g at the empty
-    face, wrapped with its exact lineality space.  The strong flag is set
-    when (delta, lin) itself is hereditary.  ``ell_solver`` is a pin solver
-    with the signature of :func:`pin_solver`; it defaults to the one of lin.
+    face, wrapped with its exact lineality space.  That space contains lin,
+    so the strong flag is set whenever (delta, lin) itself is hereditary.
+    ``ell_solver`` is a pin solver with the signature of :func:`pin_solver`;
+    it defaults to the one of lin.
     """
     if delta.is_void():
         raise ValueError("cannot reconstruct over a void complex")
@@ -539,12 +540,11 @@ def from_weights(
         if not h.lin.contains([b[amb_idx[v]] for v in f.vars]):
             raise AssertionError("reconstructed polynomial lost a lineality vector")
     for F in delta.facets:
-        if h.f.mixed_partial(F).terms.get((), ZERO) != w[F]:
+        if f.squarefree_coeff(F) != w[F]:
             raise AssertionError(f"reconstruction failed facet check at {set(F)}")
     if h.delta != SimComplex(f.vars, delta.facets):
         raise AssertionError("reconstructed polynomial has the wrong face complex")
-    strong = all(lin.projects_onto(tuple(sorted(F, key=repr))) for F in delta.facets)
-    return HereditaryPoly(f=f, delta=h.delta, lin=h.lin, strong=h.strong or strong)
+    return h
 
 
 def product(h1: HereditaryPoly, h2: HereditaryPoly) -> HereditaryPoly:

@@ -17,14 +17,6 @@ Vec = tuple
 Mat = list  # list of row tuples
 
 
-def qvec(v: Sequence) -> Vec:
-    return tuple(Q(x) for x in v)
-
-
-def zeros(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 

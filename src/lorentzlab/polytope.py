@@ -9,17 +9,15 @@ every d-subset of facet equations, each eliminated once: the reduction of
 every vertex activates exactly d facets, and the facet-incidence sets
 generate the incidence complex.
 
-The volume polynomial is assembled by the facet recursion: each facet is
-rewritten in intrinsic rational coordinates of its hyperplane (an exact
-basis of the normal's orthogonal complement), its support numbers become a
-rational linear substitution, and the change of measure contributes the
-factor |det [basis; normal]| / <normal, normal>, which is rational because
-the basis is orthogonal to the normal.  Degree-1 faces are segments whose
-length is a linear form.  The identity d * pol = sum_i t_i * (d/dt_i) pol
-stitches the facet polynomials together, and an independent triangulation
-volume oracle pins the normalization on every fixture.  Mixed volumes are
-polarizations of the volume polynomial: 2^d - 1 evaluations, no
-derivatives.
+The volume polynomial is the hereditary polynomial of the incidence
+complex with the translations as lineality: at a vertex F the polytope is
+locally the simplicial cone cut out by the normals of F, so the d-fold
+mixed derivative of the volume in the support numbers of F is
+1 / |det(normals of F)|.  One call to ``hereditary.from_weights`` rebuilds
+the polynomial from these weights and checks heredity, balancing, the facet
+values and the lineality; an independent triangulation volume pins the
+normalization on every fixture.  Mixed volumes are polarizations of the
+volume polynomial: at most 2^d - 1 evaluations, no derivatives.
 """
 
 from __future__ import annotations
@@ -178,79 +176,54 @@ def volume(P: SimplePolytope):
 
 
 def volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
-    """The unique polynomial giving the volume on the deformation cone."""
-    poly = _vol_poly_rec(P.labels, {lab: r for lab, r in zip(P.labels, P.normals)}, P.delta, P.dim)
-    return hered.check_hereditary(poly)
-
-
-def _vol_poly_rec(labels: tuple, normals: Mapping, delta: SimComplex, k: int) -> HomPoly:
-    labels = tuple(labels)
-    if k == 1:
-        if len(labels) != 2:
-            raise PolytopeError(f"segment face with {len(labels)} facets")
-        a, b = labels
-        if not normals[a][0] * normals[b][0] < 0:
-            raise PolytopeError("segment normals do not oppose")
-        return HomPoly(labels, 1, {
-            ((0, 1),): ONE / abs(normals[a][0]),
-            ((1, 1),): ONE / abs(normals[b][0]),
-        })
-    acc = HomPoly.zero(labels, k)
-    for i in labels:
-        rho = normals[i]
-        rr = linalg.dot(rho, rho)
-        B = linalg.nullspace([rho], k)
-        M = list(B) + [rho]
-        scale = abs(linalg.det(M)) / rr
-        link = delta.link({i})
-        child_labels = delta.link_vertices({i})
-        child_normals = {j: linalg.mat_vec(B, normals[j]) for j in child_labels}
-        child_delta = SimComplex(child_labels, link.facets)
-        q = _vol_poly_rec(child_labels, child_normals, child_delta, k - 1)
-        forms = {}
-        for j in child_labels:
-            g = linalg.dot(normals[j], rho) / rr
-            form = {j: ONE}
-            if g != 0:
-                form[i] = -g
-            forms[j] = form
-        acc = acc + HomPoly.variable(labels, i) * q.substitute(labels, forms).scale(scale)
-    return acc.scale(Q(1, k))
-
-
-def mixed_volume(polys: Sequence[SimplePolytope]):
-    """Fully polarized mixed volume D_{t_1} ... D_{t_d} pol of the volume
-    polynomial (the diagonal gives d! times the volume), by polarization:
-    for pol homogeneous of degree d it equals the sum over nonempty
-    S of [d] of (-1)^(d-|S|) pol(sum_{k in S} t_k), that is 2^d - 1
-    evaluations."""
-    P = polys[0]
-    d = P.dim
-    if len(polys) != d:
-        raise PolytopeError(f"need exactly {d} bodies in dimension {d}")
-    for Q2 in polys[1:]:
-        if Q2.normals != P.normals or Q2.labels != P.labels:
-            raise PolytopeError("bodies do not share the facet normal data")
-    f = _cached_volume_polynomial(P).f
-    ts = [Q2.t for Q2 in polys]
-    total = ZERO
-    for k in range(1, d + 1):
-        sign = ONE if (d - k) % 2 == 0 else -ONE
-        for S in combinations(ts, k):
-            total += sign * f.evaluate([sum(col) for col in zip(*S)])
-    return total
+    """The unique polynomial giving the volume on the deformation cone:
+    the hereditary polynomial whose mixed derivative at each vertex F is
+    1 / |det(normals of F)|.  Cached per normal set and face complex."""
+    key = (P.normals, P.delta.facets)
+    got = _VOLPOLY_CACHE.get(key)
+    if got is None:
+        normal = dict(zip(P.labels, P.normals))
+        w = {F: ONE / abs(linalg.det([normal[lab] for lab in F])) for F in P.active}
+        got = _VOLPOLY_CACHE[key] = hered.from_weights(P.delta, P.lin, w)
+    return got
 
 
 _VOLPOLY_CACHE: dict[tuple, hered.HereditaryPoly] = {}
 
 
-def _cached_volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
-    key = (P.normals, P.delta.facets)
-    got = _VOLPOLY_CACHE.get(key)
-    if got is None:
-        got = volume_polynomial(P)
-        _VOLPOLY_CACHE[key] = got
-    return got
+def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> HomPoly:
+    """The volume polynomial of d bodies in dimension d with one normal set."""
+    P = bodies[0]
+    if len(bodies) != P.dim:
+        raise PolytopeError(f"need exactly {P.dim} bodies in dimension {P.dim}")
+    for Q2 in bodies[1:]:
+        if Q2.normals != P.normals or Q2.labels != P.labels:
+            raise PolytopeError("bodies do not share the facet normal data")
+    return volume_polynomial(P).f
+
+
+def _polarize(f: HomPoly, ts: Sequence, values: dict):
+    """D_{t_1} ... D_{t_d} f for f homogeneous of degree d: the sum over
+    nonempty S of [d] of (-1)^(d-|S|) f(sum_{k in S} t_k).  ``values``
+    maps each point already evaluated to f there, so a subset sum that
+    repeats is evaluated once."""
+    d = len(ts)
+    total = ZERO
+    for k in range(1, d + 1):
+        sign = ONE if (d - k) % 2 == 0 else -ONE
+        for S in combinations(ts, k):
+            x = tuple(sum(col) for col in zip(*S))
+            if x not in values:
+                values[x] = f.evaluate(x)
+            total += sign * values[x]
+    return total
+
+
+def mixed_volume(polys: Sequence[SimplePolytope]):
+    """Fully polarized mixed volume D_{t_1} ... D_{t_d} pol of the volume
+    polynomial (the diagonal gives d! times the volume), by polarization:
+    at most 2^d - 1 evaluations, no derivatives."""
+    return _polarize(_shared_volume_polynomial(polys), [K.t for K in polys], {})
 
 
 def af_check(bodies: Sequence[SimplePolytope]) -> bool:
@@ -259,8 +232,10 @@ def af_check(bodies: Sequence[SimplePolytope]) -> bool:
     if d < 2 or len(bodies) != d:
         raise PolytopeError(f"the Alexandrov-Fenchel check needs d >= 2 bodies in dimension d, "
                             f"got {len(bodies)} in dimension {d}")
-    K1, K2, rest = bodies[0], bodies[1], list(bodies[2:])
-    lhs = mixed_volume([K1, K2] + rest)
-    a = mixed_volume([K1, K1] + rest)
-    b = mixed_volume([K2, K2] + rest)
+    f = _shared_volume_polynomial(bodies)
+    t1, t2, *rest = [K.t for K in bodies]
+    values: dict = {}
+    lhs = _polarize(f, [t1, t2] + rest, values)
+    a = _polarize(f, [t1, t1] + rest, values)
+    b = _polarize(f, [t2, t2] + rest, values)
     return lhs ** 2 >= a * b

@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .hereditary import HereditaryPoly, check_hereditary, cone_member, face_complex
+from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, cone_member, face_complex
 from .polycore import HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE, rat_str
 from .simplicial import fresh_vertex
@@ -90,7 +90,7 @@ def subdivide(f: HomPoly, S: Sequence, c: Sequence, vertex=None) -> HomPoly:
     if vertex in f.vars:
         raise ValueError(f"apex label {vertex!r} already in use")
     ext_vars = f.vars + (vertex,)
-    fx = _extend(f, ext_vars)
+    fx = _extend_vars(f, ext_vars)
     s, d = len(S), f.degree
     z = HomPoly(ext_vars, 1, {((len(ext_vars) - 1, 1),): ONE})
     for i, ci in zip(S, c):
@@ -115,15 +115,9 @@ def subdivide(f: HomPoly, S: Sequence, c: Sequence, vertex=None) -> HomPoly:
                 scale /= cmap[i]
             hpart = hpart + g.scale(scale)
         if not hpart.is_zero():
-            out = out + (zpow * _extend(hpart, ext_vars)).scale(sgn * Q(1, factorial(n)))
+            out = out + (zpow * _extend_vars(hpart, ext_vars)).scale(sgn * Q(1, factorial(n)))
         zpow = zpow * z
     return out
-
-
-def _extend(f: HomPoly, vars: tuple) -> HomPoly:
-    idx = {v: k for k, v in enumerate(vars)}
-    terms = {tuple(sorted((idx[f.vars[i]], e) for i, e in key)): cf for key, cf in f.terms.items()}
-    return HomPoly(vars, f.degree, terms)
 
 
 def lineality_extend(L: LinSubspace, S: Sequence, c: Sequence, vertex) -> LinSubspace:

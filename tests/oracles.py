@@ -25,9 +25,13 @@ checked against.
 * :func:`rank_solve_vertices` enumerates a polytope's vertices by taking
   the rank of each d-subset of facet normals and then solving for the
   vertex; the library reads both off one elimination.
+* :func:`facet_recursion_volume_polynomial` builds a polytope's volume
+  polynomial by recursion over facets in intrinsic hyperplane coordinates;
+  the library rebuilds it with ``hereditary.from_weights`` from the
+  weights 1 / |det(normals of F)| at its vertices F.
 * :func:`chain_mixed_volume` takes the mixed volume by a chain of
   ``HomPoly.dir_derivative`` calls on the volume polynomial; the library
-  evaluates the polynomial at the 2^d - 1 partial sums of the bodies.
+  evaluates the polynomial at the distinct partial sums of the bodies.
 * :func:`derived_supports` assembles the derived support of every
   2d-fold generator multiset T of the cone test by expanding each
   composition into the multiset it names, slot by slot, and differentiating
@@ -78,6 +82,7 @@ from lorentzlab.lorentzian import (
 )
 from lorentzlab.polycore import HomPoly, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
+from lorentzlab.simplicial import SimComplex
 
 
 def layered_pin(L, chain, G, flats) -> dict:
@@ -198,23 +203,39 @@ def oracle_max_forests(n_vertices, edges) -> tuple:
 def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
     """Independent strict-feasibility oracle by variable elimination.
 
-    Intended for systems with at most ~4 unknowns; the constraint count can
-    grow quadratically per eliminated variable.
+    Constraints are kept one per positive multiple, scaled so that their
+    largest absolute entry is 1; of two that agree up to that scaling the
+    strict one is kept.  Intended for systems with at most ~4 unknowns; the
+    constraint count can grow quadratically per eliminated variable.
     """
-    cons: list[tuple[dict, object, str]] = []
+    def keep(out: dict, d: dict, const, rel: str):
+        d = {w: x for w, x in d.items() if x != 0}
+        s = max(map(abs, [*d.values(), const]))
+        if s:
+            d = {w: x / s for w, x in d.items()}
+            const /= s
+        key = (frozenset(d.items()), const)
+        if key not in out or rel == GT:
+            out[key] = (d, const, rel)
+
+    cons: dict = {}
     for c in sys.constraints:
         d = dict(c.coeffs)
         if c.rel == EQ:
-            cons.append((d, c.const, GE))
-            cons.append(({v: -x for v, x in d.items()}, -c.const, GE))
+            keep(cons, d, c.const, GE)
+            keep(cons, {v: -x for v, x in d.items()}, -c.const, GE)
         else:
-            cons.append((d, c.const, c.rel))
+            keep(cons, d, c.const, c.rel)
     for v in sys.all_vars():
-        pos, neg, rest = [], [], []
-        for d, const, rel in cons:
+        pos, neg, new = [], [], {}
+        for key, (d, const, rel) in cons.items():
             c = d.get(v, ZERO)
-            (pos if c > 0 else neg if c < 0 else rest).append((d, const, rel))
-        new = rest
+            if c > 0:
+                pos.append((d, const, rel))
+            elif c < 0:
+                neg.append((d, const, rel))
+            else:
+                new[key] = (d, const, rel)
         for dp, cp, rp in pos:
             a = dp[v]
             for dn, cn, rn in neg:
@@ -225,9 +246,9 @@ def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
                         continue
                     d[w] = bb * dp.get(w, ZERO) + a * dn.get(w, ZERO)
                 rel = GT if (rp == GT or rn == GT) else GE
-                new.append((d, bb * cp + a * cn, rel))
-        cons = [(d, c, r) for d, c, r in new]
-    for d, const, rel in cons:
+                keep(new, d, bb * cp + a * cn, rel)
+        cons = new
+    for d, const, rel in cons.values():
         if any(x != 0 for x in d.values()):
             raise AssertionError("elimination left a variable behind")
         if rel == GT and not const > 0:
@@ -329,10 +350,54 @@ def rank_solve_vertices(normals, t, labels) -> dict:
     return verts
 
 
+def facet_recursion_volume_polynomial(P) -> HomPoly:
+    """The volume polynomial of a simple polytope by recursion over its
+    facets.  Each facet is rewritten in rational coordinates of its
+    hyperplane (a basis of the normal's orthogonal complement), its
+    neighbours' support numbers become a linear substitution, and the change
+    of measure contributes |det [basis; normal]| / <normal, normal>.
+    Segments have length t_a / |a| + t_b / |b|, and
+    d * pol = sum_i t_i * (d/dt_i) pol stitches the facets together."""
+    return _facet_recursion(P.labels, dict(zip(P.labels, P.normals)), P.delta, P.dim)
+
+
+def _facet_recursion(labels, normals, delta, k) -> HomPoly:
+    labels = tuple(labels)
+    if k == 1:
+        if len(labels) != 2:
+            raise polytope.PolytopeError(f"segment face with {len(labels)} facets")
+        a, b = labels
+        if not normals[a][0] * normals[b][0] < 0:
+            raise polytope.PolytopeError("segment normals do not oppose")
+        return HomPoly(labels, 1, {
+            ((0, 1),): ONE / abs(normals[a][0]),
+            ((1, 1),): ONE / abs(normals[b][0]),
+        })
+    acc = HomPoly.zero(labels, k)
+    for i in labels:
+        rho = normals[i]
+        rr = linalg.dot(rho, rho)
+        B = linalg.nullspace([rho], k)
+        scale = abs(linalg.det(list(B) + [rho])) / rr
+        child_labels = delta.link_vertices({i})
+        child_normals = {j: linalg.mat_vec(B, normals[j]) for j in child_labels}
+        child_delta = SimComplex(child_labels, delta.link({i}).facets)
+        q = _facet_recursion(child_labels, child_normals, child_delta, k - 1)
+        forms = {}
+        for j in child_labels:
+            g = linalg.dot(normals[j], rho) / rr
+            form = {j: ONE}
+            if g != 0:
+                form[i] = -g
+            forms[j] = form
+        acc = acc + HomPoly.variable(labels, i) * q.substitute(labels, forms).scale(scale)
+    return acc.scale(Q(1, k))
+
+
 def chain_mixed_volume(bodies):
-    """D_{t_1} ... D_{t_d} of the (cached) volume polynomial by d chained
+    """D_{t_1} ... D_{t_d} of the volume polynomial by d chained
     directional derivatives."""
-    g = polytope._cached_volume_polynomial(bodies[0]).f
+    g = polytope.volume_polynomial(bodies[0]).f
     for K in bodies:
         g = g.dir_derivative(tuple(K.t))
     return g.terms.get((), ZERO)

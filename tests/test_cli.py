@@ -139,6 +139,22 @@ def test_polytope_commands(capsys, files):
     assert code == 0 and rep["verdict"] == "yes"
 
 
+def test_polytope_polynomial_then_mixed_builds_the_polynomial_once(capsys, files, monkeypatch):
+    """Count guard: `polynomial` fills the cache that `mixed` and `af` read
+    on the same normals, so one process reconstructs the polynomial once."""
+    from lorentzlab import hereditary, polytope
+
+    monkeypatch.setattr(polytope, "_VOLPOLY_CACHE", {})
+    calls = []
+    inner = hereditary.from_weights
+    monkeypatch.setattr(hereditary, "from_weights", lambda *a: calls.append(1) or inner(*a))
+    for sub, paths in (("polynomial", ["square.json"]), ("mixed", ["square.json", "rect.json"]),
+                       ("af", ["rect.json", "square.json"])):
+        code, _, _ = run(capsys, "polytope", sub, *(files[p] for p in paths))
+        assert code == 0
+    assert len(calls) == 1
+
+
 def test_fan_commands(capsys, files, tmp_path):
     code, rep, _ = run(capsys, "fan", "check", files["sqfan.json"], "--weights", files["sqweights.json"])
     assert code == 0 and rep["verdict"] == "yes"

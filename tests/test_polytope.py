@@ -1,12 +1,13 @@
-"""Simple polytopes: vertex enumeration, the triangulation volume oracle
-against the facet-recursion volume polynomial, mixed volumes, and the
+"""Simple polytopes: vertex enumeration, the volume polynomial rebuilt from
+its vertex weights against the facet-recursion oracle and the triangulation
+volume, mixed volumes and the Alexandrov-Fenchel check, and the
 deformation-cone membership test."""
 
 import pytest
 
 from lorentzlab import cones, polytope
 from lorentzlab import hereditary as hered
-from lorentzlab.polycore import parse_poly
+from lorentzlab.polycore import HomPoly, parse_poly
 from lorentzlab.polytope import (
     PolytopeError,
     SimplePolytope,
@@ -18,7 +19,7 @@ from lorentzlab.polytope import (
     volume_polynomial,
 )
 from lorentzlab.rat import Q
-from oracles import chain_mixed_volume, rank_solve_vertices
+from oracles import chain_mixed_volume, facet_recursion_volume_polynomial, rank_solve_vertices
 
 
 def square(t=(1, 1, 1, 1)):
@@ -46,6 +47,30 @@ def prism(t=(0, 0, 1, 1, 0)):
 
 
 FIXTURES = [square, triangle, pentagon, cube, simplex3, prism]
+
+
+def scaled_triangle(t=(0, 0, 1)):
+    return build([(-2, 0), (0, -3), (1, 1)], t)
+
+
+def skew_quadrilateral(t=(3, 3, 3, 2)):
+    return build([(2, 1), (-1, 3), (-1, -2), (1, -1)], t)
+
+
+def scaled_box(t=(2, 3, 5, 1, 1, 1)):
+    return build([(2, 0, 0), (0, 3, 0), (0, 0, 5), (-1, 0, 0), (0, -1, 0), (0, 0, -1)], t)
+
+
+def wedge_prism(t=(3, 1, 1, 7, 1)):
+    return build([(3, 0, 0), (0, 1, 0), (-2, -1, 0), (0, 0, 7), (0, 0, -1)], t)
+
+
+def tilted_simplex(t=(0, 0, 0, 30)):
+    return build([(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 3, 5)], t)
+
+
+# normals that are not unit vectors, so that 1 / |det| differs from 1
+NON_UNIT = [scaled_triangle, skew_quadrilateral, scaled_box, wedge_prism, tilted_simplex]
 
 
 def test_build_examples():
@@ -90,7 +115,6 @@ def test_simplex_polynomial_is_power_of_linear_form():
         # f = c (v1 t1 + ... )^d with sum v_i rho_i = 0: recover v from the
         # pure powers and verify the whole polynomial matches
         from lorentzlab import linalg
-        from lorentzlab.polycore import HomPoly
 
         v = linalg.nullspace(linalg.transpose(P.normals), len(P.labels))
         assert len(v) == 1
@@ -106,7 +130,7 @@ def test_simplex_polynomial_is_power_of_linear_form():
 
 
 def test_oracle_agreement_random_support_vectors(rng):
-    for make in FIXTURES:
+    for make in FIXTURES + NON_UNIT:
         P = make()
         pol = volume_polynomial(P).f
         found = 0
@@ -236,7 +260,7 @@ def test_vertices_match_rank_solve_oracle(rng):
 def test_mixed_volume_matches_chain_oracle(rng):
     """Polarization against chained directional derivatives, with the
     repeated bodies of ``af_check``."""
-    for make in FIXTURES:
+    for make in FIXTURES + NON_UNIT:
         P = make()
         for _ in range(4):
             K1, K2, *rest = _chamber_samples(rng, P, P.dim)
@@ -269,3 +293,58 @@ def test_af_check_needs_d_bodies_in_dimension_at_least_2():
     for bodies in ([sq], [seg], [seg, seg], [sq, sq, sq]):
         with pytest.raises(PolytopeError, match="Alexandrov-Fenchel"):
             af_check(bodies)
+
+
+def _random_polytopes(rng, count):
+    """Boxes with one or two random integer cuts and random support numbers;
+    draws that are unbounded, not simple or leave a facet empty are skipped,
+    so the incidence complexes vary from draw to draw."""
+    out = []
+    while len(out) < count:
+        d = rng.choice((2, 3))
+        normals = [tuple(s if j == i else 0 for j in range(d)) for s in (1, -1) for i in range(d)]
+        normals += [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 2))]
+        t = [rng.randint(1, 4) for _ in range(2 * d)] + [rng.randint(1, 6) for _ in normals[2 * d:]]
+        try:
+            out.append(build(normals, t))
+        except PolytopeError:
+            continue
+    return out
+
+
+def test_volume_polynomial_matches_facet_recursion_oracle(rng):
+    """The weights 1 / |det(normals of F)| at the vertices rebuild the
+    polynomial that the facet recursion assembles, on unit and non-unit
+    normals and on seeded random polytopes, and it gives their volume."""
+    for make in FIXTURES + NON_UNIT:
+        P = make()
+        assert volume_polynomial(P).f == facet_recursion_volume_polynomial(P), make.__name__
+    for K in _random_polytopes(rng, 12):
+        h = volume_polynomial(K)
+        assert h.f == facet_recursion_volume_polynomial(K), K.normals
+        assert h.f.evaluate(K.t) == volume(K)
+        assert h.strong and h.delta == K.delta
+
+
+def test_af_check_evaluates_each_subset_sum_once(monkeypatch, rng):
+    """Count guard: on a cube triple the three mixed volumes share 11
+    distinct subset sums (7 of V(K1, K2, K3), two more each for the
+    repeated bodies), and af_check evaluates each once."""
+    P = cube()
+    volume_polynomial(P)
+    bodies = _chamber_samples(rng, P, 3)
+    calls = []
+    inner = HomPoly.evaluate
+    monkeypatch.setattr(HomPoly, "evaluate", lambda self, x: calls.append(tuple(x)) or inner(self, x))
+    assert af_check(bodies)
+    assert len(calls) == len(set(calls)) == 11
+
+
+def test_af_check_matches_three_mixed_volumes(rng):
+    for make in FIXTURES + NON_UNIT:
+        P = make()
+        for _ in range(3):
+            K1, K2, *rest = _chamber_samples(rng, P, P.dim)
+            lhs = mixed_volume([K1, K2] + rest)
+            want = lhs ** 2 >= mixed_volume([K1, K1] + rest) * mixed_volume([K2, K2] + rest)
+            assert af_check([K1, K2] + rest) == want
