@@ -1,10 +1,12 @@
 """Exact strict linear feasibility and polyhedral cone utilities.
 
 The workhorse is a two-phase exact simplex with Bland's rule (guaranteed
-termination, no numerical tolerance anywhere).  A pivot updates only the
-nonzero columns of the pivot row, in every row and in the objective: the
-compiled systems are mostly zeros, and x - f*0 = x, so the pivots and the
-solution are those of the dense tableau.  Strict systems are decided
+termination, no numerical tolerance anywhere).  It runs on an
+integer-preserving tableau (Edmonds 1967): the rows are Python ints over
+one common denominator D, the last pivot, and every pivot divides exactly
+by the D before it.  Ratios are compared by cross-multiplying, so the
+pivots and the solution are those of the rational tableau, and the basic
+values become rationals once, at the optimum.  Strict systems are decided
 by maximizing a slack eps bounded by 1: the system is strictly feasible iff
 the optimum is positive.  Every witness is re-verified against every
 constraint before it is returned.
@@ -17,7 +19,7 @@ from typing import Hashable, Mapping, Sequence
 
 from . import linalg
 from .polycore import Direction, direction_coords
-from .rat import Q, ZERO, ONE
+from .rat import Q, ZERO, ONE, Rational
 
 Label = Hashable
 
@@ -78,6 +80,25 @@ class StrictSystem:
 # ---------------------------------------------------------------------------
 
 
+def _pivot(T: list, basis: list, D: int, r: int, col: int) -> int:
+    """One integer-preserving pivot on T[r][col]; returns the new D.
+
+    The tableau is T / D, its last row the objective.  The pivot row keeps
+    its integers, negated if need be so that D stays positive; every other
+    row becomes (p*a - f*y) // D, an exact division."""
+    prow = T[r]
+    p = prow[col]
+    if p < 0:
+        p = -p
+        T[r] = prow = [-y for y in prow]
+    for i, row in enumerate(T):
+        f = row[col]
+        if i != r and (f or p != D):
+            T[i] = [(p * a - f * y) // D for a, y in zip(row, prow)]
+    basis[r] = col
+    return p
+
+
 def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """Maximize c.x subject to Ax <= b, x >= 0, exactly.
 
@@ -86,82 +107,71 @@ def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """
     m, n = len(A), len(c)
     c = [Q(x) for x in c]
-    b = [Q(x) for x in b]
-    rows = [[Q(x) for x in row] + [ONE if i == j else ZERO for j in range(m)] for i, row in enumerate(A)]
+    # [A | b] and c over their common denominators: scaling every row by one
+    # positive constant (and so every slack) and the objective by another
+    # leaves every ratio comparison and reduced-cost sign, hence every pivot.
+    # Columns: x, the slacks, the artificial x0 in phase 1, then b.
+    scaled, _ = linalg.integer_scaled([list(row) + [bi] for row, bi in zip(A, b)])
+    T = [row[:-1] + [int(i == j) for j in range(m)] + row[-1:] for i, row in enumerate(scaled)]
     basis = list(range(n, n + m))
+    D = 1
 
-    def pivot(r: int, col: int, obj: list):
-        # only the nonzero columns of the pivot row change anything: x - f*0 = x
-        prow = rows[r]
-        inv = ONE / prow[col]
-        nz = [j for j, y in enumerate(prow) if y != 0]
-        for j in nz:
-            prow[j] *= inv
-        b[r] *= inv
-        for i in range(m):
-            row = rows[i]
-            f = row[col]
-            if i != r and f != 0:
-                for j in nz:
-                    row[j] -= f * prow[j]
-                b[i] -= f * b[r]
-        f = obj[col]
-        if f != 0:
-            for j in nz:
-                obj[j] -= f * prow[j]
-        basis[r] = col
-
-    def run(obj: list) -> bool:
+    def run() -> bool:
         """Bland simplex on the current dictionary; False means unbounded."""
+        nonlocal D
         while True:
-            col = next((j for j in range(len(obj)) if obj[j] > 0 and j not in basis), None)
+            obj = T[m]
+            col = next((j for j in range(ncols) if obj[j] > 0 and j not in basis), None)
             if col is None:
                 return True
-            best, r = None, None
+            r = None
             for i in range(m):
-                if rows[i][col] > 0:
-                    ratio = b[i] / rows[i][col]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
-                        best, r = ratio, i
+                a = T[i][col]
+                if a > 0:
+                    # b_i / a against b_r / T[r][col], cross-multiplied
+                    diff = None if r is None else T[i][-1] * T[r][col] - T[r][-1] * a
+                    if diff is None or diff < 0 or (diff == 0 and basis[i] < basis[r]):
+                        r = i
             if r is None:
                 return False
-            pivot(r, col, obj)
+            D = _pivot(T, basis, D, r, col)
 
     ncols = n + m
-    if any(x < 0 for x in b):
+    if any(row[-1] < 0 for row in T):
         # phase 1: artificial x0 enters every row with coefficient -1; max -x0
-        for i in range(m):
-            rows[i].append(-ONE)
+        for row in T:
+            row.insert(-1, -1)
         x0 = ncols
         ncols += 1
-        obj = [ZERO] * x0 + [-ONE]
-        r = min(range(m), key=lambda i: (b[i], basis[i]))
-        pivot(r, x0, obj)
-        run(obj)
-        if any(basis[i] == x0 and b[i] != 0 for i in range(m)):
+        T.append([0] * x0 + [-1, 0])
+        D = _pivot(T, basis, D, min(range(m), key=lambda i: (T[i][-1], basis[i])), x0)
+        run()
+        if any(basis[i] == x0 and T[i][-1] != 0 for i in range(m)):
             return "infeasible", None, None
         if x0 in basis:
             r = basis.index(x0)  # x0 basic at value 0: pivot it out if possible
-            col = next((j for j in range(x0) if rows[r][j] != 0 and j not in basis), None)
+            col = next((j for j in range(x0) if T[r][j] != 0 and j not in basis), None)
             if col is not None:
-                pivot(r, col, obj)
+                D = _pivot(T, basis, D, r, col)
         # erase the artificial column so it can never re-enter; if x0 is
         # still basic its row is now identically zero and stays inert
-        for row in rows:
-            row[x0] = ZERO
+        del T[m]
+        for row in T:
+            row[x0] = 0
 
     # phase 2 objective expressed over nonbasic variables
-    obj = list(c) + [ZERO] * (ncols - n)
+    (cz,), _ = linalg.integer_scaled([c])
+    obj = [D * y for y in cz] + [0] * (ncols + 1 - n)
     for i, bi in enumerate(basis):
-        f = obj[bi]
-        if f != 0:
-            obj = [x - f * y for x, y in zip(obj, rows[i])]
-    if not run(obj):
+        if bi < n and cz[bi]:
+            obj = [a - cz[bi] * y for a, y in zip(obj, T[i])]
+    T.append(obj)
+    if not run():
         return "unbounded", None, None
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = b[i]
+            x[bi] = Rational(T[i][-1], D)
     value = linalg.dot(c, x)
     return "optimal", tuple(x), value
 

@@ -10,7 +10,7 @@ multiplicity of the root 0, i.e. the trailing zero coefficients.
 
 from __future__ import annotations
 
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -114,21 +114,13 @@ def derivative_hessian(f: HomPoly, alpha: Sequence[int], over: Sequence | None =
     return SymMatrix(labels, rows)
 
 
-def _integer_scaled(entries) -> list[list[int]]:
-    den = 1
-    for row in entries:
-        for x in row:
-            den = lcm(den, int(x.denominator))
-    return [[int(x.numerator) * (den // int(x.denominator)) for x in row] for row in entries]
-
-
 def char_poly_coeffs(M: SymMatrix) -> list[int]:
     """Coefficients [1, c1, ..., cn] of det(xI - M), by Berkowitz iteration.
 
     Computed on the integer-rescaled matrix (scaling by a positive constant
     does not move eigenvalue signs) -- callers only inspect signs.
     """
-    A = _integer_scaled(M.entries)
+    A, _ = linalg.integer_scaled(M.entries)
     n = len(A)
     poly = [1]
     for k in range(n):

@@ -1,17 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Vectors are sequences of rationals, matrices are lists of row vectors.
-Everything here is exact: Gaussian elimination with full pivoting on
-rationals for rref/solve/nullspace, and fraction-free Bareiss elimination
-for determinants.  Sizes are desk scale (tens of rows), so no attention is
-paid to asymptotics beyond avoiding obvious blowups.
+Everything here is exact.  Elimination runs on Python ints: the matrix is
+scaled to integers by one common denominator, and fraction-free
+Gauss-Jordan (Bareiss) steps replace each row by (p*a - f*b) // prev,
+where p is the new pivot and prev the one before it; every division is
+exact.  The pivot is the first nonzero entry of its column, as in
+textbook elimination, and the rationals are formed once at the end.
+Sizes are desk scale (tens of rows), so no attention is paid to
+asymptotics beyond avoiding obvious blowups.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
-from .rat import Q, ZERO, ONE
+from .rat import Q, ZERO, ONE, Rational
 
 Vec = tuple
 Mat = list  # list of row tuples
@@ -45,30 +50,41 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Mat:
     return [tuple(dot(row, col) for col in Bt) for row in A]
 
 
+def integer_scaled(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(den * A, den) with den the least common denominator of A's entries:
+    a matrix of Python ints (never a backend integer type)."""
+    R = [[Q(x) for x in row] for row in A]
+    den = lcm(*map(int, {x.denominator for row in R for x in row}))
+    return [[int(x.numerator) * (den // int(x.denominator)) for x in row] for row in R], den
+
+
 def rref(A: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    R = [list(map(Q, row)) for row in A]
-    if not R:
+    if not A:
         return [], []
-    m, n = len(R), len(R[0])
+    M, _ = integer_scaled(A)
+    m, n = len(M), len(M[0])
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(n):
-        p = next((i for i in range(r, m) if R[i][c] != 0), None)
+        r = len(pivots)
+        p = next((i for i in range(r, m) if M[i][c]), None)
         if p is None:
             continue
-        R[r], R[p] = R[p], R[r]
-        inv = ONE / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(m):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        M[r], M[p] = M[p], M[r]
+        prow = M[r]
+        d = prow[c]
+        for i, row in enumerate(M):
+            f = row[c]
+            if i != r and (f or d != prev):
+                M[i] = [(d * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = d
         pivots.append(c)
-        r += 1
-        if r == m:
+        if r + 1 == m:
             break
-    return [tuple(row) for row in R], pivots
+    # every pivot row is now prev times its reduced row; the others are zero
+    R = [tuple(Rational(a, prev) if a else ZERO for a in row) for row in M]
+    return R, pivots
 
 
 def rank(A: Sequence[Sequence]) -> int:
@@ -123,10 +139,9 @@ def det(A: Sequence[Sequence]):
     n = len(A)
     if n == 0:
         return ONE
-    M = [list(map(Q, row)) for row in A]
-    assert all(len(row) == n for row in M), "determinant needs a square matrix"
-    sign = ONE
-    prev = ONE
+    assert all(len(row) == n for row in A), "determinant needs a square matrix"
+    M, den = integer_scaled(A)
+    sign = prev = 1
     for k in range(n - 1):
         if M[k][k] == 0:
             p = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
@@ -134,9 +149,11 @@ def det(A: Sequence[Sequence]):
                 return ZERO
             M[k], M[p] = M[p], M[k]
             sign = -sign
+        pk, rowk = M[k][k], M[k]
         for i in range(k + 1, n):
+            row = M[i]
+            f = row[k]
             for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
-            M[i][k] = ZERO
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+                row[j] = (row[j] * pk - f * rowk[j]) // prev
+        prev = pk
+    return Rational(sign * M[n - 1][n - 1], den**n)

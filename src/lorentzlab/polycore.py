@@ -58,7 +58,8 @@ class HomPoly:
                 raise ValueError(f"term {key} has degree {_key_degree(key)}, expected {degree}")
             if any(e < 1 for _, e in key) or any(not 0 <= i < len(vs) for i, _ in key):
                 raise ValueError(f"malformed exponent key {key}")
-            clean[key] = clean.get(key, ZERO) + c
+            prev = clean.get(key)
+            clean[key] = c if prev is None else prev + c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})

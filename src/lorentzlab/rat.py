@@ -21,10 +21,15 @@ except ImportError:  # pragma: no cover
     _rational = Fraction
     RAT_BACKEND = "fractions"
 
+Rational = type(_rational(0))
+
 
 def Q(a: Union[int, str, Fraction] = 0, b: int | None = None):
     """Coerce to an exact rational (no floats accepted; a zero denominator
-    is a ValueError naming the input)."""
+    is a ValueError naming the input).  A rational of the backend's own
+    type is returned as it is."""
+    if b is None and type(a) is Rational:
+        return a
     if isinstance(a, float) or isinstance(b, float):
         raise TypeError(f"floats are not exact rationals: Q({a!r}, {b!r})")
     try:
@@ -38,8 +43,6 @@ def Q(a: Union[int, str, Fraction] = 0, b: int | None = None):
 
 ZERO = Q(0)
 ONE = Q(1)
-
-Rational = type(ONE)
 
 
 def rat_str(x) -> str:

@@ -6,6 +6,16 @@ import pytest
 from lorentzlab.rat import Q
 
 
+def pytest_report_header(config):
+    """Every timing needs the rational backend, the Python version and the
+    CPU count beside it; the suite's wall time is one."""
+    import platform
+
+    from lorentzlab.rat import RAT_BACKEND
+
+    return f"lorentzlab: rat_backend={RAT_BACKEND}, python={platform.python_version()}, cpu_count={os.cpu_count()}"
+
+
 def pytest_configure(config):
     config.addinivalue_line("markers", "acceptance: full acceptance-criteria checks")
 

@@ -20,8 +20,13 @@ checked against.
 * :func:`fourier_motzkin_feasible` decides strict feasibility by variable
   elimination, independently of the simplex in ``lorentzlab.cones``.
 * :func:`dense_lp_max` is the simplex of ``cones.lp_max`` on a dense
-  tableau: every pivot rewrites every column, zeros included.  The library
-  updates only the nonzero columns of the pivot row.
+  ``Fraction`` tableau: every pivot divides the pivot row by the pivot and
+  rewrites every column, and ratios are compared as rationals.  The library
+  pivots an integer tableau over one common denominator and compares
+  ratios by cross-multiplying.
+* :func:`fraction_rref` and :func:`fraction_det` are Gauss-Jordan
+  elimination and Bareiss' determinant on ``Fraction``-style rationals; the
+  library runs both on integers and forms the rationals once at the end.
 * :func:`rank_solve_vertices` enumerates a polytope's vertices by taking
   the rank of each d-subset of facet normals and then solving for the
   vertex; the library reads both off one elimination.
@@ -258,9 +263,59 @@ def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
     return True
 
 
-def dense_lp_max(c, A, b):
-    """``cones.lp_max`` with dense pivots: maximize c.x subject to Ax <= b,
-    x >= 0, by Bland's rule; returns (status, x, value)."""
+def fraction_rref(A):
+    """Reduced row echelon form on rationals; returns (R, pivot columns)."""
+    R = [list(map(Q, row)) for row in A]
+    if not R:
+        return [], []
+    m, n = len(R), len(R[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if R[i][c] != 0), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = ONE / R[r][c]
+        R[r] = [x * inv for x in R[r]]
+        for i in range(m):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return [tuple(row) for row in R], pivots
+
+
+def fraction_det(A):
+    """Determinant by Bareiss elimination on rationals."""
+    n = len(A)
+    if n == 0:
+        return ONE
+    M = [list(map(Q, row)) for row in A]
+    sign = ONE
+    prev = ONE
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if p is None:
+                return ZERO
+            M[k], M[p] = M[p], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
+            M[i][k] = ZERO
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def dense_lp_max(c, A, b, pivots=None):
+    """``cones.lp_max`` on a dense rational tableau: maximize c.x subject to
+    Ax <= b, x >= 0, by Bland's rule; returns (status, x, value), and
+    appends each pivot's (row, column) to ``pivots`` when given one."""
     m, n = len(A), len(c)
     c = [Q(x) for x in c]
     b = [Q(x) for x in b]
@@ -268,6 +323,8 @@ def dense_lp_max(c, A, b):
     basis = list(range(n, n + m))
 
     def pivot(r, col, obj):
+        if pivots is not None:
+            pivots.append((r, col))
         inv = ONE / rows[r][col]
         rows[r] = [x * inv for x in rows[r]]
         b[r] *= inv

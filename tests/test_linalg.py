@@ -1,0 +1,91 @@
+"""Integer elimination against the rational oracles: rref and everything
+built on it, and the Bareiss determinant, agree exactly with
+``fraction_rref`` and ``fraction_det`` on seeded matrices of every shape,
+and every number they return is of the backend's rational type."""
+
+from lorentzlab import linalg
+from lorentzlab.rat import Q, Rational, ZERO
+from oracles import fraction_det, fraction_rref
+
+
+def _seeded_matrix(rng, m, n):
+    """Sparse entries with denominators up to 97 and either sign; some rows
+    and columns are zero, and some rows repeat combinations of others."""
+    A = [[Q(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 97)) for _ in range(n)] for _ in range(m)]
+    if m and n and rng.random() < 0.3:
+        A[rng.randrange(m)] = [ZERO] * n
+    if m and n and rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in A:
+            row[j] = ZERO
+    if m >= 3 and rng.random() < 0.5:
+        i, k = rng.sample(range(m), 2)
+        s, t = Q(rng.randint(-3, 3), rng.randint(1, 5)), Q(rng.randint(-3, 3))
+        A[rng.randrange(m)] = [s * a + t * b for a, b in zip(A[i], A[k])]
+    return A
+
+
+def _shapes(rng):
+    yield from [(0, 0), (1, 1), (1, 1), (1, 4), (4, 1)]
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        yield (m, n) if rng.random() < 0.8 else (rng.randint(1, 3), rng.randint(5, 9))
+
+
+def _all_rational(values) -> bool:
+    return all(type(x) is Rational for x in values)
+
+
+def test_elimination_matches_fraction_oracle(rng):
+    seen = {"deficient": 0, "negative pivot": 0, "inconsistent": 0, "consistent": 0, "tall": 0, "wide": 0, "square": 0}
+    for m, n in _shapes(rng):
+        A = _seeded_matrix(rng, m, n)
+        want, pivots = fraction_rref(A)
+        R, got_pivots = linalg.rref(A)
+        assert (R, got_pivots) == (want, pivots), A
+        assert all(_all_rational(row) for row in R)
+        if not A:
+            continue
+        seen["deficient"] += len(pivots) < min(m, n)
+        # the first pivot is the first nonzero entry of the first nonzero column
+        seen["negative pivot"] += bool(pivots) and next(row[pivots[0]] for row in A if row[pivots[0]]) < 0
+        seen["tall" if m > n else "wide" if m < n else "square"] += 1
+        assert linalg.rank(A) == len(pivots)
+        assert linalg.row_space_basis(A) == want[: len(pivots)]
+
+        kernel = []
+        for f in (c for c in range(n) if c not in pivots):
+            v = [ZERO] * n
+            v[f] = Q(1)
+            for i, c in enumerate(pivots):
+                v[c] = -want[i][f]
+            kernel.append(tuple(v))
+        assert linalg.nullspace(A) == kernel
+        assert all(_all_rational(v) and linalg.mat_vec(A, v) == (ZERO,) * m for v in linalg.nullspace(A))
+
+        b = [Q(rng.randint(-5, 5), rng.randint(1, 97)) for _ in range(m)]
+        aug, aug_pivots = fraction_rref([list(row) + [bv] for row, bv in zip(A, b)])
+        x = linalg.solve(A, b)
+        if n in aug_pivots:
+            seen["inconsistent"] += 1
+            assert x is None
+        else:
+            seen["consistent"] += 1
+            basic = [ZERO] * n
+            for i, c in enumerate(aug_pivots):
+                basic[c] = aug[i][n]
+            assert x == tuple(basic) and _all_rational(x)
+            assert linalg.mat_vec(A, x) == tuple(b)
+
+        if m == n:
+            d = linalg.det(A)
+            assert d == fraction_det(A) and type(d) is Rational
+            assert (d != 0) == (len(pivots) == n)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_det_edge_cases():
+    assert linalg.det([]) == 1 and type(linalg.det([])) is Rational
+    for A in ([[Q(-3, 7)]], [[0, 1], [1, 0]], [[0, 0], [0, 5]], [[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]]):
+        d = linalg.det(A)
+        assert d == fraction_det(A) and type(d) is Rational

@@ -238,7 +238,7 @@ def test_q_rejects_floats_under_both_backends(monkeypatch):
     with pytest.raises(TypeError):
         Q(1, 2.0)
     for rat in _rat_under_both_backends(monkeypatch):
-        for args in ((0.1,), (1, 2.0), (1.0, 2)):
+        for args in ((0.1,), (1.5,), (1, 2.0), (1.0, 2)):
             with pytest.raises(TypeError):
                 rat.Q(*args)
         assert rat.Q(1, 10) == rat.Q("1/10") == Fraction(1, 10)
@@ -252,3 +252,25 @@ def test_q_zero_denominator_is_a_value_error_under_both_backends(monkeypatch):
             with pytest.raises(ValueError, match="zero denominator") as info:
                 rat.Q(*args)
             assert needle in str(info.value)
+
+
+def test_q_returns_a_backend_rational_as_it_is(monkeypatch):
+    from fractions import Fraction
+
+    for rat in _rat_under_both_backends(monkeypatch):
+        x = rat.Q(3, 7)
+        assert type(x) is rat.Rational and rat.Q(x) is x
+        assert rat.Q(x, 2) == Fraction(3, 14) and rat.Q(6, 14) == x
+        for y in (rat.Q(5), rat.Q("5"), rat.Q(Fraction(5))):
+            assert type(y) is rat.Rational and y == 5
+
+
+def test_hom_poly_keeps_distinct_coefficients_and_sums_repeated_keys():
+    c, d = Q(2, 3), Q(-5, 7)
+    f = HomPoly(("a", "b"), 2, {((0, 1), (1, 1)): c, ((0, 2),): d})
+    assert f.terms[((0, 1), (1, 1))] is c and f.terms[((0, 2),)] is d
+    # keys that sort to the same key add up; a sum of zero is dropped
+    g = HomPoly(("a", "b"), 2, {((0, 1), (1, 1)): c, ((1, 1), (0, 1)): Q(1, 3), ((0, 2),): d})
+    assert g.terms[((0, 1), (1, 1))] == 1
+    h = HomPoly(("a", "b"), 2, {((0, 1), (1, 1)): c, ((1, 1), (0, 1)): -c, ((0, 2),): d})
+    assert h.terms == {((0, 2),): d}
