@@ -82,21 +82,23 @@ class Fan:
             for b in range(a + 1, len(facets)):
                 A, B = facets[a], facets[b]
                 shared = A & B
+                # labels in a fixed order, so the LP and its block order do
+                # not follow the hash seed
+                la, lb = sorted(A, key=repr), sorted(B, key=repr)
                 sys = StrictSystem(
-                    vars=tuple(("l", v) for v in A) + tuple(("m", v) for v in B)
+                    vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb)
                 )
-                for v in A:
+                for v in la:
                     sys.add({("l", v): ONE}, GE)
-                for v in B:
+                for v in lb:
                     sys.add({("m", v): ONE}, GE)
                 for k in range(self.dim):
-                    row = {("l", v): self.rays[idx[v]][k] for v in A}
-                    for v in B:
+                    row = {("l", v): self.rays[idx[v]][k] for v in la}
+                    for v in lb:
                         row[("m", v)] = row.get(("m", v), ZERO) - self.rays[idx[v]][k]
                     sys.add(row, EQ)
-                outside = {("l", v): ONE for v in A - shared}
-                for v in B - shared:
-                    outside[("m", v)] = ONE
+                outside = ({("l", v): ONE for v in la if v not in shared}
+                           | {("m", v): ONE for v in lb if v not in shared})
                 sys.add(outside, GT)
                 if strict_feasible(sys) is not None:
                     raise ValueError(f"cones {set(A)} and {set(B)} do not meet in a common face")
@@ -290,15 +292,17 @@ def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, froze
     out = []
     idx1, idx2 = fan1._index(), fan2._index()
     for A in sorted(fan1.cones.facets, key=lambda f: sorted(map(repr, f))):
+        la = sorted(A, key=repr)  # a fixed label order: see verify_fan_axioms
         for B in sorted(fan2.cones.facets, key=lambda f: sorted(map(repr, f))):
-            sys = StrictSystem(vars=tuple(("l", v) for v in A) + tuple(("m", v) for v in B))
-            for v in A:
+            lb = sorted(B, key=repr)
+            sys = StrictSystem(vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb))
+            for v in la:
                 sys.add({("l", v): ONE}, GT)
-            for v in B:
+            for v in lb:
                 sys.add({("m", v): ONE}, GT)
             for k in range(fan1.dim):
-                row = {("l", v): fan1.rays[idx1[v]][k] for v in A}
-                for v in B:
+                row = {("l", v): fan1.rays[idx1[v]][k] for v in la}
+                for v in lb:
                     row[("m", v)] = row.get(("m", v), ZERO) - fan2.rays[idx2[v]][k]
                 sys.add(row, EQ)
             if strict_feasible(sys) is not None:

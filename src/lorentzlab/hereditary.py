@@ -8,14 +8,19 @@ allows exact "pinning" projections pi_S under which the face restrictions
 
     f^S = (d/dt)^S f  restricted to t_i = 0 on S
 
-live on the link vertex set V_S.  Membership in the recursively defined
-open cone K_f is decided exactly by one face walk (:class:`FaceWalk`): each
-face of size < d is reached once by a canonical descent, the point is
-projected along it, and the projected point must be strictly positive
+live on the link vertex set V_S.  Every pin is one elimination step on a
+canonical lineality basis (:meth:`LinSubspace.pin`): the first basis row
+nonzero at i, scaled to 1 there, is the pin, and the other rows cleared at
+i span the lineality that vanishes at i.  One face walk (:class:`FaceWalk`)
+applies it along a canonical descent that reaches each face of size < d
+once.  Membership in the recursively defined open cone K_f projects the
+point along the descent, and the projected point must be strictly positive
 modulo the lineality at the face (one exact LP in :mod:`lorentzlab.cones`,
 skipped when the point is already positive).  The same walk with no
-polynomial decides the ample cone of a fan.  When the point is unknown,
-the walk's projections compose into one strict linear system instead.
+polynomial decides the ample cone of a fan and supplies the pins and the
+balancing spaces of the reconstruction from facet weights
+(:func:`from_weights`).  When the point is unknown, the walk's projections
+compose into one strict linear system instead.
 
 The main decision procedure checks, per the characterization of hereditary
 Lorentzian polynomials, that the skeleton of the face complex is
@@ -26,7 +31,8 @@ at most one positive eigenvalue, after certifying K_f is nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from . import cones
 from .inertia import Inertia, derivative_hessian, inertia as matrix_inertia
@@ -125,49 +131,6 @@ def check_hereditary(f: HomPoly) -> HereditaryPoly:
 # ---------------------------------------------------------------------------
 
 
-def pin_solver(lin: LinSubspace) -> Callable:
-    """The pinning solver of a lineality space: (S, i) -> the element l with
-    l_i = 1 and l_j = 0 for j in S - {i}, or None when there is none.
-
-    Deterministic (basic solution of the defining linear system), so the
-    projections are reproducible across runs.  Structured lineality spaces
-    (the modular space of a lattice of flats) supply their own solver with
-    the same signature.
-    """
-    def solver(S: Iterable, i):
-        values = {j: ZERO for j in S if j != i}
-        values[i] = ONE
-        return lin.member_with_values(values)
-
-    return solver
-
-
-def projection_pi(h: HereditaryPoly, S: Iterable) -> tuple[tuple, list]:
-    """The matrix of pi_S as (link vertices V_S, rows over the full variable set)."""
-    S = frozenset(S)
-    if S and not h.delta.has_face(S):
-        raise ValueError(f"{set(S)} is not a face")
-    if not (h.strong or not S or h.delta.skeleton().has_face(S)):
-        raise ValueError(f"{set(S)} is a facet and the polynomial is not strongly hereditary")
-    V_S = h.delta.link_vertices(S)
-    n = len(h.vars)
-    idx = {v: k for k, v in enumerate(h.vars)}
-    solver = pin_solver(h.lin)
-    ells = {}
-    for i in sorted(S, key=repr):
-        ells[i] = solver(S, i)
-        if ells[i] is None:
-            raise NotHereditaryError(S, f"no lineality element pinning {i!r} over {set(S)}")
-    rows = []
-    for j in V_S:
-        row = [ZERO] * n
-        row[idx[j]] = ONE
-        for i, ell in ells.items():
-            row[idx[i]] -= ell[idx[j]]
-        rows.append(tuple(row))
-    return V_S, rows
-
-
 def restrict_poly(h: HereditaryPoly, S: Iterable) -> HomPoly:
     """f^S as a raw polynomial over the link vertex set V_S."""
     S = frozenset(S)
@@ -205,34 +168,38 @@ class FaceWalk:
     """The faces of size < d of a complex, each reached once by the canonical
     descent that adds the vertex ``max(S, key=repr)`` to ``S`` minus it.
 
-    Descending by i pins the parent's lineality vector l with l_i = 1 and
-    projects a point x to x - x_i l on the link vertices V_S.  With a
-    polynomial, the face carries f^S (derivative at i, restricted) and the
-    lineality of f^S.  Without one (the ample cone), the lineality at S is
-    the parent's, vanishing at i and restricted to V_S.  Another descent
-    order moves the projected point by a lineality element vanishing on S,
-    which no face test can see, so one order suffices.  Faces are built on
-    first use and kept.
+    Descending by i is one :meth:`LinSubspace.pin` of the parent's
+    lineality: it gives the vector l with l_i = 1, which projects a point x
+    to x - x_i l on the link vertices V_S, and the parent's lineality
+    vanishing at i, restricted to V_S.  Without a polynomial (the ample
+    cone, the reconstruction from weights) that is the lineality at S.
+    With one, the face carries f^S (derivative at i, restricted) and the
+    lineality of f^S.  Another descent order moves the projected point by
+    a lineality element vanishing on S, which no face test can see, so one
+    order suffices.  Faces are built on first use and kept.
     """
 
     def __init__(self, vars: tuple, delta: SimComplex, lin: LinSubspace, poly: HomPoly | None = None):
         self.delta = delta
         self.d = poly.degree if poly is not None else delta.dim + 1
-        self.order = sorted(delta.faces(max_size=self.d - 1), key=lambda S: (len(S), _face_key(S)))
         self._faces = {frozenset(): _Face(poly, lin, None, tuple(vars))}
+
+    @cached_property
+    def order(self) -> list:
+        """The faces of size < d, parents before children."""
+        return sorted(self.delta.faces(max_size=self.d - 1), key=lambda S: (len(S), _face_key(S)))
 
     def face(self, S: frozenset) -> _Face:
         fd = self._faces.get(S)
         if fd is None:
             i = max(S, key=repr)
             parent = self.face(S - {i})
-            pin = parent.lin.member_with_values({i: ONE})
+            V_S = self.delta.link_vertices(S)
+            pin, lin = parent.lin.pin(i, V_S)
             if pin is None:
                 raise NotHereditaryError(S, f"cannot pin {i!r} in the lineality space at {set(S - {i})}")
-            V_S = self.delta.link_vertices(S)
-            if parent.poly is None:
-                poly, lin = None, parent.lin.vanishing_restrict((i,), V_S)
-            else:
+            poly = None
+            if parent.poly is not None:
                 poly = parent.poly.partial(i).set_vars_zero([i]).restrict_vars(V_S)
                 lin = poly.lineality_space()
             fd = self._faces[S] = _Face(poly, lin, pin, V_S)
@@ -452,29 +419,23 @@ def is_hereditary_lorentzian(h: HereditaryPoly, cone_hints: Iterable = ()) -> HL
 # ---------------------------------------------------------------------------
 
 
-def check_balancing(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, object]):
+def check_balancing(walk: FaceWalk, w: Mapping[frozenset, object]):
     """The facet-weight compatibility condition for reconstruction.
 
     For each facet F of the skeleton, the linear form sum_i w(F+{i}) t_i
-    over the link vertices of F must vanish on the lineality vectors that
-    are zero on F.  Raises BalancingError naming the first failing facet.
+    over the link vertices of F must vanish on the lineality at F, read off
+    the face walk with no polynomial (the lineality vectors that are zero
+    on F).  Raises BalancingError naming the first failing facet.
     """
-    d = delta.dim + 1 if not delta.is_void() else 0
-    for F in sorted(delta.faces_of_size(d - 1), key=_face_key):
-        V_F = delta.link_vertices(F)
-        weights = [Q(w.get(F | {i}, 0)) for i in V_F]
-        LF = lin.vanishing_restrict(tuple(F), V_F)
-        for b in LF.basis:
+    for F in sorted(walk.delta.faces_of_size(walk.d - 1), key=_face_key):
+        fd = walk.face(F)
+        weights = [Q(w.get(F | {i}, 0)) for i in fd.V_S]
+        for b in fd.lin.basis:
             if sum(c * x for c, x in zip(weights, b)) != 0:
                 raise BalancingError(F)
 
 
-def from_weights(
-    delta: SimComplex,
-    lin: LinSubspace,
-    w: Mapping[frozenset, object],
-    ell_solver: Callable | None = None,
-) -> HereditaryPoly:
+def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, object]) -> HereditaryPoly:
     """The unique hereditary polynomial with prescribed facet derivatives.
 
     Requires (skeleton(delta), lin) hereditary and the balancing condition;
@@ -482,8 +443,9 @@ def from_weights(
     (d - |S|) g^S = sum_i t_i g^{S+{i}}(pi(t)) and returns g at the empty
     face, wrapped with its exact lineality space.  That space contains lin,
     so the strong flag is set whenever (delta, lin) itself is hereditary.
-    ``ell_solver`` is a pin solver with the signature of :func:`pin_solver`;
-    it defaults to the one of lin.
+    The projection pi along i is x - x_i l, with l the lineality at S (a
+    face of the walk with no polynomial) pinned at i; the reconstruction is
+    unique, so it does not depend on which valid pin is used.
     """
     if delta.is_void():
         raise ValueError("cannot reconstruct over a void complex")
@@ -496,10 +458,8 @@ def from_weights(
         extra = set(w) - set(delta.facets)
         raise ValueError(f"weights must be nonzero exactly on facets (missing {missing}, extra {extra})")
     require_hereditary(delta, lin)
-    check_balancing(delta, lin, w)
-    if ell_solver is None:
-        ell_solver = pin_solver(lin)
-    amb_idx = {v: k for k, v in enumerate(lin.ambient)}
+    walk = FaceWalk(lin.ambient, delta, lin)
+    check_balancing(walk, w)
 
     memo: dict[frozenset, HomPoly] = {}
 
@@ -517,14 +477,15 @@ def from_weights(
                 if len(S) + 1 == d:
                     term = HomPoly.variable(V_S, i).scale(child.terms.get((), ZERO))
                 else:
-                    ell = ell_solver(S, i)
+                    fd = walk.face(S)
+                    ell = fd.lin.pin(i, ())[0]
                     if ell is None:
                         raise NotHereditaryError(S | {i})
-                    V_child = delta.link_vertices(S | {i})
+                    pos = {v: r for r, v in enumerate(fd.V_S)}
                     forms = {}
-                    for j in V_child:
+                    for j in delta.link_vertices(S | {i}):
                         form = {j: ONE}
-                        e = ell[amb_idx[j]]
+                        e = ell[pos[j]]
                         if e != 0:
                             form[i] = form.get(i, ZERO) - e
                         forms[j] = form
@@ -536,6 +497,7 @@ def from_weights(
 
     f = g(frozenset())
     h = check_hereditary(f)
+    amb_idx = {v: k for k, v in enumerate(lin.ambient)}
     for b in lin.basis:
         if not h.lin.contains([b[amb_idx[v]] for v in f.vars]):
             raise AssertionError("reconstructed polynomial lost a lineality vector")

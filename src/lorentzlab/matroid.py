@@ -376,32 +376,6 @@ def modular_space(L: FlatLattice) -> LinSubspace:
     return LinSubspace(proper, rows)
 
 
-def modular_interpolate(L: FlatLattice, targets: Mapping[frozenset, object]) -> dict:
-    """The layered modular vector hitting prescribed values on a chain.
-
-    Targets must be keyed by a chain of proper flats; the underlying c is
-    constant on each consecutive difference, which pins the vector
-    deterministically.  Returns values on every proper flat.
-    """
-    chain = sorted(targets, key=lambda F: L.rank[F])
-    for a, b in zip(chain, chain[1:]):
-        if not a < b:
-            raise ValueError("targets are not keyed by a chain")
-    layers = []
-    prev, prev_val = L.bottom, ZERO
-    for F in chain:
-        layers.append((F - prev, (Q(targets[F]) - prev_val) / len(F - prev)))
-        prev, prev_val = F, Q(targets[F])
-    layers.append((L.top - prev, (ZERO - prev_val) / len(L.top - prev)))
-    out = {}
-    for G in L.proper:
-        val = ZERO
-        for part, c in layers:
-            val += c * len(G & part)
-        out[G] = val
-    return out
-
-
 def alpha_beta(L: FlatLattice) -> tuple[Direction, Direction]:
     proper = L.proper
     n = len(L.top - L.bottom)
@@ -427,16 +401,7 @@ def pol_matroid(L: FlatLattice) -> hered.HereditaryPoly:
     if L.rank_total == 1:
         return hered.check_hereditary(HomPoly.constant((), 1))
     delta = order_complex(L)
-    lin = modular_space(L)
-
-    def ell_solver(S: frozenset, i):
-        targets = {F: ZERO for F in S}
-        targets[i] = ONE
-        vals = modular_interpolate(L, targets)
-        return tuple(vals[F] for F in lin.ambient)
-
-    w = {F: ONE for F in delta.facets}
-    return hered.from_weights(delta, lin, w, ell_solver=ell_solver)
+    return hered.from_weights(delta, modular_space(L), {F: ONE for F in delta.facets})
 
 
 # ---------------------------------------------------------------------------

@@ -530,35 +530,22 @@ class LinSubspace:
         """Whether the projection onto ``coords`` is all of R^coords."""
         return self.restrict(coords).dim == len(tuple(coords))
 
-    def vanishing_restrict(self, zero_on: Sequence[Label], coords: Sequence[Label]) -> "LinSubspace":
-        """{ l|_coords : l in L, l_j = 0 for j in zero_on }."""
-        zpos = self._positions(zero_on)
-        A = [tuple(b[p] for b in self.basis) for p in zpos]
-        keep = linalg.nullspace(A, self.dim)
-        pos = self._positions(coords)
-        rows = []
-        for a in keep:
-            full = [ZERO] * len(self.ambient)
-            for coef, b in zip(a, self.basis):
-                for j, x in enumerate(b):
-                    full[j] += coef * x
-            rows.append(tuple(full[p] for p in pos))
-        return LinSubspace(tuple(coords), rows)
+    def pin(self, v: Label, keep: Sequence[Label]) -> tuple[tuple | None, "LinSubspace"]:
+        """One elimination step at ``v``: (l, { m|keep : m in L, m_v = 0 }).
 
-    def member_with_values(self, values: Mapping[Label, object]):
-        """Deterministic element of L with prescribed coordinates, or None.
-
-        Returns the basic solution (free coefficients zero) of the linear
-        system on basis coefficients, so repeated calls agree exactly.
+        l is the first basis row with a nonzero entry at v, scaled to 1
+        there (None when every element vanishes at v); subtracting multiples
+        of l clears the v-entries of the other rows, which then span the
+        elements vanishing at v.  On the canonical basis l is the basic
+        solution of m_v = 1, so repeated calls agree exactly.
         """
-        pos = [(self.ambient.index(v), Q(c)) for v, c in values.items()]
-        A = [tuple(b[p] for b in self.basis) for p, _ in pos]
-        rhs = [c for _, c in pos]
-        a = linalg.solve(A, rhs)
-        if a is None:
-            return None
-        full = [ZERO] * len(self.ambient)
-        for coef, b in zip(a, self.basis):
-            for j, x in enumerate(b):
-                full[j] += coef * x
-        return tuple(full)
+        p = self.ambient.index(v)
+        pos = self._positions(keep)
+        k = next((r for r, b in enumerate(self.basis) if b[p] != 0), None)
+        l = None
+        if k is not None:
+            c = self.basis[k][p]
+            l = self.basis[k] if c == 1 else tuple(x / c for x in self.basis[k])
+        rows = [tuple(b[q] - b[p] * l[q] for q in pos) if b[p] != 0 else tuple(b[q] for q in pos)
+                for r, b in enumerate(self.basis) if r != k]
+        return l, LinSubspace(tuple(keep), rows)

@@ -44,6 +44,13 @@ checked against.
 * :func:`all_orderings_ample_member` is the ample-cone recursion over every
   ordering of every face's vertices, with its own projections; the library
   visits each face once, by one canonical descent.
+* :func:`solve_member_with_values` and :func:`nullspace_vanishing_restrict`
+  pin a lineality vector by solving for basis coefficients and restrict a
+  lineality to the elements vanishing on a set by a nullspace, both by
+  :func:`fraction_rref`; the library takes both from one elimination step
+  on the canonical basis (``LinSubspace.pin``).
+* :func:`projection_pi` is the matrix of the projection pi_S, with every
+  pin solved against the full lineality space.
 * :func:`brute_force_is_m_convex` runs the exchange axiom on every ordered
   pair; the library tests each pair against exchange masks built once per
   point.
@@ -85,7 +92,7 @@ from lorentzlab.lorentzian import (
     m_truncate,
     support_mset,
 )
-from lorentzlab.polycore import HomPoly, direction_coords
+from lorentzlab.polycore import HomPoly, LinSubspace, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
 from lorentzlab.simplicial import SimComplex
 
@@ -478,6 +485,70 @@ def derived_supports(f, cone) -> dict:
     return out
 
 
+def solve_member_with_values(lin, values) -> tuple | None:
+    """The element of lin with the prescribed coordinates, as the basic
+    solution (free basis coefficients zero) of the system on the basis
+    coefficients, or None when there is none."""
+    k = lin.dim
+    aug = [[b[lin.ambient.index(v)] for b in lin.basis] + [Q(c)] for v, c in values.items()]
+    R, pivots = fraction_rref(aug)
+    if k in pivots:
+        return None
+    a = [ZERO] * k
+    for r, c in enumerate(pivots):
+        a[c] = R[r][k]
+    return tuple(sum((c * b[j] for c, b in zip(a, lin.basis)), ZERO) for j in range(len(lin.ambient)))
+
+
+def nullspace_vanishing_restrict(lin, zero_on, coords) -> LinSubspace:
+    """{ l|coords : l in lin, l_j = 0 for j in zero_on }: the basis
+    combinations in the nullspace of the zero_on coordinates, restricted to
+    coords, with the nonzero rows of their reduced form as the basis."""
+    k = lin.dim
+    A = [[b[lin.ambient.index(v)] for b in lin.basis] for v in zero_on]
+    R, pivots = fraction_rref(A)
+    kernel = []
+    for f in (c for c in range(k) if c not in pivots):
+        a = [ZERO] * k
+        a[f] = ONE
+        for r, c in enumerate(pivots):
+            a[c] = -R[r][f]
+        kernel.append(a)
+    pos = [lin.ambient.index(v) for v in coords]
+    rows = [[sum((c * b[p] for c, b in zip(a, lin.basis)), ZERO) for p in pos] for a in kernel]
+    R, pivots = fraction_rref(rows)
+    return LinSubspace(tuple(coords), R[:len(pivots)])
+
+
+def projection_pi(h, S) -> tuple[tuple, list]:
+    """The matrix of pi_S as (link vertices V_S, rows over the full variable
+    set); the pin at each i in S is the element of the lineality with l_i = 1
+    and l_j = 0 on the rest of S."""
+    S = frozenset(S)
+    if S and not h.delta.has_face(S):
+        raise ValueError(f"{set(S)} is not a face")
+    if not (h.strong or not S or h.delta.skeleton().has_face(S)):
+        raise ValueError(f"{set(S)} is a facet and the polynomial is not strongly hereditary")
+    V_S = h.delta.link_vertices(S)
+    n = len(h.vars)
+    idx = {v: k for k, v in enumerate(h.vars)}
+    ells = {}
+    for i in sorted(S, key=repr):
+        values = {j: ZERO for j in S if j != i}
+        values[i] = ONE
+        ells[i] = solve_member_with_values(h.lin, values)
+        if ells[i] is None:
+            raise hered.NotHereditaryError(S, f"no lineality element pinning {i!r} over {set(S)}")
+    rows = []
+    for j in V_S:
+        row = [ZERO] * n
+        row[idx[j]] = ONE
+        for i, ell in ells.items():
+            row[idx[i]] -= ell[idx[j]]
+        rows.append(tuple(row))
+    return V_S, rows
+
+
 def all_orderings_ample_member(fan, v) -> bool:
     """Membership in the cone of strictly convex support elements, by the
     literal recursion over every ordering of every face's vertices: at
@@ -499,7 +570,7 @@ def all_orderings_ample_member(fan, v) -> bool:
     def project(x: dict, S: frozenset, i) -> dict:
         values = {j: ZERO for j in S}
         values[i] = ONE
-        ell = lin.member_with_values(values)
+        ell = solve_member_with_values(lin, values)
         if ell is None:
             raise hered.NotHereditaryError(S | {i})
         xi = x[i]
@@ -507,7 +578,7 @@ def all_orderings_ample_member(fan, v) -> bool:
 
     def face_ok(S: frozenset, x: dict) -> bool:
         V_S = delta.link_vertices(S)
-        LS = lin.vanishing_restrict(tuple(S), V_S)
+        LS = nullspace_vanishing_restrict(lin, tuple(S), V_S)
         sys = StrictSystem(aux=tuple(("a", k) for k in range(LS.dim)))
         for r, u in enumerate(V_S):
             row = {("a", k): LS.basis[k][r] for k in range(LS.dim)}

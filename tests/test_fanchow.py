@@ -2,12 +2,15 @@
 reconstruction, the Lorentzian certification, stellar subdivision transport,
 the canonical bijection invariant, and star/dimension identities."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
 from conftest import hereditary_fixture_pool, rand_nonneg_poly
-from lorentzlab import hereditary as hered
+from lorentzlab import hereditary as hered, linalg
 from lorentzlab.fanchow import (
     DegreeFunctional,
     Fan,
@@ -27,7 +30,7 @@ from lorentzlab.lorentzian import polarize
 from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid, submodular_witness
 from lorentzlab.polytope import build as build_polytope, volume_polynomial
 from lorentzlab.rat import Q, ZERO
-from oracles import all_orderings_ample_member
+from oracles import all_orderings_ample_member, nullspace_vanishing_restrict
 
 
 def square_fan():
@@ -227,6 +230,51 @@ def test_fan_weld_recovers():
     assert transport_back(transport(alpha)).h.f == alpha.h.f
 
 
+def test_from_weights_pins_without_solving(monkeypatch):
+    # every pin of the reconstruction is an elimination step of the face
+    # walk on the canonical lineality basis, never a linear solve
+    fans = [cube_fan(), bergman_fan(flats(Matroid.uniform(4, 5)))]
+    cases = [(fan.cones, fan.lineality(), {F: 1 for F in fan.cones.facets}) for fan in fans]
+    calls = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+    for delta, lin, w in cases:
+        assert hered.from_weights(delta, lin, w).degree == delta.dim + 1
+    assert calls == []
+
+
+LP_COUNT_SCRIPT = """
+from lorentzlab import cones, fanchow
+calls = []
+lp_max = cones.lp_max
+cones.lp_max = lambda *a, **k: calls.append(1) or lp_max(*a, **k)
+labels = ("x+", "x-", "y+", "y-", "z+", "z-")
+rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+octants = [{a, b, c} for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")]
+fan = fanchow.build_fan(3, labels, rays, octants, full_check=True)
+alpha = fanchow.functional_from_weights(fan, {F: 1 for F in fan.cones.facets})
+fan2, transport = fanchow.fan_subdivide(fan, (1, -2, 3))
+assert fanchow.canonical_bijection_check(fan, alpha, fan2, transport(alpha))
+fan2.verify_fan_axioms()
+print(len(calls))
+"""
+
+
+def test_fan_lp_counts_do_not_follow_the_hash_seed():
+    # the fan axioms and the overlapping pairs build their LPs over cone
+    # labels in a fixed order, so the simplex work is the same in every
+    # process; string labels are hashed differently under each seed
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    counts = set()
+    for seed in ("0", "1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", LP_COUNT_SCRIPT], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        counts.add(int(out.stdout))
+    assert len(counts) == 1 and counts.pop() > 100
+
+
 def test_star_identities():
     L = flats(Matroid.uniform(3, 4))
     fan = bergman_fan(L)
@@ -234,8 +282,8 @@ def test_star_identities():
     v = sorted(S, key=repr)[0]
     st = star(fan, {v})
     assert st.cones.facets == fan.cones.link({v}).facets
-    assert st.lineality() == fan.lineality().vanishing_restrict(
-        (v,), fan.cones.link_vertices({v})
+    assert st.lineality() == nullspace_vanishing_restrict(
+        fan.lineality(), (v,), fan.cones.link_vertices({v})
     )
 
 
@@ -256,7 +304,7 @@ def test_functional_restriction_membership():
     for i in fan.ray_labels:
         fi = hered.restrict_poly(h, {i})
         st = star(fan, {i})
-        lk_lin = fan.lineality().vanishing_restrict((i,), fan.cones.link_vertices({i}))
+        lk_lin = nullspace_vanishing_restrict(fan.lineality(), (i,), fan.cones.link_vertices({i}))
         for b in lk_lin.basis:
             idx = {v: k for k, v in enumerate(fan.cones.link_vertices({i}))}
             assert fi.lineality_space().contains([b[idx[v]] for v in fi.vars])

@@ -16,7 +16,6 @@ from lorentzlab.hereditary import (
     is_hereditary_lorentzian,
     is_positive,
     product,
-    projection_pi,
     restrict_fS,
     restrict_poly,
     space_dimension,
@@ -24,6 +23,7 @@ from lorentzlab.hereditary import (
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.simplicial import SimComplex
+from oracles import projection_pi, solve_member_with_values
 
 
 def edge_square():
@@ -117,7 +117,7 @@ def cone_member_reference(h: HereditaryPoly, v, pick_last: bool) -> bool:
     verts = h.delta.link_vertices(())
     order = sorted(verts, key=repr, reverse=pick_last)
     for i in order:
-        ell = h.lin.member_with_values({i: Q(1)})
+        ell = solve_member_with_values(h.lin, {i: Q(1)})
         if ell is None:
             return False
         idx = {u: k for k, u in enumerate(f.vars)}

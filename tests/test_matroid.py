@@ -17,7 +17,6 @@ from lorentzlab.matroid import (
     eval_beta,
     flats,
     hrw_check,
-    modular_interpolate,
     modular_space,
     order_complex,
     pol_matroid,
@@ -29,6 +28,7 @@ from lorentzlab.rat import Q
 from lorentzlab.inertia import hessian
 from oracles import (
     fraction_eval_bivariate,
+    layered_pin,
     oracle_flats,
     oracle_is_basis_family,
     oracle_max_forests,
@@ -120,8 +120,9 @@ def test_modular_space():
     alpha, beta = alpha_beta(L)
     assert alpha.coords == (Q(1, 3),) * 3 and beta.coords == (Q(2, 3),) * 3
     # y values really are layered sums
-    vals = modular_interpolate(L, {L.proper[0]: Q(1)})
+    vals = layered_pin(L, [], L.proper[0], L.proper)
     assert vals[L.proper[0]] == 1
+    assert lin.contains([vals[F] for F in lin.ambient])
 
 
 def test_pol_examples():

@@ -10,6 +10,7 @@ import sympy
 
 from lorentzlab.polycore import Direction, HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
+from oracles import nullspace_vanishing_restrict, solve_member_with_values
 
 
 def to_sympy(f: HomPoly):
@@ -179,10 +180,35 @@ def test_direction_and_subspace_basics():
     assert L.dim == 2
     assert L.projects_onto(("a", "b"))
     assert L.restrict(("a",)).dim == 1
-    LS = L.vanishing_restrict(("a",), ("b", "c"))
+    LS = nullspace_vanishing_restrict(L, ("a",), ("b", "c"))
     assert LS.dim == 1 and LS.contains((1, 1))
-    m = L.member_with_values({"a": Q(2)})
+    m = solve_member_with_values(L, {"a": Q(2)})
     assert m is not None and m[0] == 2 and L.contains(m)
+
+
+def test_pin_matches_solve_and_nullspace(rng):
+    # one elimination step on the canonical basis gives the basic solution
+    # of l_v = 1 and the canonical basis of the elements vanishing at v
+    checked = nones = 0
+    for n in range(1, 8):
+        ambient = tuple("abcdefg"[:n])
+        for dim in range(n + 1):
+            for _ in range(4):
+                L = LinSubspace(ambient, [])
+                while L.dim < dim:  # sparse rows until the dimension is reached
+                    row = [Q(rng.randint(-3, 3), rng.randint(1, 7)) if rng.random() < 0.5 else Q(0)
+                           for _ in ambient]
+                    L = L.add(LinSubspace(ambient, [row]))
+                for v in ambient:
+                    keep = rng.sample(ambient, rng.randint(0, n))
+                    pin, LS = L.pin(v, keep)
+                    assert pin == solve_member_with_values(L, {v: Q(1)})
+                    assert (pin is None) == all(b[ambient.index(v)] == 0 for b in L.basis)
+                    want = nullspace_vanishing_restrict(L, (v,), keep)
+                    assert LS.ambient == tuple(keep) and LS.basis == want.basis
+                    checked += 1
+                    nones += pin is None
+    assert checked > 600 and 0 < nones < checked
 
 
 def _random_poly(rng, n, d, terms=4):
