@@ -53,9 +53,9 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Mat:
 def integer_scaled(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(den * A, den) with den the least common denominator of A's entries:
     a matrix of Python ints (never a backend integer type)."""
-    R = [[Q(x) for x in row] for row in A]
-    den = lcm(*map(int, {x.denominator for row in R for x in row}))
-    return [[int(x.numerator) * (den // int(x.denominator)) for x in row] for row in R], den
+    R = [[Q(x).as_integer_ratio() for x in row] for row in A]
+    den = lcm(*{d for row in R for _, d in row})
+    return [[int(n * (den // d)) for n, d in row] for row in R], den
 
 
 def rref(A: Sequence[Sequence]) -> tuple[Mat, list[int]]:

@@ -5,13 +5,18 @@ rationals, over an ordered tuple of variable labels.  Labels are arbitrary
 hashable values (ints, strings, frozensets of matroid flats, fan ray names);
 the construction order of ``vars`` is the canonical order used everywhere.
 
-Invariants enforced at construction: every stored coefficient is nonzero and
-every stored multi-index has total degree equal to ``degree``.  The zero
-polynomial is an empty term map with an explicit degree tag, so derivative
-chains and face restrictions keep a well-defined grade.
+Exponent keys are tuples of (variable position, exponent) pairs sorted by
+position, all exponents >= 1.  Invariants: distinct labels, keys in range of
+total degree ``degree``, coefficients nonzero rationals of the backend type.
+The zero polynomial is an empty term map with an explicit degree tag, so
+derivative chains and face restrictions keep a well-defined grade.
 
-Exponent keys are stored sparsely as tuples of (variable position, exponent)
-pairs sorted by position, with all exponents >= 1.
+The public constructor checks and coerces any input.  ``+``, ``-``, ``*``,
+``pow``, ``scale``, ``partial``, ``set_vars_zero``, ``restrict_vars`` and
+``substitute`` build their results through ``HomPoly._trusted``, which
+checks nothing: they form sorted keys themselves, drop cancelled terms and
+keep the term order the constructor would give (``restrict_vars`` and
+``substitute`` still reject duplicate labels).  No other module may call it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,16 @@ def _key_mul(a: Key, b: Key) -> Key:
     return tuple(sorted(d.items()))
 
 
+def _key_lower(key: Key, j: int) -> Key:
+    """The key with its j-th exponent lowered by one (dropped at zero)."""
+    i, e = key[j]
+    return key[:j] + key[j + 1:] if e == 1 else key[:j] + ((i, e - 1),) + key[j + 1:]
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
 class HomPoly:
     """Homogeneous polynomial over an ordered, labeled variable set."""
 
@@ -60,11 +75,19 @@ class HomPoly:
                 raise ValueError(f"malformed exponent key {key}")
             prev = clean.get(key)
             clean[key] = c if prev is None else prev + c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
-        object.__setattr__(self, "_dense", None)
+        self._fill(vs, degree, _nonzero(clean), {v: i for i, v in enumerate(vs)})
+
+    def _fill(self, vars: tuple, degree: int, terms: dict, index: dict):
+        for name, value in zip(HomPoly.__slots__, (vars, degree, terms, index, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, vars: tuple, degree: int, terms: dict, index: dict | None = None) -> "HomPoly":
+        """A polynomial on terms that meet every invariant, unchecked; ``index``
+        maps ``vars`` to positions, shared with an operand on the same vars."""
+        p = object.__new__(cls)
+        p._fill(vars, degree, terms, {v: i for i, v in enumerate(vars)} if index is None else index)
+        return p
 
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("HomPoly is immutable")
@@ -166,30 +189,31 @@ class HomPoly:
             raise ValueError("cannot add polynomials of different degrees")
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
-        return HomPoly(self.vars, self.degree, terms)
+            prev = terms.get(k)
+            terms[k] = c if prev is None else prev + c
+        return HomPoly._trusted(self.vars, self.degree, _nonzero(terms), self._index)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + other.scale(-1)
 
     def scale(self, c) -> "HomPoly":
         c = Q(c)
-        return HomPoly(self.vars, self.degree, {k: c * v for k, v in self.terms.items()})
+        terms = {k: c * v for k, v in self.terms.items()} if c else {}
+        return HomPoly._trusted(self.vars, self.degree, terms, self._index)
 
     def __mul__(self, other: "HomPoly") -> "HomPoly":
         self._require_same_space(other)
         deg = self.degree + other.degree
-        if self.is_zero() or other.is_zero():
-            return HomPoly.zero(self.vars, deg)
         terms: dict[Key, object] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 k = _key_mul(ka, kb)
-                terms[k] = terms.get(k, ZERO) + ca * cb
-        return HomPoly(self.vars, deg, terms)
+                prev = terms.get(k)
+                terms[k] = ca * cb if prev is None else prev + ca * cb
+        return HomPoly._trusted(self.vars, deg, _nonzero(terms), self._index)
 
     def pow(self, n: int) -> "HomPoly":
-        out = HomPoly.constant(self.vars, 1)
+        out = HomPoly._trusted(self.vars, 0, {(): ONE}, self._index)
         for _ in range(n):
             out = out * self
         return out
@@ -218,27 +242,18 @@ class HomPoly:
     def partial(self, v: Label) -> "HomPoly":
         """Single partial derivative with respect to the variable labeled v."""
         i = self._index[v]
-        deg = self.degree - 1 if self.degree > 0 else 0
         terms: dict[Key, object] = {}
-        for key, c in self.terms.items():
-            d = dict(key)
-            e = d.get(i, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[i]
-            else:
-                d[i] = e - 1
-            k = tuple(sorted(d.items()))
-            terms[k] = terms.get(k, ZERO) + c * e
-        return HomPoly(self.vars, deg, terms)
+        for key, c in self.terms.items():  # distinct keys stay distinct
+            for j, (p, e) in enumerate(key):
+                if p == i:
+                    terms[_key_lower(key, j)] = c * e
+                    break
+        return HomPoly._trusted(self.vars, self.degree - 1 if self.degree > 0 else 0, terms, self._index)
 
     def dir_derivative(self, v) -> "HomPoly":
         """Directional derivative: sum over i of v_i * (d/dt_i)."""
         coords = direction_coords(v, self.vars)
-        if self.degree == 0:
-            return HomPoly.zero(self.vars, 0)
-        out = HomPoly.zero(self.vars, self.degree - 1)
+        out = HomPoly.zero(self.vars, max(self.degree - 1, 0))
         for lab, c in zip(self.vars, coords):
             if c != 0:
                 out = out + self.partial(lab).scale(c)
@@ -256,7 +271,7 @@ class HomPoly:
     def set_vars_zero(self, S: Iterable[Label]) -> "HomPoly":
         idx = {self._index[v] for v in S}
         terms = {k: c for k, c in self.terms.items() if not any(i in idx for i, _ in k)}
-        return HomPoly(self.vars, self.degree, terms)
+        return HomPoly._trusted(self.vars, self.degree, terms, self._index)
 
     # -- substitution ---------------------------------------------------------
 
@@ -268,23 +283,25 @@ class HomPoly:
         """
         new_vars = tuple(new_vars)
         nidx = {v: i for i, v in enumerate(new_vars)}
+        if len(nidx) != len(new_vars):
+            raise ValueError("duplicate variable labels")
         images: list[HomPoly] = []
         for v in self.vars:
-            form = forms.get(v, {})
-            terms = {((nidx[w], 1),): Q(c) for w, c in form.items() if Q(c) != 0}
-            images.append(HomPoly(new_vars, 1, terms))
-        out = HomPoly.zero(new_vars, self.degree)
+            form = {w: Q(c) for w, c in forms.get(v, {}).items()}
+            images.append(HomPoly._trusted(new_vars, 1, {((nidx[w], 1),): c for w, c in form.items() if c}, nidx))
+        acc: dict[Key, object] = {}
         pow_cache: dict[tuple[int, int], HomPoly] = {}
         for key, c in self.terms.items():
-            term = HomPoly.constant(new_vars, c)
+            term = HomPoly._trusted(new_vars, 0, {(): c}, nidx)
             for i, e in key:
                 p = pow_cache.get((i, e))
                 if p is None:
-                    p = images[i].pow(e)
-                    pow_cache[(i, e)] = p
+                    p = pow_cache[(i, e)] = images[i].pow(e)
                 term = term * p
-            out = out + term
-        return out
+            for k, v in term.terms.items():
+                prev = acc.get(k)
+                acc[k] = v if prev is None else prev + v
+        return HomPoly._trusted(new_vars, self.degree, _nonzero(acc), nidx)
 
     def substitute_linear(self, A: Sequence[Sequence], new_vars: Sequence[Label]) -> "HomPoly":
         """g(x) = f(Ax) where A has one row per f-variable, one column per new variable."""
@@ -298,40 +315,31 @@ class HomPoly:
             forms[v] = {w: c for w, c in zip(new_vars, row)}
         return self.substitute(new_vars, forms)
 
-    def rename_vars(self, mapping: Mapping[Label, Label]) -> "HomPoly":
-        return HomPoly(tuple(mapping.get(v, v) for v in self.vars), self.degree, self.terms)
-
     def restrict_vars(self, keep: Sequence[Label]) -> "HomPoly":
         """Project onto a variable subset; terms touching dropped variables must vanish."""
         keep = tuple(keep)
         pos = {self._index[v]: j for j, v in enumerate(keep)}
+        if len(pos) != len(keep):
+            raise ValueError("duplicate variable labels")
         terms = {}
         for key, c in self.terms.items():
             if any(i not in pos for i, _ in key):
                 raise ValueError("polynomial involves a dropped variable")
             terms[tuple(sorted((pos[i], e) for i, e in key))] = c
-        return HomPoly(keep, self.degree, terms)
+        return HomPoly._trusted(keep, self.degree, terms)
 
     # -- structure ------------------------------------------------------------
 
     def lineality_space(self) -> "LinSubspace":
-        """All v with D_v f identically zero, by exact linear solve."""
+        """All v with D_v f identically zero, by exact linear solve.  The
+        coefficient of t^beta in D_v f is sum_i (beta_i + 1) c_{beta+e_i} v_i,
+        so the row of beta is read off the coefficients of f."""
         n = len(self.vars)
-        partials = [self.partial(v) for v in self.vars]
-        rows_by_monomial: dict[Key, list] = {}
-        for i, p in enumerate(partials):
-            for key, c in p.terms.items():
-                row = rows_by_monomial.setdefault(key, [ZERO] * n)
-                row[i] = c
-        A = [tuple(row) for row in rows_by_monomial.values()]
-        return LinSubspace(self.vars, linalg.nullspace(A, n))
-
-    def euler_defect(self) -> "HomPoly":
-        """d*f - sum_i t_i * (d/dt_i) f; identically zero by Euler's identity."""
-        out = self.scale(self.degree)
-        for v in self.vars:
-            out = out - HomPoly.variable(self.vars, v) * self.partial(v)
-        return out
+        rows: dict[Key, list] = {}
+        for key, c in self.terms.items():
+            for j, (i, e) in enumerate(key):
+                rows.setdefault(_key_lower(key, j), [ZERO] * n)[i] = e * c
+        return LinSubspace(self.vars, linalg.nullspace(list(rows.values()), n))
 
     # -- text and JSON forms ----------------------------------------------------
 
@@ -483,10 +491,6 @@ class LinSubspace:
         raise AttributeError("LinSubspace is immutable")
 
     @classmethod
-    def zero(cls, ambient: Sequence[Label]) -> "LinSubspace":
-        return cls(ambient, [])
-
-    @classmethod
     def full(cls, ambient: Sequence[Label]) -> "LinSubspace":
         n = len(tuple(ambient))
         return cls(ambient, [linalg.unit(n, i) for i in range(n)])
@@ -521,14 +525,10 @@ class LinSubspace:
         idx = {v: i for i, v in enumerate(self.ambient)}
         return [idx[c] for c in coords]
 
-    def restrict(self, coords: Sequence[Label]) -> "LinSubspace":
-        """Image of the subspace under coordinate projection onto ``coords``."""
-        pos = self._positions(coords)
-        return LinSubspace(tuple(coords), [tuple(b[p] for p in pos) for b in self.basis])
-
     def projects_onto(self, coords: Sequence[Label]) -> bool:
         """Whether the projection onto ``coords`` is all of R^coords."""
-        return self.restrict(coords).dim == len(tuple(coords))
+        pos = self._positions(coords)
+        return linalg.rank([tuple(b[p] for p in pos) for b in self.basis]) == len(pos)
 
     def pin(self, v: Label, keep: Sequence[Label]) -> tuple[tuple | None, "LinSubspace"]:
         """One elimination step at ``v``: (l, { m|keep : m in L, m_v = 0 }).

@@ -49,6 +49,13 @@ checked against.
   lineality to the elements vanishing on a set by a nullspace, both by
   :func:`fraction_rref`; the library takes both from one elimination step
   on the canonical basis (``LinSubspace.pin``).
+* :func:`partials_lineality_space` builds every partial derivative
+  ``HomPoly.partial`` of f and stacks their coefficients by monomial into
+  the system D_v f = 0, solved by :func:`fraction_rref`; the library reads
+  the rows (beta_i + 1) c_{beta+e_i} straight off the coefficients of f.
+* :func:`euler_defect` is d f - sum_i t_i (d/dt_i) f, zero by Euler's
+  identity, and :func:`rename_vars` relabels a polynomial through the
+  validating ``HomPoly`` constructor.
 * :func:`projection_pi` is the matrix of the projection pi_S, with every
   pin solved against the full lineality space.
 * :func:`brute_force_is_m_convex` runs the exchange axiom on every ordered
@@ -504,8 +511,16 @@ def nullspace_vanishing_restrict(lin, zero_on, coords) -> LinSubspace:
     """{ l|coords : l in lin, l_j = 0 for j in zero_on }: the basis
     combinations in the nullspace of the zero_on coordinates, restricted to
     coords, with the nonzero rows of their reduced form as the basis."""
-    k = lin.dim
     A = [[b[lin.ambient.index(v)] for b in lin.basis] for v in zero_on]
+    kernel = _fraction_nullspace(A, lin.dim)
+    pos = [lin.ambient.index(v) for v in coords]
+    rows = [[sum((c * b[p] for c, b in zip(a, lin.basis)), ZERO) for p in pos] for a in kernel]
+    R, pivots = fraction_rref(rows)
+    return LinSubspace(tuple(coords), R[:len(pivots)])
+
+
+def _fraction_nullspace(A, k) -> list:
+    """A basis of {a : A a = 0} in k unknowns, by :func:`fraction_rref`."""
     R, pivots = fraction_rref(A)
     kernel = []
     for f in (c for c in range(k) if c not in pivots):
@@ -514,10 +529,30 @@ def nullspace_vanishing_restrict(lin, zero_on, coords) -> LinSubspace:
         for r, c in enumerate(pivots):
             a[c] = -R[r][f]
         kernel.append(a)
-    pos = [lin.ambient.index(v) for v in coords]
-    rows = [[sum((c * b[p] for c, b in zip(a, lin.basis)), ZERO) for p in pos] for a in kernel]
-    R, pivots = fraction_rref(rows)
-    return LinSubspace(tuple(coords), R[:len(pivots)])
+    return kernel
+
+
+def partials_lineality_space(f) -> LinSubspace:
+    """L_f = {v : D_v f = 0}: the coefficient of each monomial in
+    sum_i v_i D_i f is one equation, its entries taken from the partials."""
+    n = len(f.vars)
+    rows: dict = {}
+    for i, v in enumerate(f.vars):
+        for key, c in f.partial(v).terms.items():
+            rows.setdefault(key, [ZERO] * n)[i] = c
+    return LinSubspace(f.vars, _fraction_nullspace(list(rows.values()), n))
+
+
+def euler_defect(f) -> HomPoly:
+    """d*f - sum_i t_i * (d/dt_i) f; identically zero by Euler's identity."""
+    out = f.scale(f.degree)
+    for v in f.vars:
+        out = out - HomPoly.variable(f.vars, v) * f.partial(v)
+    return out
+
+
+def rename_vars(f, mapping) -> HomPoly:
+    return HomPoly(tuple(mapping.get(v, v) for v in f.vars), f.degree, f.terms)
 
 
 def projection_pi(h, S) -> tuple[tuple, list]:

@@ -10,7 +10,13 @@ import sympy
 
 from lorentzlab.polycore import Direction, HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
-from oracles import nullspace_vanishing_restrict, solve_member_with_values
+from oracles import (
+    euler_defect,
+    nullspace_vanishing_restrict,
+    partials_lineality_space,
+    rename_vars,
+    solve_member_with_values,
+)
 
 
 def to_sympy(f: HomPoly):
@@ -149,7 +155,7 @@ def test_lineality_shift_invariance(rng):
 def test_euler_identity(rng):
     for _ in range(20):
         f = _random_poly(rng, n=3, d=rng.randint(1, 4))
-        assert f.euler_defect().is_zero()
+        assert euler_defect(f).is_zero()
 
 
 def test_zero_polynomial_degree_tag():
@@ -179,7 +185,7 @@ def test_direction_and_subspace_basics():
     L = LinSubspace(("a", "b", "c"), [(1, 1, 0), (0, 1, 1)])
     assert L.dim == 2
     assert L.projects_onto(("a", "b"))
-    assert L.restrict(("a",)).dim == 1
+    assert L.projects_onto(("c",)) and not L.projects_onto(("a", "b", "c"))
     LS = nullspace_vanishing_restrict(L, ("a",), ("b", "c"))
     assert LS.dim == 1 and LS.contains((1, 1))
     m = solve_member_with_values(L, {"a": Q(2)})
@@ -230,7 +236,7 @@ def _sorted_vars(f: HomPoly) -> HomPoly:
 
 
 def _str_vars(f: HomPoly) -> HomPoly:
-    return f.rename_vars({v: str(v) for v in f.vars})
+    return rename_vars(f, {v: str(v) for v in f.vars})
 
 
 def _rat_under_both_backends(monkeypatch):
@@ -300,3 +306,137 @@ def test_hom_poly_keeps_distinct_coefficients_and_sums_repeated_keys():
     assert g.terms[((0, 1), (1, 1))] == 1
     h = HomPoly(("a", "b"), 2, {((0, 1), (1, 1)): c, ((1, 1), (0, 1)): -c, ((0, 2),): d})
     assert h.terms == {((0, 2),): d}
+
+
+# -- results of the library's own arithmetic --------------------------------
+
+
+def _assert_canonical(p: HomPoly):
+    """p is what the validating constructor makes of its own terms: the
+    same polynomial in the same term order, no zero and no foreign type."""
+    from lorentzlab.rat import Rational
+
+    again = HomPoly(p.vars, p.degree, p.terms)
+    assert p == again and list(p.terms) == list(again.terms)
+    assert all(c != 0 and type(c) is Rational for c in p.terms.values()), p.terms
+    assert p._index == {v: i for i, v in enumerate(p.vars)}
+
+
+def _random_point(rng, n):
+    return [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+
+
+def test_arithmetic_results_match_the_validating_constructor(rng):
+    checked = zeros = 0
+    for _ in range(100):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        f = _random_poly(rng, n, d, terms=rng.randint(0, 6))
+        g = _random_poly(rng, n, d, terms=rng.randint(0, 6))
+        h = _random_poly(rng, n, rng.randint(0, 2), terms=rng.randint(0, 4))
+        x = _random_point(rng, n)
+        c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+        S = set(rng.sample(f.vars, rng.randint(0, n)))
+        keep = [v for v in f.vars if v not in S]
+        rng.shuffle(keep)
+        m = rng.randint(1, 3)
+        new_vars = tuple(f"s{j}" for j in range(m))
+        forms = {v: {w: Q(rng.randint(-2, 2)) for w in new_vars} for v in f.vars if rng.random() < 0.8}
+        y = _random_point(rng, m)
+        fx = f.evaluate(x)
+        results = [
+            (f + g, fx + g.evaluate(x)),
+            (f - g, fx - g.evaluate(x)),
+            (f * h, fx * h.evaluate(x)),
+            (f.pow(2), fx ** 2),
+            (f.scale(c), c * fx),
+            (f.scale(0), 0),
+            (f + f.scale(-1), 0),
+            (f - f, 0),
+        ]
+        for p, value in results:
+            assert p.evaluate(x) == value
+        for v in f.vars:
+            results.append((f.partial(v), None))
+        zeroed = f.set_vars_zero(S)
+        assert zeroed.evaluate(x) == f.evaluate([0 if v in S else xi for v, xi in zip(f.vars, x)])
+        restricted = zeroed.restrict_vars(keep)
+        at = dict(zip(f.vars, x))
+        assert restricted.evaluate([at[v] for v in keep]) == zeroed.evaluate(x)
+        sub = f.substitute(new_vars, forms)
+        image = [sum((a * yj for a, yj in zip(forms[v].values(), y)), Q(0)) if v in forms else Q(0) for v in f.vars]
+        assert sub.evaluate(y) == f.evaluate(image)
+        results += [(zeroed, None), (restricted, None), (sub, None)]
+        for p, _ in results:
+            _assert_canonical(p)
+            checked += 1
+            zeros += p.is_zero()
+    assert checked > 1200 and zeros > 300
+
+
+def test_substitute_cancellations():
+    # f vanishes on t0 = t1: every term cancels, and a partly cancelling
+    # sum keeps the order the constructor gives its terms
+    f = parse_poly("t0^2 t2 - t1^2 t2 + t0 t2^2 - t1 t2^2")
+    zero = f.substitute(("s",), {"t0": {"s": 1}, "t1": {"s": 1}, "t2": {"s": 3}})
+    assert zero.is_zero() and zero.degree == 3 and zero.vars == ("s",)
+    _assert_canonical(zero)
+    g = parse_poly("t0 t2 - t1 t2 + t2^2 + t0 t1")
+    part = g.substitute(("r", "s"), {"t0": {"s": 1, "r": 1}, "t1": {"r": 1, "s": 1}, "t2": {"r": 2}})
+    assert part == parse_poly("4*r^2 + r^2 + 2*r s + s^2", vars=("r", "s"))
+    _assert_canonical(part)
+    assert parse_poly("t0 - t1").substitute(("u", "v"), {"t0": {"u": 1, "v": 0}, "t1": {"u": 1}}).is_zero()
+
+
+def test_lineality_from_coefficients_matches_partials(rng):
+    # seeded polynomials, with lineality made on purpose by a pull-back
+    # along a map of low rank
+    for _ in range(60):
+        n, d = rng.randint(1, 5), rng.randint(0, 4)
+        f = _random_poly(rng, n, d, terms=rng.randint(0, 6))
+        m = rng.randint(1, n + 1)
+        A = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+        g = f.substitute_linear(A, tuple(f"s{j}" for j in range(m)))
+        for p in (f, g):
+            assert p.lineality_space() == partials_lineality_space(p)
+
+
+def test_lineality_from_coefficients_on_acceptance_fixtures(rng):
+    # every hereditary and polytope fixture of the acceptance suite, at
+    # every face of its complex
+    from conftest import hereditary_fixture_pool
+    from test_acceptance import POLYTOPE_FIXTURES
+
+    from lorentzlab.hereditary import restrict_poly
+    from lorentzlab.polytope import build, volume_polynomial
+
+    pool = hereditary_fixture_pool(rng) + [volume_polynomial(build(normals, t))
+                                           for _, normals, t in POLYTOPE_FIXTURES]
+    faces = 0
+    for h in pool:
+        for S in h.delta.faces(max_size=h.degree - 1):
+            p = restrict_poly(h, S)
+            assert p.lineality_space() == partials_lineality_space(p)
+            faces += 1
+    assert faces > 100
+
+
+def test_malformed_terms_and_duplicate_labels_raise():
+    import pytest
+
+    for terms in ({((0, 1),): 1},                 # wrong degree
+                  {((0, 1), (2, 1)): 1},          # position out of range
+                  {((0, 2), (1, 0)): 1},          # zero exponent
+                  {((0, 3), (1, -1)): 1}):        # negative exponent
+        with pytest.raises(ValueError):
+            HomPoly(("a", "b"), 2, terms)
+    with pytest.raises(ValueError, match="duplicate"):
+        HomPoly(("a", "a"), 1, {((0, 1),): 1})
+    f = parse_poly("a b + b c")
+    with pytest.raises(ValueError, match="duplicate"):
+        f.set_vars_zero(["a"]).restrict_vars(("b", "c", "b"))
+    with pytest.raises(ValueError, match="dropped"):
+        f.restrict_vars(("a", "b"))
+    with pytest.raises(ValueError, match="duplicate"):
+        f.substitute(("u", "v", "u"), {"a": {"u": 1}, "b": {"v": 1}})
+    with pytest.raises(ValueError, match="duplicate"):
+        f.substitute_linear([[1, 0], [0, 1], [1, 1]], ("u", "u"))
