@@ -224,12 +224,19 @@ def cmd_hereditary(args) -> int:
     v = hereditary.is_hereditary_lorentzian(h)
     rep = report(args, v.value, **v.to_json_dict())
     if v.value == "no" and args.verify_witness:
-        if v.q_witness is not None:
-            q = hereditary.restrict_poly(h, v.q_witness)
-            rep["witness_verified"] = inertia(hessian(q)).pos > 1
-        elif v.c_witness is not None:
-            rep["witness_verified"] = not h.delta.skeleton().link(v.c_witness).is_connected()
+        verify_hl_witness(rep, h, v)
     return emit(args, rep, 0 if v.value == "yes" else 1)
+
+
+def verify_hl_witness(rep: dict, h: hereditary.HereditaryPoly, v: hereditary.HLVerdict) -> None:
+    """Re-check a hereditary-Lorentzian refutation on its own and record the
+    outcome as ``witness_verified``: more than one positive eigenvalue of
+    the restriction at a Hessian witness, or a disconnected link of the face
+    complex (not of its skeleton) at a connectivity witness."""
+    if v.q_witness is not None:
+        rep["witness_verified"] = inertia(hessian(hereditary.restrict_poly(h, v.q_witness))).pos > 1
+    elif v.c_witness is not None:
+        rep["witness_verified"] = not h.delta.link(v.c_witness).is_connected()
 
 
 def cmd_subdivide(args) -> int:
@@ -365,11 +372,7 @@ def cmd_fan(args) -> int:
         v = fanchow.check_fan_lorentzian(alpha)
         rep = report(args, v.value, **v.to_json_dict())
         if v.value == "no" and args.verify_witness:
-            if v.q_witness is not None:
-                q = hereditary.restrict_poly(alpha.h, v.q_witness)
-                rep["witness_verified"] = inertia(hessian(q)).pos > 1
-            elif v.c_witness is not None:
-                rep["witness_verified"] = not alpha.h.delta.link(v.c_witness).is_connected()
+            verify_hl_witness(rep, alpha.h, v)
         return emit(args, rep, 0 if v.value == "yes" else 1)
     if args.sub == "subdivide":
         rho = [Q(x) for x in args.ray.split(",")]

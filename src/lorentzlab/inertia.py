@@ -1,11 +1,17 @@
 """Exact inertia (eigenvalue sign counts) of rational symmetric matrices.
 
-The characteristic polynomial is computed by the division-free Berkowitz
-iteration, after clearing denominators (positive scaling preserves
-eigenvalue signs, and integer arithmetic is much faster here).  Symmetric
-matrices are real-rooted, so Descartes' rule of signs on the coefficient
-sequence counts positive eigenvalues exactly; zero eigenvalues are the
-multiplicity of the root 0, i.e. the trailing zero coefficients.
+One symmetric fraction-free elimination on the integer-rescaled matrix
+(positive scaling keeps eigenvalue signs).  Each step pivots on the first
+nonzero diagonal entry d of the trailing block, moved to the front by a
+symmetric permutation, and replaces the rest of the block by
+(d*a_ij - a_ip*a_pj) // prev.  When the whole trailing diagonal is zero but
+some a_ij is not, adding row and column j to row and column i first puts
+2*a_ij on the diagonal.  Both moves are congruences and unimodular, so by
+Sylvester's law of inertia the counts do not move, every entry stays a
+minor, and every division is exact.  Each pivot is a leading principal
+minor D_k of a congruent matrix and the LDL^t pivot is D_k / D_(k-1): a
+step counts as positive exactly when d has the sign of prev.  The zero
+block that remains is the kernel.
 """
 
 from __future__ import annotations
@@ -114,50 +120,34 @@ def derivative_hessian(f: HomPoly, alpha: Sequence[int], over: Sequence | None =
     return SymMatrix(labels, rows)
 
 
-def char_poly_coeffs(M: SymMatrix) -> list[int]:
-    """Coefficients [1, c1, ..., cn] of det(xI - M), by Berkowitz iteration.
-
-    Computed on the integer-rescaled matrix (scaling by a positive constant
-    does not move eigenvalue signs) -- callers only inspect signs.
-    """
-    A, _ = linalg.integer_scaled(M.entries)
-    n = len(A)
-    poly = [1]
-    for k in range(n):
-        # extend from the k x k leading block to (k+1) x (k+1)
-        a = A[k][k]
-        R = A[k][:k]
-        items = [1, -a]
-        w = [A[i][k] for i in range(k)]  # column C, then A C, A^2 C, ...
-        for _ in range(k):
-            items.append(-sum(r * x for r, x in zip(R, w)))
-            w = [sum(A[i][j] * w[j] for j in range(k)) for i in range(k)]
-        new = []
-        for i in range(k + 2):
-            s = 0
-            for j in range(len(poly)):
-                if 0 <= i - j < len(items):
-                    s += items[i - j] * poly[j]
-            new.append(s)
-        poly = new
-    return poly
-
-
-def descartes_positive_roots(coeffs: Sequence) -> int:
-    """Sign variations of the coefficient sequence; exact for real-rooted polys."""
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def inertia(M: SymMatrix) -> Inertia:
-    """Exact eigenvalue sign counts (positive, negative, zero)."""
-    coeffs = char_poly_coeffs(M)
-    zero = 0
-    while coeffs and coeffs[-1] == 0:
-        zero += 1
-        coeffs.pop()
-    pos = descartes_positive_roots(coeffs)
-    return Inertia(pos=pos, neg=M.n - pos - zero, zero=zero)
+    """Exact eigenvalue sign counts (positive, negative, zero), by one
+    symmetric fraction-free elimination (see the module docstring)."""
+    A, _ = linalg.integer_scaled(M.entries)
+    pos = neg = 0
+    prev = 1
+    while A:
+        k = len(A)
+        p = next((i for i in range(k) if A[i][i]), None)
+        if p is None:
+            hit = next(((i, j) for i in range(k) for j in range(i + 1, k) if A[i][j]), None)
+            if hit is None:
+                break
+            # the congruence adding row and column j to p: a_pp becomes 2 a_pj
+            p, j = hit
+            A[p] = [a + b for a, b in zip(A[p], A[j])]
+            for row in A:
+                row[p] += row[j]
+        prow = A[p]
+        d = prow[p]
+        rest = [i for i in range(k) if i != p]
+        A = [[(d * A[i][j] - A[i][p] * prow[j]) // prev for j in rest] for i in rest]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        prev = d
+    return Inertia(pos=pos, neg=neg, zero=M.n - pos - neg)
 
 
 def at_most_one_positive(M: SymMatrix) -> bool:

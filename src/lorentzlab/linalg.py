@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Vectors are sequences of rationals, matrices are lists of row vectors.
-Everything here is exact.  Elimination runs on Python ints: the matrix is
-scaled to integers by one common denominator, and fraction-free
-Gauss-Jordan (Bareiss) steps replace each row by (p*a - f*b) // prev,
-where p is the new pivot and prev the one before it; every division is
-exact.  The pivot is the first nonzero entry of its column, as in
-textbook elimination, and the rationals are formed once at the end.
-Sizes are desk scale (tens of rows), so no attention is paid to
-asymptotics beyond avoiding obvious blowups.
+Everything here is exact.  One elimination loop serves rref, rank, solve,
+nullspace and det: the matrix is scaled to integers by its least common
+denominator, and fraction-free Gauss-Jordan (Bareiss) steps replace each
+row by (p*a - f*b) // prev, where p is the new pivot and prev the one
+before it; every division is exact.  The pivot is the first nonzero entry
+of its column, as in textbook elimination.  Each pivot row ends as prev
+times its reduced row, so rref forms its rationals once at the end, rank
+counts pivots and forms none, and a square matrix of full rank ends at
+prev * I, which makes the determinant sign * prev / den^n.  Sizes are desk
+scale (tens of rows), so no attention is paid to asymptotics beyond
+avoiding obvious blowups.
 """
 
 from __future__ import annotations
@@ -58,20 +61,25 @@ def integer_scaled(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[int(n * (den // d)) for n, d in row] for row in R], den
 
 
-def rref(A: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    if not A:
-        return [], []
-    M, _ = integer_scaled(A)
-    m, n = len(M), len(M[0])
+def _gauss_jordan(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int, int]:
+    """Fraction-free Gauss-Jordan on den * A; returns (M, pivots, prev,
+    sign, den).  Every pivot row of M ends as prev times its reduced row and
+    every other row as zero, so a square A of full rank ends at
+    prev * I with prev = sign * det(den * A), sign that of the row swaps."""
+    M, den = integer_scaled(A)
+    m, n = len(M), len(M[0]) if M else 0
     pivots: list[int] = []
-    prev = 1
+    prev = sign = 1
     for c in range(n):
         r = len(pivots)
-        p = next((i for i in range(r, m) if M[i][c]), None)
-        if p is None:
+        for p in range(r, m):
+            if M[p][c]:
+                break
+        else:
             continue
-        M[r], M[p] = M[p], M[r]
+        if p != r:
+            M[r], M[p] = M[p], M[r]
+            sign = -sign
         prow = M[r]
         d = prow[c]
         for i, row in enumerate(M):
@@ -82,13 +90,18 @@ def rref(A: Sequence[Sequence]) -> tuple[Mat, list[int]]:
         pivots.append(c)
         if r + 1 == m:
             break
-    # every pivot row is now prev times its reduced row; the others are zero
+    return M, pivots, prev, sign, den
+
+
+def rref(A: Sequence[Sequence]) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    M, pivots, prev, _, _ = _gauss_jordan(A)
     R = [tuple(Rational(a, prev) if a else ZERO for a in row) for row in M]
     return R, pivots
 
 
 def rank(A: Sequence[Sequence]) -> int:
-    return len(rref(A)[1])
+    return len(_gauss_jordan(A)[1])
 
 
 def solve(A: Sequence[Sequence], b: Sequence) -> Vec | None:
@@ -135,25 +148,9 @@ def row_space_basis(A: Sequence[Sequence]) -> list[Vec]:
 
 
 def det(A: Sequence[Sequence]):
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant: sign * prev / den^n from the elimination, which
+    ends at prev * I exactly when A has full rank."""
     n = len(A)
-    if n == 0:
-        return ONE
     assert all(len(row) == n for row in A), "determinant needs a square matrix"
-    M, den = integer_scaled(A)
-    sign = prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if p is None:
-                return ZERO
-            M[k], M[p] = M[p], M[k]
-            sign = -sign
-        pk, rowk = M[k][k], M[k]
-        for i in range(k + 1, n):
-            row = M[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - f * rowk[j]) // prev
-        prev = pk
-    return Rational(sign * M[n - 1][n - 1], den**n)
+    _, pivots, prev, sign, den = _gauss_jordan(A)
+    return Rational(sign * prev, den**n) if len(pivots) == n else ZERO

@@ -34,6 +34,7 @@ from .cones import ConeByGenerators
 from .inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia
 from .polycore import HomPoly, direction_coords
 from .rat import Q, ZERO, ONE
+from .simplicial import connected
 
 
 @dataclass
@@ -383,14 +384,7 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
                     if is_face(e):
                         adj[verts[a_i]].append(verts[b_i])
                         adj[verts[b_i]].append(verts[a_i])
-            seen = {verts[0]}
-            stack = [verts[0]]
-            while stack:
-                for wv in adj[stack.pop()]:
-                    if wv not in seen:
-                        seen.add(wv)
-                        stack.append(wv)
-            if len(seen) != len(verts):
+            if not connected(verts, adj):
                 return HLVerdict(value="no", h_connected=False, c_witness=S,
                                  note="polarized skeleton is not H-connected")
 

@@ -50,7 +50,7 @@ from .cones import GT, EQ, StrictSystem, strict_feasible
 from .inertia import SymMatrix, hessian, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
-from .simplicial import SimComplex
+from .simplicial import SimComplex, connected
 
 
 def _bits(mask: int):
@@ -647,16 +647,7 @@ class LatticeVolume:
                         if inter == ma or inter == mb:
                             adj[a].append(b)
                             adj[b].append(a)
-                seen = set()
-                if verts:
-                    stack = [verts[0]]
-                    seen.add(verts[0])
-                    while stack:
-                        for w in adj[stack.pop()]:
-                            if w not in seen:
-                                seen.add(w)
-                                stack.append(w)
-                conn_cache[key] = len(seen) == len(verts)
+                conn_cache[key] = connected(verts, adj)
             return conn_cache[key]
 
         for chain in self.chains():

@@ -16,6 +16,22 @@ from typing import Hashable, Iterable, Mapping, Sequence
 Label = Hashable
 
 
+def connected(vertices: Iterable[Label], adjacency: Mapping[Label, Iterable[Label]]) -> bool:
+    """Whether the graph on the given vertices is connected, by one search
+    from the first; a graph with at most one vertex is."""
+    vertices = list(vertices)
+    if not vertices:
+        return True
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(vertices)
+
+
 class SimComplex:
     __slots__ = ("vertices", "facets")
 
@@ -178,23 +194,12 @@ class SimComplex:
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton; complexes of dimension <= 0 count as connected."""
         verts = self.used_vertices()
-        if len(verts) <= 1:
-            return True
         adj: dict = {v: set() for v in verts}
         for f in self.facets:
-            fl = sorted(f, key=repr)
-            for a, b in combinations(fl, 2):
+            for a, b in combinations(f, 2):
                 adj[a].add(b)
                 adj[b].add(a)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+        return connected(verts, adj)
 
     def is_H_connected(self) -> tuple[bool, frozenset | None]:
         """Links of all faces of size <= d-2 are connected (d = facet size).

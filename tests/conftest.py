@@ -57,6 +57,23 @@ def rand_product_of_linears(rng, n, d):
     return out
 
 
+def nonneg_cubics_and_quartics(rng):
+    """The nonzero polynomials among 200 seeded draws: every fourth a
+    product of linear forms, the rest sparse nonnegative cubics and
+    quartics, in 2 to 4 variables (2 to 3 in degree 4)."""
+    for k in range(200):
+        if k % 4 == 0:
+            d = 4 if k % 16 == 0 else 3
+            n = rng.randint(2, 3 if d == 4 else 4)
+            f = rand_product_of_linears(rng, n, d)
+        else:
+            d = rng.choice([3, 3, 4])
+            n = rng.randint(2, 3 if d == 4 else 4)
+            f = rand_nonneg_poly(rng, n, d)
+        if not f.is_zero():
+            yield f
+
+
 def hereditary_fixture_pool(rng):
     """Strongly hereditary positive fixtures for subdivision round trips."""
     from lorentzlab.hereditary import check_hereditary, product

@@ -27,6 +27,15 @@ checked against.
 * :func:`fraction_rref` and :func:`fraction_det` are Gauss-Jordan
   elimination and Bareiss' determinant on ``Fraction``-style rationals; the
   library runs both on integers and forms the rationals once at the end.
+* :func:`berkowitz_inertia` takes the characteristic polynomial by the
+  division-free Berkowitz iteration (:func:`char_poly_coeffs`) and counts
+  positive eigenvalues by Descartes' rule of signs
+  (:func:`descartes_positive_roots`), exact because a symmetric matrix is
+  real-rooted; zero eigenvalues are the trailing zero coefficients.  The
+  library reads the counts off one symmetric elimination instead (Sylvester's
+  law of inertia).  :func:`congruence_diagonalize` is a rational congruence
+  diagonalization that also returns its transformation, and
+  :func:`random_sym` draws the seeded symmetric matrices both are run on.
 * :func:`rank_solve_vertices` enumerates a polytope's vertices by taking
   the rank of each d-subset of facet normals and then solving for the
   vertex; the library reads both off one elimination.
@@ -82,11 +91,12 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
 """
 
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from lorentzlab import hereditary as hered
 from lorentzlab import linalg, polytope
 from lorentzlab.cones import EQ, GE, GT, StrictSystem, strict_feasible
-from lorentzlab.inertia import hessian, inertia, lorentz_signature
+from lorentzlab.inertia import Inertia, SymMatrix, hessian, inertia, lorentz_signature
 from lorentzlab.lorentzian import (
     LorentzVerdict,
     MSet,
@@ -324,6 +334,92 @@ def fraction_det(A):
             M[i][k] = ZERO
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def random_sym(rng, n) -> SymMatrix:
+    """A symmetric n x n matrix with entries a / b, |a| <= 6, 1 <= b <= 3."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Q(rng.randint(-6, 6), rng.randint(1, 3))
+    return SymMatrix(tuple(range(n)), rows)
+
+
+def char_poly_coeffs(M) -> list[int]:
+    """Coefficients [1, c1, ..., cn] of det(xI - c M), by Berkowitz
+    iteration, for c > 0 the common denominator of M's entries (scaling by a
+    positive constant moves no eigenvalue sign)."""
+    den = 1
+    for row in M.entries:
+        for x in row:
+            den = lcm(den, int(x.denominator))
+    A = [[int(x * den) for x in row] for row in M.entries]
+    n = len(A)
+    poly = [1]
+    for k in range(n):
+        # extend from the k x k leading block to (k+1) x (k+1)
+        a = A[k][k]
+        R = A[k][:k]
+        items = [1, -a]
+        w = [A[i][k] for i in range(k)]  # column C, then A C, A^2 C, ...
+        for _ in range(k):
+            items.append(-sum(r * x for r, x in zip(R, w)))
+            w = [sum(A[i][j] * w[j] for j in range(k)) for i in range(k)]
+        new = []
+        for i in range(k + 2):
+            s = 0
+            for j in range(len(poly)):
+                if 0 <= i - j < len(items):
+                    s += items[i - j] * poly[j]
+            new.append(s)
+        poly = new
+    return poly
+
+
+def descartes_positive_roots(coeffs) -> int:
+    """Sign variations of the coefficient sequence; exact for real-rooted polys."""
+    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def berkowitz_inertia(M) -> Inertia:
+    """(positive, negative, zero) eigenvalue counts from the characteristic
+    polynomial: zero is the multiplicity of the root 0, and Descartes' rule
+    counts the positive roots of the rest."""
+    coeffs = char_poly_coeffs(M)
+    zero = 0
+    while coeffs and coeffs[-1] == 0:
+        zero += 1
+        coeffs.pop()
+    pos = descartes_positive_roots(coeffs)
+    return Inertia(pos=pos, neg=M.n - pos - zero, zero=zero)
+
+
+def congruence_diagonalize(M):
+    """Rational congruence diagonalization (with the 2x2 off-diagonal
+    trick); returns (D, T) with T^t M T = D diagonal."""
+    n = M.n
+    A = [list(row) for row in M.entries]
+    T = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+    def add_col_row(i, j, c):
+        for k in range(n):
+            A[k][j] += c * A[k][i]
+        for k in range(n):
+            A[j][k] += c * A[i][k]
+        for k in range(n):
+            T[k][j] += c * T[k][i]
+
+    for p in range(n):
+        if A[p][p] == 0:
+            q = next((q for q in range(p + 1, n) if A[p][q] != 0), None)
+            if q is None:
+                continue
+            add_col_row(q, p, ONE)
+        for q in range(p + 1, n):
+            if A[p][q] != 0:
+                add_col_row(p, q, -A[p][q] / A[p][p])
+    return A, T
 
 
 def dense_lp_max(c, A, b, pivots=None):

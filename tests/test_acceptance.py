@@ -12,7 +12,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from conftest import hereditary_fixture_pool, rand_nonneg_poly, rand_product_of_linears
+from conftest import hereditary_fixture_pool, nonneg_cubics_and_quartics
 from lorentzlab import hereditary as hered
 from lorentzlab import matroid as mat
 from lorentzlab import polytope as pt
@@ -40,7 +40,7 @@ from lorentzlab.matroid import volume_engine
 from lorentzlab.polycore import HomPoly, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.subdivision import subdivide, weld
-from oracles import is_lorentzian_v2
+from oracles import congruence_diagonalize, is_lorentzian_v2, random_sym
 
 pytestmark = pytest.mark.acceptance
 
@@ -255,17 +255,7 @@ def test_criterion_07_subdivision_round_trips(rng):
 def test_criterion_08_lorentzian_equivalences(rng):
     ok = True
     yes_count = 0
-    for k in range(200):
-        if k % 4 == 0:
-            d = 4 if k % 16 == 0 else 3
-            n = rng.randint(2, 3 if d == 4 else 4)
-            f = rand_product_of_linears(rng, n, d)
-        else:
-            d = rng.choice([3, 3, 4])
-            n = rng.randint(2, 3 if d == 4 else 4)
-            f = rand_nonneg_poly(rng, n, d)
-        if f.is_zero():
-            continue
+    for f in nonneg_cubics_and_quartics(rng):
         n = len(f.vars)
         orthant = ConeByGenerators(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)))
         a = is_lorentzian(f).value == "yes"
@@ -319,14 +309,13 @@ def test_criterion_10_inertia_engine(rng):
         exact = inertia(M)
         vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in M.entries]))
         ok = ok and (int((vals > 1e-6).sum()), int((vals < -1e-6).sum())) == (exact.pos, exact.neg)
-    # three-way equivalence on 200 sампled instances
-    from test_inertia import _congruence_diagonalize, _random_sym
+    # three-way equivalence on 200 sampled instances
     from lorentzlab import linalg
 
     count = 0
     while count < 200:
         n = rng.randint(2, 5)
-        M = _random_sym(rng, n)
+        M = random_sym(rng, n)
         v0 = tuple(Q(rng.randint(1, 3)) for _ in range(n))
         if not M.apply(v0, v0) > 0:
             continue
@@ -339,7 +328,7 @@ def test_criterion_10_inertia_engine(rng):
             row = [linalg.dot(M.entries[i], v0) for i in range(n)]
             basis = linalg.nullspace([row], n)
             sub = [[linalg.dot(b1, linalg.mat_vec(M.entries, b2)) for b2 in basis] for b1 in basis]
-            D, T = _congruence_diagonalize(SymMatrix(tuple(range(len(basis))), sub))
+            D, T = congruence_diagonalize(SymMatrix(tuple(range(len(basis))), sub))
             kpos = next(k for k in range(len(basis)) if D[k][k] > 0)
             coeffs = [T[i][kpos] for i in range(len(basis))]
             x = [sum(cc * bb[i] for cc, bb in zip(coeffs, basis)) for i in range(n)]

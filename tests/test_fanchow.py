@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from conftest import hereditary_fixture_pool, rand_nonneg_poly
+from lorentzlab.cli import verify_hl_witness
 from lorentzlab import hereditary as hered, linalg
 from lorentzlab.fanchow import (
     DegreeFunctional,
@@ -161,6 +162,24 @@ def test_disconnected_positive_fan_fails_connectivity():
     v = check_fan_lorentzian(alpha)
     assert v.value == "no"
     assert v.h_connected is False and v.c_witness == frozenset()
+
+
+def test_verify_hl_witness_reads_links_of_the_face_complex():
+    # at |S| = d - 2 a link of the skeleton has no edges, so only the face
+    # complex tells a real connectivity witness from a made-up one
+    square = square_fan()
+    alpha = functional_from_weights(square, {F: 1 for F in square.cones.facets})
+    assert check_fan_lorentzian(alpha).value == "yes"
+    assert not alpha.h.delta.skeleton().link(frozenset()).is_connected()
+    rep = {}
+    verify_hl_witness(rep, alpha.h, hered.HLVerdict(value="no", h_connected=False, c_witness=frozenset()))
+    assert rep == {"witness_verified": False}
+    fan = two_plane_fan()
+    beta = functional_from_weights(fan, {F: 1 for F in fan.cones.facets})
+    v = check_fan_lorentzian(beta)
+    rep = {}
+    verify_hl_witness(rep, beta.h, v)
+    assert v.c_witness == frozenset() and rep == {"witness_verified": True}
 
 
 def test_fan_subdivide_quadrant():

@@ -1,6 +1,7 @@
-"""Inertia engine: exact sign counts, congruence invariance, and the
-three-way equivalence between the Hessian signature and the two-slot
-inequalities (constructive in both directions)."""
+"""Inertia engine: exact sign counts against the Berkowitz-Descartes
+oracle and by construction, congruence invariance, and the three-way
+equivalence between the Hessian signature and the two-slot inequalities
+(constructive in both directions)."""
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from lorentzlab.inertia import (
     SymMatrix,
     af_inequality,
     at_most_one_positive,
-    char_poly_coeffs,
     derivative_hessian,
     hessian,
     inertia,
     lorentz_signature,
 )
-from conftest import rand_q
+from conftest import hereditary_fixture_pool, nonneg_cubics_and_quartics, rand_q
+from lorentzlab import hereditary, lorentzian, matroid
+from lorentzlab.cones import ConeByGenerators
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
-from lorentzlab.rat import Q
+from lorentzlab.rat import Q, ZERO
+from oracles import berkowitz_inertia, char_poly_coeffs, congruence_diagonalize, random_sym
 
 
 def test_hessian_examples():
@@ -54,18 +57,10 @@ def test_af_inequality_examples():
     assert ones.apply((1, 2), (3, 1)) ** 2 == ones.apply((1, 2), (1, 2)) * ones.apply((3, 1), (3, 1))
 
 
-def _random_sym(rng, n):
-    rows = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = Q(rng.randint(-6, 6), rng.randint(1, 3))
-    return SymMatrix(tuple(range(n)), rows)
-
-
 def test_cross_validate_with_numpy(rng):
     for _ in range(250):
         n = rng.randint(2, 8)
-        M = _random_sym(rng, n)
+        M = random_sym(rng, n)
         exact = inertia(M)
         vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in M.entries]))
         pos = int((vals > 1e-6).sum())
@@ -76,7 +71,7 @@ def test_cross_validate_with_numpy(rng):
 def test_sylvester_congruence_invariance(rng):
     for _ in range(40):
         n = rng.randint(2, 5)
-        M = _random_sym(rng, n)
+        M = random_sym(rng, n)
         while True:
             A = [[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
             if linalg.det(A) != 0:
@@ -91,7 +86,7 @@ def test_char_poly_against_sympy(rng):
 
     for _ in range(20):
         n = rng.randint(1, 5)
-        M = _random_sym(rng, n)
+        M = random_sym(rng, n)
         den = 1
         for row in M.entries:
             for x in row:
@@ -101,30 +96,122 @@ def test_char_poly_against_sympy(rng):
         assert [int(c) for c in char_poly_coeffs(M)] == [int(c) for c in want]
 
 
-def _congruence_diagonalize(M: SymMatrix):
-    """Rational congruence diagonalization (with the 2x2 off-diagonal trick)."""
-    n = M.n
-    A = [list(row) for row in M.entries]
-    T = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+def _sym(rows) -> SymMatrix:
+    return SymMatrix(tuple(range(len(rows))), rows)
 
-    def add_col_row(i, j, c):
-        for k in range(n):
-            A[k][j] += c * A[k][i]
-        for k in range(n):
-            A[j][k] += c * A[i][k]
-        for k in range(n):
-            T[k][j] += c * T[k][i]
 
-    for p in range(n):
-        if A[p][p] == 0:
-            q = next((q for q in range(p + 1, n) if A[p][q] != 0), None)
-            if q is None:
-                continue
-            add_col_row(q, p, Q(1))
-        for q in range(p + 1, n):
-            if A[p][q] != 0:
-                add_col_row(p, q, -A[p][q] / A[p][p])
-    return A, T
+def _zero_diagonal(rng, n) -> SymMatrix:
+    """Sparse rational off-diagonal entries and a zero diagonal."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Q(rng.choice([0, 0, rng.randint(-5, 5)]), rng.randint(1, 4))
+    return _sym(rows)
+
+
+def _hyperbolic(rng, k, n) -> tuple[SymMatrix, int]:
+    """[[0, X], [X^t, 0]] with X a k x (n - k) block of low rank, and that
+    rank: its inertia is (rank X, rank X, n - 2 rank X), and unless X = 0
+    the first pivot comes from the zero-diagonal step."""
+    r = rng.randint(0, min(k, n - k))
+    U = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r)] for _ in range(k)]
+    V = [[Q(rng.randint(-3, 3)) for _ in range(n - k)] for _ in range(r)]
+    X = linalg.mat_mul(U, V) if r else [(ZERO,) * (n - k)] * k
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(n - k):
+            rows[i][k + j] = rows[k + j][i] = X[i][j]
+    return _sym(rows), linalg.rank(X)
+
+
+def _ldlt(rng, signs) -> SymMatrix:
+    """L D L^t with L unit lower triangular (rational entries) and D the
+    given signs times random rationals: inertia is the sign count of D."""
+    n = len(signs)
+    L = [[Q(1) if i == j else Q(rng.randint(-4, 4), rng.randint(1, 3)) if j < i else ZERO
+          for j in range(n)] for i in range(n)]
+    D = [s * Q(rng.randint(1, 5), rng.randint(1, 3)) for s in signs]
+    LD = [[L[i][j] * D[j] for j in range(n)] for i in range(n)]
+    return _sym(linalg.mat_mul(LD, linalg.transpose(L)))
+
+
+def test_inertia_zero_diagonal_step(rng):
+    assert inertia(_sym([[0, Q(-1, 3)], [Q(-1, 3), 0]])) == Inertia(1, 1, 0)
+    assert inertia(_sym([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == Inertia(1, 1, 1)
+    # a diagonal pivot first, then a trailing block whose diagonal is zero
+    assert inertia(_sym([[1, 1, 1], [1, 1, 2], [1, 2, 1]])) == Inertia(2, 1, 0)
+    assert inertia(_sym([[1, 1, 1, 1], [1, 1, 2, 1], [1, 2, 1, 1], [1, 1, 1, 1]])) == Inertia(2, 1, 1)
+    for n in range(2, 9):
+        for _ in range(25):
+            M = _zero_diagonal(rng, n)
+            assert inertia(M) == berkowitz_inertia(M), M.entries
+    for n in range(2, 9):
+        for _ in range(10):
+            M, r = _hyperbolic(rng, rng.randint(1, n - 1), n)
+            assert inertia(M) == Inertia(r, r, n - 2 * r) == berkowitz_inertia(M), M.entries
+
+
+def test_inertia_sign_rule_by_construction(rng):
+    # several negative pivots in a row, and rank deficiency behind them
+    assert inertia(_sym([[-1, 0, 0, 0], [0, -2, 0, 0], [0, 0, -3, 0], [0, 0, 0, 4]])) == Inertia(1, 3, 0)
+    assert inertia(_sym([[0, 0], [0, 0]])) == Inertia(0, 0, 2)
+    assert inertia(_sym([])) == Inertia(0, 0, 0)
+    for _ in range(300):
+        signs = [rng.choice([1, -1, -1, 0]) for _ in range(rng.randint(1, 8))]
+        M = _ldlt(rng, signs)
+        want = Inertia(signs.count(1), signs.count(-1), signs.count(0))
+        assert inertia(M) == want == berkowitz_inertia(M), (signs, M.entries)
+
+
+def test_inertia_matches_berkowitz_on_seeded_matrices(rng):
+    zero_diagonal = 0
+    for k in range(1200):
+        n = rng.randint(1, 10)
+        if k % 4 == 0:
+            M = _zero_diagonal(rng, n)
+            zero_diagonal += any(x for row in M.entries for x in row)
+        elif k % 4 == 1:
+            M, _ = _hyperbolic(rng, rng.randint(0, n), n)
+        else:
+            M = random_sym(rng, n)
+        assert inertia(M) == berkowitz_inertia(M), M.entries
+    assert zero_diagonal >= 200
+
+
+@pytest.fixture
+def passed_to_inertia(monkeypatch):
+    """Every matrix the certifying modules hand to ``inertia``, recorded as
+    they call it (each module holds ``inertia`` under its own name)."""
+    seen = []
+
+    def record(M):
+        seen.append(M)
+        return inertia(M)
+
+    for mod, name in ((lorentzian, "inertia"), (matroid, "inertia"), (hereditary, "matrix_inertia")):
+        monkeypatch.setattr(mod, name, record)
+    return seen
+
+
+def test_inertia_matches_berkowitz_on_fixture_hessians(rng, catalog, passed_to_inertia):
+    # the Hessian scan, the cone test and the polarized block matrices of
+    # acceptance criterion 08, on its own polynomials
+    for f in nonneg_cubics_and_quartics(rng):
+        n = len(f.vars)
+        lorentzian._h1_scan(f)
+        lorentzian.is_k_lorentzian(f, ConeByGenerators(tuple(linalg.unit(n, i) for i in range(n))))
+        lorentzian.polarized_hereditary_verdict(f)
+    # the codimension-2 derivative Hessians of the hereditary fixtures
+    for h in hereditary_fixture_pool(rng):
+        hereditary.is_hereditary_lorentzian(h)
+    # LatticeVolume.quadratic_hessian on every catalog matroid (criterion 04)
+    for L in catalog.values():
+        eng = matroid.volume_engine(L)
+        passed_to_inertia.extend(eng.quadratic_hessian(c) for c in eng.chains() if len(c) == eng.d - 2)
+    distinct = {(M.vars, tuple(M.entries)): M for M in passed_to_inertia}
+    assert len(distinct) >= 500
+    for M in distinct.values():
+        assert inertia(M) == berkowitz_inertia(M), M.entries
 
 
 def test_af_h_equivalence_constructive(rng):
@@ -133,7 +220,7 @@ def test_af_h_equivalence_constructive(rng):
     checked_pos = checked_neg = 0
     while checked_pos < 100 or checked_neg < 100:
         n = rng.randint(2, 5)
-        M = _random_sym(rng, n)
+        M = random_sym(rng, n)
         v0 = tuple(Q(rng.randint(1, 3)) for _ in range(n))
         if not M.apply(v0, v0) > 0:
             continue
@@ -155,7 +242,7 @@ def test_af_h_equivalence_constructive(rng):
             sub = [[linalg.dot(b1, linalg.mat_vec(M.entries, b2)) for b2 in basis] for b1 in basis]
             subM = SymMatrix(tuple(range(len(basis))), sub)
             assert inertia(subM).pos >= 1
-            D, T = _congruence_diagonalize(subM)
+            D, T = congruence_diagonalize(subM)
             k = next(k for k in range(len(basis)) if D[k][k] > 0)
             coeffs = [T[i][k] for i in range(len(basis))]
             x = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)]

@@ -86,6 +86,24 @@ def test_elimination_matches_fraction_oracle(rng):
 
 def test_det_edge_cases():
     assert linalg.det([]) == 1 and type(linalg.det([])) is Rational
-    for A in ([[Q(-3, 7)]], [[0, 1], [1, 0]], [[0, 0], [0, 5]], [[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]]):
+    cases = (
+        [[Q(-3, 7)]], [[0, 1], [1, 0]], [[0, 0], [0, 5]], [[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]],
+        # row-permuted diagonal matrices: a 3-cycle (two swaps) and a transposition
+        [[0, 0, 2], [3, 0, 0], [0, 5, 0]], [[0, 2, 0], [3, 0, 0], [0, 0, Q(1, 5)]],
+        # singular, with and without a zero column
+        [[0, 0], [0, 0]], [[1, 2], [2, 4]], [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+        [[1, 2, 3], [4, 5, 6], [5, 7, 9]], [[0, 0, 1], [0, 0, 2], [1, 1, 0]],
+    )
+    for A in cases:
         d = linalg.det(A)
         assert d == fraction_det(A) and type(d) is Rational
+    assert [linalg.det(A) for A in cases[4:6]] == [30, Q(-6, 5)]
+    assert not any(linalg.det(A) for A in cases[6:])
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert linalg.rank([]) == 0 == len(fraction_rref([])[1])
+    for m, n in ((1, 1), (1, 4), (3, 1), (3, 3), (2, 5)):
+        Z = [[ZERO] * n for _ in range(m)]
+        assert linalg.rank(Z) == 0 == len(fraction_rref(Z)[1])
+        assert linalg.rref(Z) == fraction_rref(Z)
