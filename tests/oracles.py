@@ -1,16 +1,24 @@
 """Test oracles: slower, literal routes that the library's fast routes are
 checked against.
 
+* :func:`oracle_chains` enumerates the chains of proper flats and their
+  links by frozenset containment, and :func:`oracle_link` takes one link
+  literally; the library keeps chains and links as integer bitsets over
+  flat indices.
 * :func:`fraction_eval_bivariate` is the chain recursion of
   ``LatticeVolume.eval_bivariate`` written on exact ``Fraction``-style
-  rationals, with no scaling: every pinned vector comes from
-  :func:`layered_pin`, set arithmetic on the flats, and every value is
-  divided by its degree on the spot.  The library computes the same
-  recursion on scaled integers.
+  rationals, with no scaling, over the chains of :func:`oracle_chains`:
+  every pinned vector comes from :func:`layered_pin`, set arithmetic on the
+  flats, and every value is divided by its degree on the spot.  The
+  library computes the same recursion on scaled integers.
 * :func:`quadratic_oracle` builds the codimension-2 face restriction of the
   volume polynomial as a ``HomPoly``, by substituting the pinned vectors of
   :func:`layered_pin` into the top layers; the library assembles its
   Hessian directly from integer pinned vectors.
+* :func:`oracle_mobius` is the Moebius recursion on frozensets;
+  :func:`is_semimodular_spot` and :func:`spot_check_rank_axioms` check
+  semimodularity of a lattice and the rank axioms of a matroid on sets.
+  The library reads Moebius values off the containment bitsets.
 * :func:`oracle_max_forests` finds the rank and bases of a cycle matroid by
   testing every edge subset for a cycle; the library takes the rank from
   one union-find pass.
@@ -125,17 +133,41 @@ def layered_pin(L, chain, G, flats) -> dict:
     return {H: Q(len(H & lo), len(lo)) - Q(len(H & hi), len(hi)) for H in flats}
 
 
-def quadratic_oracle(engine, chain) -> HomPoly:
+def oracle_chains(L) -> dict:
+    """Every chain of proper flats as a rank-sorted tuple, mapped to its
+    link (the proper flats comparable to every member, in ``L.proper``
+    order), by depth-first search over frozenset containment: the children
+    of a chain are its extensions by each proper flat above its top flat,
+    in ``L.proper`` order, and a child's link is the parent's link less the
+    flats not comparable to the new one."""
+    out = {}
+
+    def extend(chain, link):
+        out[chain] = link
+        low = chain[-1] if chain else L.bottom
+        for G in L.proper:
+            if low < G:
+                extend(chain + (G,), [H for H in link if H < G or G < H])
+
+    extend((), list(L.proper))
+    return out
+
+
+def oracle_link(L, chain) -> list:
+    """The proper flats comparable to every flat of the chain and not in it."""
+    return [G for G in L.proper if all(G < F or F < G for F in chain)]
+
+
+def quadratic_oracle(L, chain) -> HomPoly:
     """The codimension-2 face restriction of the volume polynomial at a
-    chain of length d - 2, built from the top layers: the sum over the
-    extensions G of x_G times the linear form of the extended chain, with
-    the pinned vector at G substituted in, halved."""
-    L = engine.L
-    assert len(chain) == engine.d - 2
-    V_S = tuple(engine.link_vertices(chain))
+    chain (a tuple of flats) of length d - 2, built from the top layers:
+    the sum over the extensions G of x_G times the linear form of the
+    extended chain, with the pinned vector at G substituted in, halved."""
+    assert len(chain) == L.rank_total - 3
+    V_S = tuple(oracle_link(L, chain))
     acc = HomPoly.zero(V_S, 2)
-    for G, sub in engine.extensions(chain):
-        verts = tuple(engine.link_vertices(sub))
+    for G in V_S:
+        verts = tuple(oracle_link(L, chain + (G,)))
         lin_child = HomPoly(verts, 1, {((k, 1),): ONE for k in range(len(verts))})
         ell = layered_pin(L, chain, G, verts)
         forms = {H: {H: ONE, G: -ell[H]} for H in verts}
@@ -143,28 +175,27 @@ def quadratic_oracle(engine, chain) -> HomPoly:
     return acc.scale(Q(1, 2))
 
 
-def fraction_eval_bivariate(engine, va, vb) -> list:
+def fraction_eval_bivariate(L, va, vb) -> list:
     """Coefficients [c_0, ..., c_d] of pol(s va + t vb), c_j the coefficient
-    of s^(d-j) t^j, by the rational chain recursion."""
-    d = engine.d
+    of s^(d-j) t^j, by the rational chain recursion over the chains and
+    links of :func:`oracle_chains`."""
+    d = L.rank_total - 1
     if d < 0:
         raise ValueError("rank must be at least 1")
     if d == 0:
         return [ONE]
-    L = engine.L
-    chains = engine.chains()
+    chains = oracle_chains(L)
     # point vectors per chain, from the canonical parent (drop last flat)
-    pts = {(): {F: (Q(va.get(F, 0)), Q(vb.get(F, 0))) for F in engine.proper}}
-    for chain in chains:
+    pts = {(): {F: (Q(va.get(F, 0)), Q(vb.get(F, 0))) for F in L.proper}}
+    for chain, link in chains.items():
         if not chain or len(chain) >= d:
             continue
         parent = chain[:-1]
         G = chain[-1]
         px = pts[parent]
-        verts = engine.link_vertices(chain)
-        ell = layered_pin(L, parent, G, verts)
+        ell = layered_pin(L, parent, G, link)
         xg = px[G]
-        pts[chain] = {H: (px[H][0] - xg[0] * ell[H], px[H][1] - xg[1] * ell[H]) for H in verts}
+        pts[chain] = {H: (px[H][0] - xg[0] * ell[H], px[H][1] - xg[1] * ell[H]) for H in link}
     # values bottom-up by chain length
     memo = {}
     for chain in sorted(chains, key=len, reverse=True):
@@ -174,7 +205,7 @@ def fraction_eval_bivariate(engine, va, vb) -> list:
             continue
         acc = [ZERO] * (k + 1)
         x = pts[chain]
-        for G in engine.link_vertices(chain):
+        for G in chains[chain]:
             child = memo[tuple(sorted(chain + (G,), key=lambda F: L.rank[F]))]
             a, b = x[G]
             for j, cv in enumerate(child):
@@ -182,6 +213,52 @@ def fraction_eval_bivariate(engine, va, vb) -> list:
                 acc[j + 1] += b * cv
         memo[chain] = [c / k for c in acc]
     return memo[()]
+
+
+def oracle_mobius(L, a, b, memo=None) -> int:
+    """The Moebius function by the lower-interval recursion on frozensets:
+    mu(a, a) = 1 and mu(a, b) = -sum of mu(a, c) over the flats a <= c < b."""
+    if a == b:
+        return 1
+    if not a < b:
+        return 0
+    memo = {} if memo is None else memo
+    if (a, b) not in memo:
+        memo[a, b] = -sum(oracle_mobius(L, a, c, memo) for c in L.flats if a <= c < b)
+    return memo[a, b]
+
+
+def is_semimodular_spot(L) -> bool:
+    """a, b covering their meet forces the join to cover both."""
+    flats = set(L.flats)
+    for a in L.flats:
+        for b in L.flats:
+            meet = a & b
+            if meet not in flats:
+                return False
+            if meet in (a, b):
+                continue
+            if L.rank[a] == L.rank[meet] + 1 and L.rank[b] == L.rank[meet] + 1:
+                join = min((F for F in L.flats if a <= F and b <= F), key=lambda F: L.rank[F])
+                if not (L.rank[join] == L.rank[a] + 1 and L.rank[join] == L.rank[b] + 1):
+                    return False
+    return True
+
+
+def spot_check_rank_axioms(M, rng) -> None:
+    """Sampled unit-increase and submodularity checks on a matroid's rank
+    oracle."""
+    ground = list(M.ground)
+    for _ in range(50):
+        S = frozenset(e for e in ground if rng.random() < 0.5)
+        T = frozenset(e for e in ground if rng.random() < 0.5)
+        rS, rT = M.rank(S), M.rank(T)
+        if not (M.rank(S | T) + M.rank(S & T) <= rS + rT):
+            raise AssertionError("rank submodularity fails")
+        e = rng.choice(ground)
+        re = M.rank(S | {e})
+        if not (rS <= re <= rS + 1):
+            raise AssertionError("rank unit increase fails")
 
 
 def oracle_flats(ground, bases) -> set:

@@ -147,7 +147,7 @@ def test_criterion_04_catalog_certification(catalog):
         eng = volume_engine(L)
         v = eng.hl_check()
         d = L.rank_total - 1
-        expected = sum(1 for c in eng.chains() if len(c) == d - 2) if d >= 2 else 0
+        expected = sum(1 for c in eng.chains() if c.bit_count() == d - 2) if d >= 2 else 0
         ok = ok and v.value == "yes" and len(v.q_certificates) == expected
         ok = ok and all(i.pos <= 1 for _, i in v.q_certificates)
         total_certs += len(v.q_certificates)

@@ -13,7 +13,8 @@ import pytest
 
 from lorentzlab import cli
 from lorentzlab.cli import build_parser, main
-from lorentzlab.matroid import LatticeVolume
+from lorentzlab.matroid import LatticeVolume, Matroid, flats
+from oracles import oracle_chains
 
 
 def run(capsys, *argv):
@@ -202,6 +203,7 @@ def test_malformed_inputs_name_the_field(capsys, files, tmp_path):
 
 @pytest.mark.parametrize("content, needle", [
     ({"graph": {"vertices": 3, "edges": [[0, 5]]}}, "edge 0"),
+    ({"graph": {"vertices": 3, "edges": [[0, 1], [True, 2]]}}, "edge 1"),
     ([[1, 2], [1, 3]], "JSON object"),
     ({"ground": list(range(6)), "bases": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 4, 5], [2, 3, 5]]},
      "exchange"),
@@ -213,6 +215,28 @@ def test_malformed_matroid_inputs_exit_2(capsys, tmp_path, content, needle):
     for sub in ("hrw", "charpoly"):
         code, rep, _ = run(capsys, "matroid", sub, str(path))
         assert code == 2 and rep["verdict"] == "error" and needle in rep["message"]
+
+
+@pytest.mark.parametrize("vertices", [3.5, 3.0, "3", True, -1, None, [3]])
+def test_graph_vertices_must_be_a_non_negative_integer(capsys, tmp_path, vertices):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"graph": {"vertices": vertices, "edges": [[0, 1]]}}))
+    code, rep, _ = run(capsys, "matroid", "hrw", str(path))
+    assert code == 2 and rep["verdict"] == "error" and "vertices" in rep["message"]
+
+
+def test_graph_size_follows_the_edges_not_the_vertex_count(capsys, tmp_path):
+    """Union-find runs over the edges' endpoints, so a vertex count far
+    beyond memory costs nothing: K3 plus 10^12 isolated vertices is U(2,3)."""
+    small, huge = tmp_path / "k3.json", tmp_path / "k3_huge.json"
+    edges = [[0, 1], [1, 2], [0, 2]]
+    small.write_text(json.dumps({"graph": {"vertices": 3, "edges": edges}}))
+    huge.write_text(json.dumps({"graph": {"vertices": 10 ** 12, "edges": edges}}))
+    got = [_report_without_command(capsys, "matroid", "hrw", str(p)) for p in (small, huge)]
+    assert got[0] == got[1] and got[0][0] == 0
+    assert got[0][1]["reduced"] == ["-2", "1"]
+    code, rep, _ = run(capsys, "matroid", "charpoly", str(huge))
+    assert code == 0 and rep["chi"] == ["2", "-3", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,14 +331,21 @@ def test_timing_ms_is_a_json_number(capsys, files):
 
 
 def test_hrw_runs_one_chain_recursion(capsys, files, monkeypatch):
-    calls = []
+    calls, chain_lists = [], []
     inner = LatticeVolume.eval_bivariate
     monkeypatch.setattr(LatticeVolume, "eval_bivariate",
                         lambda self, va, vb: calls.append(1) or inner(self, va, vb))
+    inner_chains = LatticeVolume.chains
+    monkeypatch.setattr(LatticeVolume, "chains",
+                        lambda self: chain_lists.append(inner_chains(self)) or chain_lists[-1])
     for name, alpha, beta in (("fano.json", "1/2", "4"), ("u23.json", "1", "2")):
         calls.clear()
+        chain_lists.clear()
         code, rep, _ = run(capsys, "matroid", "hrw", files[name])
         assert code == 0 and len(calls) == 1
+        # the chain hook sees every chain once, as the tracer counts them
+        L = flats(Matroid.from_json_dict(json.loads(open(files[name]).read())))
+        assert len(chain_lists) == 1 and len(chain_lists[0]) == len(oracle_chains(L))
         # chi(0) is the Moebius value mu(bottom, top); d = rank - 1
         d = len(rep["chi"]) - 2
         mu = abs(int(rep["chi"][0]))

@@ -207,7 +207,7 @@ def test_inertia_matches_berkowitz_on_fixture_hessians(rng, catalog, passed_to_i
     # LatticeVolume.quadratic_hessian on every catalog matroid (criterion 04)
     for L in catalog.values():
         eng = matroid.volume_engine(L)
-        passed_to_inertia.extend(eng.quadratic_hessian(c) for c in eng.chains() if len(c) == eng.d - 2)
+        passed_to_inertia.extend(eng.quadratic_hessian(c) for c in eng.chains() if c.bit_count() == eng.d - 2)
     distinct = {(M.vars, tuple(M.entries)): M for M in passed_to_inertia}
     assert len(distinct) >= 500
     for M in distinct.values():

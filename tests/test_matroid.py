@@ -9,6 +9,7 @@ import pytest
 
 from lorentzlab import hereditary as hered
 from lorentzlab.matroid import (
+    FlatLattice,
     Matroid,
     alpha_beta,
     bergman_fan,
@@ -28,11 +29,15 @@ from lorentzlab.rat import Q
 from lorentzlab.inertia import hessian
 from oracles import (
     fraction_eval_bivariate,
+    is_semimodular_spot,
     layered_pin,
+    oracle_chains,
     oracle_flats,
     oracle_is_basis_family,
     oracle_max_forests,
+    oracle_mobius,
     quadratic_oracle,
+    spot_check_rank_axioms,
 )
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -49,7 +54,7 @@ def test_matroid_basics(rng):
     assert M.rank_total == 2 and M.rank({1}) == 1 and M.rank({1, 2}) == 2
     assert M.closure({1}) == frozenset({1})
     assert M.loops() == frozenset()
-    M.spot_check_rank_axioms(rng)
+    spot_check_rank_axioms(M, rng)
     with pytest.raises(ValueError):
         Matroid((1, 2), ({1}, {1, 2}))  # not equicardinal
 
@@ -83,7 +88,7 @@ def test_fano():
 def test_lattice_axioms_and_semimodularity(catalog):
     for name in ("U(2,3)", "U(3,5)", "K4", "Fano"):
         L = catalog[name]
-        assert L.is_semimodular_spot()
+        assert is_semimodular_spot(L)
         for a in L.flats:
             for b in L.flats:
                 rb = L.rank[a] + L.rank[b]
@@ -330,14 +335,14 @@ def test_integer_recursion_matches_fraction_oracle(catalog, rng):
             continue
         alpha, beta = alpha_beta(L)
         va, vb = dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords))
-        assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(eng, va, vb), name
+        assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
         if n_chains > 1500:
             continue
         for _ in range(3):
             va = {F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper}
             vb = {F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper}
-            assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(eng, va, vb), name
-            assert eng.evaluate(va) == fraction_eval_bivariate(eng, va, {})[0], name
+            assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
+            assert eng.evaluate(va) == fraction_eval_bivariate(L, va, {})[0], name
 
 
 def test_canonical_expansion_is_computed_once(catalog, monkeypatch):
@@ -370,11 +375,13 @@ def test_from_graph_matches_max_forest_oracle(rng):
 def test_quadratic_hessian_matches_oracle(catalog):
     checked = 0
     for name in ("U(3,4)", "U(4,5)", "U(4,6)", "U(5,6)", "K4", "Fano"):
-        eng = volume_engine(catalog[name])
+        L = catalog[name]
+        eng = volume_engine(L)
         for chain in eng.chains():
-            if len(chain) != eng.d - 2:
+            if chain.bit_count() != eng.d - 2:
                 continue
-            assert eng.quadratic_hessian(chain) == hessian(quadratic_oracle(eng, chain)), (name, chain)
+            flats_of = eng.flats_of(chain)
+            assert eng.quadratic_hessian(chain) == hessian(quadratic_oracle(L, flats_of)), (name, flats_of)
             checked += 1
     assert checked > 300
 
@@ -386,6 +393,42 @@ def test_cone_witness_accepts_submodular_point(catalog):
         eng = volume_engine(L)
         w = submodular_witness(L)
         v = dict(zip(w.vars, w.coords))
-        faces = sum(1 for c in eng.chains() if len(c) < eng.d)
+        faces = sum(1 for c in eng.chains() if c.bit_count() < eng.d)
         assert eng._cone_witness_faces(v) == (True, faces), name
         assert eng._cone_witness_faces({F: -x for F, x in v.items()}) == (False, 0), name
+
+
+def test_engine_chains_match_oracle_order(catalog):
+    lattices = dict(catalog, **{"M(K5)": flats(Matroid.from_graph(5, K5_EDGES))})
+    for name, L in lattices.items():
+        eng = volume_engine(L)
+        chains = oracle_chains(L)
+        assert [eng.flats_of(c) for c in eng.chains()] == list(chains), name
+        # the links the recursion keeps are the keys of its projected points
+        pts, _ = eng._points(eng.chains(), {}, {})
+        for c, x in pts.items():
+            assert [L.flats[g] for g in x] == chains[eng.flats_of(c)], name
+
+
+# one malformed family per rejection, in the order the checks run; a
+# family that passes the first three checks has no overlapping cover
+# differences (two covers of F overlapping outside F meet in a flat strictly
+# between F and either cover), so the overlap branch has no row here
+@pytest.mark.parametrize("family, message", [
+    ([(), (1,), (1, 2), (3,), (1, 2, 3)], "lattice is not graded by containment covers"),
+    ([(), (1, 2), (2, 3), (1, 2, 3)], "intersection {2} is not a flat"),
+    ([(), (1,), (1, 2), (1, 3), (1, 2, 3)],
+     "cover differences above set() do not partition the complement"),
+])
+def test_flat_lattice_rejections(family, message):
+    with pytest.raises(ValueError) as err:
+        FlatLattice((1, 2, 3, 4), [frozenset(F) for F in family])
+    assert str(err.value) == message
+
+
+def test_mobius_matches_frozenset_recursion(catalog):
+    for name, L in catalog.items():
+        memo = {}
+        for a in L.flats:
+            for b in L.flats:
+                assert L.mobius(a, b) == oracle_mobius(L, a, b, memo), (name, a, b)
