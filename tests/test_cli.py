@@ -203,11 +203,11 @@ def test_malformed_inputs_name_the_field(capsys, files, tmp_path):
 
 @pytest.mark.parametrize("content, needle", [
     ({"graph": {"vertices": 3, "edges": [[0, 5]]}}, "edge 0"),
-    ({"graph": {"vertices": 3, "edges": [[0, 1], [True, 2]]}}, "edge 1"),
     ([[1, 2], [1, 3]], "JSON object"),
     ({"ground": list(range(6)), "bases": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 4, 5], [2, 3, 5]]},
      "exchange"),
     ({"ground": [1, 2], "bases": [[]]}, "rank >= 1"),
+    ({"graph": {"vertices": 3, "edges": [[0, 1], [True, 2]]}}, "edge 1"),
 ])
 def test_malformed_matroid_inputs_exit_2(capsys, tmp_path, content, needle):
     path = tmp_path / "m.json"
