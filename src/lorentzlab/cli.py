@@ -5,6 +5,11 @@ report on stdout (deterministic: canonical rational strings, sorted keys,
 lexicographically-first witnesses) and a short human summary on stderr.
 Exit codes: 0 = yes/success, 1 = no-with-witness, 2 = input error.
 
+Input files have one boundary, ``InputFile``: the type of every file
+argument, it reads each file and parses it in full while the arguments are
+parsed, before any computation starts.  A malformed file, like a usage
+error, becomes a JSON error report naming it, with exit code 2.
+
 Timing is reported only under --timing so that identical inputs produce
 byte-identical reports.  --verify-witness re-checks any emitted refutation
 witness in isolation before reporting it.
@@ -30,14 +35,6 @@ from .simplicial import SimComplex
 
 class InputError(Exception):
     pass
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
 
 
 class _JsonDecimal(float):
@@ -66,7 +63,7 @@ def _json_number(text: str) -> float:
     float parsing gives them), else a float that prints as its text."""
     _, _, exponent = text.lower().partition("e")
     if exponent and abs(int(exponent)) > _MAX_EXPONENT:
-        raise InputError(f"JSON number {text} is out of range")
+        raise ValueError(f"JSON number {text} is out of range")
     x = float(text)
     if math.isfinite(x) and Fraction(repr(x)) == Fraction(text):
         return x
@@ -77,77 +74,97 @@ def _loads(text: str):
     return json.loads(text, parse_float=_json_number)
 
 
-def load_poly(path: str) -> HomPoly:
-    text = _read(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+class InputFile:
+    """The type of every file argument, and the one input boundary (see the
+    module docstring): ``parse`` gets the file's JSON value, checked to be
+    a non-empty ``shape``, or the file's text when ``shape`` is None."""
+
+    def __init__(self, parse, shape: type | None = dict):
+        self.parse, self.shape = parse, shape
+
+    def __call__(self, path: str):
         try:
-            return HomPoly.from_json_dict(_loads(text))
-        except (KeyError, ValueError) as e:
-            raise InputError(f"bad polynomial JSON in {path}: {e}") from None
-    try:
-        return parse_poly(text.strip())
-    except ValueError as e:
-        raise InputError(f"bad polynomial text in {path}: {e}") from None
+            with open(path) as fh:
+                text = fh.read()
+            return self.parse(text if self.shape is None else _expect(_loads(text), self.shape))
+        except (OSError, KeyError, IndexError, TypeError, ValueError, RecursionError) as e:
+            if isinstance(e, KeyError):
+                e = f"missing field {e}"
+            elif isinstance(e, json.JSONDecodeError):
+                e = f"bad JSON ({e})"
+            raise InputError(f"{path}: {e}") from None
 
 
-def load_json(path: str):
-    try:
-        return _loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise InputError(f"bad JSON in {path}: {e}") from None
-
-
-def load_object(path: str) -> dict:
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a JSON object, got a JSON {type(data).__name__}")
+def _expect(data, shape: type):
+    if not (isinstance(data, shape) and data):
+        want = "object" if shape is dict else "list"
+        raise ValueError(f"expected a non-empty JSON {want}, got {json.dumps(data)[:60]}")
     return data
 
 
-def load_weights_bundle(path: str):
+# ---------------------------------------------------------------------------
+# file parsers beyond the library's from_json_dict
+# ---------------------------------------------------------------------------
+
+
+def read_poly(text: str) -> HomPoly:
+    """A JSON polynomial object, or the text grammar when the file is not JSON."""
+    try:
+        data = _loads(text)
+    except json.JSONDecodeError:
+        return parse_poly(text.strip())
+    return HomPoly.from_json_dict(_expect(data, dict))
+
+
+def _facet_weights(entries) -> dict:
+    return {frozenset(e["facet"]): Q(str(e["w"])) for e in _expect(entries, list)}
+
+
+def read_weights_bundle(data: dict) -> tuple:
     """The weights schema: complex, lineality rows, facet weights."""
-    data = load_json(path)
-    for field in ("complex", "lineality", "weights"):
-        if field not in data:
-            raise InputError(f"{path}: missing field {field!r}")
-    delta = SimComplex.from_json_dict(data["complex"])
+    delta = SimComplex.from_json_dict(_expect(data["complex"], dict))
     lin = LinSubspace(delta.vertices, [[Q(str(x)) for x in row] for row in data["lineality"]])
-    w = {frozenset(entry["facet"]): Q(str(entry["w"])) for entry in data["weights"]}
-    return delta, lin, w
+    return delta, lin, _facet_weights(data["weights"])
 
 
-def report(args, verdict: str, **fields) -> dict:
-    out = {"command": " ".join(args.command_echo), "verdict": verdict}
-    out.update(fields)
+def read_fan_weights(text: str) -> dict:
+    """Facet weights: a list of facet/w entries, bare or under "weights"."""
+    data = _loads(text)
+    return _facet_weights(data["weights"] if isinstance(data, dict) else data)
+
+
+def read_chain(steps: list) -> list:
+    return [subdivision.SubdivStep.from_json_dict(s) for s in steps]
+
+
+def read_fan_chain(steps: list) -> list:
+    return [fanchow.read_step(s) for s in steps]
+
+
+def emit(args, code: int, verdict: str, **fields) -> int:
+    """Print the report of one command and return its exit code."""
+    rep = {"command": " ".join(args.command_echo), "verdict": verdict, **fields}
     if args.timing:
-        out["timing_ms"] = round(1000 * (time.monotonic() - args.t0), 3)
-    return out
-
-
-def emit(args, rep: dict, code: int) -> int:
+        rep["timing_ms"] = round(1000 * (time.monotonic() - args.t0), 3)
     print(json.dumps(lorentzian._jsonable(rep), indent=2, sort_keys=True))
-    print(f"[lorentzlab] {rep.get('command', '')}: {rep.get('verdict')}", file=sys.stderr)
+    print(f"[lorentzlab] {rep['command']}: {rep['verdict']}", file=sys.stderr)
     return code
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: one per subcommand, except where two share all but one step
 # ---------------------------------------------------------------------------
 
 
 def cmd_poly_lorentzian(args) -> int:
-    f = load_poly(args.file)
+    f = args.file
     v = lorentzian.is_lorentzian(f)
     ok = v.value == "yes"
-    verified = None
+    fields = {"detail": v.detail, "witness": v.witness,
+              "certificates": [(list(map(str, c)), list(i)) for c, i in v.certificates]}
     if not ok and args.verify_witness:
-        verified = _verify_lorentz_witness(f, v)
-    rep = report(args, v.value, detail=v.detail, witness=v.witness,
-                 certificates=[(list(map(str, c)), list(i)) for c, i in v.certificates])
-    if verified is not None:
-        rep["witness_verified"] = verified
-    return emit(args, rep, 0 if ok else 1)
+        fields["witness_verified"] = _verify_lorentz_witness(f, v)
+    return emit(args, 0 if ok else 1, v.value, **fields)
 
 
 def _verify_lorentz_witness(f: HomPoly, v) -> bool:
@@ -180,52 +197,40 @@ def _verify_lorentz_witness(f: HomPoly, v) -> bool:
 
 
 def cmd_poly_k_lorentzian(args) -> int:
-    f = load_poly(args.file)
-    cone = _load_cone(args.cone)
+    f, cone = args.file, args.cone
     if cone.dim_ambient != len(f.vars):
         raise InputError("cone generators and polynomial have different dimensions")
     v = lorentzian.is_k_lorentzian(f, cone)
     ok = v.value == "yes"
-    rep = report(args, v.value, detail=v.detail, witness=v.witness)
+    fields = {"detail": v.detail, "witness": v.witness}
     if not ok and args.verify_witness and v.witness and v.witness[0] == "hessian":
-        T = v.witness[1]
         q = f
-        for idx in T:
+        for idx in v.witness[1]:
             q = q.dir_derivative(cone.generators[idx])
-        rep["witness_verified"] = inertia(hessian(q)).pos > 1
-    return emit(args, rep, 0 if ok else 1)
-
-
-def _load_cone(path: str) -> ConeByGenerators:
-    try:
-        return ConeByGenerators.from_json_dict(load_object(path))
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}") from None
-    except TypeError as e:
-        raise InputError(f"{path}: {e}") from None
+        fields["witness_verified"] = inertia(hessian(q)).pos > 1
+    return emit(args, 0 if ok else 1, v.value, **fields)
 
 
 def cmd_hereditary(args) -> int:
-    if args.sub == "from-weights":
-        delta, lin, w = load_weights_bundle(args.file)
-        h = hereditary.from_weights(delta, lin, w)
-        rep = report(args, "success", polynomial=h.f.to_json_dict(), strong=h.strong)
-        return emit(args, rep, 0)
-    f = load_poly(args.file)
+    """hereditary check and hereditary lorentzian, which share the heredity
+    check and its "no" report."""
     try:
-        h = hereditary.check_hereditary(f)
+        h = hereditary.check_hereditary(args.file)
     except hereditary.NotHereditaryError as e:
-        rep = report(args, "no", failing_face=sorted(map(str, e.face)))
-        return emit(args, rep, 1)
+        return emit(args, 1, "no", failing_face=sorted(map(str, e.face)))
     if args.sub == "check":
-        rep = report(args, "yes", strong=h.strong, lineality_dim=h.lin.dim,
-                     facets=sorted(sorted(map(str, F)) for F in h.delta.facets))
-        return emit(args, rep, 0)
+        return emit(args, 0, "yes", strong=h.strong, lineality_dim=h.lin.dim,
+                    facets=sorted(sorted(map(str, F)) for F in h.delta.facets))
     v = hereditary.is_hereditary_lorentzian(h)
-    rep = report(args, v.value, **v.to_json_dict())
+    fields = v.to_json_dict()
     if v.value == "no" and args.verify_witness:
-        verify_hl_witness(rep, h, v)
-    return emit(args, rep, 0 if v.value == "yes" else 1)
+        verify_hl_witness(fields, h, v)
+    return emit(args, 0 if v.value == "yes" else 1, v.value, **fields)
+
+
+def cmd_hereditary_from_weights(args) -> int:
+    h = hereditary.from_weights(*args.file)
+    return emit(args, 0, "success", polynomial=h.f.to_json_dict(), strong=h.strong)
 
 
 def verify_hl_witness(rep: dict, h: hereditary.HereditaryPoly, v: hereditary.HLVerdict) -> None:
@@ -239,170 +244,111 @@ def verify_hl_witness(rep: dict, h: hereditary.HereditaryPoly, v: hereditary.HLV
         rep["witness_verified"] = not h.delta.link(v.c_witness).is_connected()
 
 
-def cmd_subdivide(args) -> int:
-    f = load_poly(args.file)
-    face = args.face.split(",")
-    c = [Q(x) for x in args.coeffs.split(",")]
-    g = subdivision.subdivide(f, face, c, vertex=args.vertex)
-    rep = report(args, "success", polynomial=g.to_json_dict())
-    return emit(args, rep, 0)
-
-
-def cmd_weld(args) -> int:
-    f = load_poly(args.file)
-    face = args.face.split(",")
-    c = [Q(x) for x in args.coeffs.split(",")]
-    if args.vertex is None:
-        raise InputError("weld requires --vertex naming the apex variable")
-    g = subdivision.weld(f, face, c, args.vertex)
-    rep = report(args, "success", polynomial=g.to_json_dict())
-    return emit(args, rep, 0)
+def cmd_stellar(args) -> int:
+    """subdivide and weld: the same face and coefficients, one operator each."""
+    op = subdivision.weld if args.group == "weld" else subdivision.subdivide
+    g = op(args.file, args.face.split(","), [Q(x) for x in args.coeffs.split(",")], args.vertex)
+    return emit(args, 0, "success", polynomial=g.to_json_dict())
 
 
 def cmd_chain(args) -> int:
-    f = load_poly(args.file)
-    steps = load_json(args.chain)
-    if not isinstance(steps, list):
-        raise InputError(f"{args.chain}: chain file must be a JSON list of steps")
-    res = subdivision.apply_chain(f, steps)
-    rep = report(args, "success", polynomial=res.poly.to_json_dict(), steps=res.certificates)
-    return emit(args, rep, 0)
+    res = subdivision.apply_chain(args.file, args.chain)
+    return emit(args, 0, "success", polynomial=res.poly.to_json_dict(), steps=res.certificates)
 
 
-def _load_lattice(path: str) -> matroid.FlatLattice:
-    data = load_json(path)
-    try:
-        M = matroid.Matroid.from_json_dict(data)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{path}: {e}") from None
-    return matroid.flats(M)
+def cmd_matroid_flats(args) -> int:
+    L = matroid.flats(args.file)
+    return emit(args, 0, "success", flats=[sorted(map(str, F)) for F in L.flats],
+                ranks=[L.rank[F] for F in L.flats])
 
 
-def cmd_matroid(args) -> int:
-    L = _load_lattice(args.file)
-    if args.sub != "flats" and L.rank_total < 1:
-        raise InputError(f"{args.file}: matroid {args.sub} needs rank >= 1")
-    if args.sub == "flats":
-        rep = report(args, "success",
-                     flats=[sorted(map(str, F)) for F in L.flats],
-                     ranks=[L.rank[F] for F in L.flats])
-        return emit(args, rep, 0)
-    if args.sub == "charpoly":
-        cp = matroid.char_poly(L)
-        rep = report(args, "success" if cp.agree else "no",
-                     chi=[rat_str(c) for c in cp.chi],
-                     reduced=[rat_str(c) for c in cp.reduced],
-                     routes_agree=cp.agree)
-        return emit(args, rep, 0 if cp.agree else 1)
-    if args.sub == "hrw":
-        hr = matroid.hrw_check(L)
-        cp = hr.char
-        verdict = hr.log_concave and hr.mixed_identity
-        witness = matroid.submodular_witness(L)
-        rep = report(args, "yes" if verdict else "no",
-                     chi=[rat_str(c) for c in cp.chi],
-                     reduced=[rat_str(c) for c in cp.reduced],
-                     coefficients=[rat_str(c) for c in hr.reduced_abs],
-                     log_concave=hr.log_concave,
-                     mixed_identity=hr.mixed_identity,
-                     volume_at_alpha=rat_str(cp.expansion[0]),
-                     volume_at_beta=rat_str(cp.expansion[-1]),
-                     cone_witness={str(sorted(map(str, F))): rat_str(c)
-                                   for F, c in zip(witness.vars, witness.coords)})
-        return emit(args, rep, 0 if verdict else 1)
-    if args.sub == "bergman":
-        fan = matroid.bergman_fan(L)
-        rep = report(args, "success", fan=fan.to_json_dict())
-        return emit(args, rep, 0)
-    raise InputError(f"unknown matroid subcommand {args.sub}")
+def _lattice(args) -> matroid.FlatLattice:
+    L = matroid.flats(args.file)
+    if L.rank_total < 1:
+        raise InputError(f"matroid {args.sub} needs rank >= 1")
+    return L
 
 
-def _load_polytope(path: str) -> polytope.SimplePolytope:
-    try:
-        return polytope.SimplePolytope.from_json_dict(load_object(path))
-    except (polytope.PolytopeError, TypeError) as e:
-        raise InputError(f"{path}: {e}") from None
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}") from None
+def cmd_matroid_charpoly(args) -> int:
+    cp = matroid.char_poly(_lattice(args))
+    return emit(args, 0 if cp.agree else 1, "success" if cp.agree else "no",
+                chi=[rat_str(c) for c in cp.chi], reduced=[rat_str(c) for c in cp.reduced],
+                routes_agree=cp.agree)
 
 
-def cmd_polytope(args) -> int:
-    if args.sub == "volume":
-        P = _load_polytope(args.files[0])
-        rep = report(args, "success", volume=rat_str(polytope.volume(P)))
-        return emit(args, rep, 0)
-    if args.sub == "polynomial":
-        P = _load_polytope(args.files[0])
-        h = polytope.volume_polynomial(P)
-        rep = report(args, "success", polynomial=h.f.to_json_dict(), strong=h.strong)
-        return emit(args, rep, 0)
-    bodies = [_load_polytope(p) for p in args.files]
-    if args.sub == "mixed":
-        v = polytope.mixed_volume(bodies)
-        rep = report(args, "success", mixed_volume=rat_str(v))
-        return emit(args, rep, 0)
-    if args.sub == "af":
-        ok = polytope.af_check(bodies)
-        rep = report(args, "yes" if ok else "no")
-        return emit(args, rep, 0 if ok else 1)
-    raise InputError(f"unknown polytope subcommand {args.sub}")
+def cmd_matroid_hrw(args) -> int:
+    L = _lattice(args)
+    hr = matroid.hrw_check(L)
+    cp = hr.char
+    verdict = hr.log_concave and hr.mixed_identity
+    witness = matroid.submodular_witness(L)
+    return emit(args, 0 if verdict else 1, "yes" if verdict else "no",
+                chi=[rat_str(c) for c in cp.chi],
+                reduced=[rat_str(c) for c in cp.reduced],
+                coefficients=[rat_str(c) for c in hr.reduced_abs],
+                log_concave=hr.log_concave,
+                mixed_identity=hr.mixed_identity,
+                volume_at_alpha=rat_str(cp.expansion[0]),
+                volume_at_beta=rat_str(cp.expansion[-1]),
+                cone_witness={str(sorted(map(str, F))): rat_str(c)
+                              for F, c in zip(witness.vars, witness.coords)})
 
 
-def _load_fan(path: str) -> fanchow.Fan:
-    try:
-        return fanchow.Fan.from_json_dict(load_object(path))
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{path}: {e}") from None
+def cmd_matroid_bergman(args) -> int:
+    return emit(args, 0, "success", fan=matroid.bergman_fan(_lattice(args)).to_json_dict())
 
 
-def _load_fan_weights(path: str) -> dict:
-    data = load_json(path)
-    if isinstance(data, dict) and "weights" in data:
-        data = data["weights"]
-    if not isinstance(data, list):
-        raise InputError(f"{path}: weights must be a list of facet/w entries")
-    return {frozenset(e["facet"]): Q(str(e["w"])) for e in data}
+def cmd_polytope_volume(args) -> int:
+    return emit(args, 0, "success", volume=rat_str(polytope.volume(args.files[0])))
 
 
-def cmd_fan(args) -> int:
-    fan = _load_fan(args.fan)
-    if args.sub == "check":
-        w = _load_fan_weights(args.weights)
-        alpha = fanchow.functional_from_weights(fan, w)
-        v = fanchow.check_fan_lorentzian(alpha)
-        rep = report(args, v.value, **v.to_json_dict())
-        if v.value == "no" and args.verify_witness:
-            verify_hl_witness(rep, alpha.h, v)
-        return emit(args, rep, 0 if v.value == "yes" else 1)
-    if args.sub == "subdivide":
-        rho = [Q(x) for x in args.ray.split(",")]
-        fan2, transport = fanchow.fan_subdivide(fan, rho)
-        fields = {"fan": fan2.to_json_dict()}
-        if args.weights:
-            alpha = fanchow.functional_from_weights(fan, _load_fan_weights(args.weights))
-            alpha2 = transport(alpha)
-            fields["weights"] = [
-                {"facet": sorted(map(str, F)), "w": rat_str(alpha2.weight(F))}
-                for F in sorted(fan2.cones.facets, key=lambda f: sorted(map(str, f)))
-            ]
-        rep = report(args, "success", **fields)
-        return emit(args, rep, 0)
-    if args.sub == "bijection":
-        fan2 = _load_fan(args.fan2)
-        a1 = fanchow.functional_from_weights(fan, _load_fan_weights(args.weights))
-        a2 = fanchow.functional_from_weights(fan2, _load_fan_weights(args.weights2))
-        ok = fanchow.canonical_bijection_check(fan, a1, fan2, a2)
-        rep = report(args, "yes" if ok else "no")
-        return emit(args, rep, 0 if ok else 1)
-    if args.sub == "transport":
-        alpha = fanchow.functional_from_weights(fan, _load_fan_weights(args.weights))
-        steps = load_json(args.chain)
-        fan2, alpha2 = fanchow.transport_chain(fan, alpha, steps)
-        rep = report(args, "success", fan=fan2.to_json_dict(),
-                     weights=[{"facet": sorted(map(str, F)), "w": rat_str(alpha2.weight(F))}
-                              for F in sorted(fan2.cones.facets, key=lambda f: sorted(map(str, f)))])
-        return emit(args, rep, 0)
-    raise InputError(f"unknown fan subcommand {args.sub}")
+def cmd_polytope_polynomial(args) -> int:
+    h = polytope.volume_polynomial(args.files[0])
+    return emit(args, 0, "success", polynomial=h.f.to_json_dict(), strong=h.strong)
+
+
+def cmd_polytope_mixed(args) -> int:
+    return emit(args, 0, "success", mixed_volume=rat_str(polytope.mixed_volume(args.files)))
+
+
+def cmd_polytope_af(args) -> int:
+    ok = polytope.af_check(args.files)
+    return emit(args, 0 if ok else 1, "yes" if ok else "no")
+
+
+def _weights_report(alpha: fanchow.DegreeFunctional) -> list:
+    return [{"facet": sorted(map(str, F)), "w": rat_str(alpha.weight(F))}
+            for F in sorted(alpha.fan.cones.facets, key=lambda f: sorted(map(str, f)))]
+
+
+def cmd_fan_check(args) -> int:
+    alpha = fanchow.functional_from_weights(args.fan, args.weights)
+    v = fanchow.check_fan_lorentzian(alpha)
+    fields = v.to_json_dict()
+    if v.value == "no" and args.verify_witness:
+        verify_hl_witness(fields, alpha.h, v)
+    return emit(args, 0 if v.value == "yes" else 1, v.value, **fields)
+
+
+def cmd_fan_subdivide(args) -> int:
+    fan2, transport = fanchow.fan_subdivide(args.fan, [Q(x) for x in args.ray.split(",")])
+    fields = {"fan": fan2.to_json_dict()}
+    if args.weights is not None:
+        fields["weights"] = _weights_report(transport(fanchow.functional_from_weights(args.fan, args.weights)))
+    return emit(args, 0, "success", **fields)
+
+
+def cmd_fan_bijection(args) -> int:
+    a1 = fanchow.functional_from_weights(args.fan, args.weights)
+    a2 = fanchow.functional_from_weights(args.fan2, args.weights2)
+    ok = fanchow.canonical_bijection_check(args.fan, a1, args.fan2, a2)
+    return emit(args, 0 if ok else 1, "yes" if ok else "no")
+
+
+def cmd_fan_transport(args) -> int:
+    alpha = fanchow.functional_from_weights(args.fan, args.weights)
+    fan2, alpha2 = fanchow.transport_chain(args.fan, alpha, args.chain)
+    return emit(args, 0, "success", fan=fan2.to_json_dict(), weights=_weights_report(alpha2))
 
 
 # ---------------------------------------------------------------------------
@@ -421,90 +367,93 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later one (parsing leaves no state on it); not at import, so importing
-    the package stays cheap."""
+    the package stays cheap.  Every file argument has an ``InputFile``
+    type, so parsing the arguments parses the files."""
+    poly, fan = InputFile(read_poly, None), InputFile(fanchow.Fan.from_json_dict)
+    weights = InputFile(read_fan_weights, None)
     ap = _Parser(prog="lorentzlab", description=__doc__)
     ap.add_argument("--timing", action="store_true", help="include timing_ms in the report")
     ap.add_argument("--verify-witness", action="store_true",
                     help="re-check any refutation witness before reporting")
     sub = ap.add_subparsers(dest="group", required=True)
 
-    poly = sub.add_parser("poly").add_subparsers(dest="sub", required=True)
-    p = poly.add_parser("lorentzian")
-    p.add_argument("file")
+    group = sub.add_parser("poly").add_subparsers(dest="sub", required=True)
+    p = group.add_parser("lorentzian")
+    p.add_argument("file", type=poly)
     p.set_defaults(func=cmd_poly_lorentzian)
-    p = poly.add_parser("k-lorentzian")
-    p.add_argument("file")
-    p.add_argument("--cone", required=True)
+    p = group.add_parser("k-lorentzian")
+    p.add_argument("file", type=poly)
+    p.add_argument("--cone", required=True, type=InputFile(ConeByGenerators.from_json_dict))
     p.set_defaults(func=cmd_poly_k_lorentzian)
 
-    her = sub.add_parser("hereditary").add_subparsers(dest="sub", required=True)
-    for name in ("check", "lorentzian", "from-weights"):
-        p = her.add_parser(name)
-        p.add_argument("file")
+    group = sub.add_parser("hereditary").add_subparsers(dest="sub", required=True)
+    for name in ("check", "lorentzian"):
+        p = group.add_parser(name)
+        p.add_argument("file", type=poly)
         p.set_defaults(func=cmd_hereditary)
+    p = group.add_parser("from-weights")
+    p.add_argument("file", type=InputFile(read_weights_bundle))
+    p.set_defaults(func=cmd_hereditary_from_weights)
 
-    p = sub.add_parser("subdivide")
-    p.add_argument("file")
-    p.add_argument("--face", required=True, help="comma-separated face variables")
-    p.add_argument("--coeffs", required=True, help="comma-separated positive rationals")
-    p.add_argument("--vertex", default=None)
-    p.set_defaults(func=cmd_subdivide)
+    for name in ("subdivide", "weld"):
+        p = sub.add_parser(name)
+        p.add_argument("file", type=poly)
+        p.add_argument("--face", required=True, help="comma-separated face variables")
+        p.add_argument("--coeffs", required=True, help="comma-separated positive rationals")
+        p.add_argument("--vertex", required=name == "weld", help="the apex variable")
+        p.set_defaults(func=cmd_stellar)
 
-    p = sub.add_parser("weld")
-    p.add_argument("file")
-    p.add_argument("--face", required=True)
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--vertex", default=None)
-    p.set_defaults(func=cmd_weld)
-
-    chain = sub.add_parser("chain").add_subparsers(dest="sub", required=True)
-    p = chain.add_parser("apply")
-    p.add_argument("file")
-    p.add_argument("chain")
+    group = sub.add_parser("chain").add_subparsers(dest="sub", required=True)
+    p = group.add_parser("apply")
+    p.add_argument("file", type=poly)
+    p.add_argument("chain", type=InputFile(read_chain, list))
     p.set_defaults(func=cmd_chain)
 
-    mat = sub.add_parser("matroid").add_subparsers(dest="sub", required=True)
-    for name in ("flats", "charpoly", "hrw", "bergman"):
-        p = mat.add_parser(name)
-        p.add_argument("file")
-        p.set_defaults(func=cmd_matroid)
+    group = sub.add_parser("matroid").add_subparsers(dest="sub", required=True)
+    for name, func in (("flats", cmd_matroid_flats), ("charpoly", cmd_matroid_charpoly),
+                       ("hrw", cmd_matroid_hrw), ("bergman", cmd_matroid_bergman)):
+        p = group.add_parser(name)
+        p.add_argument("file", type=InputFile(matroid.Matroid.from_json_dict))
+        p.set_defaults(func=func)
 
-    pol = sub.add_parser("polytope").add_subparsers(dest="sub", required=True)
-    for name in ("volume", "polynomial", "mixed", "af"):
-        p = pol.add_parser(name)
-        p.add_argument("files", nargs="+")
-        p.set_defaults(func=cmd_polytope)
+    group = sub.add_parser("polytope").add_subparsers(dest="sub", required=True)
+    for name, func in (("volume", cmd_polytope_volume), ("polynomial", cmd_polytope_polynomial),
+                       ("mixed", cmd_polytope_mixed), ("af", cmd_polytope_af)):
+        p = group.add_parser(name)
+        p.add_argument("files", nargs="+", type=InputFile(polytope.SimplePolytope.from_json_dict))
+        p.set_defaults(func=func)
 
-    fan = sub.add_parser("fan").add_subparsers(dest="sub", required=True)
-    p = fan.add_parser("check")
-    p.add_argument("fan")
-    p.add_argument("--weights", required=True)
-    p.set_defaults(func=cmd_fan)
-    p = fan.add_parser("subdivide")
-    p.add_argument("fan")
+    group = sub.add_parser("fan").add_subparsers(dest="sub", required=True)
+    p = group.add_parser("check")
+    p.add_argument("fan", type=fan)
+    p.add_argument("--weights", required=True, type=weights)
+    p.set_defaults(func=cmd_fan_check)
+    p = group.add_parser("subdivide")
+    p.add_argument("fan", type=fan)
     p.add_argument("--ray", required=True, help="comma-separated rational coordinates")
-    p.add_argument("--weights", default=None)
-    p.set_defaults(func=cmd_fan)
-    p = fan.add_parser("bijection")
-    p.add_argument("fan")
-    p.add_argument("weights")
-    p.add_argument("fan2")
-    p.add_argument("weights2")
-    p.set_defaults(func=cmd_fan)
-    p = fan.add_parser("transport")
-    p.add_argument("fan")
-    p.add_argument("weights")
-    p.add_argument("chain")
-    p.set_defaults(func=cmd_fan)
+    p.add_argument("--weights", type=weights)
+    p.set_defaults(func=cmd_fan_subdivide)
+    p = group.add_parser("bijection")
+    p.add_argument("fan", type=fan)
+    p.add_argument("weights", type=weights)
+    p.add_argument("fan2", type=fan)
+    p.add_argument("weights2", type=weights)
+    p.set_defaults(func=cmd_fan_bijection)
+    p = group.add_parser("transport")
+    p.add_argument("fan", type=fan)
+    p.add_argument("weights", type=weights)
+    p.add_argument("chain", type=InputFile(read_fan_chain, list))
+    p.set_defaults(func=cmd_fan_transport)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    t0 = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
         args.command_echo = ["lorentzlab"] + argv
-        args.t0 = time.monotonic()
+        args.t0 = t0
         return args.func(args)
     except (InputError, ValueError) as e:
         print(json.dumps({"verdict": "error", "message": str(e)}, indent=2, sort_keys=True))

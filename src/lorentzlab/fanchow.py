@@ -15,7 +15,7 @@ which stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import hereditary as hered
 from . import linalg
@@ -54,7 +54,10 @@ class Fan:
         return {v: i for i, v in enumerate(self.ray_labels)}
 
     def ray(self, label) -> tuple:
-        return self.rays[self._index()[label]]
+        idx = self._index()
+        if label not in idx:
+            raise ValueError(f"no ray labelled {label!r}")
+        return self.rays[idx[label]]
 
     def lineality(self) -> LinSubspace:
         """L(fan): functionals evaluated on the rays, i.e. the row space of
@@ -76,29 +79,13 @@ class Fan:
         representations, so a violation is a common point using a
         generator outside the shared face on either side.
         """
-        idx = self._index()
         facets = sorted(self.cones.facets, key=lambda f: sorted(map(repr, f)))
         for a in range(len(facets)):
             for b in range(a + 1, len(facets)):
                 A, B = facets[a], facets[b]
-                shared = A & B
-                # labels in a fixed order, so the LP and its block order do
-                # not follow the hash seed
-                la, lb = sorted(A, key=repr), sorted(B, key=repr)
-                sys = StrictSystem(
-                    vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb)
-                )
-                for v in la:
-                    sys.add({("l", v): ONE}, GE)
-                for v in lb:
-                    sys.add({("m", v): ONE}, GE)
-                for k in range(self.dim):
-                    row = {("l", v): self.rays[idx[v]][k] for v in la}
-                    for v in lb:
-                        row[("m", v)] = row.get(("m", v), ZERO) - self.rays[idx[v]][k]
-                    sys.add(row, EQ)
-                outside = ({("l", v): ONE for v in la if v not in shared}
-                           | {("m", v): ONE for v in lb if v not in shared})
+                sys = _cone_pair_system(self, A, self, B, GE)
+                outside = ({("l", v): ONE for v in sorted(A - B, key=repr)}
+                           | {("m", v): ONE for v in sorted(B - A, key=repr)})
                 sys.add(outside, GT)
                 if strict_feasible(sys) is not None:
                     raise ValueError(f"cones {set(A)} and {set(B)} do not meet in a common face")
@@ -115,9 +102,34 @@ class Fan:
     def from_json_dict(cls, data: Mapping) -> "Fan":
         rays = [tuple(Q(str(x)) for x in r) for r in data["rays"]]
         labels = tuple(data.get("labels", range(len(rays))))
-        cones = [[labels[i] for i in c] if all(isinstance(i, int) for i in c) else c
-                 for c in data["cones"]]
+        cones = []
+        for c in data["cones"]:
+            # a cone of integers lists ray indices, anything else ray labels
+            if all(isinstance(i, int) for i in c):
+                if not all(type(i) is int and 0 <= i < len(labels) for i in c):
+                    raise ValueError(f"cone {c} needs ray indices in 0..{len(labels) - 1}")
+                c = [labels[i] for i in c]
+            cones.append(c)
         return build_fan(int(data["dim"]), labels, rays, cones)
+
+
+def _cone_pair_system(fan1: Fan, A: Iterable, fan2: Fan, B: Iterable, rel) -> StrictSystem:
+    """The LP of a common point of cone A of fan1 and cone B of fan2, in the
+    ray coefficients l of A and m of B, each ``rel`` 0; labels go in a fixed
+    order, so the LP does not follow the hash seed."""
+    idx1, idx2 = fan1._index(), fan2._index()
+    la, lb = sorted(A, key=repr), sorted(B, key=repr)
+    sys = StrictSystem(vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb))
+    for v in la:
+        sys.add({("l", v): ONE}, rel)
+    for v in lb:
+        sys.add({("m", v): ONE}, rel)
+    for k in range(fan1.dim):
+        row = {("l", v): fan1.rays[idx1[v]][k] for v in la}
+        for v in lb:
+            row[("m", v)] = -fan2.rays[idx2[v]][k]
+        sys.add(row, EQ)
+    return sys
 
 
 def build_fan(dim: int, labels: Sequence, rays: Sequence, cones: Sequence[Iterable],
@@ -262,22 +274,53 @@ def fan_weld(fan: Fan, apex, S: Iterable):
     return new_fan, transport
 
 
-def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[Mapping]):
-    """Apply subdivide/weld steps to a fan and its functional in lockstep."""
+class FanStep(NamedTuple):
+    """One step of a fan chain: subdivide at ``ray``, or at the positive
+    combination ``c`` of the rays of ``face`` when ``ray`` is None, naming
+    the new ray ``vertex`` (fresh when None); or weld the ray ``vertex``
+    back onto ``face``."""
+
+    kind: str                 # "subdivide" | "weld"
+    ray: tuple | None = None
+    face: tuple = ()
+    c: tuple = ()
+    vertex: object = None
+
+
+def read_step(data: Mapping) -> FanStep:
+    """The one reader of fan chain steps from their JSON form: a subdivide
+    step gives "ray", or "face" and "c"; a weld step gives "vertex" and
+    "face"; either may name its "vertex"."""
+    kind = data["kind"]
+    if kind == "weld":
+        step = FanStep(kind, face=tuple(data["face"]), vertex=data["vertex"])
+    elif kind != "subdivide":
+        raise ValueError(f"bad step kind {kind!r}")
+    elif data.get("ray") is not None:
+        step = FanStep(kind, ray=tuple(Q(str(x)) for x in data["ray"]), vertex=data.get("vertex"))
+    else:
+        step = FanStep(kind, face=tuple(data["face"]), c=tuple(Q(str(x)) for x in data["c"]),
+                       vertex=data.get("vertex"))
+        if len(step.face) != len(step.c):
+            raise ValueError("face and coefficient lists differ in length")
+    hash((step.face, step.vertex))  # labels must be hashable
+    return step
+
+
+def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[FanStep | Mapping]):
+    """Apply subdivide/weld steps to a fan and its functional in lockstep;
+    a step in JSON form goes through :func:`read_step`."""
     for step in steps:
-        kind = step["kind"]
-        if kind == "subdivide":
-            rho = step.get("ray")
-            if rho is None:
-                S = tuple(step["face"])
-                c = [Q(str(x)) for x in step["c"]]
-                rho = tuple(sum((ci * xi for ci, xi in zip(c, comp)), ZERO)
-                            for comp in zip(*[fan.ray(v) for v in S]))
-            fan, transport = fan_subdivide(fan, rho, new_label=step.get("vertex"))
-        elif kind == "weld":
-            fan, transport = fan_weld(fan, step["vertex"], step["face"])
+        if not isinstance(step, FanStep):
+            step = read_step(step)
+        if step.kind == "weld":
+            fan, transport = fan_weld(fan, step.vertex, step.face)
         else:
-            raise ValueError(f"bad step kind {kind!r}")
+            rho = step.ray
+            if rho is None:
+                rho = tuple(sum((ci * xi for ci, xi in zip(step.c, comp)), ZERO)
+                            for comp in zip(*[fan.ray(v) for v in step.face]))
+            fan, transport = fan_subdivide(fan, rho, new_label=step.vertex)
         alpha = transport(alpha)
     return fan, alpha
 
@@ -290,22 +333,9 @@ def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[Mapping])
 def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, frozenset]]:
     """Maximal cone pairs whose intersection has nonempty interior, by LP."""
     out = []
-    idx1, idx2 = fan1._index(), fan2._index()
     for A in sorted(fan1.cones.facets, key=lambda f: sorted(map(repr, f))):
-        la = sorted(A, key=repr)  # a fixed label order: see verify_fan_axioms
         for B in sorted(fan2.cones.facets, key=lambda f: sorted(map(repr, f))):
-            lb = sorted(B, key=repr)
-            sys = StrictSystem(vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb))
-            for v in la:
-                sys.add({("l", v): ONE}, GT)
-            for v in lb:
-                sys.add({("m", v): ONE}, GT)
-            for k in range(fan1.dim):
-                row = {("l", v): fan1.rays[idx1[v]][k] for v in la}
-                for v in lb:
-                    row[("m", v)] = row.get(("m", v), ZERO) - fan2.rays[idx2[v]][k]
-                sys.add(row, EQ)
-            if strict_feasible(sys) is not None:
+            if strict_feasible(_cone_pair_system(fan1, A, fan2, B, GT)) is not None:
                 out.append((A, B))
     return out
 

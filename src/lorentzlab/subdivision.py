@@ -44,6 +44,7 @@ class SubdivStep:
             raise ValueError("face and coefficient lists differ in length")
         if any(x <= 0 for x in self.c):
             raise ValueError("subdivision coefficients must be positive")
+        hash((self.face, self.vertex))  # labels must be hashable
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "face": [str(v) for v in self.face], "c": [rat_str(x) for x in self.c]}
@@ -66,6 +67,8 @@ def weld(g: HomPoly, S: Sequence, c: Sequence, vertex) -> HomPoly:
     if vertex not in g.vars:
         raise ValueError(f"variable {vertex!r} is absent")
     S = tuple(S)
+    if not set(S) <= set(g.vars) - {vertex}:
+        raise ValueError(f"weld face {list(S)} must be variables other than the apex {vertex!r}")
     c = [Q(x) for x in c]
     new_vars = tuple(v for v in g.vars if v != vertex)
     forms = {v: {v: ONE} for v in new_vars}
@@ -163,8 +166,6 @@ def apply_chain(f: HomPoly, steps: Iterable[SubdivStep | Mapping]) -> ChainResul
                 if not created:
                     raise ValueError("weld step needs an explicit apex vertex")
                 vertex = created.pop()
-            if step.face and any(v == vertex for v in step.face):
-                raise ValueError("weld face cannot contain the apex")
             current = weld(current, step.face, step.c, vertex)
         h = check_hereditary(current)
         if not h.strong:

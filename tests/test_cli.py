@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, schemas, determinism, witness
 verification, and the JSON error contract for malformed inputs."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -74,6 +75,23 @@ def files(tmp_path):
     write("nogens.json", {"rays": [["1", "0", "0"]]})
     write("segment.json", {"dim": 1, "normals": [["1"], ["-1"]], "t": ["1", "1"]})
     write("hugeexp.json", '{"dim": 1, "normals": [["1"], ["-1"]], "t": [1e-99999999, 1]}')
+    write("orthant4.json", {"generators": [[int(i == j) for j in range(4)] for i in range(4)]})
+    write("fanchain.json", [{"kind": "subdivide", "ray": [1, 1], "vertex": "m"},
+                            {"kind": "weld", "vertex": "m", "face": ["e", "n"]}])
+    write("vars5.json", {"vars": 5, "terms": [{"exps": [1], "coeff": 1}]})
+    square_rays = [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]
+    for name, cones in (("index_past_end", [[0, 1], [1, 2], [2, 3], [3, 4]]),
+                        ("negative_index", [[0, 1], [1, 2], [2, 3], [3, -4]]),
+                        ("boolean_index", [[0, True], [True, 2], [2, 3], [3, 0]])):
+        write(f"fan_{name}.json", {"dim": 2, "rays": square_rays, "cones": cones})
+    write("index_weights.json", [{"facet": [i, (i + 1) % 4], "w": "1"} for i in range(4)])
+    write("bundle_no_facets.json", {"complex": {"vertices": ["t1", "t2"]}, "lineality": [["1", "-1"]],
+                                    "weights": [{"facet": ["t1", "t2"], "w": "1"}]})
+    write("weights_no_w.json", [{"facet": ["e", "n"]}])
+    write("chain_unhashable.json", [{"kind": "subdivide", "face": [["a0"], "b0"], "c": ["1", "1"]}])
+    write("fanchain_no_ray.json", [{"kind": "subdivide", "vertex": "m"}])
+    write("fanchain_unknown_ray.json", [{"kind": "weld", "vertex": "zz", "face": ["e", "n"]}])
+    write("deep.json", "[" * 10000 + "]" * 10000)
     return paths
 
 
@@ -258,10 +276,91 @@ def test_graph_size_follows_the_edges_not_the_vertex_count(capsys, tmp_path):
     ("polytope", "af", "square.json"),
     ("polytope", "af", "segment.json"),
     ("polytope", "volume", "hugeexp.json"),
+    ("poly", "lorentzian", "vars5.json"),
+    ("fan", "check", "fan_index_past_end.json", "--weights", "index_weights.json"),
+    ("fan", "check", "fan_negative_index.json", "--weights", "index_weights.json"),
+    ("fan", "check", "fan_boolean_index.json", "--weights", "index_weights.json"),
+    ("hereditary", "from-weights", "bundle_no_facets.json"),
+    ("fan", "check", "sqfan.json", "--weights", "weights_no_w.json"),
+    ("chain", "apply", "quad.txt", "chain_unhashable.json"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_no_ray.json"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_unknown_ray.json"),
+    ("weld", "edge.txt", "--face", "t1,t2", "--coeffs", "1,1"),
+    ("polytope", "volume", "deep.json"),
 ])
 def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
     code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 2 and rep["verdict"] == "error" and rep["message"]
+
+
+# a valid file of each format, by the name of the parser that the file
+# argument's type runs
+VALID_FILES = {
+    "read_poly": "quad.txt",
+    "ConeByGenerators.from_json_dict": "orthant4.json",
+    "read_weights_bundle": "weights_edge.json",
+    "read_chain": "chain.json",
+    "Matroid.from_json_dict": "u23.json",
+    "SimplePolytope.from_json_dict": "square.json",
+    "Fan.from_json_dict": "sqfan.json",
+    "read_fan_weights": "sqweights.json",
+    "read_fan_chain": "fanchain.json",
+}
+# a valid value of every required argument that is not a file
+VALID_VALUES = {"face": "a0,b0", "coeffs": "1,1", "vertex": "a1", "ray": "1,1"}
+SHAPES = ["{}", "[]", "[1]", "[{}]", "[[1]]", "null", '"x"', '{"x": 1}']
+
+
+def _leaf_commands(parser, prefix=()):
+    """(subcommand words, parser) for every subcommand of the CLI."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, prefix + (name,))
+            return
+    yield prefix, parser
+
+
+def _argv(words, parser, files, bad=None, bad_path=None):
+    """A valid command line, with the file argument ``bad`` replaced by
+    ``bad_path``.  Every file argument is given, optional ones too."""
+    argv = list(words)
+    for action in parser._actions:
+        if action.dest == "help":
+            continue
+        if isinstance(action.type, cli.InputFile):
+            valid = files[VALID_FILES[action.type.parse.__qualname__]]
+            value = bad_path if action is bad else valid
+            values = [value, valid] if action.nargs == "+" else [value]
+        elif action.required or not action.option_strings:
+            values = [VALID_VALUES[action.dest]]
+        else:
+            continue
+        argv += [action.option_strings[0], *values] if action.option_strings else values
+    return argv
+
+
+def test_every_file_argument_rejects_every_malformed_shape(capsys, files, tmp_path):
+    """Walks the parser, so a new subcommand or file argument is covered as
+    it is added: each file argument, fed each wrong shape of JSON while the
+    other arguments stay valid, gives exit 2 and a JSON error naming it."""
+    bad_files = []
+    for i, shape in enumerate(SHAPES):
+        bad_files.append(tmp_path / f"shape{i}.json")
+        bad_files[-1].write_text(shape)
+    covered = 0
+    for words, parser in _leaf_commands(build_parser()):
+        code, _, err = run(capsys, *_argv(words, parser, files))
+        assert code in (0, 1), (words, err)
+        for action in parser._actions:
+            if not isinstance(action.type, cli.InputFile):
+                continue
+            covered += 1
+            for path in bad_files:
+                code, rep, err = run(capsys, *_argv(words, parser, files, action, str(path)))
+                assert code == 2 and rep["verdict"] == "error", (words, action.dest, path.read_text(), err)
+                assert "Traceback" not in err
+    assert covered >= 29
 
 
 def _report_without_command(capsys, *argv):

@@ -23,6 +23,7 @@ from lorentzlab.fanchow import (
     fan_weld,
     functional_from_weights,
     locate_relative_interior,
+    read_step,
     star,
     transport_chain,
 )
@@ -231,6 +232,9 @@ def test_transport_chain_round_trip():
     fan2, alpha2 = transport_chain(fan, alpha, steps)
     assert fan2.cones == fan.cones
     assert alpha2.h.f == alpha.h.f
+    # steps read once give the same chain
+    fan2, alpha2 = transport_chain(fan, alpha, [read_step(s) for s in steps])
+    assert fan2.cones == fan.cones and alpha2.h.f == alpha.h.f
     # verdict transport along a longer chain
     steps = [
         {"kind": "subdivide", "ray": (1, 2), "vertex": "p"},
@@ -333,6 +337,29 @@ def test_fan_json_round_trip():
     fan = square_fan()
     again = Fan.from_json_dict(fan.to_json_dict())
     assert again.rays == fan.rays and again.cones.facets == fan.cones.facets
+
+
+@pytest.mark.parametrize("bad", [-4, True, 4])
+def test_fan_cone_indices_are_ray_indices(bad):
+    """A cone of integers lists ray indices: a negative, boolean or too
+    large one is an error naming the cone, not another ray."""
+    rays = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    cones = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    assert Fan.from_json_dict({"dim": 2, "rays": rays, "cones": cones}).cones.facets == \
+        {frozenset(c) for c in cones}
+    cones[3] = [3, bad]
+    with pytest.raises(ValueError, match=r"cone \[3, .*\] needs ray indices in 0\.\.3"):
+        Fan.from_json_dict({"dim": 2, "rays": rays, "cones": cones})
+
+
+@pytest.mark.parametrize("step, message", [
+    ({"kind": "glue", "face": []}, "bad step kind"),
+    ({"kind": "subdivide", "face": ["e", "n"], "c": [1]}, "differ in length"),
+    ({"kind": "weld", "vertex": ["m"], "face": ["e", "n"]}, "unhashable"),
+])
+def test_read_step_rejects_malformed_steps(step, message):
+    with pytest.raises((TypeError, ValueError), match=message):
+        read_step(step)
 
 
 def test_facet_values_match_mixed_partials(rng):

@@ -411,9 +411,9 @@ def test_engine_chains_match_oracle_order(catalog):
 
 
 # one malformed family per rejection, in the order the checks run; a
-# family that passes the first three checks has no overlapping cover
+# family that passes the first two checks has no overlapping cover
 # differences (two covers of F overlapping outside F meet in a flat strictly
-# between F and either cover), so the overlap branch has no row here
+# between F and either cover), so there is no overlap check to reject one
 @pytest.mark.parametrize("family, message", [
     ([(), (1,), (1, 2), (3,), (1, 2, 3)], "lattice is not graded by containment covers"),
     ([(), (1, 2), (2, 3), (1, 2, 3)], "intersection {2} is not a flat"),
