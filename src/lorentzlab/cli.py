@@ -108,12 +108,19 @@ def _expect(data, shape: type):
 
 
 def read_poly(text: str) -> HomPoly:
-    """A JSON polynomial object, or the text grammar when the file is not JSON."""
-    try:
-        data = _loads(text)
-    except json.JSONDecodeError:
-        return parse_poly(text.strip())
-    return HomPoly.from_json_dict(_expect(data, dict))
+    """A JSON polynomial object when the file starts with "{" or "[", else
+    the text grammar (where ``2`` is a constant and ``null`` a variable)."""
+    text = text.strip()
+    if text[:1] in ("{", "["):
+        return HomPoly.from_json_dict(_expect(_loads(text), dict))
+    return parse_poly(text)
+
+
+def read_matroid_of_positive_rank(data: dict) -> matroid.Matroid:
+    M = matroid.Matroid.from_json_dict(data)
+    if M.rank_total < 1:
+        raise ValueError("matroid charpoly, hrw and bergman need rank >= 1")
+    return M
 
 
 def _facet_weights(entries) -> dict:
@@ -262,22 +269,15 @@ def cmd_matroid_flats(args) -> int:
                 ranks=[L.rank[F] for F in L.flats])
 
 
-def _lattice(args) -> matroid.FlatLattice:
-    L = matroid.flats(args.file)
-    if L.rank_total < 1:
-        raise InputError(f"matroid {args.sub} needs rank >= 1")
-    return L
-
-
 def cmd_matroid_charpoly(args) -> int:
-    cp = matroid.char_poly(_lattice(args))
+    cp = matroid.char_poly(matroid.flats(args.file))
     return emit(args, 0 if cp.agree else 1, "success" if cp.agree else "no",
                 chi=[rat_str(c) for c in cp.chi], reduced=[rat_str(c) for c in cp.reduced],
                 routes_agree=cp.agree)
 
 
 def cmd_matroid_hrw(args) -> int:
-    L = _lattice(args)
+    L = matroid.flats(args.file)
     hr = matroid.hrw_check(L)
     cp = hr.char
     verdict = hr.log_concave and hr.mixed_identity
@@ -295,15 +295,16 @@ def cmd_matroid_hrw(args) -> int:
 
 
 def cmd_matroid_bergman(args) -> int:
-    return emit(args, 0, "success", fan=matroid.bergman_fan(_lattice(args)).to_json_dict())
+    fan = matroid.bergman_fan(matroid.flats(args.file))
+    return emit(args, 0, "success", fan=fan.to_json_dict())
 
 
 def cmd_polytope_volume(args) -> int:
-    return emit(args, 0, "success", volume=rat_str(polytope.volume(args.files[0])))
+    return emit(args, 0, "success", volume=rat_str(polytope.volume(args.file)))
 
 
 def cmd_polytope_polynomial(args) -> int:
-    h = polytope.volume_polynomial(args.files[0])
+    h = polytope.volume_polynomial(args.file)
     return emit(args, 0, "success", polynomial=h.f.to_json_dict(), strong=h.strong)
 
 
@@ -410,17 +411,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     group = sub.add_parser("matroid").add_subparsers(dest="sub", required=True)
-    for name, func in (("flats", cmd_matroid_flats), ("charpoly", cmd_matroid_charpoly),
-                       ("hrw", cmd_matroid_hrw), ("bergman", cmd_matroid_bergman)):
+    p = group.add_parser("flats")
+    p.add_argument("file", type=InputFile(matroid.Matroid.from_json_dict))
+    p.set_defaults(func=cmd_matroid_flats)
+    for name, func in (("charpoly", cmd_matroid_charpoly), ("hrw", cmd_matroid_hrw),
+                       ("bergman", cmd_matroid_bergman)):
         p = group.add_parser(name)
-        p.add_argument("file", type=InputFile(matroid.Matroid.from_json_dict))
+        p.add_argument("file", type=InputFile(read_matroid_of_positive_rank))
         p.set_defaults(func=func)
 
     group = sub.add_parser("polytope").add_subparsers(dest="sub", required=True)
-    for name, func in (("volume", cmd_polytope_volume), ("polynomial", cmd_polytope_polynomial),
-                       ("mixed", cmd_polytope_mixed), ("af", cmd_polytope_af)):
+    body = InputFile(polytope.SimplePolytope.from_json_dict)
+    for name, func, nargs in (("volume", cmd_polytope_volume, None),
+                              ("polynomial", cmd_polytope_polynomial, None),
+                              ("mixed", cmd_polytope_mixed, "+"), ("af", cmd_polytope_af, "+")):
         p = group.add_parser(name)
-        p.add_argument("files", nargs="+", type=InputFile(polytope.SimplePolytope.from_json_dict))
+        p.add_argument("file" if nargs is None else "files", nargs=nargs, type=body)
         p.set_defaults(func=func)
 
     group = sub.add_parser("fan").add_subparsers(dest="sub", required=True)

@@ -252,8 +252,9 @@ def fan_weld(fan: Fan, apex, S: Iterable):
     """
     S = frozenset(S)
     labels_sorted = tuple(sorted(S, key=repr))
+    rho, face_rays = fan.ray(apex), [fan.ray(v) for v in labels_sorted]
     try:
-        c = solve_in_span(fan.ray(apex), [fan.ray(v) for v in labels_sorted])
+        c = solve_in_span(rho, face_rays)
     except ValueError:
         raise ValueError("apex ray is not a positive combination of the face rays") from None
     new_cones = fan.cones.weld(apex, S)
