@@ -26,8 +26,8 @@ fan = build_fan(
     2, ("e", "n", "w", "s"),
     [(1, 0), (0, 1), (-1, 0), (0, -1)],
     [{"e", "n"}, {"n", "w"}, {"w", "s"}, {"s", "e"}],
-    full_check=True,
 )
+fan.verify_fan_axioms()
 alpha = functional_from_weights(fan, {F: 1 for F in fan.cones.facets})
 print("square fan functional:", alpha.h.f.to_text())
 print("certifies:", check_fan_lorentzian(alpha).value)
@@ -64,7 +64,8 @@ rays = {"a+": (1, 0, 0, 0), "b+": (0, 1, 0, 0), "a-": (-1, 0, 0, 0), "b-": (0, -
 cones = [{"a+", "b+"}, {"b+", "a-"}, {"a-", "b-"}, {"b-", "a+"},
          {"c+", "d+"}, {"d+", "c-"}, {"c-", "d-"}, {"d-", "c+"}]
 labels = tuple(rays)
-disc = build_fan(4, labels, [rays[k] for k in labels], cones, full_check=True)
+disc = build_fan(4, labels, [rays[k] for k in labels], cones)
+disc.verify_fan_axioms()
 gamma = functional_from_weights(disc, {F: 1 for F in disc.cones.facets})
 v = check_fan_lorentzian(gamma)
 print("\ndisconnected two-plane fan:", v.value, "| witness face:", sorted(v.c_witness or ()))

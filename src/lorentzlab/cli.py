@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto library operations; every run emits a JSON
 report on stdout (deterministic: canonical rational strings, sorted keys,
 lexicographically-first witnesses) and a short human summary on stderr.
-Exit codes: 0 = yes/success, 1 = no-with-witness, 2 = input error.
+Exit codes: 0 = yes/success/vacuous, 1 = no-with-witness, 2 = input error.
 
 Input files have one boundary, ``InputFile``: the type of every file
 argument, it reads each file and parses it in full while the arguments are
@@ -30,7 +30,7 @@ from .cones import ConeByGenerators
 from .inertia import hessian, inertia
 from .polycore import HomPoly, LinSubspace, parse_poly
 from .rat import Q, rat_str
-from .simplicial import SimComplex
+from .simplicial import SimComplex, label_str
 
 
 class InputError(Exception):
@@ -168,7 +168,7 @@ def cmd_poly_lorentzian(args) -> int:
     v = lorentzian.is_lorentzian(f)
     ok = v.value == "yes"
     fields = {"detail": v.detail, "witness": v.witness,
-              "certificates": [(list(map(str, c)), list(i)) for c, i in v.certificates]}
+              "certificates": [(list(map(label_str, c)), list(i)) for c, i in v.certificates]}
     if not ok and args.verify_witness:
         fields["witness_verified"] = _verify_lorentz_witness(f, v)
     return emit(args, 0 if ok else 1, v.value, **fields)
@@ -224,20 +224,25 @@ def cmd_hereditary(args) -> int:
     try:
         h = hereditary.check_hereditary(args.file)
     except hereditary.NotHereditaryError as e:
-        return emit(args, 1, "no", failing_face=sorted(map(str, e.face)))
+        return emit(args, 1, "no", failing_face=sorted(map(label_str, e.face)))
     if args.sub == "check":
         return emit(args, 0, "yes", strong=h.strong, lineality_dim=h.lin.dim,
-                    facets=sorted(sorted(map(str, F)) for F in h.delta.facets))
-    v = hereditary.is_hereditary_lorentzian(h)
-    fields = v.to_json_dict()
-    if v.value == "no" and args.verify_witness:
-        verify_hl_witness(fields, h, v)
-    return emit(args, 0 if v.value == "yes" else 1, v.value, **fields)
+                    facets=sorted(sorted(map(label_str, F)) for F in h.delta.facets))
+    return emit_hl_verdict(args, h, hereditary.is_hereditary_lorentzian(h))
 
 
 def cmd_hereditary_from_weights(args) -> int:
     h = hereditary.from_weights(*args.file)
     return emit(args, 0, "success", polynomial=h.f.to_json_dict(), strong=h.strong)
+
+
+def emit_hl_verdict(args, h: hereditary.HereditaryPoly, v: hereditary.HLVerdict) -> int:
+    """Report a hereditary-Lorentzian verdict: exit 1 only on "no" (whose
+    witness --verify-witness re-checks), exit 0 on "yes" and "vacuous"."""
+    fields = v.to_json_dict()
+    if v.value == "no" and args.verify_witness:
+        verify_hl_witness(fields, h, v)
+    return emit(args, 1 if v.value == "no" else 0, v.value, **fields)
 
 
 def verify_hl_witness(rep: dict, h: hereditary.HereditaryPoly, v: hereditary.HLVerdict) -> None:
@@ -265,7 +270,7 @@ def cmd_chain(args) -> int:
 
 def cmd_matroid_flats(args) -> int:
     L = matroid.flats(args.file)
-    return emit(args, 0, "success", flats=[sorted(map(str, F)) for F in L.flats],
+    return emit(args, 0, "success", flats=[sorted(map(label_str, F)) for F in L.flats],
                 ranks=[L.rank[F] for F in L.flats])
 
 
@@ -290,7 +295,7 @@ def cmd_matroid_hrw(args) -> int:
                 mixed_identity=hr.mixed_identity,
                 volume_at_alpha=rat_str(cp.expansion[0]),
                 volume_at_beta=rat_str(cp.expansion[-1]),
-                cone_witness={str(sorted(map(str, F))): rat_str(c)
+                cone_witness={str(sorted(map(label_str, F))): rat_str(c)
                               for F, c in zip(witness.vars, witness.coords)})
 
 
@@ -318,17 +323,13 @@ def cmd_polytope_af(args) -> int:
 
 
 def _weights_report(alpha: fanchow.DegreeFunctional) -> list:
-    return [{"facet": sorted(map(str, F)), "w": rat_str(alpha.weight(F))}
-            for F in sorted(alpha.fan.cones.facets, key=lambda f: sorted(map(str, f)))]
+    return [{"facet": sorted(map(label_str, F)), "w": rat_str(alpha.weight(F))}
+            for F in sorted(alpha.fan.cones.facets, key=lambda f: sorted(map(label_str, f)))]
 
 
 def cmd_fan_check(args) -> int:
     alpha = fanchow.functional_from_weights(args.fan, args.weights)
-    v = fanchow.check_fan_lorentzian(alpha)
-    fields = v.to_json_dict()
-    if v.value == "no" and args.verify_witness:
-        verify_hl_witness(fields, alpha.h, v)
-    return emit(args, 0 if v.value == "yes" else 1, v.value, **fields)
+    return emit_hl_verdict(args, alpha.h, fanchow.check_fan_lorentzian(alpha))
 
 
 def cmd_fan_subdivide(args) -> int:

@@ -15,14 +15,16 @@ which stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import hereditary as hered
 from . import linalg
+from . import subdivision as subdiv
 from .cones import GE, GT, EQ, StrictSystem, solve_in_span, strict_feasible
 from .polycore import LinSubspace, direction_coords
-from .rat import Q, ZERO, ONE, rat_str
-from .simplicial import SimComplex, fresh_vertex
+from .rat import Q, ZERO, ONE, rat_str, sign
+from .simplicial import SimComplex, face_key, fresh_vertex, label_key, label_str
 
 
 @dataclass(frozen=True)
@@ -79,23 +81,21 @@ class Fan:
         representations, so a violation is a common point using a
         generator outside the shared face on either side.
         """
-        facets = sorted(self.cones.facets, key=lambda f: sorted(map(repr, f)))
-        for a in range(len(facets)):
-            for b in range(a + 1, len(facets)):
-                A, B = facets[a], facets[b]
-                sys = _cone_pair_system(self, A, self, B, GE)
-                outside = ({("l", v): ONE for v in sorted(A - B, key=repr)}
-                           | {("m", v): ONE for v in sorted(B - A, key=repr)})
-                sys.add(outside, GT)
-                if strict_feasible(sys) is not None:
-                    raise ValueError(f"cones {set(A)} and {set(B)} do not meet in a common face")
+        facets = sorted(self.cones.facets, key=face_key)
+        for A, B in combinations(facets, 2):
+            sys = _cone_pair_system(self, A, self, B, GE)
+            outside = ({("l", v): ONE for v in sorted(A - B, key=label_key)}
+                       | {("m", v): ONE for v in sorted(B - A, key=label_key)})
+            sys.add(outside, GT)
+            if strict_feasible(sys) is not None:
+                raise ValueError(f"cones {set(A)} and {set(B)} do not meet in a common face")
 
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
             "rays": [[rat_str(x) for x in r] for r in self.rays],
-            "labels": [str(v) for v in self.ray_labels],
-            "cones": sorted(sorted(str(v) for v in f) for f in self.cones.facets),
+            "labels": [label_str(v) for v in self.ray_labels],
+            "cones": sorted(sorted(map(label_str, f)) for f in self.cones.facets),
         }
 
     @classmethod
@@ -118,7 +118,7 @@ def _cone_pair_system(fan1: Fan, A: Iterable, fan2: Fan, B: Iterable, rel) -> St
     ray coefficients l of A and m of B, each ``rel`` 0; labels go in a fixed
     order, so the LP does not follow the hash seed."""
     idx1, idx2 = fan1._index(), fan2._index()
-    la, lb = sorted(A, key=repr), sorted(B, key=repr)
+    la, lb = sorted(A, key=label_key), sorted(B, key=label_key)
     sys = StrictSystem(vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb))
     for v in la:
         sys.add({("l", v): ONE}, rel)
@@ -132,13 +132,9 @@ def _cone_pair_system(fan1: Fan, A: Iterable, fan2: Fan, B: Iterable, rel) -> St
     return sys
 
 
-def build_fan(dim: int, labels: Sequence, rays: Sequence, cones: Sequence[Iterable],
-              full_check: bool = False) -> Fan:
-    fan = Fan(dim=dim, ray_labels=tuple(labels), rays=tuple(map(tuple, rays)),
-              cones=SimComplex(tuple(labels), cones))
-    if full_check:
-        fan.verify_fan_axioms()
-    return fan
+def build_fan(dim: int, labels: Sequence, rays: Sequence, cones: Sequence[Iterable]) -> Fan:
+    return Fan(dim=dim, ray_labels=tuple(labels), rays=tuple(map(tuple, rays)),
+               cones=SimComplex(tuple(labels), cones))
 
 
 @dataclass(frozen=True)
@@ -209,10 +205,10 @@ def locate_relative_interior(fan: Fan, rho: Sequence) -> tuple[frozenset, tuple]
     """The unique cone with rho in its relative interior, with the positive
     combination coefficients (aligned with the sorted face labels)."""
     rho = tuple(Q(x) for x in rho)
-    for S in sorted(fan.cones.faces(), key=lambda f: (len(f), sorted(map(repr, f)))):
+    for S in sorted(fan.cones.faces(), key=lambda f: (len(f), face_key(f))):
         if not S:
             continue
-        labels = sorted(S, key=repr)
+        labels = sorted(S, key=label_key)
         try:
             return frozenset(S), solve_in_span(rho, [fan.ray(v) for v in labels])
         except ValueError:
@@ -223,10 +219,8 @@ def locate_relative_interior(fan: Fan, rho: Sequence) -> tuple[frozenset, tuple]
 def fan_subdivide(fan: Fan, rho: Sequence, new_label=None):
     """Stellar subdivision at an interior ray; returns the new fan and the
     functional transport map (the polynomial-side subdivision operator)."""
-    from . import subdivision as subdiv
-
     S, c = locate_relative_interior(fan, rho)
-    labels_sorted = tuple(sorted(S, key=repr))
+    labels_sorted = tuple(sorted(S, key=label_key))
     if new_label is None:
         new_label = fresh_vertex(fan.ray_labels, prefix="r")
     new_cones = fan.cones.stellar_subdivide(S, new_vertex=new_label)
@@ -251,7 +245,7 @@ def fan_weld(fan: Fan, apex, S: Iterable):
     must be strictly positive.
     """
     S = frozenset(S)
-    labels_sorted = tuple(sorted(S, key=repr))
+    labels_sorted = tuple(sorted(S, key=label_key))
     rho, face_rays = fan.ray(apex), [fan.ray(v) for v in labels_sorted]
     try:
         c = solve_in_span(rho, face_rays)
@@ -267,8 +261,6 @@ def fan_weld(fan: Fan, apex, S: Iterable):
     )
 
     def transport(alpha: DegreeFunctional) -> DegreeFunctional:
-        from . import subdivision as subdiv
-
         g = subdiv.weld(alpha.h.f, labels_sorted, c, apex)
         return DegreeFunctional(fan=new_fan, grade=alpha.grade, h=hered.check_hereditary(g))
 
@@ -334,8 +326,8 @@ def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[FanStep |
 def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, frozenset]]:
     """Maximal cone pairs whose intersection has nonempty interior, by LP."""
     out = []
-    for A in sorted(fan1.cones.facets, key=lambda f: sorted(map(repr, f))):
-        for B in sorted(fan2.cones.facets, key=lambda f: sorted(map(repr, f))):
+    for A in sorted(fan1.cones.facets, key=face_key):
+        for B in sorted(fan2.cones.facets, key=face_key):
             if strict_feasible(_cone_pair_system(fan1, A, fan2, B, GT)) is not None:
                 out.append((A, B))
     return out
@@ -356,8 +348,6 @@ def canonical_bijection_check(
         pairs = overlapping_facet_pairs(fan1, fan2)
     if not pairs:
         raise ValueError("no overlapping maximal cone pairs")
-    from .rat import sign
-
     for A, B in pairs:
         w1, w2 = alpha1.weight(A), alpha2.weight(B)
         if sign(w1) != sign(w2):
@@ -377,7 +367,7 @@ def star(fan: Fan, S: Iterable) -> Fan:
     if not fan.cones.has_face(S):
         raise ValueError(f"{set(S)} is not a cone")
     idx = fan._index()
-    span_rows = [fan.rays[idx[v]] for v in sorted(S, key=repr)]
+    span_rows = [fan.rays[idx[v]] for v in sorted(S, key=label_key)]
     R, pivots = linalg.rref(span_rows)
     nonpivot = [k for k in range(fan.dim) if k not in pivots]
 

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping
 
-from . import cones
+from . import cones, linalg
 from .inertia import Inertia, derivative_hessian, inertia as matrix_inertia
-from .polycore import HomPoly, LinSubspace
+from .polycore import HomPoly, LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE
-from .simplicial import SimComplex
+from .simplicial import SimComplex, face_key, label_key, label_str
 
 
 class NotHereditaryError(ValueError):
@@ -59,15 +60,9 @@ def face_complex(f: HomPoly) -> SimComplex:
     return SimComplex(f.vars, supports) if supports else SimComplex.void(f.vars)
 
 
-def _face_key(S: frozenset):
-    return tuple(sorted((repr(v) for v in S)))
-
-
 def _minimal_failing_face(lin: LinSubspace, T: frozenset) -> frozenset:
     for k in range(1, len(T) + 1):
-        from itertools import combinations
-
-        for sub in combinations(sorted(T, key=repr), k):
+        for sub in combinations(sorted(T, key=label_key), k):
             if not lin.projects_onto(sub):
                 return frozenset(sub)
     return T
@@ -80,8 +75,8 @@ def require_hereditary(delta: SimComplex, lin: LinSubspace) -> None:
     skeleton's facets are all that need a rank check.  Raises
     NotHereditaryError naming a minimal failing face.
     """
-    for T in sorted(delta.skeleton().facets, key=_face_key):
-        if T and not lin.projects_onto(tuple(sorted(T, key=repr))):
+    for T in sorted(delta.skeleton().facets, key=face_key):
+        if T and not lin.projects_onto(T):
             raise NotHereditaryError(_minimal_failing_face(lin, T))
 
 
@@ -120,7 +115,7 @@ def check_hereditary(f: HomPoly) -> HereditaryPoly:
     lin = f.lineality_space()
     require_hereditary(delta, lin)
     strong = all(
-        (not F) or lin.projects_onto(tuple(sorted(F, key=repr)))
+        (not F) or lin.projects_onto(F)
         for F in delta.facets
     )
     return HereditaryPoly(f=f, delta=delta, lin=lin, strong=strong)
@@ -135,7 +130,7 @@ def restrict_poly(h: HereditaryPoly, S: Iterable) -> HomPoly:
     """f^S as a raw polynomial over the link vertex set V_S."""
     S = frozenset(S)
     g = h.f
-    for i in sorted(S, key=repr):
+    for i in sorted(S, key=label_key):
         g = g.partial(i)
     g = g.set_vars_zero(S)
     return g.restrict_vars(h.delta.link_vertices(S))
@@ -162,11 +157,12 @@ class _Face:
     lin: LinSubspace       # lineality at S, over V_S
     pin: tuple | None      # parent's lineality vector with 1 at the descent vertex
     V_S: tuple
+    vertex: object = None  # the descent vertex i; the parent face is S - {i}
 
 
 class FaceWalk:
     """The faces of size < d of a complex, each reached once by the canonical
-    descent that adds the vertex ``max(S, key=repr)`` to ``S`` minus it.
+    descent that adds the vertex ``max(S, key=label_key)`` to ``S`` minus it.
 
     Descending by i is one :meth:`LinSubspace.pin` of the parent's
     lineality: it gives the vector l with l_i = 1, which projects a point x
@@ -187,12 +183,12 @@ class FaceWalk:
     @cached_property
     def order(self) -> list:
         """The faces of size < d, parents before children."""
-        return sorted(self.delta.faces(max_size=self.d - 1), key=lambda S: (len(S), _face_key(S)))
+        return sorted(self.delta.faces(max_size=self.d - 1), key=lambda S: (len(S), face_key(S)))
 
     def face(self, S: frozenset) -> _Face:
         fd = self._faces.get(S)
         if fd is None:
-            i = max(S, key=repr)
+            i = max(S, key=label_key)
             parent = self.face(S - {i})
             V_S = self.delta.link_vertices(S)
             pin, lin = parent.lin.pin(i, V_S)
@@ -202,7 +198,7 @@ class FaceWalk:
             if parent.poly is not None:
                 poly = parent.poly.partial(i).set_vars_zero([i]).restrict_vars(V_S)
                 lin = poly.lineality_space()
-            fd = self._faces[S] = _Face(poly, lin, pin, V_S)
+            fd = self._faces[S] = _Face(poly, lin, pin, V_S, i)
         return fd
 
     def points(self, x: tuple):
@@ -213,8 +209,9 @@ class FaceWalk:
             if not S:
                 y = x
             else:
-                i = max(S, key=repr)
-                parent, fd = self.face(S - {i}), self.face(S)
+                fd = self.face(S)
+                i = fd.vertex
+                parent = self.face(S - {i})
                 pidx = {v: k for k, v in enumerate(parent.V_S)}
                 px = points[S - {i}]
                 y = tuple(px[pidx[j]] - px[pidx[i]] * fd.pin[pidx[j]] for j in fd.V_S)
@@ -282,7 +279,7 @@ def cone_system(h: HereditaryPoly) -> cones.StrictSystem:
             sys.add(row, cones.GT)
         else:
             basis = walk.face(S).lin.basis
-            aux = tuple(("a", _face_key(S), k) for k in range(len(basis)))
+            aux = tuple(("a", face_key(S), k) for k in range(len(basis)))
             sys.aux = tuple(sys.aux) + aux
             for r in range(len(walk.face(S).V_S)):
                 row = {("v", x): col[r] for x, col in zip(h.vars, cols) if col[r] != 0}
@@ -297,8 +294,6 @@ def cone_member(h: HereditaryPoly, v) -> bool:
     """Exact decision of v in K_f, by the face walk on the known point."""
     if h.degree < 1:
         return not h.f.is_zero() and h.f.terms.get((), ZERO) >= 0
-    from .polycore import direction_coords
-
     return _walk(h).member(direction_coords(v, h.vars))
 
 
@@ -312,8 +307,6 @@ def cone_nonempty(h: HereditaryPoly, hints: Iterable = ()) -> dict | None:
     d = h.degree
     if d < 1:
         return {}
-    from .polycore import direction_coords
-
     candidates = [direction_coords(v, h.vars) for v in hints]
     candidates.append((ONE,) * len(h.vars))
     for v in candidates:
@@ -348,11 +341,11 @@ class HLVerdict:
         return {
             "value": self.value,
             "h_connected": self.h_connected,
-            "c_witness": sorted(map(str, self.c_witness)) if self.c_witness is not None else None,
+            "c_witness": sorted(map(label_str, self.c_witness)) if self.c_witness is not None else None,
             "q_certificates": [
-                {"face": sorted(map(str, S)), "inertia": list(i)} for S, i in self.q_certificates
+                {"face": sorted(map(label_str, S)), "inertia": list(i)} for S, i in self.q_certificates
             ],
-            "q_witness": sorted(map(str, self.q_witness)) if self.q_witness is not None else None,
+            "q_witness": sorted(map(label_str, self.q_witness)) if self.q_witness is not None else None,
             "note": self.note,
         }
 
@@ -399,7 +392,7 @@ def is_hereditary_lorentzian(h: HereditaryPoly, cone_hints: Iterable = ()) -> HL
     # the Hessian of f^S is the Hessian of (d/dt)^S f on the link vertices
     certs = []
     q_wit = None
-    for S in sorted(h.delta.faces_of_size(d - 2), key=_face_key):
+    for S in sorted(h.delta.faces_of_size(d - 2), key=face_key):
         indicator = [1 if v in S else 0 for v in h.vars]
         inr = matrix_inertia(derivative_hessian(h.f, indicator, over=h.delta.link_vertices(S)))
         certs.append((S, inr))
@@ -427,7 +420,7 @@ def check_balancing(walk: FaceWalk, w: Mapping[frozenset, object]):
     the face walk with no polynomial (the lineality vectors that are zero
     on F).  Raises BalancingError naming the first failing facet.
     """
-    for F in sorted(walk.delta.faces_of_size(walk.d - 1), key=_face_key):
+    for F in sorted(walk.delta.faces_of_size(walk.d - 1), key=face_key):
         fd = walk.face(F)
         weights = [Q(w.get(F | {i}, 0)) for i in fd.V_S]
         for b in fd.lin.basis:
@@ -532,14 +525,12 @@ def _extend_vars(f: HomPoly, vars: tuple) -> HomPoly:
 def space_dimension(delta: SimComplex, lin: LinSubspace, k: int) -> int:
     """dim of the degree-k polynomials supported on delta and invariant
     under translation along lin, by exact linear algebra on coefficients."""
-    from itertools import combinations_with_replacement
-
     verts = tuple(delta.vertices)
     vidx = {v: i for i, v in enumerate(verts)}
     monos: list[tuple] = []
     seen = set()
     for face in delta.faces(max_size=min(k, (delta.dim or 0) + 1)):
-        fl = sorted(face, key=repr)
+        fl = sorted(face, key=label_key)
         if len(fl) > k:
             continue
         for combo in combinations_with_replacement(fl, k):
@@ -557,8 +548,6 @@ def space_dimension(delta: SimComplex, lin: LinSubspace, k: int) -> int:
     amb_idx = {v: i for i, v in enumerate(lin.ambient)}
     rows = []
     row_index: dict[tuple, int] = {}
-    from . import linalg
-
     for b in lin.basis:
         derivative_rows: dict[tuple, list] = {}
         for m in monos:

@@ -27,14 +27,15 @@ the sampling-based check for non-polyhedral cones never answers "yes", only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from typing import Iterable, Sequence
 
 from .cones import ConeByGenerators
 from .inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia
 from .polycore import HomPoly, direction_coords
-from .rat import Q, ZERO, ONE
-from .simplicial import connected
+from .rat import Q, ZERO, ONE, Rational, rat_str
+from .simplicial import connected, label_key, label_str
 
 
 @dataclass
@@ -57,20 +58,19 @@ class LorentzVerdict:
 
 
 def _jsonable(x):
-    from .rat import Rational, rat_str
-    from fractions import Fraction
-
     if isinstance(x, (Rational, Fraction)):
         return rat_str(x)
     if isinstance(x, Inertia):
         return list(x)
-    if isinstance(x, (list, tuple, set, frozenset)):
+    if isinstance(x, (set, frozenset)):
+        return [_jsonable(e) for e in sorted(x, key=label_key)]
+    if isinstance(x, (list, tuple)):
         return [_jsonable(e) for e in x]
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {label_str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (int, float, str, bool)) or x is None:
         return x
-    return str(x)
+    return label_str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
         for S in faces_by_size[k]:
             x = {pv: ONE for pv in pvars}
             ok_partner = True
-            for pv in sorted(S, key=repr):
+            for pv in sorted(S, key=label_key):
                 partner = next((q for q in block_members[block_of[pv]] if q not in S), None)
                 if partner is None:
                     ok_partner = False

@@ -52,7 +52,7 @@ from .cones import GT, EQ, StrictSystem, strict_feasible
 from .inertia import SymMatrix, hessian, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
-from .simplicial import SimComplex, connected
+from .simplicial import SimComplex, connected, face_key, label_key
 
 
 def _bits(mask: int):
@@ -113,7 +113,7 @@ class Matroid:
         return M
 
     def _index_bases(self):
-        bs = tuple(sorted({frozenset(b) for b in self.bases}, key=lambda b: sorted(map(repr, b))))
+        bs = tuple(sorted({frozenset(b) for b in self.bases}, key=face_key))
         if not bs:
             raise ValueError("a matroid needs at least one basis")
         sizes = {len(b) for b in bs}
@@ -148,7 +148,7 @@ class Matroid:
                     if not sw[a] & B:
                         (e,) = self._elements(a)
                         raise ValueError(
-                            f"bases {sorted(bA, key=repr)} and {sorted(bB, key=repr)} violate basis "
+                            f"bases {sorted(bA, key=label_key)} and {sorted(bB, key=label_key)} violate basis "
                             f"exchange at {e!r}: the family is not a matroid")
 
     def _mask(self, S: Iterable) -> int:
@@ -266,7 +266,7 @@ class FlatLattice:
         flats = {frozenset(F) for F in flats}
         self.bottom = min(flats, key=len)
         self.top = max(flats, key=len)
-        self.elems = tuple(sorted(set().union(*flats), key=repr))
+        self.elems = tuple(sorted(set().union(*flats), key=label_key))
         bit = {e: 1 << i for i, e in enumerate(self.elems)}
         mask = {F: sum(bit[e] for e in F) for F in flats}
         # ranks by longest chain from the bottom: a flat has rank > k exactly
@@ -281,7 +281,7 @@ class FlatLattice:
             level = sum(1 << i for i in _indices(level) if below[i] & level)
             k += 1
         self.rank = rank
-        self.flats = tuple(sorted(flats, key=lambda F: (rank[F], sorted(map(repr, F)))))
+        self.flats = tuple(sorted(flats, key=lambda F: (rank[F], face_key(F))))
         self.proper = self.flats[1:-1]
         self.index = {F: i for i, F in enumerate(self.flats)}
         self.masks = tuple(mask[F] for F in self.flats)
@@ -344,7 +344,7 @@ class FlatLattice:
         return row[j]
 
     def interval(self, a: frozenset, b: frozenset) -> "FlatLattice":
-        return FlatLattice(tuple(sorted(b, key=repr)), [F for F in self.flats if a <= F <= b])
+        return FlatLattice(tuple(sorted(b, key=label_key)), [F for F in self.flats if a <= F <= b])
 
 
 def flats(M: Matroid) -> FlatLattice:
@@ -393,7 +393,7 @@ def order_complex(L: FlatLattice) -> SimComplex:
 def modular_space(L: FlatLattice) -> LinSubspace:
     """Vectors (sum of c over F - bottom) with the c summing to zero."""
     proper = L.proper
-    elems = tuple(sorted(L.top - L.bottom, key=repr))
+    elems = tuple(sorted(L.top - L.bottom, key=label_key))
     rows = []
     for i in range(len(elems) - 1):
         c = {elems[i]: ONE, elems[-1]: -ONE}
@@ -783,7 +783,7 @@ def char_poly(L: FlatLattice) -> CharReport:
         a_m = coeffs[j] * Q(factorial(d), comb(d, m))
         reduced[m] = a_m if (d - m) % 2 == 0 else -a_m
     agree = reduced == red_mob
-    for i in sorted(L.top - L.bottom, key=repr):
+    for i in sorted(L.top - L.bottom, key=label_key):
         via_del = [0] * (d + 1)
         for F in L.flats:
             if F != L.top and i not in F:
@@ -823,7 +823,7 @@ def hrw_check(L: FlatLattice) -> HRWReport:
     ok = all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1))
     d = L.rank_total - 1
     lhs = [c * factorial(d) for c in rep.expansion]
-    i = sorted(L.top - L.bottom, key=repr)[0]
+    i = min(L.top - L.bottom, key=label_key)
     rhs = [0] * (d + 1)
     for F in L.flats:
         if F != L.top and i not in F:
@@ -849,7 +849,7 @@ def bergman_fan(L: FlatLattice):
     (last ground element's coordinate dropped); cones follow the chains."""
     from .fanchow import Fan
 
-    elems = sorted(L.top - L.bottom, key=repr)
+    elems = sorted(L.top - L.bottom, key=label_key)
     drop = elems[-1]
     coords = elems[:-1]
     rays = {}

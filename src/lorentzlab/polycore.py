@@ -24,12 +24,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .rat import Q, ZERO, ONE, rat_str
+from .simplicial import Label, label_str
 
-Label = Hashable
 Key = tuple  # sorted tuple of (position, exponent) pairs
 
 
@@ -343,7 +343,7 @@ class HomPoly:
 
     # -- text and JSON forms ----------------------------------------------------
 
-    def to_text(self, label_str: Callable[[Label], str] = str) -> str:
+    def to_text(self, label_str: Callable[[Label], str] = label_str) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -359,7 +359,7 @@ class HomPoly:
 
     def to_json_dict(self) -> dict:
         return {
-            "vars": [str(v) for v in self.vars],
+            "vars": [label_str(v) for v in self.vars],
             "degree": self.degree,
             "terms": [
                 {"exps": list(exps), "coeff": rat_str(c)}

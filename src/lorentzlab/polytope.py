@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 from typing import Mapping, Sequence
 
 from . import hereditary as hered
@@ -31,7 +32,7 @@ from . import linalg
 from .cones import GT, GE, StrictSystem, strict_feasible
 from .polycore import HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE, rat_str
-from .simplicial import SimComplex
+from .simplicial import SimComplex, label_key
 
 
 class PolytopeError(ValueError):
@@ -104,7 +105,7 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
         raise PolytopeError(f"facet(s) {missing} are empty (redundant constraints)")
     delta = SimComplex(labels, set(verts.values()))
     lin = LinSubspace(labels, [tuple(r[k] for r in normals) for k in range(d)])
-    order = sorted(verts, key=repr)
+    order = sorted(verts, key=label_key)
     return SimplePolytope(
         dim=d, labels=labels, normals=normals, t=t,
         vertices=tuple(order), active=tuple(verts[v] for v in order),
@@ -149,14 +150,14 @@ def volume(P: SimplePolytope):
     face_vertices: dict[frozenset, list] = {}
     for act, v in zip(P.active, P.vertices):
         for k in range(len(act) + 1):
-            for S in combinations(sorted(act, key=repr), k):
+            for S in combinations(act, k):
                 face_vertices.setdefault(frozenset(S), []).append(v)
 
     def triangulate(S: frozenset) -> list[list[tuple]]:
         verts = face_vertices[S]
         if len(S) == P.dim:
             return [[verts[0]]]
-        base = min(verts, key=repr)
+        base = min(verts, key=label_key)
         simplices = []
         for j in P.delta.link_vertices(S):
             sub = S | {j}
@@ -170,8 +171,6 @@ def volume(P: SimplePolytope):
     for simplex in triangulate(frozenset()):
         M = [linalg.vec_sub(p, simplex[0]) for p in simplex[1:]]
         total += abs(linalg.det(M))
-    from math import factorial
-
     return total / factorial(P.dim)
 
 

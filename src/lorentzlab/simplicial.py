@@ -5,7 +5,8 @@ links/joins stay cheap at desk scale.  The complex {()} consisting of only
 the empty face is distinct from the void complex with no faces at all (the
 latter is the face complex of the zero polynomial).  Vertices not lying in
 any facet are allowed: they index ambient coordinates (e.g. polynomial
-variables that happen not to occur).
+variables that happen not to occur).  Every order and text of labels
+shown comes from :func:`label_key` and :func:`label_str`, never the hash seed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,24 @@ from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Label = Hashable
+
+
+def label_key(v: Label) -> str:
+    """The sort key of a label: its repr, but a set of labels (whose repr
+    follows the hash seed) lists its members in ``label_key`` order."""
+    if isinstance(v, frozenset):
+        return "frozenset({%s})" % ", ".join(sorted(map(label_key, v))) if v else "frozenset()"
+    return repr(v)
+
+
+def face_key(S: Iterable[Label]) -> tuple:
+    """The sort key of a face: its members' keys, sorted."""
+    return tuple(sorted(map(label_key, S)))
+
+
+def label_str(v: Label) -> str:
+    """The text of a label in reports: ``str``, or ``label_key`` of a set."""
+    return label_key(v) if isinstance(v, frozenset) else str(v)
 
 
 def connected(vertices: Iterable[Label], adjacency: Mapping[Label, Iterable[Label]]) -> bool:
@@ -81,14 +100,14 @@ class SimComplex:
         for f in self.facets:
             top = len(f) if max_size is None else min(max_size, len(f))
             for k in range(top + 1):
-                out.update(map(frozenset, combinations(sorted(f, key=repr), k)))
+                out.update(map(frozenset, combinations(f, k)))
         return out
 
     def faces_of_size(self, k: int) -> set[frozenset]:
         out: set[frozenset] = set()
         for f in self.facets:
             if len(f) >= k:
-                out.update(map(frozenset, combinations(sorted(f, key=repr), k)))
+                out.update(map(frozenset, combinations(f, k)))
         return out
 
     def is_pure(self, d: int) -> bool:
@@ -112,7 +131,7 @@ class SimComplex:
         return hash((frozenset(self.vertices), self.facets))
 
     def __repr__(self):
-        fs = sorted(tuple(sorted(f, key=repr)) for f in self.facets)
+        fs = [tuple(sorted(f, key=label_key)) for f in sorted(self.facets, key=face_key)]
         return f"SimComplex(vertices={list(self.vertices)!r}, facets={fs!r})"
 
     # -- operations -----------------------------------------------------------
@@ -125,7 +144,7 @@ class SimComplex:
         verts = set()
         for f in facets:
             verts |= f
-        return SimComplex(sorted(verts, key=repr), facets)
+        return SimComplex(sorted(verts, key=label_key), facets)
 
     def link_vertices(self, S: Iterable[Label]) -> tuple:
         """V_S: the j with S + {j} still a face, in ambient vertex order."""
@@ -215,7 +234,7 @@ class SimComplex:
         if d <= 1:
             return True, None
         for k in range(d - 1):
-            for S in sorted(self.faces_of_size(k), key=lambda s: tuple(sorted(map(repr, s)))):
+            for S in sorted(self.faces_of_size(k), key=face_key):
                 if not self.link(S).is_connected():
                     return False, S
         return True, None
@@ -224,8 +243,8 @@ class SimComplex:
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [str(v) for v in self.vertices],
-            "facets": sorted(sorted(str(v) for v in f) for f in self.facets),
+            "vertices": [label_str(v) for v in self.vertices],
+            "facets": sorted(sorted(map(label_str, f)) for f in self.facets),
         }
 
     @classmethod

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, cone_member, face_complex
 from .polycore import HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE, rat_str
-from .simplicial import fresh_vertex
+from .simplicial import fresh_vertex, label_str
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class SubdivStep:
         hash((self.face, self.vertex))  # labels must be hashable
 
     def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "face": [str(v) for v in self.face], "c": [rat_str(x) for x in self.c]}
+        out = {"kind": self.kind, "face": [label_str(v) for v in self.face], "c": [rat_str(x) for x in self.c]}
         if self.vertex is not None:
-            out["vertex"] = str(self.vertex)
+            out["vertex"] = label_str(self.vertex)
         return out
 
     @classmethod
@@ -157,7 +157,7 @@ def apply_chain(f: HomPoly, steps: Iterable[SubdivStep | Mapping]) -> ChainResul
     for raw in steps:
         step = raw if isinstance(raw, SubdivStep) else SubdivStep.from_json_dict(raw)
         if step.kind == "subdivide":
-            vertex = step.vertex or fresh_vertex(current.vars)
+            vertex = fresh_vertex(current.vars) if step.vertex is None else step.vertex
             current = subdivide(current, step.face, step.c, vertex)
             created.append(vertex)
         else:

@@ -1,5 +1,7 @@
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +20,17 @@ def pytest_report_header(config):
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "acceptance: full acceptance-criteria checks")
+
+
+def in_fresh_process(script: str, stdin: str = "", **env) -> str:
+    """The stdout of ``script`` run by a new interpreter that finds the
+    package under ``src``, with the extra environment ``env`` (for example
+    a ``PYTHONHASHSEED``)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], input=stdin, capture_output=True, text=True,
+                          env=env, check=True, timeout=600).stdout
 
 
 @pytest.fixture

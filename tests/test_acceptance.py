@@ -355,7 +355,8 @@ def test_criterion_11_fan_suite():
     cones = [{"a+", "b+"}, {"b+", "a-"}, {"a-", "b-"}, {"b-", "a+"},
              {"c+", "d+"}, {"d+", "c-"}, {"c-", "d-"}, {"d-", "c+"}]
     labels = tuple(rays)
-    disc = build_fan(4, labels, [rays[k] for k in labels], cones, full_check=True)
+    disc = build_fan(4, labels, [rays[k] for k in labels], cones)
+    disc.verify_fan_axioms()
     beta = functional_from_weights(disc, {F: 1 for F in disc.cones.facets})
     v = check_fan_lorentzian(beta)
     ok = ok and v.value == "no" and v.h_connected is False and v.c_witness is not None

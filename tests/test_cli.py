@@ -15,6 +15,7 @@ import pytest
 from lorentzlab import cli
 from lorentzlab.cli import build_parser, main
 from lorentzlab.matroid import LatticeVolume, Matroid, flats
+from conftest import in_fresh_process
 from oracles import oracle_chains
 
 
@@ -92,6 +93,11 @@ def files(tmp_path):
     write("fanchain_no_ray.json", [{"kind": "subdivide", "vertex": "m"}])
     write("fanchain_unknown_ray.json", [{"kind": "weld", "vertex": "zz", "face": ["e", "n"]}])
     write("deep.json", "[" * 10000 + "]" * 10000)
+    write("zero.json", {"vars": ["a", "b"], "degree": 2, "terms": []})
+    write("chain_vertex0.json", [{"kind": "subdivide", "face": ["a0", "b0"], "c": ["1", "1"], "vertex": 0},
+                                 {"kind": "weld", "face": ["a0", "b0"], "c": ["1", "1"], "vertex": 0}])
+    letters = ["a", "b", "c", "d", "e"]
+    write("u35_letters.json", {"ground": letters, "bases": [list(b) for b in combinations(letters, 3)]})
     return paths
 
 
@@ -134,6 +140,22 @@ def test_subdivide_weld_chain(capsys, files, tmp_path):
     assert code == 0 and len(rep3["steps"]) == 2
     code, rep4, _ = run(capsys, "chain", "apply", files["edge.txt"], files["chain.json"])
     assert code == 2 and "strongly hereditary" in rep4["message"]
+
+
+def test_chain_apex_may_be_a_falsy_label(capsys, files):
+    # the apex 0 is named, so it is used, not replaced by a fresh label
+    code, rep, err = run(capsys, "chain", "apply", files["quad.txt"], files["chain_vertex0.json"])
+    assert code == 0, err
+    assert [step["vertex"] for step in rep["steps"]] == [0, 0]
+    assert rep["polynomial"] == cli.read_poly(open(files["quad.txt"]).read()).to_json_dict()
+
+
+def test_vacuous_verdict_exits_0(capsys, files):
+    # exit 1 means "no, with witness"; the zero polynomial has an empty cone
+    # and is "vacuous", with no witness
+    code, rep, _ = run(capsys, "--verify-witness", "hereditary", "lorentzian", files["zero.json"])
+    assert code == 0 and rep["verdict"] == "vacuous"
+    assert rep["c_witness"] is None and rep["q_witness"] is None and "witness_verified" not in rep
 
 
 def test_matroid_commands(capsys, files):
@@ -194,16 +216,37 @@ def test_fan_commands(capsys, files, tmp_path):
     assert code == 0 and all(e["w"] == "1" for e in rep3["weights"])
 
 
-def test_reports_are_byte_identical(capsys, files):
-    _, _, _ = run(capsys, "matroid", "hrw", files["u23.json"])
-    first = capsys.readouterr() if False else None
-    code1 = main(["matroid", "hrw", files["u23.json"]])
-    out1 = capsys.readouterr().out
-    code2 = main(["matroid", "hrw", files["u23.json"]])
-    out2 = capsys.readouterr().out
-    assert code1 == code2 == 0 and out1 == out2
+REPORTS_SCRIPT = """
+import json, sys
+from lorentzlab.cli import main
+for argv in json.load(sys.stdin):
+    print("exit", main(argv))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(capsys, files):
+    """Every fixture, fed to a command that reads it, and matroid bergman and
+    hrw over string labels (whose flats are sets of strings, hashed
+    differently under each seed) print the same bytes under two seeds."""
+    requests = [_argv(words, parser, files) for words, parser in _leaf_commands(build_parser())]
+    named = MALFORMED_ARGVS + [
+        ("--verify-witness", "poly", "lorentzian", "sos.txt"),
+        ("poly", "k-lorentzian", "e2.txt", "--cone", "orthant3.json"),
+        ("matroid", "hrw", "fano.json"),
+        ("polytope", "mixed", "square.json", "rect.json"),
+        ("--verify-witness", "hereditary", "lorentzian", "zero.json"),
+        ("chain", "apply", "quad.txt", "chain_vertex0.json"),
+        ("matroid", "bergman", "u35_letters.json"),
+        ("matroid", "hrw", "u35_letters.json"),
+    ]
+    assert set(files) <= {a for argv in named for a in argv} | set(VALID_FILES.values())
+    requests += [[files.get(a, a) for a in argv] for argv in named]
+    outs = [in_fresh_process(REPORTS_SCRIPT, json.dumps(requests), PYTHONHASHSEED=seed)
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0].count("exit ") == len(requests) and "frozenset({'a', 'b'})" in outs[0]
     # timing only appears under --timing
-    assert "timing_ms" not in out1
+    assert "timing_ms" not in outs[0]
     main(["--timing", "matroid", "hrw", files["u23.json"]])
     assert "timing_ms" in capsys.readouterr().out
 
@@ -267,7 +310,7 @@ def test_graph_size_follows_the_edges_not_the_vertex_count(capsys, tmp_path):
     assert code == 0 and rep["chi"] == ["2", "-3", "1"]
 
 
-@pytest.mark.parametrize("argv", [
+MALFORMED_ARGVS = [
     ("poly", "lorentzian", "negcoeff.txt"),
     ("fan", "subdivide", "sqfan.json", "--ray", "1,x"),
     ("subdivide", "edge.txt", "--face", "t1,t2", "--coeffs", "1,x"),
@@ -298,7 +341,10 @@ def test_graph_size_follows_the_edges_not_the_vertex_count(capsys, tmp_path):
     ("weld", "edge.txt", "--face", "t1,t2", "--coeffs", "1,1"),
     ("polytope", "volume", "deep.json"),
     ("polytope", "volume", "square.json", "square.json"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGVS)
 def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
     code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 2 and rep["verdict"] == "error" and rep["message"]

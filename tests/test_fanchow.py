@@ -2,14 +2,11 @@
 reconstruction, the Lorentzian certification, stellar subdivision transport,
 the canonical bijection invariant, and star/dimension identities."""
 
-import os
-import subprocess
-import sys
 from itertools import combinations
 
 import pytest
 
-from conftest import hereditary_fixture_pool, rand_nonneg_poly
+from conftest import hereditary_fixture_pool, in_fresh_process, rand_nonneg_poly
 from lorentzlab.cli import verify_hl_witness
 from lorentzlab import hereditary as hered, linalg
 from lorentzlab.fanchow import (
@@ -37,12 +34,13 @@ from oracles import all_orderings_ample_member, nullspace_vanishing_restrict
 
 def square_fan():
     # normal fan of the axis square: four rays, four 2-cones
-    return build_fan(
+    fan = build_fan(
         2, ("e", "n", "w", "s"),
         [(1, 0), (0, 1), (-1, 0), (0, -1)],
         [{"e", "n"}, {"n", "w"}, {"w", "s"}, {"s", "e"}],
-        full_check=True,
     )
+    fan.verify_fan_axioms()
+    return fan
 
 
 def two_plane_fan():
@@ -57,7 +55,9 @@ def two_plane_fan():
         {"c+", "d+"}, {"d+", "c-"}, {"c-", "d-"}, {"d-", "c+"},
     ]
     labels = tuple(rays)
-    return build_fan(4, labels, [rays[k] for k in labels], cones, full_check=True)
+    fan = build_fan(4, labels, [rays[k] for k in labels], cones)
+    fan.verify_fan_axioms()
+    return fan
 
 
 def test_build_fan_validation():
@@ -67,7 +67,7 @@ def test_build_fan_validation():
         build_fan(2, ("a", "b"), [(1, 0), (2, 0)], [{"a", "b"}])
     with pytest.raises(ValueError, match="common face"):
         build_fan(2, ("a", "b", "c"), [(1, 0), (0, 1), (1, 1)],
-                  [{"a", "b"}, {"a", "c"}], full_check=True).verify_fan_axioms()
+                  [{"a", "b"}, {"a", "c"}]).verify_fan_axioms()
     single = build_fan(2, ("a",), [(1, 2)], [{"a"}])
     assert single.cones.is_pure(1)
 
@@ -84,7 +84,8 @@ def test_bergman_fan_checks():
 
 def test_normal_fan_of_polytopes():
     P = build_polytope([(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 1, 1, 1])
-    fan = build_fan(2, P.labels, P.normals, P.delta.facets, full_check=True)
+    fan = build_fan(2, P.labels, P.normals, P.delta.facets)
+    fan.verify_fan_axioms()
     h = volume_polynomial(P)
     alpha = DegreeFunctional(fan=fan, grade=2, h=h)
     assert check_fan_lorentzian(alpha).value == "yes"
@@ -105,7 +106,9 @@ def cube_fan():
     labels = ("x+", "x-", "y+", "y-", "z+", "z-")
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     cones = [{a, b, c} for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")]
-    return build_fan(3, labels, rays, cones, full_check=True)
+    fan = build_fan(3, labels, rays, cones)
+    fan.verify_fan_axioms()
+    return fan
 
 
 def test_ample_walk_matches_all_orderings_oracle(rng):
@@ -274,7 +277,8 @@ cones.lp_max = lambda *a, **k: calls.append(1) or lp_max(*a, **k)
 labels = ("x+", "x-", "y+", "y-", "z+", "z-")
 rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 octants = [{a, b, c} for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")]
-fan = fanchow.build_fan(3, labels, rays, octants, full_check=True)
+fan = fanchow.build_fan(3, labels, rays, octants)
+fan.verify_fan_axioms()
 alpha = fanchow.functional_from_weights(fan, {F: 1 for F in fan.cones.facets})
 fan2, transport = fanchow.fan_subdivide(fan, (1, -2, 3))
 assert fanchow.canonical_bijection_check(fan, alpha, fan2, transport(alpha))
@@ -287,14 +291,7 @@ def test_fan_lp_counts_do_not_follow_the_hash_seed():
     # the fan axioms and the overlapping pairs build their LPs over cone
     # labels in a fixed order, so the simplex work is the same in every
     # process; string labels are hashed differently under each seed
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    counts = set()
-    for seed in ("0", "1", "7"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", LP_COUNT_SCRIPT], capture_output=True, text=True,
-                             env=env, check=True, timeout=120)
-        counts.add(int(out.stdout))
+    counts = {int(in_fresh_process(LP_COUNT_SCRIPT, PYTHONHASHSEED=seed)) for seed in ("0", "1", "7")}
     assert len(counts) == 1 and counts.pop() > 100
 
 

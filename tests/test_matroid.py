@@ -2,6 +2,7 @@
 evaluations, characteristic polynomial routes, Moebius sign alternation, and
 agreement between the explicit polynomial path and the evaluation engine."""
 
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import factorial
 
@@ -27,6 +28,7 @@ from lorentzlab.matroid import (
 from lorentzlab.polycore import parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.inertia import hessian
+from conftest import in_fresh_process
 from oracles import (
     fraction_eval_bivariate,
     is_semimodular_spot,
@@ -424,6 +426,27 @@ def test_flat_lattice_rejections(family, message):
     with pytest.raises(ValueError) as err:
         FlatLattice((1, 2, 3, 4), [frozenset(F) for F in family])
     assert str(err.value) == message
+
+
+LIBRARY_REPORTS_SCRIPT = """
+import json
+from itertools import combinations
+from lorentzlab.hereditary import is_hereditary_lorentzian
+from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid
+L = flats(Matroid("abcde", [set(b) for b in combinations("abcde", 4)]))
+h = pol_matroid(L)
+print(json.dumps([h.f.to_json_dict(), bergman_fan(L).to_json_dict(),
+                  is_hereditary_lorentzian(h).to_json_dict()], indent=1))
+"""
+
+
+def test_library_reports_do_not_depend_on_the_hash_seed():
+    # the flats of U(4,5) over strings are sets of strings, whose iteration
+    # order and repr follow the hash seed; the two processes run side by side
+    with ThreadPoolExecutor(2) as pool:
+        outs = list(pool.map(lambda seed: in_fresh_process(LIBRARY_REPORTS_SCRIPT, PYTHONHASHSEED=seed),
+                             ("0", "1")))
+    assert outs[0] == outs[1] and "frozenset({'a', 'b', 'c'})" in outs[0]
 
 
 def test_mobius_matches_frozenset_recursion(catalog):
