@@ -24,7 +24,7 @@ from . import subdivision as subdiv
 from .cones import GE, GT, EQ, StrictSystem, solve_in_span, strict_feasible
 from .polycore import LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE, rat_str, sign
-from .simplicial import SimComplex, face_key, fresh_vertex, label_key, label_str
+from .simplicial import SimComplex, face_key, face_str, fresh_vertex, label_key, label_str
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Fan:
         for F in self.cones.facets:
             sub = [rays[idx[v]] for v in F]
             if linalg.rank(sub) != len(sub):
-                raise ValueError(f"rays of cone {set(F)} are linearly dependent")
+                raise ValueError(f"rays of cone {face_str(F)} are linearly dependent")
 
     def _index(self) -> dict:
         return {v: i for i, v in enumerate(self.ray_labels)}
@@ -88,7 +88,7 @@ class Fan:
                        | {("m", v): ONE for v in sorted(B - A, key=label_key)})
             sys.add(outside, GT)
             if strict_feasible(sys) is not None:
-                raise ValueError(f"cones {set(A)} and {set(B)} do not meet in a common face")
+                raise ValueError(f"cones {face_str(A)} and {face_str(B)} do not meet in a common face")
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,7 +150,7 @@ class DegreeFunctional:
             raise ValueError("polynomial degree does not match grade")
         for S in self.h.delta.facets:
             if S and not self.fan.cones.has_face(S):
-                raise ValueError(f"polynomial support {set(S)} is not a cone")
+                raise ValueError(f"polynomial support {face_str(S)} is not a cone")
         lin = self.fan.lineality()
         idx = {v: i for i, v in enumerate(lin.ambient)}
         for b in lin.basis:
@@ -365,7 +365,7 @@ def star(fan: Fan, S: Iterable) -> Fan:
     """
     S = frozenset(S)
     if not fan.cones.has_face(S):
-        raise ValueError(f"{set(S)} is not a cone")
+        raise ValueError(f"{face_str(S)} is not a cone")
     idx = fan._index()
     span_rows = [fan.rays[idx[v]] for v in sorted(S, key=label_key)]
     R, pivots = linalg.rref(span_rows)

@@ -39,19 +39,19 @@ from . import cones, linalg
 from .inertia import Inertia, derivative_hessian, inertia as matrix_inertia
 from .polycore import HomPoly, LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE
-from .simplicial import SimComplex, face_key, label_key, label_str
+from .simplicial import SimComplex, face_key, face_str, label_key, label_str
 
 
 class NotHereditaryError(ValueError):
     def __init__(self, face, message=None):
         self.face = frozenset(face)
-        super().__init__(message or f"lineality space does not project onto face {set(face)}")
+        super().__init__(message or f"lineality space does not project onto face {face_str(face)}")
 
 
 class BalancingError(ValueError):
     def __init__(self, face, message=None):
         self.face = frozenset(face)
-        super().__init__(message or f"weights violate balancing at facet {set(face)}")
+        super().__init__(message or f"weights violate balancing at facet {face_str(face)}")
 
 
 def face_complex(f: HomPoly) -> SimComplex:
@@ -193,7 +193,7 @@ class FaceWalk:
             V_S = self.delta.link_vertices(S)
             pin, lin = parent.lin.pin(i, V_S)
             if pin is None:
-                raise NotHereditaryError(S, f"cannot pin {i!r} in the lineality space at {set(S - {i})}")
+                raise NotHereditaryError(S, f"cannot pin {label_key(i)} in the lineality space at {face_str(S - {i})}")
             poly = None
             if parent.poly is not None:
                 poly = parent.poly.partial(i).set_vars_zero([i]).restrict_vars(V_S)
@@ -496,7 +496,7 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
             raise AssertionError("reconstructed polynomial lost a lineality vector")
     for F in delta.facets:
         if f.squarefree_coeff(F) != w[F]:
-            raise AssertionError(f"reconstruction failed facet check at {set(F)}")
+            raise AssertionError(f"reconstruction failed facet check at {face_str(F)}")
     if h.delta != SimComplex(f.vars, delta.facets):
         raise AssertionError("reconstructed polynomial has the wrong face complex")
     return h

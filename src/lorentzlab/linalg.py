@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Vectors are sequences of rationals, matrices are lists of row vectors.
-Everything here is exact.  One elimination loop serves rref, rank, solve,
-nullspace and det: the matrix is scaled to integers by its least common
-denominator, and fraction-free Gauss-Jordan (Bareiss) steps replace each
-row by (p*a - f*b) // prev, where p is the new pivot and prev the one
-before it; every division is exact.  The pivot is the first nonzero entry
-of its column, as in textbook elimination.  Each pivot row ends as prev
-times its reduced row, so rref forms its rationals once at the end, rank
-counts pivots and forms none, and a square matrix of full rank ends at
-prev * I, which makes the determinant sign * prev / den^n.  Sizes are desk
-scale (tens of rows), so no attention is paid to asymptotics beyond
-avoiding obvious blowups.
+Everything here is exact.  One elimination loop, ``eliminate``, serves
+rref, rank, solve, nullspace and det: the matrix is scaled to integers by
+its least common denominator, and fraction-free Gauss-Jordan (Bareiss)
+steps replace each row by (p*a - f*b) // prev, where p is the new pivot and
+prev the one before it; every division is exact.  The pivot is the first
+nonzero entry of its column, as in textbook elimination.  Each pivot row
+ends as prev times its reduced row, so rref forms its rationals once at the
+end, rank counts pivots and forms none, and a square matrix of full rank
+ends at prev * I, which makes the determinant sign * prev / den^n.  Callers
+that already hold integers (polytope vertex enumeration) call
+``eliminate`` directly.  Sizes are desk scale (tens of rows), so no
+attention is paid to asymptotics beyond avoiding obvious blowups.
 """
 
 from __future__ import annotations
@@ -61,12 +62,12 @@ def integer_scaled(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[int(n * (den // d)) for n, d in row] for row in R], den
 
 
-def _gauss_jordan(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int, int]:
-    """Fraction-free Gauss-Jordan on den * A; returns (M, pivots, prev,
-    sign, den).  Every pivot row of M ends as prev times its reduced row and
-    every other row as zero, so a square A of full rank ends at
-    prev * I with prev = sign * det(den * A), sign that of the row swaps."""
-    M, den = integer_scaled(A)
+def eliminate(M: list) -> tuple[list, list[int], int, int]:
+    """Fraction-free Gauss-Jordan on a matrix of ints, in place (rows are
+    replaced, never mutated); returns (M, pivots, prev, sign).  Every pivot
+    row of M ends as prev times its reduced row and every other row as
+    zero, so a square M of full rank ends at prev * I with
+    prev = sign * det(M), sign that of the row swaps."""
     m, n = len(M), len(M[0]) if M else 0
     pivots: list[int] = []
     prev = sign = 1
@@ -90,7 +91,13 @@ def _gauss_jordan(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], in
         pivots.append(c)
         if r + 1 == m:
             break
-    return M, pivots, prev, sign, den
+    return M, pivots, prev, sign
+
+
+def _gauss_jordan(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int, int]:
+    """``eliminate`` on den * A; returns (M, pivots, prev, sign, den)."""
+    M, den = integer_scaled(A)
+    return (*eliminate(M), den)
 
 
 def rref(A: Sequence[Sequence]) -> tuple[Mat, list[int]]:

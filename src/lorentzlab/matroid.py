@@ -52,7 +52,7 @@ from .cones import GT, EQ, StrictSystem, strict_feasible
 from .inertia import SymMatrix, hessian, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
-from .simplicial import SimComplex, connected, face_key, label_key
+from .simplicial import SimComplex, connected, face_key, face_str, label_key
 
 
 def _bits(mask: int):
@@ -310,7 +310,7 @@ class FlatLattice:
             # pair in flats order has i < j
             for j in _indices(everyone & ~((2 << i) - 1) & ~self.up[i]):
                 if (m & masks[j]) not in present:
-                    raise ValueError(f"intersection {set(flats[i] & flats[j])} is not a flat")
+                    raise ValueError(f"intersection {face_str(flats[i] & flats[j])} is not a flat")
         top = masks[self.index[self.top]]
         for i, m in enumerate(masks):
             # cover differences never overlap: two overlapping covers would
@@ -320,7 +320,7 @@ class FlatLattice:
             for j in _indices(self.covers_up[i]):
                 seen |= masks[j] & ~m
             if seen != top & ~m:
-                raise ValueError(f"cover differences above {set(flats[i])} do not partition the complement")
+                raise ValueError(f"cover differences above {face_str(flats[i])} do not partition the complement")
 
     @property
     def rank_total(self) -> int:

@@ -4,10 +4,14 @@ volume polynomials, mixed volumes and the Alexandrov-Fenchel check.
 A polytope arrives as rational (not necessarily unit) outward normals plus
 support numbers.  Boundedness depends on the normals alone, so it is
 decided by LPs once per normal set and remembered.  Vertices come from
-every d-subset of facet equations, each eliminated once: the reduction of
-[A | t] gives the rank of A and the vertex together.  Simplicity means
-every vertex activates exactly d facets, and the facet-incidence sets
-generate the incidence complex.
+every d-subset of facet equations, on integers: [normals | t] is scaled to
+integers once, by one common denominator (a positive scaling keeps every
+facet, vertex and incidence), and one fraction-free elimination of each
+[A | t] gives the rank of A and the vertex together, as y / prev with y and
+prev ints.  The slacks sign(prev) (t_i prev - N_i y) are ints too, so the
+feasibility and incidence tests form no rational; only a feasible vertex
+becomes one.  Simplicity means every vertex activates exactly d facets,
+and the facet-incidence sets generate the incidence complex.
 
 The volume polynomial is the hereditary polynomial of the incidence
 complex with the translations as lineality: at a vertex F the polytope is
@@ -17,7 +21,10 @@ mixed derivative of the volume in the support numbers of F is
 the polynomial from these weights and checks heredity, balancing, the facet
 values and the lineality; an independent triangulation volume pins the
 normalization on every fixture.  Mixed volumes are polarizations of the
-volume polynomial: at most 2^d - 1 evaluations, no derivatives.
+volume polynomial: at most 2^d - 1 evaluations, no derivatives, all on
+integers (the coefficients times their common denominator C, the support
+vectors times theirs, D), and one rational at the end, the sum over
+C * D^d.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from typing import Mapping, Sequence
 from . import hereditary as hered
 from . import linalg
 from .cones import GT, GE, StrictSystem, strict_feasible
-from .polycore import HomPoly, LinSubspace
-from .rat import Q, ZERO, ONE, rat_str
+from .polycore import LinSubspace
+from .rat import Q, ZERO, ONE, Rational, rat_str
 from .simplicial import SimComplex, label_key
 
 
@@ -82,20 +89,28 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     if len(t) != n or len(labels) != n or any(len(r) != d for r in normals):
         raise PolytopeError("inconsistent facet data")
     _require_bounded(normals)
+    # one positive scaling of [normals | t] to integers keeps every facet,
+    # vertex and incidence, so the loop below runs on ints alone
+    rows, _ = linalg.integer_scaled([r + (ti,) for r, ti in zip(normals, t)])
     verts: dict[tuple, frozenset] = {}
     full_rank = list(range(d))
     for combo in combinations(range(n), d):
-        # one elimination of [A | t] gives the rank of A and the vertex
-        R, pivots = linalg.rref([normals[i] + (t[i],) for i in combo])
+        # one elimination of [A | t] gives the rank of A and prev * vertex
+        M, pivots, prev, _ = linalg.eliminate([rows[i] for i in combo])
         if pivots != full_rank:
             continue
-        x = tuple(row[d] for row in R)
-        vals = [linalg.dot(normals[i], x) for i in range(n)]
-        if any(vals[i] > t[i] for i in range(n)):
+        y = [row[d] for row in M]
+        # x = y / prev, so the slack t_i - N_i x, times |prev|, is an int
+        # (zip stops at the d entries of y, before t_i = r[d])
+        sgn = 1 if prev > 0 else -1
+        slack = [sgn * (r[d] * prev - sum(a * b for a, b in zip(r, y))) for r in rows]
+        if min(slack) < 0:
             continue
-        act = frozenset(labels[i] for i in range(n) if vals[i] == t[i])
+        x = tuple(Rational(a, prev) for a in y)
+        act = frozenset(labels[i] for i, s in enumerate(slack) if not s)
         if len(act) != d:
-            raise PolytopeError(f"vertex {x} lies on {len(act)} facets; polytope is not simple")
+            raise PolytopeError(f"vertex ({', '.join(map(rat_str, x))}) lies on {len(act)} facets; "
+                                "polytope is not simple")
         verts[x] = act
     if not verts:
         raise PolytopeError("no vertices; the data does not bound a polytope")
@@ -190,30 +205,48 @@ def volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
 _VOLPOLY_CACHE: dict[tuple, hered.HereditaryPoly] = {}
 
 
-def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> HomPoly:
-    """The volume polynomial of d bodies in dimension d with one normal set."""
+def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> tuple[list, list, int]:
+    """The volume polynomial of d bodies in dimension d with one normal set,
+    on integers: (its terms times C, the support vectors times D, C * D^d),
+    with C the common denominator of its coefficients and D that of all the
+    bodies' support numbers.  The polynomial is homogeneous of degree d, so
+    its value at a scaled point is C * D^d times its value at the point."""
     P = bodies[0]
     if len(bodies) != P.dim:
         raise PolytopeError(f"need exactly {P.dim} bodies in dimension {P.dim}")
     for Q2 in bodies[1:]:
         if Q2.normals != P.normals or Q2.labels != P.labels:
             raise PolytopeError("bodies do not share the facet normal data")
-    return volume_polynomial(P).f
+    f = volume_polynomial(P).f
+    (coeffs,), C = linalg.integer_scaled([list(f.terms.values())])
+    ts, D = linalg.integer_scaled([K.t for K in bodies])
+    return list(zip(f.terms, coeffs)), ts, C * D ** P.dim
 
 
-def _polarize(f: HomPoly, ts: Sequence, values: dict):
-    """D_{t_1} ... D_{t_d} f for f homogeneous of degree d: the sum over
-    nonempty S of [d] of (-1)^(d-|S|) f(sum_{k in S} t_k).  ``values``
-    maps each point already evaluated to f there, so a subset sum that
-    repeats is evaluated once."""
+def _int_value(terms: list, x: tuple) -> int:
+    """The value at an integer point of a polynomial given by integer terms
+    (key, c), where key lists (variable index, exponent) pairs."""
+    total = 0
+    for key, c in terms:
+        for i, e in key:
+            c *= x[i] ** e
+        total += c
+    return total
+
+
+def _polarize(terms: list, ts: Sequence, values: dict) -> int:
+    """D_{t_1} ... D_{t_d} f for f homogeneous of degree d, on integers:
+    the sum over nonempty S of [d] of (-1)^(d-|S|) f(sum_{k in S} t_k).
+    ``values`` maps each point already evaluated to f there, so a subset
+    sum that repeats is evaluated once."""
     d = len(ts)
-    total = ZERO
+    total = 0
     for k in range(1, d + 1):
-        sign = ONE if (d - k) % 2 == 0 else -ONE
+        sign = 1 if (d - k) % 2 == 0 else -1
         for S in combinations(ts, k):
             x = tuple(sum(col) for col in zip(*S))
             if x not in values:
-                values[x] = f.evaluate(x)
+                values[x] = _int_value(terms, x)
             total += sign * values[x]
     return total
 
@@ -221,20 +254,22 @@ def _polarize(f: HomPoly, ts: Sequence, values: dict):
 def mixed_volume(polys: Sequence[SimplePolytope]):
     """Fully polarized mixed volume D_{t_1} ... D_{t_d} pol of the volume
     polynomial (the diagonal gives d! times the volume), by polarization:
-    at most 2^d - 1 evaluations, no derivatives."""
-    return _polarize(_shared_volume_polynomial(polys), [K.t for K in polys], {})
+    at most 2^d - 1 evaluations, no derivatives, one rational at the end."""
+    terms, ts, scale = _shared_volume_polynomial(polys)
+    return Rational(_polarize(terms, ts, {}), scale)
 
 
 def af_check(bodies: Sequence[SimplePolytope]) -> bool:
-    """V(K1, K2, rest)^2 >= V(K1, K1, rest) V(K2, K2, rest), exactly."""
+    """V(K1, K2, rest)^2 >= V(K1, K1, rest) V(K2, K2, rest), exactly.  The
+    three polarizations share one positive scale, so they are compared as
+    the integers they are before dividing by it."""
     d = bodies[0].dim if bodies else 0
     if d < 2 or len(bodies) != d:
         raise PolytopeError(f"the Alexandrov-Fenchel check needs d >= 2 bodies in dimension d, "
                             f"got {len(bodies)} in dimension {d}")
-    f = _shared_volume_polynomial(bodies)
-    t1, t2, *rest = [K.t for K in bodies]
+    terms, (t1, t2, *rest), _ = _shared_volume_polynomial(bodies)
     values: dict = {}
-    lhs = _polarize(f, [t1, t2] + rest, values)
-    a = _polarize(f, [t1, t1] + rest, values)
-    b = _polarize(f, [t2, t2] + rest, values)
+    lhs = _polarize(terms, [t1, t2] + rest, values)
+    a = _polarize(terms, [t1, t1] + rest, values)
+    b = _polarize(terms, [t2, t2] + rest, values)
     return lhs ** 2 >= a * b

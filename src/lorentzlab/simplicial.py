@@ -6,7 +6,8 @@ the empty face is distinct from the void complex with no faces at all (the
 latter is the face complex of the zero polynomial).  Vertices not lying in
 any facet are allowed: they index ambient coordinates (e.g. polynomial
 variables that happen not to occur).  Every order and text of labels
-shown comes from :func:`label_key` and :func:`label_str`, never the hash seed.
+shown comes from :func:`label_key`, :func:`label_str` and :func:`face_str`,
+never the hash seed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ def label_key(v: Label) -> str:
 def face_key(S: Iterable[Label]) -> tuple:
     """The sort key of a face: its members' keys, sorted."""
     return tuple(sorted(map(label_key, S)))
+
+
+def face_str(S: Iterable[Label]) -> str:
+    """The text of a face in messages: a set literal (``{2}``, ``set()``)
+    that lists its members' ``label_key`` in order."""
+    keys = face_key(S)
+    return "{%s}" % ", ".join(keys) if keys else "set()"
 
 
 def label_str(v: Label) -> str:
@@ -62,7 +70,7 @@ class SimComplex:
         vset = set(vs)
         for f in fs:
             if not f <= vset:
-                raise ValueError(f"facet {set(f)} uses unknown vertices")
+                raise ValueError(f"facet {face_str(f)} uses unknown vertices")
         # antichain reduction: drop any facet contained in another
         fs = {f for f in fs if not any(f < g for g in fs)}
         object.__setattr__(self, "vertices", vs)
@@ -139,7 +147,7 @@ class SimComplex:
     def link(self, S: Iterable[Label]) -> "SimComplex":
         S = frozenset(S)
         if not self.has_face(S):
-            raise ValueError(f"{set(S)} is not a face")
+            raise ValueError(f"{face_str(S)} is not a face")
         facets = [f - S for f in self.facets if S <= f]
         verts = set()
         for f in facets:
@@ -185,7 +193,7 @@ class SimComplex:
         """
         S = frozenset(S)
         if not S or not self.has_face(S):
-            raise ValueError(f"{set(S)} is not a nonempty face")
+            raise ValueError(f"{face_str(S)} is not a nonempty face")
         if new_vertex is None:
             new_vertex = fresh_vertex(self.vertices)
         elif new_vertex in self.vertices:

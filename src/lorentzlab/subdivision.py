@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, cone_member, face_complex
 from .polycore import HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE, rat_str
-from .simplicial import fresh_vertex, label_str
+from .simplicial import face_str, fresh_vertex, label_str
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def subdivide(f: HomPoly, S: Sequence, c: Sequence, vertex=None) -> HomPoly:
     if len(S) != len(c) or any(x <= 0 for x in c):
         raise ValueError("need one positive coefficient per face vertex")
     if not face_complex(f).has_face(S):
-        raise ValueError(f"{set(S)} is not a face of the support complex")
+        raise ValueError(f"{face_str(S)} is not a face of the support complex")
     if vertex is None:
         vertex = fresh_vertex(f.vars)
     if vertex in f.vars:

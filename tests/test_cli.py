@@ -180,6 +180,18 @@ def test_polytope_commands(capsys, files):
     assert code == 0 and rep["verdict"] == "yes"
 
 
+def test_non_simple_polytope_names_its_vertex_in_rat_str(capsys, tmp_path):
+    """A square cut through a corner has a vertex on three facets; the error
+    renders it as "p/q" text, which both rational backends print alike."""
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"dim": 2, "normals": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"], ["1", "1"]],
+                                "t": ["1/2", "1/2", "1", "1", "1"]}))
+    code, rep, err = run(capsys, "polytope", "volume", str(path))
+    assert code == 2 and rep == {
+        "message": f"{path}: vertex (1/2, 1/2) lies on 3 facets; polytope is not simple", "verdict": "error"}
+    assert "vertex (1/2, 1/2) lies on 3 facets" in err
+
+
 def test_polytope_polynomial_then_mixed_builds_the_polynomial_once(capsys, files, monkeypatch):
     """Count guard: `polynomial` fills the cache that `mixed` and `af` read
     on the same normals, so one process reconstructs the polynomial once."""
@@ -222,6 +234,16 @@ from lorentzlab.cli import main
 for argv in json.load(sys.stdin):
     print("exit", main(argv))
 """
+
+
+def test_face_in_an_error_does_not_depend_on_the_hash_seed(files):
+    """A face of string labels in an exit-2 message lists its members in
+    ``label_key`` order; the set's own order differs under these seeds."""
+    argv = [["subdivide", files["quad.txt"], "--face", "a0,a1", "--coeffs", "1,1"]]
+    outs = {in_fresh_process(REPORTS_SCRIPT, json.dumps(argv), PYTHONHASHSEED=seed) for seed in "1234"}
+    assert len(outs) == 1
+    out = outs.pop()
+    assert "{'a0', 'a1'} is not a face of the support complex" in out and out.endswith("exit 2\n")
 
 
 def test_reports_do_not_depend_on_the_hash_seed(capsys, files):

@@ -107,3 +107,22 @@ def test_rank_of_empty_and_zero_matrices():
         Z = [[ZERO] * n for _ in range(m)]
         assert linalg.rank(Z) == 0 == len(fraction_rref(Z)[1])
         assert linalg.rref(Z) == fraction_rref(Z)
+
+
+def test_eliminate_leaves_prev_times_reduced_rows(rng):
+    """On integer matrices every pivot row of ``eliminate`` is prev times
+    the row of ``fraction_rref``, every other row is zero, and prev is
+    sign * det on square matrices of full rank."""
+    negative = 0
+    for m, n in _shapes(rng):
+        M = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
+        R, want_pivots = fraction_rref(M)
+        E, pivots, prev, sign = linalg.eliminate([list(row) for row in M])
+        assert pivots == want_pivots
+        assert all(type(a) is int for row in E for a in row)
+        for i, row in enumerate(E):
+            assert list(row) == ([prev * x for x in R[i]] if i < len(pivots) else [0] * n)
+        if m == n and len(pivots) == n:
+            assert sign * prev == fraction_det(M)
+        negative += prev < 0
+    assert negative

@@ -3,9 +3,11 @@ its vertex weights against the facet-recursion oracle and the triangulation
 volume, mixed volumes and the Alexandrov-Fenchel check, and the
 deformation-cone membership test."""
 
+from itertools import combinations
+
 import pytest
 
-from lorentzlab import cones, polytope
+from lorentzlab import cones, linalg, polytope
 from lorentzlab import hereditary as hered
 from lorentzlab.polycore import HomPoly, parse_poly
 from lorentzlab.polytope import (
@@ -69,8 +71,14 @@ def tilted_simplex(t=(0, 0, 0, 30)):
     return build([(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 3, 5)], t)
 
 
+def rational_triangle(t=(Q(1, 3), Q(1, 4), Q(1, 6))):
+    return build([(Q(1, 2), 0), (0, Q(2, 3)), (Q(-1, 5), Q(-1, 7))], t)
+
+
 # normals that are not unit vectors, so that 1 / |det| differs from 1
 NON_UNIT = [scaled_triangle, skew_quadrilateral, scaled_box, wedge_prism, tilted_simplex]
+# normals and support numbers that are rationals with different denominators
+RATIONAL = [rational_triangle]
 
 
 def test_build_examples():
@@ -114,8 +122,6 @@ def test_simplex_polynomial_is_power_of_linear_form():
                  for i in range(len(P.labels))]
         # f = c (v1 t1 + ... )^d with sum v_i rho_i = 0: recover v from the
         # pure powers and verify the whole polynomial matches
-        from lorentzlab import linalg
-
         v = linalg.nullspace(linalg.transpose(P.normals), len(P.labels))
         assert len(v) == 1
         vpos = v[0] if v[0][0] > 0 else tuple(-x for x in v[0])
@@ -251,16 +257,29 @@ def _chamber_samples(rng, P, count):
 
 
 def test_vertices_match_rank_solve_oracle(rng):
-    for make in FIXTURES:
+    """The integer vertex test against rank and solve on rationals, on unit,
+    non-unit and rational facet data and on seeded random polytopes."""
+    for make in FIXTURES + NON_UNIT + RATIONAL:
         P = make()
         for K in [P] + _chamber_samples(rng, P, 6):
             assert dict(zip(K.vertices, K.active)) == rank_solve_vertices(K.normals, K.t, K.labels)
+    for K in _random_polytopes(rng, 12):
+        assert dict(zip(K.vertices, K.active)) == rank_solve_vertices(K.normals, K.t, K.labels)
+
+
+def test_rational_fixture_eliminates_to_a_negative_prev():
+    """Some d-subset of the rational fixture ends its elimination with
+    prev < 0, so the sign of the integer slacks is exercised."""
+    P = rational_triangle()
+    rows, _ = linalg.integer_scaled([r + (ti,) for r, ti in zip(P.normals, P.t)])
+    prevs = [linalg.eliminate([rows[i] for i in combo])[2] for combo in combinations(range(len(rows)), P.dim)]
+    assert min(prevs) < 0 < max(prevs)
 
 
 def test_mixed_volume_matches_chain_oracle(rng):
     """Polarization against chained directional derivatives, with the
     repeated bodies of ``af_check``."""
-    for make in FIXTURES + NON_UNIT:
+    for make in FIXTURES + NON_UNIT + RATIONAL:
         P = make()
         for _ in range(4):
             K1, K2, *rest = _chamber_samples(rng, P, P.dim)
@@ -329,19 +348,20 @@ def test_volume_polynomial_matches_facet_recursion_oracle(rng):
 def test_af_check_evaluates_each_subset_sum_once(monkeypatch, rng):
     """Count guard: on a cube triple the three mixed volumes share 11
     distinct subset sums (7 of V(K1, K2, K3), two more each for the
-    repeated bodies), and af_check evaluates each once."""
+    repeated bodies), and af_check evaluates the integer polynomial at each
+    once (``polytope._int_value``)."""
     P = cube()
     volume_polynomial(P)
     bodies = _chamber_samples(rng, P, 3)
     calls = []
-    inner = HomPoly.evaluate
-    monkeypatch.setattr(HomPoly, "evaluate", lambda self, x: calls.append(tuple(x)) or inner(self, x))
+    inner = polytope._int_value
+    monkeypatch.setattr(polytope, "_int_value", lambda terms, x: calls.append(tuple(x)) or inner(terms, x))
     assert af_check(bodies)
     assert len(calls) == len(set(calls)) == 11
 
 
 def test_af_check_matches_three_mixed_volumes(rng):
-    for make in FIXTURES + NON_UNIT:
+    for make in FIXTURES + NON_UNIT + RATIONAL:
         P = make()
         for _ in range(3):
             K1, K2, *rest = _chamber_samples(rng, P, P.dim)
