@@ -15,6 +15,7 @@ constraint before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Hashable, Mapping, Sequence
 
 from . import linalg
@@ -304,21 +305,35 @@ def in_orthant_plus_subspace(v, L) -> tuple | None:
     """An exact l in L with v + l strictly positive, or None.
 
     v is a Direction/sequence over L.ambient; the returned l is a coordinate
-    tuple over the same ambient set.
+    tuple over the same ambient set.  It is one LP on integers: with
+    y = den * v scaled to integers and B_i the integer rows of L, maximize
+    eps <= den subject to y + sum_i a_i B_i >= eps on every coordinate that
+    some B_i touches (each a_i free, split as p_i - m_i); a coordinate that
+    no row touches needs y_j > 0 by itself.  The witness is re-checked on
+    the integers, y + sum_i a_i B_i > 0 everywhere, before it is returned.
     """
-    coords = direction_coords(v, L.ambient)
-    sys = StrictSystem(vars=(), aux=tuple(("a", i) for i in range(L.dim)))
-    for j, lab in enumerate(L.ambient):
-        row = {("a", i): L.basis[i][j] for i in range(L.dim)}
-        sys.add(row, GT, coords[j])
-    w = strict_feasible(sys)
-    if w is None:
+    (y,), den = linalg.integer_scaled([direction_coords(v, L.ambient)])
+    B = L.rows
+    touched = [any(b[j] for b in B) for j in range(len(y))]
+    if any(yj <= 0 for yj, t in zip(y, touched) if not t):
         return None
-    ell = [ZERO] * len(L.ambient)
-    for i in range(L.dim):
-        a = w[("a", i)]
-        for j, x in enumerate(L.basis[i]):
-            ell[j] += a * x
+    ell = [ZERO] * len(y)
+    if not all(yj > 0 for yj in y):  # then some touched coordinate needs the LP
+        n = 2 * len(B) + 1  # p_i, m_i per row of L, eps last
+        A = [[x for b in B for x in (-b[j], b[j])] + [1] for j, t in enumerate(touched) if t]
+        rhs = [yj for yj, t in zip(y, touched) if t]
+        A.append([0] * (n - 1) + [1])
+        rhs.append(den)
+        status, x, value = lp_max([0] * (n - 1) + [1], A, rhs)
+        if status != "optimal" or value <= 0:
+            return None
+        coeffs = [x[2 * i] - x[2 * i + 1] for i in range(len(B))]
+        q = lcm(*(c.denominator for c in coeffs))
+        a = [int(c * q) for c in coeffs]
+        shift = [sum(ai * b[j] for ai, b in zip(a, B)) for j in range(len(y))]
+        if not all(q * yj + s > 0 for yj, s in zip(y, shift)):  # never skipped
+            raise AssertionError("simplex produced an invalid witness")
+        ell = [Rational(s, q * den) if s else ZERO for s in shift]
     return tuple(ell)
 
 

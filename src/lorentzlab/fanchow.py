@@ -323,12 +323,68 @@ def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[FanStep |
 # ---------------------------------------------------------------------------
 
 
+def _chart(fan: Fan, F: frozenset) -> tuple[list, list, list]:
+    """(rays, normals, ray sum) of a full-dimensional cone F, on integers.
+
+    Each ray is scaled to integers by its own positive denominator, which
+    leaves the cone as it is.  The normals are the rows u_i of the right
+    half of eliminate([R^T | I]), with R the ray matrix, times the sign of
+    prev: u_i . r_j = |prev| when i = j and 0 otherwise, so x lies in the
+    interior of F exactly when every u_i . x > 0."""
+    idx, d = fan._index(), fan.dim
+    rays = [linalg.integer_scaled([fan.rays[idx[v]]])[0][0] for v in sorted(F, key=label_key)]
+    M, _, prev, _ = linalg.eliminate([[r[k] for r in rays] + [int(j == k) for j in range(d)] for k in range(d)])
+    sgn = 1 if prev > 0 else -1
+    normals = [[sgn * a for a in row[d:]] for row in M]
+    return rays, normals, [sum(col) for col in zip(*rays)]
+
+
+def _dot(u: Sequence[int], x: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, x))
+
+
+def _charts_overlap(chart_a: tuple, chart_b: tuple) -> bool | None:
+    """Whether two full-dimensional simplicial cones have a common interior
+    point, decided by their normals where that suffices, else None.
+
+    A normal u of one cone with u . b <= 0 on every ray b of the other
+    separates their interiors; every normal of one cone positive at the
+    ray sum of the other puts an interior point of the other inside it."""
+    (rays_a, normals_a, sum_a), (rays_b, normals_b, sum_b) = chart_a, chart_b
+    if (any(all(_dot(u, b) <= 0 for b in rays_b) for u in normals_a)
+            or any(all(_dot(u, a) <= 0 for a in rays_a) for u in normals_b)):
+        return False
+    if all(_dot(u, sum_b) > 0 for u in normals_a) or all(_dot(u, sum_a) > 0 for u in normals_b):
+        return True
+    return None
+
+
 def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, frozenset]]:
-    """Maximal cone pairs whose intersection has nonempty interior, by LP."""
+    """Maximal cone pairs whose relative interiors meet.
+
+    A pair of full-dimensional cones in one ambient space is decided by
+    their facet normals first (:func:`_charts_overlap`: a separating
+    normal, or an interior point of one cone inside the other); every
+    other pair, and a full-dimensional pair that neither test decides,
+    takes the exact LP of a common point with all ray coefficients
+    positive."""
+    def charts(fan: Fan, facets: list) -> dict:
+        if fan1.dim != fan2.dim:
+            return {}
+        return {F: _chart(fan, F) for F in facets if len(F) == fan.dim}
+
+    facets1 = sorted(fan1.cones.facets, key=face_key)
+    facets2 = sorted(fan2.cones.facets, key=face_key)
+    charts1, charts2 = charts(fan1, facets1), charts(fan2, facets2)
     out = []
-    for A in sorted(fan1.cones.facets, key=face_key):
-        for B in sorted(fan2.cones.facets, key=face_key):
-            if strict_feasible(_cone_pair_system(fan1, A, fan2, B, GT)) is not None:
+    for A in facets1:
+        for B in facets2:
+            meet = None
+            if A in charts1 and B in charts2:
+                meet = _charts_overlap(charts1[A], charts2[B])
+            if meet is None:
+                meet = strict_feasible(_cone_pair_system(fan1, A, fan2, B, GT)) is not None
+            if meet:
                 out.append((A, B))
     return out
 

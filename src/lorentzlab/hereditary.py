@@ -68,16 +68,22 @@ def _minimal_failing_face(lin: LinSubspace, T: frozenset) -> frozenset:
     return T
 
 
-def require_hereditary(delta: SimComplex, lin: LinSubspace) -> None:
-    """Check that lin projects onto every facet of the skeleton of delta.
+def require_hereditary(delta: SimComplex, lin: LinSubspace) -> bool:
+    """Check that lin projects onto every non-maximal face of delta, and
+    return whether it projects onto every facet as well (the strong flag).
 
     Projection onto a face implies projection onto its subsets, so the
-    skeleton's facets are all that need a rank check.  Raises
-    NotHereditaryError naming a minimal failing face.
+    facets of delta are checked first: when lin projects onto all of them,
+    delta is hereditary and strong.  Only when some facet fails are the
+    facets of the skeleton checked.  Raises NotHereditaryError naming a
+    minimal failing face.
     """
+    if all(not F or lin.projects_onto(F) for F in delta.facets):
+        return True
     for T in sorted(delta.skeleton().facets, key=face_key):
         if T and not lin.projects_onto(T):
             raise NotHereditaryError(_minimal_failing_face(lin, T))
+    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +119,7 @@ def check_hereditary(f: HomPoly) -> HereditaryPoly:
     """
     delta = face_complex(f)
     lin = f.lineality_space()
-    require_hereditary(delta, lin)
-    strong = all(
-        (not F) or lin.projects_onto(F)
-        for F in delta.facets
-    )
+    strong = require_hereditary(delta, lin)
     return HereditaryPoly(f=f, delta=delta, lin=lin, strong=strong)
 
 

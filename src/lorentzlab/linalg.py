@@ -3,15 +3,17 @@
 Vectors are sequences of rationals, matrices are lists of row vectors.
 Everything here is exact.  One elimination loop, ``eliminate``, serves
 rref, rank, solve, nullspace and det: the matrix is scaled to integers by
-its least common denominator, and fraction-free Gauss-Jordan (Bareiss)
+its least common denominator (Python ints pass through as they are), and
+fraction-free Gauss-Jordan (Bareiss)
 steps replace each row by (p*a - f*b) // prev, where p is the new pivot and
 prev the one before it; every division is exact.  The pivot is the first
 nonzero entry of its column, as in textbook elimination.  Each pivot row
 ends as prev times its reduced row, so rref forms its rationals once at the
-end, rank counts pivots and forms none, and a square matrix of full rank
-ends at prev * I, which makes the determinant sign * prev / den^n.  Callers
-that already hold integers (polytope vertex enumeration) call
-``eliminate`` directly.  Sizes are desk scale (tens of rows), so no
+end, rank counts pivots and forms none, ``kernel`` reads an integer
+kernel basis off the same rows, and a square matrix of full rank ends at
+prev * I, which makes the determinant sign * prev / den^n.  Callers that
+already hold integers (polytope vertex enumeration, the integer rows of
+``LinSubspace``) call ``eliminate`` and ``kernel`` directly.  Sizes are desk scale (tens of rows), so no
 attention is paid to asymptotics beyond avoiding obvious blowups.
 """
 
@@ -56,8 +58,10 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Mat:
 
 def integer_scaled(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(den * A, den) with den the least common denominator of A's entries:
-    a matrix of Python ints (never a backend integer type)."""
-    R = [[Q(x).as_integer_ratio() for x in row] for row in A]
+    a matrix of Python ints (never a backend integer type).  A Python int
+    is taken as it is; every other entry goes through ``Q``, so a float is
+    a TypeError."""
+    R = [[(x, 1) if type(x) is int else Q(x).as_integer_ratio() for x in row] for row in A]
     den = lcm(*{d for row in R for _, d in row})
     return [[int(n * (den // d)) for n, d in row] for row in R], den
 
@@ -92,6 +96,22 @@ def eliminate(M: list) -> tuple[list, list[int], int, int]:
         if r + 1 == m:
             break
     return M, pivots, prev, sign
+
+
+def kernel(M: list, pivots: list[int], prev: int, n: int) -> list[list[int]]:
+    """Integer basis of the kernel of an eliminated M (``eliminate``'s
+    output, n columns): for each free column f, prev at f and -M[r][f] at
+    the r-th pivot, which is prev times the basic solution with 1 at f."""
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = prev
+        for r, c in enumerate(pivots):
+            v[c] = -M[r][f]
+        out.append(v)
+    return out
 
 
 def _gauss_jordan(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int, int]:
@@ -134,24 +154,10 @@ def nullspace(A: Sequence[Sequence], n: int | None = None) -> list[Vec]:
     """Basis of {x : Ax = 0}; n gives the column count when A is empty."""
     if not A:
         assert n is not None, "need column count for empty matrix"
-        return [unit(n, i) for i in range(n)]
-    n = len(A[0])
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -R[i][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def row_space_basis(A: Sequence[Sequence]) -> list[Vec]:
-    """Independent spanning subset shape: the nonzero rows of rref(A)."""
-    R, pivots = rref(A)
-    return [R[i] for i in range(len(pivots))]
+    else:
+        n = len(A[0])
+    M, pivots, prev, _, _ = _gauss_jordan(A)
+    return [tuple(Rational(a, prev) if a else ZERO for a in v) for v in kernel(M, pivots, prev, n)]
 
 
 def det(A: Sequence[Sequence]):

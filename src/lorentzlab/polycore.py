@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial, gcd, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .rat import Q, ZERO, ONE, rat_str
+from .rat import Q, ZERO, ONE, Rational, rat_str
 from .simplicial import Label, label_str
 
 Key = tuple  # sorted tuple of (position, exponent) pairs
@@ -333,13 +333,16 @@ class HomPoly:
     def lineality_space(self) -> "LinSubspace":
         """All v with D_v f identically zero, by exact linear solve.  The
         coefficient of t^beta in D_v f is sum_i (beta_i + 1) c_{beta+e_i} v_i,
-        so the row of beta is read off the coefficients of f."""
+        so the row of beta is read off the coefficients of f, and the
+        kernel off one integer elimination of those rows."""
         n = len(self.vars)
         rows: dict[Key, list] = {}
         for key, c in self.terms.items():
             for j, (i, e) in enumerate(key):
-                rows.setdefault(_key_lower(key, j), [ZERO] * n)[i] = e * c
-        return LinSubspace(self.vars, linalg.nullspace(list(rows.values()), n))
+                rows.setdefault(_key_lower(key, j), [0] * n)[i] = e * c
+        M, _ = linalg.integer_scaled(list(rows.values()))
+        M, pivots, prev, _ = linalg.eliminate(M)
+        return LinSubspace._span(self.vars, linalg.kernel(M, pivots, prev, n))
 
     # -- text and JSON forms ----------------------------------------------------
 
@@ -475,43 +478,70 @@ def direction_coords(v, vars: Sequence[Label]) -> tuple:
 
 
 class LinSubspace:
-    """A rational subspace of R^V, stored by a canonical (rref) basis."""
+    """A rational subspace of R^V, stored by its canonical (rref) basis.
 
-    __slots__ = ("ambient", "basis")
+    ``rows`` is the same basis on Python ints: s times the rref rows, with
+    s > 0 the least scale that makes them integers, so the rows are
+    canonical too and s is the entry at every pivot.  Every construction
+    is one ``linalg.eliminate`` on integer rows; pins, projections and the
+    orthant LP of :mod:`lorentzlab.cones` work on ``rows``, and ``basis``
+    forms the rationals once, for the callers that read them.
+    """
+
+    __slots__ = ("ambient", "rows", "basis")
 
     def __init__(self, ambient: Sequence[Label], basis: Iterable[Sequence]):
-        object.__setattr__(self, "ambient", tuple(ambient))
-        rows = [tuple(Q(x) for x in b) for b in basis]
-        for r in rows:
-            if len(r) != len(self.ambient):
-                raise ValueError("basis vector has wrong dimension")
-        object.__setattr__(self, "basis", linalg.row_space_basis(rows))
+        ambient = tuple(ambient)
+        M, _ = linalg.integer_scaled(basis)
+        if any(len(r) != len(ambient) for r in M):
+            raise ValueError("basis vector has wrong dimension")
+        self._canonicalize(ambient, M)
+
+    @classmethod
+    def _span(cls, ambient: tuple, M: list) -> "LinSubspace":
+        """The span of integer rows M over ambient, with no validation."""
+        L = object.__new__(cls)
+        L._canonicalize(ambient, M)
+        return L
+
+    def _canonicalize(self, ambient: tuple, M: list) -> None:
+        M, pivots, prev, _ = linalg.eliminate(M)
+        # the pivot rows are prev times the rref rows; dividing them by the
+        # gcd of their entries, signed like prev, leaves the least scale s
+        g = gcd(*(a for r in M[: len(pivots)] for a in r)) or 1
+        g = -g if prev < 0 else g
+        rows = tuple(tuple(a // g for a in r) for r in M[: len(pivots)])
+        s = prev // g
+        basis = tuple(tuple(Rational(a, s) if a else ZERO for a in r) for r in rows)
+        for name, value in zip(self.__slots__, (ambient, rows, basis)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("LinSubspace is immutable")
 
     @classmethod
     def full(cls, ambient: Sequence[Label]) -> "LinSubspace":
-        n = len(tuple(ambient))
-        return cls(ambient, [linalg.unit(n, i) for i in range(n)])
+        ambient = tuple(ambient)
+        n = len(ambient)
+        return cls._span(ambient, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v) -> bool:
-        coords = direction_coords(v, self.ambient)
-        return linalg.rank(list(self.basis) + [coords]) == self.dim
+        (z,), _ = linalg.integer_scaled([direction_coords(v, self.ambient)])
+        return len(linalg.eliminate(list(self.rows) + [z])[1]) == self.dim
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinSubspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis  # rref basis is canonical
+            and self.rows == other.rows  # canonical, as the rref basis is
         )
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self.basis)))
+        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"LinSubspace(dim={self.dim} in R^{len(self.ambient)})"
@@ -519,7 +549,7 @@ class LinSubspace:
     def add(self, other: "LinSubspace") -> "LinSubspace":
         if self.ambient != other.ambient:
             raise ValueError("subspaces of different ambient spaces")
-        return LinSubspace(self.ambient, list(self.basis) + list(other.basis))
+        return LinSubspace._span(self.ambient, list(self.rows) + list(other.rows))
 
     def _positions(self, coords: Sequence[Label]) -> list[int]:
         idx = {v: i for i, v in enumerate(self.ambient)}
@@ -528,24 +558,27 @@ class LinSubspace:
     def projects_onto(self, coords: Sequence[Label]) -> bool:
         """Whether the projection onto ``coords`` is all of R^coords."""
         pos = self._positions(coords)
-        return linalg.rank([tuple(b[p] for p in pos) for b in self.basis]) == len(pos)
+        if len(pos) > self.dim:
+            return False
+        return len(linalg.eliminate([[b[p] for p in pos] for b in self.rows])[1]) == len(pos)
 
     def pin(self, v: Label, keep: Sequence[Label]) -> tuple[tuple | None, "LinSubspace"]:
         """One elimination step at ``v``: (l, { m|keep : m in L, m_v = 0 }).
 
-        l is the first basis row with a nonzero entry at v, scaled to 1
-        there (None when every element vanishes at v); subtracting multiples
-        of l clears the v-entries of the other rows, which then span the
-        elements vanishing at v.  On the canonical basis l is the basic
-        solution of m_v = 1, so repeated calls agree exactly.
+        l is the first basis row with a nonzero entry c at v, divided by c
+        (None when every element vanishes at v); each other integer row b
+        becomes c*b - b_v*(that row), which clears its v-entry, so these
+        rows span the elements vanishing at v.  On the canonical basis l is
+        the basic solution of m_v = 1, so repeated calls agree exactly.
         """
         p = self.ambient.index(v)
         pos = self._positions(keep)
-        k = next((r for r, b in enumerate(self.basis) if b[p] != 0), None)
+        k = next((r for r, b in enumerate(self.rows) if b[p]), None)
         l = None
         if k is not None:
-            c = self.basis[k][p]
-            l = self.basis[k] if c == 1 else tuple(x / c for x in self.basis[k])
-        rows = [tuple(b[q] - b[p] * l[q] for q in pos) if b[p] != 0 else tuple(b[q] for q in pos)
-                for r, b in enumerate(self.basis) if r != k]
-        return l, LinSubspace(tuple(keep), rows)
+            top = self.rows[k]
+            c = top[p]
+            l = tuple(Rational(x, c) if x else ZERO for x in top)
+        rows = [[c * b[q] - b[p] * top[q] for q in pos] if b[p] else [b[q] for q in pos]
+                for r, b in enumerate(self.rows) if r != k]
+        return l, LinSubspace._span(tuple(keep), rows)

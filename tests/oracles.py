@@ -75,6 +75,15 @@ checked against.
   validating ``HomPoly`` constructor.
 * :func:`projection_pi` is the matrix of the projection pi_S, with every
   pin solved against the full lineality space.
+* :func:`lp_overlapping_facet_pairs` decides every pair of maximal cones
+  of two fans by the exact LP of a common point with positive ray
+  coefficients; the library decides full-dimensional pairs by their
+  integer facet normals first and falls back to that LP.
+* :func:`skeleton_require_hereditary` checks projection onto every facet
+  of the skeleton and searches the minimal failing face, each projection
+  a :func:`fraction_rref` rank (:func:`fraction_projects_onto`); the
+  library eliminates integer rows, checks the facets of the complex first
+  and reaches the skeleton only when one of them fails.
 * :func:`brute_force_is_m_convex` runs the exchange axiom on every ordered
   pair; the library tests each pair against exchange masks built once per
   point.
@@ -119,7 +128,7 @@ from lorentzlab.lorentzian import (
 )
 from lorentzlab.polycore import HomPoly, LinSubspace, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
-from lorentzlab.simplicial import SimComplex
+from lorentzlab.simplicial import SimComplex, face_key, label_key
 
 
 def layered_pin(L, chain, G, flats) -> dict:
@@ -804,6 +813,38 @@ def all_orderings_ample_member(fan, v) -> bool:
         )
 
     return descend(frozenset(), coords)
+
+
+def lp_overlapping_facet_pairs(fan1, fan2) -> list:
+    """Maximal cone pairs whose relative interiors meet, one LP per pair."""
+    from lorentzlab.fanchow import _cone_pair_system
+
+    out = []
+    for A in sorted(fan1.cones.facets, key=face_key):
+        for B in sorted(fan2.cones.facets, key=face_key):
+            if strict_feasible(_cone_pair_system(fan1, A, fan2, B, GT)) is not None:
+                out.append((A, B))
+    return out
+
+
+def fraction_projects_onto(lin, coords) -> bool:
+    pos = [lin.ambient.index(v) for v in coords]
+    return len(fraction_rref([[b[p] for p in pos] for b in lin.basis])[1]) == len(pos)
+
+
+def skeleton_require_hereditary(delta, lin) -> bool:
+    """Projection onto every facet of the skeleton of delta, raising
+    NotHereditaryError at the first failing one with the smallest failing
+    subset of it (by size, then in label order); returns the strong flag,
+    projection onto every facet of delta."""
+    for T in sorted(delta.skeleton().facets, key=face_key):
+        if T and not fraction_projects_onto(lin, T):
+            for k in range(1, len(T) + 1):
+                sub = next((c for c in combinations(sorted(T, key=label_key), k)
+                            if not fraction_projects_onto(lin, c)), None)
+                if sub is not None:
+                    raise hered.NotHereditaryError(sub)
+    return all(not F or fraction_projects_onto(lin, F) for F in delta.facets)
 
 
 def brute_force_is_m_convex(M) -> tuple:

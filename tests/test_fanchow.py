@@ -8,7 +8,7 @@ import pytest
 
 from conftest import hereditary_fixture_pool, in_fresh_process, rand_nonneg_poly
 from lorentzlab.cli import verify_hl_witness
-from lorentzlab import hereditary as hered, linalg
+from lorentzlab import fanchow, hereditary as hered, linalg
 from lorentzlab.fanchow import (
     DegreeFunctional,
     Fan,
@@ -29,7 +29,7 @@ from lorentzlab.lorentzian import polarize
 from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid, submodular_witness
 from lorentzlab.polytope import build as build_polytope, volume_polynomial
 from lorentzlab.rat import Q, ZERO
-from oracles import all_orderings_ample_member, nullspace_vanishing_restrict
+from oracles import all_orderings_ample_member, lp_overlapping_facet_pairs, nullspace_vanishing_restrict
 
 
 def square_fan():
@@ -142,13 +142,61 @@ def test_ample_walk_solves_at_most_one_lp_per_face(monkeypatch):
     faces = len(fan.cones.faces(max_size=d - 1))
     assert faces == 421
     calls = []
-    inner = cones.strict_feasible
-    monkeypatch.setattr(cones, "strict_feasible", lambda sys: calls.append(1) or inner(sys))
+    inner = cones.lp_max
+    monkeypatch.setattr(cones, "lp_max", lambda c, A, b: calls.append(1) or inner(c, A, b))
     assert ample_cone_member(fan, submodular_witness(L).coords)
     assert 0 < len(calls) <= faces
     calls.clear()
     assert not ample_cone_member(fan, [-x for x in submodular_witness(L).coords])
     assert len(calls) == 1
+
+
+def test_overlapping_pairs_match_lp_oracle():
+    # full-dimensional fans take the chart route, Bergman fans (not
+    # full-dimensional) the LP; both must pair exactly the cones the LP pairs
+    square, cube = square_fan(), cube_fan()
+    sq1, _ = fan_subdivide(square, (1, 1), new_label="m")
+    sq2, _ = fan_subdivide(sq1, (2, 1), new_label="p")
+    cu1, _ = fan_subdivide(cube, (1, -2, 3), new_label="r")
+    cu2, _ = fan_subdivide(cu1, (1, 1, 1), new_label="t")
+    cases = [(square, square), (square, sq1), (sq1, sq2), (cube, cube), (cube, cu1), (cu1, cu2), (cu2, cube)]
+    for r, n in ((3, 4), (3, 5)):
+        fan = bergman_fan(flats(Matroid.uniform(r, n)))
+        F = sorted(fan.cones.facets, key=lambda f: sorted(map(repr, f)))[0]
+        rho = [sum(xs) for xs in zip(*(fan.ray(v) for v in F))]
+        cases += [(fan, fan), (fan, fan_subdivide(fan, rho)[0])]
+    for fan1, fan2 in cases:
+        got = fanchow.overlapping_facet_pairs(fan1, fan2)
+        assert got == lp_overlapping_facet_pairs(fan1, fan2), (fan1.ray_labels, fan2.ray_labels)
+        assert got
+
+
+def test_chart_route_matches_lp_on_random_cone_pairs(rng):
+    # seeded pairs of full-dimensional simplicial cones in dimensions 2-4,
+    # each a fan with one maximal cone; some pairs share rays
+    decided = undecided = 0
+    for _ in range(600):
+        d = rng.randint(2, 4)
+        cones = []
+        while len(cones) < 2:
+            rays = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+            if cones and rng.random() < 0.3:
+                rays[0] = cones[0][0]
+            if linalg.rank(rays) == d:
+                cones.append(rays)
+        la, lb = tuple(f"a{i}" for i in range(d)), tuple(f"b{i}" for i in range(d))
+        fan_a, fan_b = build_fan(d, la, cones[0], [la]), build_fan(d, lb, cones[1], [lb])
+        A, B = frozenset(la), frozenset(lb)
+        got = fanchow.overlapping_facet_pairs(fan_a, fan_b)
+        assert got == lp_overlapping_facet_pairs(fan_a, fan_b), cones
+        charts = fanchow._charts_overlap(fanchow._chart(fan_a, A), fanchow._chart(fan_b, B))
+        if charts is None:
+            undecided += 1
+        else:
+            decided += 1
+            assert charts == bool(got)
+    # most pairs need no LP, and the LP fallback runs on some
+    assert decided > 300 and undecided > 0
 
 
 def test_functional_from_weights_errors():

@@ -4,6 +4,7 @@ implementation), reconstruction from weights, and the certification."""
 
 import pytest
 
+from conftest import hereditary_fixture_pool, nonneg_cubics_and_quartics
 from lorentzlab.cones import in_orthant_plus_subspace
 from lorentzlab.hereditary import (
     BalancingError,
@@ -15,7 +16,9 @@ from lorentzlab.hereditary import (
     from_weights,
     is_hereditary_lorentzian,
     is_positive,
+    face_complex,
     product,
+    require_hereditary,
     restrict_fS,
     restrict_poly,
     space_dimension,
@@ -23,7 +26,8 @@ from lorentzlab.hereditary import (
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.simplicial import SimComplex
-from oracles import projection_pi, solve_member_with_values
+from oracles import projection_pi, skeleton_require_hereditary, solve_member_with_values
+from test_polycore import random_subspace
 
 
 def edge_square():
@@ -384,3 +388,45 @@ def test_space_dimension_examples():
     assert space_dimension(h.delta, h.lin, 2) == 1
     # nothing above the top grade
     assert space_dimension(h.delta, h.lin, 3) == 0
+
+
+def _heredity(check, delta, lin):
+    """check's strong flag, or the face named by its NotHereditaryError."""
+    try:
+        return check(delta, lin)
+    except NotHereditaryError as err:
+        return err.face
+
+
+def test_facets_first_heredity_matches_skeleton_oracle(rng):
+    # seeded complexes against random sparse subspaces, most of them not
+    # hereditary; the failing faces must be the oracle's minimal ones
+    seen = {"face": 0, "strong": 0, "weak": 0}
+    for _ in range(400):
+        n = rng.randint(3, 6)
+        verts = tuple(f"v{i}" for i in range(n))
+        delta = SimComplex(verts, [rng.sample(verts, rng.randint(1, min(4, n))) for _ in range(rng.randint(1, 4))])
+        lin = random_subspace(rng, verts, rng.randint(0, n))
+        got = _heredity(require_hereditary, delta, lin)
+        assert got == _heredity(skeleton_require_hereditary, delta, lin), (delta.facets, lin.basis)
+        seen["face" if isinstance(got, frozenset) else "strong" if got else "weak"] += 1
+    assert min(seen.values()) > 10
+
+
+def test_strong_flag_matches_skeleton_oracle_on_fixture_pool(rng):
+    # the fixture pool holds strong and weak polynomials; the seeded cubics
+    # and quartics are mostly not hereditary, so they check the failing face
+    pool = hereditary_fixture_pool(rng) + [edge_square(), triple_product(), four_cycle_alternating()]
+    flags = [h.strong for h in pool]
+    assert flags == [skeleton_require_hereditary(h.delta, h.lin) for h in pool]
+    assert True in flags and False in flags
+    faces = 0
+    for f in nonneg_cubics_and_quartics(rng):
+        want = _heredity(skeleton_require_hereditary, face_complex(f), f.lineality_space())
+        try:
+            got = check_hereditary(f).strong
+        except NotHereditaryError as err:
+            got = err.face
+        assert got == want, f
+        faces += isinstance(got, frozenset)
+    assert faces

@@ -3,7 +3,10 @@ built on it, and the Bareiss determinant, agree exactly with
 ``fraction_rref`` and ``fraction_det`` on seeded matrices of every shape,
 and every number they return is of the backend's rational type."""
 
+import pytest
+
 from lorentzlab import linalg
+from lorentzlab.polycore import LinSubspace
 from lorentzlab.rat import Q, Rational, ZERO
 from oracles import fraction_det, fraction_rref
 
@@ -51,7 +54,9 @@ def test_elimination_matches_fraction_oracle(rng):
         seen["negative pivot"] += bool(pivots) and next(row[pivots[0]] for row in A if row[pivots[0]]) < 0
         seen["tall" if m > n else "wide" if m < n else "square"] += 1
         assert linalg.rank(A) == len(pivots)
-        assert linalg.row_space_basis(A) == want[: len(pivots)]
+        # the canonical basis of the row space: the nonzero rows of the rref
+        L = LinSubspace(range(n), A)
+        assert L.basis == tuple(want[: len(pivots)]) and all(_all_rational(row) for row in L.basis)
 
         kernel = []
         for f in (c for c in range(n) if c not in pivots):
@@ -126,3 +131,28 @@ def test_eliminate_leaves_prev_times_reduced_rows(rng):
             assert sign * prev == fraction_det(M)
         negative += prev < 0
     assert negative
+
+
+def test_integer_scaled_takes_ints_as_they_are_and_rejects_floats(rng):
+    for m, n in _shapes(rng):
+        A = _seeded_matrix(rng, m, n)
+        mixed = [[int(a) if a.denominator == 1 and rng.random() < 0.5 else a for a in row] for row in A]
+        M, den = linalg.integer_scaled(mixed)
+        assert all(type(a) is int for row in M for a in row) and type(den) is int
+        assert [[Q(a, den) for a in row] for row in M] == A
+    assert linalg.integer_scaled([[2, -3], [0, 5]]) == ([[2, -3], [0, 5]], 1)
+    for bad in ([[1, 0.5]], [[0.0]], [[Q(1, 2), 2.0]]):
+        with pytest.raises(TypeError):
+            linalg.integer_scaled(bad)
+
+
+def test_kernel_is_prev_times_the_rational_kernel(rng):
+    """``kernel`` on ``eliminate``'s output spans the nullspace, each vector
+    prev times the basic one; ``nullspace`` forms its rationals from it."""
+    for m, n in _shapes(rng):
+        M = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)]
+        E, pivots, prev, _ = linalg.eliminate([list(row) for row in M])
+        K = linalg.kernel(E, pivots, prev, n)
+        assert [[Q(a, prev) for a in v] for v in K] == [list(v) for v in linalg.nullspace(M, n)]
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for v in K for row in M)
+        assert len(K) == n - len(pivots)

@@ -5,6 +5,7 @@ independent symbolic-differentiation oracle.
 """
 
 import random
+from itertools import combinations
 
 import sympy
 
@@ -12,6 +13,7 @@ from lorentzlab.polycore import Direction, HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 from oracles import (
     euler_defect,
+    fraction_projects_onto,
     nullspace_vanishing_restrict,
     partials_lineality_space,
     rename_vars,
@@ -192,6 +194,24 @@ def test_direction_and_subspace_basics():
     assert m is not None and m[0] == 2 and L.contains(m)
 
 
+def random_subspace(rng, ambient, dim) -> LinSubspace:
+    """Sparse rational rows added one at a time until the dimension is reached."""
+    L = LinSubspace(ambient, [])
+    while L.dim < dim:
+        row = [Q(rng.randint(-3, 3), rng.randint(1, 7)) if rng.random() < 0.5 else Q(0) for _ in ambient]
+        L = L.add(LinSubspace(ambient, [row]))
+    return L
+
+
+def rows_scale_basis(L: LinSubspace) -> bool:
+    """The integer rows are s times the rref basis, for one s > 0."""
+    if not L.rows:
+        return L.basis == ()
+    s = next(a for a in L.rows[0] if a)  # the first pivot, where the basis has 1
+    return (s > 0 and all(type(a) is int for r in L.rows for a in r)
+            and L.rows == tuple(tuple(s * x for x in b) for b in L.basis))
+
+
 def test_pin_matches_solve_and_nullspace(rng):
     # one elimination step on the canonical basis gives the basic solution
     # of l_v = 1 and the canonical basis of the elements vanishing at v
@@ -200,11 +220,8 @@ def test_pin_matches_solve_and_nullspace(rng):
         ambient = tuple("abcdefg"[:n])
         for dim in range(n + 1):
             for _ in range(4):
-                L = LinSubspace(ambient, [])
-                while L.dim < dim:  # sparse rows until the dimension is reached
-                    row = [Q(rng.randint(-3, 3), rng.randint(1, 7)) if rng.random() < 0.5 else Q(0)
-                           for _ in ambient]
-                    L = L.add(LinSubspace(ambient, [row]))
+                L = random_subspace(rng, ambient, dim)
+                assert rows_scale_basis(L)
                 for v in ambient:
                     keep = rng.sample(ambient, rng.randint(0, n))
                     pin, LS = L.pin(v, keep)
@@ -212,9 +229,27 @@ def test_pin_matches_solve_and_nullspace(rng):
                     assert (pin is None) == all(b[ambient.index(v)] == 0 for b in L.basis)
                     want = nullspace_vanishing_restrict(L, (v,), keep)
                     assert LS.ambient == tuple(keep) and LS.basis == want.basis
+                    assert rows_scale_basis(LS)
                     checked += 1
                     nones += pin is None
     assert checked > 600 and 0 < nones < checked
+
+
+def test_projects_onto_matches_fraction_rank(rng):
+    # the integer elimination against the rank of the rational basis, on
+    # every coordinate subset
+    seen = {True: 0, False: 0}
+    for n in range(1, 6):
+        ambient = tuple("abcde"[:n])
+        for dim in range(n + 1):
+            for _ in range(3):
+                L = random_subspace(rng, ambient, dim)
+                for k in range(n + 1):
+                    for sub in combinations(ambient, k):
+                        got = L.projects_onto(sub)
+                        assert got == fraction_projects_onto(L, sub), (L.basis, sub)
+                        seen[got] += 1
+    assert min(seen.values()) > 100
 
 
 def _random_poly(rng, n, d, terms=4):
