@@ -29,7 +29,7 @@ from . import fanchow, hereditary, lorentzian, matroid, polytope, subdivision
 from .cones import ConeByGenerators
 from .inertia import hessian, inertia
 from .polycore import HomPoly, LinSubspace, parse_poly
-from .rat import Q, rat_str
+from .rat import Q, rat_str, read_rat
 from .simplicial import SimComplex, label_str
 
 
@@ -40,7 +40,7 @@ class InputError(Exception):
 class _JsonDecimal(float):
     """A JSON number whose float does not print as its exact value: it is
     that float in every use, except that str() gives the decimal text,
-    which is what ``Q(str(x))`` reads."""
+    which is what ``rat.read_rat`` reads."""
 
     __slots__ = ("text",)
 
@@ -124,13 +124,13 @@ def read_matroid_of_positive_rank(data: dict) -> matroid.Matroid:
 
 
 def _facet_weights(entries) -> dict:
-    return {frozenset(e["facet"]): Q(str(e["w"])) for e in _expect(entries, list)}
+    return {frozenset(e["facet"]): read_rat(e["w"]) for e in _expect(entries, list)}
 
 
 def read_weights_bundle(data: dict) -> tuple:
     """The weights schema: complex, lineality rows, facet weights."""
     delta = SimComplex.from_json_dict(_expect(data["complex"], dict))
-    lin = LinSubspace(delta.vertices, [[Q(str(x)) for x in row] for row in data["lineality"]])
+    lin = LinSubspace(delta.vertices, [[read_rat(x) for x in row] for row in data["lineality"]])
     return delta, lin, _facet_weights(data["weights"])
 
 

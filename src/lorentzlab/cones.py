@@ -1,79 +1,35 @@
-"""Exact strict linear feasibility and polyhedral cone utilities.
+"""Exact strict positivity modulo a subspace, and polyhedral cone utilities.
 
-The workhorse is a two-phase exact simplex with Bland's rule (guaranteed
-termination, no numerical tolerance anywhere).  It runs on an
+Every cone question of the library is one test:
+:func:`in_orthant_plus_subspace` finds an exact l in a subspace L with
+y + l strictly positive, or proves there is none.  The face walk of
+:mod:`lorentzlab.hereditary` asks it at every face; the boundedness of a
+polytope (Stiemke's lemma), the fan axioms (the separation lemma), the
+overlap of two cones, the gap test of the matroid cone witness and the
+coupled cone search (:func:`strict_feasible`, Az > 0 as a positive vector
+of the column space of A) all ask it with a subspace of their own.
+
+The test is one LP, run by a two-phase exact simplex with Bland's rule
+(guaranteed termination, no numerical tolerance anywhere).  It runs on an
 integer-preserving tableau (Edmonds 1967): the rows are Python ints over
 one common denominator D, the last pivot, and every pivot divides exactly
 by the D before it.  Ratios are compared by cross-multiplying, so the
 pivots and the solution are those of the rational tableau, and the basic
-values become rationals once, at the optimum.  Strict systems are decided
-by maximizing a slack eps bounded by 1: the system is strictly feasible iff
-the optimum is positive.  Every witness is re-verified against every
-constraint before it is returned.
+values become rationals once, at the optimum.  Strict positivity is
+decided by maximizing a slack eps under a cap: it holds iff the optimum is
+positive.  Every witness is re-verified on the integers before it is
+returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
-from .polycore import Direction, direction_coords
-from .rat import Q, ZERO, ONE, Rational
-
-Label = Hashable
-
-GT, GE, EQ = ">", ">=", "="
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """coeffs . x + const REL 0 with REL in {">", ">=", "="}."""
-
-    coeffs: tuple  # tuple of (label, rational) pairs, zero coefficients dropped
-    const: object
-    rel: str
-
-    @classmethod
-    def make(cls, coeffs: Mapping[Label, object], const, rel: str) -> "Constraint":
-        if rel not in (GT, GE, EQ):
-            raise ValueError(f"bad relation {rel!r}")
-        items = tuple((v, Q(c)) for v, c in coeffs.items() if Q(c) != 0)
-        return cls(items, Q(const), rel)
-
-    def value_at(self, point: Mapping[Label, object]):
-        s = self.const
-        for v, c in self.coeffs:
-            s += c * Q(point.get(v, 0))
-        return s
-
-    def satisfied_by(self, point: Mapping[Label, object]) -> bool:
-        val = self.value_at(point)
-        return val > 0 if self.rel == GT else val >= 0 if self.rel == GE else val == 0
-
-
-@dataclass
-class StrictSystem:
-    """A conjunction of strict/weak/equality linear constraints.
-
-    ``vars`` are the primary unknowns; ``aux`` are existential helper
-    variables (e.g. subspace coefficients).  Both are solved for; the split
-    only affects how witnesses are reported.
-    """
-
-    vars: tuple = ()
-    aux: tuple = ()
-    constraints: list[Constraint] = field(default_factory=list)
-
-    def add(self, coeffs: Mapping[Label, object], rel: str, const=0):
-        self.constraints.append(Constraint.make(coeffs, const, rel))
-
-    def all_vars(self) -> tuple:
-        return tuple(self.vars) + tuple(self.aux)
-
-    def verify(self, point: Mapping[Label, object]) -> bool:
-        return all(c.satisfied_by(point) for c in self.constraints)
+from .polycore import LinSubspace, direction_coords
+from .rat import Q, ZERO, Rational, read_rat
 
 
 # ---------------------------------------------------------------------------
@@ -178,97 +134,6 @@ def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# strict feasibility
-# ---------------------------------------------------------------------------
-
-
-def _components(sys: StrictSystem) -> list[tuple[list[Label], list[Constraint]]]:
-    """Split into connected components of the variable/constraint graph."""
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for k, con in enumerate(sys.constraints):
-        anchor = ("c", k)
-        for v, _ in con.coeffs:
-            union(anchor, ("v", v))
-    groups: dict = {}
-    for k, con in enumerate(sys.constraints):
-        groups.setdefault(find(("c", k)), ([], []))[1].append(con)
-    for v in sys.all_vars():
-        key = ("v", v)
-        if key in parent:
-            root = find(key)
-            if root in groups:
-                groups[root][0].append(v)
-    return list(groups.values())
-
-
-def strict_feasible(sys: StrictSystem) -> dict | None:
-    """Exact witness of the strict system, or None if infeasible.
-
-    Each strict constraint lam.x + c > 0 becomes lam.x + c >= eps; eps is
-    maximized subject to eps <= 1 (capping keeps homogeneous systems
-    bounded without affecting the feasible/infeasible verdict).  Independent
-    variable blocks are solved separately, which keeps compiled per-face
-    cone systems with a known base point cheap.
-    """
-    witness: dict = {v: ZERO for v in sys.all_vars()}
-    for labels, cons in _components(sys):
-        part = _strict_feasible_block(labels, cons)
-        if part is None:
-            return None
-        witness.update(part)
-    if not sys.verify(witness):  # exact re-verification, never skipped
-        raise AssertionError("simplex produced an invalid witness")
-    return witness
-
-
-def _strict_feasible_block(labels: list[Label], cons: list[Constraint]) -> dict | None:
-    pos = {v: i for i, v in enumerate(labels)}
-    n = 2 * len(labels) + 1  # x = p - m split, plus eps last
-    eps = n - 1
-    A, b = [], []
-
-    def dense(con: Constraint, with_eps: bool):
-        row = [ZERO] * n
-        for v, c in con.coeffs:
-            row[2 * pos[v]] = c
-            row[2 * pos[v] + 1] = -c
-        if with_eps:
-            row[eps] = -ONE
-        return row
-
-    for con in cons:
-        if con.rel == EQ:
-            row = dense(con, False)
-            A.append([-x for x in row])
-            b.append(con.const)
-            A.append(row)
-            b.append(-con.const)
-        else:
-            A.append([-x for x in dense(con, con.rel == GT)])
-            b.append(con.const)
-    cap = [ZERO] * n
-    cap[eps] = ONE
-    A.append(cap)
-    b.append(ONE)
-    obj = [ZERO] * n
-    obj[eps] = ONE
-    status, x, value = lp_max(obj, A, b)
-    if status != "optimal" or value <= 0:
-        return None
-    return {v: x[2 * i] - x[2 * i + 1] for v, i in pos.items()}
-
-
-# ---------------------------------------------------------------------------
 # cone utilities
 # ---------------------------------------------------------------------------
 
@@ -298,7 +163,7 @@ class ConeByGenerators:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ConeByGenerators":
-        return cls(tuple(tuple(Q(str(x)) for x in g) for g in data["generators"]))
+        return cls(tuple(tuple(read_rat(x) for x in g) for g in data["generators"]))
 
 
 def in_orthant_plus_subspace(v, L) -> tuple | None:
@@ -335,6 +200,18 @@ def in_orthant_plus_subspace(v, L) -> tuple | None:
             raise AssertionError("simplex produced an invalid witness")
         ell = [Rational(s, q * den) if s else ZERO for s in shift]
     return tuple(ell)
+
+
+def strict_feasible(A: Sequence[Sequence]) -> tuple | None:
+    """An exact z with Az > 0 in every row, or None.
+
+    Az ranges over the column space C of A, so this is the orthant test at
+    the point 0: l = in_orthant_plus_subspace(0, C) is an element of C that
+    is positive everywhere, and z is the basic solution of Az = l.
+    """
+    m = len(A)
+    ell = in_orthant_plus_subspace((0,) * m, LinSubspace(range(m), linalg.transpose(A)))
+    return None if ell is None else linalg.solve(A, ell)
 
 
 def solve_in_span(target, rays: Sequence[Sequence]) -> tuple:

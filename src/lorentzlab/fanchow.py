@@ -21,9 +21,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import hereditary as hered
 from . import linalg
 from . import subdivision as subdiv
-from .cones import GE, GT, EQ, StrictSystem, solve_in_span, strict_feasible
+from .cones import in_orthant_plus_subspace, solve_in_span
 from .polycore import LinSubspace, direction_coords
-from .rat import Q, ZERO, ONE, rat_str, sign
+from .rat import Q, ZERO, rat_str, read_rat, sign
 from .simplicial import SimComplex, face_key, face_str, fresh_vertex, label_key, label_str
 
 
@@ -74,20 +74,28 @@ class Fan:
         return linalg.det(linalg.mat_mul(R, linalg.transpose(R)))
 
     def verify_fan_axioms(self) -> None:
-        """Pairwise cone intersections are common faces (exact LP check).
+        """Pairwise cone intersections are common faces, by the separation
+        lemma (Cox, Little and Schenck, *Toric Varieties*, Lemma 1.2.13):
+        simplicial cones A and B meet in their common face on A & B exactly
+        when some m vanishes on the rays of A & B, is positive on those of
+        A - B and negative on those of B - A.  With m ranging over
+        span(A & B)^perp, that is the orthant test at 0 on the values
+        (m.a for a in A - B, -m.b for b in B - A).
 
         Optional (quadratic in the number of maximal cones); raises on the
-        first violating pair.  Simplicial cones have unique generator
-        representations, so a violation is a common point using a
-        generator outside the shared face on either side.
+        first violating pair, pairs and rays in label order.
         """
+        idx = self._index()
+
+        def rays(S: Iterable, s: int) -> list:
+            return [tuple(s * x for x in self.rays[idx[v]]) for v in sorted(S, key=label_key)]
+
         facets = sorted(self.cones.facets, key=face_key)
         for A, B in combinations(facets, 2):
-            sys = _cone_pair_system(self, A, self, B, GE)
-            outside = ({("l", v): ONE for v in sorted(A - B, key=label_key)}
-                       | {("m", v): ONE for v in sorted(B - A, key=label_key)})
-            sys.add(outside, GT)
-            if strict_feasible(sys) is not None:
+            outside = rays(A - B, 1) + rays(B - A, -1)
+            normals = LinSubspace(range(self.dim), rays(A & B, 1)).perp().rows
+            values = LinSubspace(range(len(outside)), [[linalg.dot(m, r) for r in outside] for m in normals])
+            if in_orthant_plus_subspace([0] * len(outside), values) is None:
                 raise ValueError(f"cones {face_str(A)} and {face_str(B)} do not meet in a common face")
 
     def to_json_dict(self) -> dict:
@@ -100,7 +108,7 @@ class Fan:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Fan":
-        rays = [tuple(Q(str(x)) for x in r) for r in data["rays"]]
+        rays = [tuple(read_rat(x) for x in r) for r in data["rays"]]
         labels = tuple(data.get("labels", range(len(rays))))
         cones = []
         for c in data["cones"]:
@@ -111,25 +119,6 @@ class Fan:
                 c = [labels[i] for i in c]
             cones.append(c)
         return build_fan(int(data["dim"]), labels, rays, cones)
-
-
-def _cone_pair_system(fan1: Fan, A: Iterable, fan2: Fan, B: Iterable, rel) -> StrictSystem:
-    """The LP of a common point of cone A of fan1 and cone B of fan2, in the
-    ray coefficients l of A and m of B, each ``rel`` 0; labels go in a fixed
-    order, so the LP does not follow the hash seed."""
-    idx1, idx2 = fan1._index(), fan2._index()
-    la, lb = sorted(A, key=label_key), sorted(B, key=label_key)
-    sys = StrictSystem(vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb))
-    for v in la:
-        sys.add({("l", v): ONE}, rel)
-    for v in lb:
-        sys.add({("m", v): ONE}, rel)
-    for k in range(fan1.dim):
-        row = {("l", v): fan1.rays[idx1[v]][k] for v in la}
-        for v in lb:
-            row[("m", v)] = -fan2.rays[idx2[v]][k]
-        sys.add(row, EQ)
-    return sys
 
 
 def build_fan(dim: int, labels: Sequence, rays: Sequence, cones: Sequence[Iterable]) -> Fan:
@@ -290,9 +279,9 @@ def read_step(data: Mapping) -> FanStep:
     elif kind != "subdivide":
         raise ValueError(f"bad step kind {kind!r}")
     elif data.get("ray") is not None:
-        step = FanStep(kind, ray=tuple(Q(str(x)) for x in data["ray"]), vertex=data.get("vertex"))
+        step = FanStep(kind, ray=tuple(read_rat(x) for x in data["ray"]), vertex=data.get("vertex"))
     else:
-        step = FanStep(kind, face=tuple(data["face"]), c=tuple(Q(str(x)) for x in data["c"]),
+        step = FanStep(kind, face=tuple(data["face"]), c=tuple(read_rat(x) for x in data["c"]),
                        vertex=data.get("vertex"))
         if len(step.face) != len(step.c):
             raise ValueError("face and coefficient lists differ in length")
@@ -359,6 +348,18 @@ def _charts_overlap(chart_a: tuple, chart_b: tuple) -> bool | None:
     return None
 
 
+def _interiors_meet(fan1: Fan, A: frozenset, fan2: Fan, B: frozenset) -> bool:
+    """Whether cone A of fan1 and cone B of fan2 share a point with every
+    ray coefficient positive: a positive vector in ker [R_A | -R_B], the
+    orthant test at 0 on that kernel.  Rays go in label order, so the LP
+    does not follow the hash seed."""
+    idx1, idx2 = fan1._index(), fan2._index()
+    cols = ([fan1.rays[idx1[v]] for v in sorted(A, key=label_key)]
+            + [tuple(-x for x in fan2.rays[idx2[v]]) for v in sorted(B, key=label_key)])
+    kernel = LinSubspace(range(len(cols)), linalg.transpose(cols)).perp()
+    return in_orthant_plus_subspace([0] * len(cols), kernel) is not None
+
+
 def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, frozenset]]:
     """Maximal cone pairs whose relative interiors meet.
 
@@ -366,8 +367,7 @@ def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, froze
     their facet normals first (:func:`_charts_overlap`: a separating
     normal, or an interior point of one cone inside the other); every
     other pair, and a full-dimensional pair that neither test decides,
-    takes the exact LP of a common point with all ray coefficients
-    positive."""
+    takes the orthant test of :func:`_interiors_meet`."""
     def charts(fan: Fan, facets: list) -> dict:
         if fan1.dim != fan2.dim:
             return {}
@@ -383,7 +383,7 @@ def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, froze
             if A in charts1 and B in charts2:
                 meet = _charts_overlap(charts1[A], charts2[B])
             if meet is None:
-                meet = strict_feasible(_cone_pair_system(fan1, A, fan2, B, GT)) is not None
+                meet = _interiors_meet(fan1, A, fan2, B)
             if meet:
                 out.append((A, B))
     return out

@@ -15,12 +15,14 @@ i span the lineality that vanishes at i.  One face walk (:class:`FaceWalk`)
 applies it along a canonical descent that reaches each face of size < d
 once.  Membership in the recursively defined open cone K_f projects the
 point along the descent, and the projected point must be strictly positive
-modulo the lineality at the face (one exact LP in :mod:`lorentzlab.cones`,
+modulo the lineality at the face: the one orthant test of
+:mod:`lorentzlab.cones`, ``in_orthant_plus_subspace`` (an exact LP,
 skipped when the point is already positive).  The same walk with no
 polynomial decides the ample cone of a fan and supplies the pins and the
 balancing spaces of the reconstruction from facet weights
 (:func:`from_weights`).  When the point is unknown, the walk's projections
-compose into one strict linear system instead.
+compose into one homogeneous matrix A instead (:func:`cone_system`), and
+``cones.strict_feasible`` asks the same orthant test of its column space.
 
 The main decision procedure checks, per the characterization of hereditary
 Lorentzian polynomials, that the skeleton of the face complex is
@@ -253,43 +255,36 @@ def _walk(h: HereditaryPoly) -> FaceWalk:
     return got
 
 
-def cone_system(h: HereditaryPoly) -> cones.StrictSystem:
-    """Compile membership in K_f into one strict system, linear in the point.
+def cone_system(h: HereditaryPoly) -> list[list]:
+    """Compile membership in K_f into one homogeneous matrix A: v lies in
+    K_f exactly when Az > 0 in every row for some z = (v, a).
 
-    Unknowns: the probed point v (primary) plus, per face S of size < d-1,
-    coefficients of a lineality correction making the projected point
-    strictly positive on V_S.  Faces of size exactly d-1 contribute the
+    The first columns hold the point v, in the order of h.vars; then, per
+    face S of size < d-1, the coefficients a of a lineality correction
+    making the projected point strictly positive on V_S, one per integer
+    row of the lineality at S.  Faces of size exactly d-1 contribute the
     linear base conditions f^S(mu_S v) > 0, where mu_S composes the walk's
     projections from the root to S.
     """
     if h.degree < 1:
         raise ValueError("cone is defined for degree >= 1")
     walk = _walk(h)
-    sys = cones.StrictSystem(vars=tuple(("v", x) for x in h.vars))
     n = len(h.vars)
+    rows: list[tuple[list, dict]] = []  # (the point part, {aux column: entry})
+    naux = 0
     # mu_S by columns: the walk's projections of the unit vectors
     units = [tuple(ONE if r == c else ZERO for r in range(n)) for c in range(n)]
     for faces in zip(*(walk.points(e) for e in units)):
         S, cols = faces[0][0], [col for _, col in faces]
         lin_coeffs = walk.linear_coeffs(S)
         if lin_coeffs is not None:
-            row: dict = {}
-            for x, col in zip(h.vars, cols):
-                val = sum(c * m for c, m in zip(lin_coeffs, col))
-                if val != 0:
-                    row[("v", x)] = val
-            sys.add(row, cones.GT)
+            rows.append(([sum(c * m for c, m in zip(lin_coeffs, col)) for col in cols], {}))
         else:
-            basis = walk.face(S).lin.basis
-            aux = tuple(("a", face_key(S), k) for k in range(len(basis)))
-            sys.aux = tuple(sys.aux) + aux
+            B = walk.face(S).lin.rows
             for r in range(len(walk.face(S).V_S)):
-                row = {("v", x): col[r] for x, col in zip(h.vars, cols) if col[r] != 0}
-                for k, b in enumerate(basis):
-                    if b[r] != 0:
-                        row[aux[k]] = b[r]
-                sys.add(row, cones.GT)
-    return sys
+                rows.append(([col[r] for col in cols], {naux + k: b[r] for k, b in enumerate(B)}))
+            naux += len(B)
+    return [point + [aux.get(k, 0) for k in range(naux)] for point, aux in rows]
 
 
 def cone_member(h: HereditaryPoly, v) -> bool:
@@ -303,8 +298,10 @@ def cone_nonempty(h: HereditaryPoly, hints: Iterable = ()) -> dict | None:
     """A point of K_f (as a {variable: value} map), or None if empty.
 
     Candidate points in ``hints`` (plus the all-ones vector) are tried first
-    through the membership test, whose feasibility blocks decouple face by
-    face; the coupled search LP runs only when no candidate lands.
+    through the membership test, whose orthant tests decouple face by face;
+    the coupled search (:func:`cones.strict_feasible` on
+    :func:`cone_system`) runs only when no candidate lands, and the point it
+    finds is checked by the membership test again, every time.
     """
     d = h.degree
     if d < 1:
@@ -314,11 +311,13 @@ def cone_nonempty(h: HereditaryPoly, hints: Iterable = ()) -> dict | None:
     for v in candidates:
         if cone_member(h, v):
             return dict(zip(h.vars, v))
-    sys = cone_system(h)
-    w = cones.strict_feasible(sys)
-    if w is None:
+    z = cones.strict_feasible(cone_system(h))
+    if z is None:
         return None
-    return {x: w[("v", x)] for x in h.vars}
+    v = z[: len(h.vars)]
+    if not cone_member(h, v):  # never skipped
+        raise AssertionError("the cone search produced a point outside the cone")
+    return dict(zip(h.vars, v))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import hereditary as hered
-from .cones import GT, EQ, StrictSystem, strict_feasible
+from .cones import in_orthant_plus_subspace
 from .inertia import SymMatrix, hessian, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
@@ -698,11 +698,11 @@ class LatticeVolume:
     def _cone_witness_faces(self, vmap: dict) -> tuple[bool, int]:
         """Per-face feasibility of the witness: at each chain face, a layered
         modular shift must make the projected point strictly positive on
-        every gap flat.  The shift decouples per gap, so each gap is a
-        small exact feasibility problem over its layer elements.
+        every gap flat.  The shift decouples per gap, so each gap is one
+        small orthant test (:meth:`_gap_feasible`).
 
         The projected points are those of :meth:`_points`, scaled by the
-        positive S0 * E^j; every test below, the gap LP included, is
+        positive S0 * E^j; every test below, the gap test included, is
         unchanged by a positive scale.  Success certifies genuine cone
         membership (the modular space sits inside the lineality space of
         every restriction, so every condition checked is a strengthening).
@@ -728,13 +728,15 @@ class LatticeVolume:
         return True, checked
 
     def _gap_feasible(self, lo: int, hi: int, mids: int, x: dict) -> bool:
-        masks, elems = self.L.masks, self.L.elems
-        layer = masks[hi] & ~masks[lo]
-        sysm = StrictSystem(vars=tuple(("c", elems[e]) for e in _indices(layer)))
-        sysm.add({v: ONE for v in sysm.vars}, EQ)
-        for g in _indices(mids):
-            sysm.add({("c", elems[e]): ONE for e in _indices(masks[g] & ~masks[lo])}, GT, x[g])
-        return strict_feasible(sysm) is not None
+        """Whether a shift c on the layer of elements in hi but not lo, with
+        sum 0, makes x[g] + sum_{e in g - lo} c_e positive at every gap flat
+        g: the orthant test at x, with L the image of the sum-zero layer
+        vectors, spanned by the images of e_first - e over the layer."""
+        masks = self.L.masks
+        gaps = list(_indices(mids))
+        first, *rest = _bits(masks[hi] & ~masks[lo])
+        rows = [[int(bool(masks[g] & first)) - int(bool(masks[g] & e)) for g in gaps] for e in rest]
+        return in_orthant_plus_subspace([x[g] for g in gaps], LinSubspace(gaps, rows)) is not None
 
 
 # ---------------------------------------------------------------------------

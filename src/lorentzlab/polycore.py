@@ -27,7 +27,7 @@ from math import factorial, gcd, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .rat import Q, ZERO, ONE, Rational, rat_str
+from .rat import Q, ZERO, ONE, Rational, rat_str, read_rat
 from .simplicial import Label, label_str
 
 Key = tuple  # sorted tuple of (position, exponent) pairs
@@ -373,7 +373,7 @@ class HomPoly:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HomPoly":
         vars = tuple(data["vars"])
-        dense = {tuple(t["exps"]): Q(str(t["coeff"])) for t in data["terms"]}
+        dense = {tuple(t["exps"]): read_rat(t["coeff"]) for t in data["terms"]}
         degree = data.get("degree")
         if degree is None:
             if not dense:
@@ -550,6 +550,15 @@ class LinSubspace:
         if self.ambient != other.ambient:
             raise ValueError("subspaces of different ambient spaces")
         return LinSubspace._span(self.ambient, list(self.rows) + list(other.rows))
+
+    def perp(self) -> "LinSubspace":
+        """The orthogonal complement {x : b . x = 0 for every b in L}.  The
+        canonical rows are s times the rref rows with s at every pivot, so
+        ``linalg.kernel`` reads an integer kernel basis off them as they
+        are."""
+        pivots = [next(j for j, a in enumerate(b) if a) for b in self.rows]
+        s = self.rows[0][pivots[0]] if self.rows else 1
+        return LinSubspace._span(self.ambient, linalg.kernel(list(self.rows), pivots, s, len(self.ambient)))
 
     def _positions(self, coords: Sequence[Label]) -> list[int]:
         idx = {v: i for i, v in enumerate(self.ambient)}

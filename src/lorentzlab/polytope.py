@@ -3,15 +3,16 @@ volume polynomials, mixed volumes and the Alexandrov-Fenchel check.
 
 A polytope arrives as rational (not necessarily unit) outward normals plus
 support numbers.  Boundedness depends on the normals alone, so it is
-decided by LPs once per normal set and remembered.  Vertices come from
-every d-subset of facet equations, on integers: [normals | t] is scaled to
-integers once, by one common denominator (a positive scaling keeps every
-facet, vertex and incidence), and one fraction-free elimination of each
-[A | t] gives the rank of A and the vertex together, as y / prev with y and
-prev ints.  The slacks sign(prev) (t_i prev - N_i y) are ints too, so the
-feasibility and incidence tests form no rational; only a feasible vertex
-becomes one.  Simplicity means every vertex activates exactly d facets,
-and the facet-incidence sets generate the incidence complex.
+decided once per normal set, by one orthant test, and remembered with the
+translations.  Vertices come from every d-subset of facet equations, on
+integers: [normals | t] is scaled to integers once, by one common
+denominator (a positive scaling keeps every facet, vertex and incidence),
+and one fraction-free elimination of each [A | t] gives the rank of A and
+the vertex together, as y / prev with y and prev ints.  The slacks
+sign(prev) (t_i prev - N_i y) are ints too, so the feasibility and
+incidence tests form no rational; only a feasible vertex becomes one.
+Simplicity means every vertex activates exactly d facets, and the
+facet-incidence sets generate the incidence complex.
 
 The volume polynomial is the hereditary polynomial of the incidence
 complex with the translations as lineality: at a vertex F the polytope is
@@ -36,9 +37,9 @@ from typing import Mapping, Sequence
 
 from . import hereditary as hered
 from . import linalg
-from .cones import GT, GE, StrictSystem, strict_feasible
+from .cones import in_orthant_plus_subspace
 from .polycore import LinSubspace
-from .rat import Q, ZERO, ONE, Rational, rat_str
+from .rat import Q, ZERO, ONE, Rational, rat_str, read_rat
 from .simplicial import SimComplex, label_key
 
 
@@ -66,8 +67,8 @@ class SimplePolytope:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplePolytope":
-        normals = [tuple(Q(str(x)) for x in r) for r in data["normals"]]
-        t = [Q(str(x)) for x in data["t"]]
+        normals = [tuple(read_rat(x) for x in r) for r in data["normals"]]
+        t = [read_rat(x) for x in data["t"]]
         return build(normals, t)
 
 
@@ -88,7 +89,7 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     labels = tuple(labels)
     if len(t) != n or len(labels) != n or any(len(r) != d for r in normals):
         raise PolytopeError("inconsistent facet data")
-    _require_bounded(normals)
+    lin = _require_bounded(labels, normals)
     # one positive scaling of [normals | t] to integers keeps every facet,
     # vertex and incidence, so the loop below runs on ints alone
     rows, _ = linalg.integer_scaled([r + (ti,) for r, ti in zip(normals, t)])
@@ -119,7 +120,6 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     if missing:
         raise PolytopeError(f"facet(s) {missing} are empty (redundant constraints)")
     delta = SimComplex(labels, set(verts.values()))
-    lin = LinSubspace(labels, [tuple(r[k] for r in normals) for k in range(d)])
     order = sorted(verts, key=label_key)
     return SimplePolytope(
         dim=d, labels=labels, normals=normals, t=t,
@@ -128,25 +128,25 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     )
 
 
-_BOUNDED: set[tuple] = set()
+_BOUNDED: dict[tuple, LinSubspace] = {}
 
 
-def _require_bounded(normals: tuple):
-    """Raise PolytopeError unless the normals positively span the space.
-    The answer depends on the normals alone, so bounded normal sets are
-    remembered; an unbounded set is tested, and raises, on every call."""
-    if normals in _BOUNDED:
-        return
-    d = len(normals[0])
-    for k in range(d):
-        for s in (ONE, -ONE):
-            sys = StrictSystem(vars=tuple(range(d)))
-            for r in normals:
-                sys.add({j: -r[j] for j in range(d)}, GE)
-            sys.add({k: s}, GT)
-            if strict_feasible(sys) is not None:
-                raise PolytopeError("unbounded: the normals do not positively span the space")
-    _BOUNDED.add(normals)
+def _require_bounded(labels: tuple, normals: tuple) -> LinSubspace:
+    """The translations read through the normals, lin (the column space of
+    the normal matrix N), after raising PolytopeError unless the normals
+    positively span the space.  By Stiemke's lemma they do exactly when N
+    has rank d and N^T y = 0 for some y > 0, that is, when lin.dim = d and
+    lin^perp holds a strictly positive vector: one orthant test.  The answer
+    depends on the normals alone, so each bounded set's lin is remembered;
+    an unbounded set is tested, and raises, on every call."""
+    lin = _BOUNDED.get((labels, normals))
+    if lin is None:
+        d = len(normals[0])
+        lin = LinSubspace(labels, [tuple(r[k] for r in normals) for k in range(d)])
+        if lin.dim != d or in_orthant_plus_subspace([0] * len(labels), lin.perp()) is None:
+            raise PolytopeError("unbounded: the normals do not positively span the space")
+        _BOUNDED[labels, normals] = lin
+    return lin
 
 
 def in_deformation_cone(P: SimplePolytope, t: Sequence) -> bool:

@@ -41,6 +41,13 @@ def Q(a: Union[int, str, Fraction] = 0, b: int | None = None):
         raise ValueError(f"zero denominator in {shown}") from None
 
 
+def read_rat(x):
+    """An exact rational from a value read from JSON: a Python int is taken
+    as it is, every other value through its text, so "1/2" and a decimal
+    read exactly and a bool, a list or a malformed string is a ValueError."""
+    return Q(x) if type(x) is int else Q(str(x))
+
+
 ZERO = Q(0)
 ONE = Q(1)
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, cone_member, face_complex
 from .polycore import HomPoly, LinSubspace
-from .rat import Q, ZERO, ONE, rat_str
+from .rat import Q, ZERO, ONE, rat_str, read_rat
 from .simplicial import face_str, fresh_vertex, label_str
 
 
@@ -57,7 +57,7 @@ class SubdivStep:
         return cls(
             kind=data["kind"],
             face=tuple(data["face"]),
-            c=tuple(Q(str(x)) for x in data["c"]),
+            c=tuple(read_rat(x) for x in data["c"]),
             vertex=data.get("vertex"),
         )
 

@@ -25,6 +25,19 @@ checked against.
 * :func:`oracle_flats` and :func:`oracle_is_basis_family` share no code
   with ``src/``: flats by closing every subset of the ground set with a
   max-intersection rank, and basis exchange checked literally on sets.
+* :class:`StrictSystem` is a conjunction of strict, weak and equality
+  constraints in named unknowns, and :func:`lp_strict_feasible` decides it
+  by one LP in those unknowns.  The library asks every such question as
+  one orthant test, ``cones.in_orthant_plus_subspace`` (y + l > 0 for some
+  l in a subspace L), after a reformulation:
+  :func:`orthant_system` and :func:`homogeneous_system` write the orthant
+  test and Az > 0 as mixed systems; :func:`lp_is_bounded` decides that
+  polytope normals positively span the space by 2d LPs (the library: one
+  orthant test on lin^perp, Stiemke's lemma); :func:`lp_verify_fan_axioms`
+  checks the fan axioms by one LP per pair in the ray coefficients, built
+  by :func:`cone_pair_system` (the library: the separation lemma);
+  :func:`lp_gap_feasible` is the matroid gap test in the layer unknowns
+  (the library: the image of the sum-zero layer vectors).
 * :func:`fourier_motzkin_feasible` decides strict feasibility by variable
   elimination, independently of the simplex in ``lorentzlab.cones``.
 * :func:`dense_lp_max` is the simplex of ``cones.lp_max`` on a dense
@@ -78,7 +91,8 @@ checked against.
 * :func:`lp_overlapping_facet_pairs` decides every pair of maximal cones
   of two fans by the exact LP of a common point with positive ray
   coefficients; the library decides full-dimensional pairs by their
-  integer facet normals first and falls back to that LP.
+  integer facet normals first and falls back to one orthant test on
+  ker [R_A | -R_B].
 * :func:`skeleton_require_hereditary` checks projection onto every facet
   of the skeleton and searches the minimal failing face, each projection
   a :func:`fraction_rref` rank (:func:`fraction_projects_onto`); the
@@ -107,12 +121,13 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
 * :func:`product_check` runs the cone test on a product.
 """
 
+from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from lorentzlab import hereditary as hered
 from lorentzlab import linalg, polytope
-from lorentzlab.cones import EQ, GE, GT, StrictSystem, strict_feasible
+from lorentzlab.cones import lp_max
 from lorentzlab.inertia import Inertia, SymMatrix, hessian, inertia, lorentz_signature
 from lorentzlab.lorentzian import (
     LorentzVerdict,
@@ -128,7 +143,7 @@ from lorentzlab.lorentzian import (
 )
 from lorentzlab.polycore import HomPoly, LinSubspace, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
-from lorentzlab.simplicial import SimComplex, face_key, label_key
+from lorentzlab.simplicial import SimComplex, face_key, face_str, label_key
 
 
 def layered_pin(L, chain, G, flats) -> dict:
@@ -315,6 +330,89 @@ def oracle_max_forests(n_vertices, edges) -> tuple:
     return rank, {F for F in forests if len(F) == rank}
 
 
+GT, GE, EQ = ">", ">=", "="
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """coeffs . x + const REL 0 with REL in {">", ">=", "="}."""
+
+    coeffs: tuple  # (label, rational) pairs, zero coefficients dropped
+    const: object
+    rel: str
+
+    def satisfied_by(self, point) -> bool:
+        val = self.const + sum((c * Q(point.get(v, 0)) for v, c in self.coeffs), ZERO)
+        return val > 0 if self.rel == GT else val >= 0 if self.rel == GE else val == 0
+
+
+@dataclass
+class StrictSystem:
+    """A conjunction of strict, weak and equality constraints on the
+    unknowns ``vars``."""
+
+    vars: tuple = ()
+    constraints: list = field(default_factory=list)
+
+    def add(self, coeffs, rel: str, const=0):
+        assert rel in (GT, GE, EQ), rel
+        items = tuple((v, Q(c)) for v, c in coeffs.items() if Q(c) != 0)
+        self.constraints.append(Constraint(items, Q(const), rel))
+
+    def verify(self, point) -> bool:
+        return all(c.satisfied_by(point) for c in self.constraints)
+
+
+def lp_strict_feasible(sys: StrictSystem) -> dict | None:
+    """A witness of a mixed system, or None, by one LP in its own unknowns:
+    each unknown x split as p - m, each strict row lam.x + c >= eps, each
+    equality two weak rows, and eps maximized under eps <= 1, so the system
+    is feasible iff the optimum is positive.  The witness is checked
+    against every constraint.  The LP runs on ``cones.lp_max``, whose
+    pivots the suite checks against :func:`dense_lp_max` one by one; the
+    dense tableau itself would make the fan comparisons six to eight times
+    slower."""
+    pos = {v: i for i, v in enumerate(sys.vars)}
+    n = 2 * len(pos) + 1  # p_i, m_i per unknown, eps last
+    A, b = [], []
+    for con in sys.constraints:
+        row = [ZERO] * n
+        for v, c in con.coeffs:
+            row[2 * pos[v]], row[2 * pos[v] + 1] = -c, c
+        if con.rel == GT:
+            row[-1] = ONE
+        A.append(row)
+        b.append(con.const)
+        if con.rel == EQ:
+            A.append([-x for x in row])
+            b.append(-con.const)
+    A.append([ZERO] * (n - 1) + [ONE])
+    b.append(ONE)
+    status, x, value = lp_max([ZERO] * (n - 1) + [ONE], A, b)
+    if status != "optimal" or value <= 0:
+        return None
+    witness = {v: x[2 * i] - x[2 * i + 1] for v, i in pos.items()}
+    assert sys.verify(witness), "the oracle LP produced an invalid witness"
+    return witness
+
+
+def orthant_system(y, L) -> StrictSystem:
+    """y + sum_k a_k b_k > 0 in every coordinate, in the coefficients a_k
+    of the rational basis b_k of the subspace L."""
+    sys = StrictSystem(vars=tuple(range(L.dim)))
+    for j, yj in enumerate(direction_coords(y, L.ambient)):
+        sys.add({k: b[j] for k, b in enumerate(L.basis)}, GT, yj)
+    return sys
+
+
+def homogeneous_system(A) -> StrictSystem:
+    """Az > 0 in every row of A."""
+    sys = StrictSystem(vars=tuple(range(len(A[0]))))
+    for row in A:
+        sys.add(dict(enumerate(row)), GT)
+    return sys
+
+
 def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
     """Independent strict-feasibility oracle by variable elimination.
 
@@ -341,7 +439,7 @@ def fourier_motzkin_feasible(sys: StrictSystem) -> bool:
             keep(cons, {v: -x for v, x in d.items()}, -c.const, GE)
         else:
             keep(cons, d, c.const, c.rel)
-    for v in sys.all_vars():
+    for v in sys.vars:
         pos, neg, new = [], [], {}
         for key, (d, const, rel) in cons.items():
             c = d.get(v, ZERO)
@@ -796,11 +894,11 @@ def all_orderings_ample_member(fan, v) -> bool:
     def face_ok(S: frozenset, x: dict) -> bool:
         V_S = delta.link_vertices(S)
         LS = nullspace_vanishing_restrict(lin, tuple(S), V_S)
-        sys = StrictSystem(aux=tuple(("a", k) for k in range(LS.dim)))
+        sys = StrictSystem(vars=tuple(("a", k) for k in range(LS.dim)))
         for r, u in enumerate(V_S):
             row = {("a", k): LS.basis[k][r] for k in range(LS.dim)}
             sys.add(row, GT, x[u])
-        return strict_feasible(sys) is not None
+        return lp_strict_feasible(sys) is not None
 
     def descend(S: frozenset, x: dict) -> bool:
         if not face_ok(S, x):
@@ -815,16 +913,76 @@ def all_orderings_ample_member(fan, v) -> bool:
     return descend(frozenset(), coords)
 
 
+def cone_pair_system(fan1, A, fan2, B, rel) -> StrictSystem:
+    """A common point of cone A of fan1 and cone B of fan2, in the ray
+    coefficients l of A and m of B, each ``rel`` 0, labels in a fixed
+    order."""
+    idx1, idx2 = fan1._index(), fan2._index()
+    la, lb = sorted(A, key=label_key), sorted(B, key=label_key)
+    sys = StrictSystem(vars=tuple(("l", v) for v in la) + tuple(("m", v) for v in lb))
+    for v in la:
+        sys.add({("l", v): ONE}, rel)
+    for v in lb:
+        sys.add({("m", v): ONE}, rel)
+    for k in range(fan1.dim):
+        row = {("l", v): fan1.rays[idx1[v]][k] for v in la}
+        for v in lb:
+            row[("m", v)] = -fan2.rays[idx2[v]][k]
+        sys.add(row, EQ)
+    return sys
+
+
 def lp_overlapping_facet_pairs(fan1, fan2) -> list:
     """Maximal cone pairs whose relative interiors meet, one LP per pair."""
-    from lorentzlab.fanchow import _cone_pair_system
-
     out = []
     for A in sorted(fan1.cones.facets, key=face_key):
         for B in sorted(fan2.cones.facets, key=face_key):
-            if strict_feasible(_cone_pair_system(fan1, A, fan2, B, GT)) is not None:
+            if lp_strict_feasible(cone_pair_system(fan1, A, fan2, B, GT)) is not None:
                 out.append((A, B))
     return out
+
+
+def lp_verify_fan_axioms(fan) -> None:
+    """Pairwise cone intersections are common faces, one LP per pair of
+    maximal cones: a common point with nonnegative ray coefficients that
+    uses a ray outside the shared face is a violation.  Raises on the first
+    violating pair, in label order, with the library's message."""
+    for A, B in combinations(sorted(fan.cones.facets, key=face_key), 2):
+        sys = cone_pair_system(fan, A, fan, B, GE)
+        outside = ({("l", v): ONE for v in A - B} | {("m", v): ONE for v in B - A})
+        sys.add(outside, GT)
+        if lp_strict_feasible(sys) is not None:
+            raise ValueError(f"cones {face_str(A)} and {face_str(B)} do not meet in a common face")
+
+
+def lp_is_bounded(normals) -> bool:
+    """Whether the normals positively span the space, by 2d LPs: they do
+    not exactly when some x has N x <= 0 and x_k != 0 for some k."""
+    d = len(normals[0])
+    for k in range(d):
+        for s in (ONE, -ONE):
+            sys = StrictSystem(vars=tuple(range(d)))
+            for r in normals:
+                sys.add({j: -Q(r[j]) for j in range(d)}, GE)
+            sys.add({k: s}, GT)
+            if lp_strict_feasible(sys) is not None:
+                return False
+    return True
+
+
+def lp_gap_feasible(lattice, lo, hi, mids, x) -> bool:
+    """The gap test of ``LatticeVolume._gap_feasible`` as one mixed system:
+    unknowns c_e on the elements of the layer hi - lo, sum c_e = 0, and
+    x[g] + sum_{e in g - lo} c_e > 0 at every gap flat g (indices into
+    ``lattice.masks``, ``mids`` a bitset of them)."""
+    masks = lattice.masks
+    layer = [e for e in range(len(lattice.elems)) if masks[hi] >> e & 1 and not masks[lo] >> e & 1]
+    sys = StrictSystem(vars=tuple(layer))
+    sys.add({e: ONE for e in layer}, EQ)
+    for g in range(len(masks)):
+        if mids >> g & 1:
+            sys.add({e: ONE for e in layer if masks[g] >> e & 1}, GT, x[g])
+    return lp_strict_feasible(sys) is not None
 
 
 def fraction_projects_onto(lin, coords) -> bool:

@@ -15,6 +15,7 @@ import pytest
 from lorentzlab import cli
 from lorentzlab.cli import build_parser, main
 from lorentzlab.matroid import LatticeVolume, Matroid, flats
+from lorentzlab.rat import Q, Rational, read_rat
 from conftest import in_fresh_process
 from oracles import oracle_chains
 
@@ -452,6 +453,25 @@ def _report_without_command(capsys, *argv):
     code, rep, _ = run(capsys, *argv)
     rep.pop("command")
     return code, rep
+
+
+def test_one_reader_for_json_numbers(capsys, tmp_path):
+    """``rat.read_rat`` takes a Python int as it is and reads every other
+    value through its text: a "p/q" string and a JSON decimal exactly, and
+    a bool, a list, null or a malformed string fail as ``Q(str(x))`` does,
+    so a bool in a number field exits 2."""
+    assert read_rat(3) == 3 and type(read_rat(3)) is Rational
+    assert read_rat("-7/21") == Q(-1, 3) and read_rat(cli._JsonDecimal("0.25")) == Q(1, 4)
+    for bad in (True, [1], None, "1/2x"):
+        with pytest.raises(ValueError) as got:
+            read_rat(bad)
+        with pytest.raises(ValueError) as want:
+            Q(str(bad))
+        assert str(got.value) == str(want.value)
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": 2, "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]], "t": [true, 1, 1, 1]}')
+    code, rep, _ = run(capsys, "polytope", "volume", str(path))
+    assert code == 2 and rep["verdict"] == "error"
 
 
 def test_json_decimals_are_exact(capsys, tmp_path):

@@ -1,16 +1,13 @@
-"""Exact feasibility engine: witnesses re-verify, infeasibility agrees with
-Fourier-Motzkin elimination on small systems, and the cone utilities match
-their stated examples."""
+"""The one strict-positivity test: its witnesses re-verify, its verdicts
+agree with Fourier-Motzkin elimination on small seeded cases, the simplex
+under it matches the dense oracle, and the cone utilities match their
+stated examples."""
 
 import pytest
 
-from lorentzlab import cones
+from lorentzlab import cones, linalg
 from lorentzlab.cones import (
-    EQ,
-    GE,
-    GT,
     ConeByGenerators,
-    StrictSystem,
     in_orthant_plus_subspace,
     lp_max,
     solve_in_span,
@@ -18,51 +15,73 @@ from lorentzlab.cones import (
 )
 from lorentzlab.polycore import LinSubspace
 from lorentzlab.rat import Q, Rational
-from oracles import dense_lp_max, fourier_motzkin_feasible
+from oracles import dense_lp_max, fourier_motzkin_feasible, homogeneous_system, orthant_system
+
+
+def _positive_rows(A, z) -> bool:
+    return all(linalg.dot(row, z) > 0 for row in A)
 
 
 def test_strict_feasible_examples():
-    s = StrictSystem(vars=("x",))
-    s.add({"x": 1}, GT)
-    s.add({"x": -1}, GT, 1)
-    w = strict_feasible(s)
-    assert w is not None and 0 < w["x"] < 1
+    # x > 0 and t - x > 0: a point with 0 < x < t
+    z = strict_feasible([[1, 0], [-1, 1]])
+    assert z is not None and 0 < z[0] < z[1]
+    assert strict_feasible([[1], [-1]]) is None
+    A = [[1, 1], [1, -1], [-1, 0]]  # x + y > 0, x - y > 0, -x > 0
+    assert strict_feasible(A) is None
+    A = [[1, 1, 0], [1, -1, 0], [-1, 0, 1]]
+    z = strict_feasible(A)
+    assert z is not None and _positive_rows(A, z)
+    assert strict_feasible([[0, 0], [1, 0]]) is None  # a zero row is never positive
 
-    s2 = StrictSystem(vars=("x",))
-    s2.add({"x": 1}, GT)
-    s2.add({"x": -1}, GT)
-    assert strict_feasible(s2) is None
 
-    s3 = StrictSystem(vars=("x", "y"))
-    s3.add({"x": 1, "y": 1}, GT)
-    s3.add({"x": 1, "y": -1}, GT)
-    s3.add({"x": -1}, GE, 1)
-    w3 = strict_feasible(s3)
-    assert w3 is not None and s3.verify(w3)
+def _seeded_orthant(rng, k):
+    """A point y over 1-5 coordinates (0 on every third draw) and a
+    subspace L spanned by 0-3 seeded integer rows."""
+    n = rng.randint(1, 5)
+    ambient = tuple(f"x{i}" for i in range(n))
+    y = [Q(0)] * n if k % 3 == 0 else [Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+    L = LinSubspace(ambient, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))])
+    return y, L
+
+
+def _seeded_matrix(rng):
+    """A homogeneous A with 1-6 rows and 1-4 columns."""
+    m, n = rng.randint(1, 6), rng.randint(1, 4)
+    return [[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
 
 
 def test_witness_always_reverifies(rng):
-    for _ in range(200):
-        nv = rng.randint(1, 4)
-        vars = tuple(f"x{i}" for i in range(nv))
-        s = StrictSystem(vars=vars)
-        for _ in range(rng.randint(1, 6)):
-            coeffs = {v: Q(rng.randint(-3, 3)) for v in vars}
-            s.add(coeffs, rng.choice([GT, GE, EQ]), Q(rng.randint(-2, 2)))
-        w = strict_feasible(s)
-        if w is not None:
-            assert s.verify(w)
+    """Every l the orthant test returns lies in L with y + l > 0, every z
+    of ``strict_feasible`` has Az > 0, and both verdicts agree with
+    Fourier-Motzkin elimination."""
+    found = 0
+    for k in range(200):
+        y, L = _seeded_orthant(rng, k)
+        ell = in_orthant_plus_subspace(y, L)
+        if ell is not None:
+            assert L.contains(ell) and all(a + b > 0 for a, b in zip(y, ell)), (y, L.rows)
+        assert (ell is not None) == fourier_motzkin_feasible(orthant_system(y, L)), (y, L.rows)
+        A = _seeded_matrix(rng)
+        z = strict_feasible(A)
+        if z is not None:
+            assert len(z) == len(A[0]) and _positive_rows(A, z), A
+        assert (z is not None) == fourier_motzkin_feasible(homogeneous_system(A)), A
+        found += (ell is not None) + (z is not None)
+    assert 40 < found < 360
 
 
 def test_agreement_with_fourier_motzkin(rng):
-    for _ in range(300):
-        nv = rng.randint(1, 4)
-        vars = tuple(f"x{i}" for i in range(nv))
-        s = StrictSystem(vars=vars)
-        for _ in range(rng.randint(1, 6)):
-            coeffs = {v: Q(rng.randint(-3, 3)) for v in vars}
-            s.add(coeffs, rng.choice([GT, GE, EQ]), Q(rng.randint(-2, 2)))
-        assert (strict_feasible(s) is not None) == fourier_motzkin_feasible(s)
+    verdicts = set()
+    for k in range(300):
+        y, L = _seeded_orthant(rng, k)
+        got = in_orthant_plus_subspace(y, L) is not None
+        assert got == fourier_motzkin_feasible(orthant_system(y, L)), (y, L.rows)
+        A = _seeded_matrix(rng)
+        got2 = strict_feasible(A) is not None
+        assert got2 == fourier_motzkin_feasible(homogeneous_system(A)), A
+        verdicts |= {(k % 3 == 0, got), got2}
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False), True, False}
 
 
 def test_lp_statuses():
@@ -161,7 +180,7 @@ def test_lp_max_pivots_on_ties_and_edge_cases(lp_pivots):
 
 
 def _captured_lps(monkeypatch, run):
-    """Every (c, A, b) that ``strict_feasible`` hands to the simplex while
+    """Every (c, A, b) that the orthant test hands to the simplex while
     ``run`` runs."""
     seen = []
     inner = cones.lp_max
@@ -172,9 +191,9 @@ def _captured_lps(monkeypatch, run):
 
 
 def test_lp_max_matches_dense_oracle_on_compiled_systems(rng, monkeypatch, lp_pivots):
-    """The systems ``strict_feasible`` compiles from this file's fixtures
-    and from the hereditary fixtures of tests/test_hereditary.py, pivot
-    sequences included."""
+    """The LPs the orthant test builds from this file's fixtures and from
+    the hereditary fixtures of tests/test_hereditary.py, pivot sequences
+    included."""
     from conftest import hereditary_fixture_pool
     from lorentzlab.hereditary import cone_member, cone_nonempty, is_hereditary_lorentzian
     from test_hereditary import edge_square, triple_product
@@ -189,7 +208,8 @@ def test_lp_max_matches_dense_oracle_on_compiled_systems(rng, monkeypatch, lp_pi
         for h in pool:
             is_hereditary_lorentzian(h)
             cone_nonempty(h)
-            cone_member(h, [Q(rng.randint(-2, 4)) for _ in h.vars])
+            for _ in range(3):
+                cone_member(h, [Q(rng.randint(-2, 4)) for _ in h.vars])
 
     for run in (cone_fixtures, hereditary_fixtures):
         systems = _captured_lps(monkeypatch, run)

@@ -2,6 +2,7 @@
 reconstruction, the Lorentzian certification, stellar subdivision transport,
 the canonical bijection invariant, and star/dimension identities."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -29,7 +30,12 @@ from lorentzlab.lorentzian import polarize
 from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid, submodular_witness
 from lorentzlab.polytope import build as build_polytope, volume_polynomial
 from lorentzlab.rat import Q, ZERO
-from oracles import all_orderings_ample_member, lp_overlapping_facet_pairs, nullspace_vanishing_restrict
+from oracles import (
+    all_orderings_ample_member,
+    lp_overlapping_facet_pairs,
+    lp_verify_fan_axioms,
+    nullspace_vanishing_restrict,
+)
 
 
 def square_fan():
@@ -169,6 +175,67 @@ def test_overlapping_pairs_match_lp_oracle():
         got = fanchow.overlapping_facet_pairs(fan1, fan2)
         assert got == lp_overlapping_facet_pairs(fan1, fan2), (fan1.ray_labels, fan2.ray_labels)
         assert got
+
+
+def pentagram():
+    # five strictly convex cones that cover the plane twice
+    rays = [(1, 0), (1, 2), (-1, 1), (-2, -1), (1, -2)]
+    return build_fan(2, range(5), rays, [{0, 2}, {2, 4}, {4, 1}, {1, 3}, {3, 0}])
+
+
+def _seeded_fan(rng, k):
+    """A seeded simplicial fan candidate, three shapes in turn: 2-5 random
+    cones on 3-6 plane rays, 2-4 random cones on 4-6 rays in R^3, and the
+    consecutive pairs of 3-6 plane rays in angular order (a complete fan
+    unless two consecutive rays are at least a half turn apart)."""
+    d, kind = (2, 3, 2)[k % 3], k % 3
+    while True:
+        n = rng.randint(4 if d == 3 else 3, 6)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+        if any(not any(r) for r in rays) or len(set(rays)) < n:
+            continue
+        if kind == 2:
+            rays.sort(key=lambda r: math.atan2(r[1], r[0]))
+            cones = [{i, (i + 1) % n} for i in range(n)]
+        else:
+            cones = [set(rng.sample(range(n), rng.randint(2, d))) for _ in range(rng.randint(2, 5 if d == 2 else 4))]
+            used = set().union(*cones)
+            rays, relabel = [rays[i] for i in sorted(used)], {i: j for j, i in enumerate(sorted(used))}
+            cones = [{relabel[i] for i in c} for c in cones]
+        labels = [f"r{i}" for i in range(len(rays))]
+        if all(linalg.rank([rays[i] for i in c]) == len(c) for c in cones):
+            return build_fan(d, labels, rays, [{labels[i] for i in c} for c in cones])
+
+
+def _axiom_verdict(check, fan):
+    try:
+        check(fan)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_fan_axioms_match_lp_oracle(rng):
+    """The separation route against one LP per pair of maximal cones on 296
+    fans: the pentagram, the square and cube fans and their subdivisions,
+    Bergman fans U(3,4) to U(4,5), two overlapping fans and 286 seeded
+    ones; the same pair is named, in the same words."""
+    square, cube = square_fan(), cube_fan()
+    sq1, _ = fan_subdivide(square, (1, 1), new_label="m")
+    cu1, _ = fan_subdivide(cube, (1, -2, 3), new_label="r")
+    overlapping = build_fan(2, ("a", "b", "c"), [(1, 0), (0, 1), (1, 1)], [{"a", "b"}, {"a", "c"}])
+    fans = [pentagram(), overlapping,
+            build_fan(3, "xyzw", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], ["xyz", "xyw"]),
+            square, sq1, cube, cu1]
+    fans += [bergman_fan(flats(Matroid.uniform(r, n))) for r, n in ((3, 4), (3, 5), (4, 5))]
+    fans += [_seeded_fan(rng, k) for k in range(286)]
+    assert len(fans) == 296
+    verdicts = [_axiom_verdict(Fan.verify_fan_axioms, fan) for fan in fans]
+    assert verdicts == [_axiom_verdict(lp_verify_fan_axioms, fan) for fan in fans]
+    assert verdicts[0] == "cones {0, 2} and {1, 3} do not meet in a common face"
+    assert None not in verdicts[1:3] and verdicts[3:10] == [None] * 7
+    seeded = verdicts[10:]
+    assert 20 < seeded.count(None) < 266
 
 
 def test_chart_route_matches_lp_on_random_cone_pairs(rng):
@@ -331,6 +398,8 @@ alpha = fanchow.functional_from_weights(fan, {F: 1 for F in fan.cones.facets})
 fan2, transport = fanchow.fan_subdivide(fan, (1, -2, 3))
 assert fanchow.canonical_bijection_check(fan, alpha, fan2, transport(alpha))
 fan2.verify_fan_axioms()
+fan3, _ = fanchow.fan_subdivide(fan2, (-2, 1, 1))
+fan3.verify_fan_axioms()
 print(len(calls))
 """
 

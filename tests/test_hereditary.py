@@ -430,3 +430,18 @@ def test_strong_flag_matches_skeleton_oracle_on_fixture_pool(rng):
         assert got == want, f
         faces += isinstance(got, frozenset)
     assert faces
+
+
+def test_coupled_cone_search_lands_in_the_cone(monkeypatch):
+    """pol_matroid of U(4,5) with no hint: the all-ones point misses, so the
+    coupled search runs, once, and its point passes the membership test."""
+    from lorentzlab import cones
+    from lorentzlab.matroid import Matroid, flats, pol_matroid
+
+    h = pol_matroid(flats(Matroid.uniform(4, 5)))
+    assert not cone_member(h, [1] * len(h.vars))
+    calls = []
+    inner = cones.strict_feasible
+    monkeypatch.setattr(cones, "strict_feasible", lambda A: calls.append(len(A)) or inner(A))
+    w = cone_nonempty(h)
+    assert len(calls) == 1 and w is not None and cone_member(h, w)

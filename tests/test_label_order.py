@@ -5,7 +5,13 @@ functions list its members in a fixed order.  So no file under ``src`` but
 ``simplicial.py`` may sort labels by ``repr`` or turn them into text by
 ``map(repr, ...)`` or ``map(str, ...)``, and no file at all may print a
 face as ``{set(...)}``, whose members follow the hash seed:
-``simplicial.face_str`` prints it."""
+``simplicial.face_str`` prints it.
+
+Beside it stands the guard of the one strict-positivity test: every cone
+question goes through ``cones.in_orthant_plus_subspace``, so no file under
+``src`` but ``cones.py`` names the simplex ``lp_max``, and none names the
+mixed-system ``StrictSystem``, which lives in ``tests/oracles.py`` as a
+reference."""
 
 import re
 from pathlib import Path
@@ -14,6 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SIMPLICIAL = SRC / "lorentzlab" / "simplicial.py"
 HASH_ORDER = re.compile(r"key=repr\b|map\(repr,|map\(str,")
 SET_TEXT = re.compile(r"\{set\(")
+CONES = SRC / "lorentzlab" / "cones.py"
+SIMPLEX = re.compile(r"\blp_max\b")
+MIXED_SYSTEM = re.compile(r"\bStrictSystem\b")
 
 
 def test_only_simplicial_orders_labels():
@@ -22,5 +31,15 @@ def test_only_simplicial_orders_labels():
     for path in sorted(SRC.glob("**/*.py")):
         for n, line in enumerate(path.read_text().splitlines(), 1):
             if SET_TEXT.search(line) or (path != SIMPLICIAL and HASH_ORDER.search(line)):
+                offenders.append(f"{path.relative_to(SRC)}:{n}: {line.strip()}")
+    assert not offenders, offenders
+
+
+def test_only_cones_runs_the_simplex():
+    assert "def lp_max" in CONES.read_text()
+    offenders = []
+    for path in sorted(SRC.glob("**/*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if MIXED_SYSTEM.search(line) or (path != CONES and SIMPLEX.search(line)):
                 offenders.append(f"{path.relative_to(SRC)}:{n}: {line.strip()}")
     assert not offenders, offenders

@@ -33,6 +33,7 @@ from oracles import (
     fraction_eval_bivariate,
     is_semimodular_spot,
     layered_pin,
+    lp_gap_feasible,
     oracle_chains,
     oracle_flats,
     oracle_is_basis_family,
@@ -260,6 +261,27 @@ def test_engine_matches_explicit(catalog, rng):
         assert fast.value == slow.value == "yes", name
         assert {frozenset(S) for S, _ in fast.q_certificates} == \
                {frozenset(S) for S, _ in slow.q_certificates}
+
+
+def test_gap_test_matches_lp_oracle(catalog, rng):
+    """The gap test of the cone witness, one orthant test on the image of
+    the sum-zero layer vectors, against the oracle's mixed system in the
+    layer unknowns, at seeded integer points on sampled gaps of every
+    catalog lattice of rank >= 3."""
+    verdicts = set()
+    for name, L in catalog.items():
+        if L.rank_total < 3:
+            continue
+        eng = volume_engine(L)
+        gaps = sorted({gap for chain in eng.chains() if chain.bit_count() < eng.d - 1
+                       for gap in eng._gaps(chain) if gap[2]})
+        for lo, hi, mids in rng.sample(gaps, min(len(gaps), 12)):
+            for _ in range(3):
+                x = {g: rng.randint(-3, 3) for g in range(len(L.masks)) if mids >> g & 1}
+                got = eng._gap_feasible(lo, hi, mids, x)
+                assert got == lp_gap_feasible(L, lo, hi, mids, x), (name, lo, hi, mids, x)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_bergman_fan_identities():

@@ -9,7 +9,7 @@ import pytest
 
 from lorentzlab import cones, linalg, polytope
 from lorentzlab import hereditary as hered
-from lorentzlab.polycore import HomPoly, parse_poly
+from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.polytope import (
     PolytopeError,
     SimplePolytope,
@@ -21,7 +21,7 @@ from lorentzlab.polytope import (
     volume_polynomial,
 )
 from lorentzlab.rat import Q
-from oracles import chain_mixed_volume, facet_recursion_volume_polynomial, rank_solve_vertices, rename_vars
+from oracles import chain_mixed_volume, facet_recursion_volume_polynomial, lp_is_bounded, rank_solve_vertices, rename_vars
 
 
 def square(t=(1, 1, 1, 1)):
@@ -290,7 +290,7 @@ def test_mixed_volume_matches_chain_oracle(rng):
 def test_boundedness_is_tested_once_per_normal_set(monkeypatch):
     """Count guard: a second build on the same normals solves no LP; an
     unbounded normal set is tested, and raises, on every build."""
-    monkeypatch.setattr(polytope, "_BOUNDED", set())
+    monkeypatch.setattr(polytope, "_BOUNDED", {})
     calls = []
     inner = cones.lp_max
     monkeypatch.setattr(cones, "lp_max", lambda *a: calls.append(1) or inner(*a))
@@ -304,6 +304,42 @@ def test_boundedness_is_tested_once_per_normal_set(monkeypatch):
             build([(1, 0), (0, 1), (1, 1)], [1, 1, 1])
         assert calls
         calls.clear()
+
+
+def _seeded_normals(rng, k):
+    """Seeded normal sets in dimensions 1-4, four shapes in turn: free
+    draws; draws closed by their negated sum (bounded whenever they have
+    full rank); square N (n = d); and rank-deficient N (last coordinate 0)."""
+    d = rng.randint(1, 4)
+    kind = k % 4
+    n = d if kind == 2 else rng.randint(1, d + 4)
+    normals = [[Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d)] for _ in range(n)]
+    if kind == 1:
+        normals.append([-sum(col) for col in zip(*normals)])
+    if kind == 3:
+        normals = [r[:-1] + [Q(0)] for r in normals]
+    return tuple(tuple(r) for r in normals)
+
+
+def test_boundedness_matches_lp_oracle(rng, monkeypatch):
+    """One orthant test on lin^perp (Stiemke's lemma) against the 2d LPs
+    of the oracle, on seeded normal sets of every shape."""
+    monkeypatch.setattr(polytope, "_BOUNDED", {})
+    seen = set()
+    for k in range(400):
+        normals = _seeded_normals(rng, k)
+        labels = tuple(range(1, len(normals) + 1))
+        try:
+            lin = polytope._require_bounded(labels, normals)
+        except PolytopeError as e:
+            assert "unbounded" in str(e)
+            got = False
+        else:
+            got = True
+            assert lin == LinSubspace(labels, list(zip(*normals)))
+        assert got == lp_is_bounded(normals), normals
+        seen.add((k % 4, got))
+    assert seen >= {(0, True), (0, False), (1, True), (2, False), (3, False)}
 
 
 def test_af_check_needs_d_bodies_in_dimension_at_least_2():
