@@ -38,7 +38,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping
 
 from . import cones, linalg
-from .inertia import Inertia, derivative_hessian, inertia as matrix_inertia
+from .inertia import derivative_hessian, inertia as matrix_inertia
 from .polycore import HomPoly, LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE
 from .simplicial import SimComplex, face_key, face_str, label_key, label_str

@@ -22,17 +22,18 @@ Two construction routes coexist:
 * the generic explicit one through :func:`lorentzlab.hereditary.from_weights`
   (used for small lattices and for all cross-validation), and
 * a weights-backed engine (:class:`LatticeVolume`) that never materializes
-  the polynomial: it evaluates along the face recursion on Python integers
-  (the probe point and every pinned lineality vector are scaled to integer
-  vectors, and one division at the end restores the value), which keeps
-  rank-7 uniform matroids tractable for the characteristic polynomial, the
-  closed-form evaluations, and the Lorentzian certification.  One helper
-  gives the integer pinned vector at a flat between two chain flats, and
-  one routine projects a point down every chain with it.  The evaluation
-  and the cone witness read the projected points; the codimension-2
-  Hessians take their diagonals from the helper.  The
-  expansion along the canonical direction pair (alpha, beta) is computed
-  once per engine and serves the characteristic polynomial, the
+  the polynomial.  It evaluates by a recursion over the intervals of the
+  lattice, on Python integers: the value on an interval [lo, hi] is a sum,
+  over the flats g strictly between, of the point normalized to the
+  interval at g times the values on [lo, g] and [g, hi], and one division
+  at the end restores the value.  No chain is enumerated, which keeps
+  rank-8 uniform matroids tractable for the characteristic polynomial and
+  the closed-form evaluations.  The Lorentzian certification walks the
+  chains: one helper gives the integer pinned vector at a flat between two
+  chain flats, one routine projects the cone witness down every chain with
+  it, and the codimension-2 Hessians take their diagonals from the helper.
+  The expansion along the canonical direction pair (alpha, beta) is
+  computed once per engine and serves the characteristic polynomial, the
   Heron-Rota-Welsh check and both closed-form evaluations.
 
 Flats are frozensets of ground elements at the interface; inside, a flat is
@@ -49,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import hereditary as hered
 from .cones import in_orthant_plus_subspace
-from .inertia import SymMatrix, hessian, inertia
+from .inertia import SymMatrix, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
 from .simplicial import SimComplex, connected, face_key, face_str, label_key
@@ -436,18 +437,21 @@ def pol_matroid(L: FlatLattice) -> hered.HereditaryPoly:
 
 class LatticeVolume:
     """Evaluation and certification engine for the volume polynomial of a
-    lattice of flats, working directly from the chain recursion.
+    lattice of flats, working directly from the lattice.
 
-    A chain of proper flats is an int, the bitset of its flats' indices in
-    ``L.flats``.  Indices ascend with rank, so a chain's parent clears its
-    highest bit and a child sets one more; the flats between lo < hi are
-    ``up[lo] & down[hi]``, and a chain's link (the proper flats comparable
-    to every member) is the AND of ``up | down`` over its members.
-
-    Values along the recursion are bivariate: every probe point is
+    Evaluation is the interval recursion of :meth:`eval_bivariate`, keyed
+    by pairs of flat indices lo < hi; the flats between them are
+    ``up[lo] & down[hi]``.  Its values are bivariate: every probe point is
     s * va + t * vb for two rational vectors, and all arithmetic happens on
     homogeneous coefficient lists in (s, t).  Scalar evaluation uses vb = 0
     and reads the leading coefficient.
+
+    The certification (:meth:`hl_check`) walks the chains.  A chain of
+    proper flats is an int, the bitset of its flats' indices in
+    ``L.flats``.  Indices ascend with rank, so a chain's parent clears its
+    highest bit and a child sets one more, and a chain's link (the proper
+    flats comparable to every member) is the AND of ``up | down`` over its
+    members.
     """
 
     def __init__(self, L: FlatLattice):
@@ -490,97 +494,111 @@ class LatticeVolume:
             yield lo, hi, up[lo] & down[hi]
             lo = hi
 
-    # -- pinned vectors and bivariate evaluation --------------------------------
-
-    def _pin(self, below: int, g: int, above: int) -> tuple:
-        """The pinned vector at flat g between the chain flats ``below`` and
-        ``above`` (1 at g, 0 on the chain, constant per element on each
-        layer), scaled by E = lcm(1..n).
-
-        Returns (m_lo, c_lo, m_hi, c_hi): the layer masks g - below and
-        above - g and the integers E/|g - below| and E/|above - g|.  The
-        scaled value at a flat h is c_lo*|h & m_lo| - c_hi*|h & m_hi|.
-        """
-        E, masks = self.lcm_n, self.L.masks
-        m_lo = masks[g] & ~masks[below]
-        m_hi = masks[above] & ~masks[g]
-        return m_lo, E // m_lo.bit_count(), m_hi, E // m_hi.bit_count()
-
-    def _points(self, chains: list, va: Mapping, vb: Mapping) -> tuple[dict, int]:
-        """The point s va + t vb projected to every chain of length < d, on
-        integers, with S0, the lcm of the base point's denominators.
-
-        The base point is scaled by S0 and each pinned vector by E (see
-        :meth:`_pin`), so the point at a chain of length j carries the
-        scale S0 * E^j.  Each chain is reached from its parent, the chain
-        less its top flat g, so g is pinned between the parent's top flat
-        (or the bottom) and the top.  A point maps each link flat to a pair
-        of integers, its s and t parts; the link of a chain is its parent's
-        link less the flats not comparable to g.
-        """
-        d, E = self.d, self.lcm_n
-        masks, comparable = self.L.masks, self._comparable
-        xa = [Q(va.get(F, 0)) for F in self.L.proper]
-        xb = [Q(vb.get(F, 0)) for F in self.L.proper]
-        s0 = lcm(*(x.denominator for x in xa + xb))
-        pts: dict[int, dict] = {
-            0: {i: (a.numerator * (s0 // a.denominator), b.numerator * (s0 // b.denominator))
-                for i, a, b in zip(_indices(self.proper_mask), xa, xb)}
-        }
-        for chain in chains:
-            if not chain or chain.bit_count() >= d:
-                continue
-            g = chain.bit_length() - 1
-            parent = chain ^ 1 << g
-            px = pts[parent]
-            m_lo, c_lo, m_hi, c_hi = self._pin((parent | 1).bit_length() - 1, g, self.top)
-            ga, gb = px[g]
-            near = comparable[g]
-            cur = {}
-            for h, (ha, hb) in px.items():
-                if near >> h & 1:
-                    mh = masks[h]
-                    e = c_lo * (mh & m_lo).bit_count() - c_hi * (mh & m_hi).bit_count()
-                    cur[h] = (E * ha - ga * e, E * hb - gb * e)
-            pts[chain] = cur
-        return pts, s0
+    # -- evaluation by intervals ----------------------------------------------
 
     def eval_bivariate(self, va: Mapping, vb: Mapping) -> list:
         """Coefficients [c_0, ..., c_d] of pol(s va + t vb) with c_j the
-        coefficient of s^(d-j) t^j.
+        coefficient of s^(d-j) t^j, by a recursion over the intervals of
+        the lattice; no chain is enumerated.
 
-        The recursion runs on the integer points of :meth:`_points`, which
-        carry the scale S0 * E^j at a chain of length j.  The value at a
-        chain of length j, times (d-j)! and the scales of the points below
-        it, is the plain sum over the link of point coordinate times child
-        value.  One division by d! * S0^d * E^(d(d-1)/2) at the end gives
-        the value.
+        **Recursion.**  Write x = s va + t vb, with x = 0 at the bottom and
+        the top.  For flats lo < hi let k = rank(hi) - rank(lo) - 1, n_I =
+        |hi - lo|, and normalize x on the open interval (lo, hi) to
+
+            y(g) = x(g) - x(lo) + (x(lo) - x(hi)) * |g - lo| / n_I.
+
+        Then W(lo, hi) = 1 when k = 0 and otherwise
+
+            W(lo, hi) = (1/k) * sum over g in (lo, hi) of y(g) W(lo, g) W(g, hi),
+
+        and pol(x) = W(bottom, top), where y = x.
+
+        **Proof.**  Let P(lo, hi) be the volume polynomial of the interval
+        [lo, hi]: the facet-weight-1 reconstruction over the order complex of
+        (lo, hi), whose lineality is the sum-zero layer shifts of hi - lo
+        (g -> sum of c_e over g - lo, with the c_e summing to 0).  The claim
+        is W(lo, hi) = P(lo, hi)(y), by induction on k; at (bottom, top)
+        y = x, which gives pol(x).  For k >= 1, Euler's identity gives
+        P(y) = (1/k) * sum_g y(g) * dP/dx_g (y), and dP/dx_g at y is the
+        restriction to the face {g}, the reconstruction over its link,
+        evaluated at the pinned projection y - y(g) p_g (the step of the
+        chain recursion, as in ``fraction_eval_bivariate`` in the tests).
+        The pinned vector p_g is the sum-zero layer shift equal to 1 at g:
+        |h - lo| / |g - lo| on (lo, g) and 1 - |h - g| / |hi - g| on (g, hi).
+        *The link.*  The link of g in the order complex of (lo, hi) is the
+        join of the order complexes of (lo, g) and (g, hi), and the
+        restriction's lineality is the direct sum of the two intervals'
+        sum-zero layer shifts.  The product P(lo, g) * P(g, hi) is supported
+        on faces of the join, has weight 1 * 1 on each of its facets and is
+        invariant under that direct sum, so by the uniqueness of the
+        reconstruction behind :func:`lorentzlab.hereditary.from_weights` it
+        is the restriction.  *The point.*  On (lo, g), subtracting y(g) p_g
+        from y leaves x(h) - x(lo) - (x(g) - x(lo)) |h - lo| / |g - lo|,
+        the normalized point of [lo, g]; on (g, hi) it leaves
+        x(h) - x(g) + (x(g) - x(hi)) |h - g| / |hi - g|, that of [g, hi].
+        So renormalizing y on a sub-interval gives the sub-interval's own
+        y, the restriction's value is P(lo, g)(y) * P(g, hi)(y) on those
+        points, which is W(lo, g) * W(g, hi) by induction, and the sum is
+        the recursion.
+
+        **Integers.**  x is scaled by S0 * E, with S0 the lcm of the
+        denominators of va and vb and E = lcm(1..n); Y(g) = S0 E y(g) is an
+        integer pair because n_I divides E.  The scaled
+        V(lo, hi) = k! (S0 E)^k W(lo, hi) satisfies
+
+            V(lo, hi) = sum_g C(k-1, rank(g) - rank(lo) - 1) Y(g) V(lo, g) V(g, hi),
+
+        with V bivariate (k + 1 coefficients; Y(g) is an (s, t) pair) and
+        the product a convolution.  Visiting hi in index order, and the lo
+        below it downwards, finds every sub-interval ready; one division by
+        d! (S0 E)^d at the end gives the value.
         """
         d = self.d
         if d < 0:
             raise ValueError("rank must be at least 1")
         if d == 0:
             return [ONE]
-        chains = self.chains()
-        pts, s0 = self._points(chains, va, vb)
-        # scaled values bottom-up by chain length; a facet's is 1
-        memo: dict[int, list] = {}
-        for chain in sorted(chains, key=int.bit_count, reverse=True):
-            k = d - chain.bit_count()
-            if k == 0:
-                continue
-            x = pts[chain]
-            if k == 1:
-                memo[chain] = [sum(a for a, _ in x.values()), sum(b for _, b in x.values())]
-                continue
-            acc = [0] * (k + 1)
-            for g, (a, b) in x.items():
-                for j, cv in enumerate(memo[chain | 1 << g]):
-                    acc[j] += a * cv
-                    acc[j + 1] += b * cv
-            memo[chain] = acc
-        scale = factorial(d) * s0 ** d * self.lcm_n ** (d * (d - 1) // 2)
-        return [Q(c, scale) for c in memo[0]]
+        L, E = self.L, self.lcm_n
+        xa = [ZERO] + [Q(va.get(F, 0)) for F in L.proper] + [ZERO]
+        xb = [ZERO] + [Q(vb.get(F, 0)) for F in L.proper] + [ZERO]
+        s0 = lcm(*(x.denominator for x in xa + xb))
+        # S0 x, with x = 0 at the bottom and the top
+        xs = [x.numerator * (s0 // x.denominator) for x in xa]
+        xt = [x.numerator * (s0 // x.denominator) for x in xb]
+        size = [m.bit_count() for m in L.masks]
+        rank = [L.rank[F] for F in L.flats]
+        up, down = L.up, L.down
+        # memo[hi][lo] = V(lo, hi)
+        memo: list[dict] = [{} for _ in L.flats]
+        for hi in range(1, len(L.flats)):
+            row = memo[hi]
+            for lo in reversed(tuple(_indices(down[hi]))):
+                k = rank[hi] - rank[lo] - 1
+                if k == 0:
+                    row[lo] = [1]
+                    continue
+                r_lo, n_lo = rank[lo] + 1, size[lo]
+                step = E // (size[hi] - n_lo)
+                ls, lt = xs[lo], xt[lo]
+                ds, dt = (ls - xs[hi]) * step, (lt - xt[hi]) * step
+                binom = [comb(k - 1, j) for j in range(k)]
+                acc = [0] * (k + 1)
+                for g in _indices(up[lo] & down[hi]):
+                    # Y(g) = S0 E y(g), its s and t parts
+                    n = size[g] - n_lo
+                    ys = E * (xs[g] - ls) + ds * n
+                    yt = E * (xt[g] - lt) + dt * n
+                    c = binom[rank[g] - r_lo]
+                    left, right = memo[g][lo], row[g]
+                    for i, a in enumerate(left):
+                        a *= c
+                        for j, b in enumerate(right):
+                            p = a * b
+                            acc[i + j] += ys * p
+                            acc[i + j + 1] += yt * p
+                row[lo] = acc
+        scale = factorial(d) * (s0 * E) ** d
+        return [Q(c, scale) for c in memo[-1][0]]
 
     def expansion(self) -> list:
         """pol(s alpha + t beta) along the canonical pair, computed once.
@@ -597,6 +615,51 @@ class LatticeVolume:
         return self.eval_bivariate(v, {})[0]
 
     # -- Lorentzian certification ----------------------------------------------
+
+    def _pin(self, below: int, g: int, above: int) -> tuple:
+        """The pinned vector at flat g between the chain flats ``below`` and
+        ``above`` (1 at g, 0 on the chain, constant per element on each
+        layer), scaled by E = lcm(1..n).
+
+        Returns (m_lo, c_lo, m_hi, c_hi): the layer masks g - below and
+        above - g and the integers E/|g - below| and E/|above - g|.  The
+        scaled value at a flat h is c_lo*|h & m_lo| - c_hi*|h & m_hi|.
+        """
+        E, masks = self.lcm_n, self.L.masks
+        m_lo = masks[g] & ~masks[below]
+        m_hi = masks[above] & ~masks[g]
+        return m_lo, E // m_lo.bit_count(), m_hi, E // m_hi.bit_count()
+
+    def _points(self, v: Mapping) -> dict:
+        """The point v projected to every chain of length < d, on integers.
+
+        The point is scaled by S0, the lcm of its denominators, and each
+        pinned vector by E (see :meth:`_pin`), so the point at a chain of
+        length j carries the positive scale S0 * E^j.  Each chain is reached
+        from its parent, the chain less its top flat g, so g is pinned
+        between the parent's top flat (or the bottom) and the top.  A point
+        maps each link flat to an integer; the link of a chain is its
+        parent's link less the flats not comparable to g.
+        """
+        d, E = self.d, self.lcm_n
+        masks, comparable = self.L.masks, self._comparable
+        xs = [Q(v.get(F, 0)) for F in self.L.proper]
+        s0 = lcm(*(x.denominator for x in xs))
+        pts = {0: {i: x.numerator * (s0 // x.denominator) for i, x in zip(_indices(self.proper_mask), xs)}}
+        for chain in self.chains():
+            if not chain or chain.bit_count() >= d:
+                continue
+            g = chain.bit_length() - 1
+            parent = chain ^ 1 << g
+            px = pts[parent]
+            m_lo, c_lo, m_hi, c_hi = self._pin((parent | 1).bit_length() - 1, g, self.top)
+            xg = px[g]
+            near = comparable[g]
+            pts[chain] = {
+                h: E * xh - xg * (c_lo * (masks[h] & m_lo).bit_count() - c_hi * (masks[h] & m_hi).bit_count())
+                for h, xh in px.items() if near >> h & 1
+            }
+        return pts
 
     def quadratic_hessian(self, chain: int) -> SymMatrix:
         """Hessian of the codimension-2 face restriction, assembled directly.
@@ -708,13 +771,12 @@ class LatticeVolume:
         every restriction, so every condition checked is a strengthening).
         """
         d = self.d
-        chains = self.chains()
-        pts, _ = self._points(chains, vmap, {})
+        pts = self._points(vmap)
         checked = 0
-        for chain in chains:
+        for chain in self.chains():
             if chain.bit_count() >= d:
                 continue
-            x = {g: a for g, (a, _) in pts[chain].items()}
+            x = pts[chain]
             if chain.bit_count() == d - 1:
                 if not sum(x.values()) > 0:
                     return False, checked

@@ -5,12 +5,13 @@ checked against.
   links by frozenset containment, and :func:`oracle_link` takes one link
   literally; the library keeps chains and links as integer bitsets over
   flat indices.
-* :func:`fraction_eval_bivariate` is the chain recursion of
-  ``LatticeVolume.eval_bivariate`` written on exact ``Fraction``-style
-  rationals, with no scaling, over the chains of :func:`oracle_chains`:
-  every pinned vector comes from :func:`layered_pin`, set arithmetic on the
-  flats, and every value is divided by its degree on the spot.  The
-  library computes the same recursion on scaled integers.
+* :func:`fraction_eval_bivariate` is the chain recursion of the volume
+  polynomial written on exact ``Fraction``-style rationals, with no
+  scaling, over the chains of :func:`oracle_chains`: every pinned vector
+  comes from :func:`layered_pin`, set arithmetic on the flats, and every
+  value is divided by its degree on the spot.  ``LatticeVolume.eval_bivariate``
+  reaches the same values by a recursion over intervals on scaled
+  integers, enumerating no chain.
 * :func:`quadratic_oracle` builds the codimension-2 face restriction of the
   volume polynomial as a ``HomPoly``, by substituting the pinned vectors of
   :func:`layered_pin` into the top layers; the library assembles its

@@ -14,10 +14,9 @@ import pytest
 
 from lorentzlab import cli
 from lorentzlab.cli import build_parser, main
-from lorentzlab.matroid import LatticeVolume, Matroid, flats
+from lorentzlab.matroid import LatticeVolume
 from lorentzlab.rat import Q, Rational, read_rat
 from conftest import in_fresh_process
-from oracles import oracle_chains
 
 
 def run(capsys, *argv):
@@ -534,22 +533,21 @@ def test_timing_ms_is_a_json_number(capsys, files):
     assert code == 0 and isinstance(rep["timing_ms"], float) and rep["timing_ms"] >= 0
 
 
-def test_hrw_runs_one_chain_recursion(capsys, files, monkeypatch):
-    calls, chain_lists = [], []
+def test_hrw_and_charpoly_run_one_interval_recursion(capsys, files, monkeypatch):
+    """Each command evaluates the volume polynomial once, by the interval
+    recursion: no chain of flats is enumerated."""
+    calls, chain_calls = [], []
     inner = LatticeVolume.eval_bivariate
     monkeypatch.setattr(LatticeVolume, "eval_bivariate",
                         lambda self, va, vb: calls.append(1) or inner(self, va, vb))
     inner_chains = LatticeVolume.chains
     monkeypatch.setattr(LatticeVolume, "chains",
-                        lambda self: chain_lists.append(inner_chains(self)) or chain_lists[-1])
+                        lambda self: chain_calls.append(1) or inner_chains(self))
     for name, alpha, beta in (("fano.json", "1/2", "4"), ("u23.json", "1", "2")):
-        calls.clear()
-        chain_lists.clear()
-        code, rep, _ = run(capsys, "matroid", "hrw", files[name])
-        assert code == 0 and len(calls) == 1
-        # the chain hook sees every chain once, as the tracer counts them
-        L = flats(Matroid.from_json_dict(json.loads(open(files[name]).read())))
-        assert len(chain_lists) == 1 and len(chain_lists[0]) == len(oracle_chains(L))
+        for command in ("charpoly", "hrw"):
+            calls.clear()
+            code, rep, _ = run(capsys, "matroid", command, files[name])
+            assert code == 0 and len(calls) == 1 and not chain_calls, (name, command)
         # chi(0) is the Moebius value mu(bottom, top); d = rank - 1
         d = len(rep["chi"]) - 2
         mu = abs(int(rep["chi"][0]))

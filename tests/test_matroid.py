@@ -25,7 +25,6 @@ from lorentzlab.matroid import (
     submodular_witness,
     volume_engine,
 )
-from lorentzlab.polycore import parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.inertia import hessian
 from conftest import in_fresh_process
@@ -369,6 +368,31 @@ def test_integer_recursion_matches_fraction_oracle(catalog, rng):
             assert eng.evaluate(va) == fraction_eval_bivariate(L, va, {})[0], name
 
 
+def test_integer_recursion_matches_fraction_oracle_on_graphic_lattices(rng):
+    """M(K5) and two seeded subgraphs of K5: their intervals are partition
+    lattices, not Boolean, so the layer sizes |g - lo| differ within one
+    rank."""
+    lattices = {"M(K5)": flats(Matroid.from_graph(5, K5_EDGES))}
+    for _ in range(2):
+        edges = sorted(rng.sample(K5_EDGES, rng.randint(6, 9)))
+        lattices[f"M(K5 on {edges})"] = flats(Matroid.from_graph(5, edges))
+    for name, L in lattices.items():
+        eng = volume_engine(L)
+        alpha, beta = alpha_beta(L)
+        pairs = [(dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords)))]
+        for _ in range(3):
+            pairs.append(tuple({F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper} for _ in range(2)))
+        for va, vb in pairs:
+            assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
+            assert eng.evaluate(va) == fraction_eval_bivariate(L, va, {})[0], name
+
+
+def test_char_poly_routes_agree_up_to_rank_8():
+    for r, n in ((6, 7), (7, 7), (8, 8)):
+        L = flats(Matroid.uniform(r, n))
+        assert char_poly(L).agree and hrw_check(L).mixed_identity, (r, n)
+
+
 def test_canonical_expansion_is_computed_once(catalog, monkeypatch):
     L = catalog["Fano"]
     eng = volume_engine(L)
@@ -428,8 +452,8 @@ def test_engine_chains_match_oracle_order(catalog):
         eng = volume_engine(L)
         chains = oracle_chains(L)
         assert [eng.flats_of(c) for c in eng.chains()] == list(chains), name
-        # the links the recursion keeps are the keys of its projected points
-        pts, _ = eng._points(eng.chains(), {}, {})
+        # the links the chain walk keeps are the keys of its projected points
+        pts = eng._points({})
         for c, x in pts.items():
             assert [L.flats[g] for g in x] == chains[eng.flats_of(c)], name
 
