@@ -9,15 +9,21 @@ derived bilinear forms, neither of which moves a verdict.  Randomized
 ordered-tuple spot checks in the test suite back this reduction.
 
 M-convexity, of supports and of the cone test's derived supports, is
-decided by exchange masks built once per point (``is_m_convex``).
+decided by exchange masks built once per point (``is_m_convex``).  The
+cone test decides the derived supports once per generator set: the
+derived support of a generator multiset T is a split of the support J_S
+of the pull-back on S = set(T), and a split is M-convex exactly when the
+set it splits is (the proof is in ``is_k_lorentzian``).
 
 Derivative values are read off coefficients, since (d/dt)^beta f equals
 beta! c_beta for |beta| = d: ``HomPoly.derivative_value`` gives the value
-and ``inertia.derivative_hessian`` the Hessian of a (d-2)-fold derivative.
-The orthant scan and the polarized verdict read f itself; the cone test
-reads its pull-back along the generators for the top derivatives and the
-derived supports.  Only the cone test's Hessians, taken in f's own
-coordinates, are formed by directional-derivative chains.
+and ``inertia.derivative_hessian`` the Hessian of a (d-2)-fold derivative,
+on integer rows read off ``HomPoly.int_terms``.  The orthant scan and the
+polarized verdict read f itself; the cone test reads the signs of its
+pull-back's integer coefficients along the generators for the top
+derivatives and the derived supports.  Only the cone test's Hessians,
+taken in f's own coordinates, are formed by directional-derivative
+chains.
 
 Every "no" verdict carries a finite witness that re-verifies in isolation;
 the sampling-based check for non-polyhedral cones never answers "yes", only
@@ -214,9 +220,9 @@ def _bounded_multiindices(n: int, total: int, caps: Sequence[int]):
 
 
 def _require_nonneg(f: HomPoly):
-    for key, c in f.terms.items():
-        if c < 0:
-            raise ValueError(f"negative coefficient {c} at {key}; test requires nonnegative coefficients")
+    if min(f.int_terms()[0].values(), default=0) < 0:
+        key, c = next((key, c) for key, c in f.terms.items() if c < 0)
+        raise ValueError(f"negative coefficient {c} at {key}; test requires nonnegative coefficients")
 
 
 def support_mset(f: HomPoly) -> MSet:
@@ -396,12 +402,12 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
     for S in faces_by_size[d - 2]:
         cv = count_vec(S)
         if cv not in inertia_cache:
-            Hq = derivative_hessian(f, cv).entries
+            Hq = derivative_hessian(f, cv)
             members = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
             rows = [
-                [Hq[block_of[a]][block_of[b]] for b in members] for a in members
+                [Hq.rows[block_of[a]][block_of[b]] for b in members] for a in members
             ]
-            inertia_cache[cv] = inertia(SymMatrix(tuple(members), rows))
+            inertia_cache[cv] = inertia(SymMatrix.from_scaled(members, rows, Hq.den))
         inr = inertia_cache[cv]
         certs.append((S, inr))
         if inr.pos > 1:
@@ -443,10 +449,36 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
     are invariant under positive rescaling of each generator, so no
     normalization is performed.
 
-    Conditions (i) and (ii) read the coefficients of the pull-back
-    g(y) = f(sum_j y_j g_j): the derivative of f along a generator multiset
-    T is beta! c_beta(g), where beta counts each generator's multiplicity
-    in T.  Condition (iii) takes its Hessians in f's own coordinates.
+    Conditions (i) and (ii) read the signs of the integer coefficients of
+    the pull-back g(y) = f(sum_j y_j g_j): the derivative of f along a
+    generator multiset T is beta! c_beta(g), where beta counts each
+    generator's multiplicity in T.  Condition (iii) takes its Hessians in
+    f's own coordinates.
+
+    **Condition (ii) once per generator set.**  The derived support of a
+    2d-fold multiset T is the set of compositions alpha of d into T's 2d
+    slots with c_beta(g) > 0, where beta sums the slots of each generator.
+    With S = set(T) it is the split of J_S = {beta in supp+(g) : supp beta
+    in S} over T's slots: the alpha whose slot sums pi(alpha) lie in J_S.
+    A split X of a set J of nonnegative points with one coordinate sum is
+    M-convex exactly when J is.
+
+    - If X is, take a, b in J and i with a_i > b_i, and lift them to alpha
+      and beta with each coordinate on its first slot.  The exchange in X
+      at the first slot k of i gives a slot l with beta_l > alpha_l, so l
+      is the first slot of some j with b_j > a_j, and
+      a - e_i + e_j = pi(alpha - e_k + e_l) lies in J.
+    - If J is, take alpha, beta in X and a slot k of i with
+      alpha_k > beta_k, and put a = pi(alpha), b = pi(beta).  If
+      a_i > b_i, the exchange in J gives j with b_j > a_j and a - e_i + e_j
+      in J; some slot l of j has beta_l > alpha_l, and alpha - e_k + e_l
+      lies in X.  Otherwise a_i <= b_i, so another slot l of i has
+      beta_l > alpha_l, and alpha - e_k + e_l sums to a, so lies in X.
+
+    So each T, in the order of the slot-by-slot scan, is decided by J_S
+    written in S's coordinates, and each distinct point set is tested
+    once.  Only the first failing T's derived support is built, for the
+    witness ``is_m_convex`` finds in it.
     """
     d = f.degree
     if d < 2:
@@ -461,16 +493,18 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
     m = len(gens)
     cache = _DerivativeCache(f, gens)
     g = f.substitute_linear(list(zip(*cache.gens)), range(m))
+    coeff, _ = g.int_terms()
 
-    # (i) nonnegative d-fold derivatives
-    for T in combinations_with_replacement(range(m), d):
-        beta = [0] * m
-        for j in T:
-            beta[j] += 1
-        val = g.derivative_value(beta)
-        if val < 0:
-            return LorentzVerdict(value="no", witness=("derivative", T, val),
-                                  detail="negative mixed derivative along generators")
+    # (i) nonnegative d-fold derivatives; the multisets are walked for the
+    # first witness only when some coefficient is negative
+    if min(coeff.values(), default=0) < 0:
+        for T in combinations_with_replacement(range(m), d):
+            beta = [0] * m
+            for j in T:
+                beta[j] += 1
+            if coeff.get(tuple(beta), 0) < 0:
+                return LorentzVerdict(value="no", witness=("derivative", T, g.derivative_value(beta)),
+                                      detail="negative mixed derivative along generators")
 
     # (iii) Hessians for (d-2)-fold multisets (cheap; checked before (ii))
     certs = []
@@ -483,26 +517,31 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
                                   detail="Hessian with more than one positive eigenvalue",
                                   certificates=certs)
 
-    # (ii) M-convex derived supports over 2d-fold multisets: alpha is in the
-    # support of T when c_beta(g) > 0 for beta = sum_k alpha_k e_T[k].  The
-    # verdict and its witness are functions of the point set, so each
-    # distinct support is tested once
-    coeff = g.dense_terms()
-    compositions = list(_bounded_multiindices(2 * d, d, [d] * (2 * d)))
-    verdicts: dict[frozenset, tuple] = {}
+    # (ii) M-convex derived supports over 2d-fold multisets, by J_S (see
+    # the docstring): the verdict by generator set, and by point set
+    positive = [(beta, sum(1 << j for j, b in enumerate(beta) if b)) for beta, c in coeff.items() if c > 0]
+    by_set: dict[tuple, bool] = {}
+    verdicts: dict[tuple, bool] = {}
     for T in combinations_with_replacement(range(m), 2 * d):
-        pts = set()
-        for alpha in compositions:
-            beta = [0] * m
-            for j, a in zip(T, alpha):
-                beta[j] += a
-            if coeff.get(tuple(beta), ZERO) > 0:
-                pts.add(alpha)
-        key = frozenset(pts)
-        if key not in verdicts:
-            verdicts[key] = is_m_convex(MSet(2 * d, pts))
-        ok, wit = verdicts[key]
+        S = tuple(dict.fromkeys(T))
+        ok = by_set.get(S)
+        if ok is None:
+            outside = ~sum(1 << j for j in S)
+            key = (len(S), frozenset(tuple(beta[j] for j in S) for beta, supp in positive if not supp & outside))
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = is_m_convex(MSet(*key))[0]
+            by_set[S] = ok
         if not ok:
+            pts = set()
+            for alpha in _bounded_multiindices(2 * d, d, [d] * (2 * d)):
+                beta = [0] * m
+                for j, a in zip(T, alpha):
+                    beta[j] += a
+                if coeff.get(tuple(beta), 0) > 0:
+                    pts.add(alpha)
+            ok, wit = is_m_convex(MSet(2 * d, pts))
+            assert not ok, "a split of a set that is not M-convex is not M-convex"
             return LorentzVerdict(value="no", witness=("support", T, wit),
                                   detail="derived support is not M-convex",
                                   certificates=certs)

@@ -551,7 +551,11 @@ class LatticeVolume:
         with V bivariate (k + 1 coefficients; Y(g) is an (s, t) pair) and
         the product a convolution.  Visiting hi in index order, and the lo
         below it downwards, finds every sub-interval ready; one division by
-        d! (S0 E)^d at the end gives the value.
+        d! (S0 E)^d at the end gives the value.  A g with Y(g) = (0, 0) adds
+        nothing and is skipped, and a zero V(lo, hi) is kept as [], so every
+        product with it is skipped too.  At the canonical pair x is affine
+        in |F| on the proper flats, so y vanishes on every interval whose
+        two ends are proper.
         """
         d = self.d
         if d < 0:
@@ -588,6 +592,8 @@ class LatticeVolume:
                     n = size[g] - n_lo
                     ys = E * (xs[g] - ls) + ds * n
                     yt = E * (xt[g] - lt) + dt * n
+                    if not ys and not yt:
+                        continue
                     c = binom[rank[g] - r_lo]
                     left, right = memo[g][lo], row[g]
                     for i, a in enumerate(left):
@@ -596,9 +602,9 @@ class LatticeVolume:
                             p = a * b
                             acc[i + j] += ys * p
                             acc[i + j + 1] += yt * p
-                row[lo] = acc
+                row[lo] = acc if any(acc) else []
         scale = factorial(d) * (s0 * E) ** d
-        return [Q(c, scale) for c in memo[-1][0]]
+        return [Q(c, scale) for c in memo[-1][0] or [0] * (d + 1)]
 
     def expansion(self) -> list:
         """pol(s alpha + t beta) along the canonical pair, computed once.
@@ -670,14 +676,16 @@ class LatticeVolume:
         gap.  Equal to the Hessian of the restriction built from the top
         layers (``quadratic_oracle`` in ``tests/oracles.py``, compared in
         ``tests/test_matroid.py``) at a fraction of the cost, which matters
-        with tens of thousands of codimension-2 faces.
+        with tens of thousands of codimension-2 faces.  The rows are built
+        on integers, E = lcm(1..n) times the Hessian, as the pinned vectors
+        are (see :meth:`_pin`).
         """
         link = self.proper_mask
         for g in _indices(chain):
             link &= self._comparable[g]
         pos = {g: k for k, g in enumerate(_indices(link))}
-        rows = [[ZERO] * len(pos) for _ in pos]
-        masks = self.L.masks
+        rows = [[0] * len(pos) for _ in pos]
+        masks, E = self.L.masks, self.lcm_n
         for lo, hi, mids in self._gaps(chain):
             for g in _indices(mids):
                 m_lo, c_lo, m_hi, c_hi = self._pin(lo, g, hi)
@@ -686,9 +694,9 @@ class LatticeVolume:
                 row = rows[pos[g]]
                 for h in _indices(verts):
                     total += c_lo * (masks[h] & m_lo).bit_count() - c_hi * (masks[h] & m_hi).bit_count()
-                    row[pos[h]] = ONE
-                row[pos[g]] = Q(-total, self.lcm_n)
-        return SymMatrix(self.flats_of(link), rows)
+                    row[pos[h]] = E
+                row[pos[g]] = -total
+        return SymMatrix.from_scaled(self.flats_of(link), rows, E)
 
     def h_connected_skeleton(self) -> tuple[bool, int | None]:
         """Connectivity of chain links through codimension 2 (the positive

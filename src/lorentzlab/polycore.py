@@ -17,13 +17,19 @@ The public constructor checks and coerces any input.  ``+``, ``-``, ``*``,
 checks nothing: they form sorted keys themselves, drop cancelled terms and
 keep the term order the constructor would give (``restrict_vars`` and
 ``substitute`` still reject duplicate labels).  No other module may call it.
+
+Two coefficient tables are built on first use and kept: ``dense_terms``,
+the rationals by dense exponent tuple, and ``int_terms``, den times them on
+Python ints.  The Hessians of :mod:`lorentzlab.inertia` are read off the
+integer table, and ``substitute`` expands on integers too.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -54,10 +60,21 @@ def _nonzero(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if c}
 
 
+def _int_mul(a: dict, b: dict) -> dict:
+    """The product of two polynomials held as {dense exponent tuple: int},
+    with cancelled terms dropped, in the term order of ``HomPoly.__mul__``."""
+    out: dict[tuple, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            k = tuple(map(add, ea, eb))
+            out[k] = out.get(k, 0) + ca * cb
+    return _nonzero(out)
+
+
 class HomPoly:
     """Homogeneous polynomial over an ordered, labeled variable set."""
 
-    __slots__ = ("vars", "degree", "terms", "_index", "_dense")
+    __slots__ = ("vars", "degree", "terms", "_index", "_dense", "_ints")
 
     def __init__(self, vars: Sequence[Label], degree: int, terms: Mapping[Key, object]):
         vs = tuple(vars)
@@ -78,7 +95,7 @@ class HomPoly:
         self._fill(vs, degree, _nonzero(clean), {v: i for i, v in enumerate(vs)})
 
     def _fill(self, vars: tuple, degree: int, terms: dict, index: dict):
-        for name, value in zip(HomPoly.__slots__, (vars, degree, terms, index, None)):
+        for name, value in zip(HomPoly.__slots__, (vars, degree, terms, index, None, None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -113,7 +130,9 @@ class HomPoly:
         terms = {}
         for exps, c in dense.items():
             key = tuple((i, e) for i, e in enumerate(exps) if e)
-            terms[key] = terms.get(key, ZERO) + Q(c)
+            c = Q(c)
+            prev = terms.get(key)
+            terms[key] = c if prev is None else prev + c
         return cls(vars, degree, terms)
 
     # -- basics --------------------------------------------------------------
@@ -144,6 +163,18 @@ class HomPoly:
                 out[tuple(exps)] = c
             object.__setattr__(self, "_dense", out)
         return self._dense
+
+    def int_terms(self) -> tuple[dict[tuple, int], int]:
+        """(N, den): den * the coefficients by dense exponent tuple, on Python
+        ints, with den > 0 the least common denominator of the coefficients
+        (one lcm per polynomial).  Built on first use and kept, as
+        ``dense_terms`` is; callers must not modify it."""
+        if self._ints is None:
+            dense = self.dense_terms()
+            den = lcm(*(int(c.denominator) for c in dense.values()))
+            out = {exps: int(c.numerator) * (den // int(c.denominator)) for exps, c in dense.items()}
+            object.__setattr__(self, "_ints", (out, den))
+        return self._ints
 
     def derivative_value(self, beta: Sequence[int]):
         """The mixed partial (d/dt)^beta for a dense exponent vector beta:
@@ -278,30 +309,51 @@ class HomPoly:
     def substitute(self, new_vars: Sequence[Label], forms: Mapping[Label, Mapping[Label, object]]) -> "HomPoly":
         """Substitute a linear form (over new_vars) for each old variable.
 
-        Missing old variables map to zero.  Exact; the result is homogeneous
-        of the same degree.
+        Missing old variables map to zero.  Exact, and expanded on Python
+        ints: the form of old variable i is scaled by s_i, the lcm of its
+        denominators, and f's term at exponent e by L / prod_i s_i^e_i, with
+        L the lcm of those products over the terms, so each coefficient of
+        the result is one rational, an integer sum divided by den * L (den
+        as in ``int_terms``).  The result is homogeneous of the same degree.
         """
         new_vars = tuple(new_vars)
         nidx = {v: i for i, v in enumerate(new_vars)}
         if len(nidx) != len(new_vars):
             raise ValueError("duplicate variable labels")
-        images: list[HomPoly] = []
+        m = len(new_vars)
+        scales, images = [], []
         for v in self.vars:
-            form = {w: Q(c) for w, c in forms.get(v, {}).items()}
-            images.append(HomPoly._trusted(new_vars, 1, {((nidx[w], 1),): c for w, c in form.items() if c}, nidx))
-        acc: dict[Key, object] = {}
-        pow_cache: dict[tuple[int, int], HomPoly] = {}
-        for key, c in self.terms.items():
-            term = HomPoly._trusted(new_vars, 0, {(): c}, nidx)
-            for i, e in key:
-                p = pow_cache.get((i, e))
-                if p is None:
-                    p = pow_cache[(i, e)] = images[i].pow(e)
-                term = term * p
-            for k, v in term.terms.items():
-                prev = acc.get(k)
-                acc[k] = v if prev is None else prev + v
-        return HomPoly._trusted(new_vars, self.degree, _nonzero(acc), nidx)
+            form = [(nidx[w], Q(c)) for w, c in forms.get(v, {}).items()]
+            s = lcm(*(int(c.denominator) for _, c in form))
+            image = {}
+            for j, c in form:
+                if c:
+                    exps = [0] * m
+                    exps[j] = 1
+                    image[tuple(exps)] = int(c.numerator) * (s // int(c.denominator))
+            scales.append(s)
+            images.append(image)
+        coeff, den = self.int_terms()
+        weight = {exps: prod(s**e for s, e in zip(scales, exps)) for exps in coeff}
+        L = lcm(*weight.values())
+        acc: dict[tuple, int] = {}
+        pow_cache: dict[tuple[int, int], dict] = {}
+        for exps, c in coeff.items():
+            term = {(0,) * m: c * (L // weight[exps])}
+            for i, e in enumerate(exps):
+                if e:
+                    p = pow_cache.get((i, e))
+                    if p is None:
+                        p = {(0,) * m: 1}
+                        for _ in range(e):
+                            p = _int_mul(p, images[i])
+                        pow_cache[(i, e)] = p
+                    term = _int_mul(term, p)
+            for k, v in term.items():
+                acc[k] = acc.get(k, 0) + v
+        D = den * L
+        terms = {tuple((j, x) for j, x in enumerate(k) if x): Rational(v, D) for k, v in acc.items() if v}
+        return HomPoly._trusted(new_vars, self.degree, terms, nidx)
 
     def substitute_linear(self, A: Sequence[Sequence], new_vars: Sequence[Label]) -> "HomPoly":
         """g(x) = f(Ax) where A has one row per f-variable, one column per new variable."""
@@ -429,7 +481,8 @@ def parse_poly(text: str, vars: Sequence[Label] | None = None) -> HomPoly:
     terms: dict[Key, object] = {}
     for c, p in monomials:
         key = tuple(sorted((idx[v], e) for v, e in p.items()))
-        terms[key] = terms.get(key, ZERO) + c
+        prev = terms.get(key)
+        terms[key] = c if prev is None else prev + c
     return HomPoly(vars, degrees.pop(), terms)
 
 

@@ -71,7 +71,9 @@ checked against.
 * :func:`derived_supports` assembles the derived support of every
   2d-fold generator multiset T of the cone test by expanding each
   composition into the multiset it names, slot by slot, and differentiating
-  along it by ``dir_derivative`` chains.
+  along it by ``dir_derivative`` chains; the library decides each T by the
+  support J_S of the pull-back on S = set(T), which the derived support
+  splits.
 * :func:`all_orderings_ample_member` is the ample-cone recursion over every
   ordering of every face's vertices, with its own projections; the library
   visits each face once, by one canonical descent.
@@ -107,9 +109,10 @@ checked against.
   library reads the Hessians off f's coefficients.
 * :func:`chain_is_k_lorentzian` is the cone test with every derivative
   along a generator multiset formed by chains of
-  ``HomPoly.dir_derivative``; the library reads the top derivatives and
-  the derived supports off the coefficients of one pull-back of f along
-  the generators.
+  ``HomPoly.dir_derivative``, and each derived support assembled slot by
+  slot and tested afresh; the library reads the top derivatives and the
+  derived supports off the signs of one pull-back of f along the
+  generators, and tests each generator set's support once.
 
 Alternative routes to the library's own verdicts, kept to cross-check it:
 

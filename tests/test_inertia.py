@@ -282,3 +282,28 @@ def test_derivative_hessian_matches_partial_chain(rng):
         assert derivative_hessian(f, alpha, over=over) == sub, (f, alpha, over)
     with pytest.raises(ValueError):
         derivative_hessian(parse_poly("t1^2 t2"), [0, 0])
+
+
+def test_sym_matrix_rows_are_least_integer_multiple(rng):
+    """rows = den * entries on Python ints, den the least common denominator
+    of the entries; equality is exact, whatever scale the rows came in."""
+    from math import lcm
+
+    for k in range(200):
+        M = random_sym(rng, rng.randint(0, 6))
+        den = lcm(*(x.denominator for row in M.entries for x in row))
+        assert M.den == den
+        assert all(type(a) is int for row in M.rows for a in row)
+        assert [[Q(a, den) for a in row] for row in M.rows] == [list(row) for row in M.entries]
+        c = rng.randint(1, 5)
+        assert SymMatrix.from_scaled(M.vars, [[c * a for a in row] for row in M.rows], c * den) == M
+        assert SymMatrix(M.vars, M.entries) == M
+        if any(M.rows) and k % 2:
+            assert SymMatrix.from_scaled(M.vars, M.rows, 2 * den) != M
+    zero = SymMatrix(("a", "b"), [[0, 0], [0, 0]])
+    assert (zero.rows, zero.den) == (((0, 0), (0, 0)), 1)
+    assert SymMatrix.from_scaled(("a", "b"), [[0, 0], [0, 0]], 7) == zero
+    with pytest.raises(ValueError):
+        SymMatrix.from_scaled(("a", "b"), [[0, 1], [2, 0]], 1)
+    with pytest.raises(ValueError):
+        SymMatrix(("a", "b"), [[1, 2, 3], [2, 1, 3]])

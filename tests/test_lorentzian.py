@@ -246,7 +246,9 @@ def test_k_lorentzian_matches_chain_oracle(rng):
 
 def test_k_lorentzian_memoizes_derived_supports(monkeypatch):
     """Count guard: on the orthant, the 924 derived supports of U(3,7)'s
-    basis generating polynomial are 27 distinct sets, each tested once."""
+    basis generating polynomial are decided by the supports J_S of its
+    pull-back on the generator sets S, 6 distinct sets (the 3-subsets of
+    an |S|-set, |S| = 1..6), each tested once."""
     import lorentzlab.lorentzian as lor
 
     vars = tuple(f"t{i}" for i in range(7))
@@ -255,29 +257,111 @@ def test_k_lorentzian_memoizes_derived_supports(monkeypatch):
     inner = lor.is_m_convex
     monkeypatch.setattr(lor, "is_m_convex", lambda M: calls.append(M) or inner(M))
     assert is_k_lorentzian(f, orthant(7)).value == "yes"
-    assert len(calls) == len(set(calls)) == 27
+    assert len(calls) == len(set(calls)) == 6
+
+
+def _generator_set_support(T, slot_support):
+    """J_S, S = set(T), in S's coordinates: the slot sums per generator of
+    the points of a derived support (every point of J_S has a lift)."""
+    S = tuple(dict.fromkeys(T))
+    sums = set()
+    for alpha in slot_support:
+        beta = [0] * len(S)
+        for j, a in zip(T, alpha):
+            beta[S.index(j)] += a
+        sums.add(tuple(beta))
+    return MSet(len(S), sums)
 
 
 def test_k_lorentzian_derived_supports_match_slot_oracle(monkeypatch):
-    """Every derived support that condition (ii) tests is the support the
-    slot-by-slot oracle assembles, on cones where T repeats a generator:
-    the orthant (2d slots, fewer generators) and a cone that lists one
-    generator twice.  All verdicts are "yes", so (ii) visits every T."""
+    """For every 2d-fold generator multiset T, the slot-by-slot oracle's
+    derived support is M-convex exactly when J_S is (S = set(T)), on cones
+    where T repeats a generator: the orthant (2d slots, fewer generators)
+    and cones that list one generator twice.  On the "yes" cases condition
+    (ii) visits every T and tests exactly the sets J_S; on the "no" case
+    its witness is the first T whose J_S fails."""
     import lorentzlab.lorentzian as lor
 
     tested = []
     inner = lor.is_m_convex
-    monkeypatch.setattr(lor, "is_m_convex", lambda M: tested.append(M.points) or inner(M))
+    monkeypatch.setattr(lor, "is_m_convex", lambda M: tested.append(M) or inner(M))
     e2 = parse_poly("t1 t2 + t1 t3 + t2 t3")
     cases = [
         (e2, orthant(3)),
         (e2, ConeByGenerators(((1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)))),
         (parse_poly("t1^2 t2 + 2*t1 t2^2 + t2^3"), ConeByGenerators(((1, 0), (1, 1), (1, 1)))),
+        (parse_poly("t1^3 + t2^3 + t3^3"), ConeByGenerators(((1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)))),
     ]
+    verdicts = set()
     for f, cone in cases:
         tested.clear()
-        assert is_k_lorentzian(f, cone).value == "yes"
-        assert set(tested) == set(derived_supports(f, cone).values())
+        v = is_k_lorentzian(f, cone)
+        by_T = {}
+        for T, pts in derived_supports(f, cone).items():
+            J = _generator_set_support(T, pts)
+            by_T[T] = (J, inner(MSet(2 * f.degree, pts))[0])
+            assert by_T[T][1] == inner(J)[0], (f, T)
+        failing = [T for T, (_, ok) in by_T.items() if not ok]
+        verdicts.add(v.value)
+        if v.value == "yes":
+            assert not failing
+            assert set(tested) == {J for J, _ in by_T.values()}
+        else:
+            assert v.witness[:2] == ("support", failing[0])
+    assert verdicts == {"yes", "no"}
+
+
+def test_splitting_lemma(rng):
+    """A split of J (each coordinate copied into as many slots as a seeded
+    multiplicity pattern says, the points those whose slot sums lie in J)
+    is M-convex exactly when J is, both sides by the brute-force oracle, on
+    seeded J in 2 to 4 coordinates."""
+    verdicts = set()
+    for _ in range(150):
+        k, r = rng.randint(2, 4), rng.randint(1, 3)
+        full = _simplex(k, r)
+        J = rng.sample(full, rng.randint(1, len(full)))
+        owner = [s for s in range(k) for _ in range(rng.randint(1, 3 if k < 4 else 2))]
+        split = set()
+        for alpha in _simplex(len(owner), r):
+            sums = [0] * k
+            for s, a in zip(owner, alpha):
+                sums[s] += a
+            if tuple(sums) in J:
+                split.add(alpha)
+        want = brute_force_is_m_convex(MSet(k, J))[0]
+        assert brute_force_is_m_convex(MSet(len(owner), split))[0] == want, (sorted(J), owner)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_k_lorentzian_matches_slot_oracle_on_many_generators(rng):
+    """The cone test against the slot-by-slot oracle on (value, witness,
+    certificates), for the "no" answers among seeded signed forms on cones
+    with more than 2d generators, some listed twice: degree 2 with five
+    generators and degree 3 with seven, with "no" answers from each of the
+    three conditions.  (A full "yes" scan of the oracle at degree 3 takes
+    over half a second; ``test_k_lorentzian_matches_chain_oracle`` compares
+    "yes" answers.)"""
+    cones = {
+        2: ConeByGenerators(((1, 0), (0, 1), (1, 0), (2, 1), (0, 3))),
+        3: ConeByGenerators(((1, 0), (0, 1), (2, 0), (1, 0), (0, 3), (3, 0), (0, 1))),
+    }
+    forms = [(parse_poly("t1^3 + t2^3"), cones[3]), (parse_poly("t1^2 t2 + t2^3"), cones[3])]
+    for k in range(40):
+        d = 2 if k % 2 == 0 else 3
+        forms.append((_signed_form(rng, ("t1", "t2"), d), cones[d]))
+    answers = []
+    for f, cone in forms:
+        got = is_k_lorentzian(f, cone)
+        if got.value == "yes":
+            continue
+        want = chain_is_k_lorentzian(f, cone)
+        assert (got.value, got.witness, got.certificates) == (want.value, want.witness, want.certificates), f
+        answers.append((f.degree, got.witness[0]))
+    assert len(answers) >= 20
+    assert {w for _, w in answers} == {"derivative", "hessian", "support"}
+    assert {d for d, _ in answers} == {2, 3}
 
 
 def test_k_lorentzian_alt_agrees(rng):
@@ -463,16 +547,13 @@ def _basis_polynomial(L):
     return HomPoly.from_dense(vars, L.rank_total, {_indicator(L, B): 1 for B in _bases(L)})
 
 
-def test_m_convex_matches_oracle_on_k_lorentzian_supports(catalog, monkeypatch):
-    """The derived supports that is_k_lorentzian checks on the orthant, for
-    the catalog matroids of rank at most 3: the basis generating polynomial (Lorentzian: every derived
+def test_m_convex_matches_oracle_on_k_lorentzian_supports(catalog):
+    """The derived supports of the cone test on the orthant, as the
+    slot-by-slot oracle assembles them, for the catalog matroids of rank at
+    most 3: the basis generating polynomial (Lorentzian: every derived
     support is M-convex) and the power sum of the same degree on the same
     variables (at degree 3 its Hessians pass and a derived support fails)."""
-    import lorentzlab.lorentzian as lor
-
     seen = set()
-    inner = lor.is_m_convex
-    monkeypatch.setattr(lor, "is_m_convex", lambda M: seen.add(M) or inner(M))
     for name, L in catalog.items():
         r, n = L.rank_total, len(L.ground)
         if r > 3:  # at rank 4 a 7-element ground set has C(14, 8) multisets T
@@ -483,11 +564,13 @@ def test_m_convex_matches_oracle_on_k_lorentzian_supports(catalog, monkeypatch):
         v = is_k_lorentzian(power_sum, orthant(n))
         if r == 3:
             assert v.value == "no" and v.witness[0] == "support", name
+        for g in (f, power_sum):
+            seen.update(MSet(2 * r, pts) for pts in derived_supports(g, orthant(n)).values())
     assert len(seen) > 100
     verdicts = set()
     for M in seen:
-        assert inner(M) == brute_force_is_m_convex(M), sorted(M.points)
-        verdicts.add(inner(M)[0])
+        assert is_m_convex(M) == brute_force_is_m_convex(M), sorted(M.points)
+        verdicts.add(is_m_convex(M)[0])
     assert verdicts == {True, False}
 
 
@@ -569,3 +652,35 @@ def test_is_lorentzian_reads_hessians_off_coefficients(monkeypatch):
     monkeypatch.setattr(lor, "inertia", counting_inertia)
     assert is_lorentzian(f).value == "yes"
     assert calls == {"partial": 0, "inertia": 210}
+
+
+def test_hessian_scan_forms_no_rational(monkeypatch):
+    """Guard: once an integer product form is built, the Hessian scan reads
+    its Hessians off the integer coefficient table and eliminates integer
+    rows, so no module of the package calls ``rat.Q``."""
+    import sys
+
+    from lorentzlab import rat
+    from lorentzlab.lorentzian import _h1_scan
+
+    vars = tuple(f"t{i + 1}" for i in range(7))
+    f = HomPoly.constant(vars, 1)
+    for k in range(6):
+        f = f * HomPoly(vars, 1, {((i, 1),): 1 + (i + k) % 3 for i in range(7)})
+    assert len(f.terms) == 924 and all(c.denominator == 1 for c in f.terms.values())
+    calls = []
+    original = rat.Q
+
+    def counting_q(*args):
+        calls.append(args)
+        return original(*args)
+
+    patched = set()
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "lorentzlab" and getattr(mod, "Q", None) is original:
+            monkeypatch.setattr(mod, "Q", counting_q)
+            patched.add(name)
+    assert {"lorentzlab.rat", "lorentzlab.polycore", "lorentzlab.lorentzian", "lorentzlab.linalg"} <= patched
+    v = _h1_scan(f)
+    assert v.value == "yes" and len(v.certificates) == 210
+    assert calls == []
