@@ -35,7 +35,6 @@ from .lorentzian import (
     is_lorentzian,
     is_m_convex,
     log_concave_seq,
-    perturb_interior,
     polarize,
 )
 from .matroid import FlatLattice, Matroid, bergman_fan, char_poly, flats, hrw_check, pol_matroid

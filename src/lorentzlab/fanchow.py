@@ -142,7 +142,7 @@ class DegreeFunctional:
                 raise ValueError(f"polynomial support {face_str(S)} is not a cone")
         lin = self.fan.lineality()
         idx = {v: i for i, v in enumerate(lin.ambient)}
-        for b in lin.basis:
+        for b in lin.rows:
             vec = [b[idx[v]] for v in self.h.vars]
             if not self.h.lin.contains(vec):
                 raise ValueError("polynomial is not invariant under the fan's lineality space")

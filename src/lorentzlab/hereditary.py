@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 from . import cones, linalg
 from .inertia import derivative_hessian, inertia as matrix_inertia
 from .polycore import HomPoly, LinSubspace, direction_coords
-from .rat import Q, ZERO, ONE
+from .rat import Q, ZERO, ONE, Rational
 from .simplicial import SimComplex, face_key, face_str, label_key, label_str
 
 
@@ -290,7 +290,7 @@ def cone_system(h: HereditaryPoly) -> list[list]:
 def cone_member(h: HereditaryPoly, v) -> bool:
     """Exact decision of v in K_f, by the face walk on the known point."""
     if h.degree < 1:
-        return not h.f.is_zero() and h.f.terms.get((), ZERO) >= 0
+        return not h.f.is_zero() and h.f.constant_term() >= 0
     return _walk(h).member(direction_coords(v, h.vars))
 
 
@@ -364,7 +364,7 @@ def is_hereditary_lorentzian(h: HereditaryPoly, cone_hints: Iterable = ()) -> HL
     """
     d = h.degree
     if d == 0:
-        val = h.f.terms.get((), ZERO)
+        val = h.f.constant_term()
         return HLVerdict(value="yes" if val >= 0 else "no", note="constant convention")
     if h.f.is_zero():
         return HLVerdict(value="vacuous", note="zero polynomial: empty cone")
@@ -424,7 +424,7 @@ def check_balancing(walk: FaceWalk, w: Mapping[frozenset, object]):
     for F in sorted(walk.delta.faces_of_size(walk.d - 1), key=face_key):
         fd = walk.face(F)
         weights = [Q(w.get(F | {i}, 0)) for i in fd.V_S]
-        for b in fd.lin.basis:
+        for b in fd.lin.rows:
             if sum(c * x for c, x in zip(weights, b)) != 0:
                 raise BalancingError(F)
 
@@ -469,7 +469,7 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
             for i in V_S:
                 child = g(S | {i})
                 if len(S) + 1 == d:
-                    term = HomPoly.variable(V_S, i).scale(child.terms.get((), ZERO))
+                    term = HomPoly.variable(V_S, i).scale(child.constant_term())
                 else:
                     fd = walk.face(S)
                     ell = fd.lin.pin(i, ())[0]
@@ -492,7 +492,7 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
     f = g(frozenset())
     h = check_hereditary(f)
     amb_idx = {v: k for k, v in enumerate(lin.ambient)}
-    for b in lin.basis:
+    for b in lin.rows:
         if not h.lin.contains([b[amb_idx[v]] for v in f.vars]):
             raise AssertionError("reconstructed polynomial lost a lineality vector")
     for F in delta.facets:
@@ -517,9 +517,9 @@ def product(h1: HereditaryPoly, h2: HereditaryPoly) -> HereditaryPoly:
 
 def _extend_vars(f: HomPoly, vars: tuple) -> HomPoly:
     idx = {v: k for k, v in enumerate(vars)}
-    terms = {}
-    for key, c in f.terms.items():
-        terms[tuple(sorted((idx[f.vars[i]], e) for i, e in key))] = c
+    pos = [idx[v] for v in f.vars]
+    terms = {tuple(sorted((pos[i], e) for i, e in enumerate(exps) if e)): Rational(c, f.den)
+             for exps, c in f.coeffs.items()}
     return HomPoly(vars, f.degree, terms)
 
 
@@ -549,7 +549,7 @@ def space_dimension(delta: SimComplex, lin: LinSubspace, k: int) -> int:
     amb_idx = {v: i for i, v in enumerate(lin.ambient)}
     rows = []
     row_index: dict[tuple, int] = {}
-    for b in lin.basis:
+    for b in lin.rows:
         derivative_rows: dict[tuple, list] = {}
         for m in monos:
             for v in verts:
@@ -561,7 +561,7 @@ def space_dimension(delta: SimComplex, lin: LinSubspace, k: int) -> int:
                     continue
                 lower = list(m)
                 lower[i] -= 1
-                row = derivative_rows.setdefault(tuple(lower), [ZERO] * len(monos))
+                row = derivative_rows.setdefault(tuple(lower), [0] * len(monos))
                 row[mono_pos[m]] += coef
         rows.extend(tuple(r) for r in derivative_rows.values())
     return len(monos) - linalg.rank(rows)

@@ -3,7 +3,7 @@
 A ``SymMatrix`` keeps its integer rows: den times the matrix on Python
 ints, den the least common denominator.  The Hessians are built there
 with no rational formed: ``derivative_hessian`` and ``hessian`` from the
-integer coefficient table ``HomPoly.int_terms``, the matroid
+integer coefficient table ``HomPoly.coeffs``, the matroid
 codimension-2 Hessians from integer pinned vectors.
 
 ``inertia`` is one symmetric fraction-free elimination of those rows
@@ -124,14 +124,14 @@ def hessian(q: HomPoly) -> SymMatrix:
 def derivative_hessian(f: HomPoly, alpha: Sequence[int], over: Sequence | None = None) -> SymMatrix:
     """Hessian of the (d-2)-fold derivative d^alpha f (alpha a dense
     exponent vector) on the variables ``over``, all of f's by default, read
-    off f's integer coefficient table (``HomPoly.int_terms``): entry (i, j)
+    off f's integer coefficient table (``HomPoly.coeffs``): entry (i, j)
     is beta! c_beta, where beta = alpha + e_i + e_j.  No derivative of f is
     formed and no rational either."""
     if len(alpha) != len(f.vars) or sum(alpha) != f.degree - 2:
         raise ValueError(f"derivative_hessian needs |alpha| = degree - 2 over {len(f.vars)} variables")
     labels = f.vars if over is None else tuple(over)
     pos = [f._index[v] for v in labels]
-    coeff, den = f.int_terms()
+    coeff = f.coeffs
     beta = list(alpha)  # raised in place to alpha + e_i + e_j below
     alpha_fact = prod(map(factorial, beta))
     n = len(labels)
@@ -149,7 +149,7 @@ def derivative_hessian(f: HomPoly, alpha: Sequence[int], over: Sequence | None =
                 rows[a][b] = rows[b][a] = alpha_fact * rise * c
             beta[j] -= 1
         beta[i] -= 1
-    return SymMatrix.from_scaled(labels, rows, den)
+    return SymMatrix.from_scaled(labels, rows, f.den)
 
 
 def inertia(M: SymMatrix) -> Inertia:
@@ -193,7 +193,7 @@ def lorentz_signature(M: SymMatrix, expected_kernel: LinSubspace) -> bool:
     if inr.pos != 1 or inr.zero != expected_kernel.dim:
         return False
     kern = M.kernel()
-    return kern == LinSubspace(M.vars, expected_kernel.basis)
+    return kern == LinSubspace(M.vars, expected_kernel.rows)
 
 
 def af_inequality(P: SymMatrix, v, w) -> bool:

@@ -18,7 +18,7 @@ set it splits is (the proof is in ``is_k_lorentzian``).
 Derivative values are read off coefficients, since (d/dt)^beta f equals
 beta! c_beta for |beta| = d: ``HomPoly.derivative_value`` gives the value
 and ``inertia.derivative_hessian`` the Hessian of a (d-2)-fold derivative,
-on integer rows read off ``HomPoly.int_terms``.  The orthant scan and the
+on integer rows read off ``HomPoly.coeffs``.  The orthant scan and the
 polarized verdict read f itself; the cone test reads the signs of its
 pull-back's integer coefficients along the generators for the top
 derivatives and the derived supports.  Only the cone test's Hessians,
@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 from .cones import ConeByGenerators
 from .inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia
 from .polycore import HomPoly, direction_coords
-from .rat import Q, ZERO, ONE, Rational, rat_str
+from .rat import ZERO, ONE, Rational, rat_str
 from .simplicial import connected, label_key, label_str
 
 
@@ -220,9 +220,10 @@ def _bounded_multiindices(n: int, total: int, caps: Sequence[int]):
 
 
 def _require_nonneg(f: HomPoly):
-    if min(f.int_terms()[0].values(), default=0) < 0:
-        key, c = next((key, c) for key, c in f.terms.items() if c < 0)
-        raise ValueError(f"negative coefficient {c} at {key}; test requires nonnegative coefficients")
+    exps = next((exps for exps, c in f.coeffs.items() if c < 0), None)
+    if exps is not None:
+        key = tuple((i, e) for i, e in enumerate(exps) if e)
+        raise ValueError(f"negative coefficient {f.coeff(exps)} at {key}; test requires nonnegative coefficients")
 
 
 def support_mset(f: HomPoly) -> MSet:
@@ -271,10 +272,7 @@ def _h1_scan(f: HomPoly) -> LorentzVerdict:
 
 
 def polarization_vars(f: HomPoly) -> list[tuple]:
-    kappas = [0] * len(f.vars)
-    for key in f.terms:
-        for i, e in key:
-            kappas[i] = max(kappas[i], e)
+    kappas = [max((exps[i] for exps in f.coeffs), default=0) for i in range(len(f.vars))]
     out = []
     for i, v in enumerate(f.vars):
         out.extend((v, j) for j in range(kappas[i] + 1))
@@ -486,14 +484,14 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
             f.evaluate(direction_coords(g, f.vars)) >= 0 for g in cone.generators
         )
         if d == 0:
-            val = f.terms.get((), ZERO)
+            val = f.constant_term()
             return LorentzVerdict(value="yes" if val >= 0 else "no", detail="degree 0 convention")
         return LorentzVerdict(value="yes" if _nonneg_on_gens else "no", detail="degree 1: sign on generators")
     gens = list(cone.generators)
     m = len(gens)
     cache = _DerivativeCache(f, gens)
     g = f.substitute_linear(list(zip(*cache.gens)), range(m))
-    coeff, _ = g.int_terms()
+    coeff = g.coeffs
 
     # (i) nonnegative d-fold derivatives; the multisets are walked for the
     # first witness only when some coefficient is negative
@@ -594,34 +592,6 @@ def log_concave_seq(f: HomPoly, u, v) -> tuple[list, bool]:
             g = g.dir_derivative(uc)
         for _ in range(d - k):
             g = g.dir_derivative(vc)
-        seq.append(g.terms.get((), ZERO))
+        seq.append(g.constant_term())
     ok = all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, d))
     return seq, ok
-
-
-def perturb_interior(f: HomPoly, v, dual_basis: Sequence[Sequence], C=Q(1, 2), s=ONE) -> HomPoly:
-    """Deformation producing strictly interior test instances: pull f along
-    t + s <t, w> v (w the sum of the dual basis) and subtract the scaled
-    d-th powers of the dual coordinates.
-
-    C in (0,1) and s > 0; validation against the interior predicates is the
-    caller's (test suite's) job.
-    """
-    C, s = Q(C), Q(s)
-    if not (0 < C < 1) or not s > 0:
-        raise ValueError("need 0 < C < 1 and s > 0")
-    n = len(f.vars)
-    vc = direction_coords(v, f.vars)
-    ws = [direction_coords(wj, f.vars) for wj in dual_basis]
-    w = tuple(sum(col, ZERO) for col in zip(*ws))
-    A = [
-        tuple((ONE if i == j else ZERO) + s * vc[i] * w[j] for j in range(n))
-        for i in range(n)
-    ]
-    out = f.substitute_linear(A, f.vars)
-    fv = f.evaluate(vc)
-    d = f.degree
-    for wj in ws:
-        form = HomPoly(f.vars, 1, {((i, 1),): wj[i] for i in range(n) if wj[i] != 0})
-        out = out - form.pow(d).scale(C * s**d * fv)
-    return out

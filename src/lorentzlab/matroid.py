@@ -732,6 +732,9 @@ class LatticeVolume:
         polynomial: cone witness via per-face feasibility of the canonical
         strictly submodular point on every chain face, H-connectedness by
         gap structure, and codimension-2 Hessian inertia certificates.
+        When the witness fails on a face, the verdict is the exact one of
+        ``is_hereditary_lorentzian`` on the explicit polynomial, never
+        "vacuous" on the witness's word.
         """
         d = self.d
         if d == 0:
@@ -743,7 +746,8 @@ class LatticeVolume:
             return hered.HLVerdict(value="yes" if total > 0 else "vacuous", cone_witness=vmap)
         cone_ok, checked = self._cone_witness_faces(vmap)
         if not cone_ok:
-            return hered.HLVerdict(value="vacuous", note="cone witness could not be certified")
+            # a failed witness does not prove the cone empty: decide exactly
+            return hered.is_hereditary_lorentzian(pol_matroid(self.L))
         ok_c, c_wit = self.h_connected_skeleton()
         if not ok_c:
             return hered.HLVerdict(value="no", h_connected=False,

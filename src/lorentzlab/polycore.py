@@ -1,27 +1,26 @@
 """Sparse homogeneous polynomials with exact rational coefficients.
 
-A ``HomPoly`` is a map from sparse exponent multi-indices to nonzero
-rationals, over an ordered tuple of variable labels.  Labels are arbitrary
-hashable values (ints, strings, frozensets of matroid flats, fan ray names);
-the construction order of ``vars`` is the canonical order used everywhere.
+A ``HomPoly`` lives over an ordered tuple of variable labels: arbitrary
+hashable values (ints, strings, frozensets of matroid flats, fan ray
+names), whose construction order is the canonical order used everywhere.
 
-Exponent keys are tuples of (variable position, exponent) pairs sorted by
-position, all exponents >= 1.  Invariants: distinct labels, keys in range of
-total degree ``degree``, coefficients nonzero rationals of the backend type.
-The zero polynomial is an empty term map with an explicit degree tag, so
-derivative chains and face restrictions keep a well-defined grade.
+It stores one table: ``coeffs`` maps dense exponent tuples, aligned with
+``vars`` and summing to ``degree``, to nonzero Python ints, and the
+polynomial is coeffs / den with den > 0 in lowest terms (gcd(den, every
+coefficient) = 1), so den is the least common denominator and ``==`` and
+``hash`` are canonical.  The zero polynomial is an empty table over 1 with
+an explicit degree tag, so derivative chains and face restrictions keep a
+well-defined grade.
 
-The public constructor checks and coerces any input.  ``+``, ``-``, ``*``,
+The public constructor takes sparse keys, sorted tuples of (variable
+position, exponent) pairs, and checks and coerces any input; ``from_dense``
+and ``from_json_dict`` fill the table in one pass.  ``+``, ``-``, ``*``,
 ``pow``, ``scale``, ``partial``, ``set_vars_zero``, ``restrict_vars`` and
-``substitute`` build their results through ``HomPoly._trusted``, which
-checks nothing: they form sorted keys themselves, drop cancelled terms and
-keep the term order the constructor would give (``restrict_vars`` and
-``substitute`` still reject duplicate labels).  No other module may call it.
-
-Two coefficient tables are built on first use and kept: ``dense_terms``,
-the rationals by dense exponent tuple, and ``int_terms``, den times them on
-Python ints.  The Hessians of :mod:`lorentzlab.inertia` are read off the
-integer table, and ``substitute`` expands on integers too.
+``substitute`` run on the table and build their results through
+``HomPoly._trusted``, which checks nothing but lowest terms: they drop
+cancelled terms and keep the term order the constructor would give.  No
+other module may call it.  Rationals are formed only where a caller reads
+one: ``terms``, ``coeff``, ``evaluate`` and the text and JSON forms.
 """
 
 from __future__ import annotations
@@ -33,77 +32,92 @@ from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .rat import Q, ZERO, ONE, Rational, rat_str, read_rat
+from .rat import Q, ZERO, Rational, rat_str, read_rat
 from .simplicial import Label, label_str
 
 Key = tuple  # sorted tuple of (position, exponent) pairs
 
 
-def _key_degree(key: Key) -> int:
-    return sum(e for _, e in key)
+def _sparse(exps: tuple) -> Key:
+    return tuple((i, e) for i, e in enumerate(exps) if e)
 
 
-def _key_mul(a: Key, b: Key) -> Key:
-    d = dict(a)
-    for i, e in b:
-        d[i] = d.get(i, 0) + e
-    return tuple(sorted(d.items()))
+def _dense(key: Key, n: int, degree: int) -> tuple:
+    """The dense exponent tuple of a sparse key, checked against n
+    variables and the degree."""
+    key = tuple(sorted(key))
+    if (total := sum(e for _, e in key)) != degree:
+        raise ValueError(f"term {key} has degree {total}, expected {degree}")
+    if any(e < 1 for _, e in key) or any(not 0 <= i < n for i, _ in key):
+        raise ValueError(f"malformed exponent key {key}")
+    exps = [0] * n
+    for i, e in key:
+        exps[i] += e
+    return tuple(exps)
 
 
-def _key_lower(key: Key, j: int) -> Key:
-    """The key with its j-th exponent lowered by one (dropped at zero)."""
-    i, e = key[j]
-    return key[:j] + key[j + 1:] if e == 1 else key[:j] + ((i, e - 1),) + key[j + 1:]
+def _lower(exps: tuple, i: int) -> tuple:
+    """The exponents with the i-th lowered by one."""
+    return exps[:i] + (exps[i] - 1,) + exps[i + 1:]
 
 
-def _nonzero(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if c}
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational on Python ints; an
+    int is taken as it is, any other value goes through ``Q``."""
+    if type(c) is int:
+        return c, 1
+    c = Q(c)
+    return int(c.numerator), int(c.denominator)
 
 
-def _int_mul(a: dict, b: dict) -> dict:
-    """The product of two polynomials held as {dense exponent tuple: int},
-    with cancelled terms dropped, in the term order of ``HomPoly.__mul__``."""
-    out: dict[tuple, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = tuple(map(add, ea, eb))
-            out[k] = out.get(k, 0) + ca * cb
-    return _nonzero(out)
+def _nonzero(coeffs: dict) -> dict:
+    return {k: c for k, c in coeffs.items() if c}
 
 
 class HomPoly:
     """Homogeneous polynomial over an ordered, labeled variable set."""
 
-    __slots__ = ("vars", "degree", "terms", "_index", "_dense", "_ints")
+    __slots__ = ("vars", "degree", "coeffs", "den", "_index")
 
     def __init__(self, vars: Sequence[Label], degree: int, terms: Mapping[Key, object]):
+        self._build(vars, degree, terms.items(), lambda key, n: _dense(key, n, degree))
+
+    def _build(self, vars: Sequence[Label], degree: int, items: Iterable[tuple], dense: Callable):
+        """Fill from (exponents, coefficient) pairs: each coefficient is
+        coerced, a zero one skipped, ``dense(exps, n)`` checks the others'
+        exponents and makes them dense, and repeated exponents are summed in
+        the order of their first occurrence."""
         vs = tuple(vars)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable labels")
-        clean: dict[Key, object] = {}
-        for key, c in terms.items():
-            c = Q(c)
-            if c == 0:
-                continue
-            key = tuple(sorted(key))
-            if _key_degree(key) != degree:
-                raise ValueError(f"term {key} has degree {_key_degree(key)}, expected {degree}")
-            if any(e < 1 for _, e in key) or any(not 0 <= i < len(vs) for i, _ in key):
-                raise ValueError(f"malformed exponent key {key}")
-            prev = clean.get(key)
-            clean[key] = c if prev is None else prev + c
-        self._fill(vs, degree, _nonzero(clean), {v: i for i, v in enumerate(vs)})
+        n = len(vs)
+        pairs = []
+        for exps, c in items:
+            a, d = _ratio(c)
+            if a:
+                pairs.append((dense(exps, n), a, d))
+        den = lcm(*(d for _, _, d in pairs))
+        coeffs: dict[tuple, int] = {}
+        for exps, a, d in pairs:
+            coeffs[exps] = coeffs.get(exps, 0) + a * (den // d)
+        self._fill(vs, degree, _nonzero(coeffs), den, {v: i for i, v in enumerate(vs)})
 
-    def _fill(self, vars: tuple, degree: int, terms: dict, index: dict):
-        for name, value in zip(HomPoly.__slots__, (vars, degree, terms, index, None, None)):
+    def _fill(self, vars: tuple, degree: int, coeffs: dict, den: int, index: dict):
+        if den > 1:  # to lowest terms
+            g = gcd(den, *coeffs.values())
+            if g > 1:
+                coeffs, den = {k: c // g for k, c in coeffs.items()}, den // g
+        for name, value in zip(HomPoly.__slots__, (vars, degree, coeffs, den, index)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, vars: tuple, degree: int, terms: dict, index: dict | None = None) -> "HomPoly":
-        """A polynomial on terms that meet every invariant, unchecked; ``index``
-        maps ``vars`` to positions, shared with an operand on the same vars."""
+    def _trusted(cls, vars: tuple, degree: int, coeffs: dict, den: int = 1,
+                 index: dict | None = None) -> "HomPoly":
+        """The polynomial coeffs / den on a table that meets every invariant
+        but lowest terms, unchecked; ``index`` maps ``vars`` to positions,
+        shared with an operand on the same vars."""
         p = object.__new__(cls)
-        p._fill(vars, degree, terms, {v: i for i, v in enumerate(vars)} if index is None else index)
+        p._fill(vars, degree, coeffs, den, {v: i for i, v in enumerate(vars)} if index is None else index)
         return p
 
     def __setattr__(self, *a):  # immutable after construction
@@ -117,89 +131,81 @@ class HomPoly:
 
     @classmethod
     def constant(cls, vars: Sequence[Label], value) -> "HomPoly":
-        return cls(vars, 0, {(): Q(value)})
+        return cls(vars, 0, {(): value})
 
     @classmethod
     def variable(cls, vars: Sequence[Label], v: Label) -> "HomPoly":
         vs = tuple(vars)
-        return cls(vs, 1, {((vs.index(v), 1),): ONE})
+        return cls(vs, 1, {((vs.index(v), 1),): 1})
 
     @classmethod
     def from_dense(cls, vars: Sequence[Label], degree: int, dense: Mapping[tuple, object]) -> "HomPoly":
-        """Build from dense exponent tuples aligned with ``vars``."""
-        terms = {}
-        for exps, c in dense.items():
-            key = tuple((i, e) for i, e in enumerate(exps) if e)
-            c = Q(c)
-            prev = terms.get(key)
-            terms[key] = c if prev is None else prev + c
-        return cls(vars, degree, terms)
+        """Build from dense exponent tuples aligned with ``vars``; a tuple of
+        another length or sum is read, and checked, as the constructor reads
+        its sparse key."""
+
+        def checked(exps: tuple, n: int) -> tuple:
+            if len(exps) == n and sum(exps) == degree and min(exps, default=0) >= 0:
+                return exps
+            return _dense(_sparse(exps), n, degree)
+
+        p = object.__new__(cls)
+        p._build(vars, degree, dense.items(), checked)
+        return p
 
     # -- basics --------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Key, object]:
+        """The rational coefficients by sparse key, formed on each read."""
+        return {_sparse(exps): Rational(c, self.den) for exps, c in self.coeffs.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
+
+    def coeff(self, exps: Sequence[int]):
+        c = self.coeffs.get(tuple(exps))
+        return ZERO if c is None else Rational(c, self.den)
+
+    def constant_term(self):
+        """The coefficient of the empty monomial: the value of a degree-0
+        polynomial, 0 at any other degree."""
+        return self.coeff((0,) * len(self.vars))
 
     def squarefree_coeff(self, labels: Iterable[Label]):
         """The coefficient of the squarefree monomial on ``labels``.  It is
         the mixed partial (d/dt)^labels of the polynomial when there are
         ``degree`` labels, and 0 otherwise."""
-        return self.terms.get(tuple(sorted((self._index[v], 1) for v in set(labels))), ZERO)
-
-    def coeff(self, exps: Sequence[int]):
-        key = tuple((i, e) for i, e in enumerate(exps) if e)
-        return self.terms.get(key, ZERO)
-
-    def dense_terms(self) -> dict[tuple, object]:
-        """The coefficients by dense exponent tuple.  Built on first use and
-        kept, since the polynomial is immutable; callers must not modify it."""
-        if self._dense is None:
-            n = len(self.vars)
-            out = {}
-            for key, c in self.terms.items():
-                exps = [0] * n
-                for i, e in key:
-                    exps[i] = e
-                out[tuple(exps)] = c
-            object.__setattr__(self, "_dense", out)
-        return self._dense
-
-    def int_terms(self) -> tuple[dict[tuple, int], int]:
-        """(N, den): den * the coefficients by dense exponent tuple, on Python
-        ints, with den > 0 the least common denominator of the coefficients
-        (one lcm per polynomial).  Built on first use and kept, as
-        ``dense_terms`` is; callers must not modify it."""
-        if self._ints is None:
-            dense = self.dense_terms()
-            den = lcm(*(int(c.denominator) for c in dense.values()))
-            out = {exps: int(c.numerator) * (den // int(c.denominator)) for exps, c in dense.items()}
-            object.__setattr__(self, "_ints", (out, den))
-        return self._ints
+        exps = [0] * len(self.vars)
+        for v in labels:
+            exps[self._index[v]] = 1
+        return self.coeff(exps)
 
     def derivative_value(self, beta: Sequence[int]):
         """The mixed partial (d/dt)^beta for a dense exponent vector beta:
         beta! c_beta when |beta| = degree, and 0 otherwise."""
-        c = self.dense_terms().get(tuple(beta))
-        return ZERO if c is None else prod(map(factorial, beta)) * c
+        c = self.coeffs.get(tuple(beta))
+        return ZERO if c is None else Rational(prod(map(factorial, beta)) * c, self.den)
 
     def support(self) -> set[tuple]:
         """Multi-indices with nonzero coefficient, as dense tuples."""
-        return set(self.dense_terms())
+        return set(self.coeffs)
 
     def support_sets(self) -> set[frozenset]:
         """Variable-label support of each monomial (squarefree shadow)."""
-        return {frozenset(self.vars[i] for i, _ in key) for key in self.terms}
+        return {frozenset(v for v, e in zip(self.vars, exps) if e) for exps in self.coeffs}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HomPoly)
             and self.vars == other.vars
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.vars, self.degree, frozenset(self.terms.items())))
+        return hash((self.vars, self.degree, self.den, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
         return f"HomPoly({self.to_text()!r})"
@@ -218,68 +224,56 @@ class HomPoly:
             return self
         if self.degree != other.degree:
             raise ValueError("cannot add polynomials of different degrees")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = terms.get(k)
-            terms[k] = c if prev is None else prev + c
-        return HomPoly._trusted(self.vars, self.degree, _nonzero(terms), self._index)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        coeffs = {k: c * a for k, c in self.coeffs.items()}
+        for k, c in other.coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + c * b
+        return HomPoly._trusted(self.vars, self.degree, _nonzero(coeffs), den, self._index)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + other.scale(-1)
 
     def scale(self, c) -> "HomPoly":
-        c = Q(c)
-        terms = {k: c * v for k, v in self.terms.items()} if c else {}
-        return HomPoly._trusted(self.vars, self.degree, terms, self._index)
+        a, d = _ratio(c)
+        coeffs = {k: a * v for k, v in self.coeffs.items()} if a else {}
+        return HomPoly._trusted(self.vars, self.degree, coeffs, self.den * d, self._index)
 
     def __mul__(self, other: "HomPoly") -> "HomPoly":
         self._require_same_space(other)
-        deg = self.degree + other.degree
-        terms: dict[Key, object] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = _key_mul(ka, kb)
-                prev = terms.get(k)
-                terms[k] = ca * cb if prev is None else prev + ca * cb
-        return HomPoly._trusted(self.vars, deg, _nonzero(terms), self._index)
+        out: dict[tuple, int] = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                k = tuple(map(add, ea, eb))
+                out[k] = out.get(k, 0) + ca * cb
+        return HomPoly._trusted(self.vars, self.degree + other.degree, _nonzero(out),
+                                self.den * other.den, self._index)
 
     def pow(self, n: int) -> "HomPoly":
-        out = HomPoly._trusted(self.vars, 0, {(): ONE}, self._index)
+        out = HomPoly._trusted(self.vars, 0, {(0,) * len(self.vars): 1}, 1, self._index)
         for _ in range(n):
             out = out * self
         return out
 
     # -- evaluation and derivatives ------------------------------------------
 
-    def _coerce_point(self, point) -> tuple:
-        if isinstance(point, Mapping):
-            return tuple(Q(point[v]) for v in self.vars)
-        pt = tuple(Q(x) for x in point)
-        if len(pt) != len(self.vars):
-            raise ValueError("point has wrong dimension")
-        return pt
-
     def evaluate(self, point):
-        """Exact value at a rational point (mapping by label, or aligned sequence)."""
-        pt = self._coerce_point(point)
-        total = ZERO
-        for key, c in self.terms.items():
-            v = c
-            for i, e in key:
-                v *= pt[i] ** e
-            total += v
-        return total
+        """Exact value at a rational point (mapping by label, or aligned
+        sequence).  With x = B * point on integers, f(point) is the integer
+        sum of c * x^exps over den * B^degree, since f is homogeneous."""
+        if isinstance(point, Mapping):
+            point = [point[v] for v in self.vars]
+        elif len(point := list(point)) != len(self.vars):
+            raise ValueError("point has wrong dimension")
+        (x,), B = linalg.integer_scaled([point])
+        total = sum(c * prod(map(pow, x, exps)) for exps, c in self.coeffs.items())
+        return Rational(total, self.den * B**self.degree)
 
     def partial(self, v: Label) -> "HomPoly":
         """Single partial derivative with respect to the variable labeled v."""
         i = self._index[v]
-        terms: dict[Key, object] = {}
-        for key, c in self.terms.items():  # distinct keys stay distinct
-            for j, (p, e) in enumerate(key):
-                if p == i:
-                    terms[_key_lower(key, j)] = c * e
-                    break
-        return HomPoly._trusted(self.vars, self.degree - 1 if self.degree > 0 else 0, terms, self._index)
+        coeffs = {_lower(exps, i): c * exps[i] for exps, c in self.coeffs.items() if exps[i]}
+        return HomPoly._trusted(self.vars, max(self.degree - 1, 0), coeffs, self.den, self._index)
 
     def dir_derivative(self, v) -> "HomPoly":
         """Directional derivative: sum over i of v_i * (d/dt_i)."""
@@ -300,9 +294,9 @@ class HomPoly:
         return out
 
     def set_vars_zero(self, S: Iterable[Label]) -> "HomPoly":
-        idx = {self._index[v] for v in S}
-        terms = {k: c for k, c in self.terms.items() if not any(i in idx for i, _ in k)}
-        return HomPoly._trusted(self.vars, self.degree, terms, self._index)
+        idx = [self._index[v] for v in S]
+        coeffs = {k: c for k, c in self.coeffs.items() if not any(k[i] for i in idx)}
+        return HomPoly._trusted(self.vars, self.degree, coeffs, self.den, self._index)
 
     # -- substitution ---------------------------------------------------------
 
@@ -312,9 +306,8 @@ class HomPoly:
         Missing old variables map to zero.  Exact, and expanded on Python
         ints: the form of old variable i is scaled by s_i, the lcm of its
         denominators, and f's term at exponent e by L / prod_i s_i^e_i, with
-        L the lcm of those products over the terms, so each coefficient of
-        the result is one rational, an integer sum divided by den * L (den
-        as in ``int_terms``).  The result is homogeneous of the same degree.
+        L the lcm of those products over the terms, so the result is one
+        integer table over den * L.  It is homogeneous of the same degree.
         """
         new_vars = tuple(new_vars)
         nidx = {v: i for i, v in enumerate(new_vars)}
@@ -323,37 +316,26 @@ class HomPoly:
         m = len(new_vars)
         scales, images = [], []
         for v in self.vars:
-            form = [(nidx[w], Q(c)) for w, c in forms.get(v, {}).items()]
-            s = lcm(*(int(c.denominator) for _, c in form))
-            image = {}
-            for j, c in form:
-                if c:
-                    exps = [0] * m
-                    exps[j] = 1
-                    image[tuple(exps)] = int(c.numerator) * (s // int(c.denominator))
+            form = [(nidx[w], *_ratio(c)) for w, c in forms.get(v, {}).items()]
+            s = lcm(*(d for _, _, d in form))
+            image = {tuple(int(k == j) for k in range(m)): a * (s // d) for j, a, d in form if a}
             scales.append(s)
-            images.append(image)
-        coeff, den = self.int_terms()
-        weight = {exps: prod(s**e for s, e in zip(scales, exps)) for exps in coeff}
+            images.append(HomPoly._trusted(new_vars, 1, image, 1, nidx))
+        weight = {exps: prod(s**e for s, e in zip(scales, exps)) for exps in self.coeffs}
         L = lcm(*weight.values())
         acc: dict[tuple, int] = {}
-        pow_cache: dict[tuple[int, int], dict] = {}
-        for exps, c in coeff.items():
-            term = {(0,) * m: c * (L // weight[exps])}
+        powers: dict[tuple[int, int], HomPoly] = {}
+        for exps, c in self.coeffs.items():
+            term = HomPoly._trusted(new_vars, 0, {(0,) * m: c * (L // weight[exps])}, 1, nidx)
             for i, e in enumerate(exps):
                 if e:
-                    p = pow_cache.get((i, e))
+                    p = powers.get((i, e))
                     if p is None:
-                        p = {(0,) * m: 1}
-                        for _ in range(e):
-                            p = _int_mul(p, images[i])
-                        pow_cache[(i, e)] = p
-                    term = _int_mul(term, p)
-            for k, v in term.items():
-                acc[k] = acc.get(k, 0) + v
-        D = den * L
-        terms = {tuple((j, x) for j, x in enumerate(k) if x): Rational(v, D) for k, v in acc.items() if v}
-        return HomPoly._trusted(new_vars, self.degree, terms, nidx)
+                        p = powers[(i, e)] = images[i].pow(e)
+                    term = term * p
+            for k, x in term.coeffs.items():
+                acc[k] = acc.get(k, 0) + x
+        return HomPoly._trusted(new_vars, self.degree, _nonzero(acc), self.den * L, nidx)
 
     def substitute_linear(self, A: Sequence[Sequence], new_vars: Sequence[Label]) -> "HomPoly":
         """g(x) = f(Ax) where A has one row per f-variable, one column per new variable."""
@@ -370,30 +352,31 @@ class HomPoly:
     def restrict_vars(self, keep: Sequence[Label]) -> "HomPoly":
         """Project onto a variable subset; terms touching dropped variables must vanish."""
         keep = tuple(keep)
-        pos = {self._index[v]: j for j, v in enumerate(keep)}
-        if len(pos) != len(keep):
+        pos = [self._index[v] for v in keep]
+        if len(set(pos)) != len(keep):
             raise ValueError("duplicate variable labels")
-        terms = {}
-        for key, c in self.terms.items():
-            if any(i not in pos for i, _ in key):
+        dropped = set(range(len(self.vars))).difference(pos)
+        coeffs = {}
+        for exps, c in self.coeffs.items():
+            if any(exps[i] for i in dropped):
                 raise ValueError("polynomial involves a dropped variable")
-            terms[tuple(sorted((pos[i], e) for i, e in key))] = c
-        return HomPoly._trusted(keep, self.degree, terms)
+            coeffs[tuple(exps[i] for i in pos)] = c
+        return HomPoly._trusted(keep, self.degree, coeffs, self.den)
 
     # -- structure ------------------------------------------------------------
 
     def lineality_space(self) -> "LinSubspace":
         """All v with D_v f identically zero, by exact linear solve.  The
         coefficient of t^beta in D_v f is sum_i (beta_i + 1) c_{beta+e_i} v_i,
-        so the row of beta is read off the coefficients of f, and the
-        kernel off one integer elimination of those rows."""
+        so the row of beta is read off the integer coefficients of f, and
+        the kernel off one integer elimination of those rows."""
         n = len(self.vars)
-        rows: dict[Key, list] = {}
-        for key, c in self.terms.items():
-            for j, (i, e) in enumerate(key):
-                rows.setdefault(_key_lower(key, j), [0] * n)[i] = e * c
-        M, _ = linalg.integer_scaled(list(rows.values()))
-        M, pivots, prev, _ = linalg.eliminate(M)
+        rows: dict[tuple, list] = {}
+        for exps, c in self.coeffs.items():
+            for i, e in enumerate(exps):
+                if e:
+                    rows.setdefault(_lower(exps, i), [0] * n)[i] = e * c
+        M, pivots, prev, _ = linalg.eliminate(list(rows.values()))
         return LinSubspace._span(self.vars, linalg.kernel(M, pivots, prev, n))
 
     # -- text and JSON forms ----------------------------------------------------
@@ -402,8 +385,8 @@ class HomPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
+        for key, c in sorted((_sparse(exps), c) for exps, c in self.coeffs.items()):
+            c = Rational(c, self.den)
             mono = " ".join(
                 label_str(self.vars[i]) + (f"^{e}" if e > 1 else "") for i, e in key
             )
@@ -417,8 +400,8 @@ class HomPoly:
             "vars": [label_str(v) for v in self.vars],
             "degree": self.degree,
             "terms": [
-                {"exps": list(exps), "coeff": rat_str(c)}
-                for exps, c in sorted(self.dense_terms().items())
+                {"exps": list(exps), "coeff": rat_str(Rational(c, self.den))}
+                for exps, c in sorted(self.coeffs.items())
             ],
         }
 
@@ -531,17 +514,18 @@ def direction_coords(v, vars: Sequence[Label]) -> tuple:
 
 
 class LinSubspace:
-    """A rational subspace of R^V, stored by its canonical (rref) basis.
+    """A rational subspace of R^V, stored by its canonical integer rows.
 
-    ``rows`` is the same basis on Python ints: s times the rref rows, with
-    s > 0 the least scale that makes them integers, so the rows are
-    canonical too and s is the entry at every pivot.  Every construction
-    is one ``linalg.eliminate`` on integer rows; pins, projections and the
-    orthant LP of :mod:`lorentzlab.cones` work on ``rows``, and ``basis``
-    forms the rationals once, for the callers that read them.
+    ``rows`` is s times the canonical (rref) basis on Python ints, with
+    s > 0 the least scale that makes it integral, so the rows are canonical
+    and s is the entry at every pivot.  Every construction is one
+    ``linalg.eliminate`` on integer rows.  Pins, projections, the orthant
+    LP of :mod:`lorentzlab.cones` and every caller that needs a spanning
+    set read ``rows``; ``basis``, the rref rows as rationals, is formed on
+    each read.
     """
 
-    __slots__ = ("ambient", "rows", "basis")
+    __slots__ = ("ambient", "rows")
 
     def __init__(self, ambient: Sequence[Label], basis: Iterable[Sequence]):
         ambient = tuple(ambient)
@@ -564,10 +548,8 @@ class LinSubspace:
         g = gcd(*(a for r in M[: len(pivots)] for a in r)) or 1
         g = -g if prev < 0 else g
         rows = tuple(tuple(a // g for a in r) for r in M[: len(pivots)])
-        s = prev // g
-        basis = tuple(tuple(Rational(a, s) if a else ZERO for a in r) for r in rows)
-        for name, value in zip(self.__slots__, (ambient, rows, basis)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, *a):
         raise AttributeError("LinSubspace is immutable")
@@ -581,6 +563,12 @@ class LinSubspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical (rref) basis: the rows divided by their pivot entry."""
+        s = next((a for a in self.rows[0] if a), 1) if self.rows else 1
+        return tuple(tuple(Rational(a, s) if a else ZERO for a in r) for r in self.rows)
 
     def contains(self, v) -> bool:
         (z,), _ = linalg.integer_scaled([direction_coords(v, self.ambient)])

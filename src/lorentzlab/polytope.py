@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from . import hereditary as hered
@@ -218,20 +218,14 @@ def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> tuple[list, l
         if Q2.normals != P.normals or Q2.labels != P.labels:
             raise PolytopeError("bodies do not share the facet normal data")
     f = volume_polynomial(P).f
-    (coeffs,), C = linalg.integer_scaled([list(f.terms.values())])
     ts, D = linalg.integer_scaled([K.t for K in bodies])
-    return list(zip(f.terms, coeffs)), ts, C * D ** P.dim
+    return list(f.coeffs.items()), ts, f.den * D ** P.dim
 
 
 def _int_value(terms: list, x: tuple) -> int:
     """The value at an integer point of a polynomial given by integer terms
-    (key, c), where key lists (variable index, exponent) pairs."""
-    total = 0
-    for key, c in terms:
-        for i, e in key:
-            c *= x[i] ** e
-        total += c
-    return total
+    (exps, c), exps its dense exponent tuple."""
+    return sum(c * prod(map(pow, x, exps)) for exps, c in terms)
 
 
 def _polarize(terms: list, ts: Sequence, values: dict) -> int:

@@ -129,7 +129,7 @@ def lineality_extend(L: LinSubspace, S: Sequence, c: Sequence, vertex) -> LinSub
     c = [Q(x) for x in c]
     idx = {v: k for k, v in enumerate(L.ambient)}
     rows = []
-    for b in L.basis:
+    for b in L.rows:
         l0 = sum((ci * b[idx[i]] for i, ci in zip(S, c)), ZERO)
         rows.append(tuple(b) + (l0,))
     return LinSubspace(L.ambient + (vertex,), rows)

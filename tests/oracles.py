@@ -86,6 +86,10 @@ checked against.
   ``HomPoly.partial`` of f and stacks their coefficients by monomial into
   the system D_v f = 0, solved by :func:`fraction_rref`; the library reads
   the rows (beta_i + 1) c_{beta+e_i} straight off the coefficients of f.
+* :class:`FracPoly` holds a polynomial as a plain dict of ``Fraction``
+  coefficients by dense exponents, with its own ring operations,
+  derivatives, substitution, evaluation, lineality and text and JSON
+  forms; the library keeps one integer table over a common denominator.
 * :func:`euler_defect` is d f - sum_i t_i (d/dt_i) f, zero by Euler's
   identity, and :func:`rename_vars` relabels a polynomial through the
   validating ``HomPoly`` constructor.
@@ -121,13 +125,16 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
 * :func:`is_k_lorentzian_alt` runs the degree-2 cone test on every
   quadratic derived along generators and an interior direction.
 * :func:`interior_certificate` checks strict positivity and the
-  nonsingular Lorentz signature at given directions.
+  nonsingular Lorentz signature at given directions, on instances that
+  :func:`perturb_interior` deforms into the interior.
 * :func:`product_check` runs the cone test on a product.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
+from typing import Sequence
 
 from lorentzlab import hereditary as hered
 from lorentzlab import linalg, polytope
@@ -404,8 +411,9 @@ def orthant_system(y, L) -> StrictSystem:
     """y + sum_k a_k b_k > 0 in every coordinate, in the coefficients a_k
     of the rational basis b_k of the subspace L."""
     sys = StrictSystem(vars=tuple(range(L.dim)))
+    basis = L.basis
     for j, yj in enumerate(direction_coords(y, L.ambient)):
-        sys.add({k: b[j] for k, b in enumerate(L.basis)}, GT, yj)
+        sys.add({k: b[j] for k, b in enumerate(basis)}, GT, yj)
     return sys
 
 
@@ -780,25 +788,26 @@ def solve_member_with_values(lin, values) -> tuple | None:
     """The element of lin with the prescribed coordinates, as the basic
     solution (free basis coefficients zero) of the system on the basis
     coefficients, or None when there is none."""
-    k = lin.dim
-    aug = [[b[lin.ambient.index(v)] for b in lin.basis] + [Q(c)] for v, c in values.items()]
+    k, basis = lin.dim, lin.basis
+    aug = [[b[lin.ambient.index(v)] for b in basis] + [Q(c)] for v, c in values.items()]
     R, pivots = fraction_rref(aug)
     if k in pivots:
         return None
     a = [ZERO] * k
     for r, c in enumerate(pivots):
         a[c] = R[r][k]
-    return tuple(sum((c * b[j] for c, b in zip(a, lin.basis)), ZERO) for j in range(len(lin.ambient)))
+    return tuple(sum((c * b[j] for c, b in zip(a, basis)), ZERO) for j in range(len(lin.ambient)))
 
 
 def nullspace_vanishing_restrict(lin, zero_on, coords) -> LinSubspace:
     """{ l|coords : l in lin, l_j = 0 for j in zero_on }: the basis
     combinations in the nullspace of the zero_on coordinates, restricted to
     coords, with the nonzero rows of their reduced form as the basis."""
-    A = [[b[lin.ambient.index(v)] for b in lin.basis] for v in zero_on]
+    basis = lin.basis
+    A = [[b[lin.ambient.index(v)] for b in basis] for v in zero_on]
     kernel = _fraction_nullspace(A, lin.dim)
     pos = [lin.ambient.index(v) for v in coords]
-    rows = [[sum((c * b[p] for c, b in zip(a, lin.basis)), ZERO) for p in pos] for a in kernel]
+    rows = [[sum((c * b[p] for c, b in zip(a, basis)), ZERO) for p in pos] for a in kernel]
     R, pivots = fraction_rref(rows)
     return LinSubspace(tuple(coords), R[:len(pivots)])
 
@@ -837,6 +846,115 @@ def euler_defect(f) -> HomPoly:
 
 def rename_vars(f, mapping) -> HomPoly:
     return HomPoly(tuple(mapping.get(v, v) for v in f.vars), f.degree, f.terms)
+
+
+class FracPoly:
+    """A homogeneous polynomial as a plain dict {dense exponent tuple:
+    Fraction}, with no scaling and no code shared with ``HomPoly``: the
+    reference its integer coefficient table is checked against."""
+
+    def __init__(self, vars, degree, terms):
+        self.vars, self.degree = tuple(vars), degree
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, f: HomPoly) -> "FracPoly":
+        dense = {}
+        for key, c in f.terms.items():
+            exps = [0] * len(f.vars)
+            for i, e in key:
+                exps[i] = e
+            dense[tuple(exps)] = Fraction(int(c.numerator), int(c.denominator))
+        return cls(f.vars, f.degree, dense)
+
+    def same(self, f: HomPoly) -> bool:
+        other = FracPoly.of(f)
+        return (self.vars, self.degree, self.terms) == (other.vars, other.degree, other.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return FracPoly(self.vars, self.degree, out)
+
+    def __sub__(self, other):
+        return self + FracPoly(other.vars, other.degree, {e: -c for e, c in other.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return FracPoly(self.vars, self.degree + other.degree, out)
+
+    def pow(self, n):
+        out = FracPoly(self.vars, 0, {(0,) * len(self.vars): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def partial(self, v):
+        i = self.vars.index(v)
+        out = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return FracPoly(self.vars, max(self.degree - 1, 0), out)
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            for x, k in zip(point, e):
+                c *= Fraction(x) ** k
+            total += c
+        return total
+
+    def substitute(self, new_vars, forms):
+        """Each old variable replaced by its linear form {new label: c}."""
+        new_vars = tuple(new_vars)
+        out = FracPoly(new_vars, self.degree, {})
+        for e, c in self.terms.items():
+            term = FracPoly(new_vars, 0, {(0,) * len(new_vars): c})
+            for v, k in zip(self.vars, e):
+                form = {tuple(int(w == u) for u in new_vars): Fraction(x)
+                        for w, x in forms.get(v, {}).items()}
+                term = term * FracPoly(new_vars, 1, form).pow(k)
+            out = out + term
+        return out
+
+    def restrict_vars(self, keep):
+        pos = [self.vars.index(v) for v in keep]
+        return FracPoly(keep, self.degree, {tuple(e[i] for i in pos): c for e, c in self.terms.items()})
+
+    def lineality_space(self) -> LinSubspace:
+        """{v : sum_i v_i D_i f = 0}, one equation per monomial of the
+        partials, solved by :func:`fraction_rref`."""
+        n = len(self.vars)
+        rows: dict = {}
+        for i, v in enumerate(self.vars):
+            for e, c in self.partial(v).terms.items():
+                rows.setdefault(e, [Fraction(0)] * n)[i] = c
+        return LinSubspace(self.vars, _fraction_nullspace(list(rows.values()), n))
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, c in sorted((tuple((i, k) for i, k in enumerate(e) if k), c) for e, c in self.terms.items()):
+            mono = " ".join(str(self.vars[i]) + (f"^{k}" if k > 1 else "") for i, k in key)
+            body = f"{_frac_text(abs(c))}*{mono}" if mono else _frac_text(abs(c))
+            parts.append(("- " if c < 0 else "+ ") + body)
+        s = " ".join(parts)
+        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+    def to_json_dict(self) -> dict:
+        return {"vars": [str(v) for v in self.vars], "degree": self.degree,
+                "terms": [{"exps": list(e), "coeff": _frac_text(c)} for e, c in sorted(self.terms.items())]}
+
+
+def _frac_text(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def projection_pi(h, S) -> tuple[tuple, list]:
@@ -899,8 +1017,9 @@ def all_orderings_ample_member(fan, v) -> bool:
         V_S = delta.link_vertices(S)
         LS = nullspace_vanishing_restrict(lin, tuple(S), V_S)
         sys = StrictSystem(vars=tuple(("a", k) for k in range(LS.dim)))
+        basis = LS.basis
         for r, u in enumerate(V_S):
-            row = {("a", k): LS.basis[k][r] for k in range(LS.dim)}
+            row = {("a", k): basis[k][r] for k in range(LS.dim)}
             sys.add(row, GT, x[u])
         return lp_strict_feasible(sys) is not None
 
@@ -1163,6 +1282,34 @@ def is_k_lorentzian_alt(f, cone, w) -> LorentzVerdict:
                 return LorentzVerdict(value="no", witness=("quadratic", T, k, sub.witness),
                                       detail="derived quadratic fails the cone test")
     return LorentzVerdict(value="yes")
+
+
+def perturb_interior(f: HomPoly, v, dual_basis: Sequence[Sequence], C=Q(1, 2), s=ONE) -> HomPoly:
+    """Deformation producing strictly interior test instances: pull f along
+    t + s <t, w> v (w the sum of the dual basis) and subtract the scaled
+    d-th powers of the dual coordinates.
+
+    C in (0,1) and s > 0; validation against the interior predicates is the
+    caller's (test suite's) job.
+    """
+    C, s = Q(C), Q(s)
+    if not (0 < C < 1) or not s > 0:
+        raise ValueError("need 0 < C < 1 and s > 0")
+    n = len(f.vars)
+    vc = direction_coords(v, f.vars)
+    ws = [direction_coords(wj, f.vars) for wj in dual_basis]
+    w = tuple(sum(col, ZERO) for col in zip(*ws))
+    A = [
+        tuple((ONE if i == j else ZERO) + s * vc[i] * w[j] for j in range(n))
+        for i in range(n)
+    ]
+    out = f.substitute_linear(A, f.vars)
+    fv = f.evaluate(vc)
+    d = f.degree
+    for wj in ws:
+        form = HomPoly(f.vars, 1, {((i, 1),): wj[i] for i in range(n) if wj[i] != 0})
+        out = out - form.pow(d).scale(C * s**d * fv)
+    return out
 
 
 def interior_certificate(f, dirs, kernel) -> bool:

@@ -11,7 +11,12 @@ Beside it stands the guard of the one strict-positivity test: every cone
 question goes through ``cones.in_orthant_plus_subspace``, so no file under
 ``src`` but ``cones.py`` names the simplex ``lp_max``, and none names the
 mixed-system ``StrictSystem``, which lives in ``tests/oracles.py`` as a
-reference."""
+reference.
+
+Last stands the guard of the integer tables: ``HomPoly`` keeps its
+coefficients as one integer table over a common denominator and
+``LinSubspace`` its integer rows, so their arithmetic forms no rational:
+with ``Q`` and ``Rational`` made to raise, it still runs."""
 
 import re
 from pathlib import Path
@@ -43,3 +48,31 @@ def test_only_cones_runs_the_simplex():
             if MIXED_SYSTEM.search(line) or (path != CONES and SIMPLEX.search(line)):
                 offenders.append(f"{path.relative_to(SRC)}:{n}: {line.strip()}")
     assert not offenders, offenders
+
+
+def test_integer_tables_form_no_rational(monkeypatch):
+    from lorentzlab import linalg, polycore
+    from lorentzlab.polycore import LinSubspace, parse_poly
+
+    f = parse_poly("1/2*t1^2 t2 + 3*t1 t2 t3 - 2/3*t3^3 + t2^2 t3")
+    g = parse_poly("t1 - 5/4*t2 + t3")
+    forms = {"t1": {"a": 1}, "t2": {"a": 2, "b": -1}, "t3": {"b": 3}}
+    rows = [(1, -1, 0), (2, 0, 3)]
+
+    def run():
+        L = LinSubspace(f.vars, rows)
+        return (f + g * g * g, f * g, f.partial("t1").partial("t3"), f.lineality_space(),
+                (g * g).lineality_space(), f.substitute(("a", "b"), forms),
+                L, L.add(LinSubspace(f.vars, [(0, 1, 1)])), L.perp())
+
+    want = run()
+
+    def no_rational(*args):
+        raise AssertionError(f"a rational was formed from {args}")
+
+    for module in (polycore, linalg):
+        monkeypatch.setattr(module, "Q", no_rational)
+    monkeypatch.setattr(polycore, "Rational", no_rational)
+    got = run()
+    assert all(a == b for a, b in zip(got, want))
+    assert got[1].den == 24 and got[4].dim == 2 and got[-1].dim == 1

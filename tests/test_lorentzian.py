@@ -22,7 +22,6 @@ from lorentzlab.lorentzian import (
     m_is_connected,
     m_partial,
     m_truncate,
-    perturb_interior,
     polarize,
     polarized_hereditary_verdict,
     support_mset,
@@ -37,6 +36,7 @@ from oracles import (
     is_k_lorentzian_alt,
     is_lorentzian_v2,
     partial_h1_scan,
+    perturb_interior,
     product_check,
 )
 
@@ -680,7 +680,8 @@ def test_hessian_scan_forms_no_rational(monkeypatch):
         if name.split(".")[0] == "lorentzlab" and getattr(mod, "Q", None) is original:
             monkeypatch.setattr(mod, "Q", counting_q)
             patched.add(name)
-    assert {"lorentzlab.rat", "lorentzlab.polycore", "lorentzlab.lorentzian", "lorentzlab.linalg"} <= patched
+    assert {"lorentzlab.rat", "lorentzlab.polycore", "lorentzlab.linalg"} <= patched
+    assert "lorentzlab.lorentzian" in patched or not hasattr(sys.modules["lorentzlab.lorentzian"], "Q")
     v = _h1_scan(f)
     assert v.value == "yes" and len(v.certificates) == 210
     assert calls == []

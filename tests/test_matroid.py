@@ -446,6 +446,18 @@ def test_cone_witness_accepts_submodular_point(catalog):
         assert eng._cone_witness_faces({F: -x for F, x in v.items()}) == (False, 0), name
 
 
+def test_failed_cone_witness_falls_back_to_the_exact_route(catalog, monkeypatch):
+    # a witness that fails on some face proves nothing about the cone, so
+    # hl_check decides on the explicit polynomial instead of "vacuous"
+    from lorentzlab.matroid import LatticeVolume
+
+    monkeypatch.setattr(LatticeVolume, "_cone_witness_faces", lambda self, vmap: (False, 0))
+    for name in ("U(3,4)", "Fano"):
+        L = catalog[name]
+        generic = hered.is_hereditary_lorentzian(pol_matroid(L))
+        assert volume_engine(L).hl_check().value == generic.value == "yes", name
+
+
 def test_engine_chains_match_oracle_order(catalog):
     lattices = dict(catalog, **{"M(K5)": flats(Matroid.from_graph(5, K5_EDGES))})
     for name, L in lattices.items():

@@ -12,6 +12,7 @@ import sympy
 from lorentzlab.polycore import Direction, HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 from oracles import (
+    FracPoly,
     euler_defect,
     fraction_projects_onto,
     nullspace_vanishing_restrict,
@@ -24,10 +25,10 @@ from oracles import (
 def to_sympy(f: HomPoly):
     syms = {v: sympy.Symbol(f"x{i}") for i, v in enumerate(f.vars)}
     expr = 0
-    for exps, c in f.dense_terms().items():
+    for key, c in f.terms.items():
         term = sympy.Rational(int(c.numerator), int(c.denominator))
-        for v, e in zip(f.vars, exps):
-            term *= syms[v] ** e
+        for i, e in key:
+            term *= syms[f.vars[i]] ** e
         expr += term
     return expr, syms
 
@@ -204,11 +205,18 @@ def random_subspace(rng, ambient, dim) -> LinSubspace:
 
 
 def rows_scale_basis(L: LinSubspace) -> bool:
-    """The integer rows are s times the rref basis, for one s > 0."""
+    """The integer rows are s times the rref basis, for the least s > 0:
+    every row has s at its pivot, every other row 0 there, the pivots
+    ascend and the entries have no common factor."""
+    from math import gcd
+
     if not L.rows:
         return L.basis == ()
-    s = next(a for a in L.rows[0] if a)  # the first pivot, where the basis has 1
-    return (s > 0 and all(type(a) is int for r in L.rows for a in r)
+    pivots = [next(j for j, a in enumerate(r) if a) for r in L.rows]
+    s = L.rows[0][pivots[0]]
+    rref = all(r[p] == (s if k == q else 0) for q, p in enumerate(pivots) for k, r in enumerate(L.rows))
+    return (s > 0 and rref and pivots == sorted(set(pivots))
+            and all(type(a) is int for r in L.rows for a in r) and gcd(*(a for r in L.rows for a in r)) == 1
             and L.rows == tuple(tuple(s * x for x in b) for b in L.basis))
 
 
@@ -335,7 +343,8 @@ def test_q_returns_a_backend_rational_as_it_is(monkeypatch):
 def test_hom_poly_keeps_distinct_coefficients_and_sums_repeated_keys():
     c, d = Q(2, 3), Q(-5, 7)
     f = HomPoly(("a", "b"), 2, {((0, 1), (1, 1)): c, ((0, 2),): d})
-    assert f.terms[((0, 1), (1, 1))] is c and f.terms[((0, 2),)] is d
+    assert (f.coeffs, f.den) == ({(1, 1): 14, (2, 0): -15}, 21)
+    assert f.terms == {((0, 1), (1, 1)): c, ((0, 2),): d}
     # keys that sort to the same key add up; a sum of zero is dropped
     g = HomPoly(("a", "b"), 2, {((0, 1), (1, 1)): c, ((1, 1), (0, 1)): Q(1, 3), ((0, 2),): d})
     assert g.terms[((0, 1), (1, 1))] == 1
@@ -475,3 +484,67 @@ def test_malformed_terms_and_duplicate_labels_raise():
         f.substitute(("u", "v", "u"), {"a": {"u": 1}, "b": {"v": 1}})
     with pytest.raises(ValueError, match="duplicate"):
         f.substitute_linear([[1, 0], [0, 1], [1, 1]], ("u", "u"))
+
+
+# -- the integer table against a plain dict of Fractions ----------------------
+
+
+def _mixed_poly(rng, vars, d, terms=4) -> tuple[HomPoly, FracPoly]:
+    """A seeded polynomial with mixed denominators, built both ways from
+    the same coefficients."""
+    from fractions import Fraction
+
+    dense = {}
+    for _ in range(terms):
+        exps = [0] * len(vars)
+        for _ in range(d):
+            exps[rng.randrange(len(vars))] += 1
+        dense[tuple(exps)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+    return HomPoly.from_dense(vars, d, dense), FracPoly(vars, d, dense)
+
+
+def test_integer_table_matches_fraction_reference(rng):
+    from fractions import Fraction
+
+    mixed = 0
+    for _ in range(60):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        vars = tuple(f"t{i}" for i in range(n))
+        (p, P), (q, Qr) = _mixed_poly(rng, vars, d), _mixed_poly(rng, vars, d)
+        s, S = _mixed_poly(rng, vars, rng.randint(0, 2))
+        assert P.same(p) and Qr.same(q) and S.same(s)
+        assert (P + Qr).same(p + q) and (P - Qr).same(p - q)
+        assert (P * S).same(p * s) and P.pow(2).same(p.pow(2)) and P.pow(0).same(p.pow(0))
+        assert p + q - q == p and hash(p + q - q) == hash(p)
+        assert all(P.partial(v).same(p.partial(v)) for v in vars)
+        point = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in vars]
+        assert p.evaluate(point) == P.evaluate(point)
+        assert p.evaluate(dict(zip(vars, point))) == P.evaluate(point)
+        new = ("u", "w")
+        forms = {v: {w: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for w in new if rng.random() < 0.7}
+                 for v in vars if rng.random() < 0.9}
+        assert P.substitute(new, forms).same(p.substitute(new, forms))
+        keep = vars[1:]
+        cut = p.set_vars_zero(vars[:1])
+        assert FracPoly.of(cut).restrict_vars(keep).same(cut.restrict_vars(keep))
+        assert P.lineality_space() == p.lineality_space()
+        assert P.to_text() == p.to_text() and P.to_json_dict() == p.to_json_dict()
+        # cancellation to the zero polynomial keeps the degree tag
+        z = p - p
+        assert z.is_zero() and z.degree == d and (z.coeffs, z.den) == ({}, 1)
+        assert (P - P).same(z) and z == HomPoly.zero(vars, d) and z.to_text() == "0"
+        mixed += p.den > 1 and len({c.denominator for c in P.terms.values()}) > 1
+    assert mixed > 20
+
+
+def test_lowest_terms_make_equal_polynomials_hash_equal():
+    half = parse_poly("1/2*a b")
+    for same in (
+        HomPoly(("a", "b"), 2, {((0, 1), (1, 1)): "2/4"}),
+        HomPoly.from_dense(("a", "b"), 2, {(1, 1): Q(2, 4)}),
+        parse_poly("2*a b").scale(Q(1, 4)),
+        parse_poly("3/4*a b") - parse_poly("1/4*a b"),
+        parse_poly("a b").scale(Q(1, 6)) * HomPoly.constant(("a", "b"), 3),
+    ):
+        assert same == half and hash(same) == hash(half)
+        assert (same.coeffs, same.den) == ({(1, 1): 1}, 2)
