@@ -26,14 +26,13 @@ Two construction routes coexist:
   lattice, on Python integers: the value on an interval [lo, hi] is a sum,
   over the flats g strictly between, of the point normalized to the
   interval at g times the values on [lo, g] and [g, hi], and one division
-  at the end restores the value.  No chain is enumerated, which keeps
-  rank-8 uniform matroids tractable for the characteristic polynomial and
-  the closed-form evaluations.  The Lorentzian certification walks the
-  chains: one helper gives the integer pinned vector at a flat between two
-  chain flats, one routine projects the cone witness down every chain with
-  it, and the codimension-2 Hessians take their diagonals from the helper.
-  The expansion along the canonical direction pair (alpha, beta) is
-  computed once per engine and serves the characteristic polynomial, the
+  at the end restores the value.  The Lorentzian certification runs on the
+  same intervals: the cone witness is tested at each interval's normalized
+  point, connectivity on each interval's comparability graph, and each
+  codimension-2 Hessian is that of one interval of rank 3.  No chain is
+  enumerated, which keeps rank-8 uniform matroids tractable.  The
+  expansion along the canonical direction pair (alpha, beta) is computed
+  once per engine and serves the characteristic polynomial, the
   Heron-Rota-Welsh check and both closed-form evaluations.
 
 Flats are frozensets of ground elements at the interface; inside, a flat is
@@ -446,12 +445,11 @@ class LatticeVolume:
     homogeneous coefficient lists in (s, t).  Scalar evaluation uses vb = 0
     and reads the leading coefficient.
 
-    The certification (:meth:`hl_check`) walks the chains.  A chain of
+    The certification (:meth:`hl_check`) runs on the same intervals: each
+    of its three conditions is decided once per interval [lo, hi], and a
+    face it names is the interval's representative chain.  A chain of
     proper flats is an int, the bitset of its flats' indices in
-    ``L.flats``.  Indices ascend with rank, so a chain's parent clears its
-    highest bit and a child sets one more, and a chain's link (the proper
-    flats comparable to every member) is the AND of ``up | down`` over its
-    members.
+    ``L.flats``; :meth:`chains` lists them all, for tests and tracing.
     """
 
     def __init__(self, L: FlatLattice):
@@ -484,15 +482,6 @@ class LatticeVolume:
     def flats_of(self, chain: int) -> tuple:
         """The flats of a chain (or any index bitset), by rank."""
         return tuple(self.L.flats[i] for i in _indices(chain))
-
-    def _gaps(self, chain: int):
-        """(lo, hi, flats strictly between) for the consecutive flats of
-        bottom, chain, top, as indices and a bitset."""
-        up, down = self.L.up, self.L.down
-        lo = 0
-        for hi in (*_indices(chain), self.top):
-            yield lo, hi, up[lo] & down[hi]
-            lo = hi
 
     # -- evaluation by intervals ----------------------------------------------
 
@@ -620,12 +609,54 @@ class LatticeVolume:
     def evaluate(self, v: Mapping):
         return self.eval_bivariate(v, {})[0]
 
-    # -- Lorentzian certification ----------------------------------------------
+    # -- Lorentzian certification by intervals --------------------------------
+
+    def _intervals(self):
+        """(lo, hi, k, flats strictly between) for every pair of flats
+        lo < hi with k = rank(hi) - rank(lo) >= 2, by hi and then lo in
+        index order."""
+        L = self.L
+        rank = [L.rank[F] for F in L.flats]
+        for hi, below in enumerate(L.down):
+            for lo in _indices(below):
+                k = rank[hi] - rank[lo]
+                if k >= 2:
+                    yield lo, hi, k, L.up[lo] & L.down[hi]
+
+    def _face(self, lo: int, hi: int) -> frozenset:
+        """The representative face of the interval [lo, hi]: the chain of
+        proper flats through lo and hi whose other gaps are covers, taking
+        the lowest-index cover at each step.  Its link is (lo, hi)."""
+        covers_up, down = self.L.covers_up, self.L.down
+        chain = 1 << lo | 1 << hi
+        for c, end in ((0, lo), (hi, self.top)):
+            while c != end:
+                nxt = covers_up[c] & (down[end] | 1 << end)
+                c = (nxt & -nxt).bit_length() - 1
+                chain |= 1 << c
+        return frozenset(self.flats_of(chain & self.proper_mask))
+
+    def _scaled(self, v: Mapping) -> list:
+        """S0 * v at every flat index, 0 at the bottom and the top, with S0
+        the lcm of v's denominators."""
+        xs = [ZERO] + [Q(v.get(F, 0)) for F in self.L.proper] + [ZERO]
+        s0 = lcm(*(x.denominator for x in xs))
+        return [x.numerator * (s0 // x.denominator) for x in xs]
+
+    def _normalized(self, x: list, lo: int, hi: int) -> dict:
+        """Y(g) = E * (x(g) - x(lo)) + (x(lo) - x(hi)) * (E / |hi - lo|) * |g - lo|
+        at the flats g strictly between lo and hi: E = lcm(1..n) times the
+        point normalized to the interval, the Y of :meth:`eval_bivariate`."""
+        E, masks = self.lcm_n, self.L.masks
+        n_lo = masks[lo].bit_count()
+        step = (x[lo] - x[hi]) * (E // (masks[hi].bit_count() - n_lo))
+        return {g: E * (x[g] - x[lo]) + step * (masks[g].bit_count() - n_lo)
+                for g in _indices(self.L.up[lo] & self.L.down[hi])}
 
     def _pin(self, below: int, g: int, above: int) -> tuple:
-        """The pinned vector at flat g between the chain flats ``below`` and
-        ``above`` (1 at g, 0 on the chain, constant per element on each
-        layer), scaled by E = lcm(1..n).
+        """The pinned vector at flat g between the flats ``below`` and
+        ``above`` (1 at g, 0 at both, constant per element on each layer),
+        scaled by E = lcm(1..n).
 
         Returns (m_lo, c_lo, m_hi, c_hi): the layer masks g - below and
         above - g and the integers E/|g - below| and E/|above - g|.  The
@@ -636,168 +667,127 @@ class LatticeVolume:
         m_hi = masks[above] & ~masks[g]
         return m_lo, E // m_lo.bit_count(), m_hi, E // m_hi.bit_count()
 
-    def _points(self, v: Mapping) -> dict:
-        """The point v projected to every chain of length < d, on integers.
+    def quadratic_hessian(self, lo: int, hi: int) -> SymMatrix:
+        """Hessian of the codimension-2 face restriction at a face whose one
+        gap with flats in it is [lo, hi] (rank(hi) - rank(lo) = 3), assembled
+        directly over its link, the open interval (lo, hi).
 
-        The point is scaled by S0, the lcm of its denominators, and each
-        pinned vector by E (see :meth:`_pin`), so the point at a chain of
-        length j carries the positive scale S0 * E^j.  Each chain is reached
-        from its parent, the chain less its top flat g, so g is pinned
-        between the parent's top flat (or the bottom) and the top.  A point
-        maps each link flat to an integer; the link of a chain is its
-        parent's link less the flats not comparable to g.
+        Off-diagonal (G, H) entries are 1 exactly when G and H are
+        comparable (the face extends by both); the diagonal (G, G) carries
+        minus the sum, over the flats of the interval comparable to G, of
+        the vector pinned at G between lo and hi.  Equal to the Hessian of
+        the restriction built from the top layers (``quadratic_oracle`` in
+        ``tests/oracles.py``, compared in ``tests/test_matroid.py``) at a
+        fraction of the cost.  The rows are built on integers, E = lcm(1..n)
+        times the Hessian, as the pinned vectors are (see :meth:`_pin`).
         """
-        d, E = self.d, self.lcm_n
-        masks, comparable = self.L.masks, self._comparable
-        xs = [Q(v.get(F, 0)) for F in self.L.proper]
-        s0 = lcm(*(x.denominator for x in xs))
-        pts = {0: {i: x.numerator * (s0 // x.denominator) for i, x in zip(_indices(self.proper_mask), xs)}}
-        for chain in self.chains():
-            if not chain or chain.bit_count() >= d:
-                continue
-            g = chain.bit_length() - 1
-            parent = chain ^ 1 << g
-            px = pts[parent]
-            m_lo, c_lo, m_hi, c_hi = self._pin((parent | 1).bit_length() - 1, g, self.top)
-            xg = px[g]
-            near = comparable[g]
-            pts[chain] = {
-                h: E * xh - xg * (c_lo * (masks[h] & m_lo).bit_count() - c_hi * (masks[h] & m_hi).bit_count())
-                for h, xh in px.items() if near >> h & 1
-            }
-        return pts
-
-    def quadratic_hessian(self, chain: int) -> SymMatrix:
-        """Hessian of the codimension-2 face restriction, assembled directly.
-
-        Off-diagonal (G, H) entries are 1 exactly when the chain extends by
-        both G and H; the diagonal (G, G) carries minus the sum, over the
-        link of the chain extended by G, of the vector pinned at G in its
-        gap.  Equal to the Hessian of the restriction built from the top
-        layers (``quadratic_oracle`` in ``tests/oracles.py``, compared in
-        ``tests/test_matroid.py``) at a fraction of the cost, which matters
-        with tens of thousands of codimension-2 faces.  The rows are built
-        on integers, E = lcm(1..n) times the Hessian, as the pinned vectors
-        are (see :meth:`_pin`).
-        """
-        link = self.proper_mask
-        for g in _indices(chain):
-            link &= self._comparable[g]
+        link = self.L.up[lo] & self.L.down[hi]
         pos = {g: k for k, g in enumerate(_indices(link))}
         rows = [[0] * len(pos) for _ in pos]
         masks, E = self.L.masks, self.lcm_n
-        for lo, hi, mids in self._gaps(chain):
-            for g in _indices(mids):
-                m_lo, c_lo, m_hi, c_hi = self._pin(lo, g, hi)
-                verts = link & self._comparable[g]
-                total = 0
-                row = rows[pos[g]]
-                for h in _indices(verts):
-                    total += c_lo * (masks[h] & m_lo).bit_count() - c_hi * (masks[h] & m_hi).bit_count()
-                    row[pos[h]] = E
-                row[pos[g]] = -total
+        for g, row in zip(pos, rows):
+            m_lo, c_lo, m_hi, c_hi = self._pin(lo, g, hi)
+            total = 0
+            for h in _indices(link & self._comparable[g]):
+                total += c_lo * (masks[h] & m_lo).bit_count() - c_hi * (masks[h] & m_hi).bit_count()
+                row[pos[h]] = E
+            row[pos[g]] = -total
         return SymMatrix.from_scaled(self.flats_of(link), rows, E)
-
-    def h_connected_skeleton(self) -> tuple[bool, int | None]:
-        """Connectivity of chain links through codimension 2 (the positive
-        polynomial form of the connectivity condition), by gap structure.
-
-        A link is automatically connected when two different gaps carry
-        vertices (cross-gap pairs are nested, hence adjacent); single-gap
-        links reduce to connectivity of the gap interval's comparability
-        graph, computed by search and cached per interval.
-        """
-        d = self.d
-        if d < 1:
-            return True, None
-        comparable = self._comparable
-        conn_cache: dict[int, bool] = {}
-
-        def interval_connected(mids: int) -> bool:
-            if mids not in conn_cache:
-                verts = tuple(_indices(mids))
-                conn_cache[mids] = connected(verts, {v: tuple(_indices(comparable[v] & mids)) for v in verts})
-            return conn_cache[mids]
-
-        for chain in self.chains():
-            if chain.bit_count() > d - 2:
-                continue
-            occupied = [mids for _, _, mids in self._gaps(chain) if mids]
-            if len(occupied) == 1 and not interval_connected(occupied[0]):
-                return False, chain
-        return True, None
 
     def hl_check(self) -> hered.HLVerdict:
         """The hereditary-Lorentzian certification without the explicit
-        polynomial: cone witness via per-face feasibility of the canonical
-        strictly submodular point on every chain face, H-connectedness by
-        gap structure, and codimension-2 Hessian inertia certificates.
-        When the witness fails on a face, the verdict is the exact one of
-        ``is_hereditary_lorentzian`` on the explicit polynomial, never
+        polynomial, deciding each condition once per interval [lo, hi] of
+        the lattice, k = rank(hi) - rank(lo); no chain is enumerated.
+
+        * **Cone witness.**  On every interval with k >= 2, some sum-zero
+          shift of the layer hi - lo makes the normalized point Y of the
+          canonical strictly submodular point positive on (lo, hi)
+          (:meth:`_cone_witness_intervals`).
+        * **H-connectivity.**  Every interval with k >= 3 has a connected
+          comparability graph on (lo, hi).
+        * **Hessians.**  Every interval with k = 3 has
+          :meth:`quadratic_hessian` with at most one positive eigenvalue;
+          its certificate names the representative face (:meth:`_face`).
+
+        When the witness fails on an interval, the verdict is the exact one
+        of ``is_hereditary_lorentzian`` on the explicit polynomial, never
         "vacuous" on the witness's word.
+
+        **Proof that this is the face-by-face certification** (the chain
+        route, ``chain_hl_check`` in ``tests/oracles.py``).  A face is
+        a chain c of proper flats; its gaps are the intervals between
+        consecutive flats of bottom, c, top, with gap ranks k_i summing to
+        d + 1, and its link is the join of the gaps' open intervals.  The
+        restriction at c is the product of the gaps' interval polynomials,
+        each at its own normalized point, and its lineality holds the direct
+        sum of the gaps' sum-zero layer shifts (the proof of
+        :meth:`eval_bivariate`, one gap at a time).  The point projected
+        down c is, on each gap, a positive multiple of that interval's Y:
+        projecting at one flat g leaves on [lo, g] and [g, hi] their own
+        normalized points (the renormalization step of that proof).  Every
+        interval with k >= 2 is the gap of the chain through lo and hi whose
+        other gaps are covers, of length d + 1 - k.
+        *Cone.*  Face by face, the witness is tested at each chain of
+        length < d - 1 on each gap by the shift test, which a positive scale
+        leaves alone, and at each chain of length d - 1, whose one non-cover
+        gap has k = 2, by the point summing positive over the link.  For
+        k = 2 the two agree: the atoms of [lo, hi] partition hi - lo, so a
+        sum-zero shift adds 0 to the sum of Y over them, and when that sum
+        is positive a shift per atom evens Y out.
+        *Connectivity.*  A link with two occupied gaps is connected, every
+        cross-gap pair being comparable; a chain of length j <= d - 2 with
+        one occupied gap has k = d + 1 - j >= 3 there, and its link is (lo,
+        hi).
+        *Hessians.*  A chain of length d - 2 has sum(k_i - 1) = 2: either
+        one gap with k = 3, whose Hessian is :meth:`quadratic_hessian` of
+        that interval, or two gaps with k = 2.  Then each open interval is
+        an antichain of atoms, the restriction is the product of the two
+        sums of their variables, and the Hessian is [[0, J], [J^T, 0]] with
+        J all ones: eigenvalues +-sqrt(|A||B|) and n - 2 zeros, inertia
+        (1, 1, n - 2), so that matrix is never formed.
         """
-        d = self.d
-        if d == 0:
+        if self.d == 0:
             return hered.HLVerdict(value="yes", note="constant volume polynomial")
         v = submodular_witness(self.L)
         vmap = dict(zip(v.vars, v.coords))
-        if d == 1:
-            total = sum(vmap.values(), ZERO)
-            return hered.HLVerdict(value="yes" if total > 0 else "vacuous", cone_witness=vmap)
-        cone_ok, checked = self._cone_witness_faces(vmap)
+        cone_ok, checked = self._cone_witness_intervals(vmap)
         if not cone_ok:
             # a failed witness does not prove the cone empty: decide exactly
             return hered.is_hereditary_lorentzian(pol_matroid(self.L))
-        ok_c, c_wit = self.h_connected_skeleton()
-        if not ok_c:
-            return hered.HLVerdict(value="no", h_connected=False,
-                                   c_witness=frozenset(self.flats_of(c_wit)), cone_witness=vmap)
-        certs = []
-        q_wit = None
-        for chain in self.chains():
-            if chain.bit_count() != d - 2:
-                continue
-            inr = inertia(self.quadratic_hessian(chain))
-            certs.append((frozenset(self.flats_of(chain)), inr))
-            if inr.pos > 1 and q_wit is None:
-                q_wit = certs[-1][0]
+        wide = [(lo, hi, k, mids) for lo, hi, k, mids in self._intervals() if k >= 3]
+        for lo, hi, _, mids in wide:
+            verts = tuple(_indices(mids))
+            if not connected(verts, {g: tuple(_indices(self._comparable[g] & mids)) for g in verts}):
+                return hered.HLVerdict(value="no", h_connected=False, c_witness=self._face(lo, hi),
+                                       cone_witness=vmap)
+        certs = [(self._face(lo, hi), inertia(self.quadratic_hessian(lo, hi)))
+                 for lo, hi, k, _ in wide if k == 3]
+        q_wit = next((S for S, inr in certs if inr.pos > 1), None)
         if q_wit is not None:
             return hered.HLVerdict(value="no", h_connected=True, q_certificates=certs,
                                    q_witness=q_wit, cone_witness=vmap,
                                    note="codimension-2 Hessian fails")
         return hered.HLVerdict(
             value="yes", h_connected=True, q_certificates=certs, cone_witness=vmap,
-            note=f"cone witness certified on {checked} faces",
+            note=f"cone witness certified on {checked} intervals",
         )
 
-    def _cone_witness_faces(self, vmap: dict) -> tuple[bool, int]:
-        """Per-face feasibility of the witness: at each chain face, a layered
-        modular shift must make the projected point strictly positive on
-        every gap flat.  The shift decouples per gap, so each gap is one
-        small orthant test (:meth:`_gap_feasible`).
+    def _cone_witness_intervals(self, vmap: dict) -> tuple[bool, int]:
+        """Per-interval feasibility of the witness: on every interval with
+        k >= 2, the normalized point Y must be positive on (lo, hi), or made
+        so by a sum-zero layer shift (:meth:`_gap_feasible`).  Returns
+        whether every interval passes, and how many passed.
 
-        The projected points are those of :meth:`_points`, scaled by the
-        positive S0 * E^j; every test below, the gap test included, is
-        unchanged by a positive scale.  Success certifies genuine cone
-        membership (the modular space sits inside the lineality space of
-        every restriction, so every condition checked is a strengthening).
+        Success certifies genuine cone membership (the modular space sits
+        inside the lineality space of every restriction, so every condition
+        checked is a strengthening).
         """
-        d = self.d
-        pts = self._points(vmap)
+        x = self._scaled(vmap)
         checked = 0
-        for chain in self.chains():
-            if chain.bit_count() >= d:
-                continue
-            x = pts[chain]
-            if chain.bit_count() == d - 1:
-                if not sum(x.values()) > 0:
-                    return False, checked
-            else:
-                for lo, hi, mids in self._gaps(chain):
-                    if all(x[g] > 0 for g in _indices(mids)):
-                        continue
-                    if not self._gap_feasible(lo, hi, mids, x):
-                        return False, checked
+        for lo, hi, _, mids in self._intervals():
+            y = self._normalized(x, lo, hi)
+            if not all(c > 0 for c in y.values()) and not self._gap_feasible(lo, hi, mids, y):
+                return False, checked
             checked += 1
         return True, checked
 

@@ -15,7 +15,12 @@ checked against.
 * :func:`quadratic_oracle` builds the codimension-2 face restriction of the
   volume polynomial as a ``HomPoly``, by substituting the pinned vectors of
   :func:`layered_pin` into the top layers; the library assembles its
-  Hessian directly from integer pinned vectors.
+  Hessian directly from integer pinned vectors, once per interval.
+* :func:`chain_hl_check` certifies a lattice of flats chain by chain: the
+  witness projected down every chain (:func:`oracle_chain_points`), a gap
+  test per gap (:func:`oracle_gaps`, :func:`lp_gap_feasible`), every link's
+  connectivity and every codimension-2 Hessian from :func:`quadratic_oracle`;
+  ``LatticeVolume.hl_check`` decides each condition once per interval.
 * :func:`oracle_mobius` is the Moebius recursion on frozensets;
   :func:`is_semimodular_spot` and :func:`spot_check_rank_axioms` check
   semimodularity of a lattice and the rank axioms of a matroid on sets.
@@ -152,6 +157,7 @@ from lorentzlab.lorentzian import (
     m_truncate,
     support_mset,
 )
+from lorentzlab.matroid import pol_matroid, submodular_witness
 from lorentzlab.polycore import HomPoly, LinSubspace, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO
 from lorentzlab.simplicial import SimComplex, face_key, face_str, label_key
@@ -210,27 +216,51 @@ def quadratic_oracle(L, chain) -> HomPoly:
     return acc.scale(Q(1, 2))
 
 
+def oracle_gaps(L, chain) -> list:
+    """(lo, hi, flats strictly between) for the consecutive flats of bottom,
+    the chain (a rank-sorted tuple) and top."""
+    ends = (L.bottom, *chain, L.top)
+    return [(lo, hi, [F for F in L.proper if lo < F < hi]) for lo, hi in zip(ends, ends[1:])]
+
+
+def oracle_single_gap(L, face):
+    """The one gap (lo, hi) with rank(hi) - rank(lo) = 3 of a codimension-2
+    face (a set of d - 2 proper flats), or None when the face has two gaps
+    with rank difference 2 instead."""
+    ends = (L.bottom, *sorted(face, key=lambda F: L.rank[F]), L.top)
+    keys = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if L.rank[hi] - L.rank[lo] == 3]
+    return keys[0] if keys else None
+
+
+def oracle_chain_points(L, v, chains) -> dict:
+    """The point v (a map on the proper flats) projected to every chain of
+    length < d of ``chains`` (as from :func:`oracle_chains`), on exact
+    rationals: each chain from its parent, the chain less its top flat G,
+    by subtracting v(G) times the pinned vector of :func:`layered_pin`."""
+    d = L.rank_total - 1
+    pts = {(): {F: Q(v.get(F, 0)) for F in L.proper}}
+    for chain, link in chains.items():
+        if not chain or len(chain) >= d:
+            continue
+        parent, G = chain[:-1], chain[-1]
+        px = pts[parent]
+        ell = layered_pin(L, parent, G, link)
+        pts[chain] = {H: px[H] - px[G] * ell[H] for H in link}
+    return pts
+
+
 def fraction_eval_bivariate(L, va, vb) -> list:
     """Coefficients [c_0, ..., c_d] of pol(s va + t vb), c_j the coefficient
     of s^(d-j) t^j, by the rational chain recursion over the chains and
-    links of :func:`oracle_chains`."""
+    links of :func:`oracle_chains`, at the points of
+    :func:`oracle_chain_points`."""
     d = L.rank_total - 1
     if d < 0:
         raise ValueError("rank must be at least 1")
     if d == 0:
         return [ONE]
     chains = oracle_chains(L)
-    # point vectors per chain, from the canonical parent (drop last flat)
-    pts = {(): {F: (Q(va.get(F, 0)), Q(vb.get(F, 0))) for F in L.proper}}
-    for chain, link in chains.items():
-        if not chain or len(chain) >= d:
-            continue
-        parent = chain[:-1]
-        G = chain[-1]
-        px = pts[parent]
-        ell = layered_pin(L, parent, G, link)
-        xg = px[G]
-        pts[chain] = {H: (px[H][0] - xg[0] * ell[H], px[H][1] - xg[1] * ell[H]) for H in link}
+    pa, pb = oracle_chain_points(L, va, chains), oracle_chain_points(L, vb, chains)
     # values bottom-up by chain length
     memo = {}
     for chain in sorted(chains, key=len, reverse=True):
@@ -239,15 +269,63 @@ def fraction_eval_bivariate(L, va, vb) -> list:
             memo[chain] = [ONE]  # facet weight 1
             continue
         acc = [ZERO] * (k + 1)
-        x = pts[chain]
         for G in chains[chain]:
             child = memo[tuple(sorted(chain + (G,), key=lambda F: L.rank[F]))]
-            a, b = x[G]
+            a, b = pa[chain][G], pb[chain][G]
             for j, cv in enumerate(child):
                 acc[j] += a * cv
                 acc[j + 1] += b * cv
         memo[chain] = [c / k for c in acc]
     return memo[()]
+
+
+def chain_hl_check(L) -> hered.HLVerdict:
+    """The hereditary-Lorentzian certification of a lattice of flats walked
+    chain by chain, on frozensets and exact rationals.  The canonical
+    strictly submodular point is projected to every chain of length < d
+    (:func:`oracle_chain_points`); at chains of length d - 1 it must sum
+    positive over the link, and at shorter ones every gap must be positive
+    or made so by a sum-zero layer shift (:func:`lp_gap_feasible`); a failure
+    falls back to ``is_hereditary_lorentzian`` on the explicit polynomial.
+    Then the link of every chain of length <= d - 2 must have a connected
+    comparability graph, and every chain of length d - 2 gets the inertia of
+    the Hessian of :func:`quadratic_oracle`.  ``LatticeVolume.hl_check``
+    decides the same conditions once per interval."""
+    d = L.rank_total - 1
+    if d == 0:
+        return hered.HLVerdict(value="yes", note="constant volume polynomial")
+    w = submodular_witness(L)
+    vmap = dict(zip(w.vars, w.coords))
+    chains = oracle_chains(L)
+    for chain, x in oracle_chain_points(L, vmap, chains).items():
+        if len(chain) == d - 1:
+            ok = sum(x.values()) > 0
+        else:
+            ok = all(all(x[F] > 0 for F in mids)
+                     or lp_gap_feasible(L, L.index[lo], L.index[hi], sum(1 << L.index[F] for F in mids),
+                                        {L.index[F]: x[F] for F in mids})
+                     for lo, hi, mids in oracle_gaps(L, chain) if mids)
+        if not ok:
+            return hered.is_hereditary_lorentzian(pol_matroid(L))
+    for chain, link in chains.items():
+        if len(chain) > d - 2 or not link:
+            continue
+        seen, todo = {link[0]}, [link[0]]
+        while todo:
+            F = todo.pop()
+            for G in link:
+                if G not in seen and (F < G or G < F):
+                    seen.add(G)
+                    todo.append(G)
+        if len(seen) < len(link):
+            return hered.HLVerdict(value="no", h_connected=False, c_witness=frozenset(chain), cone_witness=vmap)
+    certs = [(frozenset(chain), inertia(hessian(quadratic_oracle(L, chain))))
+             for chain in chains if len(chain) == d - 2]
+    q_wit = next((S for S, inr in certs if inr.pos > 1), None)
+    if q_wit is not None:
+        return hered.HLVerdict(value="no", h_connected=True, q_certificates=certs, q_witness=q_wit,
+                               cone_witness=vmap, note="codimension-2 Hessian fails")
+    return hered.HLVerdict(value="yes", h_connected=True, q_certificates=certs, cone_witness=vmap)
 
 
 def oracle_mobius(L, a, b, memo=None) -> int:

@@ -40,7 +40,7 @@ from lorentzlab.matroid import volume_engine
 from lorentzlab.polycore import HomPoly, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.subdivision import subdivide, weld
-from oracles import congruence_diagonalize, is_lorentzian_v2, random_sym
+from oracles import congruence_diagonalize, is_lorentzian_v2, oracle_chains, oracle_single_gap, random_sym
 
 pytestmark = pytest.mark.acceptance
 
@@ -147,7 +147,9 @@ def test_criterion_04_catalog_certification(catalog):
         eng = volume_engine(L)
         v = eng.hl_check()
         d = L.rank_total - 1
-        expected = sum(1 for c in eng.chains() if c.bit_count() == d - 2) if d >= 2 else 0
+        # one certificate per rank-3 interval: the distinct single-gap keys
+        # of the codimension-2 faces
+        expected = len({oracle_single_gap(L, c) for c in oracle_chains(L) if len(c) == d - 2} - {None})
         ok = ok and v.value == "yes" and len(v.q_certificates) == expected
         ok = ok and all(i.pos <= 1 for _, i in v.q_certificates)
         total_certs += len(v.q_certificates)

@@ -1,13 +1,18 @@
-"""The demos are not run by the suite (demo 02 certifies U(7,7) and takes
-seconds), so a deleted or renamed library name would break them silently.
-Each ``demos/*.py`` is parsed, not run: every name it imports from
+"""The demos, checked two ways.  Each ``demos/*.py`` runs to exit code 0 in
+a fresh interpreter.  Each is also parsed, so that a deleted or renamed
+library name is named in the failure: every name it imports from
 ``lorentzlab`` must resolve, and so must every attribute it reads off an
 imported ``lorentzlab`` module."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -47,3 +52,11 @@ def test_every_demo_import_resolves():
     assert len(DEMOS) >= 4
     missing = {path.name: _unresolved(path) for path in DEMOS}
     assert not any(missing.values()), missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    src = str(path.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -26,18 +26,22 @@ from lorentzlab.matroid import (
     volume_engine,
 )
 from lorentzlab.rat import Q
-from lorentzlab.inertia import hessian
+from lorentzlab.inertia import hessian, inertia
 from conftest import in_fresh_process
 from oracles import (
+    chain_hl_check,
     fraction_eval_bivariate,
     is_semimodular_spot,
     layered_pin,
     lp_gap_feasible,
+    oracle_chain_points,
     oracle_chains,
     oracle_flats,
+    oracle_gaps,
     oracle_is_basis_family,
     oracle_max_forests,
     oracle_mobius,
+    oracle_single_gap,
     quadratic_oracle,
     spot_check_rank_axioms,
 )
@@ -258,22 +262,31 @@ def test_engine_matches_explicit(catalog, rng):
         fast = eng.hl_check()
         slow = hered.is_hereditary_lorentzian(h, cone_hints=[submodular_witness(L)])
         assert fast.value == slow.value == "yes", name
-        assert {frozenset(S) for S, _ in fast.q_certificates} == \
-               {frozenset(S) for S, _ in slow.q_certificates}
+        # one certificate per rank-3 interval, naming one of its faces; the
+        # explicit route's other faces share an interval's inertia or have
+        # two gaps of rank 2 and inertia (1, 1, n - 2)
+        explicit = dict(slow.q_certificates)
+        by_key = {}
+        for S, inr in fast.q_certificates:
+            assert explicit[S] == inr, (name, S)
+            by_key[oracle_single_gap(L, S)] = inr
+        assert len(by_key) == len(fast.q_certificates)
+        for S, inr in explicit.items():
+            key = oracle_single_gap(L, S)
+            assert inr == (by_key[key] if key else (1, 1, sum(inr) - 2)), (name, S)
 
 
 def test_gap_test_matches_lp_oracle(catalog, rng):
     """The gap test of the cone witness, one orthant test on the image of
     the sum-zero layer vectors, against the oracle's mixed system in the
-    layer unknowns, at seeded integer points on sampled gaps of every
-    catalog lattice of rank >= 3."""
+    layer unknowns, at seeded integer points on sampled intervals of rank
+    at least 2 of every catalog lattice of rank >= 3."""
     verdicts = set()
     for name, L in catalog.items():
         if L.rank_total < 3:
             continue
         eng = volume_engine(L)
-        gaps = sorted({gap for chain in eng.chains() if chain.bit_count() < eng.d - 1
-                       for gap in eng._gaps(chain) if gap[2]})
+        gaps = [(lo, hi, mids) for lo, hi, _, mids in eng._intervals()]
         for lo, hi, mids in rng.sample(gaps, min(len(gaps), 12)):
             for _ in range(3):
                 x = {g: rng.randint(-3, 3) for g in range(len(L.masks)) if mids >> g & 1}
@@ -420,18 +433,73 @@ def test_from_graph_matches_max_forest_oracle(rng):
         assert M.rank_total == rank and set(M.bases) == bases, (n_vertices, edges)
 
 
-def test_quadratic_hessian_matches_oracle(catalog):
-    checked = 0
-    for name in ("U(3,4)", "U(4,5)", "U(4,6)", "U(5,6)", "K4", "Fano"):
-        L = catalog[name]
+def _few_chain_lattices(catalog):
+    """The catalog entries with at most 1,500 chains, and M(K5)."""
+    lattices = {name: L for name, L in catalog.items() if len(oracle_chains(L)) <= 1500}
+    lattices["M(K5)"] = flats(Matroid.from_graph(5, K5_EDGES))
+    return lattices
+
+
+def test_chain_faces_reduce_to_intervals(catalog, rng):
+    """The lemma behind hl_check: at every chain, the projected point on
+    each occupied gap is a positive multiple of that interval's normalized
+    point; a codimension-2 face with one occupied gap has that interval's
+    quadratic_hessian, and one with two has inertia (1, 1, n - 2)."""
+    checked = {"points": 0, "single": 0, "double": 0}
+    for name, L in _few_chain_lattices(catalog).items():
         eng = volume_engine(L)
-        for chain in eng.chains():
-            if chain.bit_count() != eng.d - 2:
+        chains = oracle_chains(L)
+        d = L.rank_total - 1
+        w = submodular_witness(L)
+        points = [dict(zip(w.vars, w.coords))]
+        points += [{F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper} for _ in range(2)]
+        for v in points:
+            x = eng._scaled(v)
+            for chain, p in oracle_chain_points(L, v, chains).items():
+                for lo, hi, mids in oracle_gaps(L, chain):
+                    if not mids:
+                        continue
+                    y = eng._normalized(x, L.index[lo], L.index[hi])
+                    pairs = [(p[F], y[L.index[F]]) for F in mids]
+                    scale = next((a / b for a, b in pairs if b), None)
+                    assert scale is None or scale > 0, (name, chain, lo, hi)
+                    assert all(a == (scale or 0) * b for a, b in pairs), (name, chain, lo, hi)
+                    checked["points"] += 1
+        for chain in chains:
+            if len(chain) != d - 2:
                 continue
-            flats_of = eng.flats_of(chain)
-            assert eng.quadratic_hessian(chain) == hessian(quadratic_oracle(L, flats_of)), (name, flats_of)
-            checked += 1
-    assert checked > 300
+            H = hessian(quadratic_oracle(L, chain))
+            key = oracle_single_gap(L, chain)
+            if key:
+                assert H == eng.quadratic_hessian(L.index[key[0]], L.index[key[1]]), (name, chain)
+                checked["single"] += 1
+            else:
+                assert inertia(H) == (1, 1, len(H.vars) - 2), (name, chain)
+                checked["double"] += 1
+    assert min(checked.values()) > 300, checked
+
+
+def test_interval_route_matches_chain_oracle(catalog):
+    for name, L in _few_chain_lattices(catalog).items():
+        fast, slow = volume_engine(L).hl_check(), chain_hl_check(L)
+        assert (fast.value, fast.h_connected, fast.cone_witness) == \
+               (slow.value, slow.h_connected, slow.cone_witness), name
+        oracle = dict(slow.q_certificates)
+        assert all(oracle[S] == inr for S, inr in fast.q_certificates), name
+        keys = {oracle_single_gap(L, S) for S in oracle} - {None}
+        assert len(fast.q_certificates) == len(keys), name
+
+
+def test_rank_8_certificate_walks_no_chain(monkeypatch):
+    from lorentzlab.matroid import LatticeVolume
+
+    def no_chains(self):
+        raise AssertionError("hl_check enumerated chains")
+
+    monkeypatch.setattr(LatticeVolume, "chains", no_chains)
+    v = volume_engine(flats(Matroid.uniform(8, 8))).hl_check()
+    assert v.value == "yes" and len(v.q_certificates) == 1792
+    assert all(inr.pos <= 1 for _, inr in v.q_certificates)
 
 
 def test_cone_witness_accepts_submodular_point(catalog):
@@ -441,9 +509,9 @@ def test_cone_witness_accepts_submodular_point(catalog):
         eng = volume_engine(L)
         w = submodular_witness(L)
         v = dict(zip(w.vars, w.coords))
-        faces = sum(1 for c in eng.chains() if c.bit_count() < eng.d)
-        assert eng._cone_witness_faces(v) == (True, faces), name
-        assert eng._cone_witness_faces({F: -x for F, x in v.items()}) == (False, 0), name
+        intervals = sum(1 for lo in L.flats for hi in L.flats if lo < hi and L.rank[hi] - L.rank[lo] >= 2)
+        assert eng._cone_witness_intervals(v) == (True, intervals), name
+        assert eng._cone_witness_intervals({F: -x for F, x in v.items()}) == (False, 0), name
 
 
 def test_failed_cone_witness_falls_back_to_the_exact_route(catalog, monkeypatch):
@@ -451,11 +519,31 @@ def test_failed_cone_witness_falls_back_to_the_exact_route(catalog, monkeypatch)
     # hl_check decides on the explicit polynomial instead of "vacuous"
     from lorentzlab.matroid import LatticeVolume
 
-    monkeypatch.setattr(LatticeVolume, "_cone_witness_faces", lambda self, vmap: (False, 0))
+    monkeypatch.setattr(LatticeVolume, "_cone_witness_intervals", lambda self, vmap: (False, 0))
     for name in ("U(3,4)", "Fano"):
         L = catalog[name]
         generic = hered.is_hereditary_lorentzian(pol_matroid(L))
         assert volume_engine(L).hl_check().value == generic.value == "yes", name
+
+
+def test_rank_2_failed_gap_test_falls_back_to_the_exact_route(catalog, monkeypatch):
+    # rank-2 lattices take the common path: the one interval (bottom, top)
+    # gets the gap test.  The canonical witness is positive there, so it is
+    # negated to reach the gap test, which is made to fail.
+    from lorentzlab import matroid
+    from lorentzlab.matroid import LatticeVolume
+
+    def negated_witness(L):
+        w = submodular_witness(L)
+        return type(w)(w.vars, tuple(-c for c in w.coords))
+
+    calls = []
+    monkeypatch.setattr(matroid, "submodular_witness", negated_witness)
+    monkeypatch.setattr(LatticeVolume, "_gap_feasible", lambda self, *args: calls.append(args) or False)
+    for name in ("U(2,3)", "U(2,4)"):
+        calls.clear()
+        assert volume_engine(catalog[name]).hl_check().value == "yes", name
+        assert len(calls) == 1, name
 
 
 def test_engine_chains_match_oracle_order(catalog):
@@ -464,10 +552,6 @@ def test_engine_chains_match_oracle_order(catalog):
         eng = volume_engine(L)
         chains = oracle_chains(L)
         assert [eng.flats_of(c) for c in eng.chains()] == list(chains), name
-        # the links the chain walk keeps are the keys of its projected points
-        pts = eng._points({})
-        for c, x in pts.items():
-            assert [L.flats[g] for g in x] == chains[eng.flats_of(c)], name
 
 
 # one malformed family per rejection, in the order the checks run; a
