@@ -5,7 +5,7 @@ Every cone question of the library is one test:
 y + l strictly positive, or proves there is none.  The face walk of
 :mod:`lorentzlab.hereditary` asks it at every face; the boundedness of a
 polytope (Stiemke's lemma), the fan axioms (the separation lemma), the
-overlap of two cones, the gap test of the matroid cone witness and the
+overlap of two cones and the
 coupled cone search (:func:`strict_feasible`, Az > 0 as a positive vector
 of the column space of A) all ask it with a subspace of their own.
 

@@ -12,8 +12,9 @@ ends as prev times its reduced row, so rref forms its rationals once at the
 end, rank counts pivots and forms none, ``kernel`` reads an integer
 kernel basis off the same rows, and a square matrix of full rank ends at
 prev * I, which makes the determinant sign * prev / den^n.  Callers that
-already hold integers (polytope vertex enumeration, the integer rows of
-``LinSubspace``) call ``eliminate`` and ``kernel`` directly.  Sizes are desk scale (tens of rows), so no
+already hold integers (the vertex charts of a polytope's normal set, one
+elimination of [N_S | I] per d-subset S of its integer normals; the integer
+rows of ``LinSubspace``) call ``eliminate`` and ``kernel`` directly.  Sizes are desk scale (tens of rows), so no
 attention is paid to asymptotics beyond avoiding obvious blowups.
 """
 

@@ -48,7 +48,6 @@ from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import hereditary as hered
-from .cones import in_orthant_plus_subspace
 from .inertia import SymMatrix, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
@@ -699,10 +698,10 @@ class LatticeVolume:
         polynomial, deciding each condition once per interval [lo, hi] of
         the lattice, k = rank(hi) - rank(lo); no chain is enumerated.
 
-        * **Cone witness.**  On every interval with k >= 2, some sum-zero
-          shift of the layer hi - lo makes the normalized point Y of the
-          canonical strictly submodular point positive on (lo, hi)
-          (:meth:`_cone_witness_intervals`).
+        * **Cone witness.**  On every interval with k >= 2, the normalized
+          point Y of the canonical strictly submodular point is positive
+          on (lo, hi) (:meth:`_cone_witness_intervals`, which proves that
+          it always is).
         * **H-connectivity.**  Every interval with k >= 3 has a connected
           comparability graph on (lo, hi).
         * **Hessians.**  Every interval with k = 3 has
@@ -730,10 +729,9 @@ class LatticeVolume:
         *Cone.*  Face by face, the witness is tested at each chain of
         length < d - 1 on each gap by the shift test, which a positive scale
         leaves alone, and at each chain of length d - 1, whose one non-cover
-        gap has k = 2, by the point summing positive over the link.  For
-        k = 2 the two agree: the atoms of [lo, hi] partition hi - lo, so a
-        sum-zero shift adds 0 to the sum of Y over them, and when that sum
-        is positive a shift per atom evens Y out.
+        gap has k = 2, by the point summing positive over the link.  A
+        positive Y on every interval passes both, and the canonical witness
+        has one (:meth:`_cone_witness_intervals`), so both routes pass it.
         *Connectivity.*  A link with two occupied gaps is connected, every
         cross-gap pair being comparable; a chain of length j <= d - 2 with
         one occupied gap has k = d + 1 - j >= 3 there, and its link is (lo,
@@ -774,33 +772,33 @@ class LatticeVolume:
 
     def _cone_witness_intervals(self, vmap: dict) -> tuple[bool, int]:
         """Per-interval feasibility of the witness: on every interval with
-        k >= 2, the normalized point Y must be positive on (lo, hi), or made
-        so by a sum-zero layer shift (:meth:`_gap_feasible`).  Returns
-        whether every interval passes, and how many passed.
+        k >= 2, the normalized point Y must be positive on (lo, hi).
+        Returns whether every interval passes, and how many passed.
 
         Success certifies genuine cone membership (the modular space sits
         inside the lineality space of every restriction, so every condition
-        checked is a strengthening).
+        checked is a strengthening; a positive Y passes each gap's sum-zero
+        shift test with the zero shift).  A point that fails sends
+        :meth:`hl_check` to the exact route.
+
+        **The canonical witness passes on every interval**, so no shift is
+        ever needed for it.  It is x(F) = phi(a(F)) with a(F) = |F - bottom|
+        and phi(a) = a (N - a), N = |top - bottom|; phi vanishes at the
+        bottom and the top, where :meth:`_scaled` puts 0.  For flats lo < g
+        < hi, bottom <= lo gives |g - lo| = a(g) - a(lo) and |hi - lo| =
+        a(hi) - a(lo), so Y(g) is S0 E times phi at a(g) minus the chord of
+        phi through a(lo) and a(hi).  phi is quadratic with leading
+        coefficient -1, so that difference is (a(g) - a(lo)) (a(hi) - a(g)),
+        and Y(g) = S0 E |g - lo| |hi - g| > 0, the inclusions lo < g < hi
+        being strict.
         """
         x = self._scaled(vmap)
         checked = 0
-        for lo, hi, _, mids in self._intervals():
-            y = self._normalized(x, lo, hi)
-            if not all(c > 0 for c in y.values()) and not self._gap_feasible(lo, hi, mids, y):
+        for lo, hi, _, _ in self._intervals():
+            if not all(c > 0 for c in self._normalized(x, lo, hi).values()):
                 return False, checked
             checked += 1
         return True, checked
-
-    def _gap_feasible(self, lo: int, hi: int, mids: int, x: dict) -> bool:
-        """Whether a shift c on the layer of elements in hi but not lo, with
-        sum 0, makes x[g] + sum_{e in g - lo} c_e positive at every gap flat
-        g: the orthant test at x, with L the image of the sum-zero layer
-        vectors, spanned by the images of e_first - e over the layer."""
-        masks = self.L.masks
-        gaps = list(_indices(mids))
-        first, *rest = _bits(masks[hi] & ~masks[lo])
-        rows = [[int(bool(masks[g] & first)) - int(bool(masks[g] & e)) for g in gaps] for e in rest]
-        return in_orthant_plus_subspace([x[g] for g in gaps], LinSubspace(gaps, rows)) is not None
 
 
 # ---------------------------------------------------------------------------

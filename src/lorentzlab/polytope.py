@@ -1,17 +1,27 @@
 """Simple polytopes from facet data: exact vertex enumeration, volumes,
 volume polynomials, mixed volumes and the Alexandrov-Fenchel check.
 
-A polytope arrives as rational (not necessarily unit) outward normals plus
-support numbers.  Boundedness depends on the normals alone, so it is
-decided once per normal set, by one orthant test, and remembered with the
-translations.  Vertices come from every d-subset of facet equations, on
-integers: [normals | t] is scaled to integers once, by one common
-denominator (a positive scaling keeps every facet, vertex and incidence),
-and one fraction-free elimination of each [A | t] gives the rank of A and
-the vertex together, as y / prev with y and prev ints.  The slacks
-sign(prev) (t_i prev - N_i y) are ints too, so the feasibility and
-incidence tests form no rational; only a feasible vertex becomes one.
-Simplicity means every vertex activates exactly d facets, and the
+A polytope arrives as rational (not necessarily unit) outward normals N
+plus support numbers t.  The bodies of one deformation cone share their
+normals, so what depends on the normals alone is done once per normal set
+and remembered (``_require_bounded``): boundedness, by one orthant test,
+the translations, and a vertex chart for every d-subset S of the normals.
+The normals are scaled to integers once, N' = c N, and one fraction-free
+elimination of [N'_S | I] gives the rank of N'_S and, when that is d,
+prev = +-det(N'_S) and the integer chart A_S = prev N'_S^-1; singular
+subsets are dropped there, once.
+
+A body is then one integer mat-vec per chart.  With t' = D t its support
+numbers scaled to integers and u = A_S t'_S, the vertex of S, the solution
+of N_S x = t_S, is x = c u / (D prev), since N'_S x = c t_S = (c / D) t'_S.
+Its slacks are ints up to a positive factor: N_i x = N'_i u / (D prev), so
+
+    sign(prev) (prev t'_i - N'_i u) = |prev| D (t_i - N_i x),
+
+which has the sign of the slack t_i - N_i x and vanishes exactly on the
+facets through x (on S itself, since N'_S u = prev t'_S).  The feasibility
+and incidence tests thus form no rational; only a feasible vertex becomes
+one.  Simplicity means every vertex activates exactly d facets, and the
 facet-incidence sets generate the incidence complex.
 
 The volume polynomial is the hereditary polynomial of the incidence
@@ -73,7 +83,8 @@ class SimplePolytope:
 
 
 def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = None) -> SimplePolytope:
-    """Vertex enumeration over all d-subsets of facet equations.
+    """Vertex enumeration over the charts of the normal set, one per
+    invertible d-subset of facet normals.
 
     Raises PolytopeError when the data is unbounded, non-simple, or leaves
     a facet empty.
@@ -89,64 +100,74 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     labels = tuple(labels)
     if len(t) != n or len(labels) != n or any(len(r) != d for r in normals):
         raise PolytopeError("inconsistent facet data")
-    lin = _require_bounded(labels, normals)
-    # one positive scaling of [normals | t] to integers keeps every facet,
-    # vertex and incidence, so the loop below runs on ints alone
-    rows, _ = linalg.integer_scaled([r + (ti,) for r, ti in zip(normals, t)])
-    verts: dict[tuple, frozenset] = {}
-    full_rank = list(range(d))
-    for combo in combinations(range(n), d):
-        # one elimination of [A | t] gives the rank of A and prev * vertex
-        M, pivots, prev, _ = linalg.eliminate([rows[i] for i in combo])
-        if pivots != full_rank:
-            continue
-        y = [row[d] for row in M]
-        # x = y / prev, so the slack t_i - N_i x, times |prev|, is an int
-        # (zip stops at the d entries of y, before t_i = r[d])
+    lin, rows, c, charts = _require_bounded(labels, normals)
+    (tt,), D = linalg.integer_scaled([t])
+    # a vertex on exactly d facets is found by one chart only, so the list
+    # holds no vertex twice; one on more facets raises when first found
+    verts: list[tuple[tuple, frozenset]] = []
+    for S, prev, A in charts:
+        u = [sum(a * tt[i] for a, i in zip(arow, S)) for arow in A]
         sgn = 1 if prev > 0 else -1
-        slack = [sgn * (r[d] * prev - sum(a * b for a, b in zip(r, y))) for r in rows]
+        slack = [sgn * (prev * ti - sum(a * b for a, b in zip(r, u))) for r, ti in zip(rows, tt)]
         if min(slack) < 0:
             continue
-        x = tuple(Rational(a, prev) for a in y)
+        x = tuple(Rational(c * a, D * prev) for a in u)
         act = frozenset(labels[i] for i, s in enumerate(slack) if not s)
         if len(act) != d:
             raise PolytopeError(f"vertex ({', '.join(map(rat_str, x))}) lies on {len(act)} facets; "
                                 "polytope is not simple")
-        verts[x] = act
+        verts.append((x, act))
     if not verts:
         raise PolytopeError("no vertices; the data does not bound a polytope")
-    covered = set().union(*verts.values())
+    covered = set().union(*(act for _, act in verts))
     missing = [lab for lab in labels if lab not in covered]
     if missing:
         raise PolytopeError(f"facet(s) {missing} are empty (redundant constraints)")
-    delta = SimComplex(labels, set(verts.values()))
-    order = sorted(verts, key=label_key)
+    delta = SimComplex(labels, {act for _, act in verts})
+    verts.sort(key=lambda va: label_key(va[0]))
     return SimplePolytope(
         dim=d, labels=labels, normals=normals, t=t,
-        vertices=tuple(order), active=tuple(verts[v] for v in order),
+        vertices=tuple(x for x, _ in verts), active=tuple(act for _, act in verts),
         delta=delta, lin=lin,
     )
 
 
-_BOUNDED: dict[tuple, LinSubspace] = {}
+_BOUNDED: dict[tuple, tuple] = {}
 
 
-def _require_bounded(labels: tuple, normals: tuple) -> LinSubspace:
-    """The translations read through the normals, lin (the column space of
-    the normal matrix N), after raising PolytopeError unless the normals
-    positively span the space.  By Stiemke's lemma they do exactly when N
-    has rank d and N^T y = 0 for some y > 0, that is, when lin.dim = d and
-    lin^perp holds a strictly positive vector: one orthant test.  The answer
-    depends on the normals alone, so each bounded set's lin is remembered;
-    an unbounded set is tested, and raises, on every call."""
-    lin = _BOUNDED.get((labels, normals))
-    if lin is None:
+def _require_bounded(labels: tuple, normals: tuple) -> tuple[LinSubspace, list, int, list]:
+    """The normal set's entry (lin, N', c, charts), after raising
+    PolytopeError unless the normals positively span the space.
+
+    lin holds the translations read through the normals (the column space
+    of the normal matrix N).  By Stiemke's lemma the normals positively
+    span the space exactly when N has rank d and N^T y = 0 for some y > 0,
+    that is, when lin.dim = d and lin^perp holds a strictly positive
+    vector: one orthant test.  N' = c N is N scaled to integers, and
+    charts holds (S, prev, A_S) for every d-subset S of rows, in index
+    order, whose N'_S is invertible, with prev = +-det(N'_S) and A_S =
+    prev N'_S^-1, both from one elimination of [N'_S | I].  All of it
+    depends on the normals alone, so each bounded set's entry is
+    remembered, keyed on integers; an unbounded set is tested, and raises,
+    on every call."""
+    rows, c = linalg.integer_scaled(normals)
+    key = (labels, tuple(map(tuple, rows)), c)
+    got = _BOUNDED.get(key)
+    if got is None:
         d = len(normals[0])
         lin = LinSubspace(labels, [tuple(r[k] for r in normals) for k in range(d)])
         if lin.dim != d or in_orthant_plus_subspace([0] * len(labels), lin.perp()) is None:
             raise PolytopeError("unbounded: the normals do not positively span the space")
-        _BOUNDED[labels, normals] = lin
-    return lin
+        eye = [[int(j == k) for j in range(d)] for k in range(d)]
+        full_rank = list(range(d))
+        charts = []
+        for S in combinations(range(len(rows)), d):
+            # [N'_S | I] ends at [prev I | A_S] when N'_S is invertible
+            M, pivots, prev, _ = linalg.eliminate([rows[i] + e for i, e in zip(S, eye)])
+            if pivots == full_rank:
+                charts.append((S, prev, [row[d:] for row in M]))
+        got = _BOUNDED[key] = (lin, rows, c, charts)
+    return got
 
 
 def in_deformation_cone(P: SimplePolytope, t: Sequence) -> bool:
@@ -161,7 +182,6 @@ def in_deformation_cone(P: SimplePolytope, t: Sequence) -> bool:
 
 def volume(P: SimplePolytope):
     """Exact Euclidean volume by a pulling triangulation of the face lattice."""
-    vert_at = dict(zip(P.active, P.vertices))
     face_vertices: dict[frozenset, list] = {}
     for act, v in zip(P.active, P.vertices):
         for k in range(len(act) + 1):

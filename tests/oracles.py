@@ -43,7 +43,9 @@ checked against.
   checks the fan axioms by one LP per pair in the ray coefficients, built
   by :func:`cone_pair_system` (the library: the separation lemma);
   :func:`lp_gap_feasible` is the matroid gap test in the layer unknowns
-  (the library: the image of the sum-zero layer vectors).
+  and :func:`orthant_gap_feasible` the same test as one orthant test on the
+  image of the sum-zero layer vectors (the library needs no gap test: the
+  canonical witness is positive on every interval).
 * :func:`fourier_motzkin_feasible` decides strict feasibility by variable
   elimination, independently of the simplex in ``lorentzlab.cones``.
 * :func:`dense_lp_max` is the simplex of ``cones.lp_max`` on a dense
@@ -65,7 +67,10 @@ checked against.
   :func:`random_sym` draws the seeded symmetric matrices both are run on.
 * :func:`rank_solve_vertices` enumerates a polytope's vertices by taking
   the rank of each d-subset of facet normals and then solving for the
-  vertex; the library reads both off one elimination.
+  vertex, and :func:`subset_elimination_build` builds a polytope by one
+  elimination of [A | t] per d-subset, body by body; the library eliminates
+  each d-subset once per normal set and reads every body's vertices off
+  the resulting charts.
 * :func:`facet_recursion_volume_polynomial` builds a polytope's volume
   polynomial by recursion over facets in intrinsic hyperplane coordinates;
   the library rebuilds it with ``hereditary.from_weights`` from the
@@ -143,7 +148,7 @@ from typing import Sequence
 
 from lorentzlab import hereditary as hered
 from lorentzlab import linalg, polytope
-from lorentzlab.cones import lp_max
+from lorentzlab.cones import in_orthant_plus_subspace, lp_max
 from lorentzlab.inertia import Inertia, SymMatrix, hessian, inertia, lorentz_signature
 from lorentzlab.lorentzian import (
     LorentzVerdict,
@@ -159,7 +164,7 @@ from lorentzlab.lorentzian import (
 )
 from lorentzlab.matroid import pol_matroid, submodular_witness
 from lorentzlab.polycore import HomPoly, LinSubspace, direction_coords
-from lorentzlab.rat import Q, ONE, ZERO
+from lorentzlab.rat import Q, ONE, ZERO, rat_str
 from lorentzlab.simplicial import SimComplex, face_key, face_str, label_key
 
 
@@ -791,6 +796,54 @@ def rank_solve_vertices(normals, t, labels) -> dict:
     return verts
 
 
+def subset_elimination_build(normals, t, labels=None) -> polytope.SimplePolytope:
+    """``polytope.build`` by one elimination of the integer [A | t] per
+    d-subset A of the facet normals, for every body anew, with boundedness
+    decided by :func:`lp_is_bounded`: the same checks in the same order,
+    raising the same ``PolytopeError`` texts."""
+    PolytopeError = polytope.PolytopeError
+    normals = tuple(tuple(Q(x) for x in r) for r in normals)
+    t = tuple(Q(x) for x in t)
+    if not normals:
+        raise PolytopeError("no facets")
+    d, n = len(normals[0]), len(normals)
+    labels = tuple(range(1, n + 1)) if labels is None else tuple(labels)
+    if len(t) != n or len(labels) != n or any(len(r) != d for r in normals):
+        raise PolytopeError("inconsistent facet data")
+    if not lp_is_bounded(normals):
+        raise PolytopeError("unbounded: the normals do not positively span the space")
+    rows, _ = linalg.integer_scaled([r + (ti,) for r, ti in zip(normals, t)])
+    verts = {}
+    for combo in combinations(range(n), d):
+        # [A | t] ends at [prev I | y] when A has rank d; the vertex is y / prev
+        M, pivots, prev, _ = linalg.eliminate([rows[i] for i in combo])
+        if pivots != list(range(d)):
+            continue
+        y = [row[d] for row in M]
+        sgn = 1 if prev > 0 else -1
+        slack = [sgn * (r[d] * prev - sum(a * b for a, b in zip(r, y))) for r in rows]
+        if min(slack) < 0:
+            continue
+        x = tuple(Q(a, prev) for a in y)
+        act = frozenset(labels[i] for i, s in enumerate(slack) if not s)
+        if len(act) != d:
+            raise PolytopeError(f"vertex ({', '.join(map(rat_str, x))}) lies on {len(act)} facets; "
+                                "polytope is not simple")
+        verts[x] = act
+    if not verts:
+        raise PolytopeError("no vertices; the data does not bound a polytope")
+    covered = set().union(*verts.values())
+    missing = [lab for lab in labels if lab not in covered]
+    if missing:
+        raise PolytopeError(f"facet(s) {missing} are empty (redundant constraints)")
+    order = sorted(verts, key=label_key)
+    return polytope.SimplePolytope(
+        dim=d, labels=labels, normals=normals, t=t, vertices=tuple(order),
+        active=tuple(verts[v] for v in order), delta=SimComplex(labels, set(verts.values())),
+        lin=LinSubspace(labels, list(zip(*normals))),
+    )
+
+
 def facet_recursion_volume_polynomial(P) -> HomPoly:
     """The volume polynomial of a simple polytope by recursion over its
     facets.  Each facet is rewritten in rational coordinates of its
@@ -1171,8 +1224,21 @@ def lp_is_bounded(normals) -> bool:
     return True
 
 
+def orthant_gap_feasible(lattice, lo, hi, mids, x) -> bool:
+    """Whether a shift c on the layer of elements in hi but not lo, with
+    sum 0, makes x[g] + sum_{e in g - lo} c_e positive at every gap flat g
+    (indices into ``lattice.masks``, ``mids`` a bitset of them): the orthant
+    test at x, with L the image of the sum-zero layer vectors, spanned by
+    the images of e_first - e over the layer."""
+    masks = lattice.masks
+    gaps = [g for g in range(len(masks)) if mids >> g & 1]
+    first, *rest = [1 << e for e in range(len(lattice.elems)) if (masks[hi] & ~masks[lo]) >> e & 1]
+    rows = [[int(bool(masks[g] & first)) - int(bool(masks[g] & e)) for g in gaps] for e in rest]
+    return in_orthant_plus_subspace([x[g] for g in gaps], LinSubspace(gaps, rows)) is not None
+
+
 def lp_gap_feasible(lattice, lo, hi, mids, x) -> bool:
-    """The gap test of ``LatticeVolume._gap_feasible`` as one mixed system:
+    """The gap test of :func:`orthant_gap_feasible` as one mixed system:
     unknowns c_e on the elements of the layer hi - lo, sum c_e = 0, and
     x[g] + sum_{e in g - lo} c_e > 0 at every gap flat g (indices into
     ``lattice.masks``, ``mids`` a bitset of them)."""

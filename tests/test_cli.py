@@ -208,6 +208,33 @@ def test_polytope_polynomial_then_mixed_builds_the_polynomial_once(capsys, files
     assert len(calls) == 1
 
 
+def test_polytope_af_eliminates_each_subset_once(capsys, tmp_path, monkeypatch):
+    """Count guard: `polytope af` on d fresh bodies of one normal set runs
+    C(n, d) eliminations in polytope.py, one chart per d-subset of normals,
+    not one per subset and body."""
+    from lorentzlab import linalg, polytope
+
+    monkeypatch.setattr(polytope, "_BOUNDED", {})
+    monkeypatch.setattr(polytope, "_VOLPOLY_CACHE", {})
+    normals = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    paths = []
+    for k in range(3):
+        paths.append(tmp_path / f"box{k}.json")
+        paths[-1].write_text(json.dumps({"dim": 3, "normals": normals, "t": [k + 1, 1, 2, 0, k, 1]}))
+    calls = []
+    inner = linalg.eliminate
+
+    def spy(M):
+        if sys._getframe(1).f_globals["__name__"] == "lorentzlab.polytope":
+            calls.append(len(M))
+        return inner(M)
+
+    monkeypatch.setattr(linalg, "eliminate", spy)
+    code, rep, _ = run(capsys, "polytope", "af", *map(str, paths))
+    assert code == 0 and rep["verdict"] == "yes"
+    assert calls == [3] * 20
+
+
 def test_fan_commands(capsys, files, tmp_path):
     code, rep, _ = run(capsys, "fan", "check", files["sqfan.json"], "--weights", files["sqweights.json"])
     assert code == 0 and rep["verdict"] == "yes"

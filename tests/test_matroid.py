@@ -34,6 +34,7 @@ from oracles import (
     is_semimodular_spot,
     layered_pin,
     lp_gap_feasible,
+    orthant_gap_feasible,
     oracle_chain_points,
     oracle_chains,
     oracle_flats,
@@ -277,10 +278,10 @@ def test_engine_matches_explicit(catalog, rng):
 
 
 def test_gap_test_matches_lp_oracle(catalog, rng):
-    """The gap test of the cone witness, one orthant test on the image of
-    the sum-zero layer vectors, against the oracle's mixed system in the
-    layer unknowns, at seeded integer points on sampled intervals of rank
-    at least 2 of every catalog lattice of rank >= 3."""
+    """The gap test, one orthant test on the image of the sum-zero layer
+    vectors, against the mixed system in the layer unknowns, at seeded
+    integer points on sampled intervals of rank at least 2 of every catalog
+    lattice of rank >= 3."""
     verdicts = set()
     for name, L in catalog.items():
         if L.rank_total < 3:
@@ -290,7 +291,7 @@ def test_gap_test_matches_lp_oracle(catalog, rng):
         for lo, hi, mids in rng.sample(gaps, min(len(gaps), 12)):
             for _ in range(3):
                 x = {g: rng.randint(-3, 3) for g in range(len(L.masks)) if mids >> g & 1}
-                got = eng._gap_feasible(lo, hi, mids, x)
+                got = orthant_gap_feasible(L, lo, hi, mids, x)
                 assert got == lp_gap_feasible(L, lo, hi, mids, x), (name, lo, hi, mids, x)
                 verdicts.add(got)
     assert verdicts == {True, False}
@@ -528,22 +529,43 @@ def test_failed_cone_witness_falls_back_to_the_exact_route(catalog, monkeypatch)
 
 def test_rank_2_failed_gap_test_falls_back_to_the_exact_route(catalog, monkeypatch):
     # rank-2 lattices take the common path: the one interval (bottom, top)
-    # gets the gap test.  The canonical witness is positive there, so it is
-    # negated to reach the gap test, which is made to fail.
+    # is tested.  The canonical witness is positive there, so it is negated
+    # to fail the test, and the verdict comes from the exact route.
     from lorentzlab import matroid
-    from lorentzlab.matroid import LatticeVolume
 
     def negated_witness(L):
         w = submodular_witness(L)
         return type(w)(w.vars, tuple(-c for c in w.coords))
 
     calls = []
+    exact = hered.is_hereditary_lorentzian
     monkeypatch.setattr(matroid, "submodular_witness", negated_witness)
-    monkeypatch.setattr(LatticeVolume, "_gap_feasible", lambda self, *args: calls.append(args) or False)
+    monkeypatch.setattr(hered, "is_hereditary_lorentzian", lambda *a: calls.append(a) or exact(*a))
     for name in ("U(2,3)", "U(2,4)"):
         calls.clear()
         assert volume_engine(catalog[name]).hl_check().value == "yes", name
         assert len(calls) == 1, name
+
+
+def test_canonical_witness_never_needs_the_gap_test():
+    """The lemma of ``_cone_witness_intervals``: the canonical witness's
+    normalized point is E |g - lo| |hi - g| > 0 at every flat g of every
+    interval with k >= 2, so no sum-zero shift is ever needed; on U(r,n)
+    for n <= 8, Fano, M(K5) and M(K6)."""
+    lattices = {f"U({r},{n})": flats(Matroid.uniform(r, n)) for n in range(1, 9) for r in range(1, n + 1)}
+    lattices.update({"Fano": flats(Matroid.fano()), "M(K5)": flats(Matroid.from_graph(5, K5_EDGES)),
+                     "M(K6)": flats(Matroid.from_graph(6, K6_EDGES))})
+    tested = 0
+    for name, L in lattices.items():
+        eng = volume_engine(L)
+        w = submodular_witness(L)
+        x = eng._scaled(dict(zip(w.vars, w.coords)))
+        size = [m.bit_count() for m in L.masks]
+        for lo, hi, _, _ in eng._intervals():
+            for g, y in eng._normalized(x, lo, hi).items():
+                assert y == eng.lcm_n * (size[g] - size[lo]) * (size[hi] - size[g]) > 0, (name, lo, g, hi)
+                tested += 1
+    assert tested > 10000
 
 
 def test_engine_chains_match_oracle_order(catalog):

@@ -3,8 +3,6 @@ its vertex weights against the facet-recursion oracle and the triangulation
 volume, mixed volumes and the Alexandrov-Fenchel check, and the
 deformation-cone membership test."""
 
-from itertools import combinations
-
 import pytest
 
 from lorentzlab import cones, linalg, polytope
@@ -21,7 +19,14 @@ from lorentzlab.polytope import (
     volume_polynomial,
 )
 from lorentzlab.rat import Q
-from oracles import chain_mixed_volume, facet_recursion_volume_polynomial, lp_is_bounded, rank_solve_vertices, rename_vars
+from oracles import (
+    chain_mixed_volume,
+    facet_recursion_volume_polynomial,
+    lp_is_bounded,
+    rank_solve_vertices,
+    rename_vars,
+    subset_elimination_build,
+)
 
 
 def square(t=(1, 1, 1, 1)):
@@ -268,12 +273,78 @@ def test_vertices_match_rank_solve_oracle(rng):
 
 
 def test_rational_fixture_eliminates_to_a_negative_prev():
-    """Some d-subset of the rational fixture ends its elimination with
-    prev < 0, so the sign of the integer slacks is exercised."""
+    """Some chart of the rational fixture's normal set ends its elimination
+    with prev < 0, so the sign of the integer slacks is exercised."""
     P = rational_triangle()
-    rows, _ = linalg.integer_scaled([r + (ti,) for r, ti in zip(P.normals, P.t)])
-    prevs = [linalg.eliminate([rows[i] for i in combo])[2] for combo in combinations(range(len(rows)), P.dim)]
+    charts = polytope._require_bounded(P.labels, P.normals)[3]
+    prevs = [prev for _, prev, _ in charts]
     assert min(prevs) < 0 < max(prevs)
+
+
+def _outcome(make, *args):
+    try:
+        return make(*args)
+    except (PolytopeError, TypeError) as e:
+        return type(e), str(e)
+
+
+def _agreement_cases(rng):
+    """Seeded build inputs: support vectors near those of the unit,
+    non-unit and rational fixtures, in their chamber or not, half of them
+    with normals, support numbers and labels shuffled together; random
+    normal sets of every shape of ``_seeded_normals``; and fixed unbounded,
+    non-simple, empty-facet, no-vertex, inconsistent, no-facet and float
+    data."""
+    for make in FIXTURES + NON_UNIT + RATIONAL:
+        P = make()
+        for k in range(8):
+            t = [x + Q(rng.randint(-3, 3), rng.choice((1, 4, 8))) for x in P.t]
+            rows = list(zip(P.normals, t, P.labels))
+            if k % 2:
+                rng.shuffle(rows)
+            normals, t, labels = zip(*rows)
+            yield normals, t, labels
+    for k in range(120):
+        normals = _seeded_normals(rng, k)
+        yield normals, [Q(rng.randint(-2, 4), rng.randint(1, 3)) for _ in normals], None
+    yield [(1, 0), (0, 1)], [1, 1], None
+    yield [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)], [1, 1, 1, 1, 3], None
+    yield [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], [1, 1, 1, 1, 10], None
+    yield [(1, 0), (0, 1), (-1, 0), (0, -1)], [-1, 1, -1, 1], None
+    yield [(1, 0), (0, 1), (-1, 0)], [1, 1], None
+    yield [(1, 0), (0, 1, 2), (-1, 0)], [1, 1, 1], None
+    yield [], [], None
+    yield [(1.0, 0), (0, 1), (-1, -1)], [1, 1, 1], None
+    yield [(1, 0), (0, 1), (-1, -1)], [1, 1, 0.5], None
+
+
+def test_charts_match_subset_elimination_oracle(rng):
+    """The chart route against one elimination of [A | t] per d-subset and
+    body: an equal SimplePolytope, or the same error type and text."""
+    kinds = ("floats", "unbounded", "vertex", "facet(s)", "no vertices", "no facets", "inconsistent")
+    seen = set()
+    for normals, t, labels in _agreement_cases(rng):
+        args = (normals, t) if labels is None else (normals, t, labels)
+        got = _outcome(build, *args)
+        assert got == _outcome(subset_elimination_build, *args), args
+        seen.add("ok" if isinstance(got, SimplePolytope) else next(k for k in kinds if got[1].startswith(k)))
+    assert seen == {"ok", *kinds}, seen
+
+
+def test_second_body_on_a_normal_set_eliminates_nothing(monkeypatch):
+    """Count guard: once a normal set has its charts, a build on it makes
+    no linalg.eliminate call and no cones.lp_max call."""
+    monkeypatch.setattr(polytope, "_BOUNDED", {})
+    calls = []
+    for mod, name in ((linalg, "eliminate"), (cones, "lp_max")):
+        inner = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _inner=inner, _name=name: calls.append(_name) or _inner(*a))
+    for make in (cube, prism, rational_triangle):
+        P = make()
+        assert "eliminate" in calls and "lp_max" in calls
+        calls.clear()
+        build(P.normals, [2 * x + 1 for x in P.t], P.labels)
+        assert not calls, make.__name__
 
 
 def test_mixed_volume_matches_chain_oracle(rng):
@@ -330,7 +401,7 @@ def test_boundedness_matches_lp_oracle(rng, monkeypatch):
         normals = _seeded_normals(rng, k)
         labels = tuple(range(1, len(normals) + 1))
         try:
-            lin = polytope._require_bounded(labels, normals)
+            lin = polytope._require_bounded(labels, normals)[0]
         except PolytopeError as e:
             assert "unbounded" in str(e)
             got = False
