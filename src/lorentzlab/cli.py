@@ -29,8 +29,8 @@ from . import fanchow, hereditary, lorentzian, matroid, polytope, subdivision
 from .cones import ConeByGenerators
 from .inertia import hessian, inertia
 from .polycore import HomPoly, LinSubspace, parse_poly
-from .rat import Q, rat_str, read_rat
-from .simplicial import SimComplex, label_str
+from .rat import Q, Rational, rat_str, read_rat
+from .simplicial import SimComplex, label_key, label_str
 
 
 class InputError(Exception):
@@ -148,12 +148,24 @@ def read_fan_chain(steps: list) -> list:
     return [fanchow.read_step(s) for s in steps]
 
 
+def _json_default(x):
+    """The JSON form of what ``json`` has no type for: a rational as its
+    canonical string, a set as a list in ``label_key`` order, and any other
+    label as ``label_str``."""
+    if isinstance(x, (Rational, Fraction)):
+        return rat_str(x)
+    if isinstance(x, (set, frozenset)):
+        return sorted(x, key=label_key)
+    return label_str(x)
+
+
 def emit(args, code: int, verdict: str, **fields) -> int:
-    """Print the report of one command and return its exit code."""
+    """Print the report of one command and return its exit code.  Every
+    key of the report is a ``str``."""
     rep = {"command": " ".join(args.command_echo), "verdict": verdict, **fields}
     if args.timing:
         rep["timing_ms"] = round(1000 * (time.monotonic() - args.t0), 3)
-    print(json.dumps(lorentzian._jsonable(rep), indent=2, sort_keys=True))
+    print(json.dumps(rep, indent=2, sort_keys=True, default=_json_default))
     print(f"[lorentzlab] {rep['command']}: {rep['verdict']}", file=sys.stderr)
     return code
 

@@ -118,7 +118,9 @@ class Fan:
                     raise ValueError(f"cone {c} needs ray indices in 0..{len(labels) - 1}")
                 c = [labels[i] for i in c]
             cones.append(c)
-        return build_fan(int(data["dim"]), labels, rays, cones)
+        if type(dim := data["dim"]) is not int:
+            raise ValueError(f"dim {dim!r} must be an integer")
+        return build_fan(dim, labels, rays, cones)
 
 
 def build_fan(dim: int, labels: Sequence, rays: Sequence, cones: Sequence[Iterable]) -> Fan:

@@ -25,6 +25,11 @@ derivatives and the derived supports.  Only the cone test's Hessians,
 taken in f's own coordinates, are formed by directional-derivative
 chains.
 
+The polarized verdict decides each face condition once per count vector,
+the number of copies of each variable in a face, and proves rather than
+checks that the all-ones point lies in the polarized cone (the proof is in
+``polarized_hereditary_verdict``).
+
 Every "no" verdict carries a finite witness that re-verifies in isolation;
 the sampling-based check for non-polyhedral cones never answers "yes", only
 "no with witness" or "consistent".
@@ -33,15 +38,14 @@ the sampling-based check for non-polyhedral cones never answers "yes", only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Sequence
 
 from .cones import ConeByGenerators
-from .inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia
+from .inertia import SymMatrix, derivative_hessian, hessian, inertia
 from .polycore import HomPoly, direction_coords
-from .rat import ZERO, ONE, Rational, rat_str
-from .simplicial import connected, label_key, label_str
+from .rat import ONE
+from .simplicial import connected
 
 
 @dataclass
@@ -53,30 +57,6 @@ class LorentzVerdict:
 
     def __bool__(self) -> bool:
         return self.value == "yes"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "detail": self.detail,
-            "witness": _jsonable(self.witness),
-            "certificates": _jsonable(self.certificates),
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, (Rational, Fraction)):
-        return rat_str(x)
-    if isinstance(x, Inertia):
-        return list(x)
-    if isinstance(x, (set, frozenset)):
-        return [_jsonable(e) for e in sorted(x, key=label_key)]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(e) for e in x]
-    if isinstance(x, dict):
-        return {label_str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (int, float, str, bool)) or x is None:
-        return x
-    return label_str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +271,32 @@ def polarize(f: HomPoly) -> HomPoly:
 
 
 def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
-    """Hereditary-Lorentzian verdict of the polarization, computed on the
-    polarized face complex without materializing the polarized polynomial.
+    """Hereditary-Lorentzian verdict of the polarization, decided once per
+    count vector, without forming the polarized polynomial.
 
-    Faces of the polarized complex are exactly the subsets whose per-block
-    count vector is dominated by a support exponent, so membership tests,
-    the H-connectedness scan, the codimension-2 Hessians (block-constant
-    matrices from the corresponding quadratic derivative of f), and the
-    all-ones cone witness are all cheap.  Cross-validated against the fully
-    generic pipeline on small instances in the test suite.
+    A set S of copies is a face of the polarized complex exactly when its
+    count vector beta (beta_v copies of v) is dominated, beta <= alpha for
+    a support exponent alpha of f.  The polarization is invariant under
+    permuting the copies inside each block, so every face condition depends
+    on beta alone, and is decided at the representative face of the first
+    beta_v copies of each block.  Its link holds the copies (v, j), j >=
+    beta_v, of each block v with beta + e_v dominated; two of them are
+    adjacent when beta + e_v + e_w is dominated (beta + 2e_v for two copies
+    of v).  The skeleton is H-connected when the link of every beta with
+    |beta| <= d - 3 is connected, and the codimension-2 Hessian at |beta| =
+    d - 2 is the block expansion of the Hessian of the beta-th derivative of
+    f over the link.
+
+    The all-ones point lies in the cone, so a nonzero f never gets
+    "vacuous" here.  At a face S with count vector beta, the projection
+    moves the value of each copy in S onto a copy of its block outside S;
+    one exists, since beta_v <= kappa_v and the block has kappa_v + 1
+    copies.  So the projected point is >= 1 at every copy outside S, hence
+    positive on the link.  At |beta| = d - 1 the base form is the sum over
+    v of the (beta + e_v)-th derivative of f times the link copies of v.
+    Every term is >= 0, as f is nonnegative, and one is > 0: beta lies
+    below a support exponent alpha of degree |beta| + 1, so alpha = beta +
+    e_v for some v, and the alpha-th derivative is alpha! c_alpha > 0.
     """
     from .hereditary import HLVerdict
 
@@ -309,110 +306,36 @@ def polarized_hereditary_verdict(f: HomPoly) -> "HLVerdict":
         return HLVerdict(value="vacuous", note="zero polynomial")
     if d == 0:
         return HLVerdict(value="yes", note="constant convention")
-    pvars = tuple(polarization_vars(f))
-    supp = f.support()
-    dominated: set[tuple] = set()
-    for alpha in supp:
-        for beta in iproduct(*[range(a + 1) for a in alpha]):
-            dominated.add(beta)
-
-    block_of = {pv: i for i, v in enumerate(f.vars) for pv in pvars if pv[0] == v}
-    block_members: dict[int, list] = {}
-    for pv in pvars:
-        block_members.setdefault(block_of[pv], []).append(pv)
-
-    def count_vec(S: Iterable) -> tuple:
-        counts = [0] * len(f.vars)
-        for pv in S:
-            counts[block_of[pv]] += 1
-        return tuple(counts)
-
-    def is_face(S: frozenset) -> bool:
-        return count_vec(S) in dominated
-
+    ones = {pv: ONE for pv in polarization_vars(f)}
     if d == 1:
-        return HLVerdict(value="yes", cone_witness={pv: ONE for pv in pvars}, note="degree 1, nonzero nonneg")
+        return HLVerdict(value="yes", cone_witness=ones, note="degree 1, nonzero nonneg")
+    dominated = {beta for alpha in f.coeffs for beta in iproduct(*[range(a + 1) for a in alpha])}
+    copies = [[pv for pv in ones if pv[0] == v] for v in f.vars]
 
-    # cone nonemptiness: the all-ones point, pushed through canonical
-    # projections that swap each pinned copy against a same-block partner,
-    # stays strictly positive at every face and positive on the base linear
-    # restrictions; verified face by face below
-    witness_ok = True
-    faces_by_size: dict[int, list] = {0: [frozenset()]}
-    for k in range(1, d):
-        faces_by_size[k] = [frozenset(S) for S in combinations(pvars, k) if is_face(frozenset(S))]
-    for k in range(0, d):
-        for S in faces_by_size[k]:
-            x = {pv: ONE for pv in pvars}
-            ok_partner = True
-            for pv in sorted(S, key=label_key):
-                partner = next((q for q in block_members[block_of[pv]] if q not in S), None)
-                if partner is None:
-                    ok_partner = False
-                    break
-                xi = x[pv]
-                x[pv] -= xi
-                x[partner] += xi
-            if not ok_partner:
-                witness_ok = False
-                break
-            V_S = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
-            if k < d - 1:
-                if any(not x[pv] > 0 for pv in V_S):
-                    witness_ok = False
-                    break
-            else:
-                cv = count_vec(S)
-                total = ZERO
-                for pv in V_S:
-                    alpha = tuple(c + (1 if i == block_of[pv] else 0) for i, c in enumerate(cv))
-                    total += f.derivative_value(alpha) * x[pv]
-                if not total > 0:
-                    witness_ok = False
-                    break
-        if not witness_ok:
+    def up(beta: tuple, i: int) -> tuple:
+        return beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+
+    certs = []
+    for beta in sorted(dominated, key=lambda beta: (sum(beta), beta)):
+        if sum(beta) > d - 2:
             break
-    if not witness_ok:
-        return HLVerdict(value="vacuous", note="all-ones cone witness not certified")
-
-    # (C): H-connectedness of the skeleton, on the virtual complex
-    for k in range(0, d - 2):
-        for S in faces_by_size[k]:
-            verts = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
-            if len(verts) <= 1:
-                continue
-            adj = {v: [] for v in verts}
-            for a_i in range(len(verts)):
-                for b_i in range(a_i + 1, len(verts)):
-                    e = S | {verts[a_i], verts[b_i]}
-                    if is_face(e):
-                        adj[verts[a_i]].append(verts[b_i])
-                        adj[verts[b_i]].append(verts[a_i])
-            if not connected(verts, adj):
+        S = frozenset(pv for block, b in zip(copies, beta) for pv in block[:b])
+        link = [(i, pv) for i, b in enumerate(beta) if up(beta, i) in dominated for pv in copies[i][b:]]
+        if sum(beta) < d - 2:  # (C): H-connectedness of the skeleton
+            adj = {pv: [w for k, w in link if w != pv and up(up(beta, i), k) in dominated] for i, pv in link}
+            if not connected(list(adj), adj):
                 return HLVerdict(value="no", h_connected=False, c_witness=S,
                                  note="polarized skeleton is not H-connected")
-
-    # (Q): codimension-2 Hessians are block-constant expansions of the
-    # Hessians of the corresponding (d-2)-fold derivatives of f; inertia
-    # cached per exponent
-    inertia_cache: dict[tuple, Inertia] = {}
-    certs = []
-    for S in faces_by_size[d - 2]:
-        cv = count_vec(S)
-        if cv not in inertia_cache:
-            Hq = derivative_hessian(f, cv)
-            members = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
-            rows = [
-                [Hq.rows[block_of[a]][block_of[b]] for b in members] for a in members
-            ]
-            inertia_cache[cv] = inertia(SymMatrix.from_scaled(members, rows, Hq.den))
-        inr = inertia_cache[cv]
+            continue
+        # (Q): the codimension-2 Hessian, a block expansion of a Hessian of f
+        Hq = derivative_hessian(f, beta)
+        rows = [[Hq.rows[i][k] for k, _ in link] for i, _ in link]
+        inr = inertia(SymMatrix.from_scaled([pv for _, pv in link], rows, Hq.den))
         certs.append((S, inr))
         if inr.pos > 1:
             return HLVerdict(value="no", h_connected=True, q_certificates=certs, q_witness=S,
                              note="polarized codimension-2 Hessian fails")
-    return HLVerdict(value="yes", h_connected=True, q_certificates=certs,
-                     cone_witness={pv: ONE for pv in pvars})
+    return HLVerdict(value="yes", h_connected=True, q_certificates=certs, cone_witness=ones)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,13 @@ class HomPoly:
     def from_dense(cls, vars: Sequence[Label], degree: int, dense: Mapping[tuple, object]) -> "HomPoly":
         """Build from dense exponent tuples aligned with ``vars``; a tuple of
         another length or sum is read, and checked, as the constructor reads
-        its sparse key."""
+        its sparse key.  The exponents and the degree must be ints (a bool
+        or a float is not)."""
+        for exps in dense:
+            if any(type(e) is not int for e in exps):
+                raise ValueError(f"exps {list(exps)} must be integers")
+        if type(degree) is not int:
+            raise ValueError(f"degree {degree!r} must be an integer")
 
         def checked(exps: tuple, n: int) -> tuple:
             if len(exps) == n and sum(exps) == degree and min(exps, default=0) >= 0:

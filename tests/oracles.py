@@ -138,18 +138,22 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
   nonsingular Lorentz signature at given directions, on instances that
   :func:`perturb_interior` deforms into the interior.
 * :func:`product_check` runs the cone test on a product.
+* :func:`subset_polarized_verdict` certifies the polarization of f face by
+  face over the subsets of its variables, and checks the all-ones cone
+  witness at every face; ``polarized_hereditary_verdict`` decides each
+  condition once per count vector, and proves the witness.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from lorentzlab import hereditary as hered
 from lorentzlab import linalg, polytope
 from lorentzlab.cones import in_orthant_plus_subspace, lp_max
-from lorentzlab.inertia import Inertia, SymMatrix, hessian, inertia, lorentz_signature
+from lorentzlab.inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia, lorentz_signature
 from lorentzlab.lorentzian import (
     LorentzVerdict,
     MSet,
@@ -160,12 +164,13 @@ from lorentzlab.lorentzian import (
     is_m_convex,
     m_is_H_connected,
     m_truncate,
+    polarization_vars,
     support_mset,
 )
 from lorentzlab.matroid import pol_matroid, submodular_witness
 from lorentzlab.polycore import HomPoly, LinSubspace, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO, rat_str
-from lorentzlab.simplicial import SimComplex, face_key, face_str, label_key
+from lorentzlab.simplicial import SimComplex, connected, face_key, face_str, label_key
 
 
 def layered_pin(L, chain, G, flats) -> dict:
@@ -1404,6 +1409,126 @@ def is_lorentzian_v2(f) -> LorentzVerdict:
     if M.points and not m_is_H_connected(m_truncate(M)):
         return LorentzVerdict(value="no", witness=("truncated-support",), detail="truncated support is not H-connected")
     return _h1_scan(f)
+
+
+def subset_polarized_verdict(f: HomPoly) -> hered.HLVerdict:
+    """Hereditary-Lorentzian verdict of the polarization, face by face over
+    the subsets of the polarized variables: every face of each size, with
+    the all-ones cone witness projected and checked at each, the link of
+    every face of size <= d - 3 tested for connectivity, and the block
+    expansion of a Hessian of f taken at every face of size d - 2.
+    """
+    HLVerdict = hered.HLVerdict
+    _require_nonneg(f)
+    d = f.degree
+    if f.is_zero():
+        return HLVerdict(value="vacuous", note="zero polynomial")
+    if d == 0:
+        return HLVerdict(value="yes", note="constant convention")
+    pvars = tuple(polarization_vars(f))
+    supp = f.support()
+    dominated: set[tuple] = set()
+    for alpha in supp:
+        for beta in iproduct(*[range(a + 1) for a in alpha]):
+            dominated.add(beta)
+
+    block_of = {pv: i for i, v in enumerate(f.vars) for pv in pvars if pv[0] == v}
+    block_members: dict[int, list] = {}
+    for pv in pvars:
+        block_members.setdefault(block_of[pv], []).append(pv)
+
+    def count_vec(S: Iterable) -> tuple:
+        counts = [0] * len(f.vars)
+        for pv in S:
+            counts[block_of[pv]] += 1
+        return tuple(counts)
+
+    def is_face(S: frozenset) -> bool:
+        return count_vec(S) in dominated
+
+    if d == 1:
+        return HLVerdict(value="yes", cone_witness={pv: ONE for pv in pvars}, note="degree 1, nonzero nonneg")
+
+    # cone nonemptiness: the all-ones point, pushed through canonical
+    # projections that swap each pinned copy against a same-block partner,
+    # stays strictly positive at every face and positive on the base linear
+    # restrictions; verified face by face below
+    witness_ok = True
+    faces_by_size: dict[int, list] = {0: [frozenset()]}
+    for k in range(1, d):
+        faces_by_size[k] = [frozenset(S) for S in combinations(pvars, k) if is_face(frozenset(S))]
+    for k in range(0, d):
+        for S in faces_by_size[k]:
+            x = {pv: ONE for pv in pvars}
+            ok_partner = True
+            for pv in sorted(S, key=label_key):
+                partner = next((q for q in block_members[block_of[pv]] if q not in S), None)
+                if partner is None:
+                    ok_partner = False
+                    break
+                xi = x[pv]
+                x[pv] -= xi
+                x[partner] += xi
+            if not ok_partner:
+                witness_ok = False
+                break
+            V_S = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
+            if k < d - 1:
+                if any(not x[pv] > 0 for pv in V_S):
+                    witness_ok = False
+                    break
+            else:
+                cv = count_vec(S)
+                total = ZERO
+                for pv in V_S:
+                    alpha = tuple(c + (1 if i == block_of[pv] else 0) for i, c in enumerate(cv))
+                    total += f.derivative_value(alpha) * x[pv]
+                if not total > 0:
+                    witness_ok = False
+                    break
+        if not witness_ok:
+            break
+    if not witness_ok:
+        return HLVerdict(value="vacuous", note="all-ones cone witness not certified")
+
+    # (C): H-connectedness of the skeleton, on the virtual complex
+    for k in range(0, d - 2):
+        for S in faces_by_size[k]:
+            verts = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
+            if len(verts) <= 1:
+                continue
+            adj = {v: [] for v in verts}
+            for a_i in range(len(verts)):
+                for b_i in range(a_i + 1, len(verts)):
+                    e = S | {verts[a_i], verts[b_i]}
+                    if is_face(e):
+                        adj[verts[a_i]].append(verts[b_i])
+                        adj[verts[b_i]].append(verts[a_i])
+            if not connected(verts, adj):
+                return HLVerdict(value="no", h_connected=False, c_witness=S,
+                                 note="polarized skeleton is not H-connected")
+
+    # (Q): codimension-2 Hessians are block-constant expansions of the
+    # Hessians of the corresponding (d-2)-fold derivatives of f; inertia
+    # cached per exponent
+    inertia_cache: dict[tuple, Inertia] = {}
+    certs = []
+    for S in faces_by_size[d - 2]:
+        cv = count_vec(S)
+        if cv not in inertia_cache:
+            Hq = derivative_hessian(f, cv)
+            members = [pv for pv in pvars if pv not in S and is_face(S | {pv})]
+            rows = [
+                [Hq.rows[block_of[a]][block_of[b]] for b in members] for a in members
+            ]
+            inertia_cache[cv] = inertia(SymMatrix.from_scaled(members, rows, Hq.den))
+        inr = inertia_cache[cv]
+        certs.append((S, inr))
+        if inr.pos > 1:
+            return HLVerdict(value="no", h_connected=True, q_certificates=certs, q_witness=S,
+                             note="polarized codimension-2 Hessian fails")
+    return HLVerdict(value="yes", h_connected=True, q_certificates=certs,
+                     cone_witness={pv: ONE for pv in pvars})
 
 
 def is_k_lorentzian_alt(f, cone, w) -> LorentzVerdict:

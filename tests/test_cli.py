@@ -345,6 +345,29 @@ def test_graph_vertices_must_be_a_non_negative_integer(capsys, tmp_path, vertice
     assert code == 2 and rep["verdict"] == "error" and "vertices" in rep["message"]
 
 
+SQUARE_FAN = {"dim": 2, "labels": ["e", "n", "w", "s"],
+              "rays": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+              "cones": [["e", "n"], ["n", "w"], ["w", "s"], ["s", "e"]]}
+
+
+@pytest.mark.parametrize("content, argv, needle", [
+    ({"vars": ["a", "b"], "degree": 2.0, "terms": [{"exps": [1, 1], "coeff": "1"}]},
+     ["subdivide", "{path}", "--face", "a", "--coeffs", "1"], "degree 2.0"),
+    ({"vars": ["a", "b"], "terms": [{"exps": [True, True], "coeff": "1"}]},
+     ["poly", "lorentzian", "{path}"], "exps [True, True]"),
+    ({"vars": ["a", "b"], "terms": [{"exps": [1.0, 1.0], "coeff": "1"}]},
+     ["poly", "lorentzian", "{path}"], "exps [1.0, 1.0]"),
+    (dict(SQUARE_FAN, dim=2.5), ["fan", "check", "{path}", "--weights", "{weights}"], "dim 2.5"),
+])
+def test_integer_fields_must_be_json_ints(capsys, tmp_path, content, argv, needle):
+    path, weights = tmp_path / "in.json", tmp_path / "w.json"
+    path.write_text(json.dumps(content))
+    weights.write_text(json.dumps([{"facet": F, "w": "1"} for F in SQUARE_FAN["cones"]]))
+    code, rep, _ = run(capsys, *(a.format(path=path, weights=weights) for a in argv))
+    assert code == 2 and rep["verdict"] == "error" and needle in rep["message"]
+    assert str(path) in rep["message"]
+
+
 def test_graph_size_follows_the_edges_not_the_vertex_count(capsys, tmp_path):
     """Union-find runs over the edges' endpoints, so a vertex count far
     beyond memory costs nothing: K3 plus 10^12 isolated vertices is U(2,3)."""

@@ -3,14 +3,15 @@ extreme-ray cone test, polarization equivalence, log-concavity, and the
 interior deformation."""
 
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from conftest import rand_nonneg_poly, rand_product_of_linears, rand_q
+from conftest import nonneg_cubics_and_quartics, rand_nonneg_poly, rand_product_of_linears, rand_q
+from lorentzlab import lorentzian
 from lorentzlab.cones import ConeByGenerators
-from lorentzlab.hereditary import check_hereditary, is_hereditary_lorentzian
-from lorentzlab.inertia import SymMatrix, hessian, inertia
+from lorentzlab.hereditary import check_hereditary, cone_member, face_complex, is_hereditary_lorentzian
+from lorentzlab.inertia import SymMatrix, derivative_hessian, hessian, inertia
 from lorentzlab.lorentzian import (
     MSet,
     definitional_check,
@@ -22,12 +23,14 @@ from lorentzlab.lorentzian import (
     m_is_connected,
     m_partial,
     m_truncate,
+    polarization_vars,
     polarize,
     polarized_hereditary_verdict,
     support_mset,
 )
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
+from lorentzlab.simplicial import connected
 from oracles import (
     brute_force_is_m_convex,
     chain_is_k_lorentzian,
@@ -38,6 +41,7 @@ from oracles import (
     partial_h1_scan,
     perturb_interior,
     product_check,
+    subset_polarized_verdict,
 )
 
 
@@ -163,6 +167,82 @@ def test_polarized_verdict_matches_generic(rng, monkeypatch):
             assert inertia(SymMatrix(members, rows)) == inr, (f.to_text(), S)
             checked += 1
     assert checked > 25
+
+
+def _polarized_forms(rng):
+    """Acceptance criterion 08's forms, then 200 more seeded draws of
+    degree 2 to 4: every third a product of linear forms, the rest sparse."""
+    yield from nonneg_cubics_and_quartics(rng)
+    for k in range(200):
+        d = rng.choice([2, 3, 4])
+        n = rng.randint(2, 3 if d == 4 else 4)
+        yield (rand_product_of_linears if k % 3 == 0 else rand_nonneg_poly)(rng, n, d)
+
+
+def _count_vector(f, S) -> tuple:
+    return tuple(sum(1 for pv in S if pv[0] == v) for v in f.vars)
+
+
+def test_count_vector_route_matches_subset_oracle(rng, monkeypatch):
+    # one decision per count vector beta, at the representative face of the
+    # first beta_v copies of each block: the verdict is the oracle's, each
+    # certificate's inertia is the oracle's at every face with its count
+    # vector, and each witness face fails its test on the explicit
+    # polarization
+    calls = []
+    for name in ("connected", "inertia"):
+        real = getattr(lorentzian, name)
+        monkeypatch.setattr(lorentzian, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    fast_s = slow_s = 0.0
+    forms = 0
+    for f in _polarized_forms(rng):
+        calls.clear()
+        t0 = time.process_time()
+        fast = polarized_hereditary_verdict(f)
+        t1 = time.process_time()
+        slow = subset_polarized_verdict(f)
+        fast_s, slow_s = fast_s + t1 - t0, slow_s + time.process_time() - t1
+        forms += 1
+        assert (fast.value, fast.h_connected) == (slow.value, slow.h_connected), f.to_text()
+        assert fast.value in ("yes", "no")
+        betas = {b for a in f.support() for b in product(*(range(x + 1) for x in a)) if sum(b) <= f.degree - 2}
+        assert len(calls) <= len(betas)
+        copies = {v: [pv for pv in polarization_vars(f) if pv[0] == v] for v in f.vars}
+        certs = {}
+        for S, inr in fast.q_certificates:
+            cv = _count_vector(f, S)
+            assert cv not in certs and S == {pv for v, b in zip(f.vars, cv) for pv in copies[v][:b]}
+            certs[cv] = inr
+        for S, inr in slow.q_certificates:
+            cv = _count_vector(f, S)
+            assert certs[cv] == inr if cv in certs else fast.value == "no", (f.to_text(), S)
+        if fast.value == "yes":
+            assert certs.keys() == {_count_vector(f, S) for S, _ in slow.q_certificates}
+            continue
+        g = polarize(f)
+        delta = face_complex(g)
+        if fast.c_witness is not None:
+            S = fast.c_witness
+            verts = delta.link_vertices(S)
+            assert not connected(verts, {a: [b for b in verts if b != a and delta.has_face(S | {a, b})]
+                                         for a in verts}), f.to_text()
+        else:
+            S = fast.q_witness
+            indicator = [1 if pv in S else 0 for pv in g.vars]
+            inr = inertia(derivative_hessian(g, indicator, over=delta.link_vertices(S)))
+            assert inr.pos > 1 and inr == fast.q_certificates[-1][1], f.to_text()
+    assert forms > 390 and fast_s < slow_s
+
+
+def test_all_ones_point_lies_in_the_polarized_cone(rng):
+    # the lemma of polarized_hereditary_verdict, by the generic cone
+    # membership test on the explicit polarization
+    for k in range(150):
+        d = rng.choice([2, 3])
+        n = rng.randint(2, 3)
+        f = (rand_product_of_linears if k % 3 == 0 else rand_nonneg_poly)(rng, n, d)
+        h = check_hereditary(polarize(f))
+        assert cone_member(h, [1] * len(h.vars)), f.to_text()
 
 
 def test_polarization_equivalence(rng):

@@ -596,21 +596,26 @@ LIBRARY_REPORTS_SCRIPT = """
 import json
 from itertools import combinations
 from lorentzlab.hereditary import is_hereditary_lorentzian
+from lorentzlab.lorentzian import polarized_hereditary_verdict
 from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid
+from lorentzlab.polycore import parse_poly
 L = flats(Matroid("abcde", [set(b) for b in combinations("abcde", 4)]))
 h = pol_matroid(L)
+f = parse_poly("a^2 b + a^2 c + a b^2 + 2 a b c + a c^2 + b^2 c + b c^2")
 print(json.dumps([h.f.to_json_dict(), bergman_fan(L).to_json_dict(),
-                  is_hereditary_lorentzian(h).to_json_dict()], indent=1))
+                  is_hereditary_lorentzian(h).to_json_dict(),
+                  polarized_hereditary_verdict(f).to_json_dict()], indent=1))
 """
 
 
 def test_library_reports_do_not_depend_on_the_hash_seed():
     # the flats of U(4,5) over strings are sets of strings, whose iteration
-    # order and repr follow the hash seed; the two processes run side by side
+    # order and repr follow the hash seed, and so are the faces of the
+    # polarized verdict's certificates; the two processes run side by side
     with ThreadPoolExecutor(2) as pool:
         outs = list(pool.map(lambda seed: in_fresh_process(LIBRARY_REPORTS_SCRIPT, PYTHONHASHSEED=seed),
                              ("0", "1")))
-    assert outs[0] == outs[1] and "frozenset({'a', 'b', 'c'})" in outs[0]
+    assert outs[0] == outs[1] and "frozenset({'a', 'b', 'c'})" in outs[0] and "('c', 0)" in outs[0]
 
 
 def test_mobius_matches_frozenset_recursion(catalog):
