@@ -283,7 +283,7 @@ def cmd_chain(args) -> int:
 def cmd_matroid_flats(args) -> int:
     L = matroid.flats(args.file)
     return emit(args, 0, "success", flats=[sorted(map(label_str, F)) for F in L.flats],
-                ranks=[L.rank[F] for F in L.flats])
+                ranks=L.ranks)
 
 
 def cmd_matroid_charpoly(args) -> int:

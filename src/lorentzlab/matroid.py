@@ -5,17 +5,21 @@ are kept as bitmasks over the ground set: the rank of S is the largest
 popcount of S & B over the bases B, and a closure is one pass over the
 bases (e raises the rank of S exactly when some basis B with
 |S & B| = rank(S) contains e).  A bases list given explicitly must satisfy
-the basis-exchange axiom, checked on construction; the uniform, Fano and
-graphic constructors are matroids by construction and skip that check.  A
-graph's rank is its number of vertices less its number of connected
-components, from one union-find pass.
+the basis-exchange axiom, checked on construction with one bitset test per
+basis and element; the uniform, Fano and graphic constructors are matroids
+by construction and skip that check.  A graph's rank is its number of
+vertices less its number of connected components, from one union-find
+pass.
 
-The lattice of flats is generated by covers: starting from the closure of
-the empty set, the closures of F + e for every flat F found so far and
-every e outside F.  It is materialized with ranks, covers and Moebius
-values, all read off integer bitsets of the flats above and below each
-flat, and the associated volume polynomial is the unique facet-weight-1
-reconstruction over the order complex with the modular lineality space.
+The lattice of flats is generated one rank layer at a time, from the loops
+up: the covers of a flat F are read off the sets B - F over the bases B
+meeting F in rank(F) elements, which its parent layer hands down (see
+:func:`flats`), so no closure is taken and every flat arrives with its
+rank.  It is materialized
+with covers and Moebius values, all read off integer bitsets of the flats
+above and below each flat, and the associated volume polynomial is the
+unique facet-weight-1 reconstruction over the order complex with the
+modular lineality space.
 
 Two construction routes coexist:
 
@@ -26,14 +30,16 @@ Two construction routes coexist:
   lattice, on Python integers: the value on an interval [lo, hi] is a sum,
   over the flats g strictly between, of the point normalized to the
   interval at g times the values on [lo, g] and [g, hi], and one division
-  at the end restores the value.  The Lorentzian certification runs on the
-  same intervals: the cone witness is tested at each interval's normalized
-  point, connectivity on each interval's comparability graph, and each
-  codimension-2 Hessian is that of one interval of rank 3.  No chain is
-  enumerated, which keeps rank-8 uniform matroids tractable.  The
-  expansion along the canonical direction pair (alpha, beta) is computed
-  once per engine and serves the characteristic polynomial, the
-  Heron-Rota-Welsh check and both closed-form evaluations.
+  at the end restores the value.  Only intervals with a nonzero value are
+  kept, and a sum runs only over the g where both factors are nonzero.
+  The Lorentzian certification runs on the same intervals: the cone
+  witness is tested at each interval's normalized point, connectivity on
+  each interval's comparability graph, and each codimension-2 Hessian is
+  that of one interval of rank 3.  No chain is enumerated, which keeps
+  rank-8 uniform matroids tractable.  The expansion along the canonical
+  direction pair (alpha, beta) is computed once per engine and serves the
+  characteristic polynomial, the Heron-Rota-Welsh check and both
+  closed-form evaluations.
 
 Flats are frozensets of ground elements at the interface; inside, a flat is
 an index, a set of flats (a chain, a link, an interval) one int bitset, and
@@ -43,8 +49,10 @@ frozensets are decoded only where a report or verdict names flats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb, factorial, lcm
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from . import hereditary as hered
@@ -54,20 +62,24 @@ from .rat import Q, ZERO, ONE
 from .simplicial import SimComplex, connected, face_key, face_str, label_key
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list:
     """The single-bit masks of the set bits of ``mask``, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low
+        out.append(low)
         mask ^= low
+    return out
 
 
-def _indices(mask: int):
+def _indices(mask: int) -> list:
     """The positions of the set bits of ``mask``, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _containment(masks: Sequence[int], width: int) -> tuple[list, list]:
@@ -131,24 +143,37 @@ class Matroid:
 
     def _check_exchange(self):
         """Basis exchange: for bases A != B and a in A - B, some b in B - A
-        makes A - a + b a basis.  For each basis A and each a in A, a mask
-        of every x with A - a + x a basis is built first; then each pair
-        needs one AND per element of A - B."""
+        makes A - a + b a basis.  With holding[x] the bitset of the bases
+        that contain x, the bases B that some exchange of a from A reaches
+        are those holding a or some x with A - a + x a basis, and the rest
+        fail: one bitset test per basis A and element a.  The failure named
+        is the first in the order of the pairwise loop (A, then B, then a),
+        ``exchange_oracle`` in ``tests/oracles.py``."""
         masks = self._basis_masks
         present = set(masks)
-        outside = [self._full & ~A for A in masks]
-        swaps = [
-            {a: sum(x for x in _bits(out) if (A ^ a) | x in present) for a in _bits(A)}
-            for A, out in zip(masks, outside)
-        ]
-        for A, sw, bA in zip(masks, swaps, self.bases):
-            for B, bB in zip(masks, self.bases):
-                for a in _bits(A & ~B):
-                    if not sw[a] & B:
-                        (e,) = self._elements(a)
-                        raise ValueError(
-                            f"bases {sorted(bA, key=label_key)} and {sorted(bB, key=label_key)} violate basis "
-                            f"exchange at {e!r}: the family is not a matroid")
+        holding: dict[int, int] = {}
+        for j, B in enumerate(masks):
+            for x in _bits(B):
+                holding[x] = holding.get(x, 0) | 1 << j
+        everyone = (1 << len(masks)) - 1
+        for A, bA in zip(masks, self.bases):
+            outside = _bits(self._full & ~A)
+            fails = {}
+            for a in _bits(A):
+                reach = holding[a]
+                for x in outside:
+                    if (A ^ a) | x in present:
+                        reach |= holding[x]
+                if reach != everyone:
+                    fails[a] = everyone & ~reach
+            if fails:
+                first = min(f & -f for f in fails.values())
+                a = next(a for a, f in fails.items() if f & first)
+                (e,) = self._elements(a)
+                bB = self.bases[first.bit_length() - 1]
+                raise ValueError(
+                    f"bases {sorted(bA, key=label_key)} and {sorted(bB, key=label_key)} violate basis "
+                    f"exchange at {e!r}: the family is not a matroid")
 
     def _mask(self, S: Iterable) -> int:
         bit = self._bit
@@ -251,123 +276,178 @@ class FlatLattice:
     """A lattice of flats with ranks, covers and Moebius values.
 
     ``flats`` lists the flats by rank (bottom first, top last) and a flat's
-    index is its place there; ``masks[i]`` is its element mask over
-    ``elems``, and ``up[i]``/``down[i]`` the bitsets of the flats strictly
-    above/below it, from which ranks, covers and Moebius values are read.
-    Validates exhaustively: containment covers raise the rank by one, flats
-    are closed under pairwise intersection, and for each flat the cover
-    differences partition the complement.  Intervals are again lattices of
-    flats (of a minor) and are constructed by :meth:`interval`.
+    index is its place there; ``ranks[i]`` is its rank, ``masks[i]`` its
+    element mask over ``elems``, and ``up[i]``/``down[i]`` the bitsets of
+    the flats strictly above/below it, from which covers and Moebius values
+    are read.  Validates exhaustively: containment covers raise the rank by
+    one, flats are closed under pairwise intersection, and for each flat the
+    cover differences partition the complement.  Intervals are again
+    lattices of flats (of a minor) and are constructed by :meth:`interval`.
+
+    Given a family of sets, the ranks are the lengths of the longest chains
+    from the bottom; :func:`flats` hands over the ranks it generated the
+    flats by (:meth:`_ranked`).
     """
 
     def __init__(self, ground: tuple, flats: Iterable[frozenset]):
-        self.ground = tuple(ground)
         flats = {frozenset(F) for F in flats}
-        self.bottom = min(flats, key=len)
-        self.top = max(flats, key=len)
-        self.elems = tuple(sorted(set().union(*flats), key=label_key))
-        bit = {e: 1 << i for i, e in enumerate(self.elems)}
+        elems = tuple(sorted(set().union(*flats), key=label_key))
+        bit = {e: 1 << i for i, e in enumerate(elems)}
         mask = {F: sum(bit[e] for e in F) for F in flats}
         # ranks by longest chain from the bottom: a flat has rank > k exactly
         # when some flat of rank >= k lies strictly below it
-        pool = tuple(flats)
-        _, below = _containment([mask[F] for F in pool], len(self.elems))
-        rank: dict[frozenset, int] = {}
+        pool = tuple(mask.values())
+        _, below = _containment(pool, len(elems))
+        ranked: dict[int, int] = {}
         level, k = (1 << len(pool)) - 1, 0
         while level:
             for i in _indices(level):
-                rank[pool[i]] = k
+                ranked[pool[i]] = k
             level = sum(1 << i for i in _indices(level) if below[i] & level)
             k += 1
-        self.rank = rank
-        self.flats = tuple(sorted(flats, key=lambda F: (rank[F], face_key(F))))
+        self._build(ground, elems, ranked, mask[min(flats, key=len)], mask[max(flats, key=len)])
+
+    @classmethod
+    def _ranked(cls, ground: tuple, elems: tuple, layers: Sequence[Iterable[int]]) -> "FlatLattice":
+        """The lattice of the flats ``layers[k]`` of rank k, element masks
+        over ``elems``: the bottom alone in the first layer, the top alone
+        in the last."""
+        L = object.__new__(cls)
+        (bottom,), (top,) = layers[0], layers[-1]
+        L._build(ground, elems, {m: k for k, layer in enumerate(layers) for m in layer}, bottom, top)
+        return L
+
+    def _build(self, ground: tuple, elems: tuple, ranked: Mapping[int, int], bottom: int, top: int):
+        """Order the masks by rank and then by face key, decode them once,
+        take containment once, and check the axioms."""
+        self.ground = tuple(ground)
+        self.elems = elems
+        keys = [label_key(e) for e in elems]
+        decoded = {}
+        for m in ranked:
+            idx = _indices(m)
+            decoded[m] = (ranked[m], tuple(sorted(keys[i] for i in idx)), frozenset(elems[i] for i in idx))
+        order = sorted(ranked, key=lambda m: decoded[m][:2])
+        self.masks = tuple(order)
+        self.ranks = [ranked[m] for m in order]
+        self.flats = tuple(decoded[m][2] for m in order)
+        self.rank = dict(zip(self.flats, self.ranks))
+        self.bottom, self.top = decoded[bottom][2], decoded[top][2]
         self.proper = self.flats[1:-1]
         self.index = {F: i for i, F in enumerate(self.flats)}
-        self.masks = tuple(mask[F] for F in self.flats)
-        self.up, self.down = _containment(self.masks, len(self.elems))
-        layer = [0] * (k + 1)
-        for i, F in enumerate(self.flats):
-            layer[rank[F]] |= 1 << i
-        # covers_up[i]: the flats above flat i with one more rank
-        self.covers_up = [u & layer[rank[F] + 1] for u, F in zip(self.up, self.flats)]
-        for u, c in zip(self.up, self.covers_up):
-            # the containment covers of a flat are the minimal flats above it
-            above = 0
-            for j in _indices(u):
-                above |= self.up[j]
-            if u & ~above & ~c:
-                raise ValueError("lattice is not graded by containment covers")
+        self.up, self.down = _containment(self.masks, len(elems))
+        # layers[k]: the flats of rank k; covers_up[i]: the flats above flat
+        # i with one more rank
+        self.layers = [0] * (max(self.ranks) + 2)
+        for i, k in enumerate(self.ranks):
+            self.layers[k] |= 1 << i
+        self.covers_up = [u & self.layers[k + 1] for u, k in zip(self.up, self.ranks)]
         self._check_axioms()
-        self._mobius: dict[int, dict] = {}
+        self._mobius: dict[int, list] = {}
 
     def _check_axioms(self):
-        flats, masks = self.flats, self.masks
+        flats, masks, up = self.flats, self.masks, self.up
+        covers = [_indices(c) for c in self.covers_up]
+        for u, c, cs in zip(up, self.covers_up, covers):
+            # the containment covers of a flat are the minimal flats above
+            # it: every other flat above it lies above one of them
+            above = 0
+            for j in cs:
+                above |= up[j]
+            if u & ~c & ~above:
+                raise ValueError("lattice is not graded by containment covers")
         present = set(masks)
-        everyone = (1 << len(flats)) - 1
         for i, m in enumerate(masks):
-            # comparable flats meet in the smaller one, and the first failing
-            # pair in flats order has i < j
-            for j in _indices(everyone & ~((2 << i) - 1) & ~self.up[i]):
-                if (m & masks[j]) not in present:
-                    raise ValueError(f"intersection {face_str(flats[i] & flats[j])} is not a flat")
+            if not present.issuperset(map(m.__and__, masks[i + 1:])):
+                # the first failing pair in flats order has i < j
+                j = next(j for j in range(i + 1, len(masks)) if m & masks[j] not in present)
+                raise ValueError(f"intersection {face_str(flats[i] & flats[j])} is not a flat")
         top = masks[self.index[self.top]]
-        for i, m in enumerate(masks):
+        for i, (m, cs) in enumerate(zip(masks, covers)):
             # cover differences never overlap: two overlapping covers would
             # meet in a flat strictly between F and one of them, which the
             # rank and intersection checks above already rule out
             seen = 0
-            for j in _indices(self.covers_up[i]):
-                seen |= masks[j] & ~m
-            if seen != top & ~m:
+            for j in cs:
+                seen |= masks[j]
+            if seen & ~m != top & ~m:
                 raise ValueError(f"cover differences above {face_str(flats[i])} do not partition the complement")
 
     @property
     def rank_total(self) -> int:
         return self.rank[self.top]
 
-    def mobius(self, a: frozenset, b: frozenset) -> int:
-        """Moebius function by the lower-interval recursion, one row
-        mu(a, .) at a time: the flats above a in index order, each the
-        negated sum of the row over the flats of [a, c) below it."""
-        i, j = self.index[a], self.index[b]
-        if i == j:
-            return 1
-        if not self.up[i] >> j & 1:
-            return 0
+    def mobius_row(self, i: int) -> list:
+        """mu(flats[i], flats[j]) for every index j, by the lower-interval
+        recursion: the flats above flat i in index order, each the negated
+        sum of the row over the flats of [i, c) below it; 0 off [i, top]."""
         row = self._mobius.get(i)
         if row is None:
-            row = self._mobius[i] = {i: 1}
+            row = self._mobius[i] = [0] * len(self.flats)
+            row[i] = 1
             closed = self.up[i] | 1 << i
             for c in _indices(self.up[i]):
-                row[c] = -sum(row[x] for x in _indices(self.down[c] & closed))
-        return row[j]
+                row[c] = -sum(map(row.__getitem__, _indices(self.down[c] & closed)))
+        return row
+
+    def mobius(self, a: frozenset, b: frozenset) -> int:
+        """The Moebius function, read off :meth:`mobius_row`."""
+        return self.mobius_row(self.index[a])[self.index[b]]
 
     def interval(self, a: frozenset, b: frozenset) -> "FlatLattice":
         return FlatLattice(tuple(sorted(b, key=label_key)), [F for F in self.flats if a <= F <= b])
 
 
 def flats(M: Matroid) -> FlatLattice:
-    """All closed sets, generated by covers.
+    """All closed sets, generated one rank layer at a time from the loops
+    up, the covers of each flat read off the bases of its contraction.
 
-    Starts from the closure of the empty set and closes F + e for every
-    flat F found so far and every e outside F.  The differences of the
-    covers of F partition the complement of F, so once F + e has been
-    closed to G, the other elements of G - F are skipped.  Every flat is
-    reached because every flat tops a chain of covers from the bottom.
+    **Lemma.**  Let F be a flat of rank k.  Two elements e, f outside F lie
+    in different covers of F exactly when some basis B with |B & F| = k
+    contains both.  *Proof.*  They lie in one cover, cl(F + e), exactly when
+    rank(F + e + f) = k + 1.  If such a B contains both, (B & F) + e + f is
+    independent of size k + 2, so they do not.  If rank(F + e + f) = k + 2,
+    take a basis I of F: I + e + f is independent (a basis of F + e + f
+    extending I has k + 2 elements), and a basis B of M extending it has
+    |B & F| <= rank(F) = k, so B & F = I and B contains both.
+
+    So with sep(e) the union of B - F over the bases B with |B & F| = k
+    that contain e, the cover of F through e is cl(F + e) = E - (sep(e) -
+    e); every e outside F lies in some such B (extend a basis of F + e).
+
+    **The scan.**  Each flat F of the layer carries outs(F), the set of the
+    B - F with |B & F| = rank(F) (the bases of the contraction M/F); the
+    loops carry all bases.  The cover through e is read off the members of
+    outs(F) that hold e, and a cover G first found above F gets
+    outs(G) = {o - G : o in outs(F), o meets G}.  *Proof.*  If o = B - F meets G, then |B & G| = k + 1 and
+    o - G = B - G.  Conversely, for a basis B with |B & G| = k + 1, take a
+    basis J of F and f in G - F with J + f a basis of G: B' = (B - G) + J
+    + f has r elements and spans what B spans (J + f and B & G both span
+    G), so it is a basis, B' & F = J, and o = B' - F meets G at f with
+    o - G = B - G.  Every flat of rank k + 1 covers some flat of rank k, so
+    the next layer is the union of the covers of this one, and every flat
+    is found, with its rank.
     """
-    bottom = M._closure_mask(0)
-    found = {bottom}
-    todo = [bottom]
-    while todo:
-        F = todo.pop()
-        rest = M._full & ~F
-        while rest:
-            G = M._closure_mask(F | (rest & -rest))
-            rest &= ~G
-            if G not in found:
-                found.add(G)
-                todo.append(G)
-    return FlatLattice(M.ground, [M._elements(F) for F in found])
+    full = M._full
+    # each flat of the layer with the bases of its contraction, B - F; the
+    # loops are the elements of no basis
+    layer = {full & ~reduce(or_, M._basis_masks): set(M._basis_masks)}
+    layers = [tuple(layer)]
+    for _ in range(M.rank_total):
+        found: dict[int, set] = {}
+        for F, outs in layer.items():
+            rest = full & ~F
+            while rest:
+                # the cover through e: all but the other elements of the
+                # members of outs(F) that hold e
+                e = rest & -rest
+                G = full & ~(reduce(or_, filter(e.__and__, outs)) & ~e)
+                rest &= ~G
+                if G not in found:
+                    found[G] = {out & ~G for out in outs if out & G}
+        layer = found
+        layers.append(tuple(layer))
+    return FlatLattice._ranked(M.ground, M._elems, layers)
 
 
 def order_complex(L: FlatLattice) -> SimComplex:
@@ -537,13 +617,21 @@ class LatticeVolume:
             V(lo, hi) = sum_g C(k-1, rank(g) - rank(lo) - 1) Y(g) V(lo, g) V(g, hi),
 
         with V bivariate (k + 1 coefficients; Y(g) is an (s, t) pair) and
-        the product a convolution.  Visiting hi in index order, and the lo
-        below it downwards, finds every sub-interval ready; one division by
-        d! (S0 E)^d at the end gives the value.  A g with Y(g) = (0, 0) adds
-        nothing and is skipped, and a zero V(lo, hi) is kept as [], so every
-        product with it is skipped too.  At the canonical pair x is affine
-        in |F| on the proper flats, so y vanishes on every interval whose
-        two ends are proper.
+        the product a convolution; one division by d! (S0 E)^d at the end
+        gives the value.
+
+        **Nonzero intervals only.**  A term of the sum is zero unless both
+        V(lo, g) and V(g, hi) are nonzero, so only nonzero values are kept,
+        and the sum for [lo, hi] runs over the g where both are, skipping a
+        g with Y(g) = (0, 0) as well; that is exact at any point.  For each
+        hi in index order, the lo visited are the lower covers of hi (V = 1)
+        and, as each V(g, hi) is found nonzero, every lo with V(lo, g)
+        nonzero, highest index first: a lo never visited has no g with both
+        factors nonzero, so V(lo, hi) = 0, and when lo is visited every
+        V(g, hi) with lo < g is already known.  At the canonical pair x is
+        affine in |F| on the proper flats, so y vanishes on every interval
+        whose two ends are proper, and the values kept are the covers and
+        the intervals reaching the bottom or the top.
         """
         d = self.d
         if d < 0:
@@ -558,41 +646,53 @@ class LatticeVolume:
         xs = [x.numerator * (s0 // x.denominator) for x in xa]
         xt = [x.numerator * (s0 // x.denominator) for x in xb]
         size = [m.bit_count() for m in L.masks]
-        rank = [L.rank[F] for F in L.flats]
-        up, down = L.up, L.down
-        # memo[hi][lo] = V(lo, hi)
+        rank, down, layers = L.ranks, L.down, L.layers
+        # memo[hi][lo] = V(lo, hi), kept when nonzero; nonzero_up[lo] and
+        # nonzero_down[hi] are the bitsets of the other ends of those pairs
         memo: list[dict] = [{} for _ in L.flats]
+        nonzero_up = [0] * len(L.flats)
+        nonzero_down = [0] * len(L.flats)
         for hi in range(1, len(L.flats)):
             row = memo[hi]
-            for lo in reversed(tuple(_indices(down[hi]))):
+            found = 0
+            todo = down[hi] & layers[rank[hi] - 1]
+            while todo:
+                lo = todo.bit_length() - 1
+                todo ^= 1 << lo
                 k = rank[hi] - rank[lo] - 1
                 if k == 0:
-                    row[lo] = [1]
-                    continue
-                r_lo, n_lo = rank[lo] + 1, size[lo]
-                step = E // (size[hi] - n_lo)
-                ls, lt = xs[lo], xt[lo]
-                ds, dt = (ls - xs[hi]) * step, (lt - xt[hi]) * step
-                binom = [comb(k - 1, j) for j in range(k)]
-                acc = [0] * (k + 1)
-                for g in _indices(up[lo] & down[hi]):
-                    # Y(g) = S0 E y(g), its s and t parts
-                    n = size[g] - n_lo
-                    ys = E * (xs[g] - ls) + ds * n
-                    yt = E * (xt[g] - lt) + dt * n
-                    if not ys and not yt:
+                    acc = [1]
+                else:
+                    r_lo, n_lo = rank[lo] + 1, size[lo]
+                    step = E // (size[hi] - n_lo)
+                    ls, lt = xs[lo], xt[lo]
+                    ds, dt = (ls - xs[hi]) * step, (lt - xt[hi]) * step
+                    binom = [comb(k - 1, j) for j in range(k)]
+                    acc = [0] * (k + 1)
+                    for g in _indices(nonzero_up[lo] & found):
+                        # Y(g) = S0 E y(g), its s and t parts
+                        n = size[g] - n_lo
+                        ys = E * (xs[g] - ls) + ds * n
+                        yt = E * (xt[g] - lt) + dt * n
+                        if not ys and not yt:
+                            continue
+                        c = binom[rank[g] - r_lo]
+                        left, right = memo[g][lo], row[g]
+                        for i, a in enumerate(left):
+                            a *= c
+                            for j, b in enumerate(right):
+                                p = a * b
+                                acc[i + j] += ys * p
+                                acc[i + j + 1] += yt * p
+                    if not any(acc):
                         continue
-                    c = binom[rank[g] - r_lo]
-                    left, right = memo[g][lo], row[g]
-                    for i, a in enumerate(left):
-                        a *= c
-                        for j, b in enumerate(right):
-                            p = a * b
-                            acc[i + j] += ys * p
-                            acc[i + j + 1] += yt * p
-                row[lo] = acc if any(acc) else []
+                row[lo] = acc
+                found |= 1 << lo
+                nonzero_up[lo] |= 1 << hi
+                todo |= nonzero_down[lo]
+            nonzero_down[hi] = found
         scale = factorial(d) * (s0 * E) ** d
-        return [Q(c, scale) for c in memo[-1][0] or [0] * (d + 1)]
+        return [Q(c, scale) for c in memo[-1].get(0, [0] * (d + 1))]
 
     def expansion(self) -> list:
         """pol(s alpha + t beta) along the canonical pair, computed once.
@@ -600,9 +700,15 @@ class LatticeVolume:
         ``expansion()[0]`` is pol(alpha) and ``expansion()[-1]`` is pol(beta).
         """
         if self._expansion is None:
-            alpha, beta = alpha_beta(self.L)
-            self._expansion = self.eval_bivariate(dict(zip(alpha.vars, alpha.coords)),
-                                                  dict(zip(beta.vars, beta.coords)))
+            # pol is homogeneous of degree d: evaluate at the integer points
+            # n alpha and n beta, n = |top - bottom|, and divide by n^d
+            L = self.L
+            size = [m.bit_count() for m in L.masks]
+            low, high = size[0], size[-1]
+            na = dict(zip(L.proper, (k - low for k in size[1:-1])))
+            nb = dict(zip(L.proper, (high - k for k in size[1:-1])))
+            scale = (high - low) ** self.d
+            self._expansion = [c / scale for c in self.eval_bivariate(na, nb)]
         return self._expansion
 
     def evaluate(self, v: Mapping):
@@ -615,7 +721,7 @@ class LatticeVolume:
         lo < hi with k = rank(hi) - rank(lo) >= 2, by hi and then lo in
         index order."""
         L = self.L
-        rank = [L.rank[F] for F in L.flats]
+        rank = L.ranks
         for hi, below in enumerate(L.down):
             for lo in _indices(below):
                 k = rank[hi] - rank[lo]
@@ -833,9 +939,10 @@ def char_poly(L: FlatLattice) -> CharReport:
     """
     r = L.rank_total
     # the Moebius values are integers, so the sums stay Python ints
+    mu, ranks = L.mobius_row(0), L.ranks
     chi = [0] * (r + 1)
-    for F in L.flats:
-        chi[r - L.rank[F]] += L.mobius(L.bottom, F)
+    for k, m in zip(ranks, mu):
+        chi[r - k] += m
     red_mob = _divide_by_t_minus_1(chi)
     d = r - 1
     coeffs = volume_engine(L).expansion()
@@ -849,12 +956,18 @@ def char_poly(L: FlatLattice) -> CharReport:
     agree = reduced == red_mob
     for i in sorted(L.top - L.bottom, key=label_key):
         via_del = [0] * (d + 1)
-        for F in L.flats:
-            if F != L.top and i not in F:
-                via_del[r - L.rank[F] - 1] += L.mobius(L.bottom, F)
+        for k, m in _flats_missing(L, i):
+            via_del[r - k - 1] += m
         agree = agree and via_del == red_mob
     return CharReport(chi=chi, reduced=red_mob, reduced_from_volume=reduced, agree=agree,
                       expansion=coeffs)
+
+
+def _flats_missing(L: FlatLattice, e) -> list:
+    """(rank(F), mu(bottom, F)) for the flats F other than the top that
+    miss the element e, in index order."""
+    bit = 1 << L.elems.index(e)
+    return [(k, m) for k, m, mask in zip(L.ranks[:-1], L.mobius_row(0), L.masks) if not mask & bit]
 
 
 def _divide_by_t_minus_1(coeffs: list) -> list:
@@ -887,12 +1000,9 @@ def hrw_check(L: FlatLattice) -> HRWReport:
     ok = all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1))
     d = L.rank_total - 1
     lhs = [c * factorial(d) for c in rep.expansion]
-    i = min(L.top - L.bottom, key=label_key)
     rhs = [0] * (d + 1)
-    for F in L.flats:
-        if F != L.top and i not in F:
-            rho = L.rank[F]
-            rhs[rho] += comb(d, rho) * abs(L.mobius(L.bottom, F))
+    for rho, m in _flats_missing(L, min(L.top - L.bottom, key=label_key)):
+        rhs[rho] += comb(d, rho) * abs(m)
     # rhs[j]: coefficient of t^rho s^(d-rho) matches lhs index j = rho
     mixed = lhs == rhs
     return HRWReport(reduced_abs=seq, log_concave=ok, mixed_identity=mixed, char=rep)

@@ -77,8 +77,15 @@ class SimplePolytope:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplePolytope":
+        """The body of ``{"dim": d, "normals": [...], "t": [...]}``; ``dim``
+        must be an int (not a bool) equal to the length of every normal."""
         normals = [tuple(read_rat(x) for x in r) for r in data["normals"]]
         t = [read_rat(x) for x in data["t"]]
+        if type(dim := data["dim"]) is not int:
+            raise ValueError(f"dim {dim!r} must be an integer")
+        for r in normals:
+            if len(r) != dim:
+                raise ValueError(f"dim {dim} does not match a normal of length {len(r)}")
         return build(normals, t)
 
 

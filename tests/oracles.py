@@ -31,6 +31,15 @@ checked against.
 * :func:`oracle_flats` and :func:`oracle_is_basis_family` share no code
   with ``src/``: flats by closing every subset of the ground set with a
   max-intersection rank, and basis exchange checked literally on sets.
+* :func:`closure_cover_flats` generates the flats by one closure
+  (``Matroid._closure_mask``, a pass over all bases) per cover, from the
+  closure of the empty set, and ranks them by peeling off longest chains
+  on frozensets; ``flats`` generates them one rank layer at a time, each
+  flat's covers read off the bases of its contraction.
+* :func:`exchange_message` is the pairwise basis-exchange loop (each pair
+  of bases, one AND per element of A - B), returning the message of its
+  first failure; ``Matroid`` makes one bitset test per basis and element
+  and must name the same failure.
 * :class:`StrictSystem` is a conjunction of strict, weak and equality
   constraints in named unknowns, and :func:`lp_strict_feasible` decides it
   by one LP in those unknowns.  The library asks every such question as
@@ -396,6 +405,54 @@ def oracle_flats(ground, bases) -> set:
         return frozenset(e for e in ground if rank(S | {e}) == r)
 
     return {closure(frozenset(S)) for k in range(len(ground) + 1) for S in combinations(ground, k)}
+
+
+def closure_cover_flats(M) -> dict:
+    """Flat -> rank.  The flats: from the closure of the empty set, the
+    closure of F + e for every flat F found so far and every e outside F,
+    skipping the rest of G - F once F + e has closed to G.  The ranks: a
+    flat has rank > k exactly when some flat of rank >= k lies strictly
+    below it."""
+    bottom = M._closure_mask(0)
+    found, todo = {bottom}, [bottom]
+    while todo:
+        F = todo.pop()
+        rest = M._full & ~F
+        while rest:
+            G = M._closure_mask(F | (rest & -rest))
+            rest &= ~G
+            if G not in found:
+                found.add(G)
+                todo.append(G)
+    level, rank, k = {M._elements(F) for F in found}, {}, 0
+    while level:
+        rank.update(dict.fromkeys(level, k))
+        level = {F for F in level if any(G < F for G in level)}
+        k += 1
+    return rank
+
+
+def exchange_message(M) -> str | None:
+    """For every pair of bases A, B of M in its basis order and every a in
+    A - B (lowest bit first), some x outside A with A - a + x a basis must
+    lie in B; the message for the first pair and element that fails, or
+    None.  M is built without the check (``Matroid._by_construction``)."""
+    masks = M._basis_masks
+    present = set(masks)
+
+    def bits(mask):
+        return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    swaps = [{a: sum(x for x in bits(M._full & ~A) if (A ^ a) | x in present) for a in bits(A)}
+             for A in masks]
+    for A, sw, bA in zip(masks, swaps, M.bases):
+        for B, bB in zip(masks, M.bases):
+            for a in bits(A & ~B):
+                if not sw[a] & B:
+                    (e,) = M._elements(a)
+                    return (f"bases {sorted(bA, key=label_key)} and {sorted(bB, key=label_key)} violate basis "
+                            f"exchange at {e!r}: the family is not a matroid")
+    return None
 
 
 def oracle_is_basis_family(bases) -> bool:

@@ -350,6 +350,9 @@ SQUARE_FAN = {"dim": 2, "labels": ["e", "n", "w", "s"],
               "cones": [["e", "n"], ["n", "w"], ["w", "s"], ["s", "e"]]}
 
 
+UNIT_SQUARE = {"dim": 2, "normals": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]], "t": ["1", "1", "0", "0"]}
+
+
 @pytest.mark.parametrize("content, argv, needle", [
     ({"vars": ["a", "b"], "degree": 2.0, "terms": [{"exps": [1, 1], "coeff": "1"}]},
      ["subdivide", "{path}", "--face", "a", "--coeffs", "1"], "degree 2.0"),
@@ -358,6 +361,11 @@ SQUARE_FAN = {"dim": 2, "labels": ["e", "n", "w", "s"],
     ({"vars": ["a", "b"], "terms": [{"exps": [1.0, 1.0], "coeff": "1"}]},
      ["poly", "lorentzian", "{path}"], "exps [1.0, 1.0]"),
     (dict(SQUARE_FAN, dim=2.5), ["fan", "check", "{path}", "--weights", "{weights}"], "dim 2.5"),
+    # a polytope's dim is read and must be the length of its normals
+    (dict(UNIT_SQUARE, dim=2.5), ["polytope", "volume", "{path}"], "dim 2.5"),
+    (dict(UNIT_SQUARE, dim=True), ["polytope", "volume", "{path}"], "dim True"),
+    (dict(UNIT_SQUARE, dim=3), ["polytope", "af", "{path}", "{path}"], "dim 3"),
+    (dict(UNIT_SQUARE, dim=1), ["polytope", "volume", "{path}"], "dim 1"),
 ])
 def test_integer_fields_must_be_json_ints(capsys, tmp_path, content, argv, needle):
     path, weights = tmp_path / "in.json", tmp_path / "w.json"

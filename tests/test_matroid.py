@@ -2,6 +2,8 @@
 evaluations, characteristic polynomial routes, Moebius sign alternation, and
 agreement between the explicit polynomial path and the evaluation engine."""
 
+import inspect
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import factorial
@@ -30,6 +32,8 @@ from lorentzlab.inertia import hessian, inertia
 from conftest import in_fresh_process
 from oracles import (
     chain_hl_check,
+    closure_cover_flats,
+    exchange_message,
     fraction_eval_bivariate,
     is_semimodular_spot,
     layered_pin,
@@ -332,36 +336,85 @@ def test_loops_are_quotiented_out():
     assert hered.is_hereditary_lorentzian(h, cone_hints=[submodular_witness(L)]).value == "yes"
 
 
-def test_flats_match_subset_closure_oracle(rng):
-    matroids = [(f"U({r},{n})", Matroid.uniform(r, n)) for n in range(1, 8) for r in range(0, n + 1)]
-    matroids += [("K4", Matroid.from_graph(4, K4_EDGES)), ("K5", Matroid.from_graph(5, K5_EDGES)),
-                 ("Fano", Matroid.fano())]
-    for k in range(6):
-        edges = rng.sample(K5_EDGES, rng.randint(4, 9))
-        matroids.append((f"K5 subgraph {edges}", Matroid.from_graph(5, edges)))
-    for name, M in matroids:
-        assert set(flats(M).flats) == oracle_flats(M.ground, M.bases), name
-
-
-def test_exchange_check_matches_oracle(rng):
-    with pytest.raises(ValueError, match="exchange"):
-        Matroid(*NON_MATROID)
-    assert not oracle_is_basis_family(NON_MATROID[1])
+def _seeded_families(rng):
+    """300 equicardinal families of 1 to 8 subsets of range(6)."""
     ground = tuple(range(6))
-    accepted = rejected = 0
     for _ in range(300):
         r = rng.randint(1, 4)
         pool = list(combinations(ground, r))
-        family = rng.sample(pool, rng.randint(1, min(8, len(pool))))
-        if oracle_is_basis_family(family):
-            M = Matroid(ground, tuple(frozenset(b) for b in family))
+        yield ground, rng.sample(pool, rng.randint(1, min(8, len(pool))))
+
+
+def test_exchange_check_matches_oracle(rng):
+    """Matroid(...) accepts exactly the basis families, and a rejection
+    names the pair of bases and the element that the pairwise loop of
+    ``exchange_message`` fails at first."""
+    with pytest.raises(ValueError, match="exchange"):
+        Matroid(*NON_MATROID)
+    assert not oracle_is_basis_family(NON_MATROID[1])
+    accepted = rejected = 0
+    for ground, family in _seeded_families(rng):
+        bases = tuple(frozenset(b) for b in family)
+        expected = exchange_message(Matroid._by_construction(ground, bases))
+        assert (expected is None) == oracle_is_basis_family(family), family
+        if expected is None:
+            M = Matroid(ground, bases)
             assert set(flats(M).flats) == oracle_flats(ground, family)
             accepted += 1
         else:
-            with pytest.raises(ValueError, match="exchange"):
-                Matroid(ground, tuple(frozenset(b) for b in family))
+            with pytest.raises(ValueError) as err:
+                Matroid(ground, bases)
+            assert str(err.value) == expected, family
             rejected += 1
     assert accepted >= 20 and rejected >= 20
+
+
+def _multigraphs(rng):
+    """Seeded multigraphs on 3 to 5 vertices with self-loops and parallel
+    edges: the bottom flat holds the loops, and parallel edges share every
+    flat."""
+    for _ in range(8):
+        n = rng.randint(3, 5)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(4, 9))]
+        edges += [edges[0], (edges[-1][0], edges[-1][0])]
+        yield f"multigraph {n} {edges}", Matroid.from_graph(n, edges)
+
+
+def test_flats_match_subset_closure_oracle(rng):
+    """flats(M) against closing every subset and against one closure per
+    cover with ranks by longest chains (``closure_cover_flats``): the same
+    flats and ranks, and, against the lattice built from the oracle's
+    family, the same order, covers, containment bitsets and Moebius row of
+    the bottom."""
+    # first, so that these are the families the exchange test accepts
+    matroids = [(f"family {family}", Matroid(ground, tuple(frozenset(b) for b in family)))
+                for ground, family in _seeded_families(rng) if oracle_is_basis_family(family)]
+    matroids += [(f"U({r},{n})", Matroid.uniform(r, n)) for n in range(1, 8) for r in range(0, n + 1)]
+    matroids += [("K4", Matroid.from_graph(4, K4_EDGES)), ("M(K5)", Matroid.from_graph(5, K5_EDGES)),
+                 ("Fano", Matroid.fano())]
+    for _ in range(6):
+        edges = rng.sample(K5_EDGES, rng.randint(4, 9))
+        matroids.append((f"K5 subgraph {edges}", Matroid.from_graph(5, edges)))
+    matroids += list(_multigraphs(rng))
+    assert any(M.loops() for _, M in matroids)
+    for name, M in matroids:
+        L, ranks = flats(M), closure_cover_flats(M)
+        assert L.rank == ranks and set(L.flats) == oracle_flats(M.ground, M.bases), name
+        P = FlatLattice(M.ground, ranks)
+        assert (P.flats, P.ranks, P.covers_up, P.up, P.down) == (L.flats, L.ranks, L.covers_up, L.up, L.down), name
+        memo = {}
+        assert L.mobius_row(0) == [oracle_mobius(L, L.bottom, F, memo) for F in L.flats], name
+
+
+def _seeded_pairs(L, rng) -> list:
+    """Seeded point pairs on L's proper flats: two dense pairs, one with
+    half its coordinates 0, and one with va = vb, where many interval
+    values cancel to zero."""
+    def point(zeros):
+        return {F: Q(0) if rng.random() < zeros else Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper}
+
+    va = point(0.5)
+    return [(point(0), point(0)), (point(0), point(0)), (point(0.5), point(0.5)), (va, va)]
 
 
 def test_integer_recursion_matches_fraction_oracle(catalog, rng):
@@ -375,9 +428,7 @@ def test_integer_recursion_matches_fraction_oracle(catalog, rng):
         assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
         if n_chains > 1500:
             continue
-        for _ in range(3):
-            va = {F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper}
-            vb = {F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper}
+        for va, vb in _seeded_pairs(L, rng):
             assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
             assert eng.evaluate(va) == fraction_eval_bivariate(L, va, {})[0], name
 
@@ -393,12 +444,41 @@ def test_integer_recursion_matches_fraction_oracle_on_graphic_lattices(rng):
     for name, L in lattices.items():
         eng = volume_engine(L)
         alpha, beta = alpha_beta(L)
-        pairs = [(dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords)))]
-        for _ in range(3):
-            pairs.append(tuple({F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper} for _ in range(2)))
-        for va, vb in pairs:
+        canonical = (dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords)))
+        for va, vb in [canonical, *_seeded_pairs(L, rng)]:
             assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
             assert eng.evaluate(va) == fraction_eval_bivariate(L, va, {})[0], name
+
+
+def _count_line_runs(func, prefix, call) -> int:
+    """How many times ``call()`` runs the first line of ``func`` whose text
+    starts with ``prefix``, by a line tracer on ``func``'s frames only."""
+    lines, start = inspect.getsourcelines(func)
+    target = start + next(i for i, line in enumerate(lines) if line.strip().startswith(prefix))
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        if event == "line" and frame.f_lineno == target:
+            runs += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is func.__code__ else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return runs
+
+
+def test_canonical_recursion_skips_zero_intervals():
+    """Count guard: at the canonical pair, V vanishes on every interval with
+    two proper ends, so U(8,8)'s expansion evaluates Y(g) on at most
+    10,000 of its 52,670 triples lo < g < hi."""
+    eng = volume_engine(flats(Matroid.uniform(8, 8)))
+    runs = _count_line_runs(type(eng).eval_bivariate, "ys = ", lambda: eng.eval_bivariate(
+        *(dict(zip(v.vars, v.coords)) for v in alpha_beta(eng.L))))
+    assert 0 < runs <= 10_000, runs
 
 
 def test_char_poly_routes_agree_up_to_rank_8():
