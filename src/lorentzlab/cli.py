@@ -30,7 +30,7 @@ from .cones import ConeByGenerators
 from .inertia import hessian, inertia
 from .polycore import HomPoly, LinSubspace, parse_poly
 from .rat import Q, Rational, rat_str, read_rat
-from .simplicial import SimComplex, label_key, label_str
+from .simplicial import SimComplex, face_str, label_key, label_str
 
 
 class InputError(Exception):
@@ -124,7 +124,14 @@ def read_matroid_of_positive_rank(data: dict) -> matroid.Matroid:
 
 
 def _facet_weights(entries) -> dict:
-    return {frozenset(e["facet"]): read_rat(e["w"]) for e in _expect(entries, list)}
+    """Facet weights by facet; a facet listed twice is an error naming it."""
+    weights = {}
+    for e in _expect(entries, list):
+        F = frozenset(e["facet"])
+        if F in weights:
+            raise ValueError(f"facet {face_str(F)} is listed twice in the weights")
+        weights[F] = read_rat(e["w"])
+    return weights
 
 
 def read_weights_bundle(data: dict) -> tuple:

@@ -196,6 +196,8 @@ def locate_relative_interior(fan: Fan, rho: Sequence) -> tuple[frozenset, tuple]
     """The unique cone with rho in its relative interior, with the positive
     combination coefficients (aligned with the sorted face labels)."""
     rho = tuple(Q(x) for x in rho)
+    if len(rho) != fan.dim:
+        raise ValueError(f"the ray has length {len(rho)}, but the fan has dimension {fan.dim}")
     for S in sorted(fan.cones.faces(), key=lambda f: (len(f), face_key(f))):
         if not S:
             continue
@@ -413,32 +415,3 @@ def canonical_bijection_check(
         if fan1.gram_det_sq(A) * w1 ** 2 != fan2.gram_det_sq(B) * w2 ** 2:
             return False
     return True
-
-
-def star(fan: Fan, S: Iterable) -> Fan:
-    """The star fan of a cone, in canonical quotient coordinates.
-
-    Coordinates are the non-pivot positions after eliminating the cone's
-    ray span; rays of the star are the reduced adjacent rays.
-    """
-    S = frozenset(S)
-    if not fan.cones.has_face(S):
-        raise ValueError(f"{face_str(S)} is not a cone")
-    idx = fan._index()
-    span_rows = [fan.rays[idx[v]] for v in sorted(S, key=label_key)]
-    R, pivots = linalg.rref(span_rows)
-    nonpivot = [k for k in range(fan.dim) if k not in pivots]
-
-    def reduce(x: tuple) -> tuple:
-        x = list(x)
-        for row, p in zip(R, pivots):
-            f = x[p]
-            if f != 0:
-                x = [xi - f * ri for xi, ri in zip(x, row)]
-        return tuple(x[k] for k in nonpivot)
-
-    V_S = fan.cones.link_vertices(S)
-    link = fan.cones.link(S)
-    link_full = SimComplex(V_S, link.facets)
-    return Fan(dim=len(nonpivot), ray_labels=tuple(V_S),
-               rays=tuple(reduce(fan.ray(v)) for v in V_S), cones=link_full)

@@ -23,14 +23,10 @@ from __future__ import annotations
 from math import lcm
 from typing import Sequence
 
-from .rat import Q, ZERO, ONE, Rational
+from .rat import Q, ZERO, Rational
 
 Vec = tuple
 Mat = list  # list of row tuples
-
-
-def unit(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> Vec:

@@ -135,55 +135,6 @@ def is_m_convex(M: MSet | Iterable) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def m_truncate(M: MSet) -> MSet:
-    """tau(M): all points reachable by decrementing one coordinate."""
-    pts = {p[:i] + (p[i] - 1,) + p[i + 1 :] for p in M.points for i in range(M.n) if p[i] > 0}
-    return MSet(M.n, pts)
-
-
-def m_partial(M: MSet, beta: Sequence[int]) -> MSet:
-    beta = tuple(int(b) for b in beta)
-    pts = set()
-    for p in M.points:
-        q = tuple(c - b for c, b in zip(p, beta))
-        if all(c >= 0 for c in q):
-            pts.add(q)
-    return MSet(M.n, pts)
-
-
-def m_is_connected(M: MSet) -> bool:
-    """No split of the coordinates separating the supports (sum <= 1: convention)."""
-    if not M.points or M.r <= 1:
-        return True
-    supports = [frozenset(i for i, c in enumerate(p) if c) for p in M.points]
-    comp = list(range(len(supports)))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            if supports[a] & supports[b]:
-                comp[find(a)] = find(b)
-    return len({find(i) for i in range(len(supports))}) <= 1
-
-
-def m_is_H_connected(M: MSet) -> bool:
-    """Every derived set by at most r-2 decrements is connected."""
-    if M.r <= 1:
-        return True
-    caps = [max(p[i] for p in M.points) for i in range(M.n)]
-    for k in range(M.r - 1):
-        for alpha in _bounded_multiindices(M.n, k, caps):
-            sub = m_partial(M, alpha)
-            if sub.points and not m_is_connected(sub):
-                return False
-    return True
-
-
 def _bounded_multiindices(n: int, total: int, caps: Sequence[int]):
     if n == 0:
         if total == 0:

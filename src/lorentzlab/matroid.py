@@ -2,14 +2,12 @@
 
 Matroids arrive as explicit bases lists or as graph cycle matroids.  Bases
 are kept as bitmasks over the ground set: the rank of S is the largest
-popcount of S & B over the bases B, and a closure is one pass over the
-bases (e raises the rank of S exactly when some basis B with
-|S & B| = rank(S) contains e).  A bases list given explicitly must satisfy
-the basis-exchange axiom, checked on construction with one bitset test per
-basis and element; the uniform, Fano and graphic constructors are matroids
-by construction and skip that check.  A graph's rank is its number of
-vertices less its number of connected components, from one union-find
-pass.
+popcount of S & B over the bases B.  A bases list given explicitly must
+satisfy the basis-exchange axiom, checked on construction with one bitset
+test per basis and element; the uniform, Fano and graphic constructors are
+matroids by construction and skip that check.  A graph's rank is its
+number of vertices less its number of connected components, from one
+union-find pass.
 
 The lattice of flats is generated one rank layer at a time, from the loops
 up: the covers of a flat F are read off the sets B - F over the bases B
@@ -182,19 +180,6 @@ class Matroid:
     def _elements(self, mask: int) -> frozenset:
         return frozenset(e for i, e in enumerate(self._elems) if mask >> i & 1)
 
-    def _closure_mask(self, s: int) -> int:
-        """One pass over the bases: the elements outside S that some basis
-        meeting S in rank(S) elements contains are exactly those raising
-        the rank; everything else is in the closure."""
-        best, grow = -1, 0
-        for b in self._basis_masks:
-            k = (s & b).bit_count()
-            if k > best:
-                best, grow = k, b
-            elif k == best:
-                grow |= b
-        return self._full & ~(grow & ~s)
-
     @property
     def rank_total(self) -> int:
         return len(self.bases[0])
@@ -202,12 +187,6 @@ class Matroid:
     def rank(self, S: Iterable) -> int:
         s = self._mask(S)
         return max((s & b).bit_count() for b in self._basis_masks)
-
-    def closure(self, S: Iterable) -> frozenset:
-        return self._elements(self._closure_mask(self._mask(S)))
-
-    def loops(self) -> frozenset:
-        return self.closure(())
 
     @classmethod
     def uniform(cls, r: int, n: int) -> "Matroid":
@@ -281,8 +260,7 @@ class FlatLattice:
     the flats strictly above/below it, from which covers and Moebius values
     are read.  Validates exhaustively: containment covers raise the rank by
     one, flats are closed under pairwise intersection, and for each flat the
-    cover differences partition the complement.  Intervals are again
-    lattices of flats (of a minor) and are constructed by :meth:`interval`.
+    cover differences partition the complement.
 
     Given a family of sets, the ranks are the lengths of the longest chains
     from the bottom; :func:`flats` hands over the ranks it generated the
@@ -390,13 +368,6 @@ class FlatLattice:
                 row[c] = -sum(map(row.__getitem__, _indices(self.down[c] & closed)))
         return row
 
-    def mobius(self, a: frozenset, b: frozenset) -> int:
-        """The Moebius function, read off :meth:`mobius_row`."""
-        return self.mobius_row(self.index[a])[self.index[b]]
-
-    def interval(self, a: frozenset, b: frozenset) -> "FlatLattice":
-        return FlatLattice(tuple(sorted(b, key=label_key)), [F for F in self.flats if a <= F <= b])
-
 
 def flats(M: Matroid) -> FlatLattice:
     """All closed sets, generated one rank layer at a time from the loops
@@ -478,14 +449,6 @@ def modular_space(L: FlatLattice) -> LinSubspace:
         c = {elems[i]: ONE, elems[-1]: -ONE}
         rows.append(tuple(sum((c.get(e, ZERO) for e in F - L.bottom), ZERO) for F in proper))
     return LinSubspace(proper, rows)
-
-
-def alpha_beta(L: FlatLattice) -> tuple[Direction, Direction]:
-    proper = L.proper
-    n = len(L.top - L.bottom)
-    alpha = Direction(proper, tuple(Q(len(F - L.bottom), n) for F in proper))
-    beta = Direction(proper, tuple(Q(len(L.top - F), n) for F in proper))
-    return alpha, beta
 
 
 def submodular_witness(L: FlatLattice) -> Direction:

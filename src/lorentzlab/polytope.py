@@ -177,16 +177,6 @@ def _require_bounded(labels: tuple, normals: tuple) -> tuple[LinSubspace, list, 
     return got
 
 
-def in_deformation_cone(P: SimplePolytope, t: Sequence) -> bool:
-    """Whether the support vector cuts a simple polytope with the same
-    incidence complex (the chamber of P)."""
-    try:
-        Q2 = build(P.normals, t, P.labels)
-    except PolytopeError:
-        return False
-    return Q2.delta == P.delta
-
-
 def volume(P: SimplePolytope):
     """Exact Euclidean volume by a pulling triangulation of the face lattice."""
     face_vertices: dict[frozenset, list] = {}

@@ -179,12 +179,6 @@ class SimComplex:
         facets = [f | g for f in self.facets for g in other.facets]
         return SimComplex(self.vertices + other.vertices, facets)
 
-    def rename(self, mapping: Mapping[Label, Label]) -> "SimComplex":
-        return SimComplex(
-            tuple(mapping.get(v, v) for v in self.vertices),
-            [{mapping.get(v, v) for v in f} for f in self.facets],
-        )
-
     def stellar_subdivide(self, S: Iterable[Label], new_vertex: Label | None = None) -> "SimComplex":
         """Subdivide at the face S: drop faces containing S, cone the rest.
 

@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, cone_member, face_complex
+from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, face_complex
 from .polycore import HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE, rat_str, read_rat
 from .simplicial import face_str, fresh_vertex, label_str
@@ -62,11 +62,20 @@ class SubdivStep:
         )
 
 
+def _distinct(S: Sequence) -> tuple:
+    """The face S as a tuple; a label listed twice is an error naming it."""
+    S = tuple(S)
+    for k, v in enumerate(S):
+        if v in S[:k]:
+            raise ValueError(f"face {list(S)} repeats the label {v!r}")
+    return S
+
+
 def weld(g: HomPoly, S: Sequence, c: Sequence, vertex) -> HomPoly:
     """Substitute t_vertex = sum_i c_i t_i and drop the apex variable."""
     if vertex not in g.vars:
         raise ValueError(f"variable {vertex!r} is absent")
-    S = tuple(S)
+    S = _distinct(S)
     if not set(S) <= set(g.vars) - {vertex}:
         raise ValueError(f"weld face {list(S)} must be variables other than the apex {vertex!r}")
     c = [Q(x) for x in c]
@@ -82,7 +91,7 @@ def subdivide(f: HomPoly, S: Sequence, c: Sequence, vertex=None) -> HomPoly:
     S must be a face of the polynomial's support complex; the result lives
     on the original variables plus the (fresh) apex variable.
     """
-    S = tuple(S)
+    S = _distinct(S)
     c = [Q(x) for x in c]
     if len(S) != len(c) or any(x <= 0 for x in c):
         raise ValueError("need one positive coefficient per face vertex")
@@ -172,36 +181,3 @@ def apply_chain(f: HomPoly, steps: Iterable[SubdivStep | Mapping]) -> ChainResul
             raise ValueError(f"intermediate after {step.kind} at {list(step.face)} is not strongly hereditary")
         certs.append({"kind": step.kind, "face": list(step.face), "vertex": vertex, "strong": True})
     return ChainResult(poly=current, certificates=certs, hereditary=h)
-
-
-def cone_transport_check(f: HereditaryPoly, S: Sequence, c: Sequence, v, eps) -> bool:
-    """Whether the shifted point (v, sum c_i v_i - eps) lands in the cone of
-    the subdivided polynomial; eps is caller-chosen (see halving helper)."""
-    if not cone_member(f, v):
-        raise ValueError("base point is not in the cone")
-    S = tuple(S)
-    c = [Q(x) for x in c]
-    vertex = fresh_vertex(f.vars)
-    g = subdivide(f.f, S, c, vertex)
-    hg = check_hereditary(g)
-    from .polycore import direction_coords
-
-    coords = direction_coords(v, f.vars)
-    idx = {lab: k for k, lab in enumerate(f.vars)}
-    v0 = sum((ci * coords[idx[i]] for i, ci in zip(S, c)), ZERO) - Q(eps)
-    return cone_member(hg, coords + (v0,))
-
-
-def transport_eps_search(f: HereditaryPoly, S: Sequence, c: Sequence, v, start=1, tries: int = 12):
-    """Halve eps from ``start`` until the shifted point enters the cone.
-
-    Returns the first working eps, or None after ``tries`` halvings (no
-    closed-form threshold is claimed; membership holds for all small
-    enough eps when v is in the cone).
-    """
-    eps = Q(start)
-    for _ in range(tries):
-        if cone_transport_check(f, S, c, v, eps):
-            return eps
-        eps = eps / 2
-    return None

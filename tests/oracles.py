@@ -32,10 +32,15 @@ checked against.
   with ``src/``: flats by closing every subset of the ground set with a
   max-intersection rank, and basis exchange checked literally on sets.
 * :func:`closure_cover_flats` generates the flats by one closure
-  (``Matroid._closure_mask``, a pass over all bases) per cover, from the
-  closure of the empty set, and ranks them by peeling off longest chains
-  on frozensets; ``flats`` generates them one rank layer at a time, each
-  flat's covers read off the bases of its contraction.
+  (:func:`basis_pass_closure`, a pass over all bases on frozensets) per
+  cover, from the closure of the empty set, and ranks them by peeling off
+  longest chains on frozensets; it reads only the ground set and the
+  bases.  ``flats`` generates them one rank layer at a time, each flat's
+  covers read off the bases of its contraction.
+* :func:`interval` builds the interval [a, b] of a lattice of flats as a
+  lattice of its own, and :func:`alpha_beta` the canonical direction pair
+  as ``Direction`` objects; the library evaluates at the integer points
+  n alpha and n beta (``LatticeVolume.expansion``).
 * :func:`exchange_message` is the pairwise basis-exchange loop (each pair
   of bases, one AND per element of A - B), returning the message of its
   first failure; ``Matroid`` makes one bitset test per basis and element
@@ -80,6 +85,9 @@ checked against.
   elimination of [A | t] per d-subset, body by body; the library eliminates
   each d-subset once per normal set and reads every body's vertices off
   the resulting charts.
+* :func:`in_deformation_cone` tests that a support vector lies in the
+  chamber of a polytope by building the polytope it cuts; the tests
+  sample chambers with it.
 * :func:`facet_recursion_volume_polynomial` builds a polytope's volume
   polynomial by recursion over facets in intrinsic hyperplane coordinates;
   the library rebuilds it with ``hereditary.from_weights`` from the
@@ -141,6 +149,11 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
 
 * :func:`is_lorentzian_v2` replaces M-convexity of the support by
   H-connectedness of its truncation.
+* :func:`m_truncate`, :func:`m_partial`, :func:`m_is_connected` and
+  :func:`m_is_H_connected` decide M-convexity the second way: a connected
+  truncation plus M-convexity of every codimension-2 derived set.
+* :func:`cone_transport_check` and :func:`transport_eps_search` move a
+  cone point across a stellar subdivision, shifted along the new apex.
 * :func:`is_k_lorentzian_alt` runs the degree-2 cone test on every
   quadratic derived along generators and an interior direction.
 * :func:`interior_certificate` checks strict positivity and the
@@ -166,20 +179,20 @@ from lorentzlab.inertia import Inertia, SymMatrix, derivative_hessian, hessian, 
 from lorentzlab.lorentzian import (
     LorentzVerdict,
     MSet,
+    _bounded_multiindices,
     _DerivativeCache,
     _h1_scan,
     _require_nonneg,
     is_k_lorentzian,
     is_m_convex,
-    m_is_H_connected,
-    m_truncate,
     polarization_vars,
     support_mset,
 )
-from lorentzlab.matroid import pol_matroid, submodular_witness
-from lorentzlab.polycore import HomPoly, LinSubspace, direction_coords
+from lorentzlab.matroid import FlatLattice, pol_matroid, submodular_witness
+from lorentzlab.polycore import Direction, HomPoly, LinSubspace, direction_coords
 from lorentzlab.rat import Q, ONE, ZERO, rat_str
-from lorentzlab.simplicial import SimComplex, connected, face_key, face_str, label_key
+from lorentzlab.simplicial import SimComplex, connected, face_key, face_str, fresh_vertex, label_key
+from lorentzlab.subdivision import subdivide
 
 
 def layered_pin(L, chain, G, flats) -> dict:
@@ -407,29 +420,58 @@ def oracle_flats(ground, bases) -> set:
     return {closure(frozenset(S)) for k in range(len(ground) + 1) for S in combinations(ground, k)}
 
 
+def basis_pass_closure(ground, bases, S) -> frozenset:
+    """cl(S) by one pass over the bases: the elements outside S that some
+    basis meeting S in rank(S) elements contains are exactly those raising
+    the rank; every other element of the ground set is in the closure."""
+    S = frozenset(S)
+    r = max(len(S & B) for B in bases)
+    grow = frozenset().union(*(B for B in bases if len(S & B) == r))
+    return frozenset(ground) - (grow - S)
+
+
 def closure_cover_flats(M) -> dict:
-    """Flat -> rank.  The flats: from the closure of the empty set, the
-    closure of F + e for every flat F found so far and every e outside F,
-    skipping the rest of G - F once F + e has closed to G.  The ranks: a
-    flat has rank > k exactly when some flat of rank >= k lies strictly
-    below it."""
-    bottom = M._closure_mask(0)
+    """Flat -> rank, from ``M.ground`` and ``M.bases`` alone.  The flats:
+    from the closure of the empty set, the closure of F + e for every flat
+    F found so far and every e outside F, skipping the rest of G - F once
+    F + e has closed to G (:func:`basis_pass_closure`).  The ranks: a flat
+    has rank > k exactly when some flat of rank >= k lies strictly below
+    it."""
+    ground, bases = frozenset(M.ground), [frozenset(B) for B in M.bases]
+    bottom = basis_pass_closure(ground, bases, ())
     found, todo = {bottom}, [bottom]
     while todo:
         F = todo.pop()
-        rest = M._full & ~F
-        while rest:
-            G = M._closure_mask(F | (rest & -rest))
-            rest &= ~G
-            if G not in found:
-                found.add(G)
-                todo.append(G)
-    level, rank, k = {M._elements(F) for F in found}, {}, 0
+        covered = F
+        for e in ground - F:
+            if e not in covered:
+                G = basis_pass_closure(ground, bases, F | {e})
+                covered |= G
+                if G not in found:
+                    found.add(G)
+                    todo.append(G)
+    level, rank, k = found, {}, 0
     while level:
         rank.update(dict.fromkeys(level, k))
         level = {F for F in level if any(G < F for G in level)}
         k += 1
     return rank
+
+
+def interval(L, a, b) -> FlatLattice:
+    """The interval [a, b] of a lattice of flats, as the lattice of flats
+    of a minor, ranked by longest chains."""
+    return FlatLattice(tuple(sorted(b, key=label_key)), [F for F in L.flats if a <= F <= b])
+
+
+def alpha_beta(L) -> tuple[Direction, Direction]:
+    """The canonical direction pair on the proper flats: the rank density
+    |F - bottom| / n and the corank density |top - F| / n."""
+    proper = L.proper
+    n = len(L.top - L.bottom)
+    alpha = Direction(proper, tuple(Q(len(F - L.bottom), n) for F in proper))
+    beta = Direction(proper, tuple(Q(len(L.top - F), n) for F in proper))
+    return alpha, beta
 
 
 def exchange_message(M) -> str | None:
@@ -856,6 +898,16 @@ def rank_solve_vertices(normals, t, labels) -> dict:
             continue
         verts[x] = frozenset(labels[i] for i in range(n) if vals[i] == t[i])
     return verts
+
+
+def in_deformation_cone(P: polytope.SimplePolytope, t: Sequence) -> bool:
+    """Whether the support vector cuts a simple polytope with the same
+    incidence complex (the chamber of P)."""
+    try:
+        Q2 = polytope.build(P.normals, t, P.labels)
+    except polytope.PolytopeError:
+        return False
+    return Q2.delta == P.delta
 
 
 def subset_elimination_build(normals, t, labels=None) -> polytope.SimplePolytope:
@@ -1334,6 +1386,47 @@ def skeleton_require_hereditary(delta, lin) -> bool:
     return all(not F or fraction_projects_onto(lin, F) for F in delta.facets)
 
 
+def m_truncate(M: MSet) -> MSet:
+    """tau(M): all points reachable by decrementing one coordinate."""
+    pts = {p[:i] + (p[i] - 1,) + p[i + 1 :] for p in M.points for i in range(M.n) if p[i] > 0}
+    return MSet(M.n, pts)
+
+
+def m_partial(M: MSet, beta: Sequence[int]) -> MSet:
+    """The points p - beta of M that stay nonnegative."""
+    beta = tuple(int(b) for b in beta)
+    pts = set()
+    for p in M.points:
+        q = tuple(c - b for c, b in zip(p, beta))
+        if all(c >= 0 for c in q):
+            pts.add(q)
+    return MSet(M.n, pts)
+
+
+def m_is_connected(M: MSet) -> bool:
+    """No split of the coordinates separates the supports (sum <= 1:
+    connected by convention): the graph of points whose supports meet is
+    connected."""
+    if not M.points or M.r <= 1:
+        return True
+    supports = [frozenset(i for i, c in enumerate(p) if c) for p in M.points]
+    meets = {a: [b for b, T in enumerate(supports) if S & T] for a, S in enumerate(supports)}
+    return connected(meets, meets)
+
+
+def m_is_H_connected(M: MSet) -> bool:
+    """Every derived set by at most r-2 decrements is connected."""
+    if M.r <= 1:
+        return True
+    caps = [max(p[i] for p in M.points) for i in range(M.n)]
+    for k in range(M.r - 1):
+        for alpha in _bounded_multiindices(M.n, k, caps):
+            sub = m_partial(M, alpha)
+            if sub.points and not m_is_connected(sub):
+                return False
+    return True
+
+
 def brute_force_is_m_convex(M) -> tuple:
     """Brute-force exchange axiom; returns (verdict, violating (a, b, i)).
 
@@ -1660,3 +1753,34 @@ def interior_certificate(f, dirs, kernel) -> bool:
 def product_check(f, g, cone) -> bool:
     """Closure under products, verified directly on the given fixtures."""
     return bool(is_k_lorentzian(f * g, cone))
+
+
+def cone_transport_check(f: hered.HereditaryPoly, S: Sequence, c: Sequence, v, eps) -> bool:
+    """Whether the shifted point (v, sum c_i v_i - eps) lands in the cone of
+    the subdivided polynomial; eps is caller-chosen (see
+    :func:`transport_eps_search`)."""
+    if not hered.cone_member(f, v):
+        raise ValueError("base point is not in the cone")
+    S = tuple(S)
+    c = [Q(x) for x in c]
+    g = subdivide(f.f, S, c, fresh_vertex(f.vars))
+    hg = hered.check_hereditary(g)
+    coords = direction_coords(v, f.vars)
+    idx = {lab: k for k, lab in enumerate(f.vars)}
+    v0 = sum((ci * coords[idx[i]] for i, ci in zip(S, c)), ZERO) - Q(eps)
+    return hered.cone_member(hg, coords + (v0,))
+
+
+def transport_eps_search(f: hered.HereditaryPoly, S: Sequence, c: Sequence, v, start=1, tries: int = 12):
+    """Halve eps from ``start`` until the shifted point enters the cone.
+
+    Returns the first working eps, or None after ``tries`` halvings (no
+    closed-form threshold is claimed; membership holds for all small
+    enough eps when v is in the cone).
+    """
+    eps = Q(start)
+    for _ in range(tries):
+        if cone_transport_check(f, S, c, v, eps):
+            return eps
+        eps = eps / 2
+    return None

@@ -30,9 +30,6 @@ from lorentzlab.lorentzian import (
     is_k_lorentzian,
     is_lorentzian,
     is_m_convex,
-    m_is_H_connected,
-    m_partial,
-    m_truncate,
     MSet,
     polarized_hereditary_verdict,
 )
@@ -40,7 +37,17 @@ from lorentzlab.matroid import volume_engine
 from lorentzlab.polycore import HomPoly, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.subdivision import subdivide, weld
-from oracles import congruence_diagonalize, is_lorentzian_v2, oracle_chains, oracle_single_gap, random_sym
+from oracles import (
+    congruence_diagonalize,
+    in_deformation_cone,
+    is_lorentzian_v2,
+    m_is_H_connected,
+    m_partial,
+    m_truncate,
+    oracle_chains,
+    oracle_single_gap,
+    random_sym,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -135,7 +142,7 @@ def test_criterion_03_closed_form_evaluations(catalog):
         L = catalog[name]
         d = L.rank_total - 1
         ok = ok and mat.eval_alpha(L) == Q(1, factorial(d))
-        ok = ok and mat.eval_beta(L) == Q(abs(L.mobius(L.bottom, L.top)), factorial(d))
+        ok = ok and mat.eval_beta(L) == Q(abs(L.mobius_row(L.index[L.bottom])[L.index[L.top]]), factorial(d))
     _report(3, ok, "volume values 1/d! and |mu|/d! at the canonical points, all catalog entries")
 
 
@@ -169,7 +176,7 @@ POLYTOPE_FIXTURES = [
 def _sample_in_chamber(rng, P, den=8, spread=2):
     while True:
         t = [x + Q(rng.randint(-spread, spread), den) for x in P.t]
-        if pt.in_deformation_cone(P, t):
+        if in_deformation_cone(P, t):
             return t
 
 

@@ -92,6 +92,21 @@ def files(tmp_path):
     write("chain_unhashable.json", [{"kind": "subdivide", "face": [["a0"], "b0"], "c": ["1", "1"]}])
     write("fanchain_no_ray.json", [{"kind": "subdivide", "vertex": "m"}])
     write("fanchain_unknown_ray.json", [{"kind": "weld", "vertex": "zz", "face": ["e", "n"]}])
+    write("fanchain_long_ray.json", [{"kind": "subdivide", "ray": [1, 1, 1], "vertex": "m"}])
+    write("chain_repeated_label.json", [{"kind": "subdivide", "face": ["a0", "a0"], "c": ["1", "1"]}])
+    # every facet twice, weights 1 and then 7: read last-wins, this is a
+    # balanced functional, so only the duplicate check can refuse it
+    write("weights_twice.json", [
+        {"facet": ["e", "n"], "w": "1"}, {"facet": ["n", "w"], "w": "1"},
+        {"facet": ["w", "s"], "w": "1"}, {"facet": ["s", "e"], "w": "1"},
+        {"facet": ["n", "e"], "w": "7"}, {"facet": ["w", "n"], "w": "7"},
+        {"facet": ["s", "w"], "w": "7"}, {"facet": ["e", "s"], "w": "7"},
+    ])
+    write("bundle_facet_twice.json", {
+        "complex": {"vertices": ["t1", "t2"], "facets": [["t1", "t2"]]},
+        "lineality": [["1", "-1"]],
+        "weights": [{"facet": ["t1", "t2"], "w": "1"}, {"facet": ["t2", "t1"], "w": "2"}],
+    })
     write("deep.json", "[" * 10000 + "]" * 10000)
     write("zero.json", {"vars": ["a", "b"], "degree": 2, "terms": []})
     write("chain_vertex0.json", [{"kind": "subdivide", "face": ["a0", "b0"], "c": ["1", "1"], "vertex": 0},
@@ -421,6 +436,14 @@ MALFORMED_ARGVS = [
     ("weld", "edge.txt", "--face", "t1,t2", "--coeffs", "1,1"),
     ("polytope", "volume", "deep.json"),
     ("polytope", "volume", "square.json", "square.json"),
+    ("subdivide", "e2.txt", "--face", "t1,t1", "--coeffs", "1,1"),
+    ("weld", "e2.txt", "--face", "t2,t2", "--coeffs", "1,1", "--vertex", "t1"),
+    ("chain", "apply", "quad.txt", "chain_repeated_label.json"),
+    ("fan", "check", "sqfan.json", "--weights", "weights_twice.json"),
+    ("hereditary", "from-weights", "bundle_facet_twice.json"),
+    ("fan", "subdivide", "sqfan.json", "--ray", "1,1,1"),
+    ("fan", "subdivide", "sqfan.json", "--ray", "1"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_long_ray.json"),
 ]
 
 
@@ -428,6 +451,36 @@ MALFORMED_ARGVS = [
 def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
     code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 2 and rep["verdict"] == "error" and rep["message"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("subdivide", "e2.txt", "--face", "t1,t1", "--coeffs", "1,1"), "repeats the label 't1'"),
+    (("weld", "e2.txt", "--face", "t2,t2", "--coeffs", "1,1", "--vertex", "t1"), "repeats the label 't2'"),
+    (("chain", "apply", "quad.txt", "chain_repeated_label.json"), "repeats the label 'a0'"),
+    (("fan", "subdivide", "sqfan.json", "--ray", "1,1,1"), "length 3, but the fan has dimension 2"),
+    (("fan", "subdivide", "sqfan.json", "--ray", "1"), "length 1, but the fan has dimension 2"),
+    (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_long_ray.json"),
+     "length 3, but the fan has dimension 2"),
+])
+def test_malformed_faces_and_rays_are_named(capsys, files, argv, needle):
+    code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and needle in rep["message"], rep
+
+
+@pytest.mark.parametrize("argv", [
+    ("fan", "check", "sqfan.json", "--weights", "weights_twice.json"),
+    ("fan", "subdivide", "sqfan.json", "--ray", "1,1", "--weights", "weights_twice.json"),
+    ("fan", "bijection", "sqfan.json", "sqweights.json", "sqfan.json", "weights_twice.json"),
+    ("fan", "transport", "sqfan.json", "weights_twice.json", "fanchain.json"),
+    ("hereditary", "from-weights", "bundle_facet_twice.json"),
+])
+def test_a_facet_weighted_twice_is_an_input_error(capsys, files, argv):
+    """A weights list that names one facet twice, in any order of its
+    labels, is rejected and the facet named; the later weight never
+    silently replaces the earlier."""
+    code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and rep["verdict"] == "error" and "is listed twice" in rep["message"], rep
+    assert "{'e', 'n'}" in rep["message"] or "{'t1', 't2'}" in rep["message"], rep
 
 
 # a valid file of each format, by the name of the parser that the file

@@ -1,6 +1,6 @@
 """Fans and degree functionals: construction checks, ample cones,
 reconstruction, the Lorentzian certification, stellar subdivision transport,
-the canonical bijection invariant, and star/dimension identities."""
+the canonical bijection invariant, and dimension identities."""
 
 import math
 from itertools import combinations
@@ -22,7 +22,6 @@ from lorentzlab.fanchow import (
     functional_from_weights,
     locate_relative_interior,
     read_step,
-    star,
     transport_chain,
 )
 from lorentzlab.hereditary import is_positive, space_dimension
@@ -412,18 +411,6 @@ def test_fan_lp_counts_do_not_follow_the_hash_seed():
     assert len(counts) == 1 and counts.pop() > 100
 
 
-def test_star_identities():
-    L = flats(Matroid.uniform(3, 4))
-    fan = bergman_fan(L)
-    S = sorted(fan.cones.facets, key=lambda f: sorted(map(repr, f)))[0]
-    v = sorted(S, key=repr)[0]
-    st = star(fan, {v})
-    assert st.cones.facets == fan.cones.link({v}).facets
-    assert st.lineality() == nullspace_vanishing_restrict(
-        fan.lineality(), (v,), fan.cones.link_vertices({v})
-    )
-
-
 def test_top_grade_dimension_vanishes():
     # nothing above the top grade, and the top itself is one-dimensional for
     # a complete simplicial 2-fan
@@ -440,7 +427,6 @@ def test_functional_restriction_membership():
     h = alpha.h
     for i in fan.ray_labels:
         fi = hered.restrict_poly(h, {i})
-        st = star(fan, {i})
         lk_lin = nullspace_vanishing_restrict(fan.lineality(), (i,), fan.cones.link_vertices({i}))
         for b in lk_lin.basis:
             idx = {v: k for k, v in enumerate(fan.cones.link_vertices({i}))}

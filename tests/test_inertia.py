@@ -199,7 +199,7 @@ def test_inertia_matches_berkowitz_on_fixture_hessians(rng, catalog, passed_to_i
     for f in nonneg_cubics_and_quartics(rng):
         n = len(f.vars)
         lorentzian._h1_scan(f)
-        lorentzian.is_k_lorentzian(f, ConeByGenerators(tuple(linalg.unit(n, i) for i in range(n))))
+        lorentzian.is_k_lorentzian(f, ConeByGenerators(tuple(tuple(Q(int(j == i)) for j in range(n)) for i in range(n))))
         lorentzian.polarized_hereditary_verdict(f)
     # the codimension-2 derivative Hessians of the hereditary fixtures
     for h in hereditary_fixture_pool(rng):

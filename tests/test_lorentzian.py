@@ -19,10 +19,6 @@ from lorentzlab.lorentzian import (
     is_lorentzian,
     is_m_convex,
     log_concave_seq,
-    m_is_H_connected,
-    m_is_connected,
-    m_partial,
-    m_truncate,
     polarization_vars,
     polarize,
     polarized_hereditary_verdict,
@@ -38,6 +34,10 @@ from oracles import (
     interior_certificate,
     is_k_lorentzian_alt,
     is_lorentzian_v2,
+    m_is_H_connected,
+    m_is_connected,
+    m_partial,
+    m_truncate,
     partial_h1_scan,
     perturb_interior,
     product_check,

@@ -1,7 +1,7 @@
 """Simple polytopes: vertex enumeration, the volume polynomial rebuilt from
 its vertex weights against the facet-recursion oracle and the triangulation
 volume, mixed volumes and the Alexandrov-Fenchel check, and the
-deformation-cone membership test."""
+deformation-cone membership test that samples chambers (an oracle)."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from lorentzlab.polytope import (
     SimplePolytope,
     af_check,
     build,
-    in_deformation_cone,
     mixed_volume,
     volume,
     volume_polynomial,
@@ -22,6 +21,7 @@ from lorentzlab.rat import Q
 from oracles import (
     chain_mixed_volume,
     facet_recursion_volume_polynomial,
+    in_deformation_cone,
     lp_is_bounded,
     rank_solve_vertices,
     rename_vars,

@@ -1,5 +1,5 @@
 """Simplicial complexes: links, skeletons, purity, H-connectedness, stellar
-subdivision, joins, and the relabeling functoriality."""
+subdivision and joins."""
 
 import pytest
 
@@ -114,14 +114,6 @@ def test_join_examples():
     assert tri.join(SimComplex.empty_face_only()) == tri
     with pytest.raises(ValueError):
         p1.join(SimComplex(("a",), [{"a"}]))
-
-
-def test_relabeling_functoriality():
-    tri = SimComplex((1, 2, 3), [{1, 2}, {1, 3}, {2, 3}])
-    mapping = {1: "x", 2: "y", 3: "z"}
-    renamed = tri.rename(mapping)
-    assert renamed.link({"x"}) == tri.link({1}).rename(mapping)
-    assert renamed.skeleton() == tri.skeleton().rename(mapping)
 
 
 def test_fresh_vertex():
