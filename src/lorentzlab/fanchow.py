@@ -276,17 +276,18 @@ class FanStep(NamedTuple):
 def read_step(data: Mapping) -> FanStep:
     """The one reader of fan chain steps from their JSON form: a subdivide
     step gives "ray", or "face" and "c"; a weld step gives "vertex" and
-    "face"; either may name its "vertex"."""
+    "face"; either may name its "vertex".  A face that lists a label twice
+    is an error naming it, as in ``subdivision``."""
     kind = data["kind"]
     if kind == "weld":
-        step = FanStep(kind, face=tuple(data["face"]), vertex=data["vertex"])
+        step = FanStep(kind, face=subdiv.distinct_face(data["face"]), vertex=data["vertex"])
     elif kind != "subdivide":
         raise ValueError(f"bad step kind {kind!r}")
     elif data.get("ray") is not None:
         step = FanStep(kind, ray=tuple(read_rat(x) for x in data["ray"]), vertex=data.get("vertex"))
     else:
-        step = FanStep(kind, face=tuple(data["face"]), c=tuple(read_rat(x) for x in data["c"]),
-                       vertex=data.get("vertex"))
+        step = FanStep(kind, face=subdiv.distinct_face(data["face"]),
+                       c=tuple(read_rat(x) for x in data["c"]), vertex=data.get("vertex"))
         if len(step.face) != len(step.c):
             raise ValueError("face and coefficient lists differ in length")
     hash((step.face, step.vertex))  # labels must be hashable

@@ -29,10 +29,6 @@ Vec = tuple
 Mat = list  # list of row tuples
 
 
-def vec_sub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def dot(u: Sequence, v: Sequence):
     s = ZERO
     for a, b in zip(u, v, strict=True):
@@ -58,9 +54,14 @@ def integer_scaled(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     a matrix of Python ints (never a backend integer type).  A Python int
     is taken as it is; every other entry goes through ``Q``, so a float is
     a TypeError."""
-    R = [[(x, 1) if type(x) is int else Q(x).as_integer_ratio() for x in row] for row in A]
-    den = lcm(*{d for row in R for _, d in row})
-    return [[int(n * (den // d)) for n, d in row] for row in R], den
+    return ratios_scaled([[(x, 1) if type(x) is int else Q(x).as_integer_ratio() for x in row] for row in A])
+
+
+def ratios_scaled(R: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[list[int]], int]:
+    """``integer_scaled`` of the matrix whose entries are given as (p, q)
+    pairs, q > 0."""
+    den = lcm(*{q for row in R for _, q in row})
+    return [[int(p * (den // q)) for p, q in row] for row in R], den
 
 
 def eliminate(M: list) -> tuple[list, list[int], int, int]:

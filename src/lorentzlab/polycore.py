@@ -32,7 +32,7 @@ from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .rat import Q, ZERO, Rational, rat_str, read_rat
+from .rat import Q, ZERO, Rational, rat_str, ratio, read_ratio
 from .simplicial import Label, label_str
 
 Key = tuple  # sorted tuple of (position, exponent) pairs
@@ -61,15 +61,6 @@ def _lower(exps: tuple, i: int) -> tuple:
     return exps[:i] + (exps[i] - 1,) + exps[i + 1:]
 
 
-def _ratio(c) -> tuple[int, int]:
-    """(numerator, denominator > 0) of an exact rational on Python ints; an
-    int is taken as it is, any other value goes through ``Q``."""
-    if type(c) is int:
-        return c, 1
-    c = Q(c)
-    return int(c.numerator), int(c.denominator)
-
-
 def _nonzero(coeffs: dict) -> dict:
     return {k: c for k, c in coeffs.items() if c}
 
@@ -93,7 +84,7 @@ class HomPoly:
         n = len(vs)
         pairs = []
         for exps, c in items:
-            a, d = _ratio(c)
+            a, d = ratio(c)
             if a:
                 pairs.append((dense(exps, n), a, d))
         den = lcm(*(d for _, _, d in pairs))
@@ -241,7 +232,7 @@ class HomPoly:
         return self + other.scale(-1)
 
     def scale(self, c) -> "HomPoly":
-        a, d = _ratio(c)
+        a, d = ratio(c)
         coeffs = {k: a * v for k, v in self.coeffs.items()} if a else {}
         return HomPoly._trusted(self.vars, self.degree, coeffs, self.den * d, self._index)
 
@@ -322,7 +313,7 @@ class HomPoly:
         m = len(new_vars)
         scales, images = [], []
         for v in self.vars:
-            form = [(nidx[w], *_ratio(c)) for w, c in forms.get(v, {}).items()]
+            form = [(nidx[w], *ratio(c)) for w, c in forms.get(v, {}).items()]
             s = lcm(*(d for _, _, d in form))
             image = {tuple(int(k == j) for k in range(m)): a * (s // d) for j, a, d in form if a}
             scales.append(s)
@@ -413,14 +404,20 @@ class HomPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HomPoly":
+        """The polynomial of a JSON object.  Each coefficient is read straight
+        to (p, q) by ``rat.read_ratio``; ``from_dense`` checks and fills the
+        table from the integers p * (den / q), den the least common q, and
+        the one division by den follows."""
         vars = tuple(data["vars"])
-        dense = {tuple(t["exps"]): read_rat(t["coeff"]) for t in data["terms"]}
+        dense = {tuple(t["exps"]): read_ratio(t["coeff"]) for t in data["terms"]}
         degree = data.get("degree")
         if degree is None:
             if not dense:
                 raise ValueError("zero polynomial needs an explicit degree")
             degree = sum(next(iter(dense)))
-        return cls.from_dense(vars, degree, dense)
+        den = lcm(*(q for _, q in dense.values()))
+        f = cls.from_dense(vars, degree, {exps: p * (den // q) for exps, (p, q) in dense.items()})
+        return cls._trusted(f.vars, f.degree, f.coeffs, den, f._index)
 
 _TERM_RE = re.compile(r"[+-]|[A-Za-z_][A-Za-z0-9_]*(?:\^\d+)?|\d+(?:/\d+)?|\*")
 

@@ -2,27 +2,41 @@
 volume polynomials, mixed volumes and the Alexandrov-Fenchel check.
 
 A polytope arrives as rational (not necessarily unit) outward normals N
-plus support numbers t.  The bodies of one deformation cone share their
-normals, so what depends on the normals alone is done once per normal set
-and remembered (``_require_bounded``): boundedness, by one orthant test,
-the translations, and a vertex chart for every d-subset S of the normals.
-The normals are scaled to integers once, N' = c N, and one fraction-free
+plus support numbers t.  A JSON body is read straight to integer pairs
+(p, q) by ``rat.read_ratio``; ``build`` reads its rationals to the same
+pairs, and both go through one integer core, ``_build``.  The bodies of one
+deformation cone share their normals, so what depends on the normals alone
+is done once per normal set and remembered (``_require_bounded``), keyed on
+the integers N' = c N, the normals scaled by their least common
+denominator c: boundedness, by one orthant test, the translations, the
+rational normals (one tuple, shared by every body of the set, so that
+bodies compare and key their normal set without comparing a rational), and
+a vertex chart for every d-subset S of the normals.  One fraction-free
 elimination of [N'_S | I] gives the rank of N'_S and, when that is d,
 prev = +-det(N'_S) and the integer chart A_S = prev N'_S^-1; singular
-subsets are dropped there, once.
+subsets are dropped there, once.  Each chart also keeps the rows
+W_S = sign(prev) N'_i A_S of the normals i outside S.
 
-A body is then one integer mat-vec per chart.  With t' = D t its support
-numbers scaled to integers and u = A_S t'_S, the vertex of S, the solution
-of N_S x = t_S, is x = c u / (D prev), since N'_S x = c t_S = (c / D) t'_S.
-Its slacks are ints up to a positive factor: N_i x = N'_i u / (D prev), so
+With t' = D t the body's support numbers scaled to integers and
+u = A_S t'_S, the vertex of S, the solution of N_S x = t_S, is
+x = c u / (D prev), since N'_S x = c t_S = (c / D) t'_S.  Its slacks are
+ints up to a positive factor: N_i x = N'_i u / (D prev), so
 
-    sign(prev) (prev t'_i - N'_i u) = |prev| D (t_i - N_i x),
+    sign(prev) (prev t'_i - N'_i u) = |prev| t'_i - W_S,i t'_S = |prev| D (t_i - N_i x),
 
 which has the sign of the slack t_i - N_i x and vanishes exactly on the
-facets through x (on S itself, since N'_S u = prev t'_S).  The feasibility
-and incidence tests thus form no rational; only a feasible vertex becomes
-one.  Simplicity means every vertex activates exactly d facets, and the
-facet-incidence sets generate the incidence complex.
+facets through x.  On S it is 0 by construction (N'_S u = prev t'_S), so a
+body computes it only on the n - d rows outside S, one integer dot product
+each, and u only for a feasible chart; the active set is S plus the zero
+slacks.  The feasibility and incidence tests thus form no rational; only a
+feasible vertex becomes one.  Simplicity means every vertex activates
+exactly d facets, and the facet-incidence sets generate the incidence
+complex.
+
+The volume is a pulling triangulation of the face lattice on the vertices
+scaled once to integers over their common denominator: each simplex adds
+|det| of its integer edge vectors, from ``linalg.eliminate``, and the one
+rational is the sum over den^d d!.
 
 The volume polynomial is the hereditary polynomial of the incidence
 complex with the translations as lineality: at a vertex F the polytope is
@@ -40,16 +54,17 @@ C * D^d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial, prod
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Mapping, NamedTuple, Sequence
 
 from . import hereditary as hered
 from . import linalg
 from .cones import in_orthant_plus_subspace
 from .polycore import LinSubspace
-from .rat import Q, ZERO, ONE, Rational, rat_str, read_rat
+from .rat import ONE, Rational, rat_str, ratio, read_ratio
 from .simplicial import SimComplex, label_key
 
 
@@ -67,6 +82,9 @@ class SimplePolytope:
     active: tuple            # per-vertex frozenset of facet labels
     delta: SimComplex        # facet-incidence complex
     lin: LinSubspace         # translations, read through the normals
+    # the key of the normal set in ``_BOUNDED``, kept by every body that
+    # ``build`` makes (None on a body made by hand; see ``_set_key``)
+    _set: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,15 +96,16 @@ class SimplePolytope:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplePolytope":
         """The body of ``{"dim": d, "normals": [...], "t": [...]}``; ``dim``
-        must be an int (not a bool) equal to the length of every normal."""
-        normals = [tuple(read_rat(x) for x in r) for r in data["normals"]]
-        t = [read_rat(x) for x in data["t"]]
+        must be an int (not a bool) equal to the length of every normal.
+        Every number is read straight to (p, q) by ``rat.read_ratio``."""
+        normals = [tuple(map(read_ratio, r)) for r in data["normals"]]
+        t = [read_ratio(x) for x in data["t"]]
         if type(dim := data["dim"]) is not int:
             raise ValueError(f"dim {dim!r} must be an integer")
         for r in normals:
             if len(r) != dim:
                 raise ValueError(f"dim {dim} does not match a normal of length {len(r)}")
-        return build(normals, t)
+        return _build(normals, t)
 
 
 def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = None) -> SimplePolytope:
@@ -96,8 +115,12 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     Raises PolytopeError when the data is unbounded, non-simple, or leaves
     a facet empty.
     """
-    normals = tuple(tuple(Q(x) for x in r) for r in normals)
-    t = tuple(Q(x) for x in t)
+    normals = [tuple(map(ratio, r)) for r in normals]
+    return _build(normals, [ratio(x) for x in t], labels)
+
+
+def _build(normals: list, t: list, labels: Sequence | None = None) -> SimplePolytope:
+    """``build`` on normals and support numbers given as (p, q) pairs."""
     if not normals:
         raise PolytopeError("no facets")
     d = len(normals[0])
@@ -107,19 +130,20 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
     labels = tuple(labels)
     if len(t) != n or len(labels) != n or any(len(r) != d for r in normals):
         raise PolytopeError("inconsistent facet data")
-    lin, rows, c, charts = _require_bounded(labels, normals)
-    (tt,), D = linalg.integer_scaled([t])
+    entry = _require_bounded(labels, *linalg.ratios_scaled(normals))
+    _, _, c = entry.key
+    (tt,), D = linalg.ratios_scaled([t])
     # a vertex on exactly d facets is found by one chart only, so the list
     # holds no vertex twice; one on more facets raises when first found
     verts: list[tuple[tuple, frozenset]] = []
-    for S, prev, A in charts:
-        u = [sum(a * tt[i] for a, i in zip(arow, S)) for arow in A]
-        sgn = 1 if prev > 0 else -1
-        slack = [sgn * (prev * ti - sum(a * b for a, b in zip(r, u))) for r, ti in zip(rows, tt)]
+    for S, prev, A, W, face in entry.charts:
+        tS = [tt[i] for i in S]
+        scale = abs(prev)
+        slack = [scale * tt[i] - sum(map(mul, w, tS)) for i, w in W]
         if min(slack) < 0:
             continue
-        x = tuple(Rational(c * a, D * prev) for a in u)
-        act = frozenset(labels[i] for i, s in enumerate(slack) if not s)
+        x = tuple(Rational(c * sum(map(mul, a, tS)), D * prev) for a in A)
+        act = face.union(labels[i] for (i, _), s in zip(W, slack) if not s) if 0 in slack else face
         if len(act) != d:
             raise PolytopeError(f"vertex ({', '.join(map(rat_str, x))}) lies on {len(act)} facets; "
                                 "polytope is not simple")
@@ -132,64 +156,92 @@ def build(normals: Sequence[Sequence], t: Sequence, labels: Sequence | None = No
         raise PolytopeError(f"facet(s) {missing} are empty (redundant constraints)")
     delta = SimComplex(labels, {act for _, act in verts})
     verts.sort(key=lambda va: label_key(va[0]))
-    return SimplePolytope(
-        dim=d, labels=labels, normals=normals, t=t,
+    P = SimplePolytope(
+        dim=d, labels=labels, normals=entry.normals, t=tuple(Rational(p, q) for p, q in t),
         vertices=tuple(x for x, _ in verts), active=tuple(act for _, act in verts),
-        delta=delta, lin=lin,
+        delta=delta, lin=entry.lin,
     )
+    object.__setattr__(P, "_set", entry.key)
+    return P
 
 
-_BOUNDED: dict[tuple, tuple] = {}
+class _NormalSet(NamedTuple):
+    key: tuple        # (labels, N' rows as tuples, c)
+    lin: LinSubspace  # translations, read through the normals
+    normals: tuple    # the rational normals N = N' / c, shared by every body
+    charts: list      # (S, prev, A_S, W_S, labels of S) per invertible N'_S
 
 
-def _require_bounded(labels: tuple, normals: tuple) -> tuple[LinSubspace, list, int, list]:
-    """The normal set's entry (lin, N', c, charts), after raising
+_BOUNDED: dict[tuple, _NormalSet] = {}
+
+
+def _require_bounded(labels: tuple, rows: list, c: int) -> _NormalSet:
+    """The entry of the normal set N = N' / c, N' = ``rows`` the normals
+    scaled to integers by their least common denominator c, after raising
     PolytopeError unless the normals positively span the space.
 
     lin holds the translations read through the normals (the column space
-    of the normal matrix N).  By Stiemke's lemma the normals positively
+    of N, which is that of N').  By Stiemke's lemma the normals positively
     span the space exactly when N has rank d and N^T y = 0 for some y > 0,
     that is, when lin.dim = d and lin^perp holds a strictly positive
-    vector: one orthant test.  N' = c N is N scaled to integers, and
-    charts holds (S, prev, A_S) for every d-subset S of rows, in index
-    order, whose N'_S is invertible, with prev = +-det(N'_S) and A_S =
-    prev N'_S^-1, both from one elimination of [N'_S | I].  All of it
-    depends on the normals alone, so each bounded set's entry is
-    remembered, keyed on integers; an unbounded set is tested, and raises,
-    on every call."""
-    rows, c = linalg.integer_scaled(normals)
+    vector: one orthant test.  The charts hold, for every d-subset S of
+    rows, in index order, whose N'_S is invertible: prev = +-det(N'_S) and
+    A_S = prev N'_S^-1, both from one elimination of [N'_S | I]; the rows
+    W_S of (i, sign(prev) N'_i A_S) for each i outside S, which give the
+    body's slacks off S (see the module docstring); and the labels of S.
+    All of it depends on the normals alone, so each bounded set's entry is
+    remembered, keyed on integers, and its rational normals are made once;
+    an unbounded set is tested, and raises, on every call."""
     key = (labels, tuple(map(tuple, rows)), c)
     got = _BOUNDED.get(key)
     if got is None:
-        d = len(normals[0])
-        lin = LinSubspace(labels, [tuple(r[k] for r in normals) for k in range(d)])
-        if lin.dim != d or in_orthant_plus_subspace([0] * len(labels), lin.perp()) is None:
+        n, d = len(rows), len(rows[0])
+        lin = LinSubspace(labels, [tuple(r[k] for r in rows) for k in range(d)])
+        if lin.dim != d or in_orthant_plus_subspace([0] * n, lin.perp()) is None:
             raise PolytopeError("unbounded: the normals do not positively span the space")
         eye = [[int(j == k) for j in range(d)] for k in range(d)]
         full_rank = list(range(d))
         charts = []
-        for S in combinations(range(len(rows)), d):
+        for S in combinations(range(n), d):
             # [N'_S | I] ends at [prev I | A_S] when N'_S is invertible
-            M, pivots, prev, _ = linalg.eliminate([rows[i] + e for i, e in zip(S, eye)])
+            M, pivots, prev, _ = linalg.eliminate([list(rows[i]) + e for i, e in zip(S, eye)])
             if pivots == full_rank:
-                charts.append((S, prev, [row[d:] for row in M]))
-        got = _BOUNDED[key] = (lin, rows, c, charts)
+                A = [row[d:] for row in M]
+                sgn = 1 if prev > 0 else -1
+                W = [(i, [sgn * sum(map(mul, rows[i], col)) for col in zip(*A)])
+                     for i in range(n) if i not in S]
+                charts.append((S, prev, A, W, frozenset(labels[i] for i in S)))
+        normals = tuple(tuple(Rational(a, c) for a in r) for r in rows)
+        got = _BOUNDED[key] = _NormalSet(key, lin, normals, charts)
     return got
 
 
-def volume(P: SimplePolytope):
-    """Exact Euclidean volume by a pulling triangulation of the face lattice."""
-    face_vertices: dict[frozenset, list] = {}
-    for act, v in zip(P.active, P.vertices):
-        for k in range(len(act) + 1):
-            for S in combinations(act, k):
-                face_vertices.setdefault(frozenset(S), []).append(v)
+def _set_key(P: SimplePolytope) -> tuple:
+    """The key of P's normal set: (labels, N' rows, c)."""
+    if P._set is None:
+        rows, c = linalg.integer_scaled(P.normals)
+        return P.labels, tuple(map(tuple, rows)), c
+    return P._set
 
-    def triangulate(S: frozenset) -> list[list[tuple]]:
-        verts = face_vertices[S]
+
+def volume(P: SimplePolytope):
+    """Exact Euclidean volume by a pulling triangulation of the face lattice,
+    on integers: the vertices are scaled once to integers V' = den V, each
+    simplex adds |det| of its edge vectors in V' (one ``linalg.eliminate``),
+    and the volume is the one rational sum / (den^d d!)."""
+    V, den = linalg.integer_scaled(P.vertices)
+    # each face's vertices, as indices in the order of P.vertices
+    face_vertices: dict[frozenset, list[int]] = {}
+    for k, act in enumerate(P.active):
+        for j in range(len(act) + 1):
+            for S in combinations(act, j):
+                face_vertices.setdefault(frozenset(S), []).append(k)
+
+    def triangulate(S: frozenset) -> list[list[int]]:
+        # any fixed order of the vertices serves; the first is the least
+        base = face_vertices[S][0]
         if len(S) == P.dim:
-            return [[verts[0]]]
-        base = min(verts, key=label_key)
+            return [[base]]
         simplices = []
         for j in P.delta.link_vertices(S):
             sub = S | {j}
@@ -199,18 +251,21 @@ def volume(P: SimplePolytope):
                 simplices.append([base] + simplex)
         return simplices
 
-    total = ZERO
-    for simplex in triangulate(frozenset()):
-        M = [linalg.vec_sub(p, simplex[0]) for p in simplex[1:]]
-        total += abs(linalg.det(M))
-    return total / factorial(P.dim)
+    total = 0
+    for first, *rest in triangulate(frozenset()):
+        b = V[first]
+        _, pivots, prev, _ = linalg.eliminate([[x - y for x, y in zip(V[k], b)] for k in rest])
+        if len(pivots) == P.dim:
+            total += abs(prev)
+    return Rational(total, den ** P.dim * factorial(P.dim))
 
 
 def volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
     """The unique polynomial giving the volume on the deformation cone:
     the hereditary polynomial whose mixed derivative at each vertex F is
-    1 / |det(normals of F)|.  Cached per normal set and face complex."""
-    key = (P.normals, P.delta.facets)
+    1 / |det(normals of F)|.  Cached per normal set and face complex, on
+    the normal set's integer key."""
+    key = (_set_key(P), P.delta.facets)
     got = _VOLPOLY_CACHE.get(key)
     if got is None:
         normal = dict(zip(P.labels, P.normals))
@@ -231,8 +286,9 @@ def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> tuple[list, l
     P = bodies[0]
     if len(bodies) != P.dim:
         raise PolytopeError(f"need exactly {P.dim} bodies in dimension {P.dim}")
+    key = _set_key(P)
     for Q2 in bodies[1:]:
-        if Q2.normals != P.normals or Q2.labels != P.labels:
+        if _set_key(Q2) != key:
             raise PolytopeError("bodies do not share the facet normal data")
     f = volume_polynomial(P).f
     ts, D = linalg.integer_scaled([K.t for K in bodies])

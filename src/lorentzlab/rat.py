@@ -10,6 +10,7 @@ arithmetic), so callers may pass either, plus ints and ``"p/q"`` strings.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 
@@ -41,11 +42,42 @@ def Q(a: Union[int, str, Fraction] = 0, b: int | None = None):
         raise ValueError(f"zero denominator in {shown}") from None
 
 
+def ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational on Python ints; an
+    int is taken as it is, any other value goes through ``Q``."""
+    if type(x) is int:
+        return x, 1
+    x = Q(x)
+    return int(x.numerator), int(x.denominator)
+
+
+def read_ratio(x) -> tuple[int, int]:
+    """(p, q), Python ints in lowest terms with q > 0, of a value read from
+    JSON: a Python int is taken as it is, every other value through its
+    text, so "1/2" and a decimal read exactly and a bool, a list or a
+    malformed string is a ValueError.  A "p", "-p" or "p/q" string of
+    digits is read by ``int`` alone (``int`` and the rational parse accept
+    the same decimal digits); every other value, and such a string that
+    ``int`` refuses or with q = 0, goes through ``Q(str(x))``, so the
+    grammar and every error are those of the rational parse."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is str:
+        num, slash, den = x.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:
+                q = 0
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    return ratio(str(x))
+
+
 def read_rat(x):
-    """An exact rational from a value read from JSON: a Python int is taken
-    as it is, every other value through its text, so "1/2" and a decimal
-    read exactly and a bool, a list or a malformed string is a ValueError."""
-    return Q(x) if type(x) is int else Q(str(x))
+    """The exact rational of a value read from JSON (see ``read_ratio``)."""
+    return Q(*read_ratio(x))
 
 
 ZERO = Q(0)

@@ -62,7 +62,7 @@ class SubdivStep:
         )
 
 
-def _distinct(S: Sequence) -> tuple:
+def distinct_face(S: Sequence) -> tuple:
     """The face S as a tuple; a label listed twice is an error naming it."""
     S = tuple(S)
     for k, v in enumerate(S):
@@ -75,7 +75,7 @@ def weld(g: HomPoly, S: Sequence, c: Sequence, vertex) -> HomPoly:
     """Substitute t_vertex = sum_i c_i t_i and drop the apex variable."""
     if vertex not in g.vars:
         raise ValueError(f"variable {vertex!r} is absent")
-    S = _distinct(S)
+    S = distinct_face(S)
     if not set(S) <= set(g.vars) - {vertex}:
         raise ValueError(f"weld face {list(S)} must be variables other than the apex {vertex!r}")
     c = [Q(x) for x in c]
@@ -91,7 +91,7 @@ def subdivide(f: HomPoly, S: Sequence, c: Sequence, vertex=None) -> HomPoly:
     S must be a face of the polynomial's support complex; the result lives
     on the original variables plus the (fresh) apex variable.
     """
-    S = _distinct(S)
+    S = distinct_face(S)
     c = [Q(x) for x in c]
     if len(S) != len(c) or any(x <= 0 for x in c):
         raise ValueError("need one positive coefficient per face vertex")

@@ -92,6 +92,11 @@ checked against.
   polynomial by recursion over facets in intrinsic hyperplane coordinates;
   the library rebuilds it with ``hereditary.from_weights`` from the
   weights 1 / |det(normals of F)| at its vertices F.
+* :func:`fraction_triangulation_volume` takes a polytope's volume by the
+  same pulling triangulation on rational vertices, with base vertices
+  chosen by ``label_key`` and each simplex's determinant by
+  :func:`fraction_det`; the library triangulates the vertices scaled to
+  integers once and forms one rational at the end.
 * :func:`chain_mixed_volume` takes the mixed volume by a chain of
   ``HomPoly.dir_derivative`` calls on the volume polynomial; the library
   evaluates the polynomial at the distinct partial sums of the bodies.
@@ -169,7 +174,7 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product as iproduct
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from lorentzlab import hereditary as hered
@@ -1000,6 +1005,38 @@ def _facet_recursion(labels, normals, delta, k) -> HomPoly:
             forms[j] = form
         acc = acc + HomPoly.variable(labels, i) * q.substitute(labels, forms).scale(scale)
     return acc.scale(Q(1, k))
+
+
+def fraction_triangulation_volume(P) -> Fraction:
+    """Volume by a pulling triangulation of the face lattice on rational
+    vertices: each face is coned from its least vertex in ``label_key``
+    order over the triangulations of its facets that miss that vertex, and
+    each simplex adds |det| of its rational edge vectors."""
+    face_vertices: dict[frozenset, list] = {}
+    for act, v in zip(P.active, P.vertices):
+        for k in range(len(act) + 1):
+            for S in combinations(act, k):
+                face_vertices.setdefault(frozenset(S), []).append(v)
+
+    def triangulate(S: frozenset) -> list[list[tuple]]:
+        verts = face_vertices[S]
+        if len(S) == P.dim:
+            return [[verts[0]]]
+        base = min(verts, key=label_key)
+        simplices = []
+        for j in P.delta.link_vertices(S):
+            sub = S | {j}
+            if base in face_vertices[sub]:
+                continue
+            for simplex in triangulate(sub):
+                simplices.append([base] + simplex)
+        return simplices
+
+    total = ZERO
+    for simplex in triangulate(frozenset()):
+        edges = [[a - b for a, b in zip(p, simplex[0])] for p in simplex[1:]]
+        total += abs(fraction_det(edges))
+    return total / factorial(P.dim)
 
 
 def chain_mixed_volume(bodies):

@@ -15,7 +15,7 @@ import pytest
 from lorentzlab import cli
 from lorentzlab.cli import build_parser, main
 from lorentzlab.matroid import LatticeVolume
-from lorentzlab.rat import Q, Rational, read_rat
+from lorentzlab.rat import Q, Rational, read_rat, read_ratio
 from conftest import in_fresh_process
 
 
@@ -94,6 +94,9 @@ def files(tmp_path):
     write("fanchain_unknown_ray.json", [{"kind": "weld", "vertex": "zz", "face": ["e", "n"]}])
     write("fanchain_long_ray.json", [{"kind": "subdivide", "ray": [1, 1, 1], "vertex": "m"}])
     write("chain_repeated_label.json", [{"kind": "subdivide", "face": ["a0", "a0"], "c": ["1", "1"]}])
+    write("fanchain_repeated_label.json", [{"kind": "subdivide", "face": ["e", "e"], "c": ["1", "1"]}])
+    write("fanchain_weld_repeated_label.json", [{"kind": "subdivide", "ray": [1, 1], "vertex": "m"},
+                                                {"kind": "weld", "vertex": "m", "face": ["n", "n"]}])
     # every facet twice, weights 1 and then 7: read last-wins, this is a
     # balanced functional, so only the duplicate check can refuse it
     write("weights_twice.json", [
@@ -444,6 +447,8 @@ MALFORMED_ARGVS = [
     ("fan", "subdivide", "sqfan.json", "--ray", "1,1,1"),
     ("fan", "subdivide", "sqfan.json", "--ray", "1"),
     ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_long_ray.json"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_repeated_label.json"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_weld_repeated_label.json"),
 ]
 
 
@@ -461,6 +466,10 @@ def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
     (("fan", "subdivide", "sqfan.json", "--ray", "1"), "length 1, but the fan has dimension 2"),
     (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_long_ray.json"),
      "length 3, but the fan has dimension 2"),
+    (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_repeated_label.json"),
+     "face ['e', 'e'] repeats the label 'e'"),
+    (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_weld_repeated_label.json"),
+     "face ['n', 'n'] repeats the label 'n'"),
 ])
 def test_malformed_faces_and_rays_are_named(capsys, files, argv, needle):
     code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))
@@ -582,6 +591,46 @@ def test_one_reader_for_json_numbers(capsys, tmp_path):
     path.write_text('{"dim": 2, "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]], "t": [true, 1, 1, 1]}')
     code, rep, _ = run(capsys, "polytope", "volume", str(path))
     assert code == 2 and rep["verdict"] == "error"
+
+
+def _rational_parse(x) -> tuple:
+    """The value, or the error, of ``Fraction(str(x))`` through ``Q`` (which
+    names a zero denominator in a ValueError), a Python int taken as it is:
+    the reader that ``rat.read_ratio`` must agree with."""
+    try:
+        r = Q(x) if type(x) is int else Q(str(x))
+    except Exception as e:
+        return type(e), str(e)
+    return r.numerator, r.denominator
+
+
+def _ratio_or_error(x) -> tuple:
+    try:
+        return read_ratio(x)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_read_ratio_agrees_with_the_rational_parse(rng):
+    """``read_ratio`` against ``Fraction(str(x))``: the same value in lowest
+    terms on Python ints, or the same error type and text, on a fixed
+    corpus of JSON values and edge strings and on seeded strings, most of
+    them near the "p", "-p" and "p/q" of the fast path."""
+    corpus = [0, 7, -12, 10 ** 40, True, False, None, 0.5, 1e300, float("nan"),
+              cli._JsonDecimal("0.1000000000000000055511151231257827"), [1], {"a": 1},
+              "2/4", "-0", "+2", " 3 ", "1_0", "1/0", "/2", "2/", "", "-", "-/2", "--1", "1/-2",
+              "-4/6", "0/5", "007/014", "1e3", "1.50", "0x1", "1" * 5000, "1/" + "2" * 5000,
+              # decimal digits of other scripts, which int and Fraction both read, and a
+              # superscript and a circled digit, which isdigit accepts and both refuse
+              "\u0663", "-\u0663", "\u0661/\u0662", "\u0663/2", "1/\u0663", "\u00b2", "\u2460"]
+    alphabet = "0123456789" * 3 + "-+/_. e\u0663\u00b2x"
+    seeded = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7))) for _ in range(3000)]
+    seeded += [f"{rng.randint(-99, 99)}/{rng.randint(0, 99)}" for _ in range(1000)]
+    for x in corpus + seeded:
+        got, want = _ratio_or_error(x), _rational_parse(x)
+        assert got == want, (x, got, want)
+        if type(got[0]) is int:
+            assert all(type(v) is int for v in got)
 
 
 def test_json_decimals_are_exact(capsys, tmp_path):

@@ -16,7 +16,11 @@ reference.
 Last stands the guard of the integer tables: ``HomPoly`` keeps its
 coefficients as one integer table over a common denominator and
 ``LinSubspace`` its integer rows, so their arithmetic forms no rational:
-with ``Q`` and ``Rational`` made to raise, it still runs."""
+with ``Q`` and ``Rational`` made to raise, it still runs.  A polytope
+body is read to integers too: on a warm normal set a second body forms
+the rationals of its support numbers and vertices alone, none of its
+normals, and a warm ``polytope af``, ``mixed`` or ``volume`` request
+compares and hashes no ``Fraction``."""
 
 import re
 from pathlib import Path
@@ -51,7 +55,7 @@ def test_only_cones_runs_the_simplex():
 
 
 def test_integer_tables_form_no_rational(monkeypatch):
-    from lorentzlab import linalg, polycore
+    from lorentzlab import linalg, polycore, rat
     from lorentzlab.polycore import LinSubspace, parse_poly
 
     f = parse_poly("1/2*t1^2 t2 + 3*t1 t2 t3 - 2/3*t3^3 + t2^2 t3")
@@ -70,9 +74,48 @@ def test_integer_tables_form_no_rational(monkeypatch):
     def no_rational(*args):
         raise AssertionError(f"a rational was formed from {args}")
 
-    for module in (polycore, linalg):
+    # rat.Q too: polycore reads a coefficient to (p, q) by rat.ratio
+    for module in (polycore, linalg, rat):
         monkeypatch.setattr(module, "Q", no_rational)
     monkeypatch.setattr(polycore, "Rational", no_rational)
     got = run()
     assert all(a == b for a, b in zip(got, want))
     assert got[1].den == 24 and got[4].dim == 2 and got[-1].dim == 1
+
+
+def test_warm_polytope_requests_form_no_rational_from_the_normals(monkeypatch, tmp_path, capsys):
+    import json
+    from fractions import Fraction
+
+    from lorentzlab import cli, polytope, rat
+
+    normals = [["1", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1"], ["-1", "0", "0"], ["0", "-1", "0"],
+               ["0", "0", "-3"]]
+    supports = [["1", "2", "3", "1", "1", "1"], ["2", "1", "1/2", "1", "3", "1"],
+                ["1", "1", "1", "5/2", "1", "2"], ["3", "1", "2", "1", "1/3", "4"]]
+    bodies = [{"dim": 3, "normals": normals, "t": t} for t in supports]
+    paths = []
+    for k, body in enumerate(bodies[:3]):
+        paths.append(str(tmp_path / f"body{k}.json"))
+        (tmp_path / f"body{k}.json").write_text(json.dumps(body))
+    argvs = [["polytope", "af", *paths], ["polytope", "mixed", *paths], ["polytope", "volume", paths[0]]]
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+
+    made = []
+    for module, name in ((rat, "Q"), (polytope, "Rational")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _inner=inner, _name=name: made.append((_name, a)) or _inner(*a))
+    P = polytope.SimplePolytope.from_json_dict(bodies[3])
+    assert not [m for m in made if m[0] == "Q"], made
+    assert len(made) == len(P.t) + P.dim * len(P.vertices) == 6 + 3 * 8
+    monkeypatch.undo()
+
+    compared = []
+    for name in ("__eq__", "__hash__"):
+        inner = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *a, _inner=inner, _name=name: compared.append(_name) or _inner(*a))
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        assert not compared, (argv, compared)

@@ -17,10 +17,11 @@ from lorentzlab.polytope import (
     volume,
     volume_polynomial,
 )
-from lorentzlab.rat import Q
+from lorentzlab.rat import Q, Rational
 from oracles import (
     chain_mixed_volume,
     facet_recursion_volume_polynomial,
+    fraction_triangulation_volume,
     in_deformation_cone,
     lp_is_bounded,
     rank_solve_vertices,
@@ -272,12 +273,26 @@ def test_vertices_match_rank_solve_oracle(rng):
         assert dict(zip(K.vertices, K.active)) == rank_solve_vertices(K.normals, K.t, K.labels)
 
 
+def test_volume_matches_fraction_triangulation_oracle(rng):
+    """The triangulation on integer vertices against the same triangulation
+    on rational ones, on the unit, non-unit and rational fixtures (the
+    rational triangle has a chart with prev < 0), seeded bodies in their
+    chambers, and seeded random polytopes."""
+    for make in FIXTURES + NON_UNIT + RATIONAL:
+        P = make()
+        for K in [P] + _chamber_samples(rng, P, 4):
+            got = volume(K)
+            assert type(got) is Rational and got == fraction_triangulation_volume(K), (make.__name__, K.t)
+    for K in _random_polytopes(rng, 12):
+        assert volume(K) == fraction_triangulation_volume(K), (K.normals, K.t)
+
+
 def test_rational_fixture_eliminates_to_a_negative_prev():
     """Some chart of the rational fixture's normal set ends its elimination
     with prev < 0, so the sign of the integer slacks is exercised."""
     P = rational_triangle()
-    charts = polytope._require_bounded(P.labels, P.normals)[3]
-    prevs = [prev for _, prev, _ in charts]
+    charts = polytope._require_bounded(P.labels, *linalg.integer_scaled(P.normals)).charts
+    prevs = [prev for _, prev, _, _, _ in charts]
     assert min(prevs) < 0 < max(prevs)
 
 
@@ -401,7 +416,7 @@ def test_boundedness_matches_lp_oracle(rng, monkeypatch):
         normals = _seeded_normals(rng, k)
         labels = tuple(range(1, len(normals) + 1))
         try:
-            lin = polytope._require_bounded(labels, normals)[0]
+            lin = polytope._require_bounded(labels, *linalg.integer_scaled(normals)).lin
         except PolytopeError as e:
             assert "unbounded" in str(e)
             got = False
