@@ -20,7 +20,10 @@ modulo the lineality at the face: the one orthant test of
 skipped when the point is already positive).  The same walk with no
 polynomial decides the ample cone of a fan and supplies the pins and the
 balancing spaces of the reconstruction from facet weights
-(:func:`from_weights`).  When the point is unknown, the walk's projections
+(:func:`from_weights`), which fills each coefficient c_alpha of the
+polynomial from one linear relation, the translation invariance along the
+pinned lineality read at t^(alpha - e_i), and multiplies or substitutes no
+polynomial.  When the point is unknown, the walk's projections
 compose into one homogeneous matrix A instead (:func:`cone_system`), and
 ``cones.strict_feasible`` asks the same orthant test of its column space.
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 from typing import Iterable, Mapping
 
 from . import cones, linalg
@@ -433,13 +437,34 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
     """The unique hereditary polynomial with prescribed facet derivatives.
 
     Requires (skeleton(delta), lin) hereditary and the balancing condition;
-    builds the face family bottom-up by the Euler recursion
-    (d - |S|) g^S = sum_i t_i g^{S+{i}}(pi(t)) and returns g at the empty
-    face, wrapped with its exact lineality space.  That space contains lin,
-    so the strong flag is set whenever (delta, lin) itself is hereditary.
-    The projection pi along i is x - x_i l, with l the lineality at S (a
-    face of the walk with no polynomial) pinned at i; the reconstruction is
-    unique, so it does not depend on which valid pin is used.
+    fills the coefficients from the facet weights by one linear relation
+    each and returns the polynomial wrapped with its exact lineality space.
+    That space contains lin, so the strong flag is set whenever (delta, lin)
+    itself is hereditary.
+
+    **The relation.**  Write f = sum_alpha c_alpha t^alpha / alpha! over the
+    alpha of degree d supported on faces of delta, so that c_alpha is the
+    mixed derivative (d/dt)^alpha f and, on a facet F, c_F = w(F).  Let
+    alpha have support S with |S| < d; then alpha_i >= 2 for some i.  Let l
+    be the lineality at S - {i} pinned at i (a face of the walk with no
+    polynomial): the restriction to the link vertices of S - {i} of some m
+    in lin with m = 0 on S - {i} and m_i = 1; heredity at the non-maximal
+    face S gives it.  Then
+
+        c_alpha = - sum_{j in link(S)} l_j c_{alpha - e_i + e_j}.
+
+    *Proof.*  f is invariant under translation along m, so D_m f =
+    sum_j m_j (d/dt_j) f = 0, and its coefficient of t^beta / beta! at
+    beta = alpha - e_i is sum_j m_j c_{beta + e_j} = 0.  The terms with j in
+    S - {i} vanish with m_j; j = i gives c_alpha; and for j outside S the
+    support S + {j} of beta + e_j must be a face of delta, or c is 0 there:
+    so j runs over link(S), where m agrees with l.  Each step grows the
+    support by one, so the recursion ends at facets, where it reads w.
+    Every coefficient is thus fixed by the weights: the reconstruction is
+    unique, and no choice of i changes it.  The relation takes the first
+    such i in the vertex order, and each coefficient is filled once.
+    Heredity, balancing, the facet values, the lineality and the face
+    complex are all checked; no polynomial is substituted or multiplied.
     """
     if delta.is_void():
         raise ValueError("cannot reconstruct over a void complex")
@@ -455,41 +480,42 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
     walk = FaceWalk(lin.ambient, delta, lin)
     check_balancing(walk, w)
 
-    memo: dict[frozenset, HomPoly] = {}
+    vars = delta.link_vertices(())
+    pos = {v: k for k, v in enumerate(vars)}
+    # a monomial is the sorted tuple of its variables' positions, repeated
+    # by exponent; a face is the frozenset of its positions
+    c = {tuple(sorted(pos[v] for v in F)): x for F, x in w.items()}
+    links: dict[frozenset, set] = {}  # each face of size < d: its link vertices
+    for F in c:
+        for k in range(d):
+            for T in combinations(F, k):
+                links.setdefault(frozenset(T), set()).update(p for p in F if p not in T)
 
-    def g(S: frozenset) -> HomPoly:
-        if S in memo:
-            return memo[S]
-        if len(S) == d:
-            out = HomPoly.constant((), w[S])
-        else:
-            V_S = delta.link_vertices(S)
-            k = d - len(S)
-            acc = HomPoly.zero(V_S, k)
-            for i in V_S:
-                child = g(S | {i})
-                if len(S) + 1 == d:
-                    term = HomPoly.variable(V_S, i).scale(child.constant_term())
-                else:
-                    fd = walk.face(S)
-                    ell = fd.lin.pin(i, ())[0]
-                    if ell is None:
-                        raise NotHereditaryError(S | {i})
-                    pos = {v: r for r, v in enumerate(fd.V_S)}
-                    forms = {}
-                    for j in delta.link_vertices(S | {i}):
-                        form = {j: ONE}
-                        e = ell[pos[j]]
-                        if e != 0:
-                            form[i] = form.get(i, ZERO) - e
-                        forms[j] = form
-                    term = HomPoly.variable(V_S, i) * child.substitute(V_S, forms)
-                acc = acc + term
-            out = acc.scale(Q(1, k))
-        memo[S] = out
-        return out
+    def coeff(alpha: tuple):
+        got = c.get(alpha)
+        if got is None:
+            k = next(k for k in range(1, d) if alpha[k] == alpha[k - 1])
+            i, rest = alpha[k], alpha[:k] + alpha[k + 1:]
+            T = frozenset(vars[p] for p in alpha if p != i)
+            fd = walk.face(T)
+            ell = fd.lin.pin(vars[i], ())[0]
+            if ell is None:
+                raise NotHereditaryError(T | {vars[i]})
+            at = dict(zip(fd.V_S, ell))
+            got = c[alpha] = -sum((at[vars[j]] * coeff(tuple(sorted(rest + (j,))))
+                                   for j in links[frozenset(alpha)] if at[vars[j]]), ZERO)
+        return got
 
-    f = g(frozenset())
+    faces = sorted({tuple(sorted(T)) for T in links if T}.union(c))
+    table = {}
+    for S in faces:
+        for extra in combinations_with_replacement(S, d - len(S)):
+            alpha = tuple(sorted(S + extra))
+            exps = [0] * len(vars)
+            for p in alpha:
+                exps[p] += 1
+            table[tuple(exps)] = coeff(alpha) / prod(map(factorial, exps))
+    f = HomPoly.from_dense(vars, d, table)
     h = check_hereditary(f)
     amb_idx = {v: k for k, v in enumerate(lin.ambient)}
     for b in lin.rows:

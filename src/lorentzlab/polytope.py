@@ -43,7 +43,8 @@ complex with the translations as lineality: at a vertex F the polytope is
 locally the simplicial cone cut out by the normals of F, so the d-fold
 mixed derivative of the volume in the support numbers of F is
 1 / |det(normals of F)|.  One call to ``hereditary.from_weights`` rebuilds
-the polynomial from these weights and checks heredity, balancing, the facet
+the polynomial from these weights, each coefficient from one linear
+relation of the translations, and checks heredity, balancing, the facet
 values and the lineality; an independent triangulation volume pins the
 normalization on every fixture.  Mixed volumes are polarizations of the
 volume polynomial: at most 2^d - 1 evaluations, no derivatives, all on

@@ -71,8 +71,15 @@ class SimComplex:
         for f in fs:
             if not f <= vset:
                 raise ValueError(f"facet {face_str(f)} uses unknown vertices")
-        # antichain reduction: drop any facet contained in another
-        fs = {f for f in fs if not any(f < g for g in fs)}
+        # antichain reduction: drop any facet contained in another.  Distinct
+        # sets of one size already form an antichain; otherwise, largest
+        # first, a set is kept unless a kept one contains it
+        if len({len(f) for f in fs}) > 1:
+            kept: list[frozenset] = []
+            for f in sorted(fs, key=len, reverse=True):
+                if not any(f < g for g in kept):
+                    kept.append(f)
+            fs = kept
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "facets", frozenset(fs))
 
@@ -112,7 +119,10 @@ class SimComplex:
         return out
 
     def faces_of_size(self, k: int) -> set[frozenset]:
+        """The faces of k vertices; there are none when k < 0."""
         out: set[frozenset] = set()
+        if k < 0:
+            return out
         for f in self.facets:
             if len(f) >= k:
                 out.update(map(frozenset, combinations(f, k)))

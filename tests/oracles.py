@@ -92,6 +92,11 @@ checked against.
   polynomial by recursion over facets in intrinsic hyperplane coordinates;
   the library rebuilds it with ``hereditary.from_weights`` from the
   weights 1 / |det(normals of F)| at its vertices F.
+* :func:`euler_from_weights` rebuilds a hereditary polynomial from its
+  facet weights by the Euler recursion on face polynomials, substituting
+  each child's projection into its parent face (``HomPoly.substitute``);
+  ``hereditary.from_weights`` fills each coefficient from one linear
+  relation of the lineality and substitutes nothing.
 * :func:`fraction_triangulation_volume` takes a polytope's volume by the
   same pulling triangulation on rational vertices, with base vertices
   chosen by ``label_key`` and each simplex's determinant by
@@ -1064,6 +1069,77 @@ def derived_supports(f, cone) -> dict:
                 pts.add(alpha)
         out[T] = frozenset(pts)
     return out
+
+
+def euler_from_weights(delta, lin, w) -> hered.HereditaryPoly:
+    """The hereditary polynomial with facet derivatives w, by the Euler
+    recursion on face polynomials: (d - |S|) g^S = sum_i t_i g^{S+{i}}(pi(t))
+    bottom-up, with g at the empty face returned.  The projection pi along i
+    is x - x_i l, with l the lineality at S (a face of the walk with no
+    polynomial) pinned at i, substituted into each child by
+    ``HomPoly.substitute``.  The checks before and after the recursion are
+    the library's, so both routes refuse the same inputs with the same
+    errors."""
+    if delta.is_void():
+        raise ValueError("cannot reconstruct over a void complex")
+    d = delta.dim + 1
+    if not delta.is_pure(d):
+        raise ValueError("complex must be pure")
+    w = {frozenset(F): Q(c) for F, c in w.items() if Q(c) != 0}
+    if set(w) != set(delta.facets):
+        missing = set(delta.facets) - set(w)
+        extra = set(w) - set(delta.facets)
+        raise ValueError(f"weights must be nonzero exactly on facets (missing {missing}, extra {extra})")
+    hered.require_hereditary(delta, lin)
+    walk = hered.FaceWalk(lin.ambient, delta, lin)
+    hered.check_balancing(walk, w)
+
+    memo: dict = {}
+
+    def g(S: frozenset) -> HomPoly:
+        if S in memo:
+            return memo[S]
+        if len(S) == d:
+            out = HomPoly.constant((), w[S])
+        else:
+            V_S = delta.link_vertices(S)
+            k = d - len(S)
+            acc = HomPoly.zero(V_S, k)
+            for i in V_S:
+                child = g(S | {i})
+                if len(S) + 1 == d:
+                    term = HomPoly.variable(V_S, i).scale(child.constant_term())
+                else:
+                    fd = walk.face(S)
+                    ell = fd.lin.pin(i, ())[0]
+                    if ell is None:
+                        raise hered.NotHereditaryError(S | {i})
+                    pos = {v: r for r, v in enumerate(fd.V_S)}
+                    forms = {}
+                    for j in delta.link_vertices(S | {i}):
+                        form = {j: ONE}
+                        e = ell[pos[j]]
+                        if e != 0:
+                            form[i] = form.get(i, ZERO) - e
+                        forms[j] = form
+                    term = HomPoly.variable(V_S, i) * child.substitute(V_S, forms)
+                acc = acc + term
+            out = acc.scale(Q(1, k))
+        memo[S] = out
+        return out
+
+    f = g(frozenset())
+    h = hered.check_hereditary(f)
+    amb_idx = {v: k for k, v in enumerate(lin.ambient)}
+    for b in lin.rows:
+        if not h.lin.contains([b[amb_idx[v]] for v in f.vars]):
+            raise AssertionError("reconstructed polynomial lost a lineality vector")
+    for F in delta.facets:
+        if f.squarefree_coeff(F) != w[F]:
+            raise AssertionError(f"reconstruction failed facet check at {face_str(F)}")
+    if h.delta != SimComplex(f.vars, delta.facets):
+        raise AssertionError("reconstructed polynomial has the wrong face complex")
+    return h
 
 
 def solve_member_with_values(lin, values) -> tuple | None:

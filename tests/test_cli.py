@@ -144,6 +144,17 @@ def test_hereditary_commands(capsys, files):
     assert {tuple(t["exps"]): t["coeff"] for t in got} == {(0, 2): "1/2", (1, 1): "1", (2, 0): "1/2"}
 
 
+def test_from_weights_on_the_empty_face_only(capsys, tmp_path):
+    # the complex whose only face is the empty one: the constant weight
+    path = tmp_path / "empty_face.json"
+    path.write_text(json.dumps({"complex": {"vertices": ["t1"], "facets": [[]]}, "lineality": [],
+                                "weights": [{"facet": [], "w": "3"}]}))
+    code, rep, err = run(capsys, "hereditary", "from-weights", str(path))
+    assert code == 0, err
+    assert rep["polynomial"] == {"vars": [], "degree": 0, "terms": [{"exps": [], "coeff": "3"}]}
+    assert rep["strong"] is True
+
+
 def test_subdivide_weld_chain(capsys, files, tmp_path):
     code, rep, _ = run(capsys, "subdivide", files["edge.txt"], "--face", "t1,t2",
                        "--coeffs", "1,1", "--vertex", "w0")

@@ -27,10 +27,12 @@ from lorentzlab.fanchow import (
 from lorentzlab.hereditary import is_positive, space_dimension
 from lorentzlab.lorentzian import polarize
 from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid, submodular_witness
+from lorentzlab.polycore import HomPoly
 from lorentzlab.polytope import build as build_polytope, volume_polynomial
 from lorentzlab.rat import Q, ZERO
 from oracles import (
     all_orderings_ample_member,
+    euler_from_weights,
     lp_overlapping_facet_pairs,
     lp_verify_fan_axioms,
     nullspace_vanishing_restrict,
@@ -372,15 +374,26 @@ def test_fan_weld_recovers():
 
 def test_from_weights_pins_without_solving(monkeypatch):
     # every pin of the reconstruction is an elimination step of the face
-    # walk on the canonical lineality basis, never a linear solve
+    # walk on the canonical lineality basis, never a linear solve, and each
+    # coefficient comes from one linear relation: no polynomial is
+    # substituted or multiplied
     fans = [cube_fan(), bergman_fan(flats(Matroid.uniform(4, 5)))]
     cases = [(fan.cones, fan.lineality(), {F: 1 for F in fan.cones.facets}) for fan in fans]
     calls = []
-    solve = linalg.solve
-    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+
+    def spy(owner, name):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or inner(*a))
+
+    spy(linalg, "solve")
+    spy(HomPoly, "substitute")
+    spy(HomPoly, "__mul__")
     for delta, lin, w in cases:
         assert hered.from_weights(delta, lin, w).degree == delta.dim + 1
     assert calls == []
+    # the spies count: the Euler recursion of the oracle calls both
+    euler_from_weights(*cases[0])
+    assert {"substitute", "__mul__"} <= set(calls)
 
 
 LP_COUNT_SCRIPT = """

@@ -23,11 +23,16 @@ from lorentzlab.hereditary import (
     restrict_poly,
     space_dimension,
 )
+from lorentzlab import linalg
+from lorentzlab.fanchow import fan_subdivide, functional_from_weights
+from lorentzlab.matroid import Matroid, bergman_fan, flats, modular_space, order_complex
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.simplicial import SimComplex
-from oracles import projection_pi, skeleton_require_hereditary, solve_member_with_values
+from oracles import euler_from_weights, projection_pi, skeleton_require_hereditary, solve_member_with_values
+from test_fanchow import cube_fan, square_fan
 from test_polycore import random_subspace
+from test_polytope import _chamber_samples, _random_polytopes, pentagon, prism
 
 
 def edge_square():
@@ -218,6 +223,74 @@ def test_from_weights_balancing_error():
             LinSubspace(("t1", "t2", "t3"), [(1, 0, -1), (0, 1, 0)]),
             {frozenset({"t1", "t2"}): 1, frozenset({"t2", "t3"}): 1},
         )
+
+
+def test_from_weights_on_the_empty_face_is_the_constant():
+    # d = 0: the only face is the empty one, and its weight is the polynomial
+    h = from_weights(SimComplex(("t1",), [set()]), LinSubspace(("t1",), []), {frozenset(): 3})
+    assert h.f == HomPoly.constant((), 3) and h.degree == 0 and h.strong
+    assert h.delta == SimComplex.empty_face_only()
+
+
+def _chamber_weights(P):
+    """The inputs ``polytope.volume_polynomial`` hands to ``from_weights``."""
+    normal = dict(zip(P.labels, P.normals))
+    return P.delta, P.lin, {F: 1 / abs(linalg.det([normal[lab] for lab in F])) for F in P.active}
+
+
+def _euler_oracle_cases(rng, catalog):
+    fans = [square_fan(), cube_fan()] + [bergman_fan(flats(Matroid.uniform(r, n)))
+                                         for r, n in ((3, 4), (3, 5), (4, 5))]
+    for fan in fans:
+        yield fan.cones, fan.lineality(), {F: 1 for F in fan.cones.facets}
+    for name, L in sorted(catalog.items()):
+        if name in ("K4", "Fano") or 2 <= L.rank_total <= 4:
+            delta = order_complex(L)
+            yield delta, modular_space(L), {F: 1 for F in delta.facets}
+    for P in [pentagon(), prism()] + _random_polytopes(rng, 6):
+        yield _chamber_weights(P)
+        for K in _chamber_samples(rng, P, 2):
+            yield _chamber_weights(K)
+    fan = square_fan()
+    fan2, transport = fan_subdivide(fan, (1, 2))
+    alpha2 = transport(functional_from_weights(fan, {F: 1 for F in fan.cones.facets}))
+    yield fan2.cones, fan2.lineality(), {F: alpha2.weight(F) for F in fan2.cones.facets}
+    yield (SimComplex((1, 2, 3, 4), [{1, 2}, {2, 3}, {3, 4}, {1, 4}]),
+           LinSubspace((1, 2, 3, 4), [(1, 1, 1, 1), (1, -1, 1, -1)]),
+           {frozenset({1, 2}): 1, frozenset({2, 3}): -1, frozenset({3, 4}): 1, frozenset({1, 4}): -1})
+    yield (SimComplex(("a", "b", "c"), [{"a"}, {"b"}, {"c"}]),
+           LinSubspace(("a", "b", "c"), [(2, -1, 0), (1, 0, -3)]),
+           {frozenset({"a"}): 1, frozenset({"b"}): 2, frozenset({"c"}): Q(1, 3)})
+
+
+def test_from_weights_matches_euler_recursion_oracle(rng, catalog):
+    """Each coefficient from one linear relation gives the polynomial that
+    the Euler recursion on face polynomials assembles, with the same
+    lineality space and strong flag: fans, Bergman fans, matroid volume
+    polynomials, polytope chamber weights, a stellar subdivision, the
+    alternating four-cycle and degree 1."""
+    count = 0
+    for delta, lin, w in _euler_oracle_cases(rng, catalog):
+        got, want = from_weights(delta, lin, w), euler_from_weights(delta, lin, w)
+        assert (got.f, got.lin, got.strong) == (want.f, want.lin, want.strong), delta
+        count += 1
+    assert count > 30
+
+
+@pytest.mark.parametrize("delta, lin, w", [
+    (SimComplex((1, 2, 3), [{1, 2}, {2, 3}]), LinSubspace((1, 2, 3), []),
+     {frozenset({1, 2}): 1, frozenset({2, 3}): 1}),
+    (SimComplex(("t1", "t2", "t3"), [{"t1", "t2"}, {"t2", "t3"}]),
+     LinSubspace(("t1", "t2", "t3"), [(1, 0, -1), (0, 1, 0)]),
+     {frozenset({"t1", "t2"}): 1, frozenset({"t2", "t3"}): 1}),
+], ids=["path", "unbalanced"])
+def test_from_weights_refuses_as_the_euler_recursion_does(delta, lin, w):
+    with pytest.raises(ValueError) as got:
+        from_weights(delta, lin, w)
+    with pytest.raises(ValueError) as want:
+        euler_from_weights(delta, lin, w)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert type(got.value) in (NotHereditaryError, BalancingError)
 
 
 def test_from_weights_uniqueness_round_trip():

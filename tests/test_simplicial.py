@@ -29,6 +29,19 @@ def test_skeleton_examples():
     assert facets(tri.skeleton()) == [[1], [2], [3]]
 
 
+def test_facets_reduce_to_an_antichain(rng):
+    # a mixed family keeps its maximal sets only; distinct sets of one size
+    # are all kept
+    mixed = SimComplex((1, 2, 3, 4), [{1, 2, 3}, {1, 2}, {3}, {4}, {2, 4}, set(), {2, 4}])
+    assert facets(mixed) == [[1, 2, 3], [2, 4]]
+    assert facets(SimComplex((1, 2, 3), [{1, 2}, {2, 3}, {1, 2}])) == [[1, 2], [2, 3]]
+    assert SimComplex((1,), [set()]).facets == {frozenset()}
+    for _ in range(200):
+        family = [frozenset(v for v in range(6) if rng.random() < 0.5) for _ in range(rng.randint(1, 12))]
+        maximal = {f for f in family if not any(f < g for g in family)}
+        assert SimComplex(range(6), family).facets == maximal, family
+
+
 def test_purity():
     tri = SimComplex((1, 2, 3), [{1, 2}, {1, 3}, {2, 3}])
     assert tri.is_pure(2) and not tri.is_pure(3)
