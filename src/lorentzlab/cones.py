@@ -9,16 +9,18 @@ overlap of two cones and the
 coupled cone search (:func:`strict_feasible`, Az > 0 as a positive vector
 of the column space of A) all ask it with a subspace of their own.
 
-The test is one LP, run by a two-phase exact simplex with Bland's rule
-(guaranteed termination, no numerical tolerance anywhere).  It runs on an
+The test is one LP, run by an exact simplex with Bland's rule (guaranteed
+termination, no numerical tolerance anywhere).  It runs on an
 integer-preserving tableau (Edmonds 1967): the rows are Python ints over
 one common denominator D, the last pivot, and every pivot divides exactly
 by the D before it.  Ratios are compared by cross-multiplying, so the
 pivots and the solution are those of the rational tableau, and the basic
 values become rationals once, at the optimum.  Strict positivity is
-decided by maximizing a slack eps under a cap: it holds iff the optimum is
-positive.  Every witness is re-verified on the integers before it is
-returned.
+decided by maximizing a slack eps under a cap.  The slack is shifted by
+mu >= 0 so that every right-hand side is nonnegative: the simplex starts
+at the slack basis, with no phase 1, and strict positivity holds iff the
+optimum exceeds mu.  Every witness is re-verified on the integers before
+it is returned.
 """
 
 from __future__ import annotations
@@ -57,80 +59,49 @@ def _pivot(T: list, basis: list, D: int, r: int, col: int) -> int:
 
 
 def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
-    """Maximize c.x subject to Ax <= b, x >= 0, exactly.
+    """Maximize c.x subject to Ax <= b, x >= 0, exactly, for b >= 0.
 
-    Returns (status, x, value) with status in {"optimal", "unbounded",
-    "infeasible"}; x is None unless optimal.  Bland's rule throughout.
+    Returns (status, x, value) with status "optimal" or "unbounded"; x and
+    value are None unless optimal.  As b >= 0, x = 0 is a vertex: Bland's
+    rule starts at the slack basis, and some b_i < 0 raises ValueError
+    before any pivot.
     """
     m, n = len(A), len(c)
     c = [Q(x) for x in c]
     # [A | b] and c over their common denominators: scaling every row by one
     # positive constant (and so every slack) and the objective by another
     # leaves every ratio comparison and reduced-cost sign, hence every pivot.
-    # Columns: x, the slacks, the artificial x0 in phase 1, then b.
+    # Columns: x, the slacks, then b; the objective row is c itself, as
+    # every basic variable is a slack.
     scaled, _ = linalg.integer_scaled([list(row) + [bi] for row, bi in zip(A, b)])
+    if any(row[-1] < 0 for row in scaled):
+        raise ValueError("lp_max needs b >= 0")
+    (cz,), _ = linalg.integer_scaled([c])
     T = [row[:-1] + [int(i == j) for j in range(m)] + row[-1:] for i, row in enumerate(scaled)]
+    T.append(cz + [0] * (m + 1))
     basis = list(range(n, n + m))
     D = 1
-
-    def run() -> bool:
-        """Bland simplex on the current dictionary; False means unbounded."""
-        nonlocal D
-        while True:
-            obj = T[m]
-            col = next((j for j in range(ncols) if obj[j] > 0 and j not in basis), None)
-            if col is None:
-                return True
-            r = None
-            for i in range(m):
-                a = T[i][col]
-                if a > 0:
-                    # b_i / a against b_r / T[r][col], cross-multiplied
-                    diff = None if r is None else T[i][-1] * T[r][col] - T[r][-1] * a
-                    if diff is None or diff < 0 or (diff == 0 and basis[i] < basis[r]):
-                        r = i
-            if r is None:
-                return False
-            D = _pivot(T, basis, D, r, col)
-
-    ncols = n + m
-    if any(row[-1] < 0 for row in T):
-        # phase 1: artificial x0 enters every row with coefficient -1; max -x0
-        for row in T:
-            row.insert(-1, -1)
-        x0 = ncols
-        ncols += 1
-        T.append([0] * x0 + [-1, 0])
-        D = _pivot(T, basis, D, min(range(m), key=lambda i: (T[i][-1], basis[i])), x0)
-        run()
-        if any(basis[i] == x0 and T[i][-1] != 0 for i in range(m)):
-            return "infeasible", None, None
-        if x0 in basis:
-            r = basis.index(x0)  # x0 basic at value 0: pivot it out if possible
-            col = next((j for j in range(x0) if T[r][j] != 0 and j not in basis), None)
-            if col is not None:
-                D = _pivot(T, basis, D, r, col)
-        # erase the artificial column so it can never re-enter; if x0 is
-        # still basic its row is now identically zero and stays inert
-        del T[m]
-        for row in T:
-            row[x0] = 0
-
-    # phase 2 objective expressed over nonbasic variables
-    (cz,), _ = linalg.integer_scaled([c])
-    obj = [D * y for y in cz] + [0] * (ncols + 1 - n)
-    for i, bi in enumerate(basis):
-        if bi < n and cz[bi]:
-            obj = [a - cz[bi] * y for a, y in zip(obj, T[i])]
-    T.append(obj)
-    if not run():
-        return "unbounded", None, None
+    while True:
+        obj = T[m]
+        col = next((j for j in range(n + m) if obj[j] > 0 and j not in basis), None)
+        if col is None:
+            break
+        r = None
+        for i in range(m):
+            a = T[i][col]
+            if a > 0:
+                # b_i / a against b_r / T[r][col], cross-multiplied
+                diff = None if r is None else T[i][-1] * T[r][col] - T[r][-1] * a
+                if diff is None or diff < 0 or (diff == 0 and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            return "unbounded", None, None
+        D = _pivot(T, basis, D, r, col)
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = Rational(T[i][-1], D)
-    value = linalg.dot(c, x)
-    return "optimal", tuple(x), value
+    return "optimal", tuple(x), linalg.dot(c, x)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +147,15 @@ def in_orthant_plus_subspace(v, L) -> tuple | None:
     some B_i touches (each a_i free, split as p_i - m_i); a coordinate that
     no row touches needs y_j > 0 by itself.  The witness is re-checked on
     the integers, y + sum_i a_i B_i > 0 everywhere, before it is returned.
+
+    The LP runs only when some touched y_j <= 0, so mu = -min of y over
+    the touched coordinates is >= 0, and it runs in e = eps + mu >= 0: each
+    touched row is -sum_i a_i B_ij + e <= y_j + mu and the cap is
+    e <= den + mu, so every right-hand side is >= 0 and the simplex starts
+    at the slack basis, a = 0 and eps = min y.  The bound e >= 0 only cuts
+    off points with eps < -mu, and none of them has eps > 0: y is strictly
+    positive modulo L exactly when the optimum e* exceeds mu, the decision
+    of the unshifted LP, and the witness passes the same re-check.
     """
     (y,), den = linalg.integer_scaled([direction_coords(v, L.ambient)])
     B = L.rows
@@ -184,13 +164,13 @@ def in_orthant_plus_subspace(v, L) -> tuple | None:
         return None
     ell = [ZERO] * len(y)
     if not all(yj > 0 for yj in y):  # then some touched coordinate needs the LP
-        n = 2 * len(B) + 1  # p_i, m_i per row of L, eps last
+        n = 2 * len(B) + 1  # p_i, m_i per row of L, e last
         A = [[x for b in B for x in (-b[j], b[j])] + [1] for j, t in enumerate(touched) if t]
         rhs = [yj for yj, t in zip(y, touched) if t]
+        mu = -min(rhs)
         A.append([0] * (n - 1) + [1])
-        rhs.append(den)
-        status, x, value = lp_max([0] * (n - 1) + [1], A, rhs)
-        if status != "optimal" or value <= 0:
+        _, x, value = lp_max([0] * (n - 1) + [1], A, [yj + mu for yj in rhs] + [den + mu])
+        if value <= mu:
             return None
         coeffs = [x[2 * i] - x[2 * i + 1] for i in range(len(B))]
         q = lcm(*(c.denominator for c in coeffs))

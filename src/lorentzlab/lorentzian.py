@@ -81,10 +81,6 @@ class MSet:
             raise ValueError("points do not have constant sum")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def r(self) -> int:
-        return sum(next(iter(self.points))) if self.points else 0
-
 
 def is_m_convex(M: MSet | Iterable) -> tuple[bool, tuple | None]:
     """Exchange axiom by exchange masks; returns (verdict, violating (a, b, i)).
@@ -353,14 +349,11 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
     witness ``is_m_convex`` finds in it.
     """
     d = f.degree
-    if d < 2:
-        _nonneg_on_gens = all(
-            f.evaluate(direction_coords(g, f.vars)) >= 0 for g in cone.generators
-        )
-        if d == 0:
-            val = f.constant_term()
-            return LorentzVerdict(value="yes" if val >= 0 else "no", detail="degree 0 convention")
-        return LorentzVerdict(value="yes" if _nonneg_on_gens else "no", detail="degree 1: sign on generators")
+    if d == 0:
+        return LorentzVerdict(value="yes" if f.constant_term() >= 0 else "no", detail="degree 0 convention")
+    if d == 1:
+        nonneg = all(f.evaluate(direction_coords(g, f.vars)) >= 0 for g in cone.generators)
+        return LorentzVerdict(value="yes" if nonneg else "no", detail="degree 1: sign on generators")
     gens = list(cone.generators)
     m = len(gens)
     cache = _DerivativeCache(f, gens)
@@ -455,17 +448,11 @@ def definitional_check(f: HomPoly, samples: Sequence[Sequence]) -> LorentzVerdic
 
 def log_concave_seq(f: HomPoly, u, v) -> tuple[list, bool]:
     """The sequence a_k of k-fold u, (d-k)-fold v derivatives, with the exact
-    verdict of a_k^2 >= a_(k-1) a_(k+1) throughout."""
+    verdict of a_k^2 >= a_(k-1) a_(k+1) throughout.  The pull-back
+    g(s, t) = f(s u + t v) has the same derivatives in s and t, so a_k is
+    the derivative of g at the exponent (k, d - k)."""
     d = f.degree
-    uc = direction_coords(u, f.vars)
-    vc = direction_coords(v, f.vars)
-    seq = []
-    for k in range(d + 1):
-        g = f
-        for _ in range(k):
-            g = g.dir_derivative(uc)
-        for _ in range(d - k):
-            g = g.dir_derivative(vc)
-        seq.append(g.constant_term())
+    g = f.substitute_linear(list(zip(direction_coords(u, f.vars), direction_coords(v, f.vars))), (0, 1))
+    seq = [g.derivative_value((k, d - k)) for k in range(d + 1)]
     ok = all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, d))
     return seq, ok

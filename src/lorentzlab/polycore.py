@@ -557,12 +557,6 @@ class LinSubspace:
     def __setattr__(self, *a):
         raise AttributeError("LinSubspace is immutable")
 
-    @classmethod
-    def full(cls, ambient: Sequence[Label]) -> "LinSubspace":
-        ambient = tuple(ambient)
-        n = len(ambient)
-        return cls._span(ambient, [[int(i == j) for j in range(n)] for i in range(n)])
-
     @property
     def dim(self) -> int:
         return len(self.rows)

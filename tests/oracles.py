@@ -154,6 +154,9 @@ checked against.
   slot and tested afresh; the library reads the top derivatives and the
   derived supports off the signs of one pull-back of f along the
   generators, and tests each generator set's support once.
+* :func:`chain_log_concave_seq` forms each a_k by a chain of
+  ``HomPoly.dir_derivative`` calls; ``log_concave_seq`` reads every a_k
+  off one pull-back of f to the plane of u and v.
 
 Alternative routes to the library's own verdicts, kept to cross-check it:
 
@@ -572,34 +575,38 @@ class StrictSystem:
 
 
 def lp_strict_feasible(sys: StrictSystem) -> dict | None:
-    """A witness of a mixed system, or None, by one LP in its own unknowns:
-    each unknown x split as p - m, each strict row lam.x + c >= eps, each
-    equality two weak rows, and eps maximized under eps <= 1, so the system
-    is feasible iff the optimum is positive.  The witness is checked
-    against every constraint.  The LP runs on ``cones.lp_max``, whose
-    pivots the suite checks against :func:`dense_lp_max` one by one; the
-    dense tableau itself would make the fan comparisons six to eight times
-    slower."""
+    """A witness of a mixed system, or None, by one homogeneous LP in its
+    own unknowns: each unknown x split as p - m, each constant c multiplied
+    by a new unknown s, each strict row lam.x + c s >= eps, each weak row
+    lam.x + c s >= 0, each equality two weak rows, a row s >= eps, and eps
+    maximized under eps <= 1.  Every right-hand side but the cap's is 0, so
+    the LP starts at its slack basis.  The system is feasible iff the
+    optimum is positive: a point x with margin eps0 > 0 gives the feasible
+    (t x, s = t, eps = min(t eps0, t, 1)) for any t > 0, and a positive
+    optimum has s >= eps > 0 and gives the witness (p - m) / s, which is
+    checked against every constraint.  The LP runs on ``cones.lp_max``,
+    whose pivots the suite checks against :func:`dense_lp_max` one by one;
+    the dense tableau itself would make the fan comparisons six to eight
+    times slower."""
     pos = {v: i for i, v in enumerate(sys.vars)}
-    n = 2 * len(pos) + 1  # p_i, m_i per unknown, eps last
-    A, b = [], []
+    n = 2 * len(pos) + 2  # p_i, m_i per unknown, then s, eps last
+    A = []
     for con in sys.constraints:
         row = [ZERO] * n
         for v, c in con.coeffs:
             row[2 * pos[v]], row[2 * pos[v] + 1] = -c, c
+        row[-2] = -con.const
         if con.rel == GT:
             row[-1] = ONE
         A.append(row)
-        b.append(con.const)
         if con.rel == EQ:
             A.append([-x for x in row])
-            b.append(-con.const)
-    A.append([ZERO] * (n - 1) + [ONE])
-    b.append(ONE)
-    status, x, value = lp_max([ZERO] * (n - 1) + [ONE], A, b)
-    if status != "optimal" or value <= 0:
+    A.append([ZERO] * (n - 2) + [-ONE, ONE])  # eps <= s
+    A.append([ZERO] * (n - 1) + [ONE])  # eps <= 1
+    _, x, value = lp_max([ZERO] * (n - 1) + [ONE], A, [ZERO] * (len(A) - 1) + [ONE])
+    if value <= 0:
         return None
-    witness = {v: x[2 * i] - x[2 * i + 1] for v, i in pos.items()}
+    witness = {v: (x[2 * i] - x[2 * i + 1]) / x[-2] for v, i in pos.items()}
     assert sys.verify(witness), "the oracle LP produced an invalid witness"
     return witness
 
@@ -817,15 +824,29 @@ def congruence_diagonalize(M):
 
 def dense_lp_max(c, A, b, pivots=None):
     """``cones.lp_max`` on a dense rational tableau: maximize c.x subject to
-    Ax <= b, x >= 0, by Bland's rule; returns (status, x, value), and
-    appends each pivot's (row, column) to ``pivots`` when given one."""
+    Ax <= b, x >= 0, for b >= 0, by Bland's rule from the slack basis;
+    returns (status, x, value), and appends each pivot's (row, column) to
+    ``pivots`` when given one."""
     m, n = len(A), len(c)
     c = [Q(x) for x in c]
     b = [Q(x) for x in b]
+    if any(x < 0 for x in b):
+        raise ValueError("dense_lp_max needs b >= 0")
     rows = [[Q(x) for x in row] + [ONE if i == j else ZERO for j in range(m)] for i, row in enumerate(A)]
     basis = list(range(n, n + m))
-
-    def pivot(r, col, obj):
+    obj = c + [ZERO] * m
+    while True:
+        col = next((j for j in range(n + m) if obj[j] > 0 and j not in basis), None)
+        if col is None:
+            break
+        best, r = None, None
+        for i in range(m):
+            if rows[i][col] > 0:
+                ratio = b[i] / rows[i][col]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
+                    best, r = ratio, i
+        if r is None:
+            return "unbounded", None, None
         if pivots is not None:
             pivots.append((r, col))
         inv = ONE / rows[r][col]
@@ -837,53 +858,8 @@ def dense_lp_max(c, A, b, pivots=None):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
                 b[i] -= f * b[r]
         f = obj[col]
-        if f != 0:
-            for j in range(len(obj)):
-                obj[j] -= f * rows[r][j]
+        obj = [x - f * y for x, y in zip(obj, rows[r])]
         basis[r] = col
-
-    def run(obj):
-        while True:
-            col = next((j for j in range(len(obj)) if obj[j] > 0 and j not in basis), None)
-            if col is None:
-                return True
-            best, r = None, None
-            for i in range(m):
-                if rows[i][col] > 0:
-                    ratio = b[i] / rows[i][col]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
-                        best, r = ratio, i
-            if r is None:
-                return False
-            pivot(r, col, obj)
-
-    ncols = n + m
-    if any(x < 0 for x in b):
-        for i in range(m):
-            rows[i].append(-ONE)
-        x0 = ncols
-        ncols += 1
-        obj = [ZERO] * x0 + [-ONE]
-        r = min(range(m), key=lambda i: (b[i], basis[i]))
-        pivot(r, x0, obj)
-        run(obj)
-        if any(basis[i] == x0 and b[i] != 0 for i in range(m)):
-            return "infeasible", None, None
-        if x0 in basis:
-            r = basis.index(x0)
-            col = next((j for j in range(x0) if rows[r][j] != 0 and j not in basis), None)
-            if col is not None:
-                pivot(r, col, obj)
-        for row in rows:
-            row[x0] = ZERO
-
-    obj = list(c) + [ZERO] * (ncols - n)
-    for i, bi in enumerate(basis):
-        f = obj[bi]
-        if f != 0:
-            obj = [x - f * y for x, y in zip(obj, rows[i])]
-    if not run(obj):
-        return "unbounded", None, None
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
@@ -1520,7 +1496,7 @@ def m_is_connected(M: MSet) -> bool:
     """No split of the coordinates separates the supports (sum <= 1:
     connected by convention): the graph of points whose supports meet is
     connected."""
-    if not M.points or M.r <= 1:
+    if sum(next(iter(M.points), ())) <= 1:  # the coordinate sum r
         return True
     supports = [frozenset(i for i, c in enumerate(p) if c) for p in M.points]
     meets = {a: [b for b, T in enumerate(supports) if S & T] for a, S in enumerate(supports)}
@@ -1529,10 +1505,11 @@ def m_is_connected(M: MSet) -> bool:
 
 def m_is_H_connected(M: MSet) -> bool:
     """Every derived set by at most r-2 decrements is connected."""
-    if M.r <= 1:
+    r = sum(next(iter(M.points), ()))
+    if r <= 1:
         return True
     caps = [max(p[i] for p in M.points) for i in range(M.n)]
-    for k in range(M.r - 1):
+    for k in range(r - 1):
         for alpha in _bounded_multiindices(M.n, k, caps):
             sub = m_partial(M, alpha)
             if sub.points and not m_is_connected(sub):
@@ -1598,6 +1575,19 @@ def partial_h1_scan(f) -> LorentzVerdict:
                 certificates=certs,
             )
     return LorentzVerdict(value="yes", certificates=certs)
+
+
+def chain_log_concave_seq(f, u, v) -> tuple[list, bool]:
+    """``log_concave_seq`` with a_k formed by k ``HomPoly.dir_derivative``
+    steps along u and d - k along v."""
+    d = f.degree
+    seq = []
+    for k in range(d + 1):
+        g = f
+        for w in [u] * k + [v] * (d - k):
+            g = g.dir_derivative(w)
+        seq.append(g.constant_term())
+    return seq, all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, d))
 
 
 def chain_is_k_lorentzian(f, cone) -> LorentzVerdict:

@@ -84,12 +84,15 @@ def test_agreement_with_fourier_motzkin(rng):
     assert verdicts == {(True, True), (True, False), (False, True), (False, False), True, False}
 
 
-def test_lp_statuses():
+def test_lp_statuses(lp_pivots):
     assert lp_max([1], [[1]], [5])[0] == "optimal"
-    assert lp_max([1], [[1]], [-1])[0] == "infeasible"
     assert lp_max([1], [[-1]], [0])[0] == "unbounded"
     status, x, val = lp_max([2, 3], [[1, 1], [1, 0]], [4, 2])
     assert status == "optimal" and val == 12  # optimum at (0, 4)
+    lp_pivots.clear()
+    with pytest.raises(ValueError, match="b >= 0"):
+        lp_max([1, 1], [[1, 0], [0, 1]], [2, Q(-1, 3)])
+    assert lp_pivots == []  # raised before the first pivot
 
 
 @pytest.fixture
@@ -122,13 +125,13 @@ def _same_run_as_dense_oracle(c, A, b, lp_pivots) -> tuple:
 
 
 def _seeded_lp(rng, kind):
-    """A small LP (c, A, b). "degenerate" repeats scaled rows and zero
-    right-hand sides, so ratio tests tie; "mixed" draws denominators up to
-    97 and negative right-hand sides."""
+    """A small LP (c, A, b) with b >= 0. "degenerate" repeats scaled rows
+    and zero right-hand sides, so ratio tests tie; "mixed" draws
+    denominators up to 97."""
     m, n = rng.randint(1, 6), rng.randint(1, 5)
     den = (lambda: rng.randint(1, 97)) if kind == "mixed" else (lambda: 1)
     A = [[Q(rng.choice([0, 0, rng.randint(-3, 3)]), den()) for _ in range(n)] for _ in range(m)]
-    b = [Q(rng.randint(-3 if kind in ("signed", "mixed") else 0, 4), den()) for _ in range(m)]
+    b = [Q(rng.randint(0, 4), den()) for _ in range(m)]
     if kind == "degenerate":
         for _ in range(rng.randint(1, 3)):
             i, k = rng.randrange(m), Q(rng.randint(1, 3))
@@ -143,33 +146,27 @@ def _seeded_lp(rng, kind):
 def test_lp_max_matches_dense_oracle(rng, lp_pivots):
     """The integer tableau makes the rational tableau's pivots: status, x,
     value and the pivot sequence agree with the dense oracle on seeded LPs
-    of every status, phase 1 included."""
-    statuses, phase1 = {}, 0
+    of both statuses."""
+    statuses = {}
     for k in range(480):
-        c, A, b = _seeded_lp(rng, ("signed", "nonneg", "degenerate", "mixed")[k % 4])
+        c, A, b = _seeded_lp(rng, ("nonneg", "degenerate", "mixed")[k % 3])
         got = _same_run_as_dense_oracle(c, A, b, lp_pivots)
         statuses[got[0]] = statuses.get(got[0], 0) + 1
-        phase1 += any(x < 0 for x in b)
-    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
-    assert min(statuses.values()) >= 10 and phase1 >= 100
+    assert set(statuses) == {"optimal", "unbounded"}
+    assert min(statuses.values()) >= 10
 
 
 def test_lp_max_pivots_on_ties_and_edge_cases(lp_pivots):
     """Hand-made LPs: a ratio tie that Bland's rule breaks by the smaller
     basic index, at rationals the cross-multiplied comparison must get
-    right; two phase 1 runs that end with the artificial variable basic at
-    zero, so that it is pivoted out; mixed denominators; an unbounded and
-    an infeasible LP."""
+    right; mixed denominators; an unbounded LP."""
     third, half = Q(1, 3), Q(1, 2)
     cases = [
         (([1], [[2], [third]], [0, 0]), ("optimal", (Q(0),), Q(0)), [(0, 0)]),
         (([1, 1], [[half, 1], [third, Q(2, 3)], [1, 0]], [Q(3, 2), 1, 1]), None, None),
         (([1], [[1], [-1]], [0, 0]), ("optimal", (Q(0),), Q(0)), [(0, 0)]),
-        (([1], [[-1], [1]], [-2, 2]), ("optimal", (Q(2),), Q(2)), None),
         (([half, third], [[half, Q(1, 7)], [Q(2, 3), Q(5, 11)]], [Q(3, 5), Q(1, 97)]), None, None),
         (([1, 0], [[-1, 1]], [1]), ("unbounded", None, None), None),
-        (([1], [[1], [-1]], [1, -2]), ("infeasible", None, None), None),
-        (([1], [[-1], [0]], [-2, 0]), ("unbounded", None, None), None),
     ]
     for (c, A, b), want, want_pivots in cases:
         got = _same_run_as_dense_oracle(c, A, b, lp_pivots)
@@ -226,6 +223,16 @@ def test_in_orthant_plus_subspace_examples():
     L3 = LinSubspace(("a", "b", "c"), [(1, 1, 1)])
     ell3 = in_orthant_plus_subspace((0, 0, -3), L3)
     assert ell3 is not None and all(v + e > 0 for v, e in zip((0, 0, -3), ell3))
+    # the shifted optimum lands exactly on mu = 1: y + a(1, -1) > 0 needs
+    # a > 1 and a < 1
+    assert in_orthant_plus_subspace((-1, 1), LinSubspace(("a", "b"), [(1, -1)])) is None
+    # no row touches b, so y_b = 0 decides before any LP
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "lp_max", lambda *a: pytest.fail("lp_max was called"))
+        assert in_orthant_plus_subspace((-1, 0), LinSubspace(("a", "b"), [(1, 0)])) is None
+    L4 = LinSubspace(("a", "b", "c"), [(1, 1, 0)])
+    ell4 = in_orthant_plus_subspace((-2, 0, 1), L4)
+    assert ell4 is not None and L4.contains(ell4) and all(v + e > 0 for v, e in zip((-2, 0, 1), ell4))
 
 
 def test_solve_in_span_examples():

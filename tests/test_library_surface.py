@@ -3,11 +3,13 @@ the library: a command, a demo or the export list.  A route that only
 tests call is a test oracle and lives in ``tests/oracles.py``; a name that
 only its own test exercises is deleted with that test.
 
-A definition counts as reached when its name appears (as a ``Name``, an
-``Attribute`` or an imported name) in ``src/`` outside its own body, or
-anywhere in ``demos/``, or when ``__init__.py`` imports it.  Dunders are
-called by Python itself and are not checked.  The rest sit on
-``ALLOWED``, each with its reason."""
+A function or class counts as reached when its name appears (as a
+``Name``, an ``Attribute`` or an imported name) in ``src/`` outside its
+own body, or anywhere in ``demos/``, or when ``__init__.py`` imports it.
+A method counts as reached only through an ``Attribute`` of its name, so
+a local variable that shares it does not count.  Dunders are called by
+Python itself and are not checked.  The rest sit on ``ALLOWED``, each with
+its reason."""
 
 import ast
 from collections import Counter
@@ -21,17 +23,22 @@ ALLOWED = {
     "matroid.LatticeVolume.chains": "wrapped by name in bench/tracing.py",
     "polycore.HomPoly.mixed_partial": "wrapped by name in bench/tracing.py",
     "cli._Parser.error": "argparse calls it on a usage error",
+    "polycore.HomPoly.terms": "the rational reader of an exported class, named in the polycore docstring",
+    "polycore.LinSubspace.basis": "the rational reader of an exported class, named in the polycore docstring",
 }
 
 
-def _names(node) -> Counter:
-    """Every name that ``node`` reads, loads or imports."""
+def _names(node, attributes_only: bool = False) -> Counter:
+    """Every name that ``node`` reads, loads or imports; with
+    ``attributes_only``, the names of its ``Attribute`` nodes alone."""
     seen = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            seen[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             seen[sub.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name):
+            seen[sub.id] += 1
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
             seen.update(alias.name.split(".")[-1] for alias in sub.names)
     return seen
@@ -55,16 +62,16 @@ def unreached(modules: dict, demos: list, allowed=()) -> list:
     source) that nothing in ``modules`` outside their own body, nothing in
     ``demos`` (sources) and no ``__init__`` import reaches."""
     trees = {name: ast.parse(text) for name, text in modules.items()}
-    used = Counter()
-    for tree in trees.values():
+    used, attributes = Counter(), Counter()
+    for tree in list(trees.values()) + [ast.parse(text) for text in demos]:
         used.update(_names(tree))
-    for text in demos:
-        used.update(_names(ast.parse(text)))
+        attributes.update(_names(tree, attributes_only=True))
     exported = set(_names(trees["__init__"])) if "__init__" in trees else set()
     out = []
     for module, tree in trees.items():
         for qualname, name, node in _definitions(module, tree):
-            outside = used[name] - _names(node)[name]
+            method = qualname.count(".") == 2  # module.Class.method
+            outside = (attributes if method else used)[name] - _names(node, method)[name]
             if outside <= 0 and name not in exported and qualname not in allowed:
                 out.append(qualname)
     return out
@@ -88,3 +95,7 @@ def test_the_guard_flags_an_uncalled_def():
     assert unreached({"synthetic": module}, []) == ["synthetic.uncalled"]
     assert unreached({"synthetic": module}, ["from synthetic import uncalled\n"]) == []
     assert unreached({"synthetic": module}, [], {"synthetic.uncalled": "kept"}) == []
+    # a bare name does not reach a method; an attribute does
+    module = "class K:\n    def m(self):\n        return 1\n\n\nm = 2\nX = K(), m\n"
+    assert unreached({"synthetic": module}, []) == ["synthetic.K.m"]
+    assert unreached({"synthetic": module}, ["K().m()\n"]) == []

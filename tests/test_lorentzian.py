@@ -30,6 +30,7 @@ from lorentzlab.simplicial import connected
 from oracles import (
     brute_force_is_m_convex,
     chain_is_k_lorentzian,
+    chain_log_concave_seq,
     derived_supports,
     interior_certificate,
     is_k_lorentzian_alt,
@@ -507,6 +508,25 @@ def test_log_concave_examples():
     bad = parse_poly("t1^2 + t2^2")
     seq3, ok3 = log_concave_seq(bad, (1, 0), (0, 1))
     assert seq3 == [2, 0, 2] and not ok3
+
+
+def test_log_concave_seq_matches_derivative_chains(rng):
+    """The pull-back sequence equals the dir_derivative chains on seeded
+    polynomials of degree 0 to 4, zero ones included, along rational
+    directions."""
+    seen = set()
+    for k in range(300):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        f = rand_nonneg_poly(rng, n, d)
+        if k % 5 == 0:
+            f = HomPoly.zero(f.vars, d)
+        elif k % 5 == 1:
+            f = f.scale(Q(-1, rng.randint(1, 3)))
+        u, v = ([rand_q(rng) for _ in range(n)] for _ in range(2))
+        got = log_concave_seq(f, u, v)
+        assert got == chain_log_concave_seq(f, u, v), (f, u, v)
+        seen.add((d == 0, f.is_zero(), got[1]))
+    assert {(True, False, True), (False, True, True), (False, False, True), (False, False, False)} <= seen
 
 
 def test_perturb_interior(rng):

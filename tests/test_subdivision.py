@@ -92,7 +92,7 @@ def test_lineality_extend():
     assert L2.dim == 1 and L2.contains((1, -1, 1 - 2))
     Lz = lineality_extend(LinSubspace(("a", "b"), []), ("a",), (1,), "w")
     assert Lz.dim == 0
-    Lf = lineality_extend(LinSubspace.full(("a", "b")), ("b",), (Q(1, 2),), "w")
+    Lf = lineality_extend(LinSubspace(("a", "b"), [(1, 0), (0, 1)]), ("b",), (Q(1, 2),), "w")
     assert Lf.dim == 2 and Lf.contains((0, 2, 1))
 
 
