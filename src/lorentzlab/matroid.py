@@ -35,9 +35,12 @@ Two construction routes coexist:
   each interval's comparability graph, and each codimension-2 Hessian is
   that of one interval of rank 3.  No chain is enumerated, which keeps
   rank-8 uniform matroids tractable.  The expansion along the canonical
-  direction pair (alpha, beta) is computed once per engine and serves the
-  characteristic polynomial, the Heron-Rota-Welsh check and both
-  closed-form evaluations.
+  direction pair (alpha, beta) needs no interval recursion: there the
+  values on the intervals reaching the bottom and the top are monomials,
+  two integer passes over the covers find them, and one sum over the
+  proper flats gives the expansion.  It is computed once per engine and
+  serves the characteristic polynomial, the Heron-Rota-Welsh check and
+  both closed-form evaluations.
 
 Flats are frozensets of ground elements at the interface; inside, a flat is
 an index, a set of flats (a chain, a link, an interval) one int bitset, and
@@ -480,12 +483,14 @@ class LatticeVolume:
     """Evaluation and certification engine for the volume polynomial of a
     lattice of flats, working directly from the lattice.
 
-    Evaluation is the interval recursion of :meth:`eval_bivariate`, keyed
-    by pairs of flat indices lo < hi; the flats between them are
+    General evaluation is the interval recursion of :meth:`eval_bivariate`,
+    keyed by pairs of flat indices lo < hi; the flats between them are
     ``up[lo] & down[hi]``.  Its values are bivariate: every probe point is
     s * va + t * vb for two rational vectors, and all arithmetic happens on
-    homogeneous coefficient lists in (s, t).  Scalar evaluation uses vb = 0
-    and reads the leading coefficient.
+    homogeneous coefficient lists in (s, t).  The commands need only the
+    expansion along the canonical pair, which :meth:`expansion` reads off
+    two scalar passes over the covers, by a lemma on that recursion; the
+    recursion itself serves the tests and the benchmark's tracer.
 
     The certification (:meth:`hl_check`) runs on the same intervals: each
     of its three conditions is decided once per interval [lo, hi], and a
@@ -658,24 +663,80 @@ class LatticeVolume:
         return [Q(c, scale) for c in memo[-1].get(0, [0] * (d + 1))]
 
     def expansion(self) -> list:
-        """pol(s alpha + t beta) along the canonical pair, computed once.
+        """pol(s alpha + t beta) along the canonical pair, computed once, as
+        the coefficients [c_0, ..., c_d] of :meth:`eval_bivariate`, by two
+        integer passes over the covers of the lattice.
 
         ``expansion()[0]`` is pol(alpha) and ``expansion()[-1]`` is pol(beta).
+
+        **Lemma.**  Write n(F) = |F - bottom|, N = n(top) and E = lcm(1..N).
+        pol is homogeneous of degree d, so take the integer point x(F) =
+        s n(F) + t (N - n(F)) on the proper flats (N alpha and N beta), 0 at
+        the bottom and the top, and divide by N^d at the end.  In the
+        scaled recursion V of :meth:`eval_bivariate` (S0 = 1):
+
+        * *Two proper ends.*  x is affine in n on the proper flats, so y
+          vanishes on every interval whose two ends are proper, and
+          V(lo, hi) = 0 there unless hi covers lo, when V(lo, hi) = 1.
+        * *[bottom, hi], hi proper.*  y(g) = x(g) - x(hi) n(g) / n(hi), so
+          Y(g) = E N (n(hi) - n(g)) / n(hi) * t, pure t.  Only the g that
+          hi covers leave V(g, hi) nonzero, each with binomial C(k-1, k-1)
+          = 1, so V(bottom, hi) = a(hi) t^(rank hi - 1) with a(atom) = 1 and
+
+              a(hi) = (E N / n(hi)) * sum over g covered by hi of (n(hi) - n(g)) a(g).
+
+        * *[lo, top], lo proper.*  y(g) = (x(g) - x(lo)) + x(lo) (n(g) -
+          n(lo)) / (N - n(lo)), so Y(g) = E N (n(g) - n(lo)) / (N - n(lo))
+          * s, pure s.  Only the covers g of lo leave V(lo, g) nonzero, each
+          with binomial C(k-1, 0) = 1, so V(lo, top) = b(lo) s^(d - rank lo)
+          with b(coatom) = 1 and
+
+              b(lo) = (E N / (N - n(lo))) * sum over covers g of lo of (n(g) - n(lo)) b(g).
+
+          This is the recursion for a on the dual order, with N - n for n.
+        * *[bottom, top].*  Y(g) = E x(g), and the term of a proper g of
+          rank rho is C(d-1, rho-1) E (s n(g) + t (N - n(g))) a(g)
+          t^(rho-1) b(g) s^(d-rho): with w = C(d-1, rho-1) a(g) b(g) E,
+          w n(g) goes to c_(rho-1) and w (N - n(g)) to c_rho.  The value is
+          c / (d! E^d N^d).
+
+        Every division is exact, since n(hi) and N - n(lo) divide E, and
+        each pair of proper flats g < h with h covering g is visited once
+        per pass.  No Moebius value is read, so ``char_poly``'s comparison
+        of the two routes stays a comparison.
         """
         if self._expansion is None:
-            # pol is homogeneous of degree d: evaluate at the integer points
-            # n alpha and n beta, n = |top - bottom|, and divide by n^d
-            L = self.L
-            size = [m.bit_count() for m in L.masks]
-            low, high = size[0], size[-1]
-            na = dict(zip(L.proper, (k - low for k in size[1:-1])))
-            nb = dict(zip(L.proper, (high - k for k in size[1:-1])))
-            scale = (high - low) ** self.d
-            self._expansion = [c / scale for c in self.eval_bivariate(na, nb)]
+            d = self.d
+            if d < 0:
+                raise ValueError("rank must be at least 1")
+            if d == 0:
+                self._expansion = [ONE]
+                return self._expansion
+            L, E, top, proper = self.L, self.lcm_n, self.top, self.proper_mask
+            low = L.masks[0].bit_count()
+            n = [m.bit_count() - low for m in L.masks]
+            N = n[-1]
+            below = [w & L.layers[k - 1] & proper for w, k in zip(L.down, L.ranks)]
+            above = [c & proper for c in L.covers_up]
+            # a on the flats by rank from the atoms up, b from the coatoms
+            # down; a flat with no proper cover on the pass's side gets 1
+            a, b = [0] * len(n), [0] * len(n)
+            for val, m, covers, order in ((a, n, below, range(1, top)),
+                                          (b, [N - k for k in n], above, range(top - 1, 0, -1))):
+                for f in order:
+                    acc = 0
+                    for g in _indices(covers[f]):
+                        acc += (m[f] - m[g]) * val[g]
+                    val[f] = E * N // m[f] * acc if covers[f] else 1
+            c = [0] * (d + 1)
+            for g in range(1, top):
+                rho = L.ranks[g]
+                w = comb(d - 1, rho - 1) * a[g] * b[g] * E
+                c[rho - 1] += w * n[g]
+                c[rho] += w * (N - n[g])
+            scale = factorial(d) * (E * N) ** d
+            self._expansion = [Q(x, scale) for x in c]
         return self._expansion
-
-    def evaluate(self, v: Mapping):
-        return self.eval_bivariate(v, {})[0]
 
     # -- Lorentzian certification by intervals --------------------------------
 

@@ -704,21 +704,21 @@ def test_timing_ms_is_a_json_number(capsys, files):
     assert code == 0 and isinstance(rep["timing_ms"], float) and rep["timing_ms"] >= 0
 
 
-def test_hrw_and_charpoly_run_one_interval_recursion(capsys, files, monkeypatch):
-    """Each command evaluates the volume polynomial once, by the interval
-    recursion: no chain of flats is enumerated."""
-    calls, chain_calls = [], []
-    inner = LatticeVolume.eval_bivariate
-    monkeypatch.setattr(LatticeVolume, "eval_bivariate",
-                        lambda self, va, vb: calls.append(1) or inner(self, va, vb))
-    inner_chains = LatticeVolume.chains
-    monkeypatch.setattr(LatticeVolume, "chains",
-                        lambda self: chain_calls.append(1) or inner_chains(self))
+def test_hrw_and_charpoly_compute_one_expansion_by_covers(capsys, files, monkeypatch):
+    """Each command computes the canonical expansion once, by its passes
+    over the covers: neither the interval recursion runs nor is a chain of
+    flats enumerated."""
+    computed, other = [], []
+    inner = LatticeVolume.expansion
+    monkeypatch.setattr(LatticeVolume, "expansion",
+                        lambda self: computed.append(self._expansion is None) or inner(self))
+    for name in ("eval_bivariate", "chains"):
+        monkeypatch.setattr(LatticeVolume, name, lambda self, *args, name=name: other.append(name))
     for name, alpha, beta in (("fano.json", "1/2", "4"), ("u23.json", "1", "2")):
         for command in ("charpoly", "hrw"):
-            calls.clear()
+            computed.clear()
             code, rep, _ = run(capsys, "matroid", command, files[name])
-            assert code == 0 and len(calls) == 1 and not chain_calls, (name, command)
+            assert code == 0 and computed.count(True) == 1 and not other, (name, command)
         # chi(0) is the Moebius value mu(bottom, top); d = rank - 1
         d = len(rep["chi"]) - 2
         mu = abs(int(rep["chi"][0]))

@@ -21,6 +21,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 ALLOWED = {
     "matroid.LatticeVolume.chains": "wrapped by name in bench/tracing.py",
+    "matroid.LatticeVolume.eval_bivariate": "wrapped by name in bench/tracing.py",
     "polycore.HomPoly.mixed_partial": "wrapped by name in bench/tracing.py",
     "cli._Parser.error": "argparse calls it on a usage error",
     "polycore.HomPoly.terms": "the rational reader of an exported class, named in the polycore docstring",

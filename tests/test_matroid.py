@@ -13,6 +13,7 @@ import pytest
 from lorentzlab import hereditary as hered
 from lorentzlab.matroid import (
     FlatLattice,
+    LatticeVolume,
     Matroid,
     bergman_fan,
     char_poly,
@@ -265,7 +266,7 @@ def test_engine_matches_explicit(catalog, rng):
         eng = volume_engine(L)
         for _ in range(5):
             v = {F: Q(rng.randint(-3, 5), rng.randint(1, 2)) for F in L.proper}
-            assert eng.evaluate(v) == h.f.evaluate([v[F] for F in h.f.vars])
+            assert eng.eval_bivariate(v, {})[0] == h.f.evaluate([v[F] for F in h.f.vars])
         fast = eng.hl_check()
         slow = hered.is_hereditary_lorentzian(h, cone_hints=[submodular_witness(L)])
         assert fast.value == slow.value == "yes", name
@@ -432,7 +433,7 @@ def test_integer_recursion_matches_fraction_oracle(catalog, rng):
             continue
         for va, vb in _seeded_pairs(L, rng):
             assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
-            assert eng.evaluate(va) == fraction_eval_bivariate(L, va, {})[0], name
+            assert eng.eval_bivariate(va, {})[0] == fraction_eval_bivariate(L, va, {})[0], name
 
 
 def test_integer_recursion_matches_fraction_oracle_on_graphic_lattices(rng):
@@ -449,7 +450,7 @@ def test_integer_recursion_matches_fraction_oracle_on_graphic_lattices(rng):
         canonical = (dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords)))
         for va, vb in [canonical, *_seeded_pairs(L, rng)]:
             assert eng.eval_bivariate(va, vb) == fraction_eval_bivariate(L, va, vb), name
-            assert eng.evaluate(va) == fraction_eval_bivariate(L, va, {})[0], name
+            assert eng.eval_bivariate(va, {})[0] == fraction_eval_bivariate(L, va, {})[0], name
 
 
 def _count_line_runs(func, prefix, call) -> int:
@@ -489,17 +490,80 @@ def test_char_poly_routes_agree_up_to_rank_8():
         assert char_poly(L).agree and hrw_check(L).mixed_identity, (r, n)
 
 
-def test_canonical_expansion_is_computed_once(catalog, monkeypatch):
+def test_canonical_expansion_is_computed_once_by_covers(catalog, monkeypatch):
+    """hrw_check, char_poly and both closed-form values share one expansion,
+    which runs neither the interval recursion nor the chain enumeration."""
     L = catalog["Fano"]
     eng = volume_engine(L)
     eng._expansion = None
-    calls = []
-    inner = type(eng).eval_bivariate
-    monkeypatch.setattr(type(eng), "eval_bivariate", lambda self, va, vb: calls.append(1) or inner(self, va, vb))
+    computed, other = [], []
+    inner = LatticeVolume.expansion
+    monkeypatch.setattr(LatticeVolume, "expansion",
+                        lambda self: computed.append(self._expansion is None) or inner(self))
+    for name in ("eval_bivariate", "chains"):
+        monkeypatch.setattr(LatticeVolume, name, lambda self, *args, name=name: other.append(name))
     hr = hrw_check(L)
     assert char_poly(L).expansion == hr.char.expansion
     assert eval_alpha(L) == Q(1, 2) and eval_beta(L) == 4
-    assert len(calls) == 1
+    assert computed.count(True) == 1 and not other
+
+
+def _expansion_lattices(rng) -> dict:
+    """The lattices the canonical expansion is checked on besides the
+    catalog: U(r,8), M(K4) to M(K6) with seeded edge deletions, and a loop,
+    parallel elements and a coloop."""
+    out = {f"U({r},8)": flats(Matroid.uniform(r, 8)) for r in range(1, 9)}
+    for n, edges in ((4, K4_EDGES), (5, K5_EDGES), (6, K6_EDGES)):
+        out[f"M(K{n})"] = flats(Matroid.from_graph(n, edges))
+        for _ in range(2):
+            kept = sorted(rng.sample(edges, rng.randint(n, len(edges) - 1)))
+            out[f"M(K{n} on {kept})"] = flats(Matroid.from_graph(n, kept))
+    out["loop"] = flats(Matroid.from_graph(4, [(0, 0), *K4_EDGES[:4]]))
+    out["parallel"] = flats(Matroid.from_graph(4, [(0, 1), (0, 1), (0, 1), *K4_EDGES[1:]]))
+    out["coloop"] = flats(Matroid.from_graph(5, [*K4_EDGES, (3, 4)]))
+    return out
+
+
+def test_canonical_expansion_matches_both_recursions(catalog, rng):
+    """expansion() against eval_bivariate at the canonical pair on every
+    lattice, ranks 1 and 2 among them, and against the chain oracle
+    ``fraction_eval_bivariate`` on the lattices with at most 5,000 chains
+    (U(8,8) has 545,835; eval_bivariate is checked against the chain
+    oracle on its own above)."""
+    lattices = {**catalog, **_expansion_lattices(rng)}
+    assert lattices["loop"].bottom and lattices["coloop"].rank_total == 4
+    assert len({len(F - lattices["parallel"].bottom) for F in lattices["parallel"].proper}) > 1
+    assert {L.rank_total for L in lattices.values()} >= {1, 2}
+    oracle_checked = 0
+    for name, L in lattices.items():
+        alpha, beta = alpha_beta(L)
+        va, vb = dict(zip(alpha.vars, alpha.coords)), dict(zip(beta.vars, beta.coords))
+        eng = LatticeVolume(L)
+        got = eng.expansion()
+        assert got == eng.eval_bivariate(va, vb), name
+        if len(eng.chains()) <= 5000:
+            assert got == fraction_eval_bivariate(L, va, vb), name
+            oracle_checked += 1
+    assert oracle_checked >= 40, oracle_checked
+
+
+def test_canonical_expansion_visits_each_cover_twice():
+    """Count guard: U(8,8)'s expansion evaluates its cover term at most
+    2,048 times, twice per pair of flats one covering the other (1,024)."""
+    eng = LatticeVolume(flats(Matroid.uniform(8, 8)))
+    runs = _count_line_runs(LatticeVolume.expansion, "acc += ", eng.expansion)
+    assert 0 < runs <= 2048, runs
+
+
+def test_canonical_expansion_reads_no_moebius_value(catalog, monkeypatch):
+    """The volume route and the Moebius route stay independent, so
+    char_poly's ``agree`` and hrw_check's ``mixed_identity`` compare two
+    computations, not one with itself."""
+    calls = []
+    monkeypatch.setattr(FlatLattice, "mobius_row", lambda self, i: calls.append(i))
+    for name in ("U(1,3)", "U(2,4)", "U(4,6)", "K4", "Fano"):
+        assert LatticeVolume(catalog[name]).expansion(), name
+    assert not calls
 
 
 def test_from_graph_matches_max_forest_oracle(rng):
