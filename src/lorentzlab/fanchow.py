@@ -296,7 +296,10 @@ def read_step(data: Mapping) -> FanStep:
 
 def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[FanStep | Mapping]):
     """Apply subdivide/weld steps to a fan and its functional in lockstep;
-    a step in JSON form goes through :func:`read_step`."""
+    a step in JSON form goes through :func:`read_step`.  A subdivide step
+    given by face and c needs c positive, as in ``subdivision``, and a cone
+    of the current fan as its face: the combination c of its rays then lies
+    in the relative interior of that cone, which is the cone subdivided."""
     for step in steps:
         if not isinstance(step, FanStep):
             step = read_step(step)
@@ -305,6 +308,10 @@ def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[FanStep |
         else:
             rho = step.ray
             if rho is None:
+                if any(x <= 0 for x in step.c):
+                    raise ValueError("subdivision coefficients must be positive")
+                if not fan.cones.has_face(step.face):
+                    raise ValueError(f"subdivision face {face_str(step.face)} is not a cone of the fan")
                 rho = tuple(sum((ci * xi for ci, xi in zip(step.c, comp)), ZERO)
                             for comp in zip(*[fan.ray(v) for v in step.face]))
             fan, transport = fan_subdivide(fan, rho, new_label=step.vertex)
@@ -396,7 +403,6 @@ def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, froze
 
 def canonical_bijection_check(
     fan1: Fan, alpha1: DegreeFunctional, fan2: Fan, alpha2: DegreeFunctional,
-    pairs: Sequence[tuple] | None = None,
 ) -> bool:
     """Volume-weighted facet values agree on overlapping maximal cones.
 
@@ -405,8 +411,7 @@ def canonical_bijection_check(
     """
     if fan1.dim != fan2.dim:
         raise ValueError("fans live in different ambient dimensions")
-    if pairs is None:
-        pairs = overlapping_facet_pairs(fan1, fan2)
+    pairs = overlapping_facet_pairs(fan1, fan2)
     if not pairs:
         raise ValueError("no overlapping maximal cone pairs")
     for A, B in pairs:

@@ -12,23 +12,23 @@ union-find pass.
 The lattice of flats is generated one rank layer at a time, from the loops
 up: the covers of a flat F are read off the sets B - F over the bases B
 meeting F in rank(F) elements, which its parent layer hands down (see
-:func:`flats`), so no closure is taken and every flat arrives with its
-rank.  It is materialized
-with covers and Moebius values, all read off integer bitsets of the flats
-above and below each flat, and the associated volume polynomial is the
-unique facet-weight-1 reconstruction over the order complex with the
-modular lineality space.
+:func:`flats`), so no closure is taken and every flat arrives with its rank
+and its covers.  :class:`FlatLattice` has one constructor, which takes
+those layers and covers: the sets of flats above and below each flat are
+ORed along the covers, as integer bitsets, and the Moebius values are read
+off them.  The associated volume polynomial is the unique facet-weight-1
+reconstruction over the order complex with the modular lineality space.
+It is reached in two ways:
 
-Two construction routes coexist:
-
-* the generic explicit one through :func:`lorentzlab.hereditary.from_weights`
-  (used for small lattices and for all cross-validation), and
-* a weights-backed engine (:class:`LatticeVolume`) that never materializes
-  the polynomial.  It evaluates by a recursion over the intervals of the
-  lattice, on Python integers: the value on an interval [lo, hi] is a sum,
-  over the flats g strictly between, of the point normalized to the
-  interval at g times the values on [lo, g] and [g, hi], and one division
-  at the end restores the value.  Only intervals with a nonzero value are
+* materialized, through :func:`lorentzlab.hereditary.from_weights`
+  (:func:`pol_matroid`: small lattices, the exact fallback of the
+  certification, and cross-validation), and
+* by a weights-backed engine (:class:`LatticeVolume`) that never
+  materializes the polynomial.  It evaluates by a recursion over the
+  intervals of the lattice, on Python integers: the value on an interval
+  [lo, hi] is a sum, over the flats g strictly between, of the point
+  normalized to the interval at g times the values on [lo, g] and
+  [g, hi], and one division at the end restores the value.  Only intervals with a nonzero value are
   kept, and a sum runs only over the g where both factors are nonzero.
   The Lorentzian certification runs on the same intervals: the cone
   witness is tested at each interval's normalized point, connectivity on
@@ -57,6 +57,7 @@ from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from . import hereditary as hered
+from . import linalg
 from .inertia import SymMatrix, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE
@@ -81,28 +82,6 @@ def _indices(mask: int) -> list:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _containment(masks: Sequence[int], width: int) -> tuple[list, list]:
-    """Strict containment among distinct masks, as bitsets over positions:
-    up[i] holds the j with masks[i] < masks[j], down[i] those below, each
-    from one AND or OR per element of the positions holding it."""
-    holders = [0] * width
-    for i, m in enumerate(masks):
-        for e in _indices(m):
-            holders[e] |= 1 << i
-    everyone, full = (1 << len(masks)) - 1, (1 << width) - 1
-    up, down = [], []
-    for i, m in enumerate(masks):
-        above, outside = everyone, 0
-        for e in _indices(m):
-            above &= holders[e]
-        for e in _indices(full & ~m):
-            outside |= holders[e]
-        other = everyone & ~(1 << i)
-        up.append(above & other)
-        down.append(~outside & other)
-    return up, down
 
 
 @dataclass(frozen=True)
@@ -187,10 +166,6 @@ class Matroid:
     def rank_total(self) -> int:
         return len(self.bases[0])
 
-    def rank(self, S: Iterable) -> int:
-        s = self._mask(S)
-        return max((s & b).bit_count() for b in self._basis_masks)
-
     @classmethod
     def uniform(cls, r: int, n: int) -> "Matroid":
         ground = tuple(range(1, n + 1))
@@ -257,85 +232,64 @@ class Matroid:
 class FlatLattice:
     """A lattice of flats with ranks, covers and Moebius values.
 
-    ``flats`` lists the flats by rank (bottom first, top last) and a flat's
-    index is its place there; ``ranks[i]`` is its rank, ``masks[i]`` its
-    element mask over ``elems``, and ``up[i]``/``down[i]`` the bitsets of
-    the flats strictly above/below it, from which covers and Moebius values
-    are read.  Validates exhaustively: containment covers raise the rank by
-    one, flats are closed under pairwise intersection, and for each flat the
-    cover differences partition the complement.
-
-    Given a family of sets, the ranks are the lengths of the longest chains
-    from the bottom; :func:`flats` hands over the ranks it generated the
-    flats by (:meth:`_ranked`).
+    Built from the flats ``layers[k]`` of rank k, element masks over
+    ``elems`` (the bottom alone in the first layer, the top alone in the
+    last), and ``covers``, which maps a flat's mask to the masks of the
+    flats covering it; :func:`flats` hands over the covers its scan finds.
+    ``flats`` lists the flats by rank and then by face key (bottom first,
+    top last) and a flat's index is its place there; ``ranks[i]`` is its
+    rank, ``masks[i]`` its element mask, ``covers_up[i]`` the bitset of its
+    covers, and ``up[i]``/``down[i]`` the bitsets of the flats strictly
+    above/below it in the order the covers generate, ORed along them, from
+    which Moebius values are read.  Validates exhaustively: every cover is one rank up, flats are
+    closed under pairwise intersection, and for each flat the cover
+    differences partition the complement.
     """
 
-    def __init__(self, ground: tuple, flats: Iterable[frozenset]):
-        flats = {frozenset(F) for F in flats}
-        elems = tuple(sorted(set().union(*flats), key=label_key))
-        bit = {e: 1 << i for i, e in enumerate(elems)}
-        mask = {F: sum(bit[e] for e in F) for F in flats}
-        # ranks by longest chain from the bottom: a flat has rank > k exactly
-        # when some flat of rank >= k lies strictly below it
-        pool = tuple(mask.values())
-        _, below = _containment(pool, len(elems))
-        ranked: dict[int, int] = {}
-        level, k = (1 << len(pool)) - 1, 0
-        while level:
-            for i in _indices(level):
-                ranked[pool[i]] = k
-            level = sum(1 << i for i in _indices(level) if below[i] & level)
-            k += 1
-        self._build(ground, elems, ranked, mask[min(flats, key=len)], mask[max(flats, key=len)])
-
-    @classmethod
-    def _ranked(cls, ground: tuple, elems: tuple, layers: Sequence[Iterable[int]]) -> "FlatLattice":
-        """The lattice of the flats ``layers[k]`` of rank k, element masks
-        over ``elems``: the bottom alone in the first layer, the top alone
-        in the last."""
-        L = object.__new__(cls)
-        (bottom,), (top,) = layers[0], layers[-1]
-        L._build(ground, elems, {m: k for k, layer in enumerate(layers) for m in layer}, bottom, top)
-        return L
-
-    def _build(self, ground: tuple, elems: tuple, ranked: Mapping[int, int], bottom: int, top: int):
-        """Order the masks by rank and then by face key, decode them once,
-        take containment once, and check the axioms."""
+    def __init__(self, ground: tuple, elems: tuple, layers: Sequence[Iterable[int]],
+                 covers: Mapping[int, Iterable[int]]):
         self.ground = tuple(ground)
         self.elems = elems
         keys = [label_key(e) for e in elems]
         decoded = {}
-        for m in ranked:
-            idx = _indices(m)
-            decoded[m] = (ranked[m], tuple(sorted(keys[i] for i in idx)), frozenset(elems[i] for i in idx))
-        order = sorted(ranked, key=lambda m: decoded[m][:2])
+        for k, layer in enumerate(layers):
+            for m in layer:
+                idx = _indices(m)
+                decoded[m] = (k, tuple(sorted(keys[i] for i in idx)), frozenset(elems[i] for i in idx))
+        order = sorted(decoded, key=lambda m: decoded[m][:2])
         self.masks = tuple(order)
-        self.ranks = [ranked[m] for m in order]
+        self.ranks = [decoded[m][0] for m in order]
         self.flats = tuple(decoded[m][2] for m in order)
         self.rank = dict(zip(self.flats, self.ranks))
-        self.bottom, self.top = decoded[bottom][2], decoded[top][2]
+        self.bottom, self.top = self.flats[0], self.flats[-1]
         self.proper = self.flats[1:-1]
         self.index = {F: i for i, F in enumerate(self.flats)}
-        self.up, self.down = _containment(self.masks, len(elems))
-        # layers[k]: the flats of rank k; covers_up[i]: the flats above flat
-        # i with one more rank
-        self.layers = [0] * (max(self.ranks) + 2)
+        # layers[k]: the flats of rank k, and an empty layer above the top
+        self.layers = [0] * (len(layers) + 1)
         for i, k in enumerate(self.ranks):
             self.layers[k] |= 1 << i
-        self.covers_up = [u & self.layers[k + 1] for u, k in zip(self.up, self.ranks)]
-        self._check_axioms()
+        pos = {m: i for i, m in enumerate(order)}
+        above = [[pos[G] for G in covers.get(m, ())] for m in order]
+        self.covers_up = [sum(1 << j for j in js) for js in above]
+        self._check_axioms(above)
+        # every cover is one rank up, so it has a higher index: up ORs the
+        # covers' up-sets from the top down, down pushes each flat's
+        # down-set to its covers from the bottom up
+        up, down = [0] * len(order), [0] * len(order)
+        for i in range(len(order) - 1, -1, -1):
+            for j in above[i]:
+                up[i] |= up[j] | 1 << j
+        for i, js in enumerate(above):
+            below = down[i] | 1 << i
+            for j in js:
+                down[j] |= below
+        self.up, self.down = up, down
         self._mobius: dict[int, list] = {}
 
-    def _check_axioms(self):
-        flats, masks, up = self.flats, self.masks, self.up
-        covers = [_indices(c) for c in self.covers_up]
-        for u, c, cs in zip(up, self.covers_up, covers):
-            # the containment covers of a flat are the minimal flats above
-            # it: every other flat above it lies above one of them
-            above = 0
-            for j in cs:
-                above |= up[j]
-            if u & ~c & ~above:
+    def _check_axioms(self, above: list):
+        flats, masks = self.flats, self.masks
+        for c, k in zip(self.covers_up, self.ranks):
+            if c & ~self.layers[k + 1]:
                 raise ValueError("lattice is not graded by containment covers")
         present = set(masks)
         for i, m in enumerate(masks):
@@ -343,13 +297,13 @@ class FlatLattice:
                 # the first failing pair in flats order has i < j
                 j = next(j for j in range(i + 1, len(masks)) if m & masks[j] not in present)
                 raise ValueError(f"intersection {face_str(flats[i] & flats[j])} is not a flat")
-        top = masks[self.index[self.top]]
-        for i, (m, cs) in enumerate(zip(masks, covers)):
+        top = masks[-1]
+        for i, (m, js) in enumerate(zip(masks, above)):
             # cover differences never overlap: two overlapping covers would
             # meet in a flat strictly between F and one of them, which the
             # rank and intersection checks above already rule out
             seen = 0
-            for j in cs:
+            for j in js:
                 seen |= masks[j]
             if seen & ~m != top & ~m:
                 raise ValueError(f"cover differences above {face_str(flats[i])} do not partition the complement")
@@ -400,28 +354,32 @@ def flats(M: Matroid) -> FlatLattice:
     G), so it is a basis, B' & F = J, and o = B' - F meets G at f with
     o - G = B - G.  Every flat of rank k + 1 covers some flat of rank k, so
     the next layer is the union of the covers of this one, and every flat
-    is found, with its rank.
+    is found, with its rank.  The scan of F yields each cover of F once,
+    since the covers partition E - F, and those covers are the lattice's
+    cover relation: :class:`FlatLattice` takes them as they are found.
     """
     full = M._full
     # each flat of the layer with the bases of its contraction, B - F; the
     # loops are the elements of no basis
     layer = {full & ~reduce(or_, M._basis_masks): set(M._basis_masks)}
-    layers = [tuple(layer)]
+    layers, covers = [tuple(layer)], {}
     for _ in range(M.rank_total):
         found: dict[int, set] = {}
         for F, outs in layer.items():
             rest = full & ~F
+            covers[F] = above = []
             while rest:
                 # the cover through e: all but the other elements of the
                 # members of outs(F) that hold e
                 e = rest & -rest
                 G = full & ~(reduce(or_, filter(e.__and__, outs)) & ~e)
                 rest &= ~G
+                above.append(G)
                 if G not in found:
                     found[G] = {out & ~G for out in outs if out & G}
         layer = found
         layers.append(tuple(layer))
-    return FlatLattice._ranked(M.ground, M._elems, layers)
+    return FlatLattice(M.ground, M._elems, layers, covers)
 
 
 def order_complex(L: FlatLattice) -> SimComplex:
@@ -607,12 +565,7 @@ class LatticeVolume:
         if d == 0:
             return [ONE]
         L, E = self.L, self.lcm_n
-        xa = [ZERO] + [Q(va.get(F, 0)) for F in L.proper] + [ZERO]
-        xb = [ZERO] + [Q(vb.get(F, 0)) for F in L.proper] + [ZERO]
-        s0 = lcm(*(x.denominator for x in xa + xb))
-        # S0 x, with x = 0 at the bottom and the top
-        xs = [x.numerator * (s0 // x.denominator) for x in xa]
-        xt = [x.numerator * (s0 // x.denominator) for x in xb]
+        (xs, xt), s0 = self._scaled(va, vb)
         size = [m.bit_count() for m in L.masks]
         rank, down, layers = L.ranks, L.down, L.layers
         # memo[hi][lo] = V(lo, hi), kept when nonzero; nonzero_up[lo] and
@@ -765,12 +718,11 @@ class LatticeVolume:
                 chain |= 1 << c
         return frozenset(self.flats_of(chain & self.proper_mask))
 
-    def _scaled(self, v: Mapping) -> list:
-        """S0 * v at every flat index, 0 at the bottom and the top, with S0
-        the lcm of v's denominators."""
-        xs = [ZERO] + [Q(v.get(F, 0)) for F in self.L.proper] + [ZERO]
-        s0 = lcm(*(x.denominator for x in xs))
-        return [x.numerator * (s0 // x.denominator) for x in xs]
+    def _scaled(self, *vs: Mapping) -> tuple[list, int]:
+        """(S0 * v for each v, S0): each point at every flat index, 0 at the
+        bottom and the top, as integers, with S0 the lcm of their
+        denominators (``linalg.integer_scaled``)."""
+        return linalg.integer_scaled([[0, *(v.get(F, 0) for F in self.L.proper), 0] for v in vs])
 
     def _normalized(self, x: list, lo: int, hi: int) -> dict:
         """Y(g) = E * (x(g) - x(lo)) + (x(lo) - x(hi)) * (E / |hi - lo|) * |g - lo|
@@ -922,7 +874,7 @@ class LatticeVolume:
         and Y(g) = S0 E |g - lo| |hi - g| > 0, the inclusions lo < g < hi
         being strict.
         """
-        x = self._scaled(vmap)
+        (x,), _ = self._scaled(vmap)
         checked = 0
         for lo, hi, _, _ in self._intervals():
             if not all(c > 0 for c in self._normalized(x, lo, hi).values()):

@@ -584,11 +584,6 @@ class LinSubspace:
     def __repr__(self):
         return f"LinSubspace(dim={self.dim} in R^{len(self.ambient)})"
 
-    def add(self, other: "LinSubspace") -> "LinSubspace":
-        if self.ambient != other.ambient:
-            raise ValueError("subspaces of different ambient spaces")
-        return LinSubspace._span(self.ambient, list(self.rows) + list(other.rows))
-
     def perp(self) -> "LinSubspace":
         """The orthogonal complement {x : b . x = 0 for every b in L}.  The
         canonical rows are s times the rref rows with s at every pivot, so

@@ -1,7 +1,7 @@
 """Abstract simplicial complexes stored by their facets.
 
 A face is any subset of a facet, so membership tests are subset checks and
-links/joins stay cheap at desk scale.  The complex {()} consisting of only
+links stay cheap at desk scale.  The complex {()} consisting of only
 the empty face is distinct from the void complex with no faces at all (the
 latter is the face complex of the zero polynomial).  Vertices not lying in
 any facet are allowed: they index ambient coordinates (e.g. polynomial
@@ -182,12 +182,6 @@ class SimComplex:
             for v in f:
                 cand.add(f - {v})
         return SimComplex(self.vertices, cand)
-
-    def join(self, other: "SimComplex") -> "SimComplex":
-        if set(self.vertices) & set(other.vertices):
-            raise ValueError("join needs disjoint vertex sets")
-        facets = [f | g for f in self.facets for g in other.facets]
-        return SimComplex(self.vertices + other.vertices, facets)
 
     def stellar_subdivide(self, S: Iterable[Label], new_vertex: Label | None = None) -> "SimComplex":
         """Subdivide at the face S: drop faces containing S, cone the rest.

@@ -37,10 +37,19 @@ checked against.
   longest chains on frozensets; it reads only the ground set and the
   bases.  ``flats`` generates them one rank layer at a time, each flat's
   covers read off the bases of its contraction.
-* :func:`interval` builds the interval [a, b] of a lattice of flats as a
-  lattice of its own, and :func:`alpha_beta` the canonical direction pair
-  as ``Direction`` objects; the library evaluates at the integer points
-  n alpha and n beta (``LatticeVolume.expansion``).
+* :func:`containment_bitsets` takes the covers and the up and down sets
+  of a list of flats by frozenset containment; the library takes the
+  covers that ``flats`` finds and ORs the up and down sets along them.
+  :func:`lattice_of_family` builds a ``FlatLattice`` from any family of
+  sets, ranked by longest chains (:func:`longest_chain_ranks`) with
+  those covers, for the lattice checks and for :func:`interval`, the
+  interval [a, b] of a lattice of flats as a lattice of its own.
+* :func:`alpha_beta` gives the canonical direction pair as ``Direction``
+  objects; the library evaluates at the integer points n alpha and
+  n beta (``LatticeVolume.expansion``).
+* :func:`matroid_rank` is the rank of a set by its largest intersection
+  with a basis, on frozensets, and :func:`subspace_sum` the sum of two
+  subspaces; the library needs neither.
 * :func:`exchange_message` is the pairwise basis-exchange loop (each pair
   of bases, one AND per element of A - B), returning the message of its
   first failure; ``Matroid`` makes one bitset test per basis and element
@@ -403,18 +412,23 @@ def is_semimodular_spot(L) -> bool:
     return True
 
 
+def matroid_rank(M, S) -> int:
+    """rank(S): the largest |S & B| over the bases B, on frozensets."""
+    return max(len(frozenset(S) & B) for B in M.bases)
+
+
 def spot_check_rank_axioms(M, rng) -> None:
     """Sampled unit-increase and submodularity checks on a matroid's rank
-    oracle."""
+    (:func:`matroid_rank`)."""
     ground = list(M.ground)
     for _ in range(50):
         S = frozenset(e for e in ground if rng.random() < 0.5)
         T = frozenset(e for e in ground if rng.random() < 0.5)
-        rS, rT = M.rank(S), M.rank(T)
-        if not (M.rank(S | T) + M.rank(S & T) <= rS + rT):
+        rS, rT = matroid_rank(M, S), matroid_rank(M, T)
+        if not (matroid_rank(M, S | T) + matroid_rank(M, S & T) <= rS + rT):
             raise AssertionError("rank submodularity fails")
         e = rng.choice(ground)
-        re = M.rank(S | {e})
+        re = matroid_rank(M, S | {e})
         if not (rS <= re <= rS + 1):
             raise AssertionError("rank unit increase fails")
 
@@ -447,9 +461,8 @@ def closure_cover_flats(M) -> dict:
     """Flat -> rank, from ``M.ground`` and ``M.bases`` alone.  The flats:
     from the closure of the empty set, the closure of F + e for every flat
     F found so far and every e outside F, skipping the rest of G - F once
-    F + e has closed to G (:func:`basis_pass_closure`).  The ranks: a flat
-    has rank > k exactly when some flat of rank >= k lies strictly below
-    it."""
+    F + e has closed to G (:func:`basis_pass_closure`).  The ranks: by
+    longest chains (:func:`longest_chain_ranks`)."""
     ground, bases = frozenset(M.ground), [frozenset(B) for B in M.bases]
     bottom = basis_pass_closure(ground, bases, ())
     found, todo = {bottom}, [bottom]
@@ -463,7 +476,14 @@ def closure_cover_flats(M) -> dict:
                 if G not in found:
                     found.add(G)
                     todo.append(G)
-    level, rank, k = found, {}, 0
+    return longest_chain_ranks(found)
+
+
+def longest_chain_ranks(family) -> dict:
+    """Set -> the length of the longest chain below it in ``family``: a set
+    has rank > k exactly when some set of rank >= k lies strictly below
+    it."""
+    level, rank, k = set(family), {}, 0
     while level:
         rank.update(dict.fromkeys(level, k))
         level = {F for F in level if any(G < F for G in level)}
@@ -471,10 +491,36 @@ def closure_cover_flats(M) -> dict:
     return rank
 
 
+def containment_bitsets(sets: Sequence[frozenset]) -> tuple[list, list, list]:
+    """(covers_up, up, down) of a list of sets under strict containment, as
+    bitsets over positions in the list: j is in up[i] exactly when
+    sets[i] < sets[j], i is in down[j] exactly then, and j is in
+    covers_up[i] when, besides, no set lies strictly between them."""
+    n = len(sets)
+    up = [sum(1 << j for j in range(n) if sets[i] < sets[j]) for i in range(n)]
+    down = [sum(1 << j for j in range(n) if sets[j] < sets[i]) for i in range(n)]
+    covers_up = [sum(1 << j for j in range(n) if up[i] >> j & 1 and not up[i] & down[j]) for i in range(n)]
+    return covers_up, up, down
+
+
+def lattice_of_family(ground, family) -> FlatLattice:
+    """The ``FlatLattice`` of a family of sets, ranked by longest chains
+    (:func:`longest_chain_ranks`) with the minimal strict supersets of each
+    set as its covers (:func:`containment_bitsets`), both on frozensets."""
+    family = sorted({frozenset(F) for F in family}, key=face_key)
+    elems = tuple(sorted(set().union(*family), key=label_key))
+    mask = [sum(1 << elems.index(e) for e in F) for F in family]
+    rank = longest_chain_ranks(family)
+    layers = [[m for F, m in zip(family, mask) if rank[F] == k] for k in range(max(rank.values()) + 1)]
+    covers_up, _, _ = containment_bitsets(family)
+    covers = {m: [mask[j] for j in range(len(family)) if c >> j & 1] for m, c in zip(mask, covers_up)}
+    return FlatLattice(ground, elems, layers, covers)
+
+
 def interval(L, a, b) -> FlatLattice:
     """The interval [a, b] of a lattice of flats, as the lattice of flats
-    of a minor, ranked by longest chains."""
-    return FlatLattice(tuple(sorted(b, key=label_key)), [F for F in L.flats if a <= F <= b])
+    of a minor (:func:`lattice_of_family`)."""
+    return lattice_of_family(tuple(sorted(b, key=label_key)), [F for F in L.flats if a <= F <= b])
 
 
 def alpha_beta(L) -> tuple[Direction, Direction]:
@@ -1116,6 +1162,13 @@ def euler_from_weights(delta, lin, w) -> hered.HereditaryPoly:
     if h.delta != SimComplex(f.vars, delta.facets):
         raise AssertionError("reconstructed polynomial has the wrong face complex")
     return h
+
+
+def subspace_sum(A: LinSubspace, B: LinSubspace) -> LinSubspace:
+    """A + B, the span of both subspaces' rows."""
+    if A.ambient != B.ambient:
+        raise ValueError("subspaces of different ambient spaces")
+    return LinSubspace(A.ambient, list(A.rows) + list(B.rows))
 
 
 def solve_member_with_values(lin, values) -> tuple | None:

@@ -97,6 +97,12 @@ def files(tmp_path):
     write("fanchain_repeated_label.json", [{"kind": "subdivide", "face": ["e", "e"], "c": ["1", "1"]}])
     write("fanchain_weld_repeated_label.json", [{"kind": "subdivide", "ray": [1, 1], "vertex": "m"},
                                                 {"kind": "weld", "vertex": "m", "face": ["n", "n"]}])
+    # a face-and-c step whose c is not positive, or whose face is no cone:
+    # its combination lands in another cone ({s, e}), on the ray w, or on
+    # the ray n itself
+    write("fanchain_negative_c.json", [{"kind": "subdivide", "face": ["e", "n"], "c": ["1", "-2"]}])
+    write("fanchain_face_not_a_cone.json", [{"kind": "subdivide", "face": ["e", "w"], "c": ["1", "2"]}])
+    write("fanchain_zero_c.json", [{"kind": "subdivide", "face": ["e", "n"], "c": ["0", "1"]}])
     # every facet twice, weights 1 and then 7: read last-wins, this is a
     # balanced functional, so only the duplicate check can refuse it
     write("weights_twice.json", [
@@ -460,6 +466,9 @@ MALFORMED_ARGVS = [
     ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_long_ray.json"),
     ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_repeated_label.json"),
     ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_weld_repeated_label.json"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_negative_c.json"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_face_not_a_cone.json"),
+    ("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_zero_c.json"),
 ]
 
 
@@ -481,6 +490,12 @@ def test_malformed_inputs_exit_2_with_json(capsys, files, argv):
      "face ['e', 'e'] repeats the label 'e'"),
     (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_weld_repeated_label.json"),
      "face ['n', 'n'] repeats the label 'n'"),
+    (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_negative_c.json"),
+     "subdivision coefficients must be positive"),
+    (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_face_not_a_cone.json"),
+     "subdivision face {'e', 'w'} is not a cone of the fan"),
+    (("fan", "transport", "sqfan.json", "sqweights.json", "fanchain_zero_c.json"),
+     "subdivision coefficients must be positive"),
 ])
 def test_malformed_faces_and_rays_are_named(capsys, files, argv, needle):
     code, rep, _ = run(capsys, *(files.get(a, a) for a in argv))

@@ -57,6 +57,7 @@ def test_only_cones_runs_the_simplex():
 def test_integer_tables_form_no_rational(monkeypatch):
     from lorentzlab import linalg, polycore, rat
     from lorentzlab.polycore import LinSubspace, parse_poly
+    from oracles import subspace_sum
 
     f = parse_poly("1/2*t1^2 t2 + 3*t1 t2 t3 - 2/3*t3^3 + t2^2 t3")
     g = parse_poly("t1 - 5/4*t2 + t3")
@@ -67,7 +68,7 @@ def test_integer_tables_form_no_rational(monkeypatch):
         L = LinSubspace(f.vars, rows)
         return (f + g * g * g, f * g, f.partial("t1").partial("t3"), f.lineality_space(),
                 (g * g).lineality_space(), f.substitute(("a", "b"), forms),
-                L, L.add(LinSubspace(f.vars, [(0, 1, 1)])), L.perp())
+                L, subspace_sum(L, LinSubspace(f.vars, [(0, 1, 1)])), L.perp())
 
     want = run()
 

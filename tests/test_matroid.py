@@ -28,6 +28,7 @@ from lorentzlab.matroid import (
     volume_engine,
 )
 from lorentzlab.rat import Q
+from lorentzlab.simplicial import face_key
 from lorentzlab.inertia import hessian, inertia
 from conftest import in_fresh_process
 from oracles import (
@@ -35,12 +36,15 @@ from oracles import (
     basis_pass_closure,
     chain_hl_check,
     closure_cover_flats,
+    containment_bitsets,
     exchange_message,
     fraction_eval_bivariate,
     interval,
     is_semimodular_spot,
+    lattice_of_family,
     layered_pin,
     lp_gap_feasible,
+    matroid_rank,
     orthant_gap_feasible,
     oracle_chain_points,
     oracle_chains,
@@ -65,7 +69,7 @@ NON_MATROID = (tuple(range(6)), ({0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {1, 4, 5}, {2,
 
 def test_matroid_basics(rng):
     M = Matroid.uniform(2, 3)
-    assert M.rank_total == 2 and M.rank({1}) == 1 and M.rank({1, 2}) == 2
+    assert M.rank_total == 2 and matroid_rank(M, {1}) == 1 and matroid_rank(M, {1, 2}) == 2
     L = flats(M)
     assert frozenset({1}) in L.index and L.bottom == frozenset()
     spot_check_rank_axioms(M, rng)
@@ -386,9 +390,10 @@ def _multigraphs(rng):
 def test_flats_match_subset_closure_oracle(rng):
     """flats(M) against closing every subset and against one closure per
     cover with ranks by longest chains (``closure_cover_flats``): the same
-    flats and ranks, and, against the lattice built from the oracle's
-    family, the same order, covers, containment bitsets and Moebius row of
-    the bottom."""
+    flats and ranks, the flats in rank and then face-key order, the covers
+    and the up and down sets those of frozenset containment
+    (``containment_bitsets``), and the Moebius row of the bottom that of
+    the frozenset recursion."""
     # first, so that these are the families the exchange test accepts
     matroids = [(f"family {family}", Matroid(ground, tuple(frozenset(b) for b in family)))
                 for ground, family in _seeded_families(rng) if oracle_is_basis_family(family)]
@@ -403,8 +408,9 @@ def test_flats_match_subset_closure_oracle(rng):
     for name, M in matroids:
         L, ranks = flats(M), closure_cover_flats(M)
         assert L.rank == ranks and set(L.flats) == oracle_flats(M.ground, M.bases), name
-        P = FlatLattice(M.ground, ranks)
-        assert (P.flats, P.ranks, P.covers_up, P.up, P.down) == (L.flats, L.ranks, L.covers_up, L.up, L.down), name
+        assert L.flats == tuple(sorted(ranks, key=lambda F: (ranks[F], face_key(F)))), name
+        assert L.ranks == [ranks[F] for F in L.flats], name
+        assert (L.covers_up, L.up, L.down) == containment_bitsets(L.flats), name
         memo = {}
         assert L.mobius_row(0) == [oracle_mobius(L, L.bottom, F, memo) for F in L.flats], name
 
@@ -601,7 +607,7 @@ def test_chain_faces_reduce_to_intervals(catalog, rng):
         points = [dict(zip(w.vars, w.coords))]
         points += [{F: Q(rng.randint(-6, 6), rng.randint(1, 7)) for F in L.proper} for _ in range(2)]
         for v in points:
-            x = eng._scaled(v)
+            (x,), _ = eng._scaled(v)
             for chain, p in oracle_chain_points(L, v, chains).items():
                 for lo, hi, mids in oracle_gaps(L, chain):
                     if not mids:
@@ -705,7 +711,7 @@ def test_canonical_witness_never_needs_the_gap_test():
     for name, L in lattices.items():
         eng = volume_engine(L)
         w = submodular_witness(L)
-        x = eng._scaled(dict(zip(w.vars, w.coords)))
+        (x,), _ = eng._scaled(dict(zip(w.vars, w.coords)))
         size = [m.bit_count() for m in L.masks]
         for lo, hi, _, _ in eng._intervals():
             for g, y in eng._normalized(x, lo, hi).items():
@@ -734,7 +740,7 @@ def test_engine_chains_match_oracle_order(catalog):
 ])
 def test_flat_lattice_rejections(family, message):
     with pytest.raises(ValueError) as err:
-        FlatLattice((1, 2, 3, 4), [frozenset(F) for F in family])
+        lattice_of_family((1, 2, 3, 4), [frozenset(F) for F in family])
     assert str(err.value) == message
 
 

@@ -19,6 +19,7 @@ from oracles import (
     partials_lineality_space,
     rename_vars,
     solve_member_with_values,
+    subspace_sum,
 )
 
 
@@ -200,7 +201,7 @@ def random_subspace(rng, ambient, dim) -> LinSubspace:
     L = LinSubspace(ambient, [])
     while L.dim < dim:
         row = [Q(rng.randint(-3, 3), rng.randint(1, 7)) if rng.random() < 0.5 else Q(0) for _ in ambient]
-        L = L.add(LinSubspace(ambient, [row]))
+        L = subspace_sum(L, LinSubspace(ambient, [row]))
     return L
 
 

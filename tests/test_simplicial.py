@@ -116,19 +116,6 @@ def test_weld_inverts_subdivision(rng):
         assert sub.weld("w", S) == delta
 
 
-def test_join_examples():
-    p1 = SimComplex(("a", "b"), [{"a"}, {"b"}])
-    p2 = SimComplex(("c", "d"), [{"c"}, {"d"}])
-    assert facets(p1.join(p2)) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
-    e1 = SimComplex(("a", "b"), [{"a", "b"}])
-    e2 = SimComplex(("c", "d"), [{"c", "d"}])
-    assert facets(e1.join(e2)) == [["a", "b", "c", "d"]]
-    tri = SimComplex((1, 2, 3), [{1, 2, 3}])
-    assert tri.join(SimComplex.empty_face_only()) == tri
-    with pytest.raises(ValueError):
-        p1.join(SimComplex(("a",), [{"a"}]))
-
-
 def test_fresh_vertex():
     assert fresh_vertex(("w0", "w1", 3)) == "w2"
     assert fresh_vertex(()) == "w0"
