@@ -29,7 +29,7 @@ from . import fanchow, hereditary, lorentzian, matroid, polytope, subdivision
 from .cones import ConeByGenerators
 from .inertia import hessian, inertia
 from .polycore import HomPoly, LinSubspace, parse_poly
-from .rat import Q, Rational, rat_str, read_rat
+from .rat import Q, Rational, rat_str, read_list, read_lists, read_rat
 from .simplicial import SimComplex, face_str, label_key, label_str
 
 
@@ -127,7 +127,7 @@ def _facet_weights(entries) -> dict:
     """Facet weights by facet; a facet listed twice is an error naming it."""
     weights = {}
     for e in _expect(entries, list):
-        F = frozenset(e["facet"])
+        F = frozenset(read_list(e["facet"], "facet"))
         if F in weights:
             raise ValueError(f"facet {face_str(F)} is listed twice in the weights")
         weights[F] = read_rat(e["w"])
@@ -137,14 +137,15 @@ def _facet_weights(entries) -> dict:
 def read_weights_bundle(data: dict) -> tuple:
     """The weights schema: complex, lineality rows, facet weights."""
     delta = SimComplex.from_json_dict(_expect(data["complex"], dict))
-    lin = LinSubspace(delta.vertices, [[read_rat(x) for x in row] for row in data["lineality"]])
-    return delta, lin, _facet_weights(data["weights"])
+    rows = read_lists(data["lineality"], "lineality")
+    lin = LinSubspace(delta.vertices, [[read_rat(x) for x in row] for row in rows])
+    return delta, lin, _facet_weights(read_list(data["weights"], "weights"))
 
 
 def read_fan_weights(text: str) -> dict:
     """Facet weights: a list of facet/w entries, bare or under "weights"."""
     data = _loads(text)
-    return _facet_weights(data["weights"] if isinstance(data, dict) else data)
+    return _facet_weights(read_list(data["weights"], "weights") if isinstance(data, dict) else data)
 
 
 def read_chain(steps: list) -> list:

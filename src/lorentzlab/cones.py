@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .polycore import LinSubspace, direction_coords
-from .rat import Q, ZERO, Rational, read_rat
+from .rat import Q, ZERO, Rational, read_lists, read_rat
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ class ConeByGenerators:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ConeByGenerators":
-        return cls(tuple(tuple(read_rat(x) for x in g) for g in data["generators"]))
+        return cls(tuple(tuple(read_rat(x) for x in g) for g in read_lists(data["generators"], "generators")))
 
 
 def in_orthant_plus_subspace(v, L) -> tuple | None:

@@ -23,7 +23,7 @@ from . import linalg
 from . import subdivision as subdiv
 from .cones import in_orthant_plus_subspace, solve_in_span
 from .polycore import LinSubspace, direction_coords
-from .rat import Q, ZERO, rat_str, read_rat, sign
+from .rat import Q, ZERO, rat_str, read_list, read_lists, read_rat, sign
 from .simplicial import SimComplex, face_key, face_str, fresh_vertex, label_key, label_str
 
 
@@ -108,10 +108,10 @@ class Fan:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Fan":
-        rays = [tuple(read_rat(x) for x in r) for r in data["rays"]]
-        labels = tuple(data.get("labels", range(len(rays))))
+        rays = [tuple(read_rat(x) for x in r) for r in read_lists(data["rays"], "rays")]
+        labels = tuple(read_list(data["labels"], "labels") if "labels" in data else range(len(rays)))
         cones = []
-        for c in data["cones"]:
+        for c in read_lists(data["cones"], "cones"):
             # a cone of integers lists ray indices, anything else ray labels
             if all(isinstance(i, int) for i in c):
                 if not all(type(i) is int and 0 <= i < len(labels) for i in c):
@@ -280,14 +280,16 @@ def read_step(data: Mapping) -> FanStep:
     is an error naming it, as in ``subdivision``."""
     kind = data["kind"]
     if kind == "weld":
-        step = FanStep(kind, face=subdiv.distinct_face(data["face"]), vertex=data["vertex"])
+        step = FanStep(kind, face=subdiv.distinct_face(read_list(data["face"], "face")),
+                       vertex=data["vertex"])
     elif kind != "subdivide":
         raise ValueError(f"bad step kind {kind!r}")
     elif data.get("ray") is not None:
-        step = FanStep(kind, ray=tuple(read_rat(x) for x in data["ray"]), vertex=data.get("vertex"))
+        step = FanStep(kind, ray=tuple(read_rat(x) for x in read_list(data["ray"], "ray")),
+                       vertex=data.get("vertex"))
     else:
-        step = FanStep(kind, face=subdiv.distinct_face(data["face"]),
-                       c=tuple(read_rat(x) for x in data["c"]), vertex=data.get("vertex"))
+        step = FanStep(kind, face=subdiv.distinct_face(read_list(data["face"], "face")),
+                       c=tuple(read_rat(x) for x in read_list(data["c"], "c")), vertex=data.get("vertex"))
         if len(step.face) != len(step.c):
             raise ValueError("face and coefficient lists differ in length")
     hash((step.face, step.vertex))  # labels must be hashable

@@ -60,7 +60,7 @@ from . import hereditary as hered
 from . import linalg
 from .inertia import SymMatrix, inertia
 from .polycore import Direction, HomPoly, LinSubspace
-from .rat import Q, ZERO, ONE
+from .rat import Q, ZERO, ONE, read_list, read_lists
 from .simplicial import SimComplex, connected, face_key, face_str, label_key
 
 
@@ -225,8 +225,9 @@ class Matroid:
             raise ValueError("a matroid is a JSON object with 'ground' and 'bases', or 'graph'")
         if "graph" in data:
             g = data["graph"]
-            return cls.from_graph(g["vertices"], [tuple(e) for e in g["edges"]])
-        return cls(tuple(data["ground"]), tuple(frozenset(b) for b in data["bases"]))
+            return cls.from_graph(g["vertices"], [tuple(e) for e in read_list(g["edges"], "edges")])
+        bases = tuple(map(frozenset, read_lists(data["bases"], "bases")))
+        return cls(tuple(read_list(data["ground"], "ground")), bases)
 
 
 class FlatLattice:

@@ -32,7 +32,7 @@ from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .rat import Q, ZERO, Rational, rat_str, ratio, read_ratio
+from .rat import Q, ZERO, Rational, rat_str, ratio, read_list, read_ratio
 from .simplicial import Label, label_str
 
 Key = tuple  # sorted tuple of (position, exponent) pairs
@@ -408,8 +408,9 @@ class HomPoly:
         to (p, q) by ``rat.read_ratio``; ``from_dense`` checks and fills the
         table from the integers p * (den / q), den the least common q, and
         the one division by den follows."""
-        vars = tuple(data["vars"])
-        dense = {tuple(t["exps"]): read_ratio(t["coeff"]) for t in data["terms"]}
+        vars = tuple(read_list(data["vars"], "vars"))
+        dense = {tuple(read_list(t["exps"], "exps")): read_ratio(t["coeff"])
+                 for t in read_list(data["terms"], "terms")}
         degree = data.get("degree")
         if degree is None:
             if not dense:

@@ -28,15 +28,21 @@ which has the sign of the slack t_i - N_i x and vanishes exactly on the
 facets through x.  On S it is 0 by construction (N'_S u = prev t'_S), so a
 body computes it only on the n - d rows outside S, one integer dot product
 each, and u only for a feasible chart; the active set is S plus the zero
-slacks.  The feasibility and incidence tests thus form no rational; only a
-feasible vertex becomes one.  Simplicity means every vertex activates
-exactly d facets, and the facet-incidence sets generate the incidence
-complex.
+slacks.  A feasible vertex is kept as it comes off its chart, the integers
+c u over q = D prev, with its active set, so the feasibility and incidence
+tests and the vertex itself form no rational; a vertex on more than d
+facets becomes one only in the error that names it.  Simplicity means
+every vertex activates exactly d facets, and the facet-incidence sets
+generate the incidence complex.  A body keeps its support numbers as the
+(p, q) pairs it read; its rational ``t``, and its ``vertices`` sorted by
+``label_key`` with their ``active`` sets, are formed only when first read,
+and no command reads them.
 
-The volume is a pulling triangulation of the face lattice on the vertices
-scaled once to integers over their common denominator: each simplex adds
-|det| of its integer edge vectors, from ``linalg.eliminate``, and the one
-rational is the sum over den^d d!.
+The volume is a pulling triangulation of the face lattice on the integer
+vertices, in chart order, scaled once to integers over their common
+denominator: a pulling triangulation from any fixed order of the vertices
+has the same volume.  Each simplex adds |det| of its integer edge vectors,
+from ``linalg.eliminate``, and the one rational is the sum over den^d d!.
 
 The volume polynomial is the hereditary polynomial of the incidence
 complex with the translations as lineality: at a vertex F the polytope is
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -65,7 +71,7 @@ from . import hereditary as hered
 from . import linalg
 from .cones import in_orthant_plus_subspace
 from .polycore import LinSubspace
-from .rat import ONE, Rational, rat_str, ratio, read_ratio
+from .rat import ONE, Rational, rat_str, ratio, read_list, read_lists, read_ratio
 from .simplicial import SimComplex, label_key
 
 
@@ -79,13 +85,40 @@ class SimplePolytope:
     labels: tuple            # facet labels, one per normal
     normals: tuple           # rational outward normals (rows)
     t: tuple                 # support numbers
-    vertices: tuple          # rational vertex coordinates
+    vertices: tuple          # rational vertex coordinates, in label_key order
     active: tuple            # per-vertex frozenset of facet labels
     delta: SimComplex        # facet-incidence complex
     lin: LinSubspace         # translations, read through the normals
-    # the key of the normal set in ``_BOUNDED``, kept by every body that
-    # ``build`` makes (None on a body made by hand; see ``_set_key``)
+    # what the library reads, on integers: the key (labels, N' rows, c) of
+    # the normal set in ``_BOUNDED``, the support numbers as (p, q) pairs,
+    # and each vertex as (u, q, its active set), x = u / q, in chart order
     _set: tuple = field(default=None, init=False, repr=False, compare=False)
+    _t: tuple = field(default=None, init=False, repr=False, compare=False)
+    _found: list = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a body made by hand (``_build`` makes its bodies without __init__)
+        # gets its integer forms from its rationals
+        rows, c = linalg.integer_scaled(self.normals)
+        V, den = linalg.integer_scaled(self.vertices)
+        object.__setattr__(self, "_set", (self.labels, tuple(map(tuple, rows)), c))
+        object.__setattr__(self, "_t", tuple(map(ratio, self.t)))
+        object.__setattr__(self, "_found", [(tuple(v), den, act) for v, act in zip(V, self.active)])
+
+    def __getattr__(self, name: str):
+        """``t``, ``vertices`` and ``active`` of a body that ``_build`` made,
+        formed when first read and kept: the support numbers from their
+        (p, q) pairs, and the vertices, each with its active set, by
+        ``_sorted_vertices``."""
+        if self._found is None or name not in ("t", "vertices", "active"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if name == "t":
+            object.__setattr__(self, "t", tuple(Rational(p, q) for p, q in self._t))
+        else:
+            vertices, active = _sorted_vertices(self._found)
+            object.__setattr__(self, "vertices", vertices)
+            object.__setattr__(self, "active", active)
+        return vars(self)[name]
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,10 +130,11 @@ class SimplePolytope:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplePolytope":
         """The body of ``{"dim": d, "normals": [...], "t": [...]}``; ``dim``
-        must be an int (not a bool) equal to the length of every normal.
-        Every number is read straight to (p, q) by ``rat.read_ratio``."""
-        normals = [tuple(map(read_ratio, r)) for r in data["normals"]]
-        t = [read_ratio(x) for x in data["t"]]
+        must be an int (not a bool) equal to the length of every normal,
+        and ``normals``, each normal and ``t`` must be lists.  Every number
+        is read straight to (p, q) by ``rat.read_ratio``."""
+        normals = [tuple(map(read_ratio, r)) for r in read_lists(data["normals"], "normals")]
+        t = [read_ratio(x) for x in read_list(data["t"], "t")]
         if type(dim := data["dim"]) is not int:
             raise ValueError(f"dim {dim!r} must be an integer")
         for r in normals:
@@ -136,34 +170,39 @@ def _build(normals: list, t: list, labels: Sequence | None = None) -> SimplePoly
     (tt,), D = linalg.ratios_scaled([t])
     # a vertex on exactly d facets is found by one chart only, so the list
     # holds no vertex twice; one on more facets raises when first found
-    verts: list[tuple[tuple, frozenset]] = []
+    verts: list[tuple[tuple, int, frozenset]] = []
     for S, prev, A, W, face in entry.charts:
         tS = [tt[i] for i in S]
         scale = abs(prev)
         slack = [scale * tt[i] - sum(map(mul, w, tS)) for i, w in W]
         if min(slack) < 0:
             continue
-        x = tuple(Rational(c * sum(map(mul, a, tS)), D * prev) for a in A)
+        u = tuple(c * sum(map(mul, a, tS)) for a in A)
         act = face.union(labels[i] for (i, _), s in zip(W, slack) if not s) if 0 in slack else face
         if len(act) != d:
-            raise PolytopeError(f"vertex ({', '.join(map(rat_str, x))}) lies on {len(act)} facets; "
-                                "polytope is not simple")
-        verts.append((x, act))
+            x = ", ".join(rat_str(Rational(a, D * prev)) for a in u)
+            raise PolytopeError(f"vertex ({x}) lies on {len(act)} facets; polytope is not simple")
+        verts.append((u, D * prev, act))
     if not verts:
         raise PolytopeError("no vertices; the data does not bound a polytope")
-    covered = set().union(*(act for _, act in verts))
+    covered = set().union(*(act for _, _, act in verts))
     missing = [lab for lab in labels if lab not in covered]
     if missing:
         raise PolytopeError(f"facet(s) {missing} are empty (redundant constraints)")
-    delta = SimComplex(labels, {act for _, act in verts})
-    verts.sort(key=lambda va: label_key(va[0]))
-    P = SimplePolytope(
-        dim=d, labels=labels, normals=entry.normals, t=tuple(Rational(p, q) for p, q in t),
-        vertices=tuple(x for x, _ in verts), active=tuple(act for _, act in verts),
-        delta=delta, lin=entry.lin,
-    )
-    object.__setattr__(P, "_set", entry.key)
+    delta = SimComplex(labels, {act for _, _, act in verts})
+    P = object.__new__(SimplePolytope)
+    vars(P).update(dim=d, labels=labels, normals=entry.normals, delta=delta, lin=entry.lin,
+                   _set=entry.key, _t=tuple(t), _found=verts)
     return P
+
+
+def _sorted_vertices(found: list) -> tuple[tuple, tuple]:
+    """The vertices x = u / q of ``found``, (u, q, active set) each, as
+    rational tuples sorted by ``label_key``, and their active sets in the
+    same order."""
+    pairs = sorted(((tuple(Rational(a, q) for a in u), act) for u, q, act in found),
+                   key=lambda xa: label_key(xa[0]))
+    return tuple(x for x, _ in pairs), tuple(act for _, act in pairs)
 
 
 class _NormalSet(NamedTuple):
@@ -217,29 +256,25 @@ def _require_bounded(labels: tuple, rows: list, c: int) -> _NormalSet:
     return got
 
 
-def _set_key(P: SimplePolytope) -> tuple:
-    """The key of P's normal set: (labels, N' rows, c)."""
-    if P._set is None:
-        rows, c = linalg.integer_scaled(P.normals)
-        return P.labels, tuple(map(tuple, rows)), c
-    return P._set
-
-
 def volume(P: SimplePolytope):
     """Exact Euclidean volume by a pulling triangulation of the face lattice,
-    on integers: the vertices are scaled once to integers V' = den V, each
+    on integers: the vertices x = u / q, as ``_build`` found them, are
+    scaled once to integers V' = den V over their common denominator, each
     simplex adds |det| of its edge vectors in V' (one ``linalg.eliminate``),
     and the volume is the one rational sum / (den^d d!)."""
-    V, den = linalg.integer_scaled(P.vertices)
-    # each face's vertices, as indices in the order of P.vertices
+    found = P._found
+    den = lcm(*(abs(q) for _, q, _ in found))
+    V = [[a * (den // q) for a in u] for u, q, _ in found]
+    # each face's vertices, as indices in chart order
     face_vertices: dict[frozenset, list[int]] = {}
-    for k, act in enumerate(P.active):
+    for k, (_, _, act) in enumerate(found):
         for j in range(len(act) + 1):
             for S in combinations(act, j):
                 face_vertices.setdefault(frozenset(S), []).append(k)
 
     def triangulate(S: frozenset) -> list[list[int]]:
-        # any fixed order of the vertices serves; the first is the least
+        # a pulling triangulation from any fixed order of the vertices has
+        # the same volume; each face is coned from its first in chart order
         base = face_vertices[S][0]
         if len(S) == P.dim:
             return [[base]]
@@ -266,11 +301,11 @@ def volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
     the hereditary polynomial whose mixed derivative at each vertex F is
     1 / |det(normals of F)|.  Cached per normal set and face complex, on
     the normal set's integer key."""
-    key = (_set_key(P), P.delta.facets)
+    key = (P._set, P.delta.facets)
     got = _VOLPOLY_CACHE.get(key)
     if got is None:
         normal = dict(zip(P.labels, P.normals))
-        w = {F: ONE / abs(linalg.det([normal[lab] for lab in F])) for F in P.active}
+        w = {F: ONE / abs(linalg.det([normal[lab] for lab in F])) for _, _, F in P._found}
         got = _VOLPOLY_CACHE[key] = hered.from_weights(P.delta, P.lin, w)
     return got
 
@@ -287,12 +322,11 @@ def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> tuple[list, l
     P = bodies[0]
     if len(bodies) != P.dim:
         raise PolytopeError(f"need exactly {P.dim} bodies in dimension {P.dim}")
-    key = _set_key(P)
     for Q2 in bodies[1:]:
-        if _set_key(Q2) != key:
+        if Q2._set != P._set:
             raise PolytopeError("bodies do not share the facet normal data")
     f = volume_polynomial(P).f
-    ts, D = linalg.integer_scaled([K.t for K in bodies])
+    ts, D = linalg.ratios_scaled([K._t for K in bodies])
     return list(f.coeffs.items()), ts, f.den * D ** P.dim
 
 

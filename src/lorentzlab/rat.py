@@ -75,6 +75,25 @@ def read_ratio(x) -> tuple[int, int]:
     return ratio(str(x))
 
 
+def read_list(x, field: str) -> list:
+    """``x``, the value of ``field`` read from JSON, when it is a list (or
+    a tuple); anything else, a string or an object above all, which would
+    otherwise be read item by item, is a ValueError naming the field."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{field} must be a list, got {x!r}")
+    return x
+
+
+def read_lists(x, field: str) -> list:
+    """``read_list`` of ``field`` and of each of its items, named field[k]
+    (a name formed only for an item that fails)."""
+    rows = read_list(x, field)
+    for k, r in enumerate(rows):
+        if not isinstance(r, (list, tuple)):
+            read_list(r, f"{field}[{k}]")
+    return rows
+
+
 def read_rat(x):
     """The exact rational of a value read from JSON (see ``read_ratio``)."""
     return Q(*read_ratio(x))

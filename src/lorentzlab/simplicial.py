@@ -15,6 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from .rat import read_list, read_lists
+
 Label = Hashable
 
 
@@ -255,7 +257,8 @@ class SimComplex:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimComplex":
-        return cls(tuple(data["vertices"]), [frozenset(f) for f in data["facets"]])
+        facets = map(frozenset, read_lists(data["facets"], "facets"))
+        return cls(tuple(read_list(data["vertices"], "vertices")), facets)
 
 
 def fresh_vertex(existing: Iterable[Label], prefix: str = "w") -> str:

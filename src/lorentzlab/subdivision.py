@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, face_complex
 from .polycore import HomPoly, LinSubspace
-from .rat import Q, ZERO, ONE, rat_str, read_rat
+from .rat import Q, ZERO, ONE, rat_str, read_list, read_rat
 from .simplicial import face_str, fresh_vertex, label_str
 
 
@@ -56,8 +56,8 @@ class SubdivStep:
     def from_json_dict(cls, data: Mapping) -> "SubdivStep":
         return cls(
             kind=data["kind"],
-            face=tuple(data["face"]),
-            c=tuple(read_rat(x) for x in data["c"]),
+            face=tuple(read_list(data["face"], "face")),
+            c=tuple(read_rat(x) for x in read_list(data["c"], "c")),
             vertex=data.get("vertex"),
         )
 

@@ -4,6 +4,7 @@ verification, and the JSON error contract for malformed inputs."""
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -216,15 +217,52 @@ def test_polytope_commands(capsys, files):
 
 
 def test_non_simple_polytope_names_its_vertex_in_rat_str(capsys, tmp_path):
-    """A square cut through a corner has a vertex on three facets; the error
-    renders it as "p/q" text, which both rational backends print alike."""
-    path = tmp_path / "cut.json"
-    path.write_text(json.dumps({"dim": 2, "normals": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"], ["1", "1"]],
-                                "t": ["1/2", "1/2", "1", "1", "1"]}))
-    code, rep, err = run(capsys, "polytope", "volume", str(path))
-    assert code == 2 and rep == {
-        "message": f"{path}: vertex (1/2, 1/2) lies on 3 facets; polytope is not simple", "verdict": "error"}
-    assert "vertex (1/2, 1/2) lies on 3 facets" in err
+    """A square cut through a corner has a vertex on three facets, and the
+    regular octahedron one on four; the error, formed only when it is
+    raised, renders the vertex as "p/q" text, which both rational backends
+    print alike."""
+    octahedron = [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    for body, text in (
+        ({"dim": 2, "normals": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"], ["1", "1"]],
+          "t": ["1/2", "1/2", "1", "1", "1"]}, "vertex (1/2, 1/2) lies on 3 facets; polytope is not simple"),
+        ({"dim": 3, "normals": octahedron, "t": [1] * 8}, "vertex (1, 0, 0) lies on 4 facets; polytope is not simple"),
+    ):
+        path = tmp_path / "non_simple.json"
+        path.write_text(json.dumps(body))
+        for command in ("volume", "af", "mixed"):
+            code, rep, err = run(capsys, "polytope", command, *[str(path)] * body["dim"])
+            assert code == 2 and rep == {"message": f"{path}: {text}", "verdict": "error"}
+            assert text in err
+
+
+def test_polytope_requests_form_no_vertex_rational(capsys, files, tmp_path, monkeypatch):
+    """`polytope volume`, `mixed` and `af` on squares and cubes read the
+    integer vertices and support numbers a body keeps: no request sorts
+    rational vertices (``polytope._sorted_vertices``), and once the normal
+    set and its polynomial are cached, the one rational that ``polytope``
+    forms is the answer of ``volume`` or ``mixed``."""
+    from lorentzlab import polytope
+
+    normals = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    cubes = []
+    for k in range(3):
+        cubes.append(str(tmp_path / f"cube{k}.json"))
+        (tmp_path / f"cube{k}.json").write_text(json.dumps({"dim": 3, "normals": normals,
+                                                             "t": [k + 1, 1, "1/2", 1, k, "2/3"]}))
+    square, rect = files["square.json"], files["rect.json"]
+    argvs = [("volume", square), ("volume", cubes[0]), ("mixed", square, rect), ("mixed", *cubes),
+             ("af", rect, square), ("af", *cubes)]
+    sorted_vertices, rational = polytope._sorted_vertices, polytope.Rational
+    formed, made = [], []
+    monkeypatch.setattr(polytope, "_sorted_vertices", lambda found: formed.append(found) or sorted_vertices(found))
+    monkeypatch.setattr(polytope, "Rational", lambda *a: made.append(a) or rational(*a))
+    for warm in (False, True):
+        for argv in argvs:
+            made.clear()
+            code, rep, err = run(capsys, "polytope", *argv)
+            assert code == 0 and rep["verdict"] in ("success", "yes") and not formed, (argv, err)
+            if warm:
+                assert len(made) == (argv[0] != "af"), (argv, made)
 
 
 def test_polytope_polynomial_then_mixed_builds_the_polynomial_once(capsys, files, monkeypatch):
@@ -592,6 +630,60 @@ def test_every_file_argument_rejects_every_malformed_shape(capsys, files, tmp_pa
                 assert code == 2 and rep["verdict"] == "error", (words, action.dest, path.read_text(), err)
                 assert "Traceback" not in err
     assert covered >= 29
+
+
+def _list_fields(value, field=None, at=()):
+    """(path, field) for every list below the top of a JSON value: a list
+    under an object key, named by that key, and a list item of such a
+    list, named by the key above it."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for k, v in items:
+        name = k if isinstance(value, dict) else field
+        if isinstance(v, list) and name is not None:
+            yield at + (k,), name
+        yield from _list_fields(v, name, at + (k,))
+
+
+def _replaced(value, path, new):
+    """A copy of a JSON value with the entry at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+# the JSON form of a format whose valid file is text
+JSON_FORMS = {"read_poly": {"vars": ["a", "b"], "terms": [{"exps": [1, 1], "coeff": "1"}]}}
+
+
+def test_every_list_field_rejects_a_string_and_an_object(capsys, files, tmp_path):
+    """A string or an object where a format has a list, in every list field
+    of every format and in every list held by such a field, exits 2 with a
+    JSON error that names the field; it is never read item by item."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    seen = {}
+    for words, parser in _leaf_commands(build_parser()):
+        for action in parser._actions:
+            if not isinstance(action.type, cli.InputFile) or action.type.parse.__qualname__ in seen:
+                continue
+            name = action.type.parse.__qualname__
+            valid = JSON_FORMS.get(name) or json.loads(open(files[VALID_FILES[name]]).read())
+            good.write_text(json.dumps(valid))
+            code, _, err = run(capsys, *_argv(words, parser, files, action, str(good)))
+            assert code in (0, 1), (words, err)
+            seen[name] = sorted({field for _, field in _list_fields(valid)})
+            for path, field in _list_fields(valid):
+                for wrong in ("xy", {"x": 1}):
+                    bad.write_text(json.dumps(_replaced(valid, path, wrong)))
+                    code, rep, err = run(capsys, *_argv(words, parser, files, action, str(bad)))
+                    assert code == 2 and rep["verdict"] == "error", (words, path, wrong, err)
+                    message = rep["message"].removeprefix(f"{bad}: ")
+                    assert re.search(rf"\b{field}\b", message), (words, path, wrong, message)
+    assert set(seen) == set(VALID_FILES)
+    assert seen["SimplePolytope.from_json_dict"] == ["normals", "t"]
+    assert seen["Fan.from_json_dict"] == ["cones", "labels", "rays"]
+    assert seen["read_fan_chain"] == ["face", "ray"]
 
 
 def _report_without_command(capsys, *argv):

@@ -109,8 +109,10 @@ def test_warm_polytope_requests_form_no_rational_from_the_normals(monkeypatch, t
         inner = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _inner=inner, _name=name: made.append((_name, a)) or _inner(*a))
     P = polytope.SimplePolytope.from_json_dict(bodies[3])
-    assert not [m for m in made if m[0] == "Q"], made
-    assert len(made) == len(P.t) + P.dim * len(P.vertices) == 6 + 3 * 8
+    assert not made, made
+    # the support numbers and vertices are formed when first read, once
+    assert len(P.t) + P.dim * len(P.vertices) == len(made) == 6 + 3 * 8
+    assert P.t and P.vertices and P.active and len(made) == 6 + 3 * 8
     monkeypatch.undo()
 
     compared = []

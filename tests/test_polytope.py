@@ -18,6 +18,7 @@ from lorentzlab.polytope import (
     volume_polynomial,
 )
 from lorentzlab.rat import Q, Rational
+from lorentzlab.simplicial import label_key
 from oracles import (
     chain_mixed_volume,
     facet_recursion_volume_polynomial,
@@ -271,6 +272,18 @@ def test_vertices_match_rank_solve_oracle(rng):
             assert dict(zip(K.vertices, K.active)) == rank_solve_vertices(K.normals, K.t, K.labels)
     for K in _random_polytopes(rng, 12):
         assert dict(zip(K.vertices, K.active)) == rank_solve_vertices(K.normals, K.t, K.labels)
+
+
+def test_vertices_are_formed_sorted_when_first_read(rng):
+    """A body forms its rational vertices only when they are read, sorted
+    by ``label_key``, each beside its active set, and keeps them."""
+    for make in FIXTURES + NON_UNIT + RATIONAL:
+        P = make()
+        for K in [P] + _chamber_samples(rng, P, 4) + _random_polytopes(rng, 2):
+            assert "vertices" not in vars(K) and "active" not in vars(K)
+            assert list(K.vertices) == sorted(K.vertices, key=label_key)
+            assert dict(zip(K.vertices, K.active)) == rank_solve_vertices(K.normals, K.t, K.labels)
+            assert K.vertices is K.vertices and K.active is K.active
 
 
 def test_volume_matches_fraction_triangulation_oracle(rng):
