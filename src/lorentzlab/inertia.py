@@ -80,6 +80,9 @@ class SymMatrix:
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return SymMatrix.from_scaled, (self.vars, self.rows, self.den)
+
     @property
     def n(self) -> int:
         return len(self.vars)

@@ -114,6 +114,9 @@ class HomPoly:
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("HomPoly is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return HomPoly._trusted, (self.vars, self.degree, self.coeffs, self.den)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -557,6 +560,9 @@ class LinSubspace:
 
     def __setattr__(self, *a):
         raise AttributeError("LinSubspace is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return LinSubspace._span, (self.ambient, list(self.rows))
 
     @property
     def dim(self) -> int:

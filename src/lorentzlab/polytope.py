@@ -38,12 +38,6 @@ generate the incidence complex.  A body keeps its support numbers as the
 ``label_key`` with their ``active`` sets, are formed only when first read,
 and no command reads them.
 
-The volume is a pulling triangulation of the face lattice on the integer
-vertices, in chart order, scaled once to integers over their common
-denominator: a pulling triangulation from any fixed order of the vertices
-has the same volume.  Each simplex adds |det| of its integer edge vectors,
-from ``linalg.eliminate``, and the one rational is the sum over den^d d!.
-
 The volume polynomial is the hereditary polynomial of the incidence
 complex with the translations as lineality: at a vertex F the polytope is
 locally the simplicial cone cut out by the normals of F, so the d-fold
@@ -51,19 +45,26 @@ mixed derivative of the volume in the support numbers of F is
 1 / |det(normals of F)|.  One call to ``hereditary.from_weights`` rebuilds
 the polynomial from these weights, each coefficient from one linear
 relation of the translations, and checks heredity, balancing, the facet
-values and the lineality; an independent triangulation volume pins the
-normalization on every fixture.  Mixed volumes are polarizations of the
-volume polynomial: at most 2^d - 1 evaluations, no derivatives, all on
-integers (the coefficients times their common denominator C, the support
-vectors times theirs, D), and one rational at the end, the sum over
-C * D^d.
+values and the lineality; the tests pin its normalization on every
+fixture against an independent triangulation volume
+(``fraction_triangulation_volume`` in ``tests/oracles.py``).  On the closed
+chamber of a simple body, volume is this one polynomial in the support
+numbers (McMullen, *The polytope algebra*, 1989; Schneider, *Convex
+Bodies*, ch. 5), and every command reads it: the volume is its value at
+the body's own support numbers, and a mixed volume is a polarization, at
+most 2^d - 1 evaluations and no derivatives.  Both are read on integers
+(the coefficients times their common denominator C, the support vectors
+times theirs, D), with one rational at the end, the value over C * D^d.
+A simple body lies in the closed chamber of another on its normal set
+exactly when the two have one facet-incidence complex, so bodies whose
+complexes differ are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import prod
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -257,43 +258,10 @@ def _require_bounded(labels: tuple, rows: list, c: int) -> _NormalSet:
 
 
 def volume(P: SimplePolytope):
-    """Exact Euclidean volume by a pulling triangulation of the face lattice,
-    on integers: the vertices x = u / q, as ``_build`` found them, are
-    scaled once to integers V' = den V over their common denominator, each
-    simplex adds |det| of its edge vectors in V' (one ``linalg.eliminate``),
-    and the volume is the one rational sum / (den^d d!)."""
-    found = P._found
-    den = lcm(*(abs(q) for _, q, _ in found))
-    V = [[a * (den // q) for a in u] for u, q, _ in found]
-    # each face's vertices, as indices in chart order
-    face_vertices: dict[frozenset, list[int]] = {}
-    for k, (_, _, act) in enumerate(found):
-        for j in range(len(act) + 1):
-            for S in combinations(act, j):
-                face_vertices.setdefault(frozenset(S), []).append(k)
-
-    def triangulate(S: frozenset) -> list[list[int]]:
-        # a pulling triangulation from any fixed order of the vertices has
-        # the same volume; each face is coned from its first in chart order
-        base = face_vertices[S][0]
-        if len(S) == P.dim:
-            return [[base]]
-        simplices = []
-        for j in P.delta.link_vertices(S):
-            sub = S | {j}
-            if base in face_vertices[sub]:
-                continue
-            for simplex in triangulate(sub):
-                simplices.append([base] + simplex)
-        return simplices
-
-    total = 0
-    for first, *rest in triangulate(frozenset()):
-        b = V[first]
-        _, pivots, prev, _ = linalg.eliminate([[x - y for x, y in zip(V[k], b)] for k in rest])
-        if len(pivots) == P.dim:
-            total += abs(prev)
-    return Rational(total, den ** P.dim * factorial(P.dim))
+    """Exact Euclidean volume: the volume polynomial at P's own support
+    numbers, on integers, over C * D^d (``_shared_volume_polynomial``)."""
+    terms, (t,), scale = _shared_volume_polynomial([P])
+    return Rational(_int_value(terms, t), scale)
 
 
 def volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
@@ -314,17 +282,20 @@ _VOLPOLY_CACHE: dict[tuple, hered.HereditaryPoly] = {}
 
 
 def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> tuple[list, list, int]:
-    """The volume polynomial of d bodies in dimension d with one normal set,
-    on integers: (its terms times C, the support vectors times D, C * D^d),
-    with C the common denominator of its coefficients and D that of all the
-    bodies' support numbers.  The polynomial is homogeneous of degree d, so
-    its value at a scaled point is C * D^d times its value at the point."""
+    """The volume polynomial of bodies on one normal set and one face
+    complex, on integers: (its terms times C, the support vectors times D,
+    C * D^d), with C the common denominator of its coefficients and D that
+    of all the bodies' support numbers.  The polynomial is homogeneous of
+    degree d, so its value at a scaled point is C * D^d times its value at
+    the point.  It gives volumes on body 0's closed chamber, where a simple
+    body lies exactly when it has body 0's complex; others raise."""
     P = bodies[0]
-    if len(bodies) != P.dim:
-        raise PolytopeError(f"need exactly {P.dim} bodies in dimension {P.dim}")
-    for Q2 in bodies[1:]:
-        if Q2._set != P._set:
+    for K in bodies[1:]:
+        if K._set != P._set:
             raise PolytopeError("bodies do not share the facet normal data")
+        if K.delta.facets != P.delta.facets:
+            raise PolytopeError("bodies do not share the facet-incidence complex: "
+                                "their support numbers lie in different chambers")
     f = volume_polynomial(P).f
     ts, D = linalg.ratios_scaled([K._t for K in bodies])
     return list(f.coeffs.items()), ts, f.den * D ** P.dim
@@ -357,6 +328,9 @@ def mixed_volume(polys: Sequence[SimplePolytope]):
     """Fully polarized mixed volume D_{t_1} ... D_{t_d} pol of the volume
     polynomial (the diagonal gives d! times the volume), by polarization:
     at most 2^d - 1 evaluations, no derivatives, one rational at the end."""
+    d = polys[0].dim
+    if len(polys) != d:
+        raise PolytopeError(f"need exactly {d} bodies in dimension {d}")
     terms, ts, scale = _shared_volume_polynomial(polys)
     return Rational(_polarize(terms, ts, {}), scale)
 

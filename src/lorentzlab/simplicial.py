@@ -88,6 +88,9 @@ class SimComplex:
     def __setattr__(self, *a):
         raise AttributeError("SimComplex is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return SimComplex, (self.vertices, self.facets)
+
     @classmethod
     def empty_face_only(cls, vertices: Sequence[Label] = ()) -> "SimComplex":
         return cls(vertices, [frozenset()])

@@ -216,6 +216,24 @@ def test_polytope_commands(capsys, files):
     assert code == 0 and rep["verdict"] == "yes"
 
 
+def test_polytope_mixed_and_af_exit_2_across_chambers(capsys, tmp_path):
+    """Two simple bodies on one normal set with different facet-incidence
+    complexes: each has its volume, and `polytope mixed` and `af` refuse
+    them in every order, since one chamber's polynomial does not give
+    mixed volumes in the other."""
+    normals = [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]]
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text(json.dumps({"dim": 3, "normals": normals, "t": [1, 1, 3, 3, 1]}))
+    y.write_text(json.dumps({"dim": 3, "normals": normals, "t": [3, 2, 1, 1, 2]}))
+    for path, want in ((x, "80/3"), (y, "63")):
+        code, rep, _ = run(capsys, "polytope", "volume", str(path))
+        assert code == 0 and rep["volume"] == want
+    for order in ((x, x, y), (y, x, x), (x, y, y), (y, y, x)):
+        for command in ("mixed", "af"):
+            code, rep, _ = run(capsys, "polytope", command, *map(str, order))
+            assert code == 2 and rep["verdict"] == "error" and "facet-incidence complex" in rep["message"]
+
+
 def test_non_simple_polytope_names_its_vertex_in_rat_str(capsys, tmp_path):
     """A square cut through a corner has a vertex on three facets, and the
     regular octahedron one on four; the error, formed only when it is

@@ -1,7 +1,8 @@
 """Every function, class and method in ``src/lorentzlab`` is reached by
 the library: a command, a demo or the export list.  A route that only
 tests call is a test oracle and lives in ``tests/oracles.py``; a name that
-only its own test exercises is deleted with that test.
+only its own test exercises is deleted with that test.  No module but
+``__init__`` imports a name that it does not read.
 
 A function or class counts as reached when its name appears (as a
 ``Name``, an ``Attribute`` or an imported name) in ``src/`` outside its
@@ -78,6 +79,24 @@ def unreached(modules: dict, demos: list, allowed=()) -> list:
     return out
 
 
+def unused_imports(modules: dict) -> list:
+    """"module.name" for each name that a top-level import of ``modules``
+    (module name -> source) binds and that the module never reads as a
+    ``Name``; ``__init__``, whose imports are the export list, and
+    ``from __future__`` imports, which bind nothing, are skipped."""
+    out = []
+    for module, text in modules.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(text)
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                out.extend(f"{module}.{name}" for name in bound if name not in read)
+    return out
+
+
 def test_every_library_definition_is_reached():
     assert len(SRC) > 10 and len(DEMOS) >= 4
     modules = {path.stem: path.read_text() for path in SRC}
@@ -100,3 +119,18 @@ def test_the_guard_flags_an_uncalled_def():
     module = "class K:\n    def m(self):\n        return 1\n\n\nm = 2\nX = K(), m\n"
     assert unreached({"synthetic": module}, []) == ["synthetic.K.m"]
     assert unreached({"synthetic": module}, ["K().m()\n"]) == []
+
+
+def test_no_library_module_imports_a_name_it_does_not_read():
+    modules = {path.stem: path.read_text() for path in SRC}
+    assert "__main__" in modules
+    assert unused_imports(modules) == []
+
+
+def test_the_guard_flags_an_unused_import():
+    module = "from __future__ import annotations\n\nimport os.path as osp\nfrom math import lcm, prod\n\nX = prod([])\n"
+    assert unused_imports({"synthetic": module}) == ["synthetic.osp", "synthetic.lcm"]
+    # an attribute of that name is no read; a read inside a function is
+    module = "import os\nfrom math import lcm\n\n\ndef f(k):\n    return os.sep, k.lcm\n"
+    assert unused_imports({"synthetic": module}) == ["synthetic.lcm"]
+    assert unused_imports({"__init__": module}) == []

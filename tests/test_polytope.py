@@ -3,10 +3,16 @@ its vertex weights against the facet-recursion oracle and the triangulation
 volume, mixed volumes and the Alexandrov-Fenchel check, and the
 deformation-cone membership test that samples chambers (an oracle)."""
 
+import copy
+import pickle
+from itertools import permutations
+
 import pytest
 
 from lorentzlab import cones, linalg, polytope
 from lorentzlab import hereditary as hered
+from lorentzlab.fanchow import build_fan
+from lorentzlab.inertia import SymMatrix
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.polytope import (
     PolytopeError,
@@ -153,7 +159,7 @@ def test_oracle_agreement_random_support_vectors(rng):
                 continue
             found += 1
             Q2 = build(P.normals, t, P.labels)
-            assert pol.evaluate(t) == volume(Q2)
+            assert pol.evaluate(t) == fraction_triangulation_volume(Q2)
 
 
 def test_translation_invariance(rng):
@@ -180,7 +186,7 @@ def test_minkowski_linearity_of_support(rng):
         # support numbers are linear under scaling and Minkowski sums, so the
         # combined vector stays in the chamber and volumes expand binomially
         assert in_deformation_cone(P, combo)
-        vol = volume(build(P.normals, combo))
+        vol = fraction_triangulation_volume(build(P.normals, combo))
         polf = volume_polynomial(P).f
         assert vol == polf.evaluate(combo)
 
@@ -287,8 +293,9 @@ def test_vertices_are_formed_sorted_when_first_read(rng):
 
 
 def test_volume_matches_fraction_triangulation_oracle(rng):
-    """The triangulation on integer vertices against the same triangulation
-    on rational ones, on the unit, non-unit and rational fixtures (the
+    """The volume, the volume polynomial at the body's own support numbers,
+    against the triangulation on rational vertices, on the unit, non-unit
+    and rational fixtures (the
     rational triangle has a chart with prev < 0), seeded bodies in their
     chambers, and seeded random polytopes."""
     for make in FIXTURES + NON_UNIT + RATIONAL:
@@ -449,6 +456,63 @@ def test_af_check_needs_d_bodies_in_dimension_at_least_2():
             af_check(bodies)
 
 
+# one normal set, two chambers: the square pyramid's normals over a base
+# at height -t5, cut by the two slopes in different orders
+TWO_CHAMBERS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (0, 0, -1)]
+
+
+def test_two_chambers_on_one_normal_set_have_their_own_polynomials():
+    """Two simple bodies on one normal set with different incidence
+    complexes: the first body's polynomial reads 243/4 at the second
+    body's support numbers, so a cache keyed on the normal set alone would
+    give the second body that value instead of its volume, 63."""
+    x = build(TWO_CHAMBERS, (1, 1, 3, 3, 1))
+    y = build(TWO_CHAMBERS, (3, 2, 1, 1, 2))
+    assert x.delta != y.delta
+    assert volume_polynomial(x).f.evaluate(y.t) == Q(243, 4)
+    assert volume(x) == fraction_triangulation_volume(x) == Q(80, 3)
+    assert volume(y) == fraction_triangulation_volume(y) == 63
+    assert volume_polynomial(y).f.evaluate(y.t) == 63
+
+
+def test_mixed_and_af_refuse_bodies_in_different_chambers():
+    """Body 0's polynomial gives mixed volumes only on body 0's closed
+    chamber: unchecked, ``mixed x x y`` read 264 and ``mixed y x x`` 288.
+    Every order raises; within one chamber the mixed volume is the same in
+    every order, and its diagonal is 3! times the volume."""
+    x = build(TWO_CHAMBERS, (1, 1, 3, 3, 1))
+    y = build(TWO_CHAMBERS, (3, 2, 1, 1, 2))
+    for bodies in ([x, x, y], [y, x, x], [x, y, y], [y, y, x]):
+        for check in (mixed_volume, af_check):
+            with pytest.raises(PolytopeError, match="facet-incidence complex"):
+                check(bodies)
+    for ts, want in ((((1, 1, 3, 3, 1), (2, 1, 3, 3, 1), (1, 1, 4, 4, 2)), 276),
+                     (((3, 2, 1, 1, 2), (4, 3, 2, 1, 3), (3, 3, 1, 1, 2)), 585)):
+        family = [build(TWO_CHAMBERS, t) for t in ts]
+        assert all(K.delta == family[0].delta for K in family)
+        for bodies in permutations(family):
+            assert mixed_volume(list(bodies)) == want and af_check(list(bodies))
+        for K in family:
+            assert mixed_volume([K, K, K]) == 6 * fraction_triangulation_volume(K)
+
+
+def test_immutable_classes_survive_deepcopy_and_pickle():
+    """``SimComplex``, ``HomPoly``, ``LinSubspace`` and ``SymMatrix`` refuse
+    attribute writes, so copy and pickle rebuild them through their
+    constructors; the bodies, polynomials and fans that hold them copy
+    too."""
+    K = build(TWO_CHAMBERS, (1, 1, 3, 3, 1))
+    h = volume_polynomial(K)
+    fan = build_fan(2, "enws", [(1, 0), (0, 1), (-1, 0), (0, -1)], ["en", "nw", "ws", "se"])
+    for obj in (K.delta, K.lin, h.f, SymMatrix(["a", "b"], [[1, Q(1, 2)], [Q(1, 2), 3]]), K, h, fan):
+        for clone in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj) and clone is not obj and clone == obj
+            assert type(obj).__hash__ is None or hash(clone) == hash(obj)
+    fresh = build(TWO_CHAMBERS, (3, 2, 1, 1, 2))
+    for clone in (copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+        assert volume(clone) == volume(fresh) == 63
+
+
 def _random_polytopes(rng, count):
     """Boxes with one or two random integer cuts and random support numbers;
     draws that are unbounded, not simple or leave a facet empty are skipped,
@@ -476,7 +540,7 @@ def test_volume_polynomial_matches_facet_recursion_oracle(rng):
     for K in _random_polytopes(rng, 12):
         h = volume_polynomial(K)
         assert h.f == facet_recursion_volume_polynomial(K), K.normals
-        assert h.f.evaluate(K.t) == volume(K)
+        assert h.f.evaluate(K.t) == fraction_triangulation_volume(K)
         assert h.strong and h.delta == K.delta
 
 
