@@ -127,11 +127,6 @@ class ConeByGenerators:
     def dim_ambient(self) -> int:
         return len(self.generators[0])
 
-    def to_json_dict(self) -> dict:
-        from .rat import rat_str
-
-        return {"generators": [[rat_str(x) for x in g] for g in self.generators]}
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ConeByGenerators":
         return cls(tuple(tuple(read_rat(x) for x in g) for g in read_lists(data["generators"], "generators")))

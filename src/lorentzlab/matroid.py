@@ -21,8 +21,7 @@ reconstruction over the order complex with the modular lineality space.
 It is reached in two ways:
 
 * materialized, through :func:`lorentzlab.hereditary.from_weights`
-  (:func:`pol_matroid`: small lattices, the exact fallback of the
-  certification, and cross-validation), and
+  (:func:`pol_matroid`: small lattices and cross-validation), and
 * by a weights-backed engine (:class:`LatticeVolume`) that never
   materializes the polynomial.  It evaluates by a recursion over the
   intervals of the lattice, on Python integers: the value on an interval
@@ -30,10 +29,11 @@ It is reached in two ways:
   normalized to the interval at g times the values on [lo, g] and
   [g, hi], and one division at the end restores the value.  Only intervals with a nonzero value are
   kept, and a sum runs only over the g where both factors are nonzero.
-  The Lorentzian certification runs on the same intervals: the cone
-  witness is tested at each interval's normalized point, connectivity on
-  each interval's comparability graph, and each codimension-2 Hessian is
-  that of one interval of rank 3.  No chain is enumerated, which keeps
+  The Lorentzian certification runs on the same intervals: a lemma
+  shows the canonical cone witness positive at each interval's normalized
+  point, so it is not tested; connectivity is decided on each interval's
+  comparability graph, and each codimension-2 Hessian is that of one
+  interval of rank 3.  No chain is enumerated, which keeps
   rank-8 uniform matroids tractable.  The expansion along the canonical
   direction pair (alpha, beta) needs no interval recursion: there the
   values on the intervals reaching the bottom and the top are monomials,
@@ -451,9 +451,10 @@ class LatticeVolume:
     two scalar passes over the covers, by a lemma on that recursion; the
     recursion itself serves the tests and the benchmark's tracer.
 
-    The certification (:meth:`hl_check`) runs on the same intervals: each
-    of its three conditions is decided once per interval [lo, hi], and a
-    face it names is the interval's representative chain.  A chain of
+    The certification (:meth:`hl_check`) runs on the same intervals: its
+    cone witness holds on every interval [lo, hi] by a lemma, its other two
+    conditions are decided once per interval, and a face it names is the
+    interval's representative chain.  A chain of
     proper flats is an int, the bitset of its flats' indices in
     ``L.flats``; :meth:`chains` lists them all, for tests and tracing.
     """
@@ -725,16 +726,6 @@ class LatticeVolume:
         denominators (``linalg.integer_scaled``)."""
         return linalg.integer_scaled([[0, *(v.get(F, 0) for F in self.L.proper), 0] for v in vs])
 
-    def _normalized(self, x: list, lo: int, hi: int) -> dict:
-        """Y(g) = E * (x(g) - x(lo)) + (x(lo) - x(hi)) * (E / |hi - lo|) * |g - lo|
-        at the flats g strictly between lo and hi: E = lcm(1..n) times the
-        point normalized to the interval, the Y of :meth:`eval_bivariate`."""
-        E, masks = self.lcm_n, self.L.masks
-        n_lo = masks[lo].bit_count()
-        step = (x[lo] - x[hi]) * (E // (masks[hi].bit_count() - n_lo))
-        return {g: E * (x[g] - x[lo]) + step * (masks[g].bit_count() - n_lo)
-                for g in _indices(self.L.up[lo] & self.L.down[hi])}
-
     def _pin(self, below: int, g: int, above: int) -> tuple:
         """The pinned vector at flat g between the flats ``below`` and
         ``above`` (1 at g, 0 at both, constant per element on each layer),
@@ -781,19 +772,33 @@ class LatticeVolume:
         polynomial, deciding each condition once per interval [lo, hi] of
         the lattice, k = rank(hi) - rank(lo); no chain is enumerated.
 
-        * **Cone witness.**  On every interval with k >= 2, the normalized
-          point Y of the canonical strictly submodular point is positive
-          on (lo, hi) (:meth:`_cone_witness_intervals`, which proves that
-          it always is).
+        * **Cone witness.**  The canonical strictly submodular point is in
+          the cone by the lemma below, with nothing tested: on every
+          interval with k >= 2 its normalized point Y is positive on (lo,
+          hi).  The note counts those intervals.
         * **H-connectivity.**  Every interval with k >= 3 has a connected
           comparability graph on (lo, hi).
         * **Hessians.**  Every interval with k = 3 has
           :meth:`quadratic_hessian` with at most one positive eigenvalue;
           its certificate names the representative face (:meth:`_face`).
 
-        When the witness fails on an interval, the verdict is the exact one
-        of ``is_hereditary_lorentzian`` on the explicit polynomial, never
-        "vacuous" on the witness's word.
+        **Lemma: the canonical witness is positive on every interval.**  At
+        the flats g strictly between lo and hi, E = lcm(1..n) times the point
+        x normalized to the interval, the Y of :meth:`eval_bivariate`, is
+        Y(g) = E (x(g) - x(lo)) + (x(lo) - x(hi)) (E / |hi - lo|) |g - lo|,
+        with x = 0 at the bottom and the top.  The witness is x(F) =
+        phi(a(F)) with a(F) = |F - bottom| and phi(a) = a (N - a), N = |top
+        - bottom|; phi vanishes at the bottom and the top.  For flats lo < g
+        < hi, bottom <= lo gives |g - lo| = a(g) - a(lo) and |hi - lo| =
+        a(hi) - a(lo), so Y(g) is E times phi at a(g) minus the chord of phi
+        through a(lo) and a(hi).  phi is quadratic with leading coefficient
+        -1, so that difference is (a(g) - a(lo)) (a(hi) - a(g)), and Y(g) =
+        E |g - lo| |hi - g| > 0, the inclusions lo < g < hi being strict.
+        A positive Y passes each gap's sum-zero shift test with the zero
+        shift, and the modular space sits inside the lineality space of
+        every restriction, so the point is a genuine member of the cone
+        (``interval_normalized`` in ``tests/oracles.py`` computes Y, and the
+        tests check the identity).
 
         **Proof that this is the face-by-face certification** (the chain
         route, ``chain_hl_check`` in ``tests/oracles.py``).  A face is
@@ -814,7 +819,7 @@ class LatticeVolume:
         leaves alone, and at each chain of length d - 1, whose one non-cover
         gap has k = 2, by the point summing positive over the link.  A
         positive Y on every interval passes both, and the canonical witness
-        has one (:meth:`_cone_witness_intervals`), so both routes pass it.
+        has one (the lemma), so both routes pass it.
         *Connectivity.*  A link with two occupied gaps is connected, every
         cross-gap pair being comparable; a chain of length j <= d - 2 with
         one occupied gap has k = d + 1 - j >= 3 there, and its link is (lo,
@@ -831,11 +836,8 @@ class LatticeVolume:
             return hered.HLVerdict(value="yes", note="constant volume polynomial")
         v = submodular_witness(self.L)
         vmap = dict(zip(v.vars, v.coords))
-        cone_ok, checked = self._cone_witness_intervals(vmap)
-        if not cone_ok:
-            # a failed witness does not prove the cone empty: decide exactly
-            return hered.is_hereditary_lorentzian(pol_matroid(self.L))
-        wide = [(lo, hi, k, mids) for lo, hi, k, mids in self._intervals() if k >= 3]
+        intervals = list(self._intervals())
+        wide = [(lo, hi, k, mids) for lo, hi, k, mids in intervals if k >= 3]
         for lo, hi, _, mids in wide:
             verts = tuple(_indices(mids))
             if not connected(verts, {g: tuple(_indices(self._comparable[g] & mids)) for g in verts}):
@@ -850,38 +852,8 @@ class LatticeVolume:
                                    note="codimension-2 Hessian fails")
         return hered.HLVerdict(
             value="yes", h_connected=True, q_certificates=certs, cone_witness=vmap,
-            note=f"cone witness certified on {checked} intervals",
+            note=f"cone witness certified on {len(intervals)} intervals",
         )
-
-    def _cone_witness_intervals(self, vmap: dict) -> tuple[bool, int]:
-        """Per-interval feasibility of the witness: on every interval with
-        k >= 2, the normalized point Y must be positive on (lo, hi).
-        Returns whether every interval passes, and how many passed.
-
-        Success certifies genuine cone membership (the modular space sits
-        inside the lineality space of every restriction, so every condition
-        checked is a strengthening; a positive Y passes each gap's sum-zero
-        shift test with the zero shift).  A point that fails sends
-        :meth:`hl_check` to the exact route.
-
-        **The canonical witness passes on every interval**, so no shift is
-        ever needed for it.  It is x(F) = phi(a(F)) with a(F) = |F - bottom|
-        and phi(a) = a (N - a), N = |top - bottom|; phi vanishes at the
-        bottom and the top, where :meth:`_scaled` puts 0.  For flats lo < g
-        < hi, bottom <= lo gives |g - lo| = a(g) - a(lo) and |hi - lo| =
-        a(hi) - a(lo), so Y(g) is S0 E times phi at a(g) minus the chord of
-        phi through a(lo) and a(hi).  phi is quadratic with leading
-        coefficient -1, so that difference is (a(g) - a(lo)) (a(hi) - a(g)),
-        and Y(g) = S0 E |g - lo| |hi - g| > 0, the inclusions lo < g < hi
-        being strict.
-        """
-        (x,), _ = self._scaled(vmap)
-        checked = 0
-        for lo, hi, _, _ in self._intervals():
-            if not all(c > 0 for c in self._normalized(x, lo, hi).values()):
-                return False, checked
-            checked += 1
-        return True, checked
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +887,8 @@ def char_poly(L: FlatLattice) -> CharReport:
     cross-checks the one-element deletion formula for every element.
     """
     r = L.rank_total
+    if r < 1:
+        raise ValueError("need rank >= 1")
     # the Moebius values are integers, so the sums stay Python ints
     mu, ranks = L.mobius_row(0), L.ranks
     chi = [0] * (r + 1)

@@ -121,13 +121,6 @@ class SimplePolytope:
             object.__setattr__(self, "active", active)
         return vars(self)[name]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "normals": [[rat_str(x) for x in r] for r in self.normals],
-            "t": [rat_str(x) for x in self.t],
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplePolytope":
         """The body of ``{"dim": d, "normals": [...], "t": [...]}``; ``dim``
@@ -328,6 +321,8 @@ def mixed_volume(polys: Sequence[SimplePolytope]):
     """Fully polarized mixed volume D_{t_1} ... D_{t_d} pol of the volume
     polynomial (the diagonal gives d! times the volume), by polarization:
     at most 2^d - 1 evaluations, no derivatives, one rational at the end."""
+    if not polys:
+        raise PolytopeError("the mixed volume needs d bodies in dimension d, got none")
     d = polys[0].dim
     if len(polys) != d:
         raise PolytopeError(f"need exactly {d} bodies in dimension {d}")

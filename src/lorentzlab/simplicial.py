@@ -252,12 +252,6 @@ class SimComplex:
 
     # -- serialization ------------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [label_str(v) for v in self.vertices],
-            "facets": sorted(sorted(map(label_str, f)) for f in self.facets),
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimComplex":
         facets = map(frozenset, read_lists(data["facets"], "facets"))

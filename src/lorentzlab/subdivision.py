@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, face_complex
 from .polycore import HomPoly, LinSubspace
-from .rat import Q, ZERO, ONE, rat_str, read_list, read_rat
-from .simplicial import face_str, fresh_vertex, label_str
+from .rat import Q, ZERO, ONE, read_list, read_rat
+from .simplicial import face_str, fresh_vertex
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,6 @@ class SubdivStep:
         if any(x <= 0 for x in self.c):
             raise ValueError("subdivision coefficients must be positive")
         hash((self.face, self.vertex))  # labels must be hashable
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "face": [label_str(v) for v in self.face], "c": [rat_str(x) for x in self.c]}
-        if self.vertex is not None:
-            out["vertex"] = label_str(self.vertex)
-        return out
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SubdivStep":

@@ -20,7 +20,11 @@ checked against.
   witness projected down every chain (:func:`oracle_chain_points`), a gap
   test per gap (:func:`oracle_gaps`, :func:`lp_gap_feasible`), every link's
   connectivity and every codimension-2 Hessian from :func:`quadratic_oracle`;
-  ``LatticeVolume.hl_check`` decides each condition once per interval.
+  ``LatticeVolume.hl_check`` decides connectivity and the Hessians once per
+  interval and tests no witness: a lemma in its docstring shows the
+  canonical point positive on every interval.  :func:`interval_normalized`
+  computes that lemma's normalized point, so that the tests can check the
+  lemma; the library needs no such point.
 * :func:`oracle_mobius` is the Moebius recursion on frozensets;
   :func:`is_semimodular_spot` and :func:`spot_check_rank_axioms` check
   semimodularity of a lattice and the rank axioms of a matroid on sets.
@@ -301,6 +305,21 @@ def oracle_chain_points(L, v, chains) -> dict:
         ell = layered_pin(L, parent, G, link)
         pts[chain] = {H: px[H] - px[G] * ell[H] for H in link}
     return pts
+
+
+def interval_normalized(eng, x, lo, hi) -> dict:
+    """Y(g) = E * (x(g) - x(lo)) + (x(lo) - x(hi)) * (E / |hi - lo|) * |g - lo|
+    at the flats g strictly between the flat indices lo and hi, for x a
+    point on integers at every flat index (``LatticeVolume._scaled``):
+    E = lcm(1..n) times the point normalized to the interval, the Y of
+    ``LatticeVolume.eval_bivariate`` and of the lemma of
+    ``LatticeVolume.hl_check``."""
+    L, E = eng.L, eng.lcm_n
+    n_lo = L.masks[lo].bit_count()
+    step = (x[lo] - x[hi]) * (E // (L.masks[hi].bit_count() - n_lo))
+    mids = L.up[lo] & L.down[hi]
+    return {g: E * (x[g] - x[lo]) + step * (L.masks[g].bit_count() - n_lo)
+            for g in range(len(L.flats)) if mids >> g & 1}
 
 
 def fraction_eval_bivariate(L, va, vb) -> list:

@@ -252,4 +252,4 @@ def test_cone_by_generators_validation():
         ConeByGenerators(((0, 0),))
     c = ConeByGenerators(((1, 0), (1, 1)))
     assert c.dim_ambient == 2
-    assert ConeByGenerators.from_json_dict(c.to_json_dict()) == c
+    assert ConeByGenerators.from_json_dict({"generators": [["1", "0"], [1, "1"]]}) == c

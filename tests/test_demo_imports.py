@@ -1,8 +1,10 @@
 """The demos, checked two ways.  Each ``demos/*.py`` runs to exit code 0 in
-a fresh interpreter.  Each is also parsed, so that a deleted or renamed
-library name is named in the failure: every name it imports from
-``lorentzlab`` must resolve, and so must every attribute it reads off an
-imported ``lorentzlab`` module."""
+a fresh interpreter and, on the ``fractions`` rational backend, prints
+exactly ``tests/demo_output/<demo>.txt`` (demo 03 prints ``Fraction``
+reprs, which the ``gmpy2`` backend writes as ``mpq``).  Each is also
+parsed, so that a deleted or renamed library name is named in the failure:
+every name it imports from ``lorentzlab`` must resolve, and so must every
+attribute it reads off an imported ``lorentzlab`` module."""
 
 import ast
 import importlib
@@ -14,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from lorentzlab import rat
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+OUTPUT = Path(__file__).resolve().parent / "demo_output"
 
 
 def _unresolved(path: Path) -> list:
@@ -60,3 +65,5 @@ def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
+    if rat.RAT_BACKEND == "fractions":
+        assert run.stdout == (OUTPUT / f"{path.stem}.txt").read_text()

@@ -10,7 +10,12 @@ own body, or anywhere in ``demos/``, or when ``__init__.py`` imports it.
 A method counts as reached only through an ``Attribute`` of its name, so
 a local variable that shares it does not count.  Dunders are called by
 Python itself and are not checked.  The rest sit on ``ALLOWED``, each with
-its reason."""
+its reason.
+
+A method reached only through an attribute that another definition of
+the same bare name also answers to would pass unseen, so every definition
+whose bare name is defined more than once sits on ``SHARED``, with the
+function that calls it."""
 
 import ast
 from collections import Counter
@@ -27,6 +32,33 @@ ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "polycore.HomPoly.terms": "the rational reader of an exported class, named in the polycore docstring",
     "polycore.LinSubspace.basis": "the rational reader of an exported class, named in the polycore docstring",
+}
+
+# definition -> a function or method (module.name or module.Class.name)
+# whose body calls it
+SHARED = {
+    "cones.ConeByGenerators.from_json_dict": "cli.build_parser",
+    "fanchow.Fan.from_json_dict": "cli.build_parser",
+    "matroid.Matroid.from_json_dict": "cli.read_matroid_of_positive_rank",
+    "polycore.HomPoly.from_json_dict": "cli.read_poly",
+    "polytope.SimplePolytope.from_json_dict": "cli.build_parser",
+    "simplicial.SimComplex.from_json_dict": "cli.read_weights_bundle",
+    "subdivision.SubdivStep.from_json_dict": "cli.read_chain",
+    "fanchow.Fan.to_json_dict": "cli.cmd_matroid_bergman",
+    "hereditary.HLVerdict.to_json_dict": "cli.emit_hl_verdict",
+    "polycore.HomPoly.to_json_dict": "cli.cmd_hereditary_from_weights",
+    "polycore.LinSubspace.dim": "cli.cmd_hereditary",
+    "simplicial.SimComplex.dim": "hereditary.from_weights",
+    "matroid.Matroid.rank_total": "matroid.flats",
+    "matroid.FlatLattice.rank_total": "matroid.char_poly",
+    "inertia.SymMatrix.kernel": "inertia.lorentz_signature",
+    "linalg.kernel": "polycore.HomPoly.lineality_space",
+    "simplicial.SimComplex.weld": "fanchow.fan_weld",
+    "subdivision.weld": "subdivision.apply_chain",
+    "inertia.SymMatrix._canonicalize": "inertia.SymMatrix.from_scaled",
+    "polycore.LinSubspace._canonicalize": "polycore.LinSubspace._span",
+    "polycore.HomPoly._build": "polycore.HomPoly.from_dense",
+    "polytope._build": "polytope.build",
 }
 
 
@@ -79,6 +111,14 @@ def unreached(modules: dict, demos: list, allowed=()) -> list:
     return out
 
 
+def shared_definitions(modules: dict) -> set:
+    """Qualified names of the definitions in ``modules`` (module name ->
+    source) whose bare name another definition there shares."""
+    defs = [(q, name) for module, text in modules.items() for q, name, _ in _definitions(module, ast.parse(text))]
+    count = Counter(name for _, name in defs)
+    return {q for q, name in defs if count[name] > 1}
+
+
 def unused_imports(modules: dict) -> list:
     """"module.name" for each name that a top-level import of ``modules``
     (module name -> source) binds and that the module never reads as a
@@ -119,6 +159,24 @@ def test_the_guard_flags_an_uncalled_def():
     module = "class K:\n    def m(self):\n        return 1\n\n\nm = 2\nX = K(), m\n"
     assert unreached({"synthetic": module}, []) == ["synthetic.K.m"]
     assert unreached({"synthetic": module}, ["K().m()\n"]) == []
+
+
+def test_every_shared_name_is_listed_with_its_caller():
+    modules = {path.stem: path.read_text() for path in SRC}
+    assert shared_definitions(modules) == set(SHARED)
+    defs = {q: node for module, text in modules.items() for q, _, node in _definitions(module, ast.parse(text))}
+    for qualname, caller in SHARED.items():
+        assert qualname.rsplit(".", 1)[1] in _names(defs[caller]), (qualname, caller)
+
+
+def test_the_guard_flags_a_shared_name():
+    a = "def f():\n    return 1\n\n\nclass K:\n    def f(self):\n        return 2\n\n    def g(self):\n        return 3\n"
+    b = "class J:\n    def g(self):\n        return 4\n\n    def __init__(self):\n        pass\n"
+    c = "class H:\n    def __init__(self):\n        pass\n"
+    assert shared_definitions({"a": a}) == {"a.f", "a.K.f"}
+    assert shared_definitions({"a": a, "b": b}) == {"a.f", "a.K.f", "a.K.g", "b.J.g"}
+    # dunders are not definitions of the guard, so they share no name
+    assert shared_definitions({"b": b, "c": c}) == set()
 
 
 def test_no_library_module_imports_a_name_it_does_not_read():

@@ -40,6 +40,7 @@ from oracles import (
     exchange_message,
     fraction_eval_bivariate,
     interval,
+    interval_normalized,
     is_semimodular_spot,
     lattice_of_family,
     layered_pin,
@@ -329,6 +330,13 @@ def test_rank_one_conventions():
     assert [int(c) for c in rep.chi] == [-1, 1] and [int(c) for c in rep.reduced] == [1]
 
 
+def test_rank_zero_lattice_is_refused_by_name():
+    L = flats(Matroid.uniform(0, 3))
+    for check in (char_poly, hrw_check, pol_matroid):
+        with pytest.raises(ValueError, match="need rank >= 1"):
+            check(L)
+
+
 def test_loops_are_quotiented_out():
     # a graph with a self-loop: the loop lands in the bottom flat and the
     # pipeline works over the loop-free part throughout
@@ -612,7 +620,7 @@ def test_chain_faces_reduce_to_intervals(catalog, rng):
                 for lo, hi, mids in oracle_gaps(L, chain):
                     if not mids:
                         continue
-                    y = eng._normalized(x, L.index[lo], L.index[hi])
+                    y = interval_normalized(eng, x, L.index[lo], L.index[hi])
                     pairs = [(p[F], y[L.index[F]]) for F in mids]
                     scale = next((a / b for a, b in pairs if b), None)
                     assert scale is None or scale > 0, (name, chain, lo, hi)
@@ -644,63 +652,24 @@ def test_interval_route_matches_chain_oracle(catalog):
 
 
 def test_rank_8_certificate_walks_no_chain(monkeypatch):
-    from lorentzlab.matroid import LatticeVolume
+    from lorentzlab import matroid
 
-    def no_chains(self):
-        raise AssertionError("hl_check enumerated chains")
+    def refuse(what):
+        def call(*args):
+            raise AssertionError(f"hl_check called {what}")
+        return call
 
-    monkeypatch.setattr(LatticeVolume, "chains", no_chains)
+    monkeypatch.setattr(LatticeVolume, "chains", refuse("chains"))
+    monkeypatch.setattr(matroid, "pol_matroid", refuse("pol_matroid"))
+    monkeypatch.setattr(hered, "is_hereditary_lorentzian", refuse("is_hereditary_lorentzian"))
     v = volume_engine(flats(Matroid.uniform(8, 8))).hl_check()
     assert v.value == "yes" and len(v.q_certificates) == 1792
+    assert v.note == "cone witness certified on 5281 intervals"
     assert all(inr.pos <= 1 for _, inr in v.q_certificates)
 
 
-def test_cone_witness_accepts_submodular_point(catalog):
-    for name, L in catalog.items():
-        if L.rank_total < 3:
-            continue
-        eng = volume_engine(L)
-        w = submodular_witness(L)
-        v = dict(zip(w.vars, w.coords))
-        intervals = sum(1 for lo in L.flats for hi in L.flats if lo < hi and L.rank[hi] - L.rank[lo] >= 2)
-        assert eng._cone_witness_intervals(v) == (True, intervals), name
-        assert eng._cone_witness_intervals({F: -x for F, x in v.items()}) == (False, 0), name
-
-
-def test_failed_cone_witness_falls_back_to_the_exact_route(catalog, monkeypatch):
-    # a witness that fails on some face proves nothing about the cone, so
-    # hl_check decides on the explicit polynomial instead of "vacuous"
-    from lorentzlab.matroid import LatticeVolume
-
-    monkeypatch.setattr(LatticeVolume, "_cone_witness_intervals", lambda self, vmap: (False, 0))
-    for name in ("U(3,4)", "Fano"):
-        L = catalog[name]
-        generic = hered.is_hereditary_lorentzian(pol_matroid(L))
-        assert volume_engine(L).hl_check().value == generic.value == "yes", name
-
-
-def test_rank_2_failed_gap_test_falls_back_to_the_exact_route(catalog, monkeypatch):
-    # rank-2 lattices take the common path: the one interval (bottom, top)
-    # is tested.  The canonical witness is positive there, so it is negated
-    # to fail the test, and the verdict comes from the exact route.
-    from lorentzlab import matroid
-
-    def negated_witness(L):
-        w = submodular_witness(L)
-        return type(w)(w.vars, tuple(-c for c in w.coords))
-
-    calls = []
-    exact = hered.is_hereditary_lorentzian
-    monkeypatch.setattr(matroid, "submodular_witness", negated_witness)
-    monkeypatch.setattr(hered, "is_hereditary_lorentzian", lambda *a: calls.append(a) or exact(*a))
-    for name in ("U(2,3)", "U(2,4)"):
-        calls.clear()
-        assert volume_engine(catalog[name]).hl_check().value == "yes", name
-        assert len(calls) == 1, name
-
-
 def test_canonical_witness_never_needs_the_gap_test():
-    """The lemma of ``_cone_witness_intervals``: the canonical witness's
+    """The lemma of ``LatticeVolume.hl_check``: the canonical witness's
     normalized point is E |g - lo| |hi - g| > 0 at every flat g of every
     interval with k >= 2, so no sum-zero shift is ever needed; on U(r,n)
     for n <= 8, Fano, M(K5) and M(K6)."""
@@ -714,7 +683,7 @@ def test_canonical_witness_never_needs_the_gap_test():
         (x,), _ = eng._scaled(dict(zip(w.vars, w.coords)))
         size = [m.bit_count() for m in L.masks]
         for lo, hi, _, _ in eng._intervals():
-            for g, y in eng._normalized(x, lo, hi).items():
+            for g, y in interval_normalized(eng, x, lo, hi).items():
                 assert y == eng.lcm_n * (size[g] - size[lo]) * (size[hi] - size[g]) > 0, (name, lo, g, hi)
                 tested += 1
     assert tested > 10000

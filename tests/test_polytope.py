@@ -255,8 +255,11 @@ def test_deformation_cone_membership():
 
 
 def test_json_round_trip():
+    """The JSON form of the pentagon, as ``polytope`` commands read it,
+    gives back the body ``build`` makes."""
     P = pentagon()
-    again = SimplePolytope.from_json_dict(P.to_json_dict())
+    again = SimplePolytope.from_json_dict(
+        {"dim": 2, "normals": [[1, 0], ["0", 1], [-1, 0], [0, "-1"], [1, 1]], "t": [1, "1", 1, 1, "3/2"]})
     assert again.vertices == P.vertices and again.delta == P.delta
 
 
@@ -451,9 +454,16 @@ def test_boundedness_matches_lp_oracle(rng, monkeypatch):
 def test_af_check_needs_d_bodies_in_dimension_at_least_2():
     seg = build([(1,), (-1,)], [1, 1])
     sq = square()
-    for bodies in ([sq], [seg], [seg, seg], [sq, sq, sq]):
+    for bodies in ([], [sq], [seg], [seg, seg], [sq, sq, sq]):
         with pytest.raises(PolytopeError, match="Alexandrov-Fenchel"):
             af_check(bodies)
+
+
+def test_mixed_volume_needs_d_bodies_in_dimension_d():
+    sq = square()
+    for bodies in ([], [sq], [sq, sq, sq]):
+        with pytest.raises(PolytopeError, match="bodies in dimension"):
+            mixed_volume(bodies)
 
 
 # one normal set, two chambers: the square pyramid's normals over a base
