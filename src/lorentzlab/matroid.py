@@ -4,20 +4,23 @@ Matroids arrive as explicit bases lists or as graph cycle matroids.  Bases
 are kept as bitmasks over the ground set: the rank of S is the largest
 popcount of S & B over the bases B.  A bases list given explicitly must
 satisfy the basis-exchange axiom, checked on construction with one bitset
-test per basis and element; the uniform, Fano and graphic constructors are
-matroids by construction and skip that check.  A graph's rank is its
-number of vertices less its number of connected components, from one
-union-find pass.
+test per basis and element; the uniform and Fano constructors are matroids
+by construction and skip that check.  A cycle matroid keeps its graph: its
+rank is its number of vertices less its number of connected components,
+from one union-find pass, and its bases are formed only when read.
 
 The lattice of flats is generated one rank layer at a time, from the loops
-up: the covers of a flat F are read off the sets B - F over the bases B
-meeting F in rank(F) elements, which its parent layer hands down (see
-:func:`flats`), so no closure is taken and every flat arrives with its rank
-and its covers.  :class:`FlatLattice` has one constructor, which takes
+up, so no closure is taken and every flat arrives with its rank and its
+covers (see :func:`flats`).  For a graph, a flat is a partition of the
+vertices into connected blocks and a cover merges two blocks that an edge
+joins; for any other matroid, the covers of a flat F are read off the sets
+B - F over the bases B meeting F in rank(F) elements, which its parent
+layer hands down.  :class:`FlatLattice` has one constructor, which takes
 those layers and covers: the sets of flats above and below each flat are
 ORed along the covers, as integer bitsets, and the Moebius values are read
-off them.  The associated volume polynomial is the unique facet-weight-1
-reconstruction over the order complex with the modular lineality space.
+off them by popcounts.  The associated volume polynomial is the unique
+facet-weight-1 reconstruction over the order complex with the modular
+lineality space.
 It is reached in two ways:
 
 * materialized, through :func:`lorentzlab.hereditary.from_weights`
@@ -84,24 +87,66 @@ def _indices(mask: int) -> list:
     return out
 
 
+def _joins(edges: Sequence, idxs: Iterable[int]) -> int:
+    """How many of the edges idxs, taken in order, join two components: the
+    rank of that edge set in the cycle matroid, by one union-find pass."""
+    parent = {u: u for e in edges for u in e}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = 0
+    for i in idxs:
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            joined += 1
+    return joined
+
+
 @dataclass(frozen=True)
 class Matroid:
     ground: tuple
     bases: tuple
 
+    # (n_vertices, edges) of a cycle matroid, whose bases are formed only
+    # when read (see from_graph); None for a matroid given by its bases
+    _graph = None
+
     def __post_init__(self):
+        self._index_ground()
         self._index_bases()
         self._check_exchange()
+
+    def __getattr__(self, name):
+        """A cycle matroid's ``bases`` and ``_basis_masks``, formed on first
+        read."""
+        if name not in ("bases", "_basis_masks") or self._graph is None:
+            raise AttributeError(f"'Matroid' object has no attribute {name!r}")
+        object.__setattr__(self, "bases", self._spanning_forests())
+        self._index_bases()
+        return getattr(self, name)
 
     @classmethod
     def _by_construction(cls, ground: tuple, bases) -> "Matroid":
         """A matroid whose bases satisfy exchange by construction (uniform,
-        Fano, graphic): built without the exchange check."""
+        Fano): built without the exchange check."""
         M = object.__new__(cls)
         object.__setattr__(M, "ground", ground)
         object.__setattr__(M, "bases", tuple(bases))
+        M._index_ground()
         M._index_bases()
         return M
+
+    def _index_ground(self):
+        elems = tuple(dict.fromkeys(self.ground))
+        object.__setattr__(self, "_elems", elems)
+        object.__setattr__(self, "_bit", {e: 1 << i for i, e in enumerate(elems)})
+        object.__setattr__(self, "_full", (1 << len(elems)) - 1)
 
     def _index_bases(self):
         bs = tuple(sorted({frozenset(b) for b in self.bases}, key=face_key))
@@ -110,15 +155,11 @@ class Matroid:
         sizes = {len(b) for b in bs}
         if len(sizes) != 1:
             raise ValueError("bases are not equicardinal")
-        elems = tuple(dict.fromkeys(self.ground))
-        bit = {e: 1 << i for i, e in enumerate(elems)}
         for b in bs:
-            if not b <= bit.keys():
+            if not b <= self._bit.keys():
                 raise ValueError("basis uses unknown elements")
         object.__setattr__(self, "bases", bs)
-        object.__setattr__(self, "_elems", elems)
-        object.__setattr__(self, "_bit", bit)
-        object.__setattr__(self, "_full", (1 << len(elems)) - 1)
+        object.__setattr__(self, "_rank", len(bs[0]))
         object.__setattr__(self, "_basis_masks", tuple(self._mask(b) for b in bs))
 
     def _check_exchange(self):
@@ -164,7 +205,7 @@ class Matroid:
 
     @property
     def rank_total(self) -> int:
-        return len(self.bases[0])
+        return self._rank
 
     @classmethod
     def uniform(cls, r: int, n: int) -> "Matroid":
@@ -177,40 +218,29 @@ class Matroid:
         """Cycle matroid: ground set = edge indices, bases = maximal forests.
 
         The rank is the number of vertices less the number of connected
-        components, from one union-find pass over all edges; the bases are
-        the edge subsets of that size that form a forest.  Isolated vertices
-        change neither, so union-find runs over the edges' endpoints only.
+        components, from one union-find pass over all edges; isolated
+        vertices change neither.  The graph is kept, and :func:`flats` reads
+        the lattice off it; the bases are formed only when read
+        (:meth:`_spanning_forests`).
         """
         if type(n_vertices) is not int or n_vertices < 0:
             raise ValueError(f"graph vertices must be a non-negative integer, got {n_vertices!r}")
-        m = len(edges)
         for i, e in enumerate(edges):
             if len(e) != 2 or not all(type(u) is int and 0 <= u < n_vertices for u in e):
                 raise ValueError(f"edge {i} = {list(e)} needs two vertices in 0..{n_vertices - 1}")
-        singletons = {u: u for e in edges for u in e}
+        edges = tuple(map(tuple, edges))
+        M = object.__new__(cls)
+        object.__setattr__(M, "ground", tuple(range(len(edges))))
+        object.__setattr__(M, "_graph", (n_vertices, edges))
+        object.__setattr__(M, "_rank", _joins(edges, range(len(edges))))
+        M._index_ground()
+        return M
 
-        def joins(idxs) -> int:
-            """How many of the edges, taken in order, join two components."""
-            parent = singletons.copy()
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            joined = 0
-            for i in idxs:
-                u, v = edges[i]
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    joined += 1
-            return joined
-
-        rank = joins(range(m))
-        bases = [frozenset(c) for c in combinations(range(m), rank) if joins(c) == rank]
-        return cls._by_construction(tuple(range(m)), bases)
+    def _spanning_forests(self) -> tuple:
+        """The bases of a cycle matroid: the edge subsets of the rank's size
+        that form a forest, each tested by a union-find pass."""
+        edges, r = self._graph[1], self._rank
+        return tuple(frozenset(c) for c in combinations(range(len(edges)), r) if _joins(edges, c) == r)
 
     @classmethod
     def fano(cls) -> "Matroid":
@@ -316,68 +346,127 @@ class FlatLattice:
     def mobius_row(self, i: int) -> list:
         """mu(flats[i], flats[j]) for every index j, by the lower-interval
         recursion: the flats above flat i in index order, each the negated
-        sum of the row over the flats of [i, c) below it; 0 off [i, top]."""
+        sum of the row over the flats of [i, c) below it; 0 off [i, top].
+
+        The sum is read by value: ``filled[v]`` is the bitset of the flats
+        of [i, c) already given the value v, so mu(i, c) = -sum over v of
+        v * |down[c] & filled[v]|, and no down-set is decoded.  A geometric
+        lattice has few distinct values (17 on M(K8))."""
         row = self._mobius.get(i)
         if row is None:
             row = self._mobius[i] = [0] * len(self.flats)
             row[i] = 1
-            closed = self.up[i] | 1 << i
+            filled = {1: 1 << i}
             for c in _indices(self.up[i]):
-                row[c] = -sum(map(row.__getitem__, _indices(self.down[c] & closed)))
+                below = self.down[c]
+                v = row[c] = -sum(v * (below & m).bit_count() for v, m in filled.items())
+                filled[v] = filled.get(v, 0) | 1 << c
         return row
 
 
 def flats(M: Matroid) -> FlatLattice:
     """All closed sets, generated one rank layer at a time from the loops
-    up, the covers of each flat read off the bases of its contraction.
+    up, each flat with its covers: for a cycle matroid, over the connected
+    partitions of its graph; for any other, off the bases of each flat's
+    contraction.  The covers are the lattice's cover relation, and
+    :class:`FlatLattice` takes them as they are found.
 
-    **Lemma.**  Let F be a flat of rank k.  Two elements e, f outside F lie
-    in different covers of F exactly when some basis B with |B & F| = k
-    contains both.  *Proof.*  They lie in one cover, cl(F + e), exactly when
-    rank(F + e + f) = k + 1.  If such a B contains both, (B & F) + e + f is
-    independent of size k + 2, so they do not.  If rank(F + e + f) = k + 2,
-    take a basis I of F: I + e + f is independent (a basis of F + e + f
-    extending I has k + 2 elements), and a basis B of M extending it has
-    |B & F| <= rank(F) = k, so B & F = I and B contains both.
+    **Graphs: the bond lattice.**  Let V be the vertices that some edge
+    touches (the others change no rank), and for a partition P of V let
+    E(P) be the edges with both ends in one block.  Over the partitions
+    whose blocks each induce a connected subgraph, P -> E(P) is a bijection
+    onto the flats, rank(E(P)) = |V| - |P|, and the flats covering E(P) are
+    the E(P') where P' merges two blocks that some edge joins (Rota, *On
+    the foundations of combinatorial theory I*, 1964).  *Proof.*  rank(S)
+    is |V| less the number of components of (V, S), as one union-find pass
+    counts.  For a connected P the components of (V, E(P)) are its blocks,
+    so rank(E(P)) = |V| - |P|, and an edge outside E(P) joins two blocks
+    and raises the rank: E(P) is closed.  A flat F with components P has
+    F <= E(P), and each edge of E(P) joins two vertices that F already
+    connects, so it leaves the rank as it is and lies in F: F = E(P).
+    Distinct connected partitions have distinct components, so the map is
+    one to one.  E(P) <= E(Q) exactly when P refines Q, and one rank up
+    means one block fewer, so a cover of E(P) merges two blocks A and B
+    into a connected block: some edge joins them.  Conversely each such
+    merge is connected, one rank up, and E(P') = E(P) + the A-B edges.
+
+    **The graph scan.**  Each flat F of the layer carries its blocks, each
+    known by the mask of the edges incident to it; the loops (every
+    partition's E holds them) carry the single vertices.  An edge e outside
+    F joins the two blocks A and B whose masks hold it, and the cover
+    through e is G = F | (inc(A) & inc(B)), since inc(A) & inc(B) is the set
+    of A-B edges for disjoint blocks.  ``rest &= ~G`` takes every A-B edge
+    off the list, so each pair of blocks is visited once, and a cover first
+    found above F gets the blocks of F with A and B merged.  Parallel edges
+    join the same pair and fall into the same flats.
+
+    **Other matroids: the bases scan.**  Let F be a flat of rank k.  Two
+    elements e, f outside F lie in different covers of F exactly when some
+    basis B with |B & F| = k contains both.  *Proof.*  They lie in one
+    cover, cl(F + e), exactly when rank(F + e + f) = k + 1.  If such a B
+    contains both, (B & F) + e + f is independent of size k + 2, so they do
+    not.  If rank(F + e + f) = k + 2, take a basis I of F: I + e + f is
+    independent (a basis of F + e + f extending I has k + 2 elements), and
+    a basis B of M extending it has |B & F| <= rank(F) = k, so B & F = I
+    and B contains both.
 
     So with sep(e) the union of B - F over the bases B with |B & F| = k
     that contain e, the cover of F through e is cl(F + e) = E - (sep(e) -
     e); every e outside F lies in some such B (extend a basis of F + e).
 
-    **The scan.**  Each flat F of the layer carries outs(F), the set of the
-    B - F with |B & F| = rank(F) (the bases of the contraction M/F); the
-    loops carry all bases.  The cover through e is read off the members of
-    outs(F) that hold e, and a cover G first found above F gets
-    outs(G) = {o - G : o in outs(F), o meets G}.  *Proof.*  If o = B - F meets G, then |B & G| = k + 1 and
-    o - G = B - G.  Conversely, for a basis B with |B & G| = k + 1, take a
-    basis J of F and f in G - F with J + f a basis of G: B' = (B - G) + J
-    + f has r elements and spans what B spans (J + f and B & G both span
-    G), so it is a basis, B' & F = J, and o = B' - F meets G at f with
-    o - G = B - G.  Every flat of rank k + 1 covers some flat of rank k, so
-    the next layer is the union of the covers of this one, and every flat
-    is found, with its rank.  The scan of F yields each cover of F once,
-    since the covers partition E - F, and those covers are the lattice's
-    cover relation: :class:`FlatLattice` takes them as they are found.
+    Each flat F of the layer carries outs(F), the set of the B - F with
+    |B & F| = rank(F) (the bases of the contraction M/F); the loops carry
+    all bases.  The cover through e is read off the members of outs(F)
+    that hold e, and a cover G first found above F gets outs(G) = {o - G :
+    o in outs(F), o meets G}.  *Proof.*  If o = B - F meets G, then
+    |B & G| = k + 1 and o - G = B - G.  Conversely, for a basis B with
+    |B & G| = k + 1, take a basis J of F and f in G - F with J + f a basis
+    of G: B' = (B - G) + J + f has r elements and spans what B spans (J + f
+    and B & G both span G), so it is a basis, B' & F = J, and o = B' - F
+    meets G at f with o - G = B - G.
+
+    **Both scans.**  Every flat of rank k + 1 covers some flat of rank k,
+    so the next layer is the union of the covers of this one, and every
+    flat is found, with its rank.  The scan of F yields each cover of F
+    once, since the covers partition E - F.
     """
-    full = M._full
-    # each flat of the layer with the bases of its contraction, B - F; the
-    # loops are the elements of no basis
-    layer = {full & ~reduce(or_, M._basis_masks): set(M._basis_masks)}
+    full, graphic = M._full, M._graph is not None
+    if graphic:
+        # each flat of the layer with its blocks, by incident-edge masks;
+        # the loops with the single vertices
+        inc: dict[int, int] = {}
+        loops = 0
+        for i, (u, v) in enumerate(M._graph[1]):
+            inc[u] = inc.get(u, 0) | 1 << i
+            inc[v] = inc.get(v, 0) | 1 << i
+            loops |= (u == v) << i
+        layer = {loops: tuple(inc.values())}
+    else:
+        # each flat of the layer with the bases of its contraction, B - F;
+        # the loops are the elements of no basis
+        layer = {full & ~reduce(or_, M._basis_masks): set(M._basis_masks)}
     layers, covers = [tuple(layer)], {}
     for _ in range(M.rank_total):
-        found: dict[int, set] = {}
-        for F, outs in layer.items():
+        found: dict = {}
+        for F, carried in layer.items():
             rest = full & ~F
             covers[F] = above = []
             while rest:
-                # the cover through e: all but the other elements of the
-                # members of outs(F) that hold e
                 e = rest & -rest
-                G = full & ~(reduce(or_, filter(e.__and__, outs)) & ~e)
+                if graphic:
+                    # the cover through e merges the two blocks it joins
+                    A, B = [b for b in carried if b & e]
+                    G = F | (A & B)
+                    if G not in found:
+                        found[G] = (*(b for b in carried if not b & e), A | B)
+                else:
+                    # all but the other elements of the members of outs(F)
+                    # that hold e
+                    G = full & ~(reduce(or_, filter(e.__and__, carried)) & ~e)
+                    if G not in found:
+                        found[G] = {out & ~G for out in carried if out & G}
                 rest &= ~G
                 above.append(G)
-                if G not in found:
-                    found[G] = {out & ~G for out in outs if out & G}
         layer = found
         layers.append(tuple(layer))
     return FlatLattice(M.ground, M._elems, layers, covers)
@@ -832,6 +921,8 @@ class LatticeVolume:
         J all ones: eigenvalues +-sqrt(|A||B|) and n - 2 zeros, inertia
         (1, 1, n - 2), so that matrix is never formed.
         """
+        if self.d < 0:
+            raise ValueError("need rank >= 1")
         if self.d == 0:
             return hered.HLVerdict(value="yes", note="constant volume polynomial")
         v = submodular_witness(self.L)
@@ -974,6 +1065,8 @@ def bergman_fan(L: FlatLattice):
     (last ground element's coordinate dropped); cones follow the chains."""
     from .fanchow import Fan
 
+    if L.rank_total < 1:
+        raise ValueError(f"the Bergman fan needs rank >= 1, got rank {L.rank_total}")
     elems = sorted(L.top - L.bottom, key=label_key)
     drop = elems[-1]
     coords = elems[:-1]

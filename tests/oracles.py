@@ -30,8 +30,15 @@ checked against.
   semimodularity of a lattice and the rank axioms of a matroid on sets.
   The library reads Moebius values off the containment bitsets.
 * :func:`oracle_max_forests` finds the rank and bases of a cycle matroid by
-  testing every edge subset for a cycle; the library takes the rank from
-  one union-find pass.
+  growing every acyclic edge subset one edge at a time; the library takes
+  the rank from one union-find pass and reads the flats off connected
+  partitions of the graph, without bases.  :func:`oracle_chromatic` is the
+  chromatic polynomial by deletion and contraction and
+  :func:`oracle_components` counts components, for Whitney's
+  chi_G(t) = t^c(G) chi_M(G)(t) against the library's characteristic
+  polynomial.
+* :func:`decoded_mobius_row` is the Moebius recursion on the up and down
+  bitsets, each down-set decoded; the library sums by value masks.
 * :func:`oracle_flats` and :func:`oracle_is_basis_family` share no code
   with ``src/``: flats by closing every subset of the ground set with a
   max-intersection rank, and basis exchange checked literally on sets.
@@ -586,24 +593,79 @@ def oracle_is_basis_family(bases) -> bool:
 
 
 def oracle_max_forests(n_vertices, edges) -> tuple:
-    """(rank, bases) of the cycle matroid: every edge subset is tested for a
-    cycle by merging vertex classes, and the bases are the largest
-    acyclic subsets.  A loop is a cycle of one edge."""
-    def acyclic(idxs) -> bool:
-        cls = {v: frozenset({v}) for v in range(n_vertices)}
-        for i in idxs:
+    """(rank, bases) of the cycle matroid: the acyclic edge subsets, each
+    grown from a smaller one by an edge of higher index that merges two
+    vertex classes (a set holding a cycle has no acyclic superset, so none
+    is missed), and the bases are the largest of them.  A loop is a cycle
+    of one edge."""
+    forests = []
+
+    def grow(S, cls, start):
+        forests.append(frozenset(S))
+        for i in range(start, len(edges)):
             u, v = edges[i]
             if v in cls[u]:
-                return False
+                continue
             merged = cls[u] | cls[v]
+            grown = dict(cls)
             for w in merged:
-                cls[w] = merged
-        return True
+                grown[w] = merged
+            grow(S + (i,), grown, i + 1)
 
-    m = len(edges)
-    forests = [frozenset(S) for k in range(m + 1) for S in combinations(range(m), k) if acyclic(S)]
+    grow((), {v: frozenset({v}) for v in range(n_vertices)}, 0)
     rank = max(map(len, forests))
     return rank, {F for F in forests if len(F) == rank}
+
+
+def oracle_chromatic(n_vertices, edges) -> list:
+    """The chromatic polynomial of a graph, coefficients by power of t, by
+    deletion and contraction: chi(G) = chi(G - e) - chi(G / e), t^n with no
+    edge, 0 with a loop.  A contraction keeps the parallel edges it makes,
+    and memoizes on the vertex count and the edge multiset."""
+    memo = {}
+
+    def chi(n, es):
+        if any(u == v for u, v in es):
+            return [0] * (n_vertices + 1)
+        if not es:
+            return [0] * n + [1] + [0] * (n_vertices - n)
+        key = (n, es)
+        if key not in memo:
+            (u, v), rest = es[0], es[1:]
+            # edges are kept as (u, v) with u < v: contract v into u, then
+            # close the gap that v leaves
+            relabel = {w: (u if w == v else w) - (w > v) for w in range(n)}
+            merged = tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in rest))
+            memo[key] = [a - b for a, b in zip(chi(n, rest), chi(n - 1, merged))]
+        return memo[key]
+
+    return chi(n_vertices, tuple(sorted(tuple(sorted(e)) for e in edges)))
+
+
+def oracle_components(n_vertices, edges) -> int:
+    """The number of connected components, isolated vertices included, by
+    merging vertex classes."""
+    cls = {v: frozenset({v}) for v in range(n_vertices)}
+    for u, v in edges:
+        merged = cls[u] | cls[v]
+        for w in merged:
+            cls[w] = merged
+    return len(set(cls.values()))
+
+
+def decoded_mobius_row(L, i) -> list:
+    """mu(flats[i], flats[j]) for every index j by the lower-interval
+    recursion, each sum over the decoded positions of the flats of [i, c)
+    below c."""
+    def positions(mask):
+        return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+    row = [0] * len(L.flats)
+    row[i] = 1
+    closed = L.up[i] | 1 << i
+    for c in positions(L.up[i]):
+        row[c] = -sum(row[j] for j in positions(L.down[c] & closed))
+    return row
 
 
 GT, GE, EQ = ">", ">=", "="

@@ -15,7 +15,7 @@ import pytest
 
 from lorentzlab import cli
 from lorentzlab.cli import build_parser, main
-from lorentzlab.matroid import LatticeVolume
+from lorentzlab.matroid import LatticeVolume, Matroid
 from lorentzlab.rat import Q, Rational, read_rat, read_ratio
 from conftest import in_fresh_process
 
@@ -465,6 +465,23 @@ def test_integer_fields_must_be_json_ints(capsys, tmp_path, content, argv, needl
     code, rep, _ = run(capsys, *(a.format(path=path, weights=weights) for a in argv))
     assert code == 2 and rep["verdict"] == "error" and needle in rep["message"]
     assert str(path) in rep["message"]
+
+
+def test_graph_commands_form_no_basis(capsys, tmp_path, monkeypatch):
+    """Count guard: ``matroid charpoly`` and ``hrw`` on M(K7) read the
+    lattice off the graph and never form its 16,807 spanning trees."""
+    formed, build = [], Matroid._spanning_forests
+    monkeypatch.setattr(Matroid, "_spanning_forests", lambda self: formed.append(self) or build(self))
+    assert Matroid.from_graph(2, [(0, 1)]).bases == (frozenset({0}),) and len(formed) == 1
+    formed.clear()
+    path = tmp_path / "k7.json"
+    path.write_text(json.dumps({"graph": {"vertices": 7, "edges": list(combinations(range(7), 2))}}))
+    # (t - 1)(t - 2)...(t - 6), by power of t
+    chi = ["720", "-1764", "1624", "-735", "175", "-21", "1"]
+    for command in ("charpoly", "hrw"):
+        code, rep, _ = run(capsys, "matroid", command, str(path))
+        assert code == 0 and rep["chi"] == chi, command
+    assert not formed
 
 
 def test_graph_size_follows_the_edges_not_the_vertex_count(capsys, tmp_path):

@@ -37,6 +37,7 @@ from oracles import (
     chain_hl_check,
     closure_cover_flats,
     containment_bitsets,
+    decoded_mobius_row,
     exchange_message,
     fraction_eval_bivariate,
     interval,
@@ -49,6 +50,8 @@ from oracles import (
     orthant_gap_feasible,
     oracle_chain_points,
     oracle_chains,
+    oracle_chromatic,
+    oracle_components,
     oracle_flats,
     oracle_gaps,
     oracle_is_basis_family,
@@ -332,9 +335,11 @@ def test_rank_one_conventions():
 
 def test_rank_zero_lattice_is_refused_by_name():
     L = flats(Matroid.uniform(0, 3))
-    for check in (char_poly, hrw_check, pol_matroid):
+    for check in (char_poly, hrw_check, pol_matroid, lambda L: volume_engine(L).hl_check()):
         with pytest.raises(ValueError, match="need rank >= 1"):
             check(L)
+    with pytest.raises(ValueError, match="needs rank >= 1, got rank 0"):
+        bergman_fan(L)
 
 
 def test_loops_are_quotiented_out():
@@ -392,7 +397,7 @@ def _multigraphs(rng):
         n = rng.randint(3, 5)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(4, 9))]
         edges += [edges[0], (edges[-1][0], edges[-1][0])]
-        yield f"multigraph {n} {edges}", Matroid.from_graph(n, edges)
+        yield f"multigraph {n} {edges}", n, edges
 
 
 def test_flats_match_subset_closure_oracle(rng):
@@ -411,7 +416,7 @@ def test_flats_match_subset_closure_oracle(rng):
     for _ in range(6):
         edges = rng.sample(K5_EDGES, rng.randint(4, 9))
         matroids.append((f"K5 subgraph {edges}", Matroid.from_graph(5, edges)))
-    matroids += list(_multigraphs(rng))
+    matroids += [(name, Matroid.from_graph(n, edges)) for name, n, edges in _multigraphs(rng)]
     assert any(basis_pass_closure(M.ground, M.bases, ()) for _, M in matroids)
     for name, M in matroids:
         L, ranks = flats(M), closure_cover_flats(M)
@@ -592,6 +597,77 @@ def test_from_graph_matches_max_forest_oracle(rng):
         M = Matroid.from_graph(n_vertices, edges)
         rank, bases = oracle_max_forests(n_vertices, edges)
         assert M.rank_total == rank and set(M.bases) == bases, (n_vertices, edges)
+
+
+def _graphs(rng):
+    """(name, n_vertices, edges): K3 to K7, seeded edge deletions from K5
+    and K6, the seeded multigraphs, and loops, parallel edges, isolated
+    vertices, two components and no edge at all on their own."""
+    out = [(f"K{n}", n, list(combinations(range(n), 2))) for n in range(3, 8)]
+    for n, edges in ((5, K5_EDGES), (6, K6_EDGES)):
+        for _ in range(3):
+            kept = sorted(rng.sample(edges, rng.randint(n - 1, len(edges) - 1)))
+            out.append((f"K{n} on {kept}", n, kept))
+    out += _multigraphs(rng)
+    out += [("loops", 3, [(0, 0), (0, 1), (1, 1), (1, 2)]),
+            ("parallel", 3, [(0, 1), (1, 2), (0, 1), (1, 2), (0, 2)]),
+            ("isolated", 6, [(3, 1), (1, 4), (3, 4)]),
+            ("two components", 6, [*K4_EDGES[:5], (4, 5), (5, 4)]),
+            ("no edge", 3, [])]
+    return out
+
+
+def test_bond_lattice_matches_the_bases_route(rng):
+    """flats of a cycle matroid, read off the connected partitions of its
+    graph, against flats of the same matroid given by the bases that
+    ``oracle_max_forests`` finds, which has no graph and takes the bases
+    scan: the same masks, ranks, covers, up and down sets and flats.  The
+    graph's side forms no basis until one is read, and then equals the
+    other matroid."""
+    for name, n, edges in _graphs(rng):
+        G = Matroid.from_graph(n, edges)
+        L = flats(G)
+        assert "bases" not in vars(G) and "_basis_masks" not in vars(G), name
+        M = Matroid(tuple(range(len(edges))), tuple(oracle_max_forests(n, edges)[1]))
+        B = flats(M)
+        assert M._graph is None, name
+        assert L.masks == B.masks and L.ranks == B.ranks and L.flats == B.flats, name
+        assert L.covers_up == B.covers_up and L.up == B.up and L.down == B.down, name
+        assert G == M and hash(G) == hash(M) and repr(G) == repr(M), name
+
+
+def _falling(n: int) -> list:
+    """(t - 1)(t - 2)...(t - n + 1), coefficients by power of t."""
+    out = [1]
+    for k in range(1, n):
+        out = [a - k * b for a, b in zip([0, *out], [*out, 0])]
+    return out
+
+
+def test_whitney_chromatic_polynomial(rng):
+    """chi_G(t) = t^c(G) chi_M(G)(t) (Whitney 1932): the chromatic polynomial
+    by deletion and contraction against ``char_poly`` on the bond lattice,
+    on every graph of ``_graphs`` with at most 6 vertices and rank >= 1.
+    The lattice starts at the loops, so its chi is that of M(G) with the
+    loops deleted, and the loops are deleted on the chromatic side too.
+    For K2 to K8, chi_M(K_n)(t) = (t - 1)(t - 2)...(t - n + 1), and the
+    Moebius rows equal the decoded recursion: every row up to K5, the row
+    of the bottom above."""
+    checked = 0
+    for name, n, edges in _graphs(rng):
+        M = Matroid.from_graph(n, edges)
+        if n > 6 or M.rank_total < 1:
+            continue
+        loopless = [e for e in edges if e[0] != e[1]]
+        chi = [0] * oracle_components(n, loopless) + char_poly(flats(M)).chi
+        assert chi == oracle_chromatic(n, loopless), name
+        checked += 1
+    assert checked >= 20, checked
+    for n in range(2, 9):
+        L = flats(Matroid.from_graph(n, list(combinations(range(n), 2))))
+        assert char_poly(L).chi == _falling(n), n
+        for i in range(len(L.flats) if n <= 5 else 1):
+            assert L.mobius_row(i) == decoded_mobius_row(L, i), (n, i)
 
 
 def _few_chain_lattices(catalog):
