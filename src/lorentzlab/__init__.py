@@ -9,7 +9,7 @@ demos/ directory for narrative walkthroughs of each pipeline.
 from .rat import Q, rat_str
 from .polycore import Direction, HomPoly, LinSubspace, parse_poly
 from .simplicial import SimComplex
-from .inertia import Inertia, SymMatrix, af_inequality, at_most_one_positive, hessian, inertia, lorentz_signature
+from .inertia import Inertia, SymMatrix, hessian, inertia
 from .cones import ConeByGenerators, in_orthant_plus_subspace, solve_in_span, strict_feasible
 from .hereditary import (
     BalancingError,
@@ -22,11 +22,8 @@ from .hereditary import (
     from_weights,
     is_hereditary_lorentzian,
     is_positive,
-    product,
-    restrict_fS,
-    space_dimension,
 )
-from .subdivision import SubdivStep, apply_chain, lineality_extend, subdivide, weld
+from .subdivision import SubdivStep, apply_chain, subdivide, weld
 from .lorentzian import (
     LorentzVerdict,
     MSet,

@@ -53,19 +53,13 @@ class _JsonDecimal(float):
         return self.text
 
 
-# the digit limit CPython puts on int(str); a longer exponent is an input error
-_MAX_EXPONENT = 4300
-
-
 def _json_number(text: str) -> float:
     """``parse_float`` for input files: the plain float when its repr reads
     back as the exact value of the text (so reports and labels stay as
-    float parsing gives them), else a float that prints as its text."""
-    _, _, exponent = text.lower().partition("e")
-    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
-        raise ValueError(f"JSON number {text} is out of range")
-    x = float(text)
-    if math.isfinite(x) and Fraction(repr(x)) == Fraction(text):
+    float parsing gives them), else a float that prints as its text.  The
+    text is read by ``Q``, which refuses an exponent above its cap."""
+    exact, x = Q(text), float(text)
+    if math.isfinite(x) and Fraction(repr(x)) == exact:
         return x
     return _JsonDecimal(text)
 
@@ -279,7 +273,7 @@ def verify_hl_witness(rep: dict, h: hereditary.HereditaryPoly, v: hereditary.HLV
 def cmd_stellar(args) -> int:
     """subdivide and weld: the same face and coefficients, one operator each."""
     op = subdivision.weld if args.group == "weld" else subdivision.subdivide
-    g = op(args.file, args.face.split(","), [Q(x) for x in args.coeffs.split(",")], args.vertex)
+    g = op(args.file, args.face.split(","), [read_rat(x) for x in args.coeffs.split(",")], args.vertex)
     return emit(args, 0, "success", polynomial=g.to_json_dict())
 
 
@@ -353,7 +347,7 @@ def cmd_fan_check(args) -> int:
 
 
 def cmd_fan_subdivide(args) -> int:
-    fan2, transport = fanchow.fan_subdivide(args.fan, [Q(x) for x in args.ray.split(",")])
+    fan2, transport = fanchow.fan_subdivide(args.fan, [read_rat(x) for x in args.ray.split(",")])
     fields = {"fan": fan2.to_json_dict()}
     if args.weights is not None:
         fields["weights"] = _weights_report(transport(fanchow.functional_from_weights(args.fan, args.weights)))

@@ -41,7 +41,7 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 from typing import Iterable, Mapping
 
-from . import cones, linalg
+from . import cones
 from .inertia import derivative_hessian, inertia as matrix_inertia
 from .polycore import HomPoly, LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE, Rational
@@ -142,11 +142,6 @@ def restrict_poly(h: HereditaryPoly, S: Iterable) -> HomPoly:
         g = g.partial(i)
     g = g.set_vars_zero(S)
     return g.restrict_vars(h.delta.link_vertices(S))
-
-
-def restrict_fS(h: HereditaryPoly, S: Iterable) -> HereditaryPoly:
-    """f^S wrapped with its own face data; hereditary again by inheritance."""
-    return check_hereditary(restrict_poly(h, S))
 
 
 def is_positive(h: HereditaryPoly) -> bool:
@@ -529,65 +524,9 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
     return h
 
 
-def product(h1: HereditaryPoly, h2: HereditaryPoly) -> HereditaryPoly:
-    """Product of strongly hereditary polynomials on disjoint variable sets."""
-    if set(h1.vars) & set(h2.vars):
-        raise ValueError("variable sets must be disjoint")
-    if not (h1.strong and h2.strong):
-        raise ValueError("product needs strongly hereditary factors")
-    vars = h1.vars + h2.vars
-    f1 = _extend_vars(h1.f, vars)
-    f2 = _extend_vars(h2.f, vars)
-    return check_hereditary(f1 * f2)
-
-
 def _extend_vars(f: HomPoly, vars: tuple) -> HomPoly:
     idx = {v: k for k, v in enumerate(vars)}
     pos = [idx[v] for v in f.vars]
     terms = {tuple(sorted((pos[i], e) for i, e in enumerate(exps) if e)): Rational(c, f.den)
              for exps, c in f.coeffs.items()}
     return HomPoly(vars, f.degree, terms)
-
-
-def space_dimension(delta: SimComplex, lin: LinSubspace, k: int) -> int:
-    """dim of the degree-k polynomials supported on delta and invariant
-    under translation along lin, by exact linear algebra on coefficients."""
-    verts = tuple(delta.vertices)
-    vidx = {v: i for i, v in enumerate(verts)}
-    monos: list[tuple] = []
-    seen = set()
-    for face in delta.faces(max_size=min(k, (delta.dim or 0) + 1)):
-        fl = sorted(face, key=label_key)
-        if len(fl) > k:
-            continue
-        for combo in combinations_with_replacement(fl, k):
-            if set(combo) == set(fl):
-                exps = [0] * len(verts)
-                for v in combo:
-                    exps[vidx[v]] += 1
-                t = tuple(exps)
-                if t not in seen:
-                    seen.add(t)
-                    monos.append(t)
-    if not monos:
-        return 0
-    mono_pos = {m: j for j, m in enumerate(monos)}
-    amb_idx = {v: i for i, v in enumerate(lin.ambient)}
-    rows = []
-    row_index: dict[tuple, int] = {}
-    for b in lin.rows:
-        derivative_rows: dict[tuple, list] = {}
-        for m in monos:
-            for v in verts:
-                i = vidx[v]
-                if m[i] == 0:
-                    continue
-                coef = b[amb_idx[v]] * m[i]
-                if coef == 0:
-                    continue
-                lower = list(m)
-                lower[i] -= 1
-                row = derivative_rows.setdefault(tuple(lower), [0] * len(monos))
-                row[mono_pos[m]] += coef
-        rows.extend(tuple(r) for r in derivative_rows.values())
-    return len(monos) - linalg.rank(rows)

@@ -27,7 +27,7 @@ from math import factorial, gcd, prod
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .polycore import HomPoly, LinSubspace, direction_coords
+from .polycore import HomPoly, direction_coords
 from .rat import ZERO, Rational
 
 
@@ -112,9 +112,6 @@ class SymMatrix:
         cw = direction_coords(w, self.vars)
         return linalg.dot(cv, linalg.mat_vec(self.entries, cw))
 
-    def kernel(self) -> LinSubspace:
-        return LinSubspace(self.vars, linalg.nullspace(self.rows, self.n))
-
 
 def hessian(q: HomPoly) -> SymMatrix:
     """Constant Hessian matrix of a quadratic: the Hessian of its 0-fold
@@ -184,21 +181,3 @@ def inertia(M: SymMatrix) -> Inertia:
             neg += 1
         prev = d
     return Inertia(pos=pos, neg=neg, zero=M.n - pos - neg)
-
-
-def at_most_one_positive(M: SymMatrix) -> bool:
-    return inertia(M).pos <= 1
-
-
-def lorentz_signature(M: SymMatrix, expected_kernel: LinSubspace) -> bool:
-    """Exactly one positive eigenvalue and kernel equal to the given subspace."""
-    inr = inertia(M)
-    if inr.pos != 1 or inr.zero != expected_kernel.dim:
-        return False
-    kern = M.kernel()
-    return kern == LinSubspace(M.vars, expected_kernel.rows)
-
-
-def af_inequality(P: SymMatrix, v, w) -> bool:
-    """P(v,w)^2 >= P(v,v) P(w,w), compared exactly."""
-    return P.apply(v, w) ** 2 >= P.apply(v, v) * P.apply(w, w)

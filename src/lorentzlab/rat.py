@@ -9,6 +9,7 @@ arithmetic), so callers may pass either, plus ints and ``"p/q"`` strings.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -25,13 +26,27 @@ except ImportError:  # pragma: no cover
 Rational = type(_rational(0))
 
 
+# the digit limit CPython puts on int(str): text with a larger decimal
+# exponent would have the parse build a power of ten with more digits
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # as the parse reads one
+
+
 def Q(a: Union[int, str, Fraction] = 0, b: int | None = None):
-    """Coerce to an exact rational (no floats accepted; a zero denominator
-    is a ValueError naming the input).  A rational of the backend's own
-    type is returned as it is."""
-    if b is None and type(a) is Rational:
-        return a
-    if isinstance(a, float) or isinstance(b, float):
+    """Coerce to an exact rational (no floats accepted; text with a decimal
+    exponent above ``MAX_EXPONENT`` and a zero denominator are ValueErrors
+    naming the input).  A rational of the backend's own type is returned
+    as it is."""
+    if b is None:
+        if type(a) is Rational:
+            return a
+        if type(a) is str:
+            exponent = _EXPONENT.search(a)
+            if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+                raise ValueError(f"number {a} is out of range")
+        elif isinstance(a, float):
+            raise TypeError(f"floats are not exact rationals: Q({a!r}, {b!r})")
+    elif isinstance(a, float) or isinstance(b, float):
         raise TypeError(f"floats are not exact rationals: Q({a!r}, {b!r})")
     try:
         if b is not None:

@@ -21,8 +21,8 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .hereditary import HereditaryPoly, _extend_vars, check_hereditary, face_complex
-from .polycore import HomPoly, LinSubspace
-from .rat import Q, ZERO, ONE, read_list, read_rat
+from .polycore import HomPoly
+from .rat import Q, ONE, read_list, read_rat
 from .simplicial import face_str, fresh_vertex
 
 
@@ -124,18 +124,6 @@ def subdivide(f: HomPoly, S: Sequence, c: Sequence, vertex=None) -> HomPoly:
             out = out + (zpow * _extend_vars(hpart, ext_vars)).scale(sgn * Q(1, factorial(n)))
         zpow = zpow * z
     return out
-
-
-def lineality_extend(L: LinSubspace, S: Sequence, c: Sequence, vertex) -> LinSubspace:
-    """Lift L to the extended space: l_vertex = sum_{i in S} c_i l_i."""
-    S = tuple(S)
-    c = [Q(x) for x in c]
-    idx = {v: k for k, v in enumerate(L.ambient)}
-    rows = []
-    for b in L.rows:
-        l0 = sum((ci * b[idx[i]] for i, ci in zip(S, c)), ZERO)
-        rows.append(tuple(b) + (l0,))
-    return LinSubspace(L.ambient + (vertex,), rows)
 
 
 @dataclass

@@ -89,11 +89,12 @@ def nonneg_cubics_and_quartics(rng):
 
 def hereditary_fixture_pool(rng):
     """Strongly hereditary positive fixtures for subdivision round trips."""
-    from lorentzlab.hereditary import check_hereditary, product
+    from lorentzlab.hereditary import check_hereditary
     from lorentzlab.lorentzian import polarize
     from lorentzlab.matroid import Matroid, flats, pol_matroid
     from lorentzlab.polycore import parse_poly
     from lorentzlab.polytope import build, volume_polynomial
+    from oracles import product
 
     pool = [
         pol_matroid(flats(Matroid.uniform(2, 3))),

@@ -197,6 +197,18 @@ Alternative routes to the library's own verdicts, kept to cross-check it:
   face over the subsets of its variables, and checks the all-ones cone
   witness at every face; ``polarized_hereditary_verdict`` decides each
   condition once per count vector, and proves the witness.
+
+Routes that no command or demo reaches, kept for the tests that call them:
+
+* :func:`lorentz_signature` checks one positive eigenvalue and a kernel
+  equal to a given subspace, for :func:`interior_certificate`.
+* :func:`product` multiplies strongly hereditary polynomials on disjoint
+  variable sets, and :func:`restrict_fS` wraps a face restriction as a
+  hereditary polynomial; both build fixtures.
+* :func:`space_dimension` is the dimension of the degree-k polynomials
+  supported on a complex and invariant along a lineality space.
+* :func:`lineality_extend` lifts a lineality space across a stellar
+  subdivision, l_vertex = sum c_i l_i.
 """
 
 from dataclasses import dataclass, field
@@ -208,7 +220,7 @@ from typing import Iterable, Sequence
 from lorentzlab import hereditary as hered
 from lorentzlab import linalg, polytope
 from lorentzlab.cones import in_orthant_plus_subspace, lp_max
-from lorentzlab.inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia, lorentz_signature
+from lorentzlab.inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia
 from lorentzlab.lorentzian import (
     LorentzVerdict,
     MSet,
@@ -2021,3 +2033,82 @@ def transport_eps_search(f: hered.HereditaryPoly, S: Sequence, c: Sequence, v, s
             return eps
         eps = eps / 2
     return None
+
+
+def lorentz_signature(M: SymMatrix, expected_kernel: LinSubspace) -> bool:
+    """Exactly one positive eigenvalue and kernel equal to the given subspace."""
+    inr = inertia(M)
+    if inr.pos != 1 or inr.zero != expected_kernel.dim:
+        return False
+    kern = LinSubspace(M.vars, linalg.nullspace(M.rows, M.n))
+    return kern == LinSubspace(M.vars, expected_kernel.rows)
+
+
+def product(h1: hered.HereditaryPoly, h2: hered.HereditaryPoly) -> hered.HereditaryPoly:
+    """Product of strongly hereditary polynomials on disjoint variable sets."""
+    if set(h1.vars) & set(h2.vars):
+        raise ValueError("variable sets must be disjoint")
+    if not (h1.strong and h2.strong):
+        raise ValueError("product needs strongly hereditary factors")
+    vars = h1.vars + h2.vars
+    return hered.check_hereditary(hered._extend_vars(h1.f, vars) * hered._extend_vars(h2.f, vars))
+
+
+def restrict_fS(h: hered.HereditaryPoly, S: Iterable) -> hered.HereditaryPoly:
+    """f^S wrapped with its own face data; hereditary again by inheritance."""
+    return hered.check_hereditary(hered.restrict_poly(h, S))
+
+
+def space_dimension(delta: SimComplex, lin: LinSubspace, k: int) -> int:
+    """dim of the degree-k polynomials supported on delta and invariant
+    under translation along lin, by exact linear algebra on coefficients."""
+    verts = tuple(delta.vertices)
+    vidx = {v: i for i, v in enumerate(verts)}
+    monos: list[tuple] = []
+    seen = set()
+    for face in delta.faces(max_size=min(k, (delta.dim or 0) + 1)):
+        fl = sorted(face, key=label_key)
+        if len(fl) > k:
+            continue
+        for combo in combinations_with_replacement(fl, k):
+            if set(combo) == set(fl):
+                exps = [0] * len(verts)
+                for v in combo:
+                    exps[vidx[v]] += 1
+                t = tuple(exps)
+                if t not in seen:
+                    seen.add(t)
+                    monos.append(t)
+    if not monos:
+        return 0
+    mono_pos = {m: j for j, m in enumerate(monos)}
+    amb_idx = {v: i for i, v in enumerate(lin.ambient)}
+    rows = []
+    for b in lin.rows:
+        derivative_rows: dict[tuple, list] = {}
+        for m in monos:
+            for v in verts:
+                i = vidx[v]
+                if m[i] == 0:
+                    continue
+                coef = b[amb_idx[v]] * m[i]
+                if coef == 0:
+                    continue
+                lower = list(m)
+                lower[i] -= 1
+                row = derivative_rows.setdefault(tuple(lower), [0] * len(monos))
+                row[mono_pos[m]] += coef
+        rows.extend(tuple(r) for r in derivative_rows.values())
+    return len(monos) - linalg.rank(rows)
+
+
+def lineality_extend(L: LinSubspace, S: Sequence, c: Sequence, vertex) -> LinSubspace:
+    """Lift L to the extended space: l_vertex = sum_{i in S} c_i l_i."""
+    S = tuple(S)
+    c = [Q(x) for x in c]
+    idx = {v: k for k, v in enumerate(L.ambient)}
+    rows = []
+    for b in L.rows:
+        l0 = sum((ci * b[idx[i]] for i, ci in zip(S, c)), ZERO)
+        rows.append(tuple(b) + (l0,))
+    return LinSubspace(L.ambient + (vertex,), rows)

@@ -13,7 +13,7 @@ from math import factorial
 
 import pytest
 
-from lorentzlab import cli
+from lorentzlab import cli, rat
 from lorentzlab.cli import build_parser, main
 from lorentzlab.matroid import LatticeVolume, Matroid
 from lorentzlab.rat import Q, Rational, read_rat, read_ratio
@@ -784,6 +784,51 @@ def test_read_ratio_agrees_with_the_rational_parse(rng):
         assert got == want, (x, got, want)
         if type(got[0]) is int:
             assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("polytope", "volume", "in.json"), '{"dim": 2, "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]], '
+                                        '"t": [1e99999999, 1, 1, 1]}'),
+    (("polytope", "volume", "in.json"), {"dim": 2, "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                         "t": ["1e99999999", "1", "1", "1"]}),
+    (("poly", "lorentzian", "in.json"), {"vars": ["t1", "t2"], "terms": [{"exps": [1, 1], "coeff": "1e99999999"}]}),
+    (("fan", "subdivide", "sqfan.json", "--ray", "1e99999999,1"), None),
+    (("subdivide", "edge.txt", "--face", "t1,t2", "--coeffs", "1,1e-99999999"), None),
+], ids=["json-number", "json-string", "poly-coeff", "ray", "coeffs"])
+def test_huge_exponents_exit_2_at_once(files, tmp_path, argv, content):
+    """A number with a decimal exponent above ``rat.MAX_EXPONENT`` is an
+    input error, as a JSON number, as JSON text and on the command line,
+    found before any power of ten is formed: a new interpreter exits 2
+    with a JSON error in under 2 s."""
+    if content is not None:
+        path = tmp_path / "in.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        files["in.json"] = str(path)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "lorentzlab", *(files.get(a, a) for a in argv)],
+                         capture_output=True, text=True, env=env, timeout=2)
+    assert out.returncode == 2 and "Traceback" not in out.stderr, out.stderr
+    rep = json.loads(out.stdout)
+    assert rep["verdict"] == "error" and "out of range" in rep["message"], rep
+
+
+def test_exponent_cap_is_shared_by_every_text_reader():
+    """``Q`` on text, ``read_ratio`` and the JSON number reader apply one
+    cap; an exponent at the cap still reads exactly."""
+    cap = rat.MAX_EXPONENT
+    assert Q(f"1e{cap}") == 10 ** cap and Q(f"3e-{cap}") == Fraction(3, 10 ** cap)
+    assert read_ratio(f"1e{cap}") == (10 ** cap, 1) and str(cli._loads(f"[1e-{cap}]")[0]) == f"1e-{cap}"
+    for text in (f"1e{cap + 1}", f"-2.5E-{cap + 1}", f"1e{cap + 1:_}", f" 7e+{cap + 1} "):
+        for read in (Q, read_ratio, read_rat):
+            with pytest.raises(ValueError, match="out of range"):
+                read(text)
+    for text in (f"1e{cap + 1}", f"-2.5E-{cap + 1}"):
+        with pytest.raises(ValueError, match="out of range"):
+            cli._loads(f"[{text}]")
+    # text that is no number is left to the parse, whose error it keeps
+    with pytest.raises(ValueError, match="Invalid literal"):
+        Q("1e5x")
 
 
 def test_json_decimals_are_exact(capsys, tmp_path):

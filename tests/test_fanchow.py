@@ -24,7 +24,7 @@ from lorentzlab.fanchow import (
     read_step,
     transport_chain,
 )
-from lorentzlab.hereditary import is_positive, space_dimension
+from lorentzlab.hereditary import is_positive
 from lorentzlab.lorentzian import polarize
 from lorentzlab.matroid import Matroid, bergman_fan, flats, pol_matroid, submodular_witness
 from lorentzlab.polycore import HomPoly
@@ -36,6 +36,7 @@ from oracles import (
     lp_overlapping_facet_pairs,
     lp_verify_fan_axioms,
     nullspace_vanishing_restrict,
+    space_dimension,
 )
 
 

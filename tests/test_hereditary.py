@@ -17,11 +17,8 @@ from lorentzlab.hereditary import (
     is_hereditary_lorentzian,
     is_positive,
     face_complex,
-    product,
     require_hereditary,
-    restrict_fS,
     restrict_poly,
-    space_dimension,
 )
 from lorentzlab import linalg
 from lorentzlab.fanchow import fan_subdivide, functional_from_weights
@@ -29,7 +26,15 @@ from lorentzlab.matroid import Matroid, bergman_fan, flats, modular_space, order
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.simplicial import SimComplex
-from oracles import euler_from_weights, projection_pi, skeleton_require_hereditary, solve_member_with_values
+from oracles import (
+    euler_from_weights,
+    product,
+    projection_pi,
+    restrict_fS,
+    skeleton_require_hereditary,
+    solve_member_with_values,
+    space_dimension,
+)
 from test_fanchow import cube_fan, square_fan
 from test_polycore import random_subspace
 from test_polytope import _chamber_samples, _random_polytopes, pentagon, prism
@@ -396,9 +401,9 @@ def test_main_remark_equivalence():
         if cone_nonempty(h) is None:
             return False
         if d == 2:
-            from lorentzlab.inertia import at_most_one_positive, hessian
+            from lorentzlab.inertia import hessian, inertia
 
-            return at_most_one_positive(hessian(h.f))
+            return inertia(hessian(h.f)).pos <= 1
         if not h.delta.is_connected():
             return False
         return all(reference(restrict_fS(h, {i})) for i in h.delta.link_vertices(()))

@@ -1,16 +1,20 @@
 """Every function, class and method in ``src/lorentzlab`` is reached by
-the library: a command, a demo or the export list.  A route that only
-tests call is a test oracle and lives in ``tests/oracles.py``; a name that
-only its own test exercises is deleted with that test.  No module but
+the library: a command or a demo.  A route that only tests call is a test
+oracle or fixture and lives in ``tests/oracles.py``; a name that only its
+own test exercises is deleted with that test.  The export list in
+``__init__.py`` is no reason to keep a name, and no module but
 ``__init__`` imports a name that it does not read.
 
 A function or class counts as reached when its name appears (as a
-``Name``, an ``Attribute`` or an imported name) in ``src/`` outside its
-own body, or anywhere in ``demos/``, or when ``__init__.py`` imports it.
-A method counts as reached only through an ``Attribute`` of its name, so
-a local variable that shares it does not count.  Dunders are called by
-Python itself and are not checked.  The rest sit on ``ALLOWED``, each with
-its reason.
+``Name``, an ``Attribute`` or a name imported from ``lorentzlab``) in a
+module of ``src/`` other than ``__init__``, outside its own body, or
+anywhere in ``demos/``.  A name imported from another package, as
+``product`` from ``itertools``, reaches nothing.  A method counts as
+reached only through an ``Attribute`` of its name, so a local variable
+that shares it does not count.  Dunders are called by Python itself and
+are not checked.  The rest sit on ``ALLOWED``, each with its reason; a
+reason that cites ``bench/tracing.py`` holds only while the tracer lists
+the name.
 
 A method reached only through an attribute that another definition of
 the same bare name also answers to would pass unseen, so every definition
@@ -21,14 +25,19 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from test_tracing_names import _tracing_module
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "lorentzlab").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+TRACER = "bench/tracing.py"
 ALLOWED = {
-    "matroid.LatticeVolume.chains": "wrapped by name in bench/tracing.py",
-    "matroid.LatticeVolume.eval_bivariate": "wrapped by name in bench/tracing.py",
-    "polycore.HomPoly.mixed_partial": "wrapped by name in bench/tracing.py",
+    "matroid.LatticeVolume.chains": f"wrapped by name in {TRACER}",
+    "matroid.LatticeVolume.eval_bivariate": f"wrapped by name in {TRACER}",
+    "polycore.HomPoly.mixed_partial": f"wrapped by name in {TRACER}",
+    "linalg.nullspace": f"wrapped by name in {TRACER}",
+    "lorentzian.definitional_check": "acceptance criterion 12 runs it on the PSD cone, which is not polyhedral",
     "cli._Parser.error": "argparse calls it on a usage error",
     "polycore.HomPoly.terms": "the rational reader of an exported class, named in the polycore docstring",
     "polycore.LinSubspace.basis": "the rational reader of an exported class, named in the polycore docstring",
@@ -51,8 +60,6 @@ SHARED = {
     "simplicial.SimComplex.dim": "hereditary.from_weights",
     "matroid.Matroid.rank_total": "matroid.flats",
     "matroid.FlatLattice.rank_total": "matroid.char_poly",
-    "inertia.SymMatrix.kernel": "inertia.lorentz_signature",
-    "linalg.kernel": "polycore.HomPoly.lineality_space",
     "simplicial.SimComplex.weld": "fanchow.fan_weld",
     "subdivision.weld": "subdivision.apply_chain",
     "inertia.SymMatrix._canonicalize": "inertia.SymMatrix.from_scaled",
@@ -63,8 +70,9 @@ SHARED = {
 
 
 def _names(node, attributes_only: bool = False) -> Counter:
-    """Every name that ``node`` reads, loads or imports; with
-    ``attributes_only``, the names of its ``Attribute`` nodes alone."""
+    """Every name that ``node`` reads, loads or imports from
+    ``lorentzlab`` (relatively, or from ``lorentzlab`` and its modules);
+    with ``attributes_only``, the names of its ``Attribute`` nodes alone."""
     seen = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute):
@@ -73,8 +81,8 @@ def _names(node, attributes_only: bool = False) -> Counter:
             continue
         elif isinstance(sub, ast.Name):
             seen[sub.id] += 1
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            seen.update(alias.name.split(".")[-1] for alias in sub.names)
+        elif isinstance(sub, ast.ImportFrom) and (sub.level or sub.module.split(".")[0] == "lorentzlab"):
+            seen.update(alias.name for alias in sub.names)
     return seen
 
 
@@ -93,20 +101,20 @@ def _definitions(module: str, tree):
 
 def unreached(modules: dict, demos: list, allowed=()) -> list:
     """Qualified names of the definitions in ``modules`` (module name ->
-    source) that nothing in ``modules`` outside their own body, nothing in
-    ``demos`` (sources) and no ``__init__`` import reaches."""
+    source) that nothing in ``modules`` but ``__init__``, outside their
+    own body, and nothing in ``demos`` (sources) reaches."""
     trees = {name: ast.parse(text) for name, text in modules.items()}
     used, attributes = Counter(), Counter()
-    for tree in list(trees.values()) + [ast.parse(text) for text in demos]:
+    reachers = [tree for name, tree in trees.items() if name != "__init__"]
+    for tree in reachers + [ast.parse(text) for text in demos]:
         used.update(_names(tree))
         attributes.update(_names(tree, attributes_only=True))
-    exported = set(_names(trees["__init__"])) if "__init__" in trees else set()
     out = []
     for module, tree in trees.items():
         for qualname, name, node in _definitions(module, tree):
             method = qualname.count(".") == 2  # module.Class.method
             outside = (attributes if method else used)[name] - _names(node, method)[name]
-            if outside <= 0 and name not in exported and qualname not in allowed:
+            if outside <= 0 and qualname not in allowed:
                 out.append(qualname)
     return out
 
@@ -150,15 +158,38 @@ def test_every_allowed_name_is_still_defined():
     assert set(ALLOWED) <= defined, set(ALLOWED) - defined
 
 
+def test_every_tracer_allowance_is_still_traced():
+    layers = _tracing_module().LAYERS
+    cited = [q.split(".", 1) for q, reason in ALLOWED.items() if TRACER in reason]
+    assert len(cited) >= 4
+    stale = [".".join(q) for q in cited if q[1] not in layers.get(q[0], ())]
+    assert not stale, stale
+
+
 def test_the_guard_flags_an_uncalled_def():
     module = "def used():\n    return 1\n\n\ndef uncalled():\n    return uncalled()\n\n\nX = used()\n"
     assert unreached({"synthetic": module}, []) == ["synthetic.uncalled"]
-    assert unreached({"synthetic": module}, ["from synthetic import uncalled\n"]) == []
+    assert unreached({"synthetic": module}, ["from lorentzlab.synthetic import uncalled\n"]) == []
     assert unreached({"synthetic": module}, [], {"synthetic.uncalled": "kept"}) == []
     # a bare name does not reach a method; an attribute does
     module = "class K:\n    def m(self):\n        return 1\n\n\nm = 2\nX = K(), m\n"
     assert unreached({"synthetic": module}, []) == ["synthetic.K.m"]
     assert unreached({"synthetic": module}, ["K().m()\n"]) == []
+
+
+def test_the_guard_flags_a_name_only_the_export_list_reaches():
+    module = "def used():\n    return 1\n\n\ndef exported():\n    return 2\n\n\nX = used()\n"
+    init = "from .synthetic import exported, used\n"
+    assert unreached({"synthetic": module, "__init__": init}, []) == ["synthetic.exported"]
+    # the same import in any other module is a reach
+    assert unreached({"synthetic": module, "other": init}, []) == []
+
+
+def test_an_import_from_another_package_reaches_nothing():
+    module = "def product():\n    return 1\n"
+    assert unreached({"synthetic": module, "other": "from itertools import product\n"}, []) == ["synthetic.product"]
+    assert unreached({"synthetic": module}, ["from itertools import product as iproduct\n"]) == ["synthetic.product"]
+    assert unreached({"synthetic": module}, ["from lorentzlab.synthetic import product\n"]) == []
 
 
 def test_every_shared_name_is_listed_with_its_caller():

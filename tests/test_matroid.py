@@ -58,6 +58,7 @@ from oracles import (
     oracle_max_forests,
     oracle_mobius,
     oracle_single_gap,
+    product,
     quadratic_oracle,
     spot_check_rank_axioms,
 )
@@ -209,7 +210,7 @@ def test_factorization_over_chains(rng):
         # compare after matching variables through the product
         prod = None
         for piece in factor_vals:
-            prod = piece if prod is None else hered.product(prod, piece)
+            prod = piece if prod is None else product(prod, piece)
         if prod is None:
             assert fS.degree == 0
             continue

@@ -5,14 +5,13 @@ and cone transport for shifted points."""
 import pytest
 
 from conftest import hereditary_fixture_pool
-from oracles import cone_transport_check, transport_eps_search
+from oracles import cone_transport_check, lineality_extend, transport_eps_search
 from lorentzlab.hereditary import check_hereditary, is_hereditary_lorentzian, restrict_poly
 from lorentzlab.polycore import parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.subdivision import (
     SubdivStep,
     apply_chain,
-    lineality_extend,
     subdivide,
     weld,
 )
