@@ -255,7 +255,9 @@ class Matroid:
             raise ValueError("a matroid is a JSON object with 'ground' and 'bases', or 'graph'")
         if "graph" in data:
             g = data["graph"]
-            return cls.from_graph(g["vertices"], [tuple(e) for e in read_list(g["edges"], "edges")])
+            if not isinstance(g, Mapping):
+                raise ValueError(f"graph must be a JSON object with 'vertices' and 'edges', got {g!r}")
+            return cls.from_graph(g["vertices"], read_lists(g["edges"], "edges"))
         bases = tuple(map(frozenset, read_lists(data["bases"], "bases")))
         return cls(tuple(read_list(data["ground"], "ground")), bases)
 
@@ -263,23 +265,18 @@ class Matroid:
 class FlatLattice:
     """A lattice of flats with ranks, covers and Moebius values.
 
-    Built from the flats ``layers[k]`` of rank k, element masks over
-    ``elems`` (the bottom alone in the first layer, the top alone in the
-    last), and ``covers``, which maps a flat's mask to the masks of the
-    flats covering it; :func:`flats` hands over the covers its scan finds.
-    ``flats`` lists the flats by rank and then by face key (bottom first,
-    top last) and a flat's index is its place there; ``ranks[i]`` is its
-    rank, ``masks[i]`` its element mask, ``covers_up[i]`` the bitset of its
-    covers, and ``up[i]``/``down[i]`` the bitsets of the flats strictly
-    above/below it in the order the covers generate, ORed along them, from
-    which Moebius values are read.  Validates exhaustively: every cover is one rank up, flats are
-    closed under pairwise intersection, and for each flat the cover
-    differences partition the complement.
+    Built, with no check, from the flats ``layers[k]`` of rank k, element
+    masks over ``elems`` (the bottom alone in the first layer, the top
+    alone in the last), and ``covers``, which maps a flat's mask to the
+    masks of the flats covering it, as :func:`flats` finds and certifies
+    them.  ``flats`` lists the flats by rank and then by face key, and a
+    flat's index is its place there; ``ranks[i]`` is its rank, ``masks[i]``
+    its element mask, ``covers_up[i]`` the bitset of its covers, and
+    ``up[i]``/``down[i]`` the bitsets of the flats strictly above/below it,
+    ORed along the covers, from which Moebius values are read.
     """
 
-    def __init__(self, ground: tuple, elems: tuple, layers: Sequence[Iterable[int]],
-                 covers: Mapping[int, Iterable[int]]):
-        self.ground = tuple(ground)
+    def __init__(self, elems: tuple, layers: Sequence[Iterable[int]], covers: Mapping[int, Iterable[int]]):
         self.elems = elems
         keys = [label_key(e) for e in elems]
         decoded = {}
@@ -291,10 +288,8 @@ class FlatLattice:
         self.masks = tuple(order)
         self.ranks = [decoded[m][0] for m in order]
         self.flats = tuple(decoded[m][2] for m in order)
-        self.rank = dict(zip(self.flats, self.ranks))
         self.bottom, self.top = self.flats[0], self.flats[-1]
         self.proper = self.flats[1:-1]
-        self.index = {F: i for i, F in enumerate(self.flats)}
         # layers[k]: the flats of rank k, and an empty layer above the top
         self.layers = [0] * (len(layers) + 1)
         for i, k in enumerate(self.ranks):
@@ -302,7 +297,6 @@ class FlatLattice:
         pos = {m: i for i, m in enumerate(order)}
         above = [[pos[G] for G in covers.get(m, ())] for m in order]
         self.covers_up = [sum(1 << j for j in js) for js in above]
-        self._check_axioms(above)
         # every cover is one rank up, so it has a higher index: up ORs the
         # covers' up-sets from the top down, down pushes each flat's
         # down-set to its covers from the bottom up
@@ -317,31 +311,9 @@ class FlatLattice:
         self.up, self.down = up, down
         self._mobius: dict[int, list] = {}
 
-    def _check_axioms(self, above: list):
-        flats, masks = self.flats, self.masks
-        for c, k in zip(self.covers_up, self.ranks):
-            if c & ~self.layers[k + 1]:
-                raise ValueError("lattice is not graded by containment covers")
-        present = set(masks)
-        for i, m in enumerate(masks):
-            if not present.issuperset(map(m.__and__, masks[i + 1:])):
-                # the first failing pair in flats order has i < j
-                j = next(j for j in range(i + 1, len(masks)) if m & masks[j] not in present)
-                raise ValueError(f"intersection {face_str(flats[i] & flats[j])} is not a flat")
-        top = masks[-1]
-        for i, (m, js) in enumerate(zip(masks, above)):
-            # cover differences never overlap: two overlapping covers would
-            # meet in a flat strictly between F and one of them, which the
-            # rank and intersection checks above already rule out
-            seen = 0
-            for j in js:
-                seen |= masks[j]
-            if seen & ~m != top & ~m:
-                raise ValueError(f"cover differences above {face_str(flats[i])} do not partition the complement")
-
     @property
     def rank_total(self) -> int:
-        return self.rank[self.top]
+        return self.ranks[-1]
 
     def mobius_row(self, i: int) -> list:
         """mu(flats[i], flats[j]) for every index j, by the lower-interval
@@ -425,10 +397,30 @@ def flats(M: Matroid) -> FlatLattice:
     and B & G both span G), so it is a basis, B' & F = J, and o = B' - F
     meets G at f with o - G = B - G.
 
-    **Both scans.**  Every flat of rank k + 1 covers some flat of rank k,
-    so the next layer is the union of the covers of this one, and every
-    flat is found, with its rank.  The scan of F yields each cover of F
-    once, since the covers partition E - F.
+    **Both scans: the certificate.**  Every flat of rank k + 1 covers one
+    of rank k, so the next layer is the union of the covers of this one;
+    the scan of F yields each cover once, as the covers partition E - F.
+
+    *Lemma.*  If layer 0 is {cl(empty)}, each member of layer k is closed
+    of rank k, and for each member F and each e outside F some member found
+    above F contains F + e, then layer k is the set of flats of rank k and
+    the members found above F are its covers: the layers are the lattice of
+    flats, graded and closed under intersection.  *Proof*, by induction on
+    k.  The member G found above F through e is closed of rank k + 1 and
+    contains cl(F + e), of the same rank, so G = cl(F + e), a cover of F;
+    each cover H of F is cl(F + e) for e in H - F, so it is found, and each
+    flat of rank k + 1 covers one of rank k, a member by induction.
+
+    Layer 0, the covering and the rank hold by construction: the scan
+    starts at the loops; each e outside F is in the cover formed when e is
+    lowest on the list or in an earlier one; a graph's blocks are connected
+    by F's edges, one fewer per layer, and any other matroid's cover through
+    e is cl(F + e) once F is closed (the bases-scan proof).  Closedness is
+    certified on each member, the top included, by one mask operation per
+    flat or per cover: for a graph, no edge outside F has both ends in one
+    block, so each raises the rank; for any other matroid, the members of
+    outs(F), the bases of M/F, cover E - F, so none is a loop of M/F.  A
+    member that fails is a ValueError naming it.
     """
     full, graphic = M._full, M._graph is not None
     if graphic:
@@ -445,17 +437,25 @@ def flats(M: Matroid) -> FlatLattice:
         # each flat of the layer with the bases of its contraction, B - F;
         # the loops are the elements of no basis
         layer = {full & ~reduce(or_, M._basis_masks): set(M._basis_masks)}
-    layers, covers = [tuple(layer)], {}
-    for _ in range(M.rank_total):
+    layers, covers = [], {}
+    while layer:
+        layers.append(tuple(layer))
         found: dict = {}
         for F, carried in layer.items():
             rest = full & ~F
+            if not graphic and reduce(or_, carried, F) != full:
+                raise ValueError(f"the flat scan found {face_str(M._elements(F))}, which is not closed: "
+                                 "an element outside it lies in no basis of its contraction")
             covers[F] = above = []
             while rest:
                 e = rest & -rest
                 if graphic:
                     # the cover through e merges the two blocks it joins
-                    A, B = [b for b in carried if b & e]
+                    ends = [b for b in carried if b & e]
+                    if len(ends) != 2:
+                        raise ValueError(f"the flat scan found {face_str(M._elements(F))}, which is not closed: "
+                                         f"edge {e.bit_length() - 1} has both ends in one of its blocks")
+                    A, B = ends
                     G = F | (A & B)
                     if G not in found:
                         found[G] = (*(b for b in carried if not b & e), A | B)
@@ -468,8 +468,7 @@ def flats(M: Matroid) -> FlatLattice:
                 rest &= ~G
                 above.append(G)
         layer = found
-        layers.append(tuple(layer))
-    return FlatLattice(M.ground, M._elems, layers, covers)
+    return FlatLattice(M._elems, layers, covers)
 
 
 def order_complex(L: FlatLattice) -> SimComplex:

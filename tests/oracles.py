@@ -53,8 +53,11 @@ checked against.
   covers that ``flats`` finds and ORs the up and down sets along them.
   :func:`lattice_of_family` builds a ``FlatLattice`` from any family of
   sets, ranked by longest chains (:func:`longest_chain_ranks`) with
-  those covers, for the lattice checks and for :func:`interval`, the
-  interval [a, b] of a lattice of flats as a lattice of its own.
+  those covers and checks the lattice axioms on it, pairwise intersections
+  included; ``flats`` needs no such check, as each flat it finds is
+  certified closed.  :func:`interval` gives the interval [a, b] of a
+  lattice of flats as a lattice of its own, and :func:`flat_index` the
+  index of each flat, which the library never looks up.
 * :func:`alpha_beta` gives the canonical direction pair as ``Direction``
   objects; the library evaluates at the integer points n alpha and
   n beta (``LatticeVolume.expansion``).
@@ -304,8 +307,9 @@ def oracle_single_gap(L, face):
     """The one gap (lo, hi) with rank(hi) - rank(lo) = 3 of a codimension-2
     face (a set of d - 2 proper flats), or None when the face has two gaps
     with rank difference 2 instead."""
-    ends = (L.bottom, *sorted(face, key=lambda F: L.rank[F]), L.top)
-    keys = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if L.rank[hi] - L.rank[lo] == 3]
+    ix = flat_index(L)
+    ends = (L.bottom, *sorted(face, key=ix.get), L.top)
+    keys = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if L.ranks[ix[hi]] - L.ranks[ix[lo]] == 3]
     return keys[0] if keys else None
 
 
@@ -354,7 +358,7 @@ def fraction_eval_bivariate(L, va, vb) -> list:
     chains = oracle_chains(L)
     pa, pb = oracle_chain_points(L, va, chains), oracle_chain_points(L, vb, chains)
     # values bottom-up by chain length
-    memo = {}
+    memo, ix = {}, flat_index(L)
     for chain in sorted(chains, key=len, reverse=True):
         k = d - len(chain)
         if k == 0:
@@ -362,7 +366,7 @@ def fraction_eval_bivariate(L, va, vb) -> list:
             continue
         acc = [ZERO] * (k + 1)
         for G in chains[chain]:
-            child = memo[tuple(sorted(chain + (G,), key=lambda F: L.rank[F]))]
+            child = memo[tuple(sorted(chain + (G,), key=ix.get))]
             a, b = pa[chain][G], pb[chain][G]
             for j, cv in enumerate(child):
                 acc[j] += a * cv
@@ -388,14 +392,14 @@ def chain_hl_check(L) -> hered.HLVerdict:
         return hered.HLVerdict(value="yes", note="constant volume polynomial")
     w = submodular_witness(L)
     vmap = dict(zip(w.vars, w.coords))
-    chains = oracle_chains(L)
+    chains, ix = oracle_chains(L), flat_index(L)
     for chain, x in oracle_chain_points(L, vmap, chains).items():
         if len(chain) == d - 1:
             ok = sum(x.values()) > 0
         else:
             ok = all(all(x[F] > 0 for F in mids)
-                     or lp_gap_feasible(L, L.index[lo], L.index[hi], sum(1 << L.index[F] for F in mids),
-                                        {L.index[F]: x[F] for F in mids})
+                     or lp_gap_feasible(L, ix[lo], ix[hi], sum(1 << ix[F] for F in mids),
+                                        {ix[F]: x[F] for F in mids})
                      for lo, hi, mids in oracle_gaps(L, chain) if mids)
         if not ok:
             return hered.is_hereditary_lorentzian(pol_matroid(L))
@@ -436,6 +440,7 @@ def oracle_mobius(L, a, b, memo=None) -> int:
 def is_semimodular_spot(L) -> bool:
     """a, b covering their meet forces the join to cover both."""
     flats = set(L.flats)
+    rank = dict(zip(L.flats, L.ranks))
     for a in L.flats:
         for b in L.flats:
             meet = a & b
@@ -443,9 +448,9 @@ def is_semimodular_spot(L) -> bool:
                 return False
             if meet in (a, b):
                 continue
-            if L.rank[a] == L.rank[meet] + 1 and L.rank[b] == L.rank[meet] + 1:
-                join = min((F for F in L.flats if a <= F and b <= F), key=lambda F: L.rank[F])
-                if not (L.rank[join] == L.rank[a] + 1 and L.rank[join] == L.rank[b] + 1):
+            if rank[a] == rank[meet] + 1 and rank[b] == rank[meet] + 1:
+                join = min((F for F in L.flats if a <= F and b <= F), key=rank.get)
+                if not (rank[join] == rank[a] + 1 and rank[join] == rank[b] + 1):
                     return False
     return True
 
@@ -541,10 +546,19 @@ def containment_bitsets(sets: Sequence[frozenset]) -> tuple[list, list, list]:
     return covers_up, up, down
 
 
-def lattice_of_family(ground, family) -> FlatLattice:
+def lattice_of_family(family) -> FlatLattice:
     """The ``FlatLattice`` of a family of sets, ranked by longest chains
     (:func:`longest_chain_ranks`) with the minimal strict supersets of each
-    set as its covers (:func:`containment_bitsets`), both on frozensets."""
+    set as its covers (:func:`containment_bitsets`), both on frozensets.
+
+    The family must be a lattice of flats.  Three checks run, in this
+    order, each failure a ValueError: every cover is one rank up; every
+    pair of sets meets in a set of the family (the first failing pair in
+    flats order is named); and at each set the cover differences partition
+    its complement in the top.  The first and last do not imply the
+    second: on four elements, atoms {0, 1} and {2, 3} under every 3-subset
+    pass them and lack {0}.  ``flats`` runs none of the three, as its lemma
+    shows them unneeded; it certifies each flat closed on its route."""
     family = sorted({frozenset(F) for F in family}, key=face_key)
     elems = tuple(sorted(set().union(*family), key=label_key))
     mask = [sum(1 << elems.index(e) for e in F) for F in family]
@@ -552,13 +566,35 @@ def lattice_of_family(ground, family) -> FlatLattice:
     layers = [[m for F, m in zip(family, mask) if rank[F] == k] for k in range(max(rank.values()) + 1)]
     covers_up, _, _ = containment_bitsets(family)
     covers = {m: [mask[j] for j in range(len(family)) if c >> j & 1] for m, c in zip(mask, covers_up)}
-    return FlatLattice(ground, elems, layers, covers)
+    L = FlatLattice(elems, layers, covers)
+    for c, k in zip(L.covers_up, L.ranks):
+        if c & ~L.layers[k + 1]:
+            raise ValueError("lattice is not graded by containment covers")
+    present = set(L.masks)
+    for i, m in enumerate(L.masks):
+        for j in range(i + 1, len(L.masks)):
+            if m & L.masks[j] not in present:
+                raise ValueError(f"intersection {face_str(L.flats[i] & L.flats[j])} is not a flat")
+    top = L.masks[-1]
+    for F, m in zip(L.flats, L.masks):
+        seen = 0
+        for G in covers[m]:
+            seen |= G
+        if seen & ~m != top & ~m:
+            raise ValueError(f"cover differences above {face_str(F)} do not partition the complement")
+    return L
+
+
+def flat_index(L) -> dict:
+    """Flat -> its index in ``L.flats``, where ``L.ranks`` holds its rank;
+    the library reads flats by index and decodes them only for output."""
+    return {F: i for i, F in enumerate(L.flats)}
 
 
 def interval(L, a, b) -> FlatLattice:
     """The interval [a, b] of a lattice of flats, as the lattice of flats
     of a minor (:func:`lattice_of_family`)."""
-    return lattice_of_family(tuple(sorted(b, key=label_key)), [F for F in L.flats if a <= F <= b])
+    return lattice_of_family([F for F in L.flats if a <= F <= b])
 
 
 def alpha_beta(L) -> tuple[Direction, Direction]:

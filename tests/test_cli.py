@@ -49,6 +49,7 @@ def files(tmp_path):
         "bases": [sorted(b) for b in combinations(range(1, 8), 3) if set(b) not in lines],
     })
     write("u23.json", {"ground": [1, 2, 3], "bases": [[1, 2], [1, 3], [2, 3]]})
+    write("k4.json", {"graph": {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}})
     write("square.json", {"dim": 2, "normals": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
                           "t": ["1", "1", "1", "1"]})
     write("rect.json", {"dim": 2, "normals": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
@@ -418,6 +419,8 @@ def test_malformed_inputs_name_the_field(capsys, files, tmp_path):
      "exchange"),
     ({"ground": [1, 2], "bases": [[]]}, "rank >= 1"),
     ({"graph": {"vertices": 3, "edges": [[0, 1], [True, 2]]}}, "edge 1"),
+    ({"graph": [1]}, "graph must be a JSON object"),
+    ({"graph": {"vertices": 3, "edges": [5]}}, "edges[0] must be a list"),
 ])
 def test_malformed_matroid_inputs_exit_2(capsys, tmp_path, content, needle):
     path = tmp_path / "m.json"
@@ -599,7 +602,7 @@ VALID_FILES = {
     "read_weights_bundle": "weights_edge.json",
     "read_chain": "chain.json",
     "Matroid.from_json_dict": "u23.json",
-    "read_matroid_of_positive_rank": "u23.json",
+    "read_matroid_of_positive_rank": "k4.json",
     "SimplePolytope.from_json_dict": "square.json",
     "Fan.from_json_dict": "sqfan.json",
     "read_fan_weights": "sqweights.json",

@@ -58,7 +58,7 @@ SHARED = {
     "polycore.HomPoly.to_json_dict": "cli.cmd_hereditary_from_weights",
     "polycore.LinSubspace.dim": "cli.cmd_hereditary",
     "simplicial.SimComplex.dim": "hereditary.from_weights",
-    "matroid.Matroid.rank_total": "matroid.flats",
+    "matroid.Matroid.rank_total": "cli.read_matroid_of_positive_rank",
     "matroid.FlatLattice.rank_total": "matroid.char_poly",
     "simplicial.SimComplex.weld": "fanchow.fan_weld",
     "subdivision.weld": "subdivision.apply_chain",

@@ -624,26 +624,26 @@ def _seconds(fn, *args):
 def _bases(L):
     """Bases of a lattice of flats: r-sets of the ground set lying in no hyperplane."""
     r = L.rank_total
-    hyperplanes = [F for F in L.flats if L.rank[F] == r - 1]
-    return [frozenset(B) for B in combinations(L.ground, r) if not any(set(B) <= H for H in hyperplanes)]
+    hyperplanes = [F for F, k in zip(L.flats, L.ranks) if k == r - 1]
+    return [frozenset(B) for B in combinations(L.elems, r) if not any(set(B) <= H for H in hyperplanes)]
 
 
 def _indicator(L, B):
-    return tuple(int(e in B) for e in L.ground)
+    return tuple(int(e in B) for e in L.elems)
 
 
 def test_m_convex_matches_oracle_on_catalog(catalog):
     for name, L in catalog.items():
         pts = [_indicator(L, B) for B in _bases(L)]
-        M = MSet(len(L.ground), pts)
+        M = MSet(len(L.elems), pts)
         assert is_m_convex(M) == brute_force_is_m_convex(M) == (True, None), name
         # one basis fewer is a matroid again only by accident
         if len(pts) > 1:
-            _assert_m_convex_as_oracle(MSet(len(L.ground), pts[1:]))
+            _assert_m_convex_as_oracle(MSet(len(L.elems), pts[1:]))
 
 
 def _basis_polynomial(L):
-    vars = tuple(f"t{e}" for e in L.ground)
+    vars = tuple(f"t{e}" for e in L.elems)
     return HomPoly.from_dense(vars, L.rank_total, {_indicator(L, B): 1 for B in _bases(L)})
 
 
@@ -655,7 +655,7 @@ def test_m_convex_matches_oracle_on_k_lorentzian_supports(catalog):
     variables (at degree 3 its Hessians pass and a derived support fails)."""
     seen = set()
     for name, L in catalog.items():
-        r, n = L.rank_total, len(L.ground)
+        r, n = L.rank_total, len(L.elems)
         if r > 3:  # at rank 4 a 7-element ground set has C(14, 8) multisets T
             continue
         f = _basis_polynomial(L)
