@@ -87,6 +87,33 @@ def _indices(mask: int) -> list:
     return out
 
 
+def _face_order(elems: tuple):
+    """The key on element masks over ``elems`` whose descending order is
+    face-key order on the flats of one rank: the sum of 2^(n-1-p) over the
+    members, p a member's place in ``label_key`` order (the order lemma of
+    :class:`FlatLattice`), by one 16-entry table per four bits."""
+    n = len(elems)
+    weight = [0] * (n + -n % 4)
+    for p, i in enumerate(sorted(range(n), key=lambda i: label_key(elems[i]))):
+        weight[i] = 1 << (n - 1 - p)
+    tables = []
+    for j in range(0, len(weight), 4):
+        t = [0] * 16
+        for v in range(1, 16):
+            low = v & -v
+            t[v] = t[v ^ low] + weight[j + low.bit_length() - 1]
+        tables.append(t)
+
+    def key(mask: int) -> int:
+        out = 0
+        for t in tables:
+            out += t[mask & 15]
+            mask >>= 4
+        return out
+
+    return key
+
+
 def _joins(edges: Sequence, idxs: Iterable[int]) -> int:
     """How many of the edges idxs, taken in order, join two components: the
     rank of that edge set in the cycle matroid, by one union-find pass."""
@@ -269,47 +296,69 @@ class FlatLattice:
     masks over ``elems`` (the bottom alone in the first layer, the top
     alone in the last), and ``covers``, which maps a flat's mask to the
     masks of the flats covering it, as :func:`flats` finds and certifies
-    them.  ``flats`` lists the flats by rank and then by face key, and a
-    flat's index is its place there; ``ranks[i]`` is its rank, ``masks[i]``
-    its element mask, ``covers_up[i]`` the bitset of its covers, and
-    ``up[i]``/``down[i]`` the bitsets of the flats strictly above/below it,
-    ORed along the covers, from which Moebius values are read.
+    them.  The flats are indexed by rank and then by face key, and a flat's
+    index is its place there; ``masks[i]`` is its element mask,
+    ``ranks[i]`` its rank, ``layers[k]`` the bitset of the indices of rank
+    k, ``covers_up[i]`` the bitset of its covers, and ``up[i]``/``down[i]``
+    the bitsets of the flats strictly above/below it, ORed along the
+    covers, from which Moebius values are read.
+
+    ``flats`` (the frozensets, by index), ``proper`` (all but the bottom
+    and the top), ``bottom`` and ``top`` are decoded from the masks on
+    first read, for output; the characteristic polynomial and the
+    Heron-Rota-Welsh check read none of them.
+
+    **The order lemma.**  The flats of one rank are pairwise incomparable,
+    so no flat's sorted key is a prefix of another's, and F comes before G
+    in face-key order exactly when the element of F ^ G least in
+    ``label_key`` order lies in F.  ``elems`` need not be in that order (a
+    matroid keeps its ground set's input order, and '10' < '2'), so each
+    element is weighted 2^(n-1-p), p its place in ``label_key`` order: F
+    comes first exactly when its weight sum is the larger, an integer read
+    off four mask bits at a time by lookup tables (:func:`_face_order`).
     """
 
     def __init__(self, elems: tuple, layers: Sequence[Iterable[int]], covers: Mapping[int, Iterable[int]]):
         self.elems = elems
-        keys = [label_key(e) for e in elems]
-        decoded = {}
+        key = _face_order(elems)
+        order, self.ranks, self.layers = [], [], []
         for k, layer in enumerate(layers):
-            for m in layer:
-                idx = _indices(m)
-                decoded[m] = (k, tuple(sorted(keys[i] for i in idx)), frozenset(elems[i] for i in idx))
-        order = sorted(decoded, key=lambda m: decoded[m][:2])
+            self.layers.append(((1 << len(layer)) - 1) << len(order))
+            order += sorted(layer, key=key, reverse=True)
+            self.ranks += [k] * len(layer)
+        # an empty layer above the top
+        self.layers.append(0)
         self.masks = tuple(order)
-        self.ranks = [decoded[m][0] for m in order]
-        self.flats = tuple(decoded[m][2] for m in order)
-        self.bottom, self.top = self.flats[0], self.flats[-1]
-        self.proper = self.flats[1:-1]
-        # layers[k]: the flats of rank k, and an empty layer above the top
-        self.layers = [0] * (len(layers) + 1)
-        for i, k in enumerate(self.ranks):
-            self.layers[k] |= 1 << i
         pos = {m: i for i, m in enumerate(order)}
         above = [[pos[G] for G in covers.get(m, ())] for m in order]
-        self.covers_up = [sum(1 << j for j in js) for js in above]
         # every cover is one rank up, so it has a higher index: up ORs the
         # covers' up-sets from the top down, down pushes each flat's
         # down-set to its covers from the bottom up
-        up, down = [0] * len(order), [0] * len(order)
-        for i in range(len(order) - 1, -1, -1):
+        n = len(order)
+        self.covers_up, up, down = [0] * n, [0] * n, [0] * n
+        for i in range(n - 1, -1, -1):
+            c = u = 0
             for j in above[i]:
-                up[i] |= up[j] | 1 << j
+                c |= 1 << j
+                u |= up[j]
+            self.covers_up[i], up[i] = c, u | c
         for i, js in enumerate(above):
             below = down[i] | 1 << i
             for j in js:
                 down[j] |= below
         self.up, self.down = up, down
         self._mobius: dict[int, list] = {}
+
+    def __getattr__(self, name):
+        """``flats``, ``proper``, ``bottom`` and ``top``, decoded on first
+        read."""
+        if name not in ("flats", "proper", "bottom", "top"):
+            raise AttributeError(f"'FlatLattice' object has no attribute {name!r}")
+        elems = self.elems
+        self.flats = tuple(frozenset(elems[i] for i in _indices(m)) for m in self.masks)
+        self.bottom, self.top = self.flats[0], self.flats[-1]
+        self.proper = self.flats[1:-1]
+        return getattr(self, name)
 
     @property
     def rank_total(self) -> int:
@@ -326,7 +375,7 @@ class FlatLattice:
         lattice has few distinct values (17 on M(K8))."""
         row = self._mobius.get(i)
         if row is None:
-            row = self._mobius[i] = [0] * len(self.flats)
+            row = self._mobius[i] = [0] * len(self.masks)
             row[i] = 1
             filled = {1: 1 << i}
             for c in _indices(self.up[i]):
@@ -502,9 +551,10 @@ def modular_space(L: FlatLattice) -> LinSubspace:
 
 
 def submodular_witness(L: FlatLattice) -> Direction:
-    """The all-positive strictly submodular point used as a cone witness."""
-    proper = L.proper
-    return Direction(proper, tuple(Q(len(F - L.bottom) * len(L.top - F)) for F in proper))
+    """The all-positive strictly submodular point used as a cone witness,
+    |F - bottom| |top - F| on each proper flat F, by popcounts."""
+    low, high = L.masks[0].bit_count(), L.masks[-1].bit_count()
+    return Direction(L.proper, tuple(Q((m.bit_count() - low) * (high - m.bit_count())) for m in L.masks[1:-1]))
 
 
 def pol_matroid(L: FlatLattice) -> hered.HereditaryPoly:
@@ -550,7 +600,7 @@ class LatticeVolume:
     def __init__(self, L: FlatLattice):
         self.L = L
         self.d = L.rank_total - 1
-        self.top = len(L.flats) - 1
+        self.top = len(L.masks) - 1
         self.proper_mask = L.down[self.top] & ~1
         self._comparable = [u | w for u, w in zip(L.up, L.down)]
         self.lcm_n = lcm(*range(1, (L.masks[-1] & ~L.masks[0]).bit_count() + 1))
@@ -660,10 +710,10 @@ class LatticeVolume:
         rank, down, layers = L.ranks, L.down, L.layers
         # memo[hi][lo] = V(lo, hi), kept when nonzero; nonzero_up[lo] and
         # nonzero_down[hi] are the bitsets of the other ends of those pairs
-        memo: list[dict] = [{} for _ in L.flats]
-        nonzero_up = [0] * len(L.flats)
-        nonzero_down = [0] * len(L.flats)
-        for hi in range(1, len(L.flats)):
+        memo: list[dict] = [{} for _ in L.masks]
+        nonzero_up = [0] * len(L.masks)
+        nonzero_down = [0] * len(L.masks)
+        for hi in range(1, len(L.masks)):
             row = memo[hi]
             found = 0
             todo = down[hi] & layers[rank[hi] - 1]
@@ -974,7 +1024,8 @@ def char_poly(L: FlatLattice) -> CharReport:
     The Moebius route is the defining sum over flats; the volume route
     reads the reduced coefficients off the bivariate expansion of the
     volume polynomial along the canonical direction pair.  Also
-    cross-checks the one-element deletion formula for every element.
+    cross-checks the one-element deletion formula for every element, once
+    per atom: parallel elements share one (:func:`_missing_counts`).
     """
     r = L.rank_total
     if r < 1:
@@ -995,20 +1046,32 @@ def char_poly(L: FlatLattice) -> CharReport:
         a_m = coeffs[j] * Q(factorial(d), comb(d, m))
         reduced[m] = a_m if (d - m) % 2 == 0 else -a_m
     agree = reduced == red_mob
-    for i in sorted(L.top - L.bottom, key=label_key):
+    for counts in _missing_counts(L, L.layers[1]):
         via_del = [0] * (d + 1)
-        for k, m in _flats_missing(L, i):
-            via_del[r - k - 1] += m
+        for (k, m), n in counts.items():
+            via_del[r - k - 1] += m * n
         agree = agree and via_del == red_mob
     return CharReport(chi=chi, reduced=red_mob, reduced_from_volume=reduced, agree=agree,
                       expansion=coeffs)
 
 
-def _flats_missing(L: FlatLattice, e) -> list:
-    """(rank(F), mu(bottom, F)) for the flats F other than the top that
-    miss the element e, in index order."""
-    bit = 1 << L.elems.index(e)
-    return [(k, m) for k, m, mask in zip(L.ranks[:-1], L.mobius_row(0), L.masks) if not mask & bit]
+def _missing_counts(L: FlatLattice, atoms: int) -> list:
+    """For each atom a of the index bitset ``atoms``, in index order, the
+    count of each pair (rank(F), mu(bottom, F)) over the flats F other
+    than the top that miss the elements of a.
+
+    A flat that holds one element of a holds its closure, a, so those
+    flats are the indices ~(up[a] | 1 << a), the top being a or above it;
+    they are counted by popcounts against the bitset of each (rank,
+    value) pair, as :meth:`FlatLattice.mobius_row` sums by value."""
+    classes: dict[tuple, int] = {}
+    for j, km in enumerate(zip(L.ranks, L.mobius_row(0))):
+        classes[km] = classes.get(km, 0) | 1 << j
+    out = []
+    for a in _indices(atoms):
+        miss = ~(L.up[a] | 1 << a)
+        out.append({km: n for km, held in classes.items() if (n := (held & miss).bit_count())})
+    return out
 
 
 def _divide_by_t_minus_1(coeffs: list) -> list:
@@ -1042,8 +1105,11 @@ def hrw_check(L: FlatLattice) -> HRWReport:
     d = L.rank_total - 1
     lhs = [c * factorial(d) for c in rep.expansion]
     rhs = [0] * (d + 1)
-    for rho, m in _flats_missing(L, min(L.top - L.bottom, key=label_key)):
-        rhs[rho] += comb(d, rho) * abs(m)
+    # the flats missing the least element of top - bottom in label_key
+    # order: by the order lemma of FlatLattice it lies in the first atom
+    (counts,) = _missing_counts(L, 1 << 1)
+    for (rho, m), n in counts.items():
+        rhs[rho] += comb(d, rho) * abs(m) * n
     # rhs[j]: coefficient of t^rho s^(d-rho) matches lhs index j = rho
     mixed = lhs == rhs
     return HRWReport(reduced_abs=seq, log_concave=ok, mixed_identity=mixed, char=rep)

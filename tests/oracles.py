@@ -39,6 +39,14 @@ checked against.
   polynomial.
 * :func:`decoded_mobius_row` is the Moebius recursion on the up and down
   bitsets, each down-set decoded; the library sums by value masks.
+* :func:`flats_missing` lists, for one element, the rank and Moebius value
+  of each decoded flat other than the top that misses it, as the deletion
+  check once read them; the library counts them once per atom, by
+  popcounts against the atom's up-set (``matroid._missing_counts``).
+* :func:`decoded_flat_order` orders flat masks by rank and then by face
+  key by decoding each mask into its members' ``label_key`` strings and
+  sorting; ``FlatLattice`` sorts each rank by an integer key, by the order
+  lemma in its docstring.
 * :func:`oracle_flats` and :func:`oracle_is_basis_family` share no code
   with ``src/``: flats by closing every subset of the ground set with a
   max-intersection rank, and basis exchange checked literally on sets.
@@ -714,6 +722,25 @@ def decoded_mobius_row(L, i) -> list:
     for c in positions(L.up[i]):
         row[c] = -sum(row[j] for j in positions(L.down[c] & closed))
     return row
+
+
+def flats_missing(L, e) -> list:
+    """(rank(F), mu(bottom, F)) for the flats F other than the top that
+    miss the element e, in index order, on the decoded flats."""
+    return [(k, m) for F, k, m in zip(L.flats[:-1], L.ranks, L.mobius_row(0)) if e not in F]
+
+
+def decoded_flat_order(elems, layers) -> tuple:
+    """The masks of ``layers`` (the flats of rank k, as masks over
+    ``elems``, in layer k) by rank and then by face key: each mask decoded
+    into the sorted ``label_key`` strings of its members, and sorted by
+    (rank, those strings)."""
+    keys = [label_key(e) for e in elems]
+    decoded = {}
+    for k, layer in enumerate(layers):
+        for m in layer:
+            decoded[m] = (k, tuple(sorted(keys[i] for i in range(len(elems)) if m >> i & 1)))
+    return tuple(sorted(decoded, key=decoded.get))
 
 
 GT, GE, EQ = ">", ">=", "="

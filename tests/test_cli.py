@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,34 @@ def test_matroid_commands(capsys, files):
     assert code == 0 and len(rep["flats"]) == 5
     code, rep, _ = run(capsys, "matroid", "bergman", files["u23.json"])
     assert code == 0 and rep["fan"]["dim"] == 2
+
+
+# grounds whose input order is not label_key order: U(2,4) over
+# [42, 7, 13, 99] ('13' < '42' < '7' < '99'), and K4 with parallel edges,
+# 11 in all ('10' < '2'), whose atoms hold two elements each but one
+LABEL_ORDER_MATROIDS = {
+    "u24_over_42_7_13_99.json": {"ground": [42, 7, 13, 99],
+                                 "bases": [sorted(b) for b in combinations([42, 7, 13, 99], 2)]},
+    "k4_parallel.json": {"graph": {"vertices": 4, "edges": [
+        [0, 1], [1, 2], [0, 3], [2, 3], [0, 2], [0, 1], [1, 3], [1, 2], [1, 3], [0, 3], [0, 2]]}},
+}
+RECORDED_MATROID_REPORTS = Path(__file__).resolve().parent / "cli_output" / "matroid_label_order.txt"
+
+
+def test_matroid_reports_match_the_recorded_copy(capsys, tmp_path):
+    """``matroid flats``, ``bergman``, ``hrw`` and ``charpoly`` print, byte
+    for byte, the reports recorded when each flat was decoded and sorted by
+    its face key (``decoded_flat_order`` in ``tests/oracles.py``), on
+    grounds out of label_key order.  Each report names its input file by
+    its bare name."""
+    got = []
+    for name, data in LABEL_ORDER_MATROIDS.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        for command in ("flats", "bergman", "hrw", "charpoly"):
+            assert main(["matroid", command, str(path)]) == 0
+            got.append(f"== matroid {command} {name}\n" + capsys.readouterr().out.replace(str(path), name))
+    assert "".join(got) == RECORDED_MATROID_REPORTS.read_text()
 
 
 def test_polytope_commands(capsys, files):

@@ -4,13 +4,15 @@ agreement between the explicit polynomial path and the evaluation engine."""
 
 import inspect
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from lorentzlab import hereditary as hered
+from lorentzlab import matroid as matroid_module
 from lorentzlab.matroid import (
     FlatLattice,
     LatticeVolume,
@@ -26,9 +28,10 @@ from lorentzlab.matroid import (
     pol_matroid,
     submodular_witness,
     volume_engine,
+    _missing_counts,
 )
 from lorentzlab.rat import Q
-from lorentzlab.simplicial import face_key
+from lorentzlab.simplicial import face_key, label_key
 from lorentzlab.inertia import hessian, inertia
 from conftest import in_fresh_process
 from oracles import (
@@ -37,9 +40,11 @@ from oracles import (
     chain_hl_check,
     closure_cover_flats,
     containment_bitsets,
+    decoded_flat_order,
     decoded_mobius_row,
     exchange_message,
     flat_index,
+    flats_missing,
     fraction_eval_bivariate,
     interval,
     interval_normalized,
@@ -251,6 +256,127 @@ def test_hrw_all_small(catalog):
     for name in ("U(2,3)", "U(3,4)", "U(2,5)", "K4", "Fano"):
         hr = hrw_check(catalog[name])
         assert hr.log_concave and hr.mixed_identity, name
+
+
+def _uniform_over(r: int, ground) -> Matroid:
+    """U(r, n) over ``ground``, in that order, from its bases."""
+    ground = tuple(ground)
+    return Matroid(ground, tuple(frozenset(b) for b in combinations(ground, r)))
+
+
+def _deletion_lattices(rng) -> list:
+    """(name, lattice): K3 to K7 on shuffled edges, U(r, n) for n <= 7
+    over shuffled samples of 1..99, Fano, the seeded multigraphs (loops,
+    parallel edges) and the seeded basis families."""
+    out = []
+    for n in range(3, 8):
+        edges = list(combinations(range(n), 2))
+        rng.shuffle(edges)
+        out.append((f"K{n} on {edges}", flats(Matroid.from_graph(n, edges))))
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            ground = rng.sample(range(1, 100), n)
+            out.append((f"U({r},{n}) over {ground}", flats(_uniform_over(r, ground))))
+    out.append(("Fano", flats(Matroid.fano())))
+    out += [(name, flats(Matroid.from_graph(n, edges))) for name, n, edges in _multigraphs(rng)]
+    out += [(f"family {family}", flats(Matroid(ground, tuple(frozenset(b) for b in family))))
+            for ground, family in _seeded_families(rng) if oracle_is_basis_family(family)]
+    return [(name, L) for name, L in out if L.rank_total >= 1]
+
+
+def test_deletion_counts_match_the_decoded_oracle(rng):
+    """The deletion check counts the flats missing each atom, by popcounts
+    against the atom's up-set; the oracle lists the decoded flats missing
+    each element.  They agree for every element of every atom, so parallel
+    elements share their atom's counts.  hrw_check reads the counts of the
+    first atom: it holds the least element of top - bottom in label_key
+    order, and the mixed identity holds with the oracle's flats missing
+    that element."""
+    checked = 0
+    for name, L in _deletion_lattices(rng):
+        atoms = [i for i, k in enumerate(L.ranks) if k == 1]
+        counts = _missing_counts(L, L.layers[1])
+        assert len(counts) == len(atoms), name
+        for a, got in zip(atoms, counts):
+            for e in L.flats[a] - L.bottom:
+                assert got == Counter(flats_missing(L, e)), (name, e)
+        least = min(L.top - L.bottom, key=label_key)
+        assert least in L.flats[1], name
+        d = L.rank_total - 1
+        rhs = [0] * (d + 1)
+        for rho, m in flats_missing(L, least):
+            rhs[rho] += comb(d, rho) * abs(m)
+        assert [c * factorial(d) for c in char_poly(L).expansion] == rhs, name
+        assert hrw_check(L).mixed_identity, name
+        checked += 1
+    assert checked >= 60, checked
+
+
+def test_a_dropped_flat_fails_the_deletion_check(catalog, monkeypatch):
+    """Mutant: the counts of the last atom lose one flat of nonzero Moebius
+    value.  char_poly must then report its routes in disagreement, and
+    hrw_check refuse."""
+    counts = matroid_module._missing_counts
+
+    def drop_one(L, atoms):
+        out = counts(L, atoms)
+        last = out[-1]
+        km = max(km for km in last if km[1])
+        last[km] -= 1
+        return out
+
+    monkeypatch.setattr(matroid_module, "_missing_counts", drop_one)
+    for name in ("U(1,3)", "U(2,4)", "U(4,6)", "K4", "Fano"):
+        assert not char_poly(catalog[name]).agree, name
+        with pytest.raises(AssertionError, match="routes disagree"):
+            hrw_check(catalog[name])
+
+
+def test_flat_order_matches_the_decoded_sort(rng):
+    """FlatLattice orders each rank by an integer key (its order lemma):
+    the same masks in the same order as decoding each flat and sorting by
+    rank and face key, on grounds whose input order is not label_key
+    order: U(2,4) over [42, 7, 13, 99], seeded U(3,7) over samples of
+    1..99, K6 and K7 ('10' < '2'), and U(2,18), whose masks span five
+    4-bit tables.  Built again from shuffled layers, the lattice is the
+    same."""
+    L = flats(_uniform_over(2, [42, 7, 13, 99]))
+    assert L.elems == (42, 7, 13, 99)
+    assert [sorted(F) for F in L.flats[1:5]] == [[13], [42], [7], [99]]
+    lattices = [("U(2,4) over [42, 7, 13, 99]", L)]
+    for _ in range(5):
+        ground = rng.sample(range(1, 100), 7)
+        lattices.append((f"U(3,7) over {ground}", flats(_uniform_over(3, ground))))
+    for n in (6, 7):
+        edges = list(combinations(range(n), 2))
+        rng.shuffle(edges)
+        lattices.append((f"K{n} on {edges}", flats(Matroid.from_graph(n, edges))))
+    ground = rng.sample(range(1, 100), 18)
+    lattices.append((f"U(2,18) over {ground}", flats(_uniform_over(2, ground))))
+    for name, L in lattices:
+        layers = [[m for m, k in zip(L.masks, L.ranks) if k == r] for r in range(L.rank_total + 1)]
+        assert L.masks == decoded_flat_order(L.elems, layers), name
+        for layer in layers:
+            rng.shuffle(layer)
+        covers = {m: [L.masks[j] for j in range(len(L.masks)) if c >> j & 1] for m, c in zip(L.masks, L.covers_up)}
+        again = FlatLattice(L.elems, layers, covers)
+        assert (again.masks, again.ranks, again.layers) == (L.masks, L.ranks, L.layers), name
+        assert (again.covers_up, again.up, again.down) == (L.covers_up, L.up, L.down), name
+
+
+def test_char_poly_and_hrw_decode_no_flat():
+    """char_poly and hrw_check read masks, ranks, covers and Moebius values
+    alone: no frozenset of flats is formed until one is read.  The witness
+    takes its values from popcounts, |F - bottom| |top - F| on the
+    decoded flats."""
+    for M in (Matroid.uniform(3, 6), Matroid.from_graph(5, K5_EDGES), Matroid.fano(),
+              _uniform_over(2, [42, 7, 13, 99])):
+        L = flats(M)
+        assert char_poly(L).agree and hrw_check(L).mixed_identity
+        assert not {"flats", "proper", "bottom", "top"} & vars(L).keys()
+        v = submodular_witness(L)
+        assert v.vars == L.proper == L.flats[1:-1] and (L.bottom, L.top) == (L.flats[0], L.flats[-1])
+        assert v.coords == tuple(len(F - L.bottom) * len(L.top - F) for F in L.proper)
 
 
 def test_submodular_witness_in_cone():
