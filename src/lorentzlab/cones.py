@@ -9,8 +9,13 @@ overlap of two cones and the
 coupled cone search (:func:`strict_feasible`, Az > 0 as a positive vector
 of the column space of A) all ask it with a subspace of their own.
 
-The test is one LP, run by an exact simplex with Bland's rule (guaranteed
-termination, no numerical tolerance anywhere).  It runs on an
+Its core, :func:`orthant_shift`, takes the point as integers over one
+positive denominator and L by its integer rows, so the face walk, whose
+projected points are already integer vectors, asks it with no rational
+formed.
+
+The test is one LP, run by an exact simplex with Bland's rule
+(guaranteed termination, no numerical tolerance anywhere).  It runs on an
 integer-preserving tableau (Edmonds 1967): the rows are Python ints over
 one common denominator D, the last pivot, and every pivot divides exactly
 by the D before it.  Ratios are compared by cross-multiplying, so the
@@ -136,12 +141,30 @@ def in_orthant_plus_subspace(v, L) -> tuple | None:
     """An exact l in L with v + l strictly positive, or None.
 
     v is a Direction/sequence over L.ambient; the returned l is a coordinate
-    tuple over the same ambient set.  It is one LP on integers: with
-    y = den * v scaled to integers and B_i the integer rows of L, maximize
-    eps <= den subject to y + sum_i a_i B_i >= eps on every coordinate that
-    some B_i touches (each a_i free, split as p_i - m_i); a coordinate that
-    no row touches needs y_j > 0 by itself.  The witness is re-checked on
-    the integers, y + sum_i a_i B_i > 0 everywhere, before it is returned.
+    tuple over the same ambient set.  v is scaled to integers y over its
+    least common denominator den, and :func:`orthant_shift` decides
+    (y, den) against the integer rows of L.
+    """
+    (y,), den = linalg.integer_scaled([direction_coords(v, L.ambient)])
+    got = orthant_shift(y, den, L.rows)
+    if got is None:
+        return None
+    shift, q = got
+    return tuple(Rational(s, q * den) if s else ZERO for s in shift)
+
+
+def orthant_shift(y: Sequence[int], den: int, B: Sequence[Sequence[int]]) -> tuple | None:
+    """The integer core of :func:`in_orthant_plus_subspace`: for the point
+    y / den (y on ints, den > 0) and the integer rows B of L, (s, q) with
+    s an integer combination of B, q > 0 and q * y + s > 0 everywhere, so
+    that l = s / (q * den); or None.  Multiplying y and den by one positive
+    number changes no decision, so y need not be in lowest terms.
+
+    It is one LP on integers: with B_i the rows, maximize eps <= den
+    subject to y + sum_i a_i B_i >= eps on every coordinate that some B_i
+    touches (each a_i free, split as p_i - m_i); a coordinate that no row
+    touches needs y_j > 0 by itself.  The witness is re-checked on the
+    integers, q * y + sum_i a_i B_i > 0 everywhere, before it is returned.
 
     The LP runs only when some touched y_j <= 0, so mu = -min of y over
     the touched coordinates is >= 0, and it runs in e = eps + mu >= 0: each
@@ -152,29 +175,27 @@ def in_orthant_plus_subspace(v, L) -> tuple | None:
     positive modulo L exactly when the optimum e* exceeds mu, the decision
     of the unshifted LP, and the witness passes the same re-check.
     """
-    (y,), den = linalg.integer_scaled([direction_coords(v, L.ambient)])
-    B = L.rows
     touched = [any(b[j] for b in B) for j in range(len(y))]
     if any(yj <= 0 for yj, t in zip(y, touched) if not t):
         return None
-    ell = [ZERO] * len(y)
-    if not all(yj > 0 for yj in y):  # then some touched coordinate needs the LP
-        n = 2 * len(B) + 1  # p_i, m_i per row of L, e last
-        A = [[x for b in B for x in (-b[j], b[j])] + [1] for j, t in enumerate(touched) if t]
-        rhs = [yj for yj, t in zip(y, touched) if t]
-        mu = -min(rhs)
-        A.append([0] * (n - 1) + [1])
-        _, x, value = lp_max([0] * (n - 1) + [1], A, [yj + mu for yj in rhs] + [den + mu])
-        if value <= mu:
-            return None
-        coeffs = [x[2 * i] - x[2 * i + 1] for i in range(len(B))]
-        q = lcm(*(c.denominator for c in coeffs))
-        a = [int(c * q) for c in coeffs]
-        shift = [sum(ai * b[j] for ai, b in zip(a, B)) for j in range(len(y))]
-        if not all(q * yj + s > 0 for yj, s in zip(y, shift)):  # never skipped
-            raise AssertionError("simplex produced an invalid witness")
-        ell = [Rational(s, q * den) if s else ZERO for s in shift]
-    return tuple(ell)
+    if all(yj > 0 for yj in y):
+        return [0] * len(y), 1
+    # some touched coordinate needs the LP
+    n = 2 * len(B) + 1  # p_i, m_i per row of L, e last
+    A = [[x for b in B for x in (-b[j], b[j])] + [1] for j, t in enumerate(touched) if t]
+    rhs = [yj for yj, t in zip(y, touched) if t]
+    mu = -min(rhs)
+    A.append([0] * (n - 1) + [1])
+    _, x, value = lp_max([0] * (n - 1) + [1], A, [yj + mu for yj in rhs] + [den + mu])
+    if value <= mu:
+        return None
+    coeffs = [x[2 * i] - x[2 * i + 1] for i in range(len(B))]
+    q = lcm(*(c.denominator for c in coeffs))
+    a = [int(c * q) for c in coeffs]
+    shift = [sum(ai * b[j] for ai, b in zip(a, B)) for j in range(len(y))]
+    if not all(q * yj + s > 0 for yj, s in zip(y, shift)):  # never skipped
+        raise AssertionError("simplex produced an invalid witness")
+    return shift, q
 
 
 def strict_feasible(A: Sequence[Sequence]) -> tuple | None:

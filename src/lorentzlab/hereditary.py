@@ -9,23 +9,26 @@ allows exact "pinning" projections pi_S under which the face restrictions
     f^S = (d/dt)^S f  restricted to t_i = 0 on S
 
 live on the link vertex set V_S.  Every pin is one elimination step on a
-canonical lineality basis (:meth:`LinSubspace.pin`): the first basis row
-nonzero at i, scaled to 1 there, is the pin, and the other rows cleared at
-i span the lineality that vanishes at i.  One face walk (:class:`FaceWalk`)
-applies it along a canonical descent that reaches each face of size < d
-once.  Membership in the recursively defined open cone K_f projects the
-point along the descent, and the projected point must be strictly positive
-modulo the lineality at the face: the one orthant test of
-:mod:`lorentzlab.cones`, ``in_orthant_plus_subspace`` (an exact LP,
-skipped when the point is already positive).  The same walk with no
-polynomial decides the ample cone of a fan and supplies the pins and the
-balancing spaces of the reconstruction from facet weights
-(:func:`from_weights`), which fills each coefficient c_alpha of the
-polynomial from one linear relation, the translation invariance along the
-pinned lineality read at t^(alpha - e_i), and multiplies or substitutes no
-polynomial.  When the point is unknown, the walk's projections
-compose into one homogeneous matrix A instead (:func:`cone_system`), and
-``cones.strict_feasible`` asks the same orthant test of its column space.
+canonical lineality basis (:meth:`LinSubspace.pin`): the first integer row
+nonzero at i is the pinning row, which divided by its entry c there is the
+pin, and the other rows cleared at i span the lineality that vanishes at
+i.  One face walk (:class:`FaceWalk`) applies it along a canonical descent
+that reaches each face of size < d once, on integers: a projected point is
+an integer vector over one positive denominator, and the pinning row
+projects it with no rational formed.  Membership in the recursively
+defined open cone K_f projects the point along the descent, and the
+projected point must be strictly positive modulo the lineality at the
+face: the one orthant test of :mod:`lorentzlab.cones`, asked of its
+integer core ``orthant_shift`` (an exact LP, skipped when the point is
+already positive).  The same walk with no polynomial decides the ample
+cone of a fan and supplies the pins and the balancing spaces of the
+reconstruction from facet weights (:func:`from_weights`), which fills each
+coefficient c_alpha of the polynomial from one linear relation, the
+translation invariance along the pinned lineality read at
+t^(alpha - e_i), and multiplies or substitutes no polynomial.  When the
+point is unknown, the walk's projections compose into one homogeneous
+matrix A instead (:func:`cone_system`), and ``cones.strict_feasible`` asks
+the same orthant test of its column space.
 
 The main decision procedure checks, per the characterization of hereditary
 Lorentzian polynomials, that the skeleton of the face complex is
@@ -39,9 +42,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
+from operator import mul
 from typing import Iterable, Mapping
 
-from . import cones
+from . import cones, linalg
 from .inertia import derivative_hessian, inertia as matrix_inertia
 from .polycore import HomPoly, LinSubspace, direction_coords
 from .rat import Q, ZERO, ONE, Rational
@@ -158,9 +162,24 @@ def is_positive(h: HereditaryPoly) -> bool:
 class _Face:
     poly: HomPoly | None   # f^S over V_S; None when there is no polynomial
     lin: LinSubspace       # lineality at S, over V_S
-    pin: tuple | None      # parent's lineality vector with 1 at the descent vertex
     V_S: tuple
     vertex: object = None  # the descent vertex i; the parent face is S - {i}
+    row: tuple = ()        # the parent's pinning row at i, over its V_S, signed so that c > 0
+    c: int = 1             # row's entry at i: the pin is row / c
+    at: tuple = ()         # the positions of V_S in the parent's V_S
+    at_i: int = 0          # the position of i there
+
+    @cached_property
+    def form(self) -> list | None:
+        """The integer coefficients of f^S over V_S (over ``poly.den`` > 0)
+        where f^S is a linear form that must be positive, that is with a
+        polynomial at |S| = d - 1; else None."""
+        if self.poly is None or self.poly.degree != 1:
+            return None
+        form = [0] * len(self.V_S)
+        for exps, a in self.poly.coeffs.items():
+            form[exps.index(1)] = a
+        return form
 
 
 class FaceWalk:
@@ -168,20 +187,30 @@ class FaceWalk:
     descent that adds the vertex ``max(S, key=label_key)`` to ``S`` minus it.
 
     Descending by i is one :meth:`LinSubspace.pin` of the parent's
-    lineality: it gives the vector l with l_i = 1, which projects a point x
-    to x - x_i l on the link vertices V_S, and the parent's lineality
-    vanishing at i, restricted to V_S.  Without a polynomial (the ample
-    cone, the reconstruction from weights) that is the lineality at S.
-    With one, the face carries f^S (derivative at i, restricted) and the
-    lineality of f^S.  Another descent order moves the projected point by
-    a lineality element vanishing on S, which no face test can see, so one
-    order suffices.  Faces are built on first use and kept.
+    lineality: it gives the integer row whose entry c at i is nonzero, so
+    that l = row / c has l_i = 1 and projects a point x to x - x_i l on the
+    link vertices V_S, and the parent's lineality vanishing at i, restricted
+    to V_S.  Without a polynomial (the ample cone, the reconstruction from
+    weights) that is the lineality at S.  With one, the face carries f^S
+    (derivative at i, restricted) and the lineality of f^S.  Another descent
+    order moves the projected point by a lineality element vanishing on S,
+    which no face test can see, so one order suffices.  Faces are built on
+    first use and kept.
+
+    The walk is on integers from the input point to the verdict.  A point
+    is an integer vector y over one denominator den > 0; the child of y / den
+    is (c y - y_i row) / (den c) on V_S, with row and c negated when c < 0,
+    so every projected point is again integers over a positive denominator.
+    The face tests see only signs: all of y positive, the sign of f^S's
+    integer coefficients against y where f^S is linear, and otherwise the
+    orthant test ``cones.orthant_shift`` on (y, den), whose decision does
+    not change when y and den are multiplied by one positive number.
     """
 
     def __init__(self, vars: tuple, delta: SimComplex, lin: LinSubspace, poly: HomPoly | None = None):
         self.delta = delta
         self.d = poly.degree if poly is not None else delta.dim + 1
-        self._faces = {frozenset(): _Face(poly, lin, None, tuple(vars))}
+        self._faces = {frozenset(): _Face(poly, lin, tuple(vars))}
 
     @cached_property
     def order(self) -> list:
@@ -194,53 +223,45 @@ class FaceWalk:
             i = max(S, key=label_key)
             parent = self.face(S - {i})
             V_S = self.delta.link_vertices(S)
-            pin, lin = parent.lin.pin(i, V_S)
-            if pin is None:
+            row, c, lin = parent.lin.pin(i, V_S)
+            if row is None:
                 raise NotHereditaryError(S, f"cannot pin {label_key(i)} in the lineality space at {face_str(S - {i})}")
+            if c < 0:
+                row, c = tuple(-a for a in row), -c
             poly = None
             if parent.poly is not None:
                 poly = parent.poly.partial(i).set_vars_zero([i]).restrict_vars(V_S)
                 lin = poly.lineality_space()
-            fd = self._faces[S] = _Face(poly, lin, pin, V_S, i)
+            pidx = {v: k for k, v in enumerate(parent.V_S)}
+            fd = self._faces[S] = _Face(poly, lin, V_S, i, row, c, tuple(pidx[j] for j in V_S), pidx[i])
         return fd
 
-    def points(self, x: tuple):
-        """(S, x projected to V_S) for each face S of size < d, parents
-        first; x is a vector over the root vertices."""
+    def points(self, y: list, den: int):
+        """(S, y_S, den_S) for each face S of size < d, parents first: the
+        point y / den over the root vertices, y on ints and den > 0,
+        projected to V_S is y_S / den_S, again on ints with den_S > 0."""
         points = {}
         for S in self.order:
-            if not S:
-                y = x
-            else:
+            if S:
                 fd = self.face(S)
-                i = fd.vertex
-                parent = self.face(S - {i})
-                pidx = {v: k for k, v in enumerate(parent.V_S)}
-                px = points[S - {i}]
-                y = tuple(px[pidx[j]] - px[pidx[i]] * fd.pin[pidx[j]] for j in fd.V_S)
-            points[S] = y
-            yield S, y
-
-    def linear_coeffs(self, S: frozenset) -> list | None:
-        """The coefficients of f^S where it is a linear form that must be
-        positive (|S| = d - 1 with a polynomial), else None."""
-        fd = self.face(S)
-        if len(S) != self.d - 1 or fd.poly is None:
-            return None
-        return [fd.poly.coeff([1 if u == v else 0 for u in fd.V_S]) for v in fd.V_S]
+                py, pden = points[S - {fd.vertex}]
+                yi, c, row = py[fd.at_i], fd.c, fd.row
+                y, den = [c * py[p] - yi * row[p] for p in fd.at], pden * c
+            points[S] = y, den
+            yield S, y, den
 
     def member(self, x: tuple) -> bool:
         """Whether x (over the root vertices) lies in the cone: at each face
         the projected point is positive modulo the lineality there, or f^S
         is positive at it where f^S is linear.  Stops at the first failing
         face."""
-        for S, y in self.points(tuple(x)):
-            coeffs = self.linear_coeffs(S)
-            if coeffs is not None:
-                ok = sum(c * yj for c, yj in zip(coeffs, y)) > 0
+        (y,), den = linalg.integer_scaled([x])
+        for S, y, den in self.points(y, den):
+            fd = self.face(S)
+            if fd.form is not None:
+                ok = sum(map(mul, fd.form, y)) > 0
             else:
-                ok = (all(yj > 0 for yj in y)
-                      or cones.in_orthant_plus_subspace(y, self.face(S).lin) is not None)
+                ok = all(yj > 0 for yj in y) or cones.orthant_shift(y, den, fd.lin.rows) is not None
             if not ok:
                 return False
         return True
@@ -272,16 +293,15 @@ def cone_system(h: HereditaryPoly) -> list[list]:
     rows: list[tuple[list, dict]] = []  # (the point part, {aux column: entry})
     naux = 0
     # mu_S by columns: the walk's projections of the unit vectors
-    units = [tuple(ONE if r == c else ZERO for r in range(n)) for c in range(n)]
-    for faces in zip(*(walk.points(e) for e in units)):
-        S, cols = faces[0][0], [col for _, col in faces]
-        lin_coeffs = walk.linear_coeffs(S)
-        if lin_coeffs is not None:
-            rows.append(([sum(c * m for c, m in zip(lin_coeffs, col)) for col in cols], {}))
+    units = [[int(r == c) for r in range(n)] for c in range(n)]
+    for faces in zip(*(walk.points(e, 1) for e in units)):
+        fd = walk.face(faces[0][0])
+        if fd.form is not None:
+            rows.append(([Rational(sum(map(mul, fd.form, y)), fd.poly.den * den) for _, y, den in faces], {}))
         else:
-            B = walk.face(S).lin.rows
-            for r in range(len(walk.face(S).V_S)):
-                rows.append(([col[r] for col in cols], {naux + k: b[r] for k, b in enumerate(B)}))
+            B = fd.lin.rows
+            for r in range(len(fd.V_S)):
+                rows.append(([Rational(y[r], den) for _, y, den in faces], {naux + k: b[r] for k, b in enumerate(B)}))
             naux += len(B)
     return [point + [aux.get(k, 0) for k in range(naux)] for point, aux in rows]
 
@@ -457,7 +477,9 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
     support by one, so the recursion ends at facets, where it reads w.
     Every coefficient is thus fixed by the weights: the reconstruction is
     unique, and no choice of i changes it.  The relation takes the first
-    such i in the vertex order, and each coefficient is filled once.
+    such i in the vertex order, and each coefficient is filled once.  It
+    reads l as the pinning row over its entry c at i, so c_alpha is
+    -(sum_j row_j c_{alpha - e_i + e_j}) / c.
     Heredity, balancing, the facet values, the lineality and the face
     complex are all checked; no polynomial is substituted or multiplied.
     """
@@ -493,12 +515,12 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
             i, rest = alpha[k], alpha[:k] + alpha[k + 1:]
             T = frozenset(vars[p] for p in alpha if p != i)
             fd = walk.face(T)
-            ell = fd.lin.pin(vars[i], ())[0]
-            if ell is None:
+            row, ci, _ = fd.lin.pin(vars[i], ())
+            if row is None:
                 raise NotHereditaryError(T | {vars[i]})
-            at = dict(zip(fd.V_S, ell))
+            at = dict(zip(fd.V_S, row))
             got = c[alpha] = -sum((at[vars[j]] * coeff(tuple(sorted(rest + (j,))))
-                                   for j in links[frozenset(alpha)] if at[vars[j]]), ZERO)
+                                   for j in links[frozenset(alpha)] if at[vars[j]]), ZERO) / ci
         return got
 
     faces = sorted({tuple(sorted(T)) for T in links if T}.union(c))

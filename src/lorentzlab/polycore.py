@@ -532,7 +532,7 @@ class LinSubspace:
     each read.
     """
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "_index")
 
     def __init__(self, ambient: Sequence[Label], basis: Iterable[Sequence]):
         ambient = tuple(ambient)
@@ -601,7 +601,13 @@ class LinSubspace:
         return LinSubspace._span(self.ambient, linalg.kernel(list(self.rows), pivots, s, len(self.ambient)))
 
     def _positions(self, coords: Sequence[Label]) -> list[int]:
-        idx = {v: i for i, v in enumerate(self.ambient)}
+        """The positions of ``coords`` in the ambient, by an index formed on
+        the first lookup and kept."""
+        try:
+            idx = self._index
+        except AttributeError:
+            idx = {v: i for i, v in enumerate(self.ambient)}
+            object.__setattr__(self, "_index", idx)
         return [idx[c] for c in coords]
 
     def projects_onto(self, coords: Sequence[Label]) -> bool:
@@ -611,23 +617,19 @@ class LinSubspace:
             return False
         return len(linalg.eliminate([[b[p] for p in pos] for b in self.rows])[1]) == len(pos)
 
-    def pin(self, v: Label, keep: Sequence[Label]) -> tuple[tuple | None, "LinSubspace"]:
-        """One elimination step at ``v``: (l, { m|keep : m in L, m_v = 0 }).
+    def pin(self, v: Label, keep: Sequence[Label]) -> tuple[tuple | None, int, "LinSubspace"]:
+        """One elimination step at ``v``: (row, c, { m|keep : m in L, m_v = 0 }).
 
-        l is the first basis row with a nonzero entry c at v, divided by c
-        (None when every element vanishes at v); each other integer row b
-        becomes c*b - b_v*(that row), which clears its v-entry, so these
-        rows span the elements vanishing at v.  On the canonical basis l is
-        the basic solution of m_v = 1, so repeated calls agree exactly.
+        row is the first integer row with a nonzero entry c at v, so that
+        l = row / c is the element of L with l_v = 1 that pins v (row is
+        None and c is 0 when every element vanishes at v); each other
+        integer row b becomes c*b - b_v*row, which clears its v-entry, so
+        these rows span the elements vanishing at v.  On the canonical basis
+        l is the basic solution of m_v = 1, so repeated calls agree exactly.
         """
-        p = self.ambient.index(v)
-        pos = self._positions(keep)
+        p, *pos = self._positions((v, *keep))
         k = next((r for r, b in enumerate(self.rows) if b[p]), None)
-        l = None
-        if k is not None:
-            top = self.rows[k]
-            c = top[p]
-            l = tuple(Rational(x, c) if x else ZERO for x in top)
+        top, c = (None, 0) if k is None else (self.rows[k], self.rows[k][p])
         rows = [[c * b[q] - b[p] * top[q] for q in pos] if b[p] else [b[q] for q in pos]
                 for r, b in enumerate(self.rows) if r != k]
-        return l, LinSubspace._span(tuple(keep), rows)
+        return top, c, LinSubspace._span(tuple(keep), rows)

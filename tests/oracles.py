@@ -145,6 +145,13 @@ checked against.
 * :func:`all_orderings_ample_member` is the ample-cone recursion over every
   ordering of every face's vertices, with its own projections; the library
   visits each face once, by one canonical descent.
+* :func:`fraction_face_points` projects a point along the face walk's
+  descent on rationals, each pin solved by
+  :func:`solve_member_with_values`; :func:`fraction_walk_member` decides
+  membership and :func:`fraction_cone_system` builds the coupled system on
+  those points.  The library's walk carries integer vectors over one
+  positive denominator, projects them by the integer pinning row of
+  ``LinSubspace.pin`` and tests signs on integers.
 * :func:`solve_member_with_values` and :func:`nullspace_vanishing_restrict`
   pin a lineality vector by solving for basis coefficients and restrict a
   lineality to the elements vanishing on a set by a nullspace, both by
@@ -1289,9 +1296,10 @@ def euler_from_weights(delta, lin, w) -> hered.HereditaryPoly:
                     term = HomPoly.variable(V_S, i).scale(child.constant_term())
                 else:
                     fd = walk.face(S)
-                    ell = fd.lin.pin(i, ())[0]
-                    if ell is None:
+                    row, c, _ = fd.lin.pin(i, ())
+                    if row is None:
                         raise hered.NotHereditaryError(S | {i})
+                    ell = [Q(x, c) for x in row]
                     pos = {v: r for r, v in enumerate(fd.V_S)}
                     forms = {}
                     for j in delta.link_vertices(S | {i}):
@@ -1577,6 +1585,71 @@ def all_orderings_ample_member(fan, v) -> bool:
         )
 
     return descend(frozenset(), coords)
+
+
+def fraction_face_points(walk, x) -> dict:
+    """{S: x projected to V_S} for every face S of ``walk.order``, on
+    rationals: descending by i moves the parent's point x to x - x_i l on
+    V_S, with l the element of the parent's lineality with l_i = 1 solved
+    by :func:`solve_member_with_values`."""
+    points = {}
+    for S in walk.order:
+        if not S:
+            y = tuple(Q(a) for a in x)
+        else:
+            fd = walk.face(S)
+            i = fd.vertex
+            parent = walk.face(S - {i})
+            ell = solve_member_with_values(parent.lin, {i: ONE})
+            pidx = {v: k for k, v in enumerate(parent.V_S)}
+            px = points[S - {i}]
+            y = tuple(px[pidx[j]] - px[pidx[i]] * ell[pidx[j]] for j in fd.V_S)
+        points[S] = y
+    return points
+
+
+def _fraction_linear_coeffs(fd) -> list | None:
+    """The rational coefficients of f^S over V_S where f^S is linear."""
+    if fd.poly is None or fd.poly.degree != 1:
+        return None
+    return [fd.poly.coeff([int(u == v) for u in fd.V_S]) for v in fd.V_S]
+
+
+def fraction_walk_member(walk, x) -> bool:
+    """Membership in the walk's cone on the points of
+    :func:`fraction_face_points`: f^S positive where it is linear, else the
+    rational orthant test ``in_orthant_plus_subspace``."""
+    for S, y in fraction_face_points(walk, x).items():
+        fd = walk.face(S)
+        coeffs = _fraction_linear_coeffs(fd)
+        if coeffs is not None:
+            ok = sum((c * a for c, a in zip(coeffs, y)), ZERO) > 0
+        else:
+            ok = in_orthant_plus_subspace(y, fd.lin) is not None
+        if not ok:
+            return False
+    return True
+
+
+def fraction_cone_system(h) -> list[list]:
+    """``hereditary.cone_system`` with the columns mu_S from
+    :func:`fraction_face_points` of the unit vectors and the linear rows
+    from the rational coefficients of f^S."""
+    walk = hered.FaceWalk(h.vars, h.delta, h.lin, h.f)
+    n = len(h.vars)
+    cols = [fraction_face_points(walk, [int(r == c) for r in range(n)]) for c in range(n)]
+    rows, naux = [], 0
+    for S in walk.order:
+        fd = walk.face(S)
+        coeffs = _fraction_linear_coeffs(fd)
+        if coeffs is not None:
+            rows.append(([sum((c * m for c, m in zip(coeffs, col[S])), ZERO) for col in cols], {}))
+        else:
+            B = fd.lin.rows
+            for r in range(len(fd.V_S)):
+                rows.append(([col[S][r] for col in cols], {naux + k: b[r] for k, b in enumerate(B)}))
+            naux += len(B)
+    return [point + [aux.get(k, 0) for k in range(naux)] for point, aux in rows]
 
 
 def cone_pair_system(fan1, A, fan2, B, rel) -> StrictSystem:

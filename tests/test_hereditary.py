@@ -4,15 +4,17 @@ implementation), reconstruction from weights, and the certification."""
 
 import pytest
 
-from conftest import hereditary_fixture_pool, nonneg_cubics_and_quartics
+from conftest import hereditary_fixture_pool, nonneg_cubics_and_quartics, rand_product_of_linears
 from lorentzlab.cones import in_orthant_plus_subspace
 from lorentzlab.hereditary import (
     BalancingError,
     HereditaryPoly,
     NotHereditaryError,
+    FaceWalk,
     check_hereditary,
     cone_member,
     cone_nonempty,
+    cone_system,
     from_weights,
     is_hereditary_lorentzian,
     is_positive,
@@ -22,12 +24,17 @@ from lorentzlab.hereditary import (
 )
 from lorentzlab import linalg
 from lorentzlab.fanchow import fan_subdivide, functional_from_weights
-from lorentzlab.matroid import Matroid, bergman_fan, flats, modular_space, order_complex
+from lorentzlab.lorentzian import polarize
+from lorentzlab.matroid import Matroid, bergman_fan, flats, modular_space, order_complex, pol_matroid
+from lorentzlab.polytope import volume_polynomial
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
 from lorentzlab.simplicial import SimComplex
 from oracles import (
     euler_from_weights,
+    fraction_cone_system,
+    fraction_face_points,
+    fraction_walk_member,
     product,
     projection_pi,
     restrict_fS,
@@ -184,6 +191,64 @@ def test_cone_projection_inclusion(rng):
             image = [sum(r * c for r, c in zip(row, v)) for row in rows]
             assert cone_member(restrict_fS(h, {i}), image)
     assert found > 0
+
+
+def _walk_cases(rng):
+    """Seeded face walks, each with the points it is walked at: with a
+    polynomial (the fixture pool, seeded polarizations of products of
+    linear forms, volume polynomials, the matroid polynomial of U(4,5)) and
+    without one (the Bergman fans of U(3,5) and U(4,5), the cube fan)."""
+    hs = hereditary_fixture_pool(rng) + [pol_matroid(flats(Matroid.uniform(4, 5)))]
+    while len(hs) < 13:
+        try:
+            hs.append(check_hereditary(polarize(rand_product_of_linears(rng, rng.randint(2, 3), 3))))
+        except NotHereditaryError:
+            continue
+    hs += [volume_polynomial(P) for P in [pentagon(), prism()] + _random_polytopes(rng, 4)]
+    walks = [FaceWalk(h.vars, h.delta, h.lin, h.f) for h in hs]
+    fans = [bergman_fan(flats(Matroid.uniform(r, 5))) for r in (3, 4)] + [cube_fan()]
+    walks += [FaceWalk(fan.ray_labels, fan.cones, fan.lineality()) for fan in fans]
+    for walk in walks:
+        n = len(walk.face(frozenset()).V_S)
+        yield walk, [(1,) * n] + [[Q(rng.randint(-3, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(4)]
+
+
+def test_face_walk_points_match_fraction_projection(rng):
+    """The walk projects integer vectors over a positive denominator: each
+    is the rational projection of the oracle, every face keeps its parent's
+    pinning row signed so that c > 0, and the verdict is the rational
+    walk's."""
+    flips = faces = members = probes = 0
+    for walk, xs in _walk_cases(rng):
+        for S in walk.order:
+            if S:
+                fd = walk.face(S)
+                row, c, _ = walk.face(S - {fd.vertex}).lin.pin(fd.vertex, fd.V_S)
+                assert fd.c == abs(c) > 0 and fd.row == tuple(a if c > 0 else -a for a in row)
+                flips += c < 0
+        for x in xs:
+            (y0,), den0 = linalg.integer_scaled([x])
+            want = fraction_face_points(walk, x)
+            seen = []
+            for S, y, den in walk.points(y0, den0):
+                assert type(den) is int and den > 0 and all(type(a) is int for a in y)
+                assert tuple(Q(a, den) for a in y) == want[S], S
+                seen.append(S)
+            assert seen == walk.order
+            faces += len(seen)
+            got = walk.member(x)
+            assert got == fraction_walk_member(walk, x), x
+            members += got
+            probes += 1
+    assert flips > 0 and faces > 1000 and 0 < members < probes
+
+
+def test_cone_system_matches_fraction_projection(rng):
+    # the coupled system turns each integer column into the rationals that
+    # the oracle projection gives, so the search and its point stay as they are
+    for h in hereditary_fixture_pool(rng) + [triple_product(), pol_matroid(flats(Matroid.uniform(4, 5)))]:
+        A = cone_system(h)
+        assert A == fraction_cone_system(h) and A
 
 
 def four_cycle_alternating():

@@ -8,15 +8,18 @@ face as ``{set(...)}``, whose members follow the hash seed:
 ``simplicial.face_str`` prints it.
 
 Beside it stands the guard of the one strict-positivity test: every cone
-question goes through ``cones.in_orthant_plus_subspace``, so no file under
-``src`` but ``cones.py`` names the simplex ``lp_max``, and none names the
+question goes through ``cones.in_orthant_plus_subspace`` or its integer
+core ``cones.orthant_shift``, so no file under ``src`` but ``cones.py``
+names the simplex ``lp_max``, and none names the
 mixed-system ``StrictSystem``, which lives in ``tests/oracles.py`` as a
 reference.
 
 Last stands the guard of the integer tables: ``HomPoly`` keeps its
 coefficients as one integer table over a common denominator and
 ``LinSubspace`` its integer rows, so their arithmetic forms no rational:
-with ``Q`` and ``Rational`` made to raise, it still runs.  A polytope
+with ``Q`` and ``Rational`` made to raise, it still runs.  The face walk
+pins, projects and tests signs on those integers, so it decides integer
+points with no rational formed short of the simplex.  A polytope
 body is read to integers too: on a warm normal set a second body forms
 the rationals of its support numbers and vertices alone, none of its
 normals, and a warm ``polytope af``, ``mixed`` or ``volume`` request
@@ -82,6 +85,34 @@ def test_integer_tables_form_no_rational(monkeypatch):
     got = run()
     assert all(a == b for a, b in zip(got, want))
     assert got[1].den == 24 and got[4].dim == 2 and got[-1].dim == 1
+
+
+def test_face_walk_forms_no_rational(monkeypatch):
+    from lorentzlab import cones, hereditary, linalg, polycore, rat
+    from lorentzlab.matroid import Matroid, flats, pol_matroid
+    from test_fanchow import cube_fan
+    from test_hereditary import triple_product
+
+    fan = cube_fan()
+    cases = [(h.vars, h.delta, h.lin, h.f) for h in (triple_product(), pol_matroid(flats(Matroid.uniform(3, 4))))]
+    cases.append((fan.ray_labels, fan.cones, fan.lineality(), None))
+
+    def run():
+        # a fresh walk each time, so every face is built under the patch
+        return [[hereditary.FaceWalk(*case).member(x) for x in ((1,) * len(case[0]), range(1, len(case[0]) + 1))]
+                for case in cases]
+
+    want = run()
+
+    def no_rational(*args):
+        raise AssertionError(f"a rational was formed from {args}")
+
+    for module in (polycore, linalg, rat, cones, hereditary):
+        monkeypatch.setattr(module, "Q", no_rational)
+    for module in (polycore, cones, hereditary):
+        monkeypatch.setattr(module, "Rational", no_rational)
+    monkeypatch.setattr(cones, "lp_max", no_rational)
+    assert run() == want == [[True, True], [True, False], [True, True]]
 
 
 def test_warm_polytope_requests_form_no_rational_from_the_normals(monkeypatch, tmp_path, capsys):

@@ -233,8 +233,10 @@ def test_pin_matches_solve_and_nullspace(rng):
                 assert rows_scale_basis(L)
                 for v in ambient:
                     keep = rng.sample(ambient, rng.randint(0, n))
-                    pin, LS = L.pin(v, keep)
+                    row, c, LS = L.pin(v, keep)
+                    pin = None if row is None else tuple(Q(x, c) for x in row)
                     assert pin == solve_member_with_values(L, {v: Q(1)})
+                    assert (row is None) == (c == 0)
                     assert (pin is None) == all(b[ambient.index(v)] == 0 for b in L.basis)
                     want = nullspace_vanishing_restrict(L, (v,), keep)
                     assert LS.ambient == tuple(keep) and LS.basis == want.basis
