@@ -19,7 +19,6 @@ from lorentzlab.matroid import (
     flats,
     hrw_check,
     pol_matroid,
-    submodular_witness,
     volume_engine,
 )
 
@@ -50,8 +49,9 @@ print("\npol for U(3,4):", h.f.to_text(label))
 print("strongly hereditary:", h.strong)
 
 # Certification: connectivity of chain links plus one-positive-eigenvalue
-# Hessians at codimension-2 chains, after a cone witness.
-verdict = hereditary.is_hereditary_lorentzian(h, cone_hints=[submodular_witness(L)])
+# Hessians at codimension-2 chains, after a cone witness (here the all-ones
+# point lies in the cone).
+verdict = hereditary.is_hereditary_lorentzian(h)
 print("hereditary Lorentzian:", verdict.value)
 print("inertia certificates:", [(sorted(map(label, S)), tuple(i)) for S, i in verdict.q_certificates])
 

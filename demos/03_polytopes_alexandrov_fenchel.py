@@ -38,8 +38,9 @@ K2 = build(prism.normals, [0, 0, Q(3, 2), 1, Q(1, 2)])
 print("V(K1, K2, prism):", mixed_volume([K1, K2, prism]))
 print("Alexandrov-Fenchel for (K1, K2, prism):", af_check([K1, K2, prism]))
 
-# the certification behind the inequality
-verdict = hereditary.is_hereditary_lorentzian(p3, cone_hints=[tuple(prism.t)])
+# the certification behind the inequality (the all-ones point lies in the
+# cone)
+verdict = hereditary.is_hereditary_lorentzian(p3)
 print("\nprism polynomial certifies:", verdict.value)
 for S, inr in verdict.q_certificates:
     print("  face", sorted(S), "inertia", tuple(inr))

@@ -11,6 +11,7 @@ Run:  python demos/04_fans_and_subdivisions.py
 """
 
 from lorentzlab.fanchow import (
+    FanStep,
     ample_cone_member,
     build_fan,
     canonical_bijection_check,
@@ -43,8 +44,8 @@ print("canonical bijection invariant:", canonical_bijection_check(fan, alpha, fa
 
 # a subdivide/weld chain is the identity on the functional
 steps = [
-    {"kind": "subdivide", "ray": (1, 1), "vertex": "m"},
-    {"kind": "weld", "vertex": "m", "face": ["e", "n"]},
+    FanStep("subdivide", ray=(1, 1), vertex="m"),
+    FanStep("weld", face=("e", "n"), vertex="m"),
 ]
 fan3, alpha3 = transport_chain(fan, alpha, steps)
 print("chain round trip restores the functional:", alpha3.h.f == alpha.h.f)

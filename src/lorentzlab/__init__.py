@@ -10,7 +10,7 @@ from .rat import Q, rat_str
 from .polycore import Direction, HomPoly, LinSubspace, parse_poly
 from .simplicial import SimComplex
 from .inertia import Inertia, SymMatrix, hessian, inertia
-from .cones import ConeByGenerators, in_orthant_plus_subspace, solve_in_span, strict_feasible
+from .cones import ConeByGenerators, solve_in_span, strict_feasible
 from .hereditary import (
     BalancingError,
     HereditaryPoly,

@@ -1,18 +1,15 @@
 """Exact strict positivity modulo a subspace, and polyhedral cone utilities.
 
-Every cone question of the library is one test:
-:func:`in_orthant_plus_subspace` finds an exact l in a subspace L with
-y + l strictly positive, or proves there is none.  The face walk of
-:mod:`lorentzlab.hereditary` asks it at every face; the boundedness of a
-polytope (Stiemke's lemma), the fan axioms (the separation lemma), the
-overlap of two cones and the
-coupled cone search (:func:`strict_feasible`, Az > 0 as a positive vector
-of the column space of A) all ask it with a subspace of their own.
-
-Its core, :func:`orthant_shift`, takes the point as integers over one
-positive denominator and L by its integer rows, so the face walk, whose
-projected points are already integer vectors, asks it with no rational
-formed.
+Every cone question of the library is one test: :func:`orthant_shift`
+takes a point as integers over one positive denominator and a subspace L
+by its integer rows, and finds an integer combination s of the rows and
+q > 0 with q y + s strictly positive, or proves there is none.  The face
+walk of :mod:`lorentzlab.hereditary` asks it at every face, on projected
+points that are already integer vectors, so no rational is formed.  The
+boundedness of a polytope (Stiemke's lemma), the fan axioms (the
+separation lemma), the overlap of two cones and the coupled cone search
+(:func:`strict_feasible`, Az > 0 as a positive vector of the column space
+of A) all ask it at the point 0, with a subspace of their own.
 
 The test is one LP, run by an exact simplex with Bland's rule
 (guaranteed termination, no numerical tolerance anywhere).  It runs on an
@@ -35,7 +32,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
-from .polycore import LinSubspace, direction_coords
+from .polycore import LinSubspace
 from .rat import Q, ZERO, Rational, read_lists, read_rat
 
 
@@ -137,28 +134,12 @@ class ConeByGenerators:
         return cls(tuple(tuple(read_rat(x) for x in g) for g in read_lists(data["generators"], "generators")))
 
 
-def in_orthant_plus_subspace(v, L) -> tuple | None:
-    """An exact l in L with v + l strictly positive, or None.
-
-    v is a Direction/sequence over L.ambient; the returned l is a coordinate
-    tuple over the same ambient set.  v is scaled to integers y over its
-    least common denominator den, and :func:`orthant_shift` decides
-    (y, den) against the integer rows of L.
-    """
-    (y,), den = linalg.integer_scaled([direction_coords(v, L.ambient)])
-    got = orthant_shift(y, den, L.rows)
-    if got is None:
-        return None
-    shift, q = got
-    return tuple(Rational(s, q * den) if s else ZERO for s in shift)
-
-
 def orthant_shift(y: Sequence[int], den: int, B: Sequence[Sequence[int]]) -> tuple | None:
-    """The integer core of :func:`in_orthant_plus_subspace`: for the point
-    y / den (y on ints, den > 0) and the integer rows B of L, (s, q) with
-    s an integer combination of B, q > 0 and q * y + s > 0 everywhere, so
-    that l = s / (q * den); or None.  Multiplying y and den by one positive
-    number changes no decision, so y need not be in lowest terms.
+    """For the point y / den (y on ints, den > 0) and the integer rows B
+    of L: (s, q) with s an integer combination of B, q > 0 and
+    q * y + s > 0 everywhere, so that l = s / (q * den) is in L with
+    y / den + l strictly positive; or None.  Multiplying y and den by one
+    positive number changes no decision, so y need not be in lowest terms.
 
     It is one LP on integers: with B_i the rows, maximize eps <= den
     subject to y + sum_i a_i B_i >= eps on every coordinate that some B_i
@@ -202,12 +183,15 @@ def strict_feasible(A: Sequence[Sequence]) -> tuple | None:
     """An exact z with Az > 0 in every row, or None.
 
     Az ranges over the column space C of A, so this is the orthant test at
-    the point 0: l = in_orthant_plus_subspace(0, C) is an element of C that
-    is positive everywhere, and z is the basic solution of Az = l.
+    the point 0: a shift s / q of C that is positive everywhere is an
+    element l of C, and z is the basic solution of Az = l.
     """
     m = len(A)
-    ell = in_orthant_plus_subspace((0,) * m, LinSubspace(range(m), linalg.transpose(A)))
-    return None if ell is None else linalg.solve(A, ell)
+    got = orthant_shift([0] * m, 1, LinSubspace(range(m), linalg.transpose(A)).rows)
+    if got is None:
+        return None
+    shift, q = got
+    return linalg.solve(A, [Rational(s, q) for s in shift])
 
 
 def solve_in_span(target, rays: Sequence[Sequence]) -> tuple:

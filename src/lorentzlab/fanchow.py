@@ -3,9 +3,11 @@ stellar subdivision of fans, and the support-invariance checks.
 
 A fan is a ray matrix plus a simplicial complex of cones (rays of every
 cone linearly independent).  The degree functionals of grade k are carried
-by polynomials supported on the cone complex whose lineality space contains
-the row space of the ray matrix; reconstruction from facet weights and the
-Lorentzian certification delegate to :mod:`lorentzlab.hereditary`.
+by polynomials of degree k supported on the cone complex whose lineality
+space contains the row space of the ray matrix; reconstruction from facet
+weights, the ample cone and the Lorentzian certification delegate to
+:mod:`lorentzlab.hereditary`, and the fan axioms and the overlap of two
+cones ask the orthant test ``cones.orthant_shift`` at the point 0.
 
 Relative cone volumes are irrational in general, so the canonical-bijection
 comparison uses squared Gram determinants plus explicit sign tracking,
@@ -21,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import hereditary as hered
 from . import linalg
 from . import subdivision as subdiv
-from .cones import in_orthant_plus_subspace, solve_in_span
+from .cones import orthant_shift, solve_in_span
 from .polycore import LinSubspace, direction_coords
 from .rat import Q, ZERO, rat_str, read_list, read_lists, read_rat, sign
 from .simplicial import SimComplex, face_key, face_str, fresh_vertex, label_key, label_str
@@ -95,7 +97,7 @@ class Fan:
             outside = rays(A - B, 1) + rays(B - A, -1)
             normals = LinSubspace(range(self.dim), rays(A & B, 1)).perp().rows
             values = LinSubspace(range(len(outside)), [[linalg.dot(m, r) for r in outside] for m in normals])
-            if in_orthant_plus_subspace([0] * len(outside), values) is None:
+            if orthant_shift([0] * len(outside), 1, values.rows) is None:
                 raise ValueError(f"cones {face_str(A)} and {face_str(B)} do not meet in a common face")
 
     def to_json_dict(self) -> dict:
@@ -130,15 +132,13 @@ def build_fan(dim: int, labels: Sequence, rays: Sequence, cones: Sequence[Iterab
 
 @dataclass(frozen=True)
 class DegreeFunctional:
-    """A grade-k functional carried by its polynomial representative."""
+    """A functional carried by its polynomial representative, whose degree
+    is the functional's grade."""
 
     fan: Fan
-    grade: int
     h: hered.HereditaryPoly
 
     def __post_init__(self):
-        if self.h.degree != self.grade:
-            raise ValueError("polynomial degree does not match grade")
         for S in self.h.delta.facets:
             if S and not self.fan.cones.has_face(S):
                 raise ValueError(f"polynomial support {face_str(S)} is not a cone")
@@ -159,7 +159,7 @@ def functional_from_weights(fan: Fan, w: Mapping) -> DegreeFunctional:
     BalancingError when the weights are not balanced."""
     weights = {frozenset(F): Q(c) for F, c in w.items()}
     h = hered.from_weights(fan.cones, fan.lineality(), weights)
-    return DegreeFunctional(fan=fan, grade=h.degree, h=h)
+    return DegreeFunctional(fan=fan, h=h)
 
 
 def check_fan_lorentzian(alpha: DegreeFunctional) -> hered.HLVerdict:
@@ -183,7 +183,7 @@ def ample_cone_member(fan: Fan, v) -> bool:
         raise ValueError("fan has no cones")
     lin = fan.lineality()
     hered.require_hereditary(fan.cones, lin)
-    walk = hered.FaceWalk(fan.ray_labels, fan.cones, lin)
+    walk = hered.FaceWalk(fan.cones, lin)
     return walk.member(direction_coords(v, fan.ray_labels))
 
 
@@ -226,7 +226,7 @@ def fan_subdivide(fan: Fan, rho: Sequence, new_label=None):
 
     def transport(alpha: DegreeFunctional) -> DegreeFunctional:
         g = subdiv.subdivide(alpha.h.f, labels_sorted, c, vertex=new_label)
-        return DegreeFunctional(fan=new_fan, grade=alpha.grade, h=hered.check_hereditary(g))
+        return DegreeFunctional(fan=new_fan, h=hered.check_hereditary(g))
 
     return new_fan, transport
 
@@ -255,7 +255,7 @@ def fan_weld(fan: Fan, apex, S: Iterable):
 
     def transport(alpha: DegreeFunctional) -> DegreeFunctional:
         g = subdiv.weld(alpha.h.f, labels_sorted, c, apex)
-        return DegreeFunctional(fan=new_fan, grade=alpha.grade, h=hered.check_hereditary(g))
+        return DegreeFunctional(fan=new_fan, h=hered.check_hereditary(g))
 
     return new_fan, transport
 
@@ -296,15 +296,13 @@ def read_step(data: Mapping) -> FanStep:
     return step
 
 
-def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[FanStep | Mapping]):
-    """Apply subdivide/weld steps to a fan and its functional in lockstep;
-    a step in JSON form goes through :func:`read_step`.  A subdivide step
+def transport_chain(fan: Fan, alpha: DegreeFunctional, steps: Sequence[FanStep]):
+    """Apply subdivide/weld steps to a fan and its functional in lockstep
+    (steps in JSON form are read by :func:`read_step`).  A subdivide step
     given by face and c needs c positive, as in ``subdivision``, and a cone
     of the current fan as its face: the combination c of its rays then lies
     in the relative interior of that cone, which is the cone subdivided."""
     for step in steps:
-        if not isinstance(step, FanStep):
-            step = read_step(step)
         if step.kind == "weld":
             fan, transport = fan_weld(fan, step.vertex, step.face)
         else:
@@ -371,7 +369,7 @@ def _interiors_meet(fan1: Fan, A: frozenset, fan2: Fan, B: frozenset) -> bool:
     cols = ([fan1.rays[idx1[v]] for v in sorted(A, key=label_key)]
             + [tuple(-x for x in fan2.rays[idx2[v]]) for v in sorted(B, key=label_key)])
     kernel = LinSubspace(range(len(cols)), linalg.transpose(cols)).perp()
-    return in_orthant_plus_subspace([0] * len(cols), kernel) is not None
+    return orthant_shift([0] * len(cols), 1, kernel.rows) is not None
 
 
 def overlapping_facet_pairs(fan1: Fan, fan2: Fan) -> list[tuple[frozenset, frozenset]]:

@@ -18,14 +18,14 @@ an integer vector over one positive denominator, and the pinning row
 projects it with no rational formed.  Membership in the recursively
 defined open cone K_f projects the point along the descent, and the
 projected point must be strictly positive modulo the lineality at the
-face: the one orthant test of :mod:`lorentzlab.cones`, asked of its
-integer core ``orthant_shift`` (an exact LP, skipped when the point is
-already positive).  The same walk with no polynomial decides the ample
-cone of a fan and supplies the pins and the balancing spaces of the
-reconstruction from facet weights (:func:`from_weights`), which fills each
-coefficient c_alpha of the polynomial from one linear relation, the
-translation invariance along the pinned lineality read at
-t^(alpha - e_i), and multiplies or substitutes no polynomial.  When the
+face: the one orthant test of :mod:`lorentzlab.cones`, ``orthant_shift``
+(an exact LP, skipped when the point is already positive).  The same walk
+with no polynomial decides the ample cone of a fan and supplies the pins
+and the balancing spaces of the reconstruction from facet weights
+(:func:`from_weights`), which fills each coefficient c_alpha of the
+polynomial from one linear relation, the translation invariance along the
+pinned lineality read at t^(alpha - e_i), and multiplies or substitutes no
+polynomial.  When the
 point is unknown, the walk's projections compose into one homogeneous
 matrix A instead (:func:`cone_system`), and ``cones.strict_feasible`` asks
 the same orthant test of its column space.
@@ -194,8 +194,9 @@ class FaceWalk:
     weights) that is the lineality at S.  With one, the face carries f^S
     (derivative at i, restricted) and the lineality of f^S.  Another descent
     order moves the projected point by a lineality element vanishing on S,
-    which no face test can see, so one order suffices.  Faces are built on
-    first use and kept.
+    which no face test can see, so one order suffices.  The root vertices
+    are the ambient coordinates of the lineality.  Faces are built on first
+    use and kept.
 
     The walk is on integers from the input point to the verdict.  A point
     is an integer vector y over one denominator den > 0; the child of y / den
@@ -207,10 +208,10 @@ class FaceWalk:
     not change when y and den are multiplied by one positive number.
     """
 
-    def __init__(self, vars: tuple, delta: SimComplex, lin: LinSubspace, poly: HomPoly | None = None):
+    def __init__(self, delta: SimComplex, lin: LinSubspace, poly: HomPoly | None = None):
         self.delta = delta
         self.d = poly.degree if poly is not None else delta.dim + 1
-        self._faces = {frozenset(): _Face(poly, lin, tuple(vars))}
+        self._faces = {frozenset(): _Face(poly, lin, lin.ambient)}
 
     @cached_property
     def order(self) -> list:
@@ -270,7 +271,7 @@ class FaceWalk:
 def _walk(h: HereditaryPoly) -> FaceWalk:
     got = getattr(h, "_cone_walk", None)
     if got is None:
-        got = FaceWalk(h.vars, h.delta, h.lin, h.f)
+        got = FaceWalk(h.delta, h.lin, h.f)
         object.__setattr__(h, "_cone_walk", got)
     return got
 
@@ -313,23 +314,20 @@ def cone_member(h: HereditaryPoly, v) -> bool:
     return _walk(h).member(direction_coords(v, h.vars))
 
 
-def cone_nonempty(h: HereditaryPoly, hints: Iterable = ()) -> dict | None:
+def cone_nonempty(h: HereditaryPoly) -> dict | None:
     """A point of K_f (as a {variable: value} map), or None if empty.
 
-    Candidate points in ``hints`` (plus the all-ones vector) are tried first
-    through the membership test, whose orthant tests decouple face by face;
-    the coupled search (:func:`cones.strict_feasible` on
-    :func:`cone_system`) runs only when no candidate lands, and the point it
-    finds is checked by the membership test again, every time.
+    The all-ones vector is tried first through the membership test, whose
+    orthant tests decouple face by face; the coupled search
+    (:func:`cones.strict_feasible` on :func:`cone_system`) runs only when
+    it misses, and the point it finds is checked by the membership test
+    again, every time.
     """
-    d = h.degree
-    if d < 1:
+    if h.degree < 1:
         return {}
-    candidates = [direction_coords(v, h.vars) for v in hints]
-    candidates.append((ONE,) * len(h.vars))
-    for v in candidates:
-        if cone_member(h, v):
-            return dict(zip(h.vars, v))
+    ones = (ONE,) * len(h.vars)
+    if cone_member(h, ones):
+        return dict(zip(h.vars, ones))
     z = cones.strict_feasible(cone_system(h))
     if z is None:
         return None
@@ -370,7 +368,7 @@ class HLVerdict:
         }
 
 
-def is_hereditary_lorentzian(h: HereditaryPoly, cone_hints: Iterable = ()) -> HLVerdict:
+def is_hereditary_lorentzian(h: HereditaryPoly) -> HLVerdict:
     """Certify or refute the hereditary-Lorentzian property.
 
     Degree 0: nonnegative constants qualify.  Degree 1: equivalent to the
@@ -388,11 +386,11 @@ def is_hereditary_lorentzian(h: HereditaryPoly, cone_hints: Iterable = ()) -> HL
     if h.f.is_zero():
         return HLVerdict(value="vacuous", note="zero polynomial: empty cone")
     if d == 1:
-        w = cone_nonempty(h, hints=cone_hints)
+        w = cone_nonempty(h)
         if w is None:
             return HLVerdict(value="vacuous", note="empty cone at degree 1")
         return HLVerdict(value="yes", cone_witness=w)
-    witness = cone_nonempty(h, hints=cone_hints)
+    witness = cone_nonempty(h)
     if witness is None:
         return HLVerdict(value="vacuous", note="empty cone")
     if is_positive(h):
@@ -494,7 +492,7 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
         extra = set(w) - set(delta.facets)
         raise ValueError(f"weights must be nonzero exactly on facets (missing {missing}, extra {extra})")
     require_hereditary(delta, lin)
-    walk = FaceWalk(lin.ambient, delta, lin)
+    walk = FaceWalk(delta, lin)
     check_balancing(walk, w)
 
     vars = delta.link_vertices(())

@@ -4,10 +4,10 @@ Matroids arrive as explicit bases lists or as graph cycle matroids.  Bases
 are kept as bitmasks over the ground set: the rank of S is the largest
 popcount of S & B over the bases B.  A bases list given explicitly must
 satisfy the basis-exchange axiom, checked on construction with one bitset
-test per basis and element; the uniform and Fano constructors are matroids
-by construction and skip that check.  A cycle matroid keeps its graph: its
-rank is its number of vertices less its number of connected components,
-from one union-find pass, and its bases are formed only when read.
+test per basis and element, the uniform and Fano constructors included.
+A cycle matroid keeps its graph: its rank is its number of vertices less
+its number of connected components, from one union-find pass, and its
+bases are formed only when read.
 
 The lattice of flats is generated one rank layer at a time, from the loops
 up, so no closure is taken and every flat arrives with its rank and its
@@ -64,17 +64,7 @@ from . import linalg
 from .inertia import SymMatrix, inertia
 from .polycore import Direction, HomPoly, LinSubspace
 from .rat import Q, ZERO, ONE, read_list, read_lists
-from .simplicial import SimComplex, connected, face_key, face_str, label_key
-
-
-def _bits(mask: int) -> list:
-    """The single-bit masks of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
+from .simplicial import SimComplex, connected, face_str, label_key
 
 
 def _indices(mask: int) -> list:
@@ -158,17 +148,6 @@ class Matroid:
         self._index_bases()
         return getattr(self, name)
 
-    @classmethod
-    def _by_construction(cls, ground: tuple, bases) -> "Matroid":
-        """A matroid whose bases satisfy exchange by construction (uniform,
-        Fano): built without the exchange check."""
-        M = object.__new__(cls)
-        object.__setattr__(M, "ground", ground)
-        object.__setattr__(M, "bases", tuple(bases))
-        M._index_ground()
-        M._index_bases()
-        return M
-
     def _index_ground(self):
         elems = tuple(dict.fromkeys(self.ground))
         object.__setattr__(self, "_elems", elems)
@@ -176,18 +155,22 @@ class Matroid:
         object.__setattr__(self, "_full", (1 << len(elems)) - 1)
 
     def _index_bases(self):
-        bs = tuple(sorted({frozenset(b) for b in self.bases}, key=face_key))
+        """The bases in face-key order, and their masks.  Bases have one
+        size, so no basis contains another, and the order lemma of
+        :class:`FlatLattice` gives that order by the integer key
+        :func:`_face_order` of their masks."""
+        bs = {frozenset(b) for b in self.bases}
         if not bs:
             raise ValueError("a matroid needs at least one basis")
-        sizes = {len(b) for b in bs}
-        if len(sizes) != 1:
+        if len({len(b) for b in bs}) != 1:
             raise ValueError("bases are not equicardinal")
-        for b in bs:
-            if not b <= self._bit.keys():
-                raise ValueError("basis uses unknown elements")
-        object.__setattr__(self, "bases", bs)
-        object.__setattr__(self, "_rank", len(bs[0]))
-        object.__setattr__(self, "_basis_masks", tuple(self._mask(b) for b in bs))
+        if any(not b <= self._bit.keys() for b in bs):
+            raise ValueError("basis uses unknown elements")
+        key = _face_order(self._elems)
+        pairs = sorted(((self._mask(b), b) for b in bs), key=lambda mb: key(mb[0]), reverse=True)
+        object.__setattr__(self, "bases", tuple(b for _, b in pairs))
+        object.__setattr__(self, "_rank", len(pairs[0][1]))
+        object.__setattr__(self, "_basis_masks", tuple(m for m, _ in pairs))
 
     def _check_exchange(self):
         """Basis exchange: for bases A != B and a in A - B, some b in B - A
@@ -196,28 +179,28 @@ class Matroid:
         are those holding a or some x with A - a + x a basis, and the rest
         fail: one bitset test per basis A and element a.  The failure named
         is the first in the order of the pairwise loop (A, then B, then a),
-        ``exchange_oracle`` in ``tests/oracles.py``."""
+        ``exchange_message`` in ``tests/oracles.py``."""
         masks = self._basis_masks
         present = set(masks)
-        holding: dict[int, int] = {}
+        holding = [0] * len(self._elems)
         for j, B in enumerate(masks):
-            for x in _bits(B):
-                holding[x] = holding.get(x, 0) | 1 << j
+            for x in _indices(B):
+                holding[x] |= 1 << j
         everyone = (1 << len(masks)) - 1
         for A, bA in zip(masks, self.bases):
-            outside = _bits(self._full & ~A)
+            outside = _indices(self._full & ~A)
             fails = {}
-            for a in _bits(A):
-                reach = holding[a]
+            for a in _indices(A):
+                reach, rest = holding[a], A ^ (1 << a)
                 for x in outside:
-                    if (A ^ a) | x in present:
+                    if rest | (1 << x) in present:
                         reach |= holding[x]
                 if reach != everyone:
                     fails[a] = everyone & ~reach
             if fails:
                 first = min(f & -f for f in fails.values())
                 a = next(a for a, f in fails.items() if f & first)
-                (e,) = self._elements(a)
+                e = self._elems[a]
                 bB = self.bases[first.bit_length() - 1]
                 raise ValueError(
                     f"bases {sorted(bA, key=label_key)} and {sorted(bB, key=label_key)} violate basis "
@@ -236,9 +219,10 @@ class Matroid:
 
     @classmethod
     def uniform(cls, r: int, n: int) -> "Matroid":
+        if not 0 <= r <= n:
+            raise ValueError(f"the uniform matroid U({r},{n}) needs 0 <= r <= n")
         ground = tuple(range(1, n + 1))
-        bases = [frozenset(b) for b in combinations(ground, r)] or [frozenset()]
-        return cls._by_construction(ground, bases)
+        return cls(ground, tuple(map(frozenset, combinations(ground, r))))
 
     @classmethod
     def from_graph(cls, n_vertices: int, edges: Sequence[Sequence]) -> "Matroid":
@@ -273,8 +257,7 @@ class Matroid:
     def fano(cls) -> "Matroid":
         lines = [{1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7}, {3, 4, 7}, {3, 5, 6}]
         ground = tuple(range(1, 8))
-        bases = [frozenset(b) for b in combinations(ground, 3) if set(b) not in lines]
-        return cls._by_construction(ground, bases)
+        return cls(ground, tuple(frozenset(b) for b in combinations(ground, 3) if set(b) not in lines))
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Matroid":

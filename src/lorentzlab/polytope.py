@@ -70,7 +70,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import hereditary as hered
 from . import linalg
-from .cones import in_orthant_plus_subspace
+from .cones import orthant_shift
 from .polycore import LinSubspace
 from .rat import ONE, Rational, rat_str, ratio, read_list, read_lists, read_ratio
 from .simplicial import SimComplex, label_key
@@ -204,6 +204,7 @@ class _NormalSet(NamedTuple):
     lin: LinSubspace  # translations, read through the normals
     normals: tuple    # the rational normals N = N' / c, shared by every body
     charts: list      # (S, prev, A_S, W_S, labels of S) per invertible N'_S
+    volpolys: dict    # face complex (facets) -> its volume polynomial
 
 
 _BOUNDED: dict[tuple, _NormalSet] = {}
@@ -224,14 +225,16 @@ def _require_bounded(labels: tuple, rows: list, c: int) -> _NormalSet:
     W_S of (i, sign(prev) N'_i A_S) for each i outside S, which give the
     body's slacks off S (see the module docstring); and the labels of S.
     All of it depends on the normals alone, so each bounded set's entry is
-    remembered, keyed on integers, and its rational normals are made once;
-    an unbounded set is tested, and raises, on every call."""
+    remembered, keyed on integers, with its rational normals, made once,
+    and the volume polynomial of each face complex, made on first request
+    (:func:`volume_polynomial`); an unbounded set is tested, and raises, on
+    every call."""
     key = (labels, tuple(map(tuple, rows)), c)
     got = _BOUNDED.get(key)
     if got is None:
         n, d = len(rows), len(rows[0])
         lin = LinSubspace(labels, [tuple(r[k] for r in rows) for k in range(d)])
-        if lin.dim != d or in_orthant_plus_subspace([0] * n, lin.perp()) is None:
+        if lin.dim != d or orthant_shift([0] * n, 1, lin.perp().rows) is None:
             raise PolytopeError("unbounded: the normals do not positively span the space")
         eye = [[int(j == k) for j in range(d)] for k in range(d)]
         full_rank = list(range(d))
@@ -246,7 +249,7 @@ def _require_bounded(labels: tuple, rows: list, c: int) -> _NormalSet:
                      for i in range(n) if i not in S]
                 charts.append((S, prev, A, W, frozenset(labels[i] for i in S)))
         normals = tuple(tuple(Rational(a, c) for a in r) for r in rows)
-        got = _BOUNDED[key] = _NormalSet(key, lin, normals, charts)
+        got = _BOUNDED[key] = _NormalSet(key, lin, normals, charts, {})
     return got
 
 
@@ -260,18 +263,15 @@ def volume(P: SimplePolytope):
 def volume_polynomial(P: SimplePolytope) -> hered.HereditaryPoly:
     """The unique polynomial giving the volume on the deformation cone:
     the hereditary polynomial whose mixed derivative at each vertex F is
-    1 / |det(normals of F)|.  Cached per normal set and face complex, on
-    the normal set's integer key."""
-    key = (P._set, P.delta.facets)
-    got = _VOLPOLY_CACHE.get(key)
+    1 / |det(normals of F)|.  Cached per face complex in the normal set's
+    entry (``_require_bounded``)."""
+    cache = _require_bounded(*P._set).volpolys
+    got = cache.get(P.delta.facets)
     if got is None:
         normal = dict(zip(P.labels, P.normals))
         w = {F: ONE / abs(linalg.det([normal[lab] for lab in F])) for _, _, F in P._found}
-        got = _VOLPOLY_CACHE[key] = hered.from_weights(P.delta, P.lin, w)
+        got = cache[P.delta.facets] = hered.from_weights(P.delta, P.lin, w)
     return got
-
-
-_VOLPOLY_CACHE: dict[tuple, hered.HereditaryPoly] = {}
 
 
 def _shared_volume_polynomial(bodies: Sequence[SimplePolytope]) -> tuple[list, list, int]:

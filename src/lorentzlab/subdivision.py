@@ -133,8 +133,9 @@ class ChainResult:
     hereditary: HereditaryPoly
 
 
-def apply_chain(f: HomPoly, steps: Iterable[SubdivStep | Mapping]) -> ChainResult:
-    """Apply a subdivide/weld chain, checking strong heredity at every stage.
+def apply_chain(f: HomPoly, steps: Iterable[SubdivStep]) -> ChainResult:
+    """Apply a subdivide/weld chain, checking strong heredity at every stage
+    (steps in JSON form are read by :meth:`SubdivStep.from_json_dict`).
 
     Subdivide steps without an explicit apex get fresh labels w0, w1, ...;
     weld steps without one pop the most recently created apex.
@@ -145,8 +146,7 @@ def apply_chain(f: HomPoly, steps: Iterable[SubdivStep | Mapping]) -> ChainResul
         raise ValueError("chain input is not strongly hereditary")
     created: list = []
     certs = []
-    for raw in steps:
-        step = raw if isinstance(raw, SubdivStep) else SubdivStep.from_json_dict(raw)
+    for step in steps:
         if step.kind == "subdivide":
             vertex = fresh_vertex(current.vars) if step.vertex is None else step.vertex
             current = subdivide(current, step.face, step.c, vertex)

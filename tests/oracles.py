@@ -79,8 +79,9 @@ checked against.
 * :class:`StrictSystem` is a conjunction of strict, weak and equality
   constraints in named unknowns, and :func:`lp_strict_feasible` decides it
   by one LP in those unknowns.  The library asks every such question as
-  one orthant test, ``cones.in_orthant_plus_subspace`` (y + l > 0 for some
-  l in a subspace L), after a reformulation:
+  one orthant test, ``cones.orthant_shift`` (y + l > 0 for some l in a
+  subspace L, on integers; :func:`rational_orthant_shift` asks it at a
+  rational point and returns l as rationals), after a reformulation:
   :func:`orthant_system` and :func:`homogeneous_system` write the orthant
   test and Az > 0 as mixed systems; :func:`lp_is_bounded` decides that
   polytope normals positively span the space by 2d LPs (the library: one
@@ -237,7 +238,7 @@ from typing import Iterable, Sequence
 
 from lorentzlab import hereditary as hered
 from lorentzlab import linalg, polytope
-from lorentzlab.cones import in_orthant_plus_subspace, lp_max
+from lorentzlab.cones import lp_max, orthant_shift
 from lorentzlab.inertia import Inertia, SymMatrix, derivative_hessian, hessian, inertia
 from lorentzlab.lorentzian import (
     LorentzVerdict,
@@ -253,7 +254,7 @@ from lorentzlab.lorentzian import (
 )
 from lorentzlab.matroid import FlatLattice, pol_matroid, submodular_witness
 from lorentzlab.polycore import Direction, HomPoly, LinSubspace, direction_coords
-from lorentzlab.rat import Q, ONE, ZERO, rat_str
+from lorentzlab.rat import Q, ONE, ZERO, Rational, rat_str
 from lorentzlab.simplicial import SimComplex, connected, face_key, face_str, fresh_vertex, label_key
 from lorentzlab.subdivision import subdivide
 
@@ -622,24 +623,26 @@ def alpha_beta(L) -> tuple[Direction, Direction]:
     return alpha, beta
 
 
-def exchange_message(M) -> str | None:
-    """For every pair of bases A, B of M in its basis order and every a in
-    A - B (lowest bit first), some x outside A with A - a + x a basis must
-    lie in B; the message for the first pair and element that fails, or
-    None.  M is built without the check (``Matroid._by_construction``)."""
-    masks = M._basis_masks
-    present = set(masks)
+def exchange_message(ground, bases) -> str | None:
+    """For every pair of bases A, B of the family in face-key order and
+    every a in A - B (in ground order), some x outside A with A - a + x a
+    basis must lie in B; the message for the first pair and element that
+    fails, or None."""
+    elems = tuple(dict.fromkeys(ground))
+    bases = sorted(set(map(frozenset, bases)), key=face_key)
+    masks = [sum(1 << i for i, e in enumerate(elems) if e in b) for b in bases]
+    present, full = set(masks), (1 << len(elems)) - 1
 
     def bits(mask):
         return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
-    swaps = [{a: sum(x for x in bits(M._full & ~A) if (A ^ a) | x in present) for a in bits(A)}
+    swaps = [{a: sum(x for x in bits(full & ~A) if (A ^ a) | x in present) for a in bits(A)}
              for A in masks]
-    for A, sw, bA in zip(masks, swaps, M.bases):
-        for B, bB in zip(masks, M.bases):
+    for A, sw, bA in zip(masks, swaps, bases):
+        for B, bB in zip(masks, bases):
             for a in bits(A & ~B):
                 if not sw[a] & B:
-                    (e,) = M._elements(a)
+                    e = elems[a.bit_length() - 1]
                     return (f"bases {sorted(bA, key=label_key)} and {sorted(bB, key=label_key)} violate basis "
                             f"exchange at {e!r}: the family is not a matroid")
     return None
@@ -818,6 +821,19 @@ def lp_strict_feasible(sys: StrictSystem) -> dict | None:
     witness = {v: (x[2 * i] - x[2 * i + 1]) / x[-2] for v, i in pos.items()}
     assert sys.verify(witness), "the oracle LP produced an invalid witness"
     return witness
+
+
+def rational_orthant_shift(y, L) -> tuple | None:
+    """An exact l in L with y + l strictly positive, or None: the point y
+    (over L.ambient) scaled to integers z over its least common denominator
+    den, and ``cones.orthant_shift`` on (z, den) against the rows of L,
+    whose shift s / q is l = s / (q den)."""
+    (z,), den = linalg.integer_scaled([direction_coords(y, L.ambient)])
+    got = orthant_shift(z, den, L.rows)
+    if got is None:
+        return None
+    s, q = got
+    return tuple(Rational(a, q * den) for a in s)
 
 
 def orthant_system(y, L) -> StrictSystem:
@@ -1276,7 +1292,7 @@ def euler_from_weights(delta, lin, w) -> hered.HereditaryPoly:
         extra = set(w) - set(delta.facets)
         raise ValueError(f"weights must be nonzero exactly on facets (missing {missing}, extra {extra})")
     hered.require_hereditary(delta, lin)
-    walk = hered.FaceWalk(lin.ambient, delta, lin)
+    walk = hered.FaceWalk(delta, lin)
     hered.check_balancing(walk, w)
 
     memo: dict = {}
@@ -1618,14 +1634,14 @@ def _fraction_linear_coeffs(fd) -> list | None:
 def fraction_walk_member(walk, x) -> bool:
     """Membership in the walk's cone on the points of
     :func:`fraction_face_points`: f^S positive where it is linear, else the
-    rational orthant test ``in_orthant_plus_subspace``."""
+    rational orthant test :func:`rational_orthant_shift`."""
     for S, y in fraction_face_points(walk, x).items():
         fd = walk.face(S)
         coeffs = _fraction_linear_coeffs(fd)
         if coeffs is not None:
             ok = sum((c * a for c, a in zip(coeffs, y)), ZERO) > 0
         else:
-            ok = in_orthant_plus_subspace(y, fd.lin) is not None
+            ok = rational_orthant_shift(y, fd.lin) is not None
         if not ok:
             return False
     return True
@@ -1635,7 +1651,7 @@ def fraction_cone_system(h) -> list[list]:
     """``hereditary.cone_system`` with the columns mu_S from
     :func:`fraction_face_points` of the unit vectors and the linear rows
     from the rational coefficients of f^S."""
-    walk = hered.FaceWalk(h.vars, h.delta, h.lin, h.f)
+    walk = hered.FaceWalk(h.delta, h.lin, h.f)
     n = len(h.vars)
     cols = [fraction_face_points(walk, [int(r == c) for r in range(n)]) for c in range(n)]
     rows, naux = [], 0
@@ -1719,7 +1735,7 @@ def orthant_gap_feasible(lattice, lo, hi, mids, x) -> bool:
     gaps = [g for g in range(len(masks)) if mids >> g & 1]
     first, *rest = [1 << e for e in range(len(lattice.elems)) if (masks[hi] & ~masks[lo]) >> e & 1]
     rows = [[int(bool(masks[g] & first)) - int(bool(masks[g] & e)) for g in gaps] for e in rest]
-    return in_orthant_plus_subspace([x[g] for g in gaps], LinSubspace(gaps, rows)) is not None
+    return rational_orthant_shift([x[g] for g in gaps], LinSubspace(gaps, rows)) is not None
 
 
 def lp_gap_feasible(lattice, lo, hi, mids, x) -> bool:

@@ -318,7 +318,7 @@ def test_polytope_polynomial_then_mixed_builds_the_polynomial_once(capsys, files
     on the same normals, so one process reconstructs the polynomial once."""
     from lorentzlab import hereditary, polytope
 
-    monkeypatch.setattr(polytope, "_VOLPOLY_CACHE", {})
+    monkeypatch.setattr(polytope, "_BOUNDED", {})
     calls = []
     inner = hereditary.from_weights
     monkeypatch.setattr(hereditary, "from_weights", lambda *a: calls.append(1) or inner(*a))
@@ -336,7 +336,6 @@ def test_polytope_af_eliminates_each_subset_once(capsys, tmp_path, monkeypatch):
     from lorentzlab import linalg, polytope
 
     monkeypatch.setattr(polytope, "_BOUNDED", {})
-    monkeypatch.setattr(polytope, "_VOLPOLY_CACHE", {})
     normals = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     paths = []
     for k in range(3):

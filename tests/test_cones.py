@@ -8,8 +8,8 @@ import pytest
 from lorentzlab import cones, linalg
 from lorentzlab.cones import (
     ConeByGenerators,
-    in_orthant_plus_subspace,
     lp_max,
+    orthant_shift,
     solve_in_span,
     strict_feasible,
 )
@@ -51,23 +51,33 @@ def _seeded_matrix(rng):
     return [[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
 
 
+def _orthant(y, L) -> bool:
+    """Whether ``orthant_shift`` finds a shift at y, scaled to integers z
+    over its least common denominator den; every shift (s, q) it returns
+    must have s in L, q > 0 and q z + s > 0."""
+    (z,), den = linalg.integer_scaled([y])
+    got = orthant_shift(z, den, L.rows)
+    if got is not None:
+        s, q = got
+        assert q > 0 and L.contains(s) and all(q * a + b > 0 for a, b in zip(z, s)), (y, L.rows)
+    return got is not None
+
+
 def test_witness_always_reverifies(rng):
-    """Every l the orthant test returns lies in L with y + l > 0, every z
-    of ``strict_feasible`` has Az > 0, and both verdicts agree with
+    """Every shift the orthant test returns re-verifies (``_orthant``),
+    every z of ``strict_feasible`` has Az > 0, and both verdicts agree with
     Fourier-Motzkin elimination."""
     found = 0
     for k in range(200):
         y, L = _seeded_orthant(rng, k)
-        ell = in_orthant_plus_subspace(y, L)
-        if ell is not None:
-            assert L.contains(ell) and all(a + b > 0 for a, b in zip(y, ell)), (y, L.rows)
-        assert (ell is not None) == fourier_motzkin_feasible(orthant_system(y, L)), (y, L.rows)
+        got = _orthant(y, L)
+        assert got == fourier_motzkin_feasible(orthant_system(y, L)), (y, L.rows)
         A = _seeded_matrix(rng)
         z = strict_feasible(A)
         if z is not None:
             assert len(z) == len(A[0]) and _positive_rows(A, z), A
         assert (z is not None) == fourier_motzkin_feasible(homogeneous_system(A)), A
-        found += (ell is not None) + (z is not None)
+        found += got + (z is not None)
     assert 40 < found < 360
 
 
@@ -75,7 +85,7 @@ def test_agreement_with_fourier_motzkin(rng):
     verdicts = set()
     for k in range(300):
         y, L = _seeded_orthant(rng, k)
-        got = in_orthant_plus_subspace(y, L) is not None
+        got = _orthant(y, L)
         assert got == fourier_motzkin_feasible(orthant_system(y, L)), (y, L.rows)
         A = _seeded_matrix(rng)
         got2 = strict_feasible(A) is not None
@@ -198,7 +208,7 @@ def test_lp_max_matches_dense_oracle_on_compiled_systems(rng, monkeypatch, lp_pi
     def cone_fixtures():
         test_strict_feasible_examples()
         test_witness_always_reverifies(rng)
-        test_in_orthant_plus_subspace_examples()
+        test_orthant_shift_examples()
 
     def hereditary_fixtures():
         pool = hereditary_fixture_pool(rng) + [edge_square(), triple_product()]
@@ -215,24 +225,21 @@ def test_lp_max_matches_dense_oracle_on_compiled_systems(rng, monkeypatch, lp_pi
             _same_run_as_dense_oracle(c, A, b, lp_pivots)
 
 
-def test_in_orthant_plus_subspace_examples():
-    L = LinSubspace(("a", "b"), [(1, 1)])
-    ell = in_orthant_plus_subspace((-1, -1), L)
-    assert ell is not None and all(v + e > 0 for v, e in zip((-1, -1), ell))
-    assert in_orthant_plus_subspace((-1, 1), LinSubspace(("a", "b"), [])) is None
-    L3 = LinSubspace(("a", "b", "c"), [(1, 1, 1)])
-    ell3 = in_orthant_plus_subspace((0, 0, -3), L3)
-    assert ell3 is not None and all(v + e > 0 for v, e in zip((0, 0, -3), ell3))
+def test_orthant_shift_examples():
+    assert _orthant((-1, -1), LinSubspace(("a", "b"), [(1, 1)]))
+    assert not _orthant((-1, 1), LinSubspace(("a", "b"), []))
+    assert _orthant((0, 0, -3), LinSubspace(("a", "b", "c"), [(1, 1, 1)]))
     # the shifted optimum lands exactly on mu = 1: y + a(1, -1) > 0 needs
     # a > 1 and a < 1
-    assert in_orthant_plus_subspace((-1, 1), LinSubspace(("a", "b"), [(1, -1)])) is None
+    assert not _orthant((-1, 1), LinSubspace(("a", "b"), [(1, -1)]))
     # no row touches b, so y_b = 0 decides before any LP
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cones, "lp_max", lambda *a: pytest.fail("lp_max was called"))
-        assert in_orthant_plus_subspace((-1, 0), LinSubspace(("a", "b"), [(1, 0)])) is None
+        assert not _orthant((-1, 0), LinSubspace(("a", "b"), [(1, 0)]))
     L4 = LinSubspace(("a", "b", "c"), [(1, 1, 0)])
-    ell4 = in_orthant_plus_subspace((-2, 0, 1), L4)
-    assert ell4 is not None and L4.contains(ell4) and all(v + e > 0 for v, e in zip((-2, 0, 1), ell4))
+    assert _orthant((-2, 0, 1), L4)
+    # over the denominator 2: (-1, 0, 1/2) is (-2, 0, 1) / 2
+    assert _orthant((Q(-1), 0, Q(1, 2)), L4)
 
 
 def test_solve_in_span_examples():

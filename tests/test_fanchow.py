@@ -13,6 +13,7 @@ from lorentzlab import fanchow, hereditary as hered, linalg
 from lorentzlab.fanchow import (
     DegreeFunctional,
     Fan,
+    FanStep,
     ample_cone_member,
     build_fan,
     canonical_bijection_check,
@@ -95,7 +96,7 @@ def test_normal_fan_of_polytopes():
     fan = build_fan(2, P.labels, P.normals, P.delta.facets)
     fan.verify_fan_axioms()
     h = volume_polynomial(P)
-    alpha = DegreeFunctional(fan=fan, grade=2, h=h)
+    alpha = DegreeFunctional(fan=fan, h=h)
     assert check_fan_lorentzian(alpha).value == "yes"
     # support numbers of the square are ample for its normal fan
     assert ample_cone_member(fan, tuple(P.t))
@@ -274,7 +275,7 @@ def test_functional_from_weights_errors():
         functional_from_weights(fan, {F: (2 if "e" in F else 1) for F in fan.cones.facets})
     alpha = functional_from_weights(fan, {F: 1 for F in fan.cones.facets})
     assert alpha.weight(frozenset({"e", "n"})) == 1
-    assert alpha.grade == 2
+    assert alpha.h.degree == 2
 
 
 def test_disconnected_positive_fan_fails_connectivity():
@@ -349,18 +350,19 @@ def test_transport_chain_round_trip():
         {"kind": "subdivide", "ray": (1, 1), "vertex": "ne"},
         {"kind": "weld", "vertex": "ne", "face": ["e", "n"]},
     ]
-    fan2, alpha2 = transport_chain(fan, alpha, steps)
+    fan2, alpha2 = transport_chain(fan, alpha, [read_step(s) for s in steps])
     assert fan2.cones == fan.cones
     assert alpha2.h.f == alpha.h.f
-    # steps read once give the same chain
-    fan2, alpha2 = transport_chain(fan, alpha, [read_step(s) for s in steps])
+    # the same chain built as steps directly
+    steps = [FanStep("subdivide", ray=(1, 1), vertex="ne"), FanStep("weld", face=("e", "n"), vertex="ne")]
+    fan2, alpha2 = transport_chain(fan, alpha, steps)
     assert fan2.cones == fan.cones and alpha2.h.f == alpha.h.f
     # verdict transport along a longer chain
     steps = [
         {"kind": "subdivide", "ray": (1, 2), "vertex": "p"},
         {"kind": "subdivide", "ray": (-1, 3), "vertex": "q"},
     ]
-    fan3, alpha3 = transport_chain(fan, alpha, steps)
+    fan3, alpha3 = transport_chain(fan, alpha, [read_step(s) for s in steps])
     assert check_fan_lorentzian(alpha3).value == check_fan_lorentzian(alpha).value == "yes"
 
 

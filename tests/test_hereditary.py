@@ -5,7 +5,7 @@ implementation), reconstruction from weights, and the certification."""
 import pytest
 
 from conftest import hereditary_fixture_pool, nonneg_cubics_and_quartics, rand_product_of_linears
-from lorentzlab.cones import in_orthant_plus_subspace
+from oracles import rational_orthant_shift
 from lorentzlab.hereditary import (
     BalancingError,
     HereditaryPoly,
@@ -133,7 +133,7 @@ def cone_member_reference(h: HereditaryPoly, v, pick_last: bool) -> bool:
     coords = direction_coords(v, f.vars)
     if d == 1:
         return f.evaluate(coords) > 0
-    if in_orthant_plus_subspace(coords, h.lin) is None:
+    if rational_orthant_shift(coords, h.lin) is None:
         return False
     verts = h.delta.link_vertices(())
     order = sorted(verts, key=repr, reverse=pick_last)
@@ -205,9 +205,9 @@ def _walk_cases(rng):
         except NotHereditaryError:
             continue
     hs += [volume_polynomial(P) for P in [pentagon(), prism()] + _random_polytopes(rng, 4)]
-    walks = [FaceWalk(h.vars, h.delta, h.lin, h.f) for h in hs]
+    walks = [FaceWalk(h.delta, h.lin, h.f) for h in hs]
     fans = [bergman_fan(flats(Matroid.uniform(r, 5))) for r in (3, 4)] + [cube_fan()]
-    walks += [FaceWalk(fan.ray_labels, fan.cones, fan.lineality()) for fan in fans]
+    walks += [FaceWalk(fan.cones, fan.lineality()) for fan in fans]
     for walk in walks:
         n = len(walk.face(frozenset()).V_S)
         yield walk, [(1,) * n] + [[Q(rng.randint(-3, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(4)]

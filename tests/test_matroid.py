@@ -88,6 +88,25 @@ def test_matroid_basics(rng):
         Matroid((1, 2), ({1}, {1, 2}))  # not equicardinal
 
 
+def test_uniform_needs_rank_between_0_and_n():
+    for r, n in ((5, 3), (4, 3), (-1, 3), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"U\({r},{n}\) needs 0 <= r <= n"):
+            Matroid.uniform(r, n)
+    assert Matroid.uniform(0, 3).bases == (frozenset(),)
+    assert Matroid.uniform(3, 3).bases == (frozenset({1, 2, 3}),)
+
+
+def test_bases_come_in_face_key_order():
+    """The bases, sorted by the integer key of their masks, are in face-key
+    order whatever the order of the ground set; a bases list given in any
+    order and with repeats reads the same."""
+    for M in (Matroid.uniform(3, 6), Matroid.fano(), Matroid.from_graph(4, K4_EDGES),
+              _uniform_over(3, [10, 2, 33, 1, 7]), _uniform_over(2, ["b", 12, "a", 3])):
+        assert list(M.bases) == sorted(M.bases, key=face_key)
+        again = Matroid(M.ground, tuple(reversed(M.bases)) + M.bases[:2])
+        assert again.bases == M.bases and again._basis_masks == M._basis_masks
+
+
 def test_flats_examples():
     L = flats(Matroid.uniform(2, 3))
     assert sorted(len(F) for F in L.flats) == [0, 1, 1, 1, 3]
@@ -402,7 +421,7 @@ def test_engine_matches_explicit(catalog, rng):
             v = {F: Q(rng.randint(-3, 5), rng.randint(1, 2)) for F in L.proper}
             assert eng.eval_bivariate(v, {})[0] == h.f.evaluate([v[F] for F in h.f.vars])
         fast = eng.hl_check()
-        slow = hered.is_hereditary_lorentzian(h, cone_hints=[submodular_witness(L)])
+        slow = hered.is_hereditary_lorentzian(h)
         assert fast.value == slow.value == "yes", name
         # one certificate per rank-3 interval, naming one of its faces; the
         # explicit route's other faces share an interval's inertia or have
@@ -479,7 +498,7 @@ def test_loops_are_quotiented_out():
     rep = char_poly(L)
     assert rep.agree and [int(c) for c in rep.reduced] == [-1, 1]
     h = pol_matroid(L)
-    assert hered.is_hereditary_lorentzian(h, cone_hints=[submodular_witness(L)]).value == "yes"
+    assert hered.is_hereditary_lorentzian(h).value == "yes"
 
 
 def _seeded_families(rng):
@@ -501,7 +520,7 @@ def test_exchange_check_matches_oracle(rng):
     accepted = rejected = 0
     for ground, family in _seeded_families(rng):
         bases = tuple(frozenset(b) for b in family)
-        expected = exchange_message(Matroid._by_construction(ground, bases))
+        expected = exchange_message(ground, bases)
         assert (expected is None) == oracle_is_basis_family(family), family
         if expected is None:
             M = Matroid(ground, bases)

@@ -237,7 +237,7 @@ def test_volume_polynomial_is_hereditary_lorentzian():
         assert h.strong
         assert h.delta == P.delta  # the face complexes coincide
         assert hered.is_positive(h)
-        v = hered.is_hereditary_lorentzian(h, cone_hints=[tuple(P.t)])
+        v = hered.is_hereditary_lorentzian(h)
         assert v.value == "yes", make.__name__
 
 
