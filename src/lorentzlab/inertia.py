@@ -3,8 +3,9 @@
 A ``SymMatrix`` keeps its integer rows: den times the matrix on Python
 ints, den the least common denominator.  The Hessians are built there
 with no rational formed: ``derivative_hessian`` and ``hessian`` from the
-integer coefficient table ``HomPoly.coeffs``, the matroid
-codimension-2 Hessians from integer pinned vectors.
+integer coefficient table of a ``HomPoly``, read by Kronecker key
+(``HomPoly.key_table``), the matroid codimension-2 Hessians from integer
+pinned vectors.
 
 ``inertia`` is one symmetric fraction-free elimination of those rows
 (positive scaling keeps eigenvalue signs).  Each step pivots on the first
@@ -124,31 +125,28 @@ def hessian(q: HomPoly) -> SymMatrix:
 def derivative_hessian(f: HomPoly, alpha: Sequence[int], over: Sequence | None = None) -> SymMatrix:
     """Hessian of the (d-2)-fold derivative d^alpha f (alpha a dense
     exponent vector) on the variables ``over``, all of f's by default, read
-    off f's integer coefficient table (``HomPoly.coeffs``): entry (i, j)
-    is beta! c_beta, where beta = alpha + e_i + e_j.  No derivative of f is
-    formed and no rational either."""
-    if len(alpha) != len(f.vars) or sum(alpha) != f.degree - 2:
-        raise ValueError(f"derivative_hessian needs |alpha| = degree - 2 over {len(f.vars)} variables")
+    off f's integer coefficient table: entry (i, j) is beta! c_beta, where
+    beta = alpha + e_i + e_j, of key k(alpha) + B^i + B^j (digits <= d).
+    No derivative of f is formed and no rational either."""
+    if len(alpha) != len(f.vars) or sum(alpha) != f.degree - 2 or min(alpha, default=0) < 0:
+        raise ValueError(f"derivative_hessian needs alpha >= 0, |alpha| = degree - 2, in {len(f.vars)} variables")
     labels = f.vars if over is None else tuple(over)
     pos = [f._index[v] for v in labels]
-    coeff = f.coeffs
-    beta = list(alpha)  # raised in place to alpha + e_i + e_j below
-    alpha_fact = prod(map(factorial, beta))
+    W, table = f.key_table()
+    base = sum(a * w for a, w in zip(alpha, W))
+    alpha_fact = prod(map(factorial, alpha))
     n = len(labels)
     rows = [[0] * n for _ in range(n)]
     for a, i in enumerate(pos):
-        beta[i] += 1
+        ki, ai = base + W[i], alpha[i] + 1
         for b in range(a, n):
             j = pos[b]
-            beta[j] += 1
-            c = coeff.get(tuple(beta))
+            c = table.get(ki + W[j])
             if c is not None:
                 # beta! / alpha! = (alpha_i + 1)(alpha_j + 1), or
                 # (alpha_i + 1)(alpha_i + 2) on the diagonal
-                rise = beta[i] * beta[j] if i != j else (beta[i] - 1) * beta[i]
+                rise = ai * (alpha[j] + 1) if i != j else ai * (ai + 1)
                 rows[a][b] = rows[b][a] = alpha_fact * rise * c
-            beta[j] -= 1
-        beta[i] -= 1
     return SymMatrix.from_scaled(labels, rows, f.den)
 
 

@@ -9,7 +9,8 @@ derived bilinear forms, neither of which moves a verdict.  Randomized
 ordered-tuple spot checks in the test suite back this reduction.
 
 M-convexity, of supports and of the cone test's derived supports, is
-decided by exchange masks built once per point (``is_m_convex``).  The
+decided by exchange masks on Kronecker keys (``is_m_convex``), on the
+exponents of a table as they are: they meet ``MSet``'s invariants.  The
 cone test decides the derived supports once per generator set: the
 derived support of a generator multiset T is a split of the support J_S
 of the pull-back on S = set(T), and a split is M-convex exactly when the
@@ -18,7 +19,7 @@ set it splits is (the proof is in ``is_k_lorentzian``).
 Derivative values are read off coefficients, since (d/dt)^beta f equals
 beta! c_beta for |beta| = d: ``HomPoly.derivative_value`` gives the value
 and ``inertia.derivative_hessian`` the Hessian of a (d-2)-fold derivative,
-on integer rows read off ``HomPoly.coeffs``.  The orthant scan and the
+on integer rows read off f's table by key.  The orthant scan and the
 polarized verdict read f itself; the cone test reads the signs of its
 pull-back's integer coefficients along the generators for the top
 derivatives and the derived supports.  Only the cone test's Hessians,
@@ -38,12 +39,13 @@ the sampling-based check for non-polyhedral cones never answers "yes", only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import chain, combinations_with_replacement, product as iproduct
+from operator import mul
 from typing import Iterable, Sequence
 
 from .cones import ConeByGenerators
 from .inertia import SymMatrix, derivative_hessian, hessian, inertia
-from .polycore import HomPoly, direction_coords
+from .polycore import HomPoly, direction_coords, kron_weights
 from .rat import ONE
 from .simplicial import connected
 
@@ -82,38 +84,51 @@ class MSet:
         object.__setattr__(self, "points", pts)
 
 
+def _unchecked_mset(n: int, points: frozenset) -> MSet:
+    """The MSet of points that meet its invariants by construction."""
+    M = object.__new__(MSet)
+    M.__dict__.update(n=n, points=points)
+    return M
+
+
 def is_m_convex(M: MSet | Iterable) -> tuple[bool, tuple | None]:
     """Exchange axiom by exchange masks; returns (verdict, violating (a, b, i)).
 
     For each point a and move i, ``ex[i]`` is the bitmask of the j != i
-    with a - e_i + e_j in the set; it is read off a table that maps every
-    a - e_i to the j with a - e_i + e_j in the set.  A pair (a, b) fails
-    at i, with a_i > b_i, exactly when ``ex[i]`` holds no j with
-    b_j > a_j.  When the points are nonnegative with one coordinate sum,
-    every b != a has such a j, so an i whose mask holds every j != i never
-    fails, and an a with no other i is skipped.  Pairs are visited in
-    sorted (a, b) order and moves i in increasing order, so the witness is
-    the first violation in that order.  Points must have one length.
+    with a - e_i + e_j in the set, read off a table that maps the Kronecker
+    key (``polycore``) of every a - e_i to those j.  With lo and hi the
+    extreme coordinates, every a and a - e_i has its coordinates in
+    [lo - 1, hi], so the offset 1 - lo makes them numerals of base
+    B = hi - lo + 2; it moves every key by one constant, so keys are
+    injective and k(a - e_i) = k(a) - B^i.  A pair (a, b) fails at i, with
+    a_i > b_i, exactly when ``ex[i]`` holds no j with b_j > a_j.  When the
+    points are nonnegative with one coordinate sum, every b != a has such
+    a j, so an i whose mask holds every j != i never fails, and an a with
+    no other i is skipped.  Pairs are visited in sorted (a, b) order and
+    moves i in increasing order, so the witness is the first violation in
+    that order.  Points must have one length.
     """
     pts = M.points if isinstance(M, MSet) else frozenset(map(tuple, M))
     ordered = sorted(pts)
-    if len({len(p) for p in ordered}) > 1:
+    if len(set(map(len, ordered))) > 1:
         raise ValueError("points have different lengths")
-    graded = len({sum(p) for p in ordered}) <= 1 and all(c >= 0 for p in ordered for c in p)
-    ups: dict[tuple, int] = {}  # a - e_i -> bitmask of the j with a - e_i + e_j in the set
+    lo, hi = min(chain.from_iterable(ordered), default=0), max(chain.from_iterable(ordered), default=0)
+    graded = len(set(map(sum, ordered))) <= 1 and lo >= 0
+    W = kron_weights(len(ordered[0]) if ordered else 0, hi - lo + 2)
+    ups: dict[int, int] = {}  # k(a - e_i) -> bitmask of the j with a - e_i + e_j in the set
     moves = []
     for a in ordered:
+        k = sum(map(mul, a, W))
         qs = []
-        for i, ai in enumerate(a):
-            if graded and ai == 0:
+        for i, w in enumerate(W):
+            if graded and not a[i]:
                 continue
-            q = a[:i] + (ai - 1,) + a[i + 1:]
+            q = k - w
             ups[q] = ups.get(q, 0) | 1 << i
             qs.append((i, q))
         moves.append(qs)
+    n, full = len(W), (1 << len(W)) - 1
     for a, qs in zip(ordered, moves):
-        n = len(a)
-        full = (1 << n) - 1
         crit = [(i, ups[q] & ~(1 << i)) for i, q in qs if not graded or ups[q] != full]
         if not crit:
             continue
@@ -131,16 +146,6 @@ def is_m_convex(M: MSet | Iterable) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def _bounded_multiindices(n: int, total: int, caps: Sequence[int]):
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for c in range(min(total, caps[0]) + 1):
-        for rest in _bounded_multiindices(n - 1, total - c, caps[1:]):
-            yield (c,) + rest
-
-
 # ---------------------------------------------------------------------------
 # Lorentzian on the positive orthant
 # ---------------------------------------------------------------------------
@@ -153,10 +158,6 @@ def _require_nonneg(f: HomPoly):
         raise ValueError(f"negative coefficient {f.coeff(exps)} at {key}; test requires nonnegative coefficients")
 
 
-def support_mset(f: HomPoly) -> MSet:
-    return MSet(len(f.vars), f.support())
-
-
 def is_lorentzian(f: HomPoly) -> LorentzVerdict:
     """Support M-convexity plus the one-positive-eigenvalue Hessian condition.
 
@@ -166,7 +167,7 @@ def is_lorentzian(f: HomPoly) -> LorentzVerdict:
     _require_nonneg(f)
     if f.degree < 2:
         return LorentzVerdict(value="yes", detail="degree < 2 convention")
-    ok, wit = is_m_convex(support_mset(f))
+    ok, wit = is_m_convex(f.coeffs)
     if not ok:
         return LorentzVerdict(value="no", witness=("support", wit), detail="support is not M-convex")
     return _h1_scan(f)
@@ -358,16 +359,14 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
     m = len(gens)
     cache = _DerivativeCache(f, gens)
     g = f.substitute_linear(list(zip(*cache.gens)), range(m))
-    coeff = g.coeffs
+    coeff, (W, table) = g.coeffs, g.key_table()  # a multiset T is read at the key sum of W[j], j in T
 
     # (i) nonnegative d-fold derivatives; the multisets are walked for the
     # first witness only when some coefficient is negative
     if min(coeff.values(), default=0) < 0:
         for T in combinations_with_replacement(range(m), d):
-            beta = [0] * m
-            for j in T:
-                beta[j] += 1
-            if coeff.get(tuple(beta), 0) < 0:
+            if table.get(sum(W[j] for j in T), 0) < 0:
+                beta = [T.count(j) for j in range(m)]
                 return LorentzVerdict(value="no", witness=("derivative", T, g.derivative_value(beta)),
                                       detail="negative mixed derivative along generators")
 
@@ -395,17 +394,17 @@ def is_k_lorentzian(f: HomPoly, cone: ConeByGenerators) -> LorentzVerdict:
             key = (len(S), frozenset(tuple(beta[j] for j in S) for beta, supp in positive if not supp & outside))
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = is_m_convex(MSet(*key))[0]
+                ok = verdicts[key] = is_m_convex(_unchecked_mset(*key))[0]
             by_set[S] = ok
         if not ok:
-            pts = set()
-            for alpha in _bounded_multiindices(2 * d, d, [d] * (2 * d)):
-                beta = [0] * m
-                for j, a in zip(T, alpha):
-                    beta[j] += a
-                if coeff.get(tuple(beta), 0) > 0:
-                    pts.add(alpha)
-            ok, wit = is_m_convex(MSet(2 * d, pts))
+            slot, pts = [W[j] for j in T], set()  # alpha read at the key of its slot sums
+            for combo in combinations_with_replacement(range(2 * d), d):
+                if table.get(sum(slot[s] for s in combo), 0) > 0:
+                    alpha = [0] * (2 * d)
+                    for s in combo:
+                        alpha[s] += 1
+                    pts.add(tuple(alpha))
+            ok, wit = is_m_convex(_unchecked_mset(2 * d, frozenset(pts)))
             assert not ok, "a split of a set that is not M-convex is not M-convex"
             return LorentzVerdict(value="no", witness=("support", T, wit),
                                   detail="derived support is not M-convex",

@@ -282,9 +282,10 @@ class FlatLattice:
     them.  The flats are indexed by rank and then by face key, and a flat's
     index is its place there; ``masks[i]`` is its element mask,
     ``ranks[i]`` its rank, ``layers[k]`` the bitset of the indices of rank
-    k, ``covers_up[i]`` the bitset of its covers, and ``up[i]``/``down[i]``
-    the bitsets of the flats strictly above/below it, ORed along the
-    covers, from which Moebius values are read.
+    k, ``above[i]`` and ``below[i]`` the index lists of the flats covering
+    it and covered by it, ``covers_up[i]`` the bitset of its covers, and
+    ``up[i]``/``down[i]`` the bitsets of the flats strictly above/below it,
+    ORed along the covers, from which Moebius values are read.
 
     ``flats`` (the frozensets, by index), ``proper`` (all but the bottom
     and the top), ``bottom`` and ``top`` are decoded from the masks on
@@ -313,12 +314,12 @@ class FlatLattice:
         self.layers.append(0)
         self.masks = tuple(order)
         pos = {m: i for i, m in enumerate(order)}
-        above = [[pos[G] for G in covers.get(m, ())] for m in order]
+        self.above = above = [[pos[G] for G in covers.get(m, ())] for m in order]
         # every cover is one rank up, so it has a higher index: up ORs the
         # covers' up-sets from the top down, down pushes each flat's
-        # down-set to its covers from the bottom up
+        # down-set to its covers from the bottom up, and below lists them
         n = len(order)
-        self.covers_up, up, down = [0] * n, [0] * n, [0] * n
+        self.covers_up, up, down, self.below = [0] * n, [0] * n, [0] * n, [[] for _ in range(n)]
         for i in range(n - 1, -1, -1):
             c = u = 0
             for j in above[i]:
@@ -329,6 +330,7 @@ class FlatLattice:
             below = down[i] | 1 << i
             for j in js:
                 down[j] |= below
+                self.below[j].append(i)
         self.up, self.down = up, down
         self._mobius: dict[int, list] = {}
 
@@ -515,7 +517,7 @@ def order_complex(L: FlatLattice) -> SimComplex:
         if i == top:
             facets.append(frozenset(L.flats[j] for j in _indices(chain)))
             return
-        for j in _indices(L.covers_up[i]):
+        for j in L.above[i]:
             ascend(j, chain if j == top else chain | 1 << j)
 
     ascend(0, 0)
@@ -788,22 +790,21 @@ class LatticeVolume:
             if d == 0:
                 self._expansion = [ONE]
                 return self._expansion
-            L, E, top, proper = self.L, self.lcm_n, self.top, self.proper_mask
+            L, E, top = self.L, self.lcm_n, self.top
             low = L.masks[0].bit_count()
             n = [m.bit_count() - low for m in L.masks]
             N = n[-1]
-            below = [w & L.layers[k - 1] & proper for w, k in zip(L.down, L.ranks)]
-            above = [c & proper for c in L.covers_up]
             # a on the flats by rank from the atoms up, b from the coatoms
-            # down; a flat with no proper cover on the pass's side gets 1
+            # down; the bottom and the top keep 0 and every other term is
+            # positive, so a flat with no proper cover on its side gets 1
             a, b = [0] * len(n), [0] * len(n)
-            for val, m, covers, order in ((a, n, below, range(1, top)),
-                                          (b, [N - k for k in n], above, range(top - 1, 0, -1))):
+            for val, m, covers, order in ((a, n, L.below, range(1, top)),
+                                          (b, [N - k for k in n], L.above, range(top - 1, 0, -1))):
                 for f in order:
                     acc = 0
-                    for g in _indices(covers[f]):
+                    for g in covers[f]:
                         acc += (m[f] - m[g]) * val[g]
-                    val[f] = E * N // m[f] * acc if covers[f] else 1
+                    val[f] = E * N // m[f] * acc if acc else 1
             c = [0] * (d + 1)
             for g in range(1, top):
                 rho = L.ranks[g]

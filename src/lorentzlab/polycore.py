@@ -13,23 +13,32 @@ an explicit degree tag, so derivative chains and face restrictions keep a
 well-defined grade.
 
 The public constructor takes sparse keys, sorted tuples of (variable
-position, exponent) pairs, and checks and coerces any input; ``from_dense``
-and ``from_json_dict`` fill the table in one pass.  ``+``, ``-``, ``*``,
-``pow``, ``scale``, ``partial``, ``set_vars_zero``, ``restrict_vars`` and
-``substitute`` run on the table and build their results through
-``HomPoly._trusted``, which checks nothing but lowest terms: they drop
-cancelled terms and keep the term order the constructor would give.  No
-other module may call it.  Rationals are formed only where a caller reads
-one: ``terms``, ``coeff``, ``evaluate`` and the text and JSON forms.
+position, exponent) pairs, and checks and coerces any input; ``from_dense``,
+``from_json_dict`` and ``parse_poly`` fill the table in one pass.  ``+``,
+``-``, ``*``, ``pow``, ``scale``, ``partial``, ``set_vars_zero``,
+``restrict_vars`` and ``substitute`` run on the table and build their
+results through ``HomPoly._trusted``, which checks nothing but lowest
+terms: they drop cancelled terms and keep the term order the constructor
+would give.  No other module may call it.  Rationals are formed only where
+a caller reads one: ``terms``, ``coeff``, ``evaluate`` and the text and
+JSON forms.
+
+**Kronecker keys** (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 8).  An exponent vector e gets one integer k(e) = sum e_i B^i (weights
+``kron_weights``).  *Lemma:* while every digit stays in [0, B), k is
+injective (k(e) is the base-B numeral of e) and k(e +- e_i) = k(e) +- B^i,
+k(e + e') = k(e) + k(e'), with no carry.  Exponents of degree at most d
+have digits in [0, d]: B = d + 1 serves a table of degree d (``key_table``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial, gcd, lcm, prod
-from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, mul
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import linalg
 from .rat import Q, ZERO, Rational, rat_str, ratio, read_list, read_ratio
@@ -65,28 +74,41 @@ def _nonzero(coeffs: dict) -> dict:
     return {k: c for k, c in coeffs.items() if c}
 
 
+def kron_weights(n: int, base: int) -> list[int]:
+    """The Kronecker weights [B^0, ..., B^(n-1)] of base B."""
+    return [base**i for i in range(n)]
+
+
+def _kron_mul(a: dict, b: dict) -> dict:
+    """a * b on key-indexed tables, in the term order of ``__mul__`` (a's zeros dropped)."""
+    out: dict[int, int] = {}
+    for ka, ca in a.items():
+        if ca:
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
 class HomPoly:
     """Homogeneous polynomial over an ordered, labeled variable set."""
 
-    __slots__ = ("vars", "degree", "coeffs", "den", "_index")
+    __slots__ = ("vars", "degree", "coeffs", "den", "_index", "_keys")
 
     def __init__(self, vars: Sequence[Label], degree: int, terms: Mapping[Key, object]):
-        self._build(vars, degree, terms.items(), lambda key, n: _dense(key, n, degree))
+        self._build(vars, degree, ((key, *ratio(c)) for key, c in terms.items()),
+                    lambda key, n: _dense(key, n, degree))
 
-    def _build(self, vars: Sequence[Label], degree: int, items: Iterable[tuple], dense: Callable):
-        """Fill from (exponents, coefficient) pairs: each coefficient is
-        coerced, a zero one skipped, ``dense(exps, n)`` checks the others'
-        exponents and makes them dense, and repeated exponents are summed in
-        the order of their first occurrence."""
+    def _build(self, vars: Sequence[Label], degree: int, items: Iterable[tuple], dense: Callable | None):
+        """Fill from (exponents, p, q) triples, the coefficient p / q with
+        q > 0: a zero one is skipped, ``dense(exps, n)`` checks the others'
+        exponents and makes them dense (None: they are), and repeated
+        exponents are summed in the order of their first occurrence."""
         vs = tuple(vars)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable labels")
         n = len(vs)
-        pairs = []
-        for exps, c in items:
-            a, d = ratio(c)
-            if a:
-                pairs.append((dense(exps, n), a, d))
+        pairs = [(exps if dense is None else dense(exps, n), a, d) for exps, a, d in items if a]
         den = lcm(*(d for _, _, d in pairs))
         coeffs: dict[tuple, int] = {}
         for exps, a, d in pairs:
@@ -138,19 +160,23 @@ class HomPoly:
         another length or sum is read, and checked, as the constructor reads
         its sparse key.  The exponents and the degree must be ints (a bool
         or a float is not)."""
-        for exps in dense:
-            if any(type(e) is not int for e in exps):
-                raise ValueError(f"exps {list(exps)} must be integers")
+        return cls._from_ratios(vars, degree, dense, ((exps, *ratio(c)) for exps, c in dense.items()))
+
+    @classmethod
+    def _from_ratios(cls, vars: Sequence[Label], degree: int, dense: Collection[tuple],
+                     items: Iterable[tuple]) -> "HomPoly":
+        """``from_dense`` on (exps, p, q) triples, ``dense`` their exponent
+        tuples, checked all at once unless one is not dense as it is."""
+        vars = tuple(vars)
+        if not set(map(type, chain.from_iterable(dense))) <= {int}:
+            exps = next(exps for exps in dense if any(type(e) is not int for e in exps))
+            raise ValueError(f"exps {list(exps)} must be integers")
         if type(degree) is not int:
             raise ValueError(f"degree {degree!r} must be an integer")
-
-        def checked(exps: tuple, n: int) -> tuple:
-            if len(exps) == n and sum(exps) == degree and min(exps, default=0) >= 0:
-                return exps
-            return _dense(_sparse(exps), n, degree)
-
+        dense_as_is = (set(map(len, dense)) <= {len(vars)} and set(map(sum, dense)) <= {degree}
+                       and min(chain.from_iterable(dense), default=0) >= 0)
         p = object.__new__(cls)
-        p._build(vars, degree, dense.items(), checked)
+        p._build(vars, degree, items, None if dense_as_is else lambda exps, n: _dense(_sparse(exps), n, degree))
         return p
 
     # -- basics --------------------------------------------------------------
@@ -186,6 +212,16 @@ class HomPoly:
         beta! c_beta when |beta| = degree, and 0 otherwise."""
         c = self.coeffs.get(tuple(beta))
         return ZERO if c is None else Rational(prod(map(factorial, beta)) * c, self.den)
+
+    def key_table(self) -> tuple[list, dict]:
+        """(W, the table keyed by k(exps) = sum exps_i W_i), W the Kronecker
+        weights of base degree + 1; formed on the first call and kept."""
+        try:
+            return self._keys
+        except AttributeError:
+            W = kron_weights(len(self.vars), self.degree + 1)
+            object.__setattr__(self, "_keys", (W, {sum(map(mul, e, W)): c for e, c in self.coeffs.items()}))
+            return self._keys
 
     def support(self) -> set[tuple]:
         """Multi-indices with nonzero coefficient, as dense tuples."""
@@ -308,34 +344,38 @@ class HomPoly:
         denominators, and f's term at exponent e by L / prod_i s_i^e_i, with
         L the lcm of those products over the terms, so the result is one
         integer table over den * L.  It is homogeneous of the same degree.
+        The products run on int dicts keyed by Kronecker keys of base
+        degree + 1, in the order of polynomial products, whose term order
+        the result keeps.
         """
         new_vars = tuple(new_vars)
         nidx = {v: i for i, v in enumerate(new_vars)}
         if len(nidx) != len(new_vars):
             raise ValueError("duplicate variable labels")
-        m = len(new_vars)
+        B = self.degree + 1
+        W = kron_weights(len(new_vars), B)
         scales, images = [], []
         for v in self.vars:
             form = [(nidx[w], *ratio(c)) for w, c in forms.get(v, {}).items()]
             s = lcm(*(d for _, _, d in form))
-            image = {tuple(int(k == j) for k in range(m)): a * (s // d) for j, a, d in form if a}
             scales.append(s)
-            images.append(HomPoly._trusted(new_vars, 1, image, 1, nidx))
+            images.append({W[j]: a * (s // d) for j, a, d in form if a})
         weight = {exps: prod(s**e for s, e in zip(scales, exps)) for exps in self.coeffs}
         L = lcm(*weight.values())
-        acc: dict[tuple, int] = {}
-        powers: dict[tuple[int, int], HomPoly] = {}
+        acc: dict[int, int] = {}
+        powers = [[{0: 1}] for _ in images]  # powers[i][e]: the e-th power of form i
         for exps, c in self.coeffs.items():
-            term = HomPoly._trusted(new_vars, 0, {(0,) * m: c * (L // weight[exps])}, 1, nidx)
+            term = {0: c * (L // weight[exps])}
             for i, e in enumerate(exps):
+                while len(powers[i]) <= e:
+                    powers[i].append(_kron_mul(powers[i][-1], images[i]))
                 if e:
-                    p = powers.get((i, e))
-                    if p is None:
-                        p = powers[(i, e)] = images[i].pow(e)
-                    term = term * p
-            for k, x in term.coeffs.items():
-                acc[k] = acc.get(k, 0) + x
-        return HomPoly._trusted(new_vars, self.degree, _nonzero(acc), self.den * L, nidx)
+                    term = _kron_mul(term, powers[i][e])
+            for k, x in term.items():
+                if x:
+                    acc[k] = acc.get(k, 0) + x
+        coeffs = {tuple(k // w % B for w in W): x for k, x in acc.items() if x}
+        return HomPoly._trusted(new_vars, self.degree, coeffs, self.den * L, nidx)
 
     def substitute_linear(self, A: Sequence[Sequence], new_vars: Sequence[Label]) -> "HomPoly":
         """g(x) = f(Ax) where A has one row per f-variable, one column per new variable."""
@@ -407,10 +447,9 @@ class HomPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HomPoly":
-        """The polynomial of a JSON object.  Each coefficient is read straight
-        to (p, q) by ``rat.read_ratio``; ``from_dense`` checks and fills the
-        table from the integers p * (den / q), den the least common q, and
-        the one division by den follows."""
+        """The polynomial of a JSON object: each coefficient read straight to
+        (p, q) by ``rat.read_ratio`` (a term listed twice keeps the last),
+        the table filled from those pairs as ``from_dense`` fills it."""
         vars = tuple(read_list(data["vars"], "vars"))
         dense = {tuple(read_list(t["exps"], "exps")): read_ratio(t["coeff"])
                  for t in read_list(data["terms"], "terms")}
@@ -419,9 +458,7 @@ class HomPoly:
             if not dense:
                 raise ValueError("zero polynomial needs an explicit degree")
             degree = sum(next(iter(dense)))
-        den = lcm(*(q for _, q in dense.values()))
-        f = cls.from_dense(vars, degree, {exps: p * (den // q) for exps, (p, q) in dense.items()})
-        return cls._trusted(f.vars, f.degree, f.coeffs, den, f._index)
+        return cls._from_ratios(vars, degree, dense, ((exps, p, q) for exps, (p, q) in dense.items()))
 
 _TERM_RE = re.compile(r"[+-]|[A-Za-z_][A-Za-z0-9_]*(?:\^\d+)?|\d+(?:/\d+)?|\*")
 
@@ -430,50 +467,53 @@ def parse_poly(text: str, vars: Sequence[Label] | None = None) -> HomPoly:
     """Parse the text grammar: rational coefficient, '*', space-separated powers.
 
     Example: ``"1*t1^2 t2 - 1/2*t2^3"``.  The coefficient and '*' may be
-    omitted.  Variables default to the sorted names appearing in the text.
+    omitted, and chained coefficients multiply.  Variables default to the
+    sorted names appearing in the text.  Coefficients are read to (p, q)
+    on ints and monomials to dense tuples, summed over the least common q
+    in first-occurrence order, so the table, and every error, is the one
+    the constructor would give the rational terms.
     """
     tokens = _TERM_RE.findall(text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise ValueError(f"cannot tokenize polynomial text: {text!r}")
-    monomials: list[tuple[object, dict[str, int]]] = []
-    sign, coeff, powers = 1, None, {}
-
-    def flush():
-        nonlocal sign, coeff, powers
-        if coeff is None and not powers:
-            return
-        c = Q(sign) * (Q(1) if coeff is None else coeff)
-        monomials.append((c, powers))
-        sign, coeff, powers = 1, None, {}
-
-    for tok in tokens:
+    monomials: list[tuple[int, int, dict[str, int]]] = []  # (p, q, powers)
+    sign, p, q, powers = 1, None, 1, {}
+    for tok in tokens + ["+"]:
         if tok in "+-":
-            flush()
-            sign = 1 if tok == "+" else -1
-        elif tok == "*":
-            continue
+            if p is not None or powers:
+                monomials.append((sign * (1 if p is None else p), q, powers))
+            sign, p, q, powers = 1 if tok == "+" else -1, None, 1, {}
         elif tok[0].isdigit():
-            coeff = Q(tok) if coeff is None else coeff * Q(tok)
-        else:
+            num, slash, den = tok.partition("/")
+            a, b = int(num), int(den) if slash else 1
+            if not b:
+                raise ValueError(f"zero denominator in {tok!r}")
+            p, q = a if p is None else p * a, q * b
+        elif tok != "*":
             name, _, exp = tok.partition("^")
-            powers = dict(powers)
             powers[name] = powers.get(name, 0) + (int(exp) if exp else 1)
-    flush()
-    if vars is None:
-        vars = tuple(sorted({v for _, p in monomials for v in p}))
-    vars = tuple(vars)
+    vars = tuple(sorted({v for _, _, pw in monomials for v in pw}) if vars is None else vars)
     if not monomials:
         return HomPoly.zero(vars, 0)
-    degrees = {sum(p.values()) for _, p in monomials}
+    degrees = {sum(pw.values()) for _, _, pw in monomials}
     if len(degrees) != 1:
         raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
     idx = {v: i for i, v in enumerate(vars)}
-    terms: dict[Key, object] = {}
-    for c, p in monomials:
-        key = tuple(sorted((idx[v], e) for v, e in p.items()))
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
-    return HomPoly(vars, degrees.pop(), terms)
+    den = lcm(*(q for _, q, _ in monomials))
+    table: dict[tuple, int] = {}
+    for p, q, pw in monomials:
+        exps = [0] * len(vars)
+        for v, e in pw.items():
+            exps[idx[v]] = e
+        # a variable at exponent 0 keeps the sparse key the constructor refuses
+        key = tuple(exps) if 0 not in pw.values() else tuple(sorted((idx[v], e) for v, e in pw.items()))
+        table[key] = table.get(key, 0) + p * (den // q)
+    if len(idx) != len(vars):
+        raise ValueError("duplicate variable labels")
+    for key, c in table.items():
+        if c and key and type(key[0]) is tuple:
+            raise ValueError(f"malformed exponent key {key}")
+    return HomPoly._trusted(vars, degrees.pop(), _nonzero(table), den, idx)
 
 
 def _coerce_multi(alpha, vars: Sequence[Label]) -> list[tuple[Label, int]]:

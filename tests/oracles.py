@@ -169,6 +169,13 @@ checked against.
 * :func:`euler_defect` is d f - sum_i t_i (d/dt_i) f, zero by Euler's
   identity, and :func:`rename_vars` relabels a polynomial through the
   validating ``HomPoly`` constructor.
+* :func:`fraction_parse_poly` reads the text grammar on rationals, one
+  ``Q`` per coefficient token, and builds through the validating
+  constructor; ``parse_poly`` reads (p, q) ints and dense exponent tuples
+  straight into the table.  :func:`product_substitute` expands a
+  substitution as products of ``HomPoly`` powers of the forms;
+  ``HomPoly.substitute`` multiplies key-indexed int dicts on Kronecker
+  keys.
 * :func:`projection_pi` is the matrix of the projection pi_S, with every
   pin solved against the full lineality space.
 * :func:`lp_overlapping_facet_pairs` decides every pair of maximal cones
@@ -183,7 +190,9 @@ checked against.
   and reaches the skeleton only when one of them fails.
 * :func:`brute_force_is_m_convex` runs the exchange axiom on every ordered
   pair; the library tests each pair against exchange masks built once per
-  point.
+  point.  :func:`support_mset` is a polynomial's support as a checked
+  ``MSet``; ``is_lorentzian`` hands the exponents of its table to
+  ``is_m_convex`` as they are.
 * :func:`partial_h1_scan` derives every (d-2)-fold coordinate derivative
   from f by chains of ``HomPoly.partial`` and takes its Hessian; the
   library reads the Hessians off f's coefficients.
@@ -230,10 +239,11 @@ Routes that no command or demo reaches, kept for the tests that call them:
   subdivision, l_vertex = sum c_i l_i.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product as iproduct
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from lorentzlab import hereditary as hered
@@ -243,14 +253,12 @@ from lorentzlab.inertia import Inertia, SymMatrix, derivative_hessian, hessian, 
 from lorentzlab.lorentzian import (
     LorentzVerdict,
     MSet,
-    _bounded_multiindices,
     _DerivativeCache,
     _h1_scan,
     _require_nonneg,
     is_k_lorentzian,
     is_m_convex,
     polarization_vars,
-    support_mset,
 )
 from lorentzlab.matroid import FlatLattice, pol_matroid, submodular_witness
 from lorentzlab.polycore import Direction, HomPoly, LinSubspace, direction_coords
@@ -1415,6 +1423,89 @@ def rename_vars(f, mapping) -> HomPoly:
     return HomPoly(tuple(mapping.get(v, v) for v in f.vars), f.degree, f.terms)
 
 
+_TERM_RE = re.compile(r"[+-]|[A-Za-z_][A-Za-z0-9_]*(?:\^\d+)?|\d+(?:/\d+)?|\*")
+
+
+def fraction_parse_poly(text: str, vars: Sequence | None = None) -> HomPoly:
+    """The text grammar read on rationals: each coefficient token through
+    ``Q``, the terms summed as rationals by sparse key and built by the
+    validating ``HomPoly`` constructor."""
+    tokens = _TERM_RE.findall(text)
+    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
+        raise ValueError(f"cannot tokenize polynomial text: {text!r}")
+    monomials: list[tuple[object, dict[str, int]]] = []
+    sign, coeff, powers = 1, None, {}
+
+    def flush():
+        nonlocal sign, coeff, powers
+        if coeff is None and not powers:
+            return
+        c = Q(sign) * (Q(1) if coeff is None else coeff)
+        monomials.append((c, powers))
+        sign, coeff, powers = 1, None, {}
+
+    for tok in tokens:
+        if tok in "+-":
+            flush()
+            sign = 1 if tok == "+" else -1
+        elif tok == "*":
+            continue
+        elif tok[0].isdigit():
+            coeff = Q(tok) if coeff is None else coeff * Q(tok)
+        else:
+            name, _, exp = tok.partition("^")
+            powers = dict(powers)
+            powers[name] = powers.get(name, 0) + (int(exp) if exp else 1)
+    flush()
+    if vars is None:
+        vars = tuple(sorted({v for _, p in monomials for v in p}))
+    vars = tuple(vars)
+    if not monomials:
+        return HomPoly.zero(vars, 0)
+    degrees = {sum(p.values()) for _, p in monomials}
+    if len(degrees) != 1:
+        raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
+    idx = {v: i for i, v in enumerate(vars)}
+    terms: dict[tuple, object] = {}
+    for c, p in monomials:
+        key = tuple(sorted((idx[v], e) for v, e in p.items()))
+        prev = terms.get(key)
+        terms[key] = c if prev is None else prev + c
+    return HomPoly(vars, degrees.pop(), terms)
+
+
+def product_substitute(f: HomPoly, new_vars: Sequence, forms) -> HomPoly:
+    """``HomPoly.substitute`` by products of polynomials: each form a
+    degree-1 ``HomPoly`` scaled to integers by s_i, its powers by
+    ``HomPoly.pow``, each term of f a constant times their product, summed
+    by dense exponent over den * L as the library states."""
+    new_vars = tuple(new_vars)
+    nidx = {v: i for i, v in enumerate(new_vars)}
+    if len(nidx) != len(new_vars):
+        raise ValueError("duplicate variable labels")
+    scales, images = [], []
+    for v in f.vars:
+        form = {w: Q(c) for w, c in forms.get(v, {}).items()}
+        s = lcm(*(c.denominator for c in form.values()))
+        scales.append(s)
+        images.append(HomPoly(new_vars, 1, {((nidx[w], 1),): c * s for w, c in form.items()}))
+    weight = {exps: prod(s**e for s, e in zip(scales, exps)) for exps in f.coeffs}
+    L = lcm(*weight.values())
+    acc: dict[tuple, int] = {}
+    powers: dict[tuple[int, int], HomPoly] = {}
+    for exps, c in f.coeffs.items():
+        term = HomPoly.constant(new_vars, c * (L // weight[exps]))
+        for i, e in enumerate(exps):
+            if e:
+                p = powers.get((i, e))
+                if p is None:
+                    p = powers[(i, e)] = images[i].pow(e)
+                term = term * p
+        for k, x in term.coeffs.items():
+            acc[k] = acc.get(k, 0) + x  # term is integral: den 1
+    return HomPoly.from_dense(new_vars, f.degree, {k: Q(x, f.den * L) for k, x in acc.items() if x})
+
+
 class FracPoly:
     """A homogeneous polynomial as a plain dict {dense exponent tuple:
     Fraction}, with no scaling and no code shared with ``HomPoly``: the
@@ -1771,6 +1862,20 @@ def skeleton_require_hereditary(delta, lin) -> bool:
                 if sub is not None:
                     raise hered.NotHereditaryError(sub)
     return all(not F or fraction_projects_onto(lin, F) for F in delta.facets)
+
+
+def _bounded_multiindices(n: int, total: int, caps: Sequence[int]):
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for c in range(min(total, caps[0]) + 1):
+        for rest in _bounded_multiindices(n - 1, total - c, caps[1:]):
+            yield (c,) + rest
+
+
+def support_mset(f: HomPoly) -> MSet:
+    return MSet(len(f.vars), f.support())
 
 
 def m_truncate(M: MSet) -> MSet:

@@ -18,7 +18,10 @@ coefficients as one integer table over a common denominator and
 ``LinSubspace`` its integer rows, so their arithmetic forms no rational:
 with ``Q`` and ``Rational`` made to raise, it still runs.  The face walk
 pins, projects and tests signs on those integers, so it decides integer
-points with no rational formed short of the simplex.  A polytope
+points with no rational formed short of the simplex.  The orthant
+Lorentzian test reads a text or JSON polynomial straight to that table
+and decides on it, so ``poly lorentzian`` prints the same report with
+``Q`` and ``Rational`` made to raise.  A polytope
 body is read to integers too: on a warm normal set a second body forms
 the rationals of its support numbers and vertices alone, none of its
 normals, and a warm ``polytope af``, ``mixed`` or ``volume`` request
@@ -112,6 +115,38 @@ def test_face_walk_forms_no_rational(monkeypatch):
         monkeypatch.setattr(module, "Rational", no_rational)
     monkeypatch.setattr(cones, "lp_max", no_rational)
     assert run() == want == [[True, True], [True, False], [True, True]]
+
+
+def test_orthant_lorentzian_test_forms_no_rational(monkeypatch, tmp_path, capsys):
+    import json
+
+    from lorentzlab import cli, inertia, lorentzian, polycore, rat
+    from lorentzlab.polycore import parse_poly
+
+    f = (parse_poly("t1 + 2*t2 + 1/2*t3 + t4") * parse_poly("1/3*t1 + t2 + t3 + 2*t4")
+         * parse_poly("t1 + t2 + 3/2*t3 + t4") * parse_poly("2*t1 + t2 + t3 + 1/5*t4"))
+    paths = [tmp_path / "prod.txt", tmp_path / "prod.json"]
+    paths[0].write_text(f.to_text())
+    paths[1].write_text(json.dumps(f.to_json_dict()))
+
+    def run():
+        reports = []
+        for path in paths:
+            code = cli.main(["poly", "lorentzian", str(path)])
+            reports.append((code, capsys.readouterr().out))
+        return reports
+
+    want = run()
+
+    def no_rational(*args):
+        raise AssertionError(f"a rational was formed from {args}")
+
+    for module in (rat, polycore, lorentzian, inertia):
+        for name in ("Q", "Rational"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_rational)
+    assert run() == want
+    assert [code for code, _ in want] == [0, 0] and '"verdict": "yes"' in want[0][1]
 
 
 def test_warm_polytope_requests_form_no_rational_from_the_normals(monkeypatch, tmp_path, capsys):

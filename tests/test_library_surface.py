@@ -64,7 +64,7 @@ SHARED = {
     "subdivision.weld": "subdivision.apply_chain",
     "inertia.SymMatrix._canonicalize": "inertia.SymMatrix.from_scaled",
     "polycore.LinSubspace._canonicalize": "polycore.LinSubspace._span",
-    "polycore.HomPoly._build": "polycore.HomPoly.from_dense",
+    "polycore.HomPoly._build": "polycore.HomPoly._from_ratios",
     "polytope._build": "polytope.build",
 }
 

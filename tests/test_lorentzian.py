@@ -22,7 +22,6 @@ from lorentzlab.lorentzian import (
     polarization_vars,
     polarize,
     polarized_hereditary_verdict,
-    support_mset,
 )
 from lorentzlab.polycore import HomPoly, LinSubspace, parse_poly
 from lorentzlab.rat import Q
@@ -43,6 +42,7 @@ from oracles import (
     perturb_interior,
     product_check,
     subset_polarized_verdict,
+    support_mset,
 )
 
 
@@ -587,6 +587,16 @@ def test_m_convex_matches_oracle_on_random_sets(rng):
         M = MSet(n, pts)
         _assert_m_convex_as_oracle(M)
         verdicts.add(brute_force_is_m_convex(M)[0])
+    assert verdicts == {True, False}
+
+
+def test_m_convex_reads_a_table_as_its_support(rng):
+    """A polynomial's table, handed to ``is_m_convex`` as it is, decides as
+    its checked support does, witness included."""
+    verdicts = set()
+    for f in nonneg_cubics_and_quartics(rng):
+        verdicts.add(is_m_convex(f.coeffs)[0])
+        assert is_m_convex(f.coeffs) == is_m_convex(support_mset(f)), f.to_text()
     assert verdicts == {True, False}
 
 

@@ -14,9 +14,11 @@ from lorentzlab.rat import Q
 from oracles import (
     FracPoly,
     euler_defect,
+    fraction_parse_poly,
     fraction_projects_onto,
     nullspace_vanishing_restrict,
     partials_lineality_space,
+    product_substitute,
     rename_vars,
     solve_member_with_values,
     subspace_sum,
@@ -432,6 +434,108 @@ def test_substitute_cancellations():
     assert part == parse_poly("4*r^2 + r^2 + 2*r s + s^2", vars=("r", "s"))
     _assert_canonical(part)
     assert parse_poly("t0 - t1").substitute(("u", "v"), {"t0": {"u": 1, "v": 0}, "t1": {"u": 1}}).is_zero()
+
+
+def _same_outcome(route, oracle, *args, **kwargs):
+    """Both routes give equal polynomials over one table order, or both
+    raise the same error with the same text; returns the polynomial or
+    None."""
+    import pytest
+
+    try:
+        want = oracle(*args, **kwargs)
+    except Exception as e:
+        with pytest.raises(type(e)) as got:
+            route(*args, **kwargs)
+        assert str(got.value) == str(e), (args, kwargs)
+        return None
+    got = route(*args, **kwargs)
+    assert got == want and list(got.coeffs) == list(want.coeffs), (args, kwargs)
+    return got
+
+
+PARSE_CASES = [
+    "t1^2 t1 + 3*t2^3",                            # a repeated variable
+    "2*3*t1 + 1/2*5*t2 + 4 t3",                    # chained coefficients
+    "t1 t2 + 0*t3 t2",                             # a zero term still lists t3
+    "t1 t2 - t1 t2 + t2^2 - 3/4*t1^2 + 7/4*t1^2",  # cancellations, signs
+    "- t1 - - t2 + + t3 -",
+    "0*t1 t2 + t3 t2 + 2/4*t1 t2",                 # first-occurrence order
+    "t2^5 + 1/3*t1^5",                             # a digit reaches B - 1
+    "t1 t2 - t2 t1",
+    "0", "", "7/14", "-", "3 2/9",
+    "t1^0 t2", "0*t1^0 t2 + t2", "t1^0 t2 - t1^0 t2 + t2", "t1^0 t1 t2",
+    "t1^2 + t2",                                   # inhomogeneous
+    "t1 + 1/0*t2", "0/0*t1",                       # zero denominators
+    "t1 + $t2", "t1 ^ 2",                          # cannot tokenize
+    "x_1^3 + 2*y",
+]
+
+
+def test_parse_poly_matches_fraction_oracle(rng):
+    """The text reader on (p, q) ints against the ``Q`` reader through the
+    validating constructor: equal polynomials in one table order, or the
+    same error text, on fixed cases and on seeded texts with repeated
+    variables, chained and zero coefficients, cancellations and degrees
+    that sometimes differ."""
+    for text in PARSE_CASES:
+        _same_outcome(parse_poly, fraction_parse_poly, text)
+    for vars in (("t1", "t2", "t3"), ("t3", "t2", "t1", "t0"), ("t1", "t2"), ("t1", "t1", "t2", "t3")):
+        for text in ("t1 t3 + 1/2*t2^2", "0*t3 + t1", "t1 + 1/0", ""):
+            _same_outcome(parse_poly, fraction_parse_poly, text, vars=vars)
+    outcomes = set()
+    for _ in range(300):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            deg = d if rng.random() < 0.9 else rng.randint(0, 5)
+            coeff = "*".join(str(rng.randint(0, 9)) + (f"/{rng.randint(1, 6)}" if rng.random() < 0.3 else "")
+                             for _ in range(rng.choice((0, 1, 1, 2))))
+            powers = []
+            for _ in range(deg):
+                v = f"t{rng.randrange(n)}"
+                if powers and powers[-1][0] == v and rng.random() < 0.5:
+                    powers[-1][1] += 1
+                else:
+                    powers.append([v, 1])
+            mono = " ".join(v + (f"^{e}" if e > 1 or rng.random() < 0.1 else "") for v, e in powers)
+            body = f"{coeff}*{mono}" if coeff and mono else coeff or mono or "1"
+            terms.append(rng.choice(("+ ", "- ", "")) + body)
+        f = _same_outcome(parse_poly, fraction_parse_poly, " ".join(terms))
+        outcomes.add("error" if f is None else "zero" if f.is_zero() else "poly")
+    assert outcomes == {"error", "zero", "poly"}
+
+
+def test_substitute_matches_product_oracle(rng):
+    """The substitution on Kronecker keys against products of ``HomPoly``
+    powers: equal polynomials in one table order, or the same error, with
+    rational, zero and missing form entries, old variables sent to one new
+    variable (every digit reaches the degree, B - 1) and cancellations."""
+    f = parse_poly("t1^4 + 2*t1^3 t2 - t2^4")
+    cases = [
+        (f, ("s",), {"t1": {"s": 1}, "t2": {"s": Q(1, 2)}}),
+        (f, ("s0", "s1"), {"t1": {"s0": 1, "s1": 0}}),
+        (f, ("s0", "s1"), {"t1": {"s0": 1}, "t2": {"s0": -1, "s1": Q(2, 3)}}),
+        (parse_poly("t1 t2 - t2 t1 + t3^2"), ("a", "b"), {"t1": {"a": 1}, "t3": {"b": 1}}),
+        (parse_poly("t0^2 t2 - t1^2 t2"), ("s",), {"t0": {"s": 1}, "t1": {"s": 1}, "t2": {"s": 3}}),
+        (parse_poly("7"), ("a", "b"), {}),
+        (HomPoly.zero(("t1",), 3), ("a",), {"t1": {"a": 2}}),
+        (f, ("s", "s"), {"t1": {"s": 1}}),                 # duplicate labels
+        (f, ("s",), {"t1": {"u": 1}}),                     # an unknown new variable
+    ]
+    for g, new_vars, forms in cases:
+        _same_outcome(g.substitute, lambda *a: product_substitute(g, *a), new_vars, forms)
+    zeros = 0
+    for _ in range(150):
+        n, d, m = rng.randint(1, 4), rng.randint(0, 5), rng.randint(1, 4)
+        g = _random_poly(rng, n, d, terms=rng.randint(0, 6))
+        new_vars = tuple(f"s{j}" for j in range(m))
+        forms = {v: {w: Q(rng.randint(-2, 2), rng.randint(1, 3)) for w in rng.sample(new_vars, rng.randint(0, m))}
+                 for v in g.vars if rng.random() < 0.85}
+        sub = _same_outcome(g.substitute, lambda *a: product_substitute(g, *a), new_vars, forms)
+        _assert_canonical(sub)
+        zeros += sub.is_zero()
+    assert zeros > 10
 
 
 def test_lineality_from_coefficients_matches_partials(rng):

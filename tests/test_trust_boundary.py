@@ -1,8 +1,10 @@
 """``HomPoly._trusted`` builds a polynomial without checking its terms; it
-is for results that ``polycore`` computes from already valid polynomials.
-Every other module, the input parsers included, must build through the
-validating ``HomPoly`` constructor, so no file but ``polycore.py`` may name
-the trusted constructor or the slot filler behind it."""
+is for results that ``polycore`` computes from already valid polynomials,
+and for its own text reader ``parse_poly``, which checks what it reads
+itself.  Every other module, the input parsers of the command line
+included, must build through the validating ``HomPoly`` constructor, so no
+file but ``polycore.py`` may name the trusted constructor or the slot
+filler behind it."""
 
 import re
 from pathlib import Path
