@@ -13,11 +13,14 @@ of A) all ask it at the point 0, with a subspace of their own.
 
 The test is one LP, run by an exact simplex with Bland's rule
 (guaranteed termination, no numerical tolerance anywhere).  It runs on an
-integer-preserving tableau (Edmonds 1967): the rows are Python ints over
-one common denominator D, the last pivot, and every pivot divides exactly
-by the D before it.  Ratios are compared by cross-multiplying, so the
-pivots and the solution are those of the rational tableau, and the basic
-values become rationals once, at the optimum.  Strict positivity is
+integer-preserving tableau (Edmonds 1967): it takes integer data, its
+rows are Python ints over one common denominator D, the last pivot, and
+every pivot divides exactly by the D before it.  Ratios are compared by
+cross-multiplying, so the pivots and the solution are those of the
+rational tableau, and the solution is returned as integers over D: no
+rational is formed from the input to the witness.  A pivot with p = D,
+the common case on these sparse 0/1 systems, rewrites only the columns
+where the pivot row is nonzero.  Strict positivity is
 decided by maximizing a slack eps under a cap.  The slack is shifted by
 mu >= 0 so that every right-hand side is nonnegative: the simplex starts
 at the slack basis, with no phase 1, and strict positivity holds iff the
@@ -28,12 +31,12 @@ it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import linalg
 from .polycore import LinSubspace
-from .rat import Q, ZERO, Rational, read_lists, read_rat
+from .rat import Q, Rational, read_lists, read_rat
 
 
 # ---------------------------------------------------------------------------
@@ -44,43 +47,53 @@ from .rat import Q, ZERO, Rational, read_lists, read_rat
 def _pivot(T: list, basis: list, D: int, r: int, col: int) -> int:
     """One integer-preserving pivot on T[r][col]; returns the new D.
 
-    The tableau is T / D, its last row the objective.  The pivot row keeps
-    its integers, negated if need be so that D stays positive; every other
-    row becomes (p*a - f*y) // D, an exact division."""
+    The tableau is T / D, its last row the objective.  The pivot row y
+    keeps its integers, negated if need be so that the pivot p = y[col],
+    the next D, is positive.  Every other row a, with f = a[col], becomes
+    (p*a - f*y) / D, an exact division.  When p = D that is a - f*y/D: a
+    row with f = 0 stays as it is, and a row with f != 0 changes only in
+    the columns where y is nonzero, so only those are rewritten.  Both
+    ways give the same integers, hence the same tableau, pivots and
+    results."""
     prow = T[r]
     p = prow[col]
     if p < 0:
         p = -p
         T[r] = prow = [-y for y in prow]
-    for i, row in enumerate(T):
-        f = row[col]
-        if i != r and (f or p != D):
-            T[i] = [(p * a - f * y) // D for a, y in zip(row, prow)]
+    if p == D:
+        support = [(j, y) for j, y in enumerate(prow) if y]
+        for i, row in enumerate(T):
+            f = row[col]
+            if f and i != r:
+                for j, y in support:
+                    row[j] -= f * y // D
+    else:
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[col]
+                T[i] = [(p * a - f * y) // D for a, y in zip(row, prow)]
     basis[r] = col
     return p
 
 
-def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
-    """Maximize c.x subject to Ax <= b, x >= 0, exactly, for b >= 0.
+def lp_max(c: Sequence[int], A: Sequence[Sequence[int]], b: Sequence[int]):
+    """Maximize c.x subject to Ax <= b, x >= 0, exactly, on integers c, A
+    and b >= 0.
 
-    Returns (status, x, value) with status "optimal" or "unbounded"; x and
-    value are None unless optimal.  As b >= 0, x = 0 is a vertex: Bland's
-    rule starts at the slack basis, and some b_i < 0 raises ValueError
-    before any pivot.
+    Returns ("optimal", x, D), x the integer basic solution over the last
+    pivot D > 0 (the optimal point is x / D and the optimum c.x / D), or
+    ("unbounded", None, None).  As b >= 0, x = 0 is a vertex: Bland's rule
+    starts at the slack basis, and some b_i < 0 raises ValueError before
+    any pivot.
     """
-    m, n = len(A), len(c)
-    c = [Q(x) for x in c]
-    # [A | b] and c over their common denominators: scaling every row by one
-    # positive constant (and so every slack) and the objective by another
-    # leaves every ratio comparison and reduced-cost sign, hence every pivot.
-    # Columns: x, the slacks, then b; the objective row is c itself, as
-    # every basic variable is a slack.
-    scaled, _ = linalg.integer_scaled([list(row) + [bi] for row, bi in zip(A, b)])
-    if any(row[-1] < 0 for row in scaled):
+    if any(bi < 0 for bi in b):
         raise ValueError("lp_max needs b >= 0")
-    (cz,), _ = linalg.integer_scaled([c])
-    T = [row[:-1] + [int(i == j) for j in range(m)] + row[-1:] for i, row in enumerate(scaled)]
-    T.append(cz + [0] * (m + 1))
+    m, n = len(A), len(c)
+    # columns: x, the slacks, then b; the objective row is c itself, as
+    # every basic variable is a slack
+    zeros = [0] * m
+    T = [[*row, *zeros[:i], 1, *zeros[i + 1:], bi] for i, (row, bi) in enumerate(zip(A, b))]
+    T.append([*c, *zeros, 0])
     basis = list(range(n, n + m))
     D = 1
     while True:
@@ -99,11 +112,11 @@ def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
         if r is None:
             return "unbounded", None, None
         D = _pivot(T, basis, D, r, col)
-    x = [ZERO] * n
+    x = [0] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Rational(T[i][-1], D)
-    return "optimal", tuple(x), linalg.dot(c, x)
+            x[bi] = T[i][-1]
+    return "optimal", tuple(x), D
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +168,12 @@ def orthant_shift(y: Sequence[int], den: int, B: Sequence[Sequence[int]]) -> tup
     off points with eps < -mu, and none of them has eps > 0: y is strictly
     positive modulo L exactly when the optimum e* exceeds mu, the decision
     of the unshifted LP, and the witness passes the same re-check.
+
+    The simplex returns its solution as integers x over D > 0, so the
+    test is x_e > mu * D, and a_i = (x_p_i - x_m_i) / D.  With
+    g = gcd(D, x_p_1 - x_m_1, ...) the shift takes the integers
+    (x_p_i - x_m_i) / g and q = D / g, the least common denominator of
+    the a_i: no rational is formed.
     """
     touched = [any(b[j] for b in B) for j in range(len(y))]
     if any(yj <= 0 for yj, t in zip(y, touched) if not t):
@@ -167,12 +186,13 @@ def orthant_shift(y: Sequence[int], den: int, B: Sequence[Sequence[int]]) -> tup
     rhs = [yj for yj, t in zip(y, touched) if t]
     mu = -min(rhs)
     A.append([0] * (n - 1) + [1])
-    _, x, value = lp_max([0] * (n - 1) + [1], A, [yj + mu for yj in rhs] + [den + mu])
-    if value <= mu:
+    _, x, D = lp_max([0] * (n - 1) + [1], A, [yj + mu for yj in rhs] + [den + mu])
+    if x[-1] <= mu * D:
         return None
-    coeffs = [x[2 * i] - x[2 * i + 1] for i in range(len(B))]
-    q = lcm(*(c.denominator for c in coeffs))
-    a = [int(c * q) for c in coeffs]
+    diffs = [x[2 * i] - x[2 * i + 1] for i in range(len(B))]
+    g = gcd(D, *diffs)
+    q = D // g
+    a = [d // g for d in diffs]
     shift = [sum(ai * b[j] for ai, b in zip(a, B)) for j in range(len(y))]
     if not all(q * yj + s > 0 for yj, s in zip(y, shift)):  # never skipped
         raise AssertionError("simplex produced an invalid witness")

@@ -97,8 +97,11 @@ checked against.
 * :func:`dense_lp_max` is the simplex of ``cones.lp_max`` on a dense
   ``Fraction`` tableau: every pivot divides the pivot row by the pivot and
   rewrites every column, and ratios are compared as rationals.  The library
-  pivots an integer tableau over one common denominator and compares
-  ratios by cross-multiplying.
+  pivots an integer tableau over one common denominator, compares ratios
+  by cross-multiplying, rewrites only the pivot row's nonzero columns when
+  the pivot equals that denominator, and takes and returns integers;
+  :func:`rational_lp_max` runs it on rational data and answers in
+  rationals, as :func:`dense_lp_max` does.
 * :func:`fraction_rref` and :func:`fraction_det` are Gauss-Jordan
   elimination and Bareiss' determinant on ``Fraction``-style rationals; the
   library runs both on integers and forms the rationals once at the end.
@@ -804,8 +807,9 @@ def lp_strict_feasible(sys: StrictSystem) -> dict | None:
     optimum is positive: a point x with margin eps0 > 0 gives the feasible
     (t x, s = t, eps = min(t eps0, t, 1)) for any t > 0, and a positive
     optimum has s >= eps > 0 and gives the witness (p - m) / s, which is
-    checked against every constraint.  The LP runs on ``cones.lp_max``,
-    whose pivots the suite checks against :func:`dense_lp_max` one by one;
+    checked against every constraint.  The LP runs on ``cones.lp_max``
+    through :func:`rational_lp_max`, whose pivots the suite checks against
+    :func:`dense_lp_max` one by one;
     the dense tableau itself would make the fan comparisons six to eight
     times slower."""
     pos = {v: i for i, v in enumerate(sys.vars)}
@@ -823,12 +827,28 @@ def lp_strict_feasible(sys: StrictSystem) -> dict | None:
             A.append([-x for x in row])
     A.append([ZERO] * (n - 2) + [-ONE, ONE])  # eps <= s
     A.append([ZERO] * (n - 1) + [ONE])  # eps <= 1
-    _, x, value = lp_max([ZERO] * (n - 1) + [ONE], A, [ZERO] * (len(A) - 1) + [ONE])
+    _, x, value = rational_lp_max([ZERO] * (n - 1) + [ONE], A, [ZERO] * (len(A) - 1) + [ONE])
     if value <= 0:
         return None
     witness = {v: (x[2 * i] - x[2 * i + 1]) / x[-2] for v, i in pos.items()}
     assert sys.verify(witness), "the oracle LP produced an invalid witness"
     return witness
+
+
+def rational_lp_max(c, A, b):
+    """``cones.lp_max`` on rational data, with a rational answer: c and
+    [A | b] scaled to integers by their least common denominators
+    (``linalg.integer_scaled``; one positive scale on every row and one on
+    the objective change no ratio order and no reduced-cost sign, so no
+    pivot), then (status, x, value) with x the integer solution over the
+    last pivot D as rationals and value = c.x."""
+    (cz,), _ = linalg.integer_scaled([c])
+    scaled, _ = linalg.integer_scaled([list(row) + [bi] for row, bi in zip(A, b)])
+    status, x, D = lp_max(cz, [row[:-1] for row in scaled], [row[-1] for row in scaled])
+    if status != "optimal":
+        return status, None, None
+    x = tuple(Rational(xi, D) for xi in x)
+    return status, x, linalg.dot([Q(ci) for ci in c], x)
 
 
 def rational_orthant_shift(y, L) -> tuple | None:

@@ -14,8 +14,9 @@ from lorentzlab.cones import (
     strict_feasible,
 )
 from lorentzlab.polycore import LinSubspace
-from lorentzlab.rat import Q, Rational
-from oracles import dense_lp_max, fourier_motzkin_feasible, homogeneous_system, orthant_system
+from lorentzlab.rat import Q
+import oracles
+from oracles import dense_lp_max, fourier_motzkin_feasible, homogeneous_system, orthant_system, rational_lp_max
 
 
 def _positive_rows(A, z) -> bool:
@@ -95,14 +96,18 @@ def test_agreement_with_fourier_motzkin(rng):
 
 
 def test_lp_statuses(lp_pivots):
-    assert lp_max([1], [[1]], [5])[0] == "optimal"
-    assert lp_max([1], [[-1]], [0])[0] == "unbounded"
-    status, x, val = lp_max([2, 3], [[1, 1], [1, 0]], [4, 2])
+    assert rational_lp_max([1], [[1]], [5])[0] == "optimal"
+    assert rational_lp_max([1], [[-1]], [0]) == ("unbounded", None, None)
+    status, x, val = rational_lp_max([2, 3], [[1, 1], [1, 0]], [4, 2])
     assert status == "optimal" and val == 12  # optimum at (0, 4)
-    lp_pivots.clear()
-    with pytest.raises(ValueError, match="b >= 0"):
-        lp_max([1, 1], [[1, 0], [0, 1]], [2, Q(-1, 3)])
-    assert lp_pivots == []  # raised before the first pivot
+    # on the integers themselves: x over the last pivot D
+    status, x, D = lp_max([2, 3], [[1, 1], [1, 0]], [4, 2])
+    assert status == "optimal" and D > 0 and x == (0, 4 * D)
+    for b in ([2, Q(-1, 3)], [2, -1]):
+        lp_pivots.clear()
+        with pytest.raises(ValueError, match="b >= 0"):
+            rational_lp_max([1, 1], [[1, 0], [0, 1]], b)
+        assert lp_pivots == []  # raised before the first pivot
 
 
 @pytest.fixture
@@ -121,16 +126,23 @@ def lp_pivots(monkeypatch):
 
 
 def _same_run_as_dense_oracle(c, A, b, lp_pivots) -> tuple:
-    """lp_max's (status, x, value), after checking that it and its pivot
-    sequence equal the dense oracle's, and that every number it returns is
-    of the backend's rational type."""
+    """lp_max's (status, x, value) as rationals (``rational_lp_max``),
+    after checking that it and its pivot sequence equal the dense oracle's,
+    and that lp_max itself answered in Python ints over a last pivot
+    D > 0."""
     lp_pivots.clear()
     oracle_pivots = []
-    got = lp_max(c, A, b)
+    raw = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "lp_max", lambda *args: raw.append(lp_max(*args)) or raw[-1])
+        got = rational_lp_max(c, A, b)
     assert got == dense_lp_max(c, A, b, oracle_pivots), (c, A, b)
     assert lp_pivots == oracle_pivots, (c, A, b)
-    if got[0] == "optimal":
-        assert all(type(v) is Rational for v in got[1] + (got[2],))
+    (status, x, D), = raw
+    if status == "optimal":
+        assert D > 0 and all(type(v) is int for v in x + (D,)), (c, A, b)
+    else:
+        assert x is None and D is None
     return got
 
 
@@ -223,6 +235,31 @@ def test_lp_max_matches_dense_oracle_on_compiled_systems(rng, monkeypatch, lp_pi
         assert len(systems) >= 20
         for c, A, b in systems:
             _same_run_as_dense_oracle(c, A, b, lp_pivots)
+
+
+def test_sparse_pivots_match_dense_oracle(rng, monkeypatch, lp_pivots):
+    """The orthant LPs of the face walk of pol_matroid(U(4,5)), at the
+    all-ones point and at seeded integer points: most pivots have p = D
+    and zeros in the pivot row, where ``_pivot`` rewrites only the pivot
+    row's nonzero columns, and pivot sequences and results still equal the
+    dense oracle's."""
+    from lorentzlab.hereditary import cone_member
+    from lorentzlab.matroid import Matroid, flats, pol_matroid
+
+    h = pol_matroid(flats(Matroid.uniform(4, 5)))
+    points = [[1] * len(h.vars)] + [[rng.randint(-1, 4) for _ in h.vars] for _ in range(6)]
+    systems = _captured_lps(monkeypatch, lambda: [cone_member(h, x) for x in points])
+    sparse = []
+    inner = cones._pivot
+
+    def spy(T, basis, D, r, col):
+        sparse.append(abs(T[r][col]) == D and 0 in T[r])
+        return inner(T, basis, D, r, col)
+
+    monkeypatch.setattr(cones, "_pivot", spy)
+    for c, A, b in systems:
+        _same_run_as_dense_oracle(c, A, b, lp_pivots)
+    assert len(systems) >= 20 and sum(sparse) >= len(sparse) // 2 > 0
 
 
 def test_orthant_shift_examples():

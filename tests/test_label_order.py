@@ -17,8 +17,9 @@ Last stands the guard of the integer tables: ``HomPoly`` keeps its
 coefficients as one integer table over a common denominator and
 ``LinSubspace`` its integer rows, so their arithmetic forms no rational:
 with ``Q`` and ``Rational`` made to raise, it still runs.  The face walk
-pins, projects and tests signs on those integers, so it decides integer
-points with no rational formed short of the simplex.  The orthant
+pins, projects and tests signs on those integers, and the simplex takes
+and returns integers, so it decides integer points with no rational
+formed, the orthant LPs included.  The orthant
 Lorentzian test reads a text or JSON polynomial straight to that table
 and decides on it, so ``poly lorentzian`` prints the same report with
 ``Q`` and ``Rational`` made to raise.  A polytope
@@ -100,11 +101,18 @@ def test_face_walk_forms_no_rational(monkeypatch):
     cases.append((fan.cones, fan.lineality(), None))
 
     def run():
-        # a fresh walk each time, so every face is built under the patch
-        return [[hereditary.FaceWalk(*case).member(x) for x in ((1,) * n, range(1, n + 1))]
+        # a fresh walk each time, so every face is built under the patch; a
+        # point with a coordinate <= 0 sends the walk to the simplex
+        return [[hereditary.FaceWalk(*case).member(x)
+                 for x in ((1,) * n, range(1, n + 1), (0,) + (1,) * (n - 1), (-1,) + (1,) * (n - 1))]
                 for case in cases for n in [len(case[1].ambient)]]
 
-    want = run()
+    lps = []
+    inner = cones.lp_max
+    with monkeypatch.context() as mp:
+        mp.setattr(cones, "lp_max", lambda *a: lps.append(1) or inner(*a))
+        want = run()
+    assert len(lps) >= 10
 
     def no_rational(*args):
         raise AssertionError(f"a rational was formed from {args}")
@@ -113,8 +121,7 @@ def test_face_walk_forms_no_rational(monkeypatch):
         monkeypatch.setattr(module, "Q", no_rational)
     for module in (polycore, cones, hereditary):
         monkeypatch.setattr(module, "Rational", no_rational)
-    monkeypatch.setattr(cones, "lp_max", no_rational)
-    assert run() == want == [[True, True], [True, False], [True, True]]
+    assert run() == want == [[True, True, True, False], [True, False, False, False], [True, True, True, False]]
 
 
 def test_orthant_lorentzian_test_forms_no_rational(monkeypatch, tmp_path, capsys):
