@@ -49,9 +49,11 @@ class Fan:
         if set(self.cones.vertices) != set(self.ray_labels):
             raise ValueError("cone complex vertices must match ray labels")
         idx = self._index()
+        # the rays on integers once; scaling a row changes no rank
+        scaled, _ = linalg.integer_scaled(rays)
         for F in self.cones.facets:
-            sub = [rays[idx[v]] for v in F]
-            if linalg.rank(sub) != len(sub):
+            sub = [scaled[idx[v]] for v in F]
+            if len(linalg.eliminate(sub)[1]) != len(sub):
                 raise ValueError(f"rays of cone {face_str(F)} are linearly dependent")
 
     def _index(self) -> dict:

@@ -30,6 +30,19 @@ point is unknown, the walk's projections compose into one homogeneous
 matrix A instead (:func:`cone_system`), and ``cones.strict_feasible`` asks
 the same orthant test of its column space.
 
+**The pinned part of the lineality.**  *Lemma:* if m lies in the
+lineality of g = f^(S-i) and m_i = 0, then m restricted to V_S lies in
+the lineality of f^S.  *Proof.*  Partial derivatives commute, so
+D_m (d/dt_i) g = (d/dt_i) D_m g = 0.  As m_i = 0, D_m does not
+differentiate in t_i and commutes with setting t_i = 0.  f^S involves only
+the variables V_S, on which D_m reads m|V_S alone; so D_(m|V_S) f^S = 0.
+The pin at i returns exactly these m|V_S, so the walk hands them to
+``HomPoly.lineality_space`` as its known part, which eliminates only the
+columns off their pivots (the lemma of :mod:`lorentzlab.polycore`).  Where
+f^S is linear (|S| = d - 1), the face test reads f^S itself and no
+lineality is formed.  In the same way :func:`from_weights` hands the given
+lineality to the reconstructed polynomial's.
+
 The main decision procedure checks, per the characterization of hereditary
 Lorentzian polynomials, that the skeleton of the face complex is
 H-connected and that each codimension-2 face restriction has a Hessian with
@@ -121,14 +134,16 @@ class HereditaryPoly:
         return self.f.vars
 
 
-def check_hereditary(f: HomPoly) -> HereditaryPoly:
+def check_hereditary(f: HomPoly, known: LinSubspace | None = None) -> HereditaryPoly:
     """Compute (Delta_f, L_f), verify heredity face by face, set the strong flag.
 
-    The strong flag needs projection onto the facets of Delta_f as well.
-    Raises NotHereditaryError naming a minimal failing face.
+    ``known`` is a part of L_f over f.vars already held, which
+    :meth:`HomPoly.lineality_space` checks and extends.  The strong flag
+    needs projection onto the facets of Delta_f as well.  Raises
+    NotHereditaryError naming a minimal failing face.
     """
     delta = face_complex(f)
-    lin = f.lineality_space()
+    lin = f.lineality_space(known)
     strong = require_hereditary(delta, lin)
     return HereditaryPoly(f=f, delta=delta, lin=lin, strong=strong)
 
@@ -161,7 +176,7 @@ def is_positive(h: HereditaryPoly) -> bool:
 @dataclass
 class _Face:
     poly: HomPoly | None   # f^S over V_S; None when there is no polynomial
-    lin: LinSubspace       # lineality at S, over V_S
+    lin: LinSubspace | None  # lineality at S, over V_S; None where f^S is linear
     V_S: tuple
     vertex: object = None  # the descent vertex i; the parent face is S - {i}
     row: tuple = ()        # the parent's pinning row at i, over its V_S, signed so that c > 0
@@ -192,7 +207,9 @@ class FaceWalk:
     link vertices V_S, and the parent's lineality vanishing at i, restricted
     to V_S.  Without a polynomial (the ample cone, the reconstruction from
     weights) that is the lineality at S.  With one, the face carries f^S
-    (derivative at i, restricted) and the lineality of f^S.  Another descent
+    (derivative at i, restricted) and the lineality of f^S, built from that
+    pinned part (module notes), except where f^S is linear: there the face
+    test reads f^S itself and no lineality is formed.  Another descent
     order moves the projected point by a lineality element vanishing on S,
     which no face test can see, so one order suffices.  The root vertices
     are the ambient coordinates of the lineality.  Faces are built on first
@@ -232,7 +249,7 @@ class FaceWalk:
             poly = None
             if parent.poly is not None:
                 poly = parent.poly.partial(i).set_vars_zero([i]).restrict_vars(V_S)
-                lin = poly.lineality_space()
+                lin = poly.lineality_space(lin) if poly.degree > 1 else None
             pidx = {v: k for k, v in enumerate(parent.V_S)}
             fd = self._faces[S] = _Face(poly, lin, V_S, i, row, c, tuple(pidx[j] for j in V_S), pidx[i])
         return fd
@@ -476,10 +493,13 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
     Every coefficient is thus fixed by the weights: the reconstruction is
     unique, and no choice of i changes it.  The relation takes the first
     such i in the vertex order, and each coefficient is filled once.  It
-    reads l as the pinning row over its entry c at i, so c_alpha is
+    reads l as the pinning row over its entry c at i
+    (:meth:`LinSubspace.pinning_row`), so c_alpha is
     -(sum_j row_j c_{alpha - e_i + e_j}) / c.
     Heredity, balancing, the facet values, the lineality and the face
     complex are all checked; no polynomial is substituted or multiplied.
+    The lineality is built with lin as its known part, which checks
+    exactly that lin lies in it and eliminates only the rest.
     """
     if delta.is_void():
         raise ValueError("cannot reconstruct over a void complex")
@@ -513,7 +533,7 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
             i, rest = alpha[k], alpha[:k] + alpha[k + 1:]
             T = frozenset(vars[p] for p in alpha if p != i)
             fd = walk.face(T)
-            row, ci, _ = fd.lin.pin(vars[i], ())
+            row, ci = fd.lin.pinning_row(vars[i])
             if row is None:
                 raise NotHereditaryError(T | {vars[i]})
             at = dict(zip(fd.V_S, row))
@@ -531,11 +551,13 @@ def from_weights(delta: SimComplex, lin: LinSubspace, w: Mapping[frozenset, obje
                 exps[p] += 1
             table[tuple(exps)] = coeff(alpha) / prod(map(factorial, exps))
     f = HomPoly.from_dense(vars, d, table)
-    h = check_hereditary(f)
-    amb_idx = {v: k for k, v in enumerate(lin.ambient)}
-    for b in lin.rows:
-        if not h.lin.contains([b[amb_idx[v]] for v in f.vars]):
-            raise AssertionError("reconstructed polynomial lost a lineality vector")
+    if lin.ambient != f.vars:
+        amb_idx = {v: k for k, v in enumerate(lin.ambient)}
+        lin = LinSubspace(f.vars, [[b[amb_idx[v]] for v in f.vars] for b in lin.rows])
+    try:
+        h = check_hereditary(f, lin)
+    except AssertionError:
+        raise AssertionError("reconstructed polynomial lost a lineality vector") from None
     for F in delta.facets:
         if f.squarefree_coeff(F) != w[F]:
             raise AssertionError(f"reconstruction failed facet check at {face_str(F)}")

@@ -29,6 +29,35 @@ ch. 8).  An exponent vector e gets one integer k(e) = sum e_i B^i (weights
 injective (k(e) is the base-B numeral of e) and k(e +- e_i) = k(e) +- B^i,
 k(e + e') = k(e) + k(e'), with no carry.  Exponents of degree at most d
 have digits in [0, d]: B = d + 1 serves a table of degree d (``key_table``).
+
+**Subspaces from the part already known.**  A ``LinSubspace`` keeps s
+times its rref rows (s > 0 least) and their pivots P; a canonical row is
+s at its own pivot and 0 at the other pivots.  Two lemmas let a caller
+eliminate only what it does not already hold.
+
+*Lineality from a known part* (``HomPoly.lineality_space(known)``).  Let
+K lie in ker M, with canonical pivots P, and let C be the other columns.
+Then ker M = K + {w : w_P = 0, M_C w_C = 0}, a direct sum.  *Proof.*  For
+v in ker M, k = sum_r v_(P_r) row_r / s lies in K and agrees with v on P,
+so w = v - k lies in ker M and vanishes on P: M_C w_C = 0.  An element of
+K that vanishes on P is 0, so the sum is direct.  Only the columns C of M
+are eliminated; when their kernel is 0 the answer is K, and K = 0 is the
+elimination of all of M.
+
+*Projection by blocks* (``LinSubspace.projects_onto``).  For a coordinate
+set F, rank R[:, F] = |F & P| + rank Y, where Y is the rows whose pivot
+is not in F, restricted to F - P.  *Proof.*  The column of R at a pivot p
+in F is s times the unit vector of p's row; subtracting multiples of it
+clears that row in every other column of R[:, F], which changes no rank
+and leaves the |F & P| unit columns beside Y.  So only Y is eliminated,
+and only when F - P is not empty.
+
+*Pins that stay canonical* (``LinSubspace.pin``).  When the pinned column
+is a pivot, or every row is 0 there, the other rows are 0 at it and are
+kept as they are.  If ``keep`` is in ambient order and holds every other
+pivot, those rows restricted to ``keep`` are still s times rref rows, and
+dividing by the gcd of their entries restores the least scale: they are
+canonical with no elimination.
 """
 
 from __future__ import annotations
@@ -405,19 +434,43 @@ class HomPoly:
 
     # -- structure ------------------------------------------------------------
 
-    def lineality_space(self) -> "LinSubspace":
+    def lineality_space(self, known: "LinSubspace | None" = None) -> "LinSubspace":
         """All v with D_v f identically zero, by exact linear solve.  The
         coefficient of t^beta in D_v f is sum_i (beta_i + 1) c_{beta+e_i} v_i,
-        so the row of beta is read off the integer coefficients of f, and
-        the kernel off one integer elimination of those rows."""
+        so the row of beta is read off the integer coefficients of f: the
+        lineality is ker M for the matrix M of those rows.
+
+        ``known`` is a subspace K of ker M over ``vars`` that the caller
+        already holds (K = 0 when None).  By the lemma of the module notes
+        only the columns off K's pivots are eliminated, and the kernel
+        found there, lifted by zeros on the pivots, is spanned with K.  K
+        in ker M is checked exactly first, M k = 0 for each integer row k
+        of K; a failure raises AssertionError.
+        """
         n = len(self.vars)
         rows: dict[tuple, list] = {}
         for exps, c in self.coeffs.items():
             for i, e in enumerate(exps):
                 if e:
                     rows.setdefault(_lower(exps, i), [0] * n)[i] = e * c
-        M, pivots, prev, _ = linalg.eliminate(list(rows.values()))
-        return LinSubspace._span(self.vars, linalg.kernel(M, pivots, prev, n))
+        if known is None:
+            known = LinSubspace._canonical(self.vars, (), ())
+        elif known.ambient != self.vars:
+            raise ValueError("known subspace lies over other variables")
+        if any(sum(map(mul, r, k)) for k in known.rows for r in rows.values()):
+            raise AssertionError("known subspace is not in the lineality space")
+        C = [j for j in range(n) if j not in known.pivots]
+        M = list(rows.values())
+        if known.rows:  # M_C, less the rows that vanish there
+            M = [b for b in ([r[j] for j in C] for r in M) if any(b)]
+        M, pivots, prev, _ = linalg.eliminate(M)
+        rest = []
+        for w in linalg.kernel(M, pivots, prev, len(C)):
+            v = [0] * n
+            for j, a in zip(C, w):
+                v[j] = a
+            rest.append(v)
+        return LinSubspace._span(self.vars, [*known.rows, *rest]) if rest else known
 
     # -- text and JSON forms ----------------------------------------------------
 
@@ -565,14 +618,15 @@ class LinSubspace:
 
     ``rows`` is s times the canonical (rref) basis on Python ints, with
     s > 0 the least scale that makes it integral, so the rows are canonical
-    and s is the entry at every pivot.  Every construction is one
-    ``linalg.eliminate`` on integer rows.  Pins, projections, the orthant
-    LP of :mod:`lorentzlab.cones` and every caller that needs a spanning
-    set read ``rows``; ``basis``, the rref rows as rationals, is formed on
-    each read.
+    and s is the entry at every pivot; ``pivots`` holds each row's pivot
+    column.  A subspace is built by one ``linalg.eliminate`` on integer
+    rows, or read off canonical rows it is known to have (a pin that stays
+    canonical, in the module notes).  Pins, projections, the orthant LP of
+    :mod:`lorentzlab.cones` and every caller that needs a spanning set read
+    ``rows``; ``basis``, the rref rows as rationals, is formed on each read.
     """
 
-    __slots__ = ("ambient", "rows", "_index")
+    __slots__ = ("ambient", "rows", "pivots", "_index")
 
     def __init__(self, ambient: Sequence[Label], basis: Iterable[Sequence]):
         ambient = tuple(ambient)
@@ -588,15 +642,25 @@ class LinSubspace:
         L._canonicalize(ambient, M)
         return L
 
+    @classmethod
+    def _canonical(cls, ambient: tuple, rows: tuple, pivots: tuple) -> "LinSubspace":
+        """The subspace whose canonical rows and pivots are already known."""
+        L = object.__new__(cls)
+        L._store(ambient, rows, pivots)
+        return L
+
     def _canonicalize(self, ambient: tuple, M: list) -> None:
         M, pivots, prev, _ = linalg.eliminate(M)
         # the pivot rows are prev times the rref rows; dividing them by the
         # gcd of their entries, signed like prev, leaves the least scale s
         g = gcd(*(a for r in M[: len(pivots)] for a in r)) or 1
         g = -g if prev < 0 else g
-        rows = tuple(tuple(a // g for a in r) for r in M[: len(pivots)])
+        self._store(ambient, tuple(tuple(a // g for a in r) for r in M[: len(pivots)]), tuple(pivots))
+
+    def _store(self, ambient: tuple, rows: tuple, pivots: tuple) -> None:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, *a):
         raise AttributeError("LinSubspace is immutable")
@@ -611,7 +675,7 @@ class LinSubspace:
     @property
     def basis(self) -> tuple:
         """The canonical (rref) basis: the rows divided by their pivot entry."""
-        s = next((a for a in self.rows[0] if a), 1) if self.rows else 1
+        s = self.rows[0][self.pivots[0]] if self.rows else 1
         return tuple(tuple(Rational(a, s) if a else ZERO for a in r) for r in self.rows)
 
     def contains(self, v) -> bool:
@@ -636,9 +700,8 @@ class LinSubspace:
         canonical rows are s times the rref rows with s at every pivot, so
         ``linalg.kernel`` reads an integer kernel basis off them as they
         are."""
-        pivots = [next(j for j, a in enumerate(b) if a) for b in self.rows]
-        s = self.rows[0][pivots[0]] if self.rows else 1
-        return LinSubspace._span(self.ambient, linalg.kernel(list(self.rows), pivots, s, len(self.ambient)))
+        s = self.rows[0][self.pivots[0]] if self.rows else 1
+        return LinSubspace._span(self.ambient, linalg.kernel(list(self.rows), list(self.pivots), s, len(self.ambient)))
 
     def _positions(self, coords: Sequence[Label]) -> list[int]:
         """The positions of ``coords`` in the ambient, by an index formed on
@@ -651,25 +714,44 @@ class LinSubspace:
         return [idx[c] for c in coords]
 
     def projects_onto(self, coords: Sequence[Label]) -> bool:
-        """Whether the projection onto ``coords`` is all of R^coords."""
+        """Whether the projection onto ``coords`` is all of R^coords, that
+        is whether rank R[:, coords] = |coords|, by the block lemma of the
+        module notes: only Y is eliminated, and only when F - P is not
+        empty."""
         pos = self._positions(coords)
         if len(pos) > self.dim:
             return False
-        return len(linalg.eliminate([[b[p] for p in pos] for b in self.rows])[1]) == len(pos)
+        free = [q for q in pos if q not in self.pivots]
+        Y = [[b[q] for q in free] for b, p in zip(self.rows, self.pivots) if p not in pos]
+        # the rank Y needs; above len(free) when a pivot column repeats
+        need = len(pos) - self.dim + len(Y)
+        return need == 0 or len(linalg.eliminate(Y)[1]) == need
+
+    def pinning_row(self, v: Label) -> tuple[tuple | None, int]:
+        """The first integer row with a nonzero entry c at ``v``, and c, so
+        that row / c is the element l of L with l_v = 1 that pins v; on the
+        canonical basis it is the basic solution of m_v = 1.  (None, 0) when
+        every element vanishes at v."""
+        (p,) = self._positions((v,))
+        return next(((b, b[p]) for b in self.rows if b[p]), (None, 0))
 
     def pin(self, v: Label, keep: Sequence[Label]) -> tuple[tuple | None, int, "LinSubspace"]:
         """One elimination step at ``v``: (row, c, { m|keep : m in L, m_v = 0 }).
 
-        row is the first integer row with a nonzero entry c at v, so that
-        l = row / c is the element of L with l_v = 1 that pins v (row is
-        None and c is 0 when every element vanishes at v); each other
-        integer row b becomes c*b - b_v*row, which clears its v-entry, so
-        these rows span the elements vanishing at v.  On the canonical basis
-        l is the basic solution of m_v = 1, so repeated calls agree exactly.
+        (row, c) is :meth:`pinning_row`; each other integer row b becomes
+        c*b - b_v*row, which clears its v-entry, so these rows span the
+        elements vanishing at v.  Where the rows stay canonical (module
+        notes), they are read off with no elimination.
         """
         p, *pos = self._positions((v, *keep))
         k = next((r for r, b in enumerate(self.rows) if b[p]), None)
         top, c = (None, 0) if k is None else (self.rows[k], self.rows[k][p])
         rows = [[c * b[q] - b[p] * top[q] for q in pos] if b[p] else [b[q] for q in pos]
                 for r, b in enumerate(self.rows) if r != k]
+        at = {q: j for j, q in enumerate(pos)}
+        pivots = [q for r, q in enumerate(self.pivots) if r != k]
+        if (k is None or self.pivots[k] == p) and all(q in at for q in pivots) and pos == sorted(at):
+            g = gcd(*(a for b in rows for a in b)) or 1
+            return top, c, LinSubspace._canonical(
+                tuple(keep), tuple(tuple(a // g for a in b) for b in rows), tuple(at[q] for q in pivots))
         return top, c, LinSubspace._span(tuple(keep), rows)

@@ -1869,6 +1869,13 @@ def fraction_projects_onto(lin, coords) -> bool:
     return len(fraction_rref([[b[p] for p in pos] for b in lin.basis])[1]) == len(pos)
 
 
+def full_width_projects_onto(lin, coords) -> bool:
+    """Projection onto coords by one integer elimination of every canonical
+    row restricted to all of coords (no block split by pivots)."""
+    pos = [lin.ambient.index(v) for v in coords]
+    return len(linalg.eliminate([[b[p] for p in pos] for b in lin.rows])[1]) == len(pos)
+
+
 def skeleton_require_hereditary(delta, lin) -> bool:
     """Projection onto every facet of the skeleton of delta, raising
     NotHereditaryError at the first failing one with the smallest failing

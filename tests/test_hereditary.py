@@ -35,6 +35,7 @@ from oracles import (
     fraction_cone_system,
     fraction_face_points,
     fraction_walk_member,
+    partials_lineality_space,
     product,
     projection_pi,
     restrict_fS,
@@ -588,3 +589,62 @@ def test_coupled_cone_search_lands_in_the_cone(monkeypatch):
     monkeypatch.setattr(cones, "strict_feasible", lambda A: calls.append(len(A)) or inner(A))
     w = cone_nonempty(h)
     assert len(calls) == 1 and w is not None and cone_member(h, w)
+
+
+def test_face_linealities_are_built_from_the_pinned_part(rng, monkeypatch):
+    """The cone walk of pol_matroid(U(4,5)) forms the lineality of f^S once
+    per face with 0 < |S| <= d - 2, each from the parent's pinned
+    lineality, and none where f^S is linear; every face lineality of the
+    seeded walks with a polynomial is the partials oracle's."""
+    h = check_hereditary(pol_matroid(flats(Matroid.uniform(4, 5))).f)
+    d = h.degree
+    calls = []
+    inner = HomPoly.lineality_space
+    monkeypatch.setattr(HomPoly, "lineality_space",
+                        lambda p, known=None: calls.append((p.degree, known is not None)) or inner(p, known))
+    cone_system(h)
+    assert not cone_member(h, [1] * len(h.vars))
+    monkeypatch.undo()
+    faces = [S for S in h.delta.faces(max_size=d - 2) if S]
+    assert len(calls) == len(faces) > 20 and all(deg > 1 and known for deg, known in calls)
+    linear = checked = 0
+    for walk, _ in _walk_cases(rng):
+        if walk.face(frozenset()).poly is None:
+            continue
+        for S in walk.order:
+            fd = walk.face(S)
+            if S and fd.poly.degree == 1:
+                assert fd.lin is None and fd.form is not None
+                linear += 1
+            else:
+                assert fd.lin == partials_lineality_space(fd.poly), S
+                checked += 1
+    assert linear > 100 and checked > 100
+
+
+def test_from_weights_refuses_a_polynomial_that_lost_the_lineality(monkeypatch):
+    # the given lineality is the reconstructed polynomial's known part: a
+    # table that is no longer invariant along it fails the exact check
+    delta = SimComplex(("t1", "t2"), [{"t1", "t2"}])
+    L = LinSubspace(("t1", "t2"), [(1, -1)])
+    w = {frozenset({"t1", "t2"}): 1}
+    assert from_weights(delta, L, w).f == parse_poly("1/2 t1^2 + t1 t2 + 1/2 t2^2")
+    dense = HomPoly.from_dense
+    monkeypatch.setattr(HomPoly, "from_dense", classmethod(
+        lambda cls, vars, d, table: dense(vars, d, {**table, (2, 0): table[(2, 0)] + 1})))
+    with pytest.raises(AssertionError, match="reconstructed polynomial lost a lineality vector"):
+        from_weights(delta, L, w)
+
+
+def test_relation_pins_form_no_subspace(monkeypatch):
+    # the relations of the reconstruction read the pinning row alone; only
+    # the face walk pins, onto the link vertices of a nonempty face
+    fan = bergman_fan(flats(Matroid.uniform(4, 5)))
+    keeps = []
+    pin = LinSubspace.pin
+    monkeypatch.setattr(LinSubspace, "pin", lambda L, v, keep: keeps.append(tuple(keep)) or pin(L, v, keep))
+    rows = []
+    pinning_row = LinSubspace.pinning_row
+    monkeypatch.setattr(LinSubspace, "pinning_row", lambda L, v: rows.append(v) or pinning_row(L, v))
+    h = from_weights(fan.cones, fan.lineality(), {F: 1 for F in fan.cones.facets})
+    assert h.degree == 3 and rows and keeps and all(keeps)

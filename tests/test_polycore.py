@@ -16,6 +16,7 @@ from oracles import (
     euler_defect,
     fraction_parse_poly,
     fraction_projects_onto,
+    full_width_projects_onto,
     nullspace_vanishing_restrict,
     partials_lineality_space,
     product_substitute,
@@ -223,10 +224,16 @@ def rows_scale_basis(L: LinSubspace) -> bool:
             and L.rows == tuple(tuple(s * x for x in b) for b in L.basis))
 
 
-def test_pin_matches_solve_and_nullspace(rng):
+def test_pin_matches_solve_and_nullspace(rng, monkeypatch):
     # one elimination step on the canonical basis gives the basic solution
-    # of l_v = 1 and the canonical basis of the elements vanishing at v
+    # of l_v = 1 and the canonical basis of the elements vanishing at v;
+    # each keep is also tried in ambient order, where pins at a pivot read
+    # the canonical rows off with no elimination
+    spans = []
+    span = LinSubspace._span
+    monkeypatch.setattr(LinSubspace, "_span", classmethod(lambda cls, a, M: spans.append(a) or span(a, M)))
     checked = nones = 0
+    branches = {"read off": 0, "eliminated": 0}
     for n in range(1, 8):
         ambient = tuple("abcdefg"[:n])
         for dim in range(n + 1):
@@ -234,18 +241,24 @@ def test_pin_matches_solve_and_nullspace(rng):
                 L = random_subspace(rng, ambient, dim)
                 assert rows_scale_basis(L)
                 for v in ambient:
-                    keep = rng.sample(ambient, rng.randint(0, n))
-                    row, c, LS = L.pin(v, keep)
-                    pin = None if row is None else tuple(Q(x, c) for x in row)
-                    assert pin == solve_member_with_values(L, {v: Q(1)})
-                    assert (row is None) == (c == 0)
-                    assert (pin is None) == all(b[ambient.index(v)] == 0 for b in L.basis)
-                    want = nullspace_vanishing_restrict(L, (v,), keep)
-                    assert LS.ambient == tuple(keep) and LS.basis == want.basis
-                    assert rows_scale_basis(LS)
-                    checked += 1
-                    nones += pin is None
-    assert checked > 600 and 0 < nones < checked
+                    sampled = rng.sample(ambient, rng.randint(0, n))
+                    for keep in (sampled, sorted(sampled, key=ambient.index)):
+                        before = len(spans)
+                        row, c, LS = L.pin(v, keep)
+                        branches["eliminated" if len(spans) > before else "read off"] += 1
+                        assert row == L.pinning_row(v)[0] and c == L.pinning_row(v)[1]
+                        pin = None if row is None else tuple(Q(x, c) for x in row)
+                        assert pin == solve_member_with_values(L, {v: Q(1)})
+                        assert (row is None) == (c == 0)
+                        assert (pin is None) == all(b[ambient.index(v)] == 0 for b in L.basis)
+                        want = nullspace_vanishing_restrict(L, (v,), keep)
+                        assert LS.ambient == tuple(keep) and LS.basis == want.basis
+                        assert rows_scale_basis(LS) and LS == LinSubspace(keep, LS.rows)
+                        assert LS.pivots == tuple(next(j for j, a in enumerate(b) if a) for b in LS.rows)
+                        checked += 1
+                        nones += pin is None
+    assert checked > 1200 and 0 < nones < checked
+    assert min(branches.values()) > 200, branches
 
 
 def test_projects_onto_matches_fraction_rank(rng):
@@ -263,6 +276,29 @@ def test_projects_onto_matches_fraction_rank(rng):
                         assert got == fraction_projects_onto(L, sub), (L.basis, sub)
                         seen[got] += 1
     assert min(seen.values()) > 100
+
+
+def test_projects_onto_matches_full_width_elimination(rng):
+    # the block split by pivots against one elimination of every row over
+    # all of coords, on coordinate sets in any order, larger than the
+    # dimension, and with a repeated coordinate
+    seen = {True: 0, False: 0}
+    larger = repeated = 0
+    for n in range(1, 8):
+        ambient = tuple("abcdefg"[:n])
+        for dim in range(n + 1):
+            for _ in range(3):
+                L = random_subspace(rng, ambient, dim)
+                for _ in range(12):
+                    sub = rng.sample(ambient, rng.randint(0, n))
+                    if sub and rng.random() < 0.2:
+                        sub.append(rng.choice(sub))
+                        repeated += 1
+                    got = L.projects_onto(sub)
+                    assert got == full_width_projects_onto(L, sub) == fraction_projects_onto(L, sub), (L.rows, sub)
+                    seen[got] += 1
+                    larger += len(sub) > dim
+    assert min(seen.values()) > 300 and larger > 300 and repeated > 50
 
 
 def _random_poly(rng, n, d, terms=4):
@@ -538,17 +574,64 @@ def test_substitute_matches_product_oracle(rng):
     assert zeros > 10
 
 
-def test_lineality_from_coefficients_matches_partials(rng):
-    # seeded polynomials, with lineality made on purpose by a pull-back
-    # along a map of low rank
-    for _ in range(60):
+def _seeded_polys_with_lineality(rng, count):
+    """Seeded polynomials and their pull-backs along maps of low rank,
+    which have lineality on purpose."""
+    for _ in range(count):
         n, d = rng.randint(1, 5), rng.randint(0, 4)
         f = _random_poly(rng, n, d, terms=rng.randint(0, 6))
         m = rng.randint(1, n + 1)
         A = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
-        g = f.substitute_linear(A, tuple(f"s{j}" for j in range(m)))
-        for p in (f, g):
-            assert p.lineality_space() == partials_lineality_space(p)
+        yield f
+        yield f.substitute_linear(A, tuple(f"s{j}" for j in range(m)))
+
+
+def test_lineality_from_coefficients_matches_partials(rng):
+    for p in _seeded_polys_with_lineality(rng, 60):
+        assert p.lineality_space() == partials_lineality_space(p)
+
+
+def test_lineality_from_a_known_part_matches_partials(rng):
+    # K = 0, a seeded proper subspace of the lineality and all of it: the
+    # elimination of the columns off K's pivots completes K exactly
+    kinds = {"zero": 0, "proper": 0, "full": 0}
+    for p in _seeded_polys_with_lineality(rng, 60):
+        want = partials_lineality_space(p)
+        knowns = {"zero": LinSubspace(p.vars, []), "full": want}
+        if want.dim > 1:
+            k = rng.randint(1, want.dim - 1)
+            combos = [[rng.randint(-3, 3) for _ in want.rows] for _ in range(k)]
+            knowns["proper"] = LinSubspace(p.vars, [[sum(x * b[j] for x, b in zip(xs, want.rows))
+                                                     for j in range(len(p.vars))] for xs in combos])
+        for kind, K in knowns.items():
+            assert K.dim < want.dim or kind != "proper"
+            got = p.lineality_space(K)
+            assert got == want and rows_scale_basis(got), (p, kind)
+            kinds[kind] += 1
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_a_known_part_outside_the_lineality_raises(rng):
+    import pytest
+
+    f = parse_poly("t1^2 + 2 t1 t2 + t2^2 + t3^2")
+    assert f.lineality_space().basis == ((1, -1, 0),)
+    for K in ([(1, 0, 0)], [(1, -1, 0), (0, 0, 1)], [(2, -2, 1)]):
+        with pytest.raises(AssertionError):
+            f.lineality_space(LinSubspace(f.vars, K))
+    with pytest.raises(ValueError):
+        f.lineality_space(LinSubspace(("t1", "t2"), [(1, -1)]))
+    raised = 0
+    for p in _seeded_polys_with_lineality(rng, 40):
+        want = partials_lineality_space(p)
+        if want.dim == len(p.vars):
+            continue
+        v = next(e for e in ([int(i == j) for i in range(len(p.vars))] for j in range(len(p.vars)))
+                 if not want.contains(e))
+        with pytest.raises(AssertionError):
+            p.lineality_space(LinSubspace(p.vars, [*want.rows, v]))
+        raised += 1
+    assert raised > 20
 
 
 def test_lineality_from_coefficients_on_acceptance_fixtures(rng):
